@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FactorKind, Operator, SpaceDescriptor, StateVector
-from .protocols import HesLabel
+from .fock import FactorKind, HesLabel, Operator, SpaceDescriptor, StateVector
 from .pseudospin import Direction, PseudospinOps, dot_s, dot_sigma, k_series
 
 CIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -119,8 +118,6 @@ def analytic_settings(z: float, label: HesLabel = HesLabel.PHI_PLUS) -> ChshSett
 
 def analytic_optimum(z: float, label: HesLabel = HesLabel.PHI_PLUS) -> ChshResult:
     """Closed-form maximal Bell expectation 2*sqrt(1 + k(z)^2) for a hybrid pair."""
-    if z < 0.0:
-        raise ValueError(f"z must be nonnegative, got {z!r}")
     k = k_series(z)
     return ChshResult(
         value=2.0 * math.sqrt(1.0 + k * k),

@@ -6,7 +6,9 @@ Mode dimensions are kept even so that the parity-flip algebra built on top
 of them closes exactly on the truncated space.
 
 All state and operator values are immutable after construction; every
-operation here is a pure function and safe to share across workers.
+operation here is a pure function and safe to share across workers. The
+Bell-pair label enums live here too, so that the analysis and protocol
+layers share them without importing each other.
 """
 
 from __future__ import annotations
@@ -32,6 +34,43 @@ class TruncationError(ValueError):
 class FactorKind(Enum):
     QUBIT = "qubit"
     MODE = "mode"
+
+
+class BellLabel(Enum):
+    """Label of a Bell pair; family and sign are read off the member name.
+
+    PHI members pair equal codewords (|0_L 0_L> ± |1_L 1_L>), PSI members
+    crossed ones (|0_L 1_L> ± |1_L 0_L>); PLUS/MINUS give the relative sign.
+    """
+
+    @property
+    def is_phi(self) -> bool:
+        return self.name.startswith("PHI")
+
+    @property
+    def sign(self) -> float:
+        return 1.0 if self.name.endswith("PLUS") else -1.0
+
+
+class SpinBellLabel(BellLabel):
+    PSI_PLUS = "Psi+"
+    PSI_MINUS = "Psi-"
+    PHI_PLUS = "Phi+"
+    PHI_MINUS = "Phi-"
+
+
+class HesLabel(BellLabel):
+    PSI_PLUS = "psi+"
+    PSI_MINUS = "psi-"
+    PHI_PLUS = "phi+"
+    PHI_MINUS = "phi-"
+
+
+class ParityBellLabel(BellLabel):
+    PHI_PLUS = "phi~+"
+    PHI_MINUS = "phi~-"
+    PSI_PLUS = "psi~+"
+    PSI_MINUS = "psi~-"
 
 
 @dataclass(frozen=True)
@@ -186,6 +225,20 @@ def _log_sinh(x: float) -> float:
     return math.log(math.sinh(x))
 
 
+def _check_z(z: float) -> None:
+    # NaN fails every comparison, so it must be rejected before any loop on z
+    if not (math.isfinite(z) and z >= 0.0):
+        raise ValueError(f"z must be finite and nonnegative, got {z!r}")
+
+
+def _combined_residual(a: float, b: float) -> float:
+    """Mass lost by a product of two truncations losing a and b: 1-(1-a)(1-b).
+
+    Written as a + b - a*b so residuals near machine precision survive.
+    """
+    return a + b - a * b
+
+
 def mode_dim_for(z: float, tol: float) -> int:
     """Smallest even Fock dimension whose Poisson tail at mean z**2 is < tol.
 
@@ -195,8 +248,7 @@ def mode_dim_for(z: float, tol: float) -> int:
     """
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must lie strictly between 0 and 1, got {tol!r}")
-    if z < 0.0:
-        raise ValueError(f"z must be nonnegative, got {z!r}")
+    _check_z(z)
     lam = z * z
     if lam == 0.0:
         return 4
@@ -263,8 +315,7 @@ def even_coherent(
     residual_tol.
     """
     space = SpaceDescriptor.mode(dim)
-    if z < 0.0:
-        raise ValueError(f"z must be nonnegative, got {z!r}")
+    _check_z(z)
     if z == 0.0 or z * z == 0.0:
         amps = np.zeros(dim, dtype=complex)
         amps[0] = 1.0
@@ -282,8 +333,7 @@ def odd_coherent(
     z = 0 the normalized series degenerates; its limit |1> is returned.
     """
     space = SpaceDescriptor.mode(dim)
-    if z < 0.0:
-        raise ValueError(f"z must be nonnegative, got {z!r}")
+    _check_z(z)
     if z == 0.0 or z * z == 0.0:
         amps = np.zeros(dim, dtype=complex)
         amps[1] = 1.0
@@ -312,7 +362,7 @@ def identity_op(space: SpaceDescriptor) -> Operator:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product, a's factors first."""
-    residual = 1.0 - (1.0 - a.truncation_residual) * (1.0 - b.truncation_residual)
+    residual = _combined_residual(a.truncation_residual, b.truncation_residual)
     return StateVector(a.space * b.space, np.kron(a.amps, b.amps), residual)
 
 

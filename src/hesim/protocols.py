@@ -1,11 +1,13 @@
-"""Entangled-state constructions and measurement-based protocols.
+"""Bell pairs over qubit and cat encodings, and the protocols built on them.
 
-Covers three families of maximally entangled two-party states (two-qubit
-Bell states, qubit-mode hybrid states built on even/odd cat states, and
-two-mode parity Bell states), the projective measurements in those bases,
-and the protocols running on them: teleporting a spin qubit through a
-hybrid channel, teleporting a parity qubit onto a spin, and entanglement
-swapping between two hybrid pairs.
+Every entangled state here is one Bell pair between two parties, each
+carrying a logical qubit in an ``Encoding``: the spin itself (up, down) or
+the even/odd cat at amplitude z. ``bell_pair`` builds all three families:
+two-qubit Bell states, qubit-mode hybrid states and two-mode parity Bell
+states. One projective measurement in such a basis drives the protocols:
+teleporting a spin qubit through a hybrid channel onto its mode,
+teleporting a parity qubit onto its spin, and entanglement swapping between
+two hybrid pairs.
 
 Parties are always laid out in the order their subscripts suggest: the
 sender's qubit first, then channel factors in index order. Measurements
@@ -24,44 +26,26 @@ import numpy as np
 
 from .fock import (
     DEFAULT_RESIDUAL_TOL,
+    BellLabel,
     FactorKind,
+    HesLabel,
+    Operator,
+    ParityBellLabel,
     SpaceDescriptor,
+    SpinBellLabel,
     StateVector,
+    _combined_residual,
     apply,
     even_coherent,
     inner,
     odd_coherent,
     partial_inner,
+    qubit_state,
     tensor,
 )
-from .pseudospin import PAULI_X, PAULI_Y, PAULI_Z, Operator, build_pseudospin
+from .pseudospin import build_pseudospin
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-_QUBIT = SpaceDescriptor.qubit()
-
-_UP = np.array([1.0, 0.0], dtype=complex)
-_DOWN = np.array([0.0, 1.0], dtype=complex)
-
-
-class SpinBellLabel(Enum):
-    PSI_PLUS = "Psi+"
-    PSI_MINUS = "Psi-"
-    PHI_PLUS = "Phi+"
-    PHI_MINUS = "Phi-"
-
-
-class HesLabel(Enum):
-    PSI_PLUS = "psi+"
-    PSI_MINUS = "psi-"
-    PHI_PLUS = "phi+"
-    PHI_MINUS = "phi-"
-
-
-class ParityBellLabel(Enum):
-    PHI_PLUS = "phi~+"
-    PHI_MINUS = "phi~-"
-    PSI_PLUS = "psi~+"
-    PSI_MINUS = "psi~-"
 
 
 class Correction(Enum):
@@ -73,26 +57,59 @@ class Correction(Enum):
     S_Y = "s_y"
 
 
-def _is_phi(label) -> bool:
-    return label in (
-        SpinBellLabel.PHI_PLUS,
-        SpinBellLabel.PHI_MINUS,
-        HesLabel.PHI_PLUS,
-        HesLabel.PHI_MINUS,
-        ParityBellLabel.PHI_PLUS,
-        ParityBellLabel.PHI_MINUS,
-    )
+@dataclass(frozen=True)
+class Encoding:
+    """The two logical codewords |0_L>, |1_L> of one party."""
+
+    zero: StateVector
+    one: StateVector
+
+    @classmethod
+    def qubit(cls) -> "Encoding":
+        """Spin up and spin down."""
+        return cls(qubit_state(1.0, 0.0), qubit_state(0.0, 1.0))
+
+    @classmethod
+    def cat(
+        cls, z: float, dim: int, residual_tol: float = DEFAULT_RESIDUAL_TOL
+    ) -> "Encoding":
+        """Even and odd cat states at amplitude z on a mode of dimension dim."""
+        return cls(
+            even_coherent(z, dim, residual_tol), odd_coherent(z, dim, residual_tol)
+        )
+
+    @property
+    def space(self) -> SpaceDescriptor:
+        return self.zero.space
+
+    @property
+    def residual(self) -> float:
+        """Mean truncation residual of the two codewords."""
+        return 0.5 * (self.zero.truncation_residual + self.one.truncation_residual)
+
+    def state(self, alpha: complex, beta: complex) -> StateVector:
+        """Logical state alpha|0_L> + beta|1_L>; the amplitudes must be normalized."""
+        norm2 = abs(alpha) ** 2 + abs(beta) ** 2
+        if abs(norm2 - 1.0) > 1e-12:
+            raise ValueError(
+                f"input qubit amplitudes are not normalized: |a|^2 + |b|^2 = {norm2!r}"
+            )
+        amps = alpha * self.zero.amps + beta * self.one.amps
+        return StateVector(self.space, amps, self.residual)
 
 
-def _is_plus(label) -> bool:
-    return label in (
-        SpinBellLabel.PSI_PLUS,
-        SpinBellLabel.PHI_PLUS,
-        HesLabel.PSI_PLUS,
-        HesLabel.PHI_PLUS,
-        ParityBellLabel.PSI_PLUS,
-        ParityBellLabel.PHI_PLUS,
+_QUBIT = Encoding.qubit()
+
+
+def bell_pair(label: BellLabel, enc_a: Encoding, enc_b: Encoding) -> StateVector:
+    """(|0_L>|0_L> ± |1_L>|1_L>)/√2 for phi labels, (|0_L>|1_L> ± |1_L>|0_L>)/√2
+    for psi labels, party a's factors first."""
+    b0, b1 = (enc_b.zero, enc_b.one) if label.is_phi else (enc_b.one, enc_b.zero)
+    amps = np.kron(enc_a.zero.amps, b0.amps) + label.sign * np.kron(
+        enc_a.one.amps, b1.amps
     )
+    residual = _combined_residual(enc_a.residual, enc_b.residual)
+    return StateVector(enc_a.space * enc_b.space, amps * _SQRT_HALF, residual)
 
 
 @dataclass
@@ -115,7 +132,7 @@ class RngStream:
 class TeleportRecord:
     """Transcript of one teleportation run."""
 
-    outcome: SpinBellLabel | ParityBellLabel
+    outcome: BellLabel
     outcome_probability: float
     correction: Correction
     output_state: StateVector
@@ -142,16 +159,7 @@ class SwapRecord:
 
 def spin_bell_state(label: SpinBellLabel) -> StateVector:
     """Two-qubit Bell state, amplitudes ordered (uu, ud, du, dd)."""
-    up, dn = _UP, _DOWN
-    if label is SpinBellLabel.PSI_PLUS:
-        amps = np.kron(up, dn) + np.kron(dn, up)
-    elif label is SpinBellLabel.PSI_MINUS:
-        amps = np.kron(up, dn) - np.kron(dn, up)
-    elif label is SpinBellLabel.PHI_PLUS:
-        amps = np.kron(up, up) + np.kron(dn, dn)
-    else:
-        amps = np.kron(up, up) - np.kron(dn, dn)
-    return StateVector(_QUBIT * _QUBIT, amps * _SQRT_HALF)
+    return bell_pair(label, _QUBIT, _QUBIT)
 
 
 def hes_state(
@@ -165,15 +173,7 @@ def hes_state(
     The psi states pair spin-up with the odd cat component, the phi states
     pair spin-up with the even one; signs follow the label.
     """
-    e = even_coherent(z, dim, residual_tol)
-    o = odd_coherent(z, dim, residual_tol)
-    sign = 1.0 if _is_plus(label) else -1.0
-    if _is_phi(label):
-        amps = np.kron(_UP, e.amps) + sign * np.kron(_DOWN, o.amps)
-    else:
-        amps = np.kron(_UP, o.amps) + sign * np.kron(_DOWN, e.amps)
-    residual = 0.5 * (e.truncation_residual + o.truncation_residual)
-    return StateVector(_QUBIT * e.space, amps * _SQRT_HALF, residual)
+    return bell_pair(label, _QUBIT, Encoding.cat(z, dim, residual_tol))
 
 
 def parity_bell_state(
@@ -184,36 +184,8 @@ def parity_bell_state(
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> StateVector:
     """Two-mode entangled cat pair at amplitudes (z, z_prime)."""
-    e1 = even_coherent(z, dim, residual_tol)
-    o1 = odd_coherent(z, dim, residual_tol)
-    e2 = even_coherent(z_prime, dim, residual_tol)
-    o2 = odd_coherent(z_prime, dim, residual_tol)
-    sign = 1.0 if _is_plus(label) else -1.0
-    if _is_phi(label):
-        amps = np.kron(e1.amps, e2.amps) + sign * np.kron(o1.amps, o2.amps)
-        residual = 0.5 * (
-            e1.truncation_residual
-            + e2.truncation_residual
-            + o1.truncation_residual
-            + o2.truncation_residual
-        )
-    else:
-        amps = np.kron(e1.amps, o2.amps) + sign * np.kron(o1.amps, e2.amps)
-        residual = 0.5 * (
-            e1.truncation_residual
-            + o2.truncation_residual
-            + o1.truncation_residual
-            + e2.truncation_residual
-        )
-    return StateVector(e1.space * e2.space, amps * _SQRT_HALF, residual)
-
-
-def _validate_qubit_amps(alpha: complex, beta: complex) -> None:
-    norm2 = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(norm2 - 1.0) > 1e-12:
-        raise ValueError(
-            f"input qubit amplitudes are not normalized: |a|^2 + |b|^2 = {norm2!r}"
-        )
+    cat = Encoding.cat(z, dim, residual_tol)
+    return bell_pair(label, cat, Encoding.cat(z_prime, dim, residual_tol))
 
 
 def decompose_teleport_input(
@@ -230,8 +202,7 @@ def decompose_teleport_input(
     carries weight 1/2, so summing Bell x branch / 2 reassembles the input
     product state exactly.
     """
-    _validate_qubit_amps(alpha, beta)
-    spin = StateVector(_QUBIT, np.array([alpha, beta]))
+    spin = _QUBIT.state(alpha, beta)
     joint = tensor(spin, hes_state(channel, z, dim, residual_tol))
     mode_space = joint.space.subspace((2,))
     out = []
@@ -243,40 +214,58 @@ def decompose_teleport_input(
     return out
 
 
-def correction_for(outcome: SpinBellLabel, channel: HesLabel) -> Correction:
-    """Mode-side fix-up for a sender Bell outcome over a given channel.
+def correction_for(outcome: BellLabel, channel: HesLabel) -> Correction:
+    """Receiver-side fix-up for a sender Bell outcome over a given channel.
 
     Matching family and sign need no correction; a sign mismatch within the
     family is a parity phase flip; crossing families costs a parity flip,
     with s_y absorbing the extra sign.
     """
-    same_family = _is_phi(outcome) == _is_phi(channel)
-    same_sign = _is_plus(outcome) == _is_plus(channel)
-    if same_family:
+    same_sign = outcome.sign == channel.sign
+    if outcome.is_phi == channel.is_phi:
         return Correction.IDENTITY if same_sign else Correction.S_Z
     return Correction.S_X if same_sign else Correction.S_Y
 
 
-def parity_correction_for(outcome: ParityBellLabel, channel: HesLabel) -> Correction:
-    """Spin-side Pauli fix-up after a parity Bell measurement."""
-    same_family = _is_phi(outcome) == _is_phi(channel)
-    same_sign = _is_plus(outcome) == _is_plus(channel)
-    if same_family:
-        return Correction.IDENTITY if same_sign else Correction.S_Z
-    return Correction.S_X if same_sign else Correction.S_Y
+parity_correction_for = correction_for
 
 
-def _branch_projections(state, bras, factors):
-    """Project onto each (label, bra); returns [(label, amplitude, prob)]."""
+def _check_kinds(
+    state: StateVector, indices: tuple[int, ...], kinds: tuple[FactorKind, ...]
+):
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"measured factors must be distinct, got {indices}")
+    for i, kind in zip(indices, kinds):
+        if not 0 <= i < state.space.nfactors:
+            raise ValueError(f"factor index {i} out of range")
+        if state.space.kind(i) is not kind:
+            raise ValueError(
+                f"factor {i} of {state.space.describe()} is not a {kind.value}"
+            )
+
+
+def _measure_bell(state, factors, labels, enc_a, enc_b, rng=None):
+    """Project factors onto bell_pair(label, enc_a, enc_b) for each label.
+
+    Without rng, returns the outcome distribution. With one, draws a single
+    variate, selects an outcome by inverse CDF and returns (label,
+    probability, renormalized state on the remaining factors). The basis may
+    span only part of the measured factors' space; weight outside it above
+    1e-10 is then an error rather than a fifth outcome.
+    """
+    _check_kinds(state, factors, (enc_a.space.kind(0), enc_b.space.kind(0)))
     branches = []
-    for label, bra in bras:
-        amp = partial_inner(bra, state, factors)
+    for label in labels:
+        amp = partial_inner(bell_pair(label, enc_a, enc_b), state, factors)
         branches.append((label, amp, float(np.real(np.vdot(amp, amp)))))
-    return branches
-
-
-def _sample_branch(state, branches, factors, rng, total):
-    """Inverse-CDF draw over the branch probabilities, then collapse."""
+    if rng is None:
+        return {label: p for label, _, p in branches}
+    total = sum(p for _, _, p in branches)
+    if 1.0 - total > 1e-10:
+        raise ValueError(
+            f"state carries weight {1.0 - total:.3e} outside the span of the "
+            f"measured Bell basis on factors {factors}"
+        )
     u = rng.uniform() * total
     acc = 0.0
     chosen = None
@@ -295,26 +284,11 @@ def _sample_branch(state, branches, factors, rng, total):
     return label, p, collapsed
 
 
-def _check_kinds(state: StateVector, indices: tuple[int, ...], kind: FactorKind):
-    if len(set(indices)) != len(indices):
-        raise ValueError(f"measured factors must be distinct, got {indices}")
-    for i in indices:
-        if not 0 <= i < state.space.nfactors:
-            raise ValueError(f"factor index {i} out of range")
-        if state.space.kind(i) is not kind:
-            raise ValueError(
-                f"factor {i} of {state.space.describe()} is not a {kind.value}"
-            )
-
-
 def spin_bell_probabilities(
     state: StateVector, qubit_indices: tuple[int, int]
 ) -> dict[SpinBellLabel, float]:
     """Outcome distribution of a Bell measurement on two qubit factors."""
-    _check_kinds(state, qubit_indices, FactorKind.QUBIT)
-    bras = [(label, spin_bell_state(label)) for label in SpinBellLabel]
-    branches = _branch_projections(state, bras, qubit_indices)
-    return {label: p for label, _, p in branches}
+    return _measure_bell(state, qubit_indices, SpinBellLabel, _QUBIT, _QUBIT)
 
 
 def measure_spin_bell(
@@ -325,37 +299,23 @@ def measure_spin_bell(
     Returns the sampled outcome, its probability, and the renormalized
     state on the remaining factors (the measured qubits are removed).
     """
-    _check_kinds(state, qubit_indices, FactorKind.QUBIT)
-    bras = [(label, spin_bell_state(label)) for label in SpinBellLabel]
-    branches = _branch_projections(state, bras, qubit_indices)
-    return _sample_branch(state, branches, qubit_indices, rng, 1.0)
+    return _measure_bell(state, qubit_indices, SpinBellLabel, _QUBIT, _QUBIT, rng)
 
 
-def _parity_bell_bras(
+def _cat_encodings(
     state: StateVector,
     mode_indices: tuple[int, int],
     z: float,
     z_prime: float,
     residual_tol: float,
-) -> list[tuple[ParityBellLabel, StateVector]]:
+) -> tuple[Encoding, Encoding]:
+    """Cat encodings at (z, z_prime) on the dims of the two measured modes."""
+    _check_kinds(state, mode_indices, (FactorKind.MODE, FactorKind.MODE))
     i, j = mode_indices
-    di = state.space.dims[i]
-    dj = state.space.dims[j]
-    e1, o1 = even_coherent(z, di, residual_tol), odd_coherent(z, di, residual_tol)
-    e2 = even_coherent(z_prime, dj, residual_tol)
-    o2 = odd_coherent(z_prime, dj, residual_tol)
-    space = e1.space * e2.space
-    combos = {
-        ParityBellLabel.PHI_PLUS: (e1, e2, o1, o2, 1.0),
-        ParityBellLabel.PHI_MINUS: (e1, e2, o1, o2, -1.0),
-        ParityBellLabel.PSI_PLUS: (e1, o2, o1, e2, 1.0),
-        ParityBellLabel.PSI_MINUS: (e1, o2, o1, e2, -1.0),
-    }
-    bras = []
-    for label, (a1, a2, b1, b2, sign) in combos.items():
-        amps = (np.kron(a1.amps, a2.amps) + sign * np.kron(b1.amps, b2.amps))
-        bras.append((label, StateVector(space, amps * _SQRT_HALF)))
-    return bras
+    return (
+        Encoding.cat(z, state.space.dims[i], residual_tol),
+        Encoding.cat(z_prime, state.space.dims[j], residual_tol),
+    )
 
 
 def parity_bell_probabilities(
@@ -366,10 +326,8 @@ def parity_bell_probabilities(
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> dict[ParityBellLabel, float]:
     """Outcome distribution of a parity Bell measurement on two mode factors."""
-    _check_kinds(state, mode_indices, FactorKind.MODE)
-    bras = _parity_bell_bras(state, mode_indices, z, z_prime, residual_tol)
-    branches = _branch_projections(state, bras, mode_indices)
-    return {label: p for label, _, p in branches}
+    encs = _cat_encodings(state, mode_indices, z, z_prime, residual_tol)
+    return _measure_bell(state, mode_indices, ParityBellLabel, *encs)
 
 
 def measure_parity_bell(
@@ -386,23 +344,15 @@ def measure_parity_bell(
     subspace of the two modes, so the input must lie in that span; weight
     outside it above 1e-10 is an error rather than a fifth outcome.
     """
-    _check_kinds(state, mode_indices, FactorKind.MODE)
-    bras = _parity_bell_bras(state, mode_indices, z, z_prime, residual_tol)
-    branches = _branch_projections(state, bras, mode_indices)
-    total = sum(p for _, _, p in branches)
-    if 1.0 - total > 1e-10:
-        raise ValueError(
-            f"state carries weight {1.0 - total:.3e} outside the span of the "
-            f"parity Bell basis at (z={z!r}, z'={z_prime!r})"
-        )
-    return _sample_branch(state, branches, mode_indices, rng, total)
+    encs = _cat_encodings(state, mode_indices, z, z_prime, residual_tol)
+    return _measure_bell(state, mode_indices, ParityBellLabel, *encs, rng)
 
 
 def parity_measurement(
     state: StateVector, mode_index: int, rng: RngStream
 ) -> tuple[int, float, StateVector]:
     """Measure the photon-number parity of one mode factor in place."""
-    _check_kinds(state, (mode_index,), FactorKind.MODE)
+    _check_kinds(state, (mode_index,), (FactorKind.MODE,))
     dims = state.space.dims
     t = state.amps.reshape(dims)
     occ = np.arange(dims[mode_index])
@@ -423,34 +373,39 @@ def parity_measurement(
     return outcome, p, collapsed
 
 
-_CORRECTION_PAULI = {
-    Correction.S_Z: PAULI_Z,
-    Correction.S_X: PAULI_X,
-    Correction.S_Y: PAULI_Y,
-}
+def _teleport(
+    alpha: complex,
+    beta: complex,
+    joint: StateVector,
+    factors: tuple[int, int],
+    labels: type[BellLabel],
+    basis: tuple[Encoding, Encoding],
+    channel: HesLabel,
+    receiver: Encoding,
+    rng: RngStream,
+) -> TeleportRecord:
+    """Bell-measure the sender's factors of joint, correct the receiver.
 
-
-def _teleport_target(
-    correction: Correction, alpha: complex, beta: complex, z: float, dim: int,
-    residual_tol: float,
-) -> StateVector:
-    """Analytic post-correction state on the receiving mode.
-
-    The parity-flipped codewords s_plus|z>_o and s_minus|z>_e are unit
-    vectors of even/odd parity respectively, so the cross-family branches
-    target their superposition rather than the literal cat codewords.
+    The receiver's codewords carry the parity algebra of build_pseudospin
+    (on a qubit it is exactly the Pauli set), so one correction and one
+    target serve both directions. A parity flip maps the codewords onto
+    s_plus|1_L> and s_minus|0_L>, unit vectors of even/odd parity, so the
+    cross-family branches target their superposition.
     """
-    e = even_coherent(z, dim, residual_tol)
-    o = odd_coherent(z, dim, residual_tol)
-    if correction in (Correction.IDENTITY, Correction.S_Z):
-        amps = alpha * e.amps + beta * o.amps
-    else:
-        ops = build_pseudospin(dim)
-        amps = alpha * (ops.s_plus.matrix @ o.amps) + beta * (
-            ops.s_minus.matrix @ e.amps
-        )
-    residual = 0.5 * (e.truncation_residual + o.truncation_residual)
-    return StateVector(e.space, amps, residual)
+    outcome, p, received = _measure_bell(joint, factors, labels, *basis, rng)
+    correction = correction_for(outcome, channel)
+    output, target = received, receiver.state(alpha, beta)
+    if correction is not Correction.IDENTITY:
+        ops = build_pseudospin(receiver.space.dim)
+        fix = Operator(receiver.space, getattr(ops, correction.value).matrix)
+        output = apply(fix, received, 0)
+        if correction is not Correction.S_Z:
+            amps = alpha * (ops.s_plus.matrix @ receiver.one.amps) + beta * (
+                ops.s_minus.matrix @ receiver.zero.amps
+            )
+            target = StateVector(receiver.space, amps, receiver.residual)
+    fidelity = abs(inner(target, output)) ** 2
+    return TeleportRecord(outcome, p, correction, output, target, fidelity)
 
 
 def teleport_spin(
@@ -468,24 +423,11 @@ def teleport_spin(
     conditional mode state is fixed up by the parity operation the outcome
     dictates and compared against the analytic branch target.
     """
-    _validate_qubit_amps(alpha, beta)
-    spin = StateVector(_QUBIT, np.array([alpha, beta]))
-    joint = tensor(spin, hes_state(channel, z, dim, residual_tol))
-    outcome, p, mode3 = measure_spin_bell(joint, (0, 1), rng)
-    correction = correction_for(outcome, channel)
-    if correction is Correction.IDENTITY:
-        output = mode3
-    else:
-        ops = build_pseudospin(dim)
-        op = {
-            Correction.S_Z: ops.s_z,
-            Correction.S_X: ops.s_x,
-            Correction.S_Y: ops.s_y,
-        }[correction]
-        output = apply(op, mode3, 0)
-    target = _teleport_target(correction, alpha, beta, z, dim, residual_tol)
-    fidelity = abs(inner(target, output)) ** 2
-    return TeleportRecord(outcome, p, correction, output, target, fidelity)
+    cat = Encoding.cat(z, dim, residual_tol)
+    joint = tensor(_QUBIT.state(alpha, beta), bell_pair(channel, _QUBIT, cat))
+    return _teleport(
+        alpha, beta, joint, (0, 1), SpinBellLabel, (_QUBIT, _QUBIT), channel, cat, rng
+    )
 
 
 def teleport_parity(
@@ -504,27 +446,13 @@ def teleport_parity(
     z_dblprime); the sender measures the two modes in the entangled-cat
     basis at (z_dblprime, z) and the spin picks up the matching Pauli.
     """
-    _validate_qubit_amps(alpha, beta)
-    e = even_coherent(z_dblprime, dim, residual_tol)
-    o = odd_coherent(z_dblprime, dim, residual_tol)
-    mode_in = StateVector(
-        e.space,
-        alpha * e.amps + beta * o.amps,
-        0.5 * (e.truncation_residual + o.truncation_residual),
+    source = Encoding.cat(z_dblprime, dim, residual_tol)
+    cat = Encoding.cat(z, dim, residual_tol)
+    joint = tensor(bell_pair(channel, _QUBIT, cat), source.state(alpha, beta))
+    return _teleport(
+        alpha, beta, joint, (2, 1), ParityBellLabel, (source, cat), channel, _QUBIT,
+        rng,
     )
-    joint = tensor(hes_state(channel, z, dim, residual_tol), mode_in)
-    outcome, p, spin_out = measure_parity_bell(
-        joint, (2, 1), z_dblprime, z, rng, residual_tol
-    )
-    correction = parity_correction_for(outcome, channel)
-    if correction is Correction.IDENTITY:
-        output = spin_out
-    else:
-        pauli = Operator(_QUBIT, _CORRECTION_PAULI[correction])
-        output = apply(pauli, spin_out, 0)
-    target = StateVector(_QUBIT, np.array([alpha, beta]))
-    fidelity = abs(inner(target, output)) ** 2
-    return TeleportRecord(outcome, p, correction, output, target, fidelity)
 
 
 _SWAP_PAIRING = {
@@ -535,6 +463,27 @@ _SWAP_PAIRING = {
 }
 
 
+def _swap_expansion(z: float, z_prime: float, dim: int, residual_tol: float):
+    """psi-(z) x psi-(z') on parties (1,2,3,4), and its expansion over
+    (spin Bell on 1,3) x (cat Bell on 2,4) as (spin label, parity label,
+    parity Bell state, coefficient) terms, each state built once."""
+    cat = Encoding.cat(z, dim, residual_tol)
+    cat_prime = Encoding.cat(z_prime, dim, residual_tol)
+    joint = tensor(
+        bell_pair(HesLabel.PSI_MINUS, _QUBIT, cat),
+        bell_pair(HesLabel.PSI_MINUS, _QUBIT, cat_prime),
+    )
+    terms = []
+    for spin_label, (parity_label, _) in _SWAP_PAIRING.items():
+        sb = spin_bell_state(spin_label).amps.reshape(2, 2)
+        pb = bell_pair(parity_label, cat, cat_prime)
+        # bra factor order matches the joint layout (qubit1, mode2, qubit3, mode4)
+        bra = np.einsum("ik,jl->ijkl", sb, pb.amps.reshape(dim, dim))
+        coeff = complex(np.vdot(bra.reshape(-1), joint.amps))
+        terms.append((spin_label, parity_label, pb, coeff))
+    return joint, terms
+
+
 def swap_expansion_coefficients(
     z: float,
     z_prime: float,
@@ -542,20 +491,8 @@ def swap_expansion_coefficients(
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> list[tuple[SpinBellLabel, ParityBellLabel, complex]]:
     """Coefficients of psi- x psi- over (spin Bell on 1,3) x (cat Bell on 2,4)."""
-    joint = tensor(
-        hes_state(HesLabel.PSI_MINUS, z, dim, residual_tol),
-        hes_state(HesLabel.PSI_MINUS, z_prime, dim, residual_tol),
-    )
-    out = []
-    for spin_label, (parity_label, _) in _SWAP_PAIRING.items():
-        sb = spin_bell_state(spin_label).amps.reshape(2, 2)
-        pb = parity_bell_state(parity_label, z, z_prime, dim, residual_tol)
-        # bra factor order matches the joint layout (qubit1, mode2, qubit3, mode4)
-        bra = np.einsum("ik,jl->ijkl", sb, pb.amps.reshape(dim, dim))
-        out.append(
-            (spin_label, parity_label, complex(np.vdot(bra.reshape(-1), joint.amps)))
-        )
-    return out
+    _, terms = _swap_expansion(z, z_prime, dim, residual_tol)
+    return [(spin, parity, coeff) for spin, parity, _, coeff in terms]
 
 
 def swap_entanglement(
@@ -572,23 +509,19 @@ def swap_entanglement(
     qubits (1,3), and verifies the modes (2,4) collapse onto the partnered
     entangled-cat state.
     """
-    for spin_label, parity_label, coeff in swap_expansion_coefficients(
-        z, z_prime, dim, residual_tol
-    ):
+    joint, terms = _swap_expansion(z, z_prime, dim, residual_tol)
+    targets = {}
+    for spin_label, parity_label, pb, coeff in terms:
         expected = _SWAP_PAIRING[spin_label][1]
         if abs(coeff - expected) > 1e-10:
             raise ValueError(
                 f"expansion coefficient for ({spin_label.value}, "
                 f"{parity_label.value}) is {coeff!r}, expected {expected}"
             )
-    joint = tensor(
-        hes_state(HesLabel.PSI_MINUS, z, dim, residual_tol),
-        hes_state(HesLabel.PSI_MINUS, z_prime, dim, residual_tol),
-    )
+        targets[spin_label] = pb
     outcome, p, modes = measure_spin_bell(joint, (0, 2), rng)
     parity_label = _SWAP_PAIRING[outcome][0]
-    target = parity_bell_state(parity_label, z, z_prime, dim, residual_tol)
-    fidelity = abs(inner(target, modes)) ** 2
+    fidelity = abs(inner(targets[outcome], modes)) ** 2
     if fidelity < 1.0 - 1e-9:
         raise ValueError(
             f"modes failed to collapse onto {parity_label.value} "

@@ -19,6 +19,7 @@ from .fock import (
     DEFAULT_RESIDUAL_TOL,
     Operator,
     SpaceDescriptor,
+    _check_z,
     _log_sinh,
     apply,
     even_coherent,
@@ -131,8 +132,7 @@ def k_series(z: float, tol: float = 1e-15) -> float:
     z = 0 the series prefactor degenerates; the limit value 1 is returned,
     and z below 1e-8 is treated the same way.
     """
-    if z < 0.0:
-        raise ValueError(f"z must be nonnegative, got {z!r}")
+    _check_z(z)
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     if z < 1e-8:

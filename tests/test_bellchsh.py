@@ -1,6 +1,8 @@
 """Bell operator, CHSH expectations, closed-form and numerical optima."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from hesim import (
     qubit_state,
     tensor,
 )
+
+import hesim.bellchsh
 
 from conftest import random_amps, random_state
 
@@ -62,6 +66,18 @@ def settings_free_maximum(state, ops):
     singular values of the correlation matrix; independent of any search."""
     s = np.linalg.svd(correlation_matrix(state, ops), compute_uv=False)
     return 2.0 * math.sqrt(s[0] ** 2 + s[1] ** 2)
+
+
+def test_does_not_import_the_protocols_layer():
+    tree = ast.parse(Path(hesim.bellchsh.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported & {".protocols", "hesim.protocols"} == set()
+    assert {".fock", ".pseudospin"} <= imported
 
 
 class TestBellOperator:

@@ -3,9 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hesim
 from hesim.cli import main
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
@@ -113,6 +118,21 @@ class TestChsh:
         code, _ = run(["chsh", "--z", "0.5", "--label", "nope"], tmp_path)
         assert code != 0
         assert "error:" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("z", ["nan", "inf"])
+    def test_non_finite_z_fails_fast(self, z):
+        # --z nan used to hang in the cat-state residual loop
+        env = dict(os.environ, PYTHONPATH=str(Path(hesim.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hesim.cli", "chsh", "--z", z, "--dim", "8"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "finite and nonnegative" in lines[0]
 
 
 class TestTeleport:

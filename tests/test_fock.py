@@ -82,6 +82,12 @@ class TestModeDimFor:
         with pytest.raises(ValueError):
             mode_dim_for(-1.0, 1e-12)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf])
+    def test_rejects_non_finite_z_at_once(self, z):
+        # NaN used to run ~1e6 loop iterations before a "too large" message
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            mode_dim_for(z, 1e-12)
+
 
 class TestCatStates:
     def test_even_at_zero_is_vacuum(self):
@@ -133,6 +139,13 @@ class TestCatStates:
         ) / math.cosh(z * z)
         assert st.truncation_residual == pytest.approx(lost, rel=1e-6)
         assert 0.0 < st.truncation_residual < 1e-12
+
+    @pytest.mark.parametrize("build", [even_coherent, odd_coherent])
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -0.5])
+    def test_rejects_non_finite_or_negative_z(self, build, z):
+        # the residual loop never terminated for NaN
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            build(z, 8)
 
     def test_undersized_dim_rejected(self):
         with pytest.raises(TruncationError):
@@ -195,6 +208,13 @@ class TestCompositeAlgebra:
         assert both.truncation_residual == pytest.approx(
             2 * e.truncation_residual, rel=1e-6
         )
+
+    def test_tensor_keeps_residuals_below_machine_precision(self):
+        # 1 - (1 - a)(1 - b) rounds a = 1e-17, b = 0 down to 0
+        a = StateVector(SpaceDescriptor.qubit(), [1.0, 0.0], 1e-17)
+        b = qubit_state(0.0, 1.0)
+        assert tensor(a, b).truncation_residual == 1e-17
+        assert tensor(b, a).truncation_residual == 1e-17
 
     def test_apply_matches_kron_expansion(self, rng):
         space = SpaceDescriptor.qubit() * SpaceDescriptor.mode(6)

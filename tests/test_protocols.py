@@ -8,11 +8,13 @@ import pytest
 from hesim import (
     Bipartition,
     Correction,
+    Encoding,
     HesLabel,
     ParityBellLabel,
     RngStream,
     SpinBellLabel,
     StateVector,
+    bell_pair,
     correction_for,
     decompose_teleport_input,
     entanglement_entropy,
@@ -44,6 +46,20 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 def adim(z):
     return mode_dim_for(z, 1e-14)
+
+
+# each Bell family: its label enum and the encodings of its two parties
+FAMILIES = {
+    "qubit-qubit": (SpinBellLabel, lambda: (Encoding.qubit(), Encoding.qubit())),
+    "qubit-cat": (HesLabel, lambda: (Encoding.qubit(), Encoding.cat(1.3, adim(1.3)))),
+    "cat-cat": (
+        ParityBellLabel,
+        lambda: (Encoding.cat(0.4, adim(0.4)), Encoding.cat(1.7, adim(1.7))),
+    ),
+}
+FAMILY_LABELS = [
+    (family, label) for family, (labels, _) in FAMILIES.items() for label in labels
+]
 
 
 class TestBellBases:
@@ -108,6 +124,34 @@ class TestBellBases:
         states = [parity_bell_state(l, z, zp, dim) for l in ParityBellLabel]
         gram = np.array([[inner(a, b) for b in states] for a in states])
         assert np.allclose(gram, np.eye(4), atol=1e-12)
+
+
+    @pytest.mark.parametrize("family,label", FAMILY_LABELS)
+    def test_bell_pair_basis_is_orthonormal_with_one_ebit(self, family, label):
+        labels, encodings = FAMILIES[family]
+        enc_a, enc_b = encodings()
+        st = bell_pair(label, enc_a, enc_b)
+        assert st.space == enc_a.space * enc_b.space
+        for other in labels:
+            expected = 1.0 if other is label else 0.0
+            assert abs(inner(bell_pair(other, enc_a, enc_b), st)) == pytest.approx(
+                expected, abs=1e-12
+            )
+        ent = entanglement_entropy(st, Bipartition.of(st.space, {0}))
+        assert ent == pytest.approx(1.0, abs=1e-10)
+
+    def test_bell_pair_residual_combines_encoding_means(self):
+        # residuals well above machine precision, so the rule is visible
+        cat_a = Encoding.cat(1.0, 12, residual_tol=1e-6)
+        cat_b = Encoding.cat(1.5, 16, residual_tol=1e-6)
+        a = 0.5 * (cat_a.zero.truncation_residual + cat_a.one.truncation_residual)
+        b = 0.5 * (cat_b.zero.truncation_residual + cat_b.one.truncation_residual)
+        assert a > 0.0 and b > 0.0
+        assert cat_a.residual == a
+        st = bell_pair(ParityBellLabel.PHI_MINUS, cat_a, cat_b)
+        assert st.truncation_residual == a + b - a * b
+        hybrid = bell_pair(HesLabel.PSI_PLUS, Encoding.qubit(), cat_b)
+        assert hybrid.truncation_residual == b
 
 
 class TestDecomposition:
@@ -252,6 +296,21 @@ class TestParityBellMeasurement:
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-10)
         for p in probs.values():
             assert p == pytest.approx(0.25, abs=1e-10)
+
+    def test_modes_of_different_dims(self):
+        z, zp = 0.8, 1.2
+        cat, cat_p = Encoding.cat(z, adim(z)), Encoding.cat(zp, adim(zp) + 4)
+        assert cat.space != cat_p.space
+        st = tensor(
+            qubit_state(1.0, 0.0), bell_pair(ParityBellLabel.PSI_MINUS, cat, cat_p)
+        )
+        # the pairing may be given in either order
+        for modes, amps in (((1, 2), (z, zp)), ((2, 1), (zp, z))):
+            probs = parity_bell_probabilities(st, modes, *amps)
+            assert probs[ParityBellLabel.PSI_MINUS] == pytest.approx(1.0, abs=1e-12)
+            label, p, rest = measure_parity_bell(st, modes, *amps, RngStream(0))
+            assert label is ParityBellLabel.PSI_MINUS
+            assert rest.space.dims == (2,)
 
     def test_out_of_span_component_rejected(self):
         z, dim = 1.0, adim(1.0)

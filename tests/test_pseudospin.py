@@ -163,6 +163,12 @@ class TestKSeries:
         with pytest.raises(ValueError):
             k_series(1.0, tol=0.0)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf])
+    def test_rejects_non_finite_z(self, z):
+        # k_series(nan) used to return 0.0
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            k_series(z)
+
 
 class TestKMatrix:
     def test_at_zero(self):
