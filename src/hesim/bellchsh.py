@@ -2,9 +2,10 @@
 
 The Bell combination pairs a qubit Pauli projection with a mode pseudospin
 projection for four measurement settings. For the hybrid entangled states
-the in-plane optimum 2*sqrt(1 + k(z)^2) is available in closed form; a
-multi-start simplex search over all eight spherical angles confirms it
-numerically and bounds arbitrary states.
+the in-plane optimum 2*sqrt(1 + k(z)^2) is available in closed form from
+k(z). Independently, the maximum over all settings for any qubit x mode
+state follows from the singular values of its 3x3 correlation matrix, which
+confirms the closed form numerically.
 """
 
 from __future__ import annotations
@@ -15,12 +16,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FactorKind, HesLabel, Operator, SpaceDescriptor, StateVector
-from .pseudospin import Direction, PseudospinOps, dot_s, dot_sigma, k_series
+from .pseudospin import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    Direction,
+    PseudospinOps,
+    dot_s,
+    dot_sigma,
+    k_series,
+)
 
 CIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 CLASSICAL_BOUND = 2.0
 
-_VALUE_SLACK = 1e-9
+_VALUE_SLACK = 1e-9  # rounding allowed above the Cirelson bound
+_NONREAL_TOL = 1e-10  # largest imaginary part an expectation may carry
 
 
 @dataclass(frozen=True)
@@ -53,8 +64,6 @@ class ChshSettings:
 class ChshResult:
     value: float
     settings: ChshSettings
-    iterations: int
-    restarts_used: int
 
     def __post_init__(self) -> None:
         if abs(self.value) > CIRELSON_BOUND + _VALUE_SLACK:
@@ -94,7 +103,7 @@ def chsh_value(
     _check_state_space(state, ops)
     op = bell_operator(settings, ops)
     val = complex(np.vdot(state.amps, op.matrix @ state.amps))
-    if abs(val.imag) > 1e-10:
+    if abs(val.imag) > _NONREAL_TOL:
         raise ValueError(f"Bell expectation has nonreal residue {val.imag!r}")
     return val.real
 
@@ -122,8 +131,6 @@ def analytic_optimum(z: float, label: HesLabel = HesLabel.PHI_PLUS) -> ChshResul
     return ChshResult(
         value=2.0 * math.sqrt(1.0 + k * k),
         settings=analytic_settings(z, label),
-        iterations=0,
-        restarts_used=0,
     )
 
 
@@ -132,11 +139,7 @@ def correlation_matrix(state: StateVector, ops: PseudospinOps) -> np.ndarray:
     is bilinear in the settings through it."""
     _check_state_space(state, ops)
     dim = ops.dim
-    paulis = [
-        dot_sigma(Direction(1.0, 0.0, 0.0)).matrix,
-        dot_sigma(Direction(0.0, 1.0, 0.0)).matrix,
-        dot_sigma(Direction(0.0, 0.0, 1.0)).matrix,
-    ]
+    paulis = [PAULI_X, PAULI_Y, PAULI_Z]
     spins = [ops.s_x.matrix, ops.s_y.matrix, ops.s_z.matrix]
     psi = state.amps.reshape(2, dim)
     m = np.empty((3, 3))
@@ -144,120 +147,25 @@ def correlation_matrix(state: StateVector, ops: PseudospinOps) -> np.ndarray:
         left = sig @ psi  # acts on the qubit index
         for j, s in enumerate(spins):
             val = complex(np.vdot(psi, left @ s.T))
-            if abs(val.imag) > 1e-10:
+            if abs(val.imag) > _NONREAL_TOL:
                 raise ValueError(f"correlation has nonreal residue {val.imag!r}")
             m[i, j] = val.real
     return m
 
 
-def _angles_to_vec(theta: float, phi: float) -> np.ndarray:
-    st = math.sin(theta)
-    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+def optimize_chsh(state: StateVector, ops: PseudospinOps) -> ChshResult:
+    """Maximal Bell expectation over all settings, in closed form.
 
-
-def _chsh_from_angles(x: np.ndarray, m: np.ndarray) -> float:
-    a = _angles_to_vec(x[0], x[1])
-    ap = _angles_to_vec(x[2], x[3])
-    b = _angles_to_vec(x[4], x[5])
-    bp = _angles_to_vec(x[6], x[7])
-    ma, map_ = m @ b, m @ bp
-    return float(a @ ma + a @ map_ + ap @ ma - ap @ map_)
-
-
-def _nelder_mead(f, x0: np.ndarray, step: float, xatol: float, fatol: float,
-                 max_iter: int) -> tuple[np.ndarray, float, int]:
-    """Minimize f by the standard simplex moves; deterministic in x0."""
-    n = len(x0)
-    simplex = [np.array(x0, dtype=float)]
-    for i in range(n):
-        v = np.array(x0, dtype=float)
-        v[i] += step
-        simplex.append(v)
-    values = [f(v) for v in simplex]
-    it = 0
-    while it < max_iter:
-        order = np.argsort(values)
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        if (
-            max(np.max(np.abs(v - simplex[0])) for v in simplex[1:]) < xatol
-            and values[-1] - values[0] < fatol
-        ):
-            break
-        it += 1
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
-        reflected = centroid + (centroid - worst)
-        fr = f(reflected)
-        if fr < values[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
-            fe = f(expanded)
-            if fe < fr:
-                simplex[-1], values[-1] = expanded, fe
-            else:
-                simplex[-1], values[-1] = reflected, fr
-        elif fr < values[-2]:
-            simplex[-1], values[-1] = reflected, fr
-        else:
-            contracted = centroid + 0.5 * (worst - centroid)
-            fc = f(contracted)
-            if fc < values[-1]:
-                simplex[-1], values[-1] = contracted, fc
-            else:  # shrink toward the best vertex
-                for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    values[i] = f(simplex[i])
-    order = np.argsort(values)
-    return simplex[order[0]], values[order[0]], it
-
-
-def optimize_chsh(
-    state: StateVector,
-    ops: PseudospinOps,
-    restarts: int = 16,
-    seed: int = 0,
-    max_iter: int = 2000,
-) -> ChshResult:
-    """Maximize the Bell expectation over all eight measurement angles.
-
-    Runs a multi-start simplex descent on the negated expectation (the
-    angles are periodic, so unconstrained steps are safe), then polishes
-    the best start with progressively smaller simplices. Deterministic for
-    a fixed seed; ties between restarts resolve to the earliest one.
+    With M = U diag(s) V^T the correlation matrix, the maximum is
+    2*sqrt(s1^2 + s2^2) (Horodecki, Horodecki & Horodecki, Phys. Lett. A
+    200, 340 (1995)), reached by a = u1, a' = u2 and
+    b, b' = cos(t) v1 ± sin(t) v2 with tan(t) = s2/s1.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    m = correlation_matrix(state, ops)
-
-    def neg(x: np.ndarray) -> float:
-        return -_chsh_from_angles(x, m)
-
-    rng = np.random.default_rng(seed)
-    best_x = None
-    best_val = math.inf
-    max_nit = 0
-    for _ in range(restarts):
-        x0 = rng.uniform(0.0, 2.0 * math.pi, size=8)
-        x, val, nit = _nelder_mead(
-            neg, x0, step=0.7, xatol=1e-9, fatol=1e-12, max_iter=max_iter
-        )
-        max_nit = max(max_nit, nit)
-        if val < best_val:
-            best_val, best_x = val, x
-    for step in (1e-2, 1e-5):
-        best_x, best_val, nit = _nelder_mead(
-            neg, best_x, step=step, xatol=1e-11, fatol=1e-14, max_iter=max_iter
-        )
-        max_nit = max(max_nit, nit)
+    u, s, vt = np.linalg.svd(correlation_matrix(state, ops))
+    t = math.atan2(s[1], s[0])
+    b = math.cos(t) * vt[0] + math.sin(t) * vt[1]
+    bp = math.cos(t) * vt[0] - math.sin(t) * vt[1]
     settings = ChshSettings(
-        Direction.from_angles(best_x[0], best_x[1]),
-        Direction.from_angles(best_x[2], best_x[3]),
-        Direction.from_angles(best_x[4], best_x[5]),
-        Direction.from_angles(best_x[6], best_x[7]),
+        *(Direction(*map(float, v)) for v in (u[:, 0], u[:, 1], b, bp))
     )
-    return ChshResult(
-        value=-best_val,
-        settings=settings,
-        iterations=max_nit,
-        restarts_used=restarts,
-    )
+    return ChshResult(value=2.0 * math.hypot(s[0], s[1]), settings=settings)

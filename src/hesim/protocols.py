@@ -90,7 +90,7 @@ class Encoding:
     def state(self, alpha: complex, beta: complex) -> StateVector:
         """Logical state alpha|0_L> + beta|1_L>; the amplitudes must be normalized."""
         norm2 = abs(alpha) ** 2 + abs(beta) ** 2
-        if abs(norm2 - 1.0) > 1e-12:
+        if not abs(norm2 - 1.0) <= 1e-12:  # written so that NaN fails it
             raise ValueError(
                 f"input qubit amplitudes are not normalized: |a|^2 + |b|^2 = {norm2!r}"
             )

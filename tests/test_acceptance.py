@@ -101,7 +101,7 @@ def test_criterion_4_optimizer_consistency():
         dim = adim(z)
         ops = build_pseudospin(dim)
         for label in HesLabel:
-            res = optimize_chsh(hes_state(label, z, dim), ops, restarts=16, seed=0)
+            res = optimize_chsh(hes_state(label, z, dim), ops)
             gap = analytic_optimum(z, label).value - res.value
             worst_gap = max(worst_gap, gap)
             ok &= gap <= 1e-6
@@ -116,7 +116,7 @@ def test_criterion_4_optimizer_consistency():
             StateVector(SpaceDescriptor.qubit(), q / np.linalg.norm(q)),
             StateVector(SpaceDescriptor.mode(dim), m / np.linalg.norm(m)),
         )
-        res = optimize_chsh(state, ops, restarts=16, seed=0)
+        res = optimize_chsh(state, ops)
         worst_product = max(worst_product, res.value)
         ok &= res.value <= 2.0 + 1e-6
     report(

@@ -92,6 +92,8 @@ class TestChsh:
             "gap",
             "optimizer_settings",
         }
+        assert payload["restarts"] == 6 and payload["seed"] == 0
+        assert payload["iterations"] == 0
         assert payload["analytic_value"] == pytest.approx(TWO_SQRT_TWO, abs=1e-12)
         assert payload["optimizer_value"] == pytest.approx(TWO_SQRT_TWO, abs=1e-6)
         assert payload["gap"] >= -1e-6
@@ -119,6 +121,11 @@ class TestChsh:
         assert code != 0
         assert "error:" in capsys.readouterr().err
 
+    def test_restarts_below_one_rejected(self, tmp_path, capsys):
+        code, data = run(["chsh", "--z", "1", "--restarts", "0"], tmp_path)
+        assert code == 1 and data == b""
+        err = capsys.readouterr().err
+        assert err.startswith("error: restarts must be >= 1") and err.count("\n") == 1
 
     @pytest.mark.parametrize("z", ["nan", "inf"])
     def test_non_finite_z_fails_fast(self, z):
@@ -187,6 +194,25 @@ class TestTeleport:
         payload = json.loads(data)
         assert payload["alpha"][0] == pytest.approx(0.6, abs=1e-12)
         assert payload["beta"][0] == pytest.approx(0.8, abs=1e-12)
+
+    @pytest.mark.parametrize("amp", ["nan", "inf", "nan+1j"])
+    def test_non_finite_amplitude_fails_at_once(self, amp):
+        # NaN used to pass the normalization and fail late, after numpy
+        # RuntimeWarnings, with "outcome probability nan"
+        env = dict(os.environ, PYTHONPATH=str(Path(hesim.__file__).parents[1]))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "hesim.cli", "teleport", "spin",
+                "--alpha", amp, "--beta", "1", "--z", "1",
+            ],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "RuntimeWarning" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "finite" in lines[0]
 
     def test_zero_input_rejected(self, tmp_path, capsys):
         code, _ = run(

@@ -192,6 +192,14 @@ class TestDecomposition:
         with pytest.raises(ValueError, match="normalized"):
             decompose_teleport_input(1.0, 1.0, 0.5, HesLabel.PHI_PLUS, 12)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        # NaN compares False, so a `> tol` check used to let it through
+        with pytest.raises(ValueError, match="normalized"):
+            Encoding.qubit().state(bad, 1.0)
+        with pytest.raises(ValueError, match="normalized"):
+            Encoding.cat(0.5, 12).state(1.0, bad)
+
 
 class TestCorrections:
     def test_worked_channel_mapping(self):
