@@ -37,6 +37,7 @@ from .protocols import (
     ParityBellLabel,
     RngStream,
     SpinBellLabel,
+    draw,
     hes_state,
     parity_bell_state,
     spin_bell_state,
@@ -95,7 +96,7 @@ def _parse_amplitude(text: str, name: str) -> complex:
 def _normalized_pair(alpha: complex, beta: complex) -> tuple[complex, complex]:
     if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
         raise ValueError(f"alpha and beta must be finite, got {alpha!r} and {beta!r}")
-    norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+    norm = math.hypot(alpha.real, alpha.imag, beta.real, beta.imag)
     if norm == 0.0:
         raise ValueError("alpha and beta cannot both be zero")
     return alpha / norm, beta / norm
@@ -120,6 +121,9 @@ def _json(payload: dict) -> str:
 def cmd_kz(args: argparse.Namespace) -> str:
     if args.steps < 1:
         raise ValueError(f"steps must be >= 1, got {args.steps}")
+    for flag, z in (("--zmin", args.zmin), ("--zmax", args.zmax)):
+        if not math.isfinite(z):
+            raise ValueError(f"{flag} must be finite, got {z!r}")
     if args.zmin < 0.0 or args.zmin > args.zmax:
         raise ValueError(
             f"need 0 <= zmin <= zmax, got zmin={args.zmin!r} zmax={args.zmax!r}"
@@ -177,17 +181,16 @@ def cmd_teleport(args: argparse.Namespace) -> str:
         _parse_amplitude(args.alpha, "alpha"), _parse_amplitude(args.beta, "beta")
     )
     channel = _parse_enum(HesLabel, args.channel, "channel label")
-    dim = _dim_for(max(args.z, args.zpp if args.zpp is not None else args.z), args.dim)
-    outcome_enum = SpinBellLabel if args.kind == "spin" else ParityBellLabel
-    counts = {label.value: 0 for label in outcome_enum}
+    zpp = args.zpp if args.zpp is not None else args.z
+    dim = _dim_for(max(args.z, zpp), args.dim)
+    if args.kind == "spin":
+        table = teleport_spin(alpha, beta, channel, args.z, dim)
+    else:
+        table = teleport_parity(alpha, beta, zpp, channel, args.z, dim)
+    counts = {outcome.value: 0 for outcome, _, _ in table}
     fid_min, fid_sum = math.inf, 0.0
     for trial in range(args.trials):
-        rng = RngStream(args.seed + trial)
-        if args.kind == "spin":
-            rec = teleport_spin(alpha, beta, channel, args.z, dim, rng)
-        else:
-            zpp = args.zpp if args.zpp is not None else args.z
-            rec = teleport_parity(alpha, beta, zpp, channel, args.z, dim, rng)
+        _, _, rec = draw(table, RngStream(args.seed + trial))
         counts[rec.outcome.value] += 1
         fid_min = min(fid_min, rec.fidelity)
         fid_sum += rec.fidelity
@@ -207,7 +210,7 @@ def cmd_teleport(args: argparse.Namespace) -> str:
         "fidelity_mean": fid_sum / args.trials,
     }
     if args.kind == "parity":
-        payload["z_dblprime"] = args.zpp if args.zpp is not None else args.z
+        payload["z_dblprime"] = zpp
     return _json(payload)
 
 
@@ -217,33 +220,22 @@ def cmd_swap(args: argparse.Namespace) -> str:
     dim = args.dim
     if dim is None:
         dim = max(_dim_for(args.z, None), _dim_for(args.zprime, None))
+    table = swap_entanglement(args.z, args.zprime, dim)
     per_outcome = {
-        label.value: {
-            "count": 0,
-            "parity_label": None,
-            "fidelity_min": math.inf,
-            "entropy_min": math.inf,
-            "entropy_max": -math.inf,
-        }
-        for label in SpinBellLabel
+        outcome.value: dict(count=0, parity_label=None, fidelity_min=None,
+                            entropy_min=None, entropy_max=None)
+        for outcome, _, _ in table
     }
-    fid_min = math.inf
     for trial in range(args.trials):
-        rec = swap_entanglement(args.z, args.zprime, dim, RngStream(args.seed + trial))
+        _, _, rec = draw(table, RngStream(args.seed + trial))
         slot = per_outcome[rec.outcome.value]
+        if slot["count"] == 0:  # every draw of an outcome yields the same record
+            cut = Bipartition.of(rec.mode_state.space, {0})
+            ent = entanglement_entropy(rec.mode_state, cut)
+            slot.update(parity_label=rec.parity_label.value, fidelity_min=rec.fidelity,
+                        entropy_min=ent, entropy_max=ent)
         slot["count"] += 1
-        slot["parity_label"] = rec.parity_label.value
-        slot["fidelity_min"] = min(slot["fidelity_min"], rec.fidelity)
-        cut = Bipartition.of(rec.mode_state.space, {0})
-        ent = entanglement_entropy(rec.mode_state, cut)
-        slot["entropy_min"] = min(slot["entropy_min"], ent)
-        slot["entropy_max"] = max(slot["entropy_max"], ent)
-        fid_min = min(fid_min, rec.fidelity)
-    for slot in per_outcome.values():
-        if slot["count"] == 0:
-            slot["fidelity_min"] = None
-            slot["entropy_min"] = None
-            slot["entropy_max"] = None
+    fid_min = min(s["fidelity_min"] for s in per_outcome.values() if s["count"])
     payload = {
         "command": "swap",
         "z": args.z,

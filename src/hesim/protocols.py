@@ -10,10 +10,12 @@ teleporting a parity qubit onto its spin, and entanglement swapping between
 two hybrid pairs.
 
 Parties are always laid out in the order their subscripts suggest: the
-sender's qubit first, then channel factors in index order. Measurements
-draw exactly one uniform variate from the supplied RngStream and select an
-outcome by inverse CDF over the branch probabilities, so a seed fixes the
-full transcript.
+sender's qubit first, then channel factors in index order. Measurements and
+protocols return their branch table, one ``(outcome, probability, result)``
+per outcome, worked out once. ``draw`` samples a table with exactly one
+uniform variate from an RngStream, by inverse CDF over the probabilities,
+so a seed fixes the transcript: ``draw(teleport_spin(...), RngStream(s))``
+is one seeded trial.
 """
 
 from __future__ import annotations
@@ -46,6 +48,18 @@ from .fock import (
 from .pseudospin import build_pseudospin
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+# |alpha|^2 + |beta|^2 may differ from 1 by this much in a logical state
+_AMP_NORM_TOL = 1e-12
+# rounding slack on the [0, 1] range of a recorded probability / fidelity
+_PROB_SLACK = 1e-12
+_FIDELITY_SLACK = 1e-9
+# weight a measured state may carry outside the measured basis
+_SPAN_TOL = 1e-10
+# deviation allowed of a swap expansion coefficient from its signed half
+_SWAP_COEFF_TOL = 1e-10
+# shortfall from 1 allowed of the swapped modes' fidelity with their pair
+_SWAP_FIDELITY_TOL = 1e-9
 
 
 class Correction(Enum):
@@ -90,7 +104,7 @@ class Encoding:
     def state(self, alpha: complex, beta: complex) -> StateVector:
         """Logical state alpha|0_L> + beta|1_L>; the amplitudes must be normalized."""
         norm2 = abs(alpha) ** 2 + abs(beta) ** 2
-        if not abs(norm2 - 1.0) <= 1e-12:  # written so that NaN fails it
+        if not abs(norm2 - 1.0) <= _AMP_NORM_TOL:  # written so that NaN fails it
             raise ValueError(
                 f"input qubit amplitudes are not normalized: |a|^2 + |b|^2 = {norm2!r}"
             )
@@ -128,6 +142,30 @@ class RngStream:
         return float(self._gen.random())
 
 
+def draw(branches: list[tuple], rng: RngStream) -> tuple:
+    """Sample one (outcome, probability, result) branch of a table.
+
+    One uniform variate, scaled by the summed probability, picks the first
+    nonzero branch whose cumulative probability exceeds it; a variate on the
+    floating-point remainder falls back to the likeliest branch. A table
+    missing more than _SPAN_TOL of weight measured a state outside its
+    basis, which is an error rather than a fifth outcome.
+    """
+    total = sum(p for _, p, _ in branches)
+    if 1.0 - total > _SPAN_TOL:
+        raise ValueError(
+            f"state carries weight {1.0 - total:.3e} outside the span of the "
+            f"measured basis"
+        )
+    u = rng.uniform() * total
+    acc = 0.0
+    for branch in branches:
+        acc += branch[1]
+        if u < acc and branch[1] > 0.0:
+            return branch
+    return max(branches, key=lambda branch: branch[1])
+
+
 @dataclass(frozen=True)
 class TeleportRecord:
     """Transcript of one teleportation run."""
@@ -140,9 +178,9 @@ class TeleportRecord:
     fidelity: float
 
     def __post_init__(self) -> None:
-        if not -1e-12 <= self.outcome_probability <= 1.0 + 1e-12:
+        if not -_PROB_SLACK <= self.outcome_probability <= 1.0 + _PROB_SLACK:
             raise ValueError(f"outcome probability {self.outcome_probability!r}")
-        if not -1e-9 <= self.fidelity <= 1.0 + 1e-9:
+        if not -_FIDELITY_SLACK <= self.fidelity <= 1.0 + _FIDELITY_SLACK:
             raise ValueError(f"fidelity {self.fidelity!r} outside [0, 1]")
 
 
@@ -198,20 +236,12 @@ def decompose_teleport_input(
 ) -> list[tuple[SpinBellLabel, StateVector]]:
     """Expand (unknown qubit) x (hybrid channel) over the sender's Bell basis.
 
-    Returns the four (outcome, conditional mode state) pairs; each branch
-    carries weight 1/2, so summing Bell x branch / 2 reassembles the input
-    product state exactly.
+    Returns the four (outcome, conditional mode state) pairs of the Bell
+    measurement's branch table; each outcome has probability 1/4, so summing
+    Bell x branch / 2 reassembles the input product state.
     """
-    spin = _QUBIT.state(alpha, beta)
-    joint = tensor(spin, hes_state(channel, z, dim, residual_tol))
-    mode_space = joint.space.subspace((2,))
-    out = []
-    for label in SpinBellLabel:
-        branch = 2.0 * partial_inner(spin_bell_state(label), joint, (0, 1))
-        out.append(
-            (label, StateVector(mode_space, branch, joint.truncation_residual))
-        )
-    return out
+    joint = tensor(_QUBIT.state(alpha, beta), hes_state(channel, z, dim, residual_tol))
+    return [(label, branch) for label, _, branch in measure_spin_bell(joint, (0, 1))]
 
 
 def correction_for(outcome: BellLabel, channel: HesLabel) -> Correction:
@@ -244,90 +274,39 @@ def _check_kinds(
             )
 
 
-def _measure_bell(state, factors, labels, enc_a, enc_b, rng=None):
-    """Project factors onto bell_pair(label, enc_a, enc_b) for each label.
+def _branch(outcome, p: float, amps: np.ndarray, space, residual: float) -> tuple:
+    """(outcome, p, amps renormalized on space), with None for the state if p = 0."""
+    state = StateVector(space, amps / math.sqrt(p), residual) if p > 0.0 else None
+    return outcome, p, state
 
-    Without rng, returns the outcome distribution. With one, draws a single
-    variate, selects an outcome by inverse CDF and returns (label,
-    probability, renormalized state on the remaining factors). The basis may
-    span only part of the measured factors' space; weight outside it above
-    1e-10 is then an error rather than a fifth outcome.
+
+def _measure_bell(state, factors, labels, enc_a, enc_b):
+    """Branch table of projecting factors onto bell_pair(label, enc_a, enc_b).
+
+    One (label, probability, renormalized state on the remaining factors)
+    per label. The basis may span only part of the measured factors' space;
+    the probabilities then sum to less than 1, which draw refuses.
     """
     _check_kinds(state, factors, (enc_a.space.kind(0), enc_b.space.kind(0)))
+    rest = tuple(i for i in range(state.space.nfactors) if i not in factors)
+    space = state.space.subspace(rest)
     branches = []
     for label in labels:
         amp = partial_inner(bell_pair(label, enc_a, enc_b), state, factors)
-        branches.append((label, amp, float(np.real(np.vdot(amp, amp)))))
-    if rng is None:
-        return {label: p for label, _, p in branches}
-    total = sum(p for _, _, p in branches)
-    if 1.0 - total > 1e-10:
-        raise ValueError(
-            f"state carries weight {1.0 - total:.3e} outside the span of the "
-            f"measured Bell basis on factors {factors}"
-        )
-    u = rng.uniform() * total
-    acc = 0.0
-    chosen = None
-    for label, amp, p in branches:
-        acc += p
-        if u < acc and p > 0.0:
-            chosen = (label, amp, p)
-            break
-    if chosen is None:  # u landed on the floating-point remainder
-        chosen = max(branches, key=lambda t: t[2])
-    label, amp, p = chosen
-    rest = tuple(i for i in range(state.space.nfactors) if i not in factors)
-    collapsed = StateVector(
-        state.space.subspace(rest), amp / math.sqrt(p), state.truncation_residual
-    )
-    return label, p, collapsed
-
-
-def spin_bell_probabilities(
-    state: StateVector, qubit_indices: tuple[int, int]
-) -> dict[SpinBellLabel, float]:
-    """Outcome distribution of a Bell measurement on two qubit factors."""
-    return _measure_bell(state, qubit_indices, SpinBellLabel, _QUBIT, _QUBIT)
+        p = float(np.real(np.vdot(amp, amp)))
+        branches.append(_branch(label, p, amp, space, state.truncation_residual))
+    return branches
 
 
 def measure_spin_bell(
-    state: StateVector, qubit_indices: tuple[int, int], rng: RngStream
-) -> tuple[SpinBellLabel, float, StateVector]:
+    state: StateVector, qubit_indices: tuple[int, int]
+) -> list[tuple[SpinBellLabel, float, StateVector | None]]:
     """Projective Bell measurement on two qubit factors.
 
-    Returns the sampled outcome, its probability, and the renormalized
-    state on the remaining factors (the measured qubits are removed).
+    Returns each outcome with its probability and the renormalized state on
+    the remaining factors (the measured qubits are removed).
     """
-    return _measure_bell(state, qubit_indices, SpinBellLabel, _QUBIT, _QUBIT, rng)
-
-
-def _cat_encodings(
-    state: StateVector,
-    mode_indices: tuple[int, int],
-    z: float,
-    z_prime: float,
-    residual_tol: float,
-) -> tuple[Encoding, Encoding]:
-    """Cat encodings at (z, z_prime) on the dims of the two measured modes."""
-    _check_kinds(state, mode_indices, (FactorKind.MODE, FactorKind.MODE))
-    i, j = mode_indices
-    return (
-        Encoding.cat(z, state.space.dims[i], residual_tol),
-        Encoding.cat(z_prime, state.space.dims[j], residual_tol),
-    )
-
-
-def parity_bell_probabilities(
-    state: StateVector,
-    mode_indices: tuple[int, int],
-    z: float,
-    z_prime: float,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-) -> dict[ParityBellLabel, float]:
-    """Outcome distribution of a parity Bell measurement on two mode factors."""
-    encs = _cat_encodings(state, mode_indices, z, z_prime, residual_tol)
-    return _measure_bell(state, mode_indices, ParityBellLabel, *encs)
+    return _measure_bell(state, qubit_indices, SpinBellLabel, _QUBIT, _QUBIT)
 
 
 def measure_parity_bell(
@@ -335,42 +314,42 @@ def measure_parity_bell(
     mode_indices: tuple[int, int],
     z: float,
     z_prime: float,
-    rng: RngStream,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
-) -> tuple[ParityBellLabel, float, StateVector]:
+) -> list[tuple[ParityBellLabel, float, StateVector | None]]:
     """Projective measurement in the entangled two-cat basis at (z, z_prime).
 
     The four basis states span only the 4-dimensional even/odd product
-    subspace of the two modes, so the input must lie in that span; weight
-    outside it above 1e-10 is an error rather than a fifth outcome.
+    subspace of the two modes, so the input must lie in that span for its
+    table to be drawn from.
     """
-    encs = _cat_encodings(state, mode_indices, z, z_prime, residual_tol)
-    return _measure_bell(state, mode_indices, ParityBellLabel, *encs, rng)
+    _check_kinds(state, mode_indices, (FactorKind.MODE, FactorKind.MODE))
+    i, j = mode_indices
+    enc_a = Encoding.cat(z, state.space.dims[i], residual_tol)
+    enc_b = Encoding.cat(z_prime, state.space.dims[j], residual_tol)
+    return _measure_bell(state, mode_indices, ParityBellLabel, enc_a, enc_b)
 
 
 def parity_measurement(
-    state: StateVector, mode_index: int, rng: RngStream
-) -> tuple[int, float, StateVector]:
-    """Measure the photon-number parity of one mode factor in place."""
+    state: StateVector, mode_index: int
+) -> list[tuple[int, float, StateVector | None]]:
+    """Measure the photon-number parity of one mode factor in place.
+
+    Outcome 1 is even parity, -1 odd; the collapsed states keep every factor.
+    """
     _check_kinds(state, (mode_index,), (FactorKind.MODE,))
     dims = state.space.dims
     t = state.amps.reshape(dims)
-    occ = np.arange(dims[mode_index])
-    even_mask = (occ % 2 == 0)
     shape = [1] * len(dims)
     shape[mode_index] = dims[mode_index]
-    mask = even_mask.reshape(shape)
-    even_part = np.where(mask, t, 0.0)
+    mask = (np.arange(dims[mode_index]) % 2 == 0).reshape(shape)
+    even_part = np.where(mask, t, 0.0).reshape(-1)
     p_even = float(np.real(np.vdot(even_part, even_part)))
-    u = rng.uniform()
-    if u < p_even:
-        part, p, outcome = even_part, p_even, 1
-    else:
-        part, p, outcome = np.where(mask, 0.0, t), 1.0 - p_even, -1
-    collapsed = StateVector(
-        state.space, part.reshape(-1) / math.sqrt(p), state.truncation_residual
-    )
-    return outcome, p, collapsed
+    odd_part = np.where(mask, 0.0, t).reshape(-1)
+    residual = state.truncation_residual
+    return [
+        _branch(1, p_even, even_part, state.space, residual),
+        _branch(-1, 1.0 - p_even, odd_part, state.space, residual),
+    ]
 
 
 def _teleport(
@@ -382,9 +361,8 @@ def _teleport(
     basis: tuple[Encoding, Encoding],
     channel: HesLabel,
     receiver: Encoding,
-    rng: RngStream,
-) -> TeleportRecord:
-    """Bell-measure the sender's factors of joint, correct the receiver.
+) -> list[tuple[BellLabel, float, TeleportRecord]]:
+    """Bell-measure the sender's factors of joint; correct every branch.
 
     The receiver's codewords carry the parity algebra of build_pseudospin
     (on a qubit it is exactly the Pauli set), so one correction and one
@@ -392,20 +370,25 @@ def _teleport(
     s_plus|1_L> and s_minus|0_L>, unit vectors of even/odd parity, so the
     cross-family branches target their superposition.
     """
-    outcome, p, received = _measure_bell(joint, factors, labels, *basis, rng)
-    correction = correction_for(outcome, channel)
-    output, target = received, receiver.state(alpha, beta)
-    if correction is not Correction.IDENTITY:
-        ops = build_pseudospin(receiver.space.dim)
-        fix = Operator(receiver.space, getattr(ops, correction.value).matrix)
-        output = apply(fix, received, 0)
-        if correction is not Correction.S_Z:
-            amps = alpha * (ops.s_plus.matrix @ receiver.one.amps) + beta * (
-                ops.s_minus.matrix @ receiver.zero.amps
-            )
-            target = StateVector(receiver.space, amps, receiver.residual)
-    fidelity = abs(inner(target, output)) ** 2
-    return TeleportRecord(outcome, p, correction, output, target, fidelity)
+    ops = build_pseudospin(receiver.space.dim)
+    plain = receiver.state(alpha, beta)
+    amps = alpha * (ops.s_plus.matrix @ receiver.one.amps) + beta * (
+        ops.s_minus.matrix @ receiver.zero.amps
+    )
+    flipped = StateVector(receiver.space, amps, receiver.residual)
+    table = []
+    for outcome, p, received in _measure_bell(joint, factors, labels, *basis):
+        correction = correction_for(outcome, channel)
+        output, target = received, plain
+        if correction is not Correction.IDENTITY:
+            fix = Operator(receiver.space, getattr(ops, correction.value).matrix)
+            output = apply(fix, received, 0)
+            if correction is not Correction.S_Z:
+                target = flipped
+        fidelity = abs(inner(target, output)) ** 2
+        record = TeleportRecord(outcome, p, correction, output, target, fidelity)
+        table.append((outcome, p, record))
+    return table
 
 
 def teleport_spin(
@@ -414,19 +397,19 @@ def teleport_spin(
     channel: HesLabel,
     z: float,
     dim: int,
-    rng: RngStream,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
-) -> TeleportRecord:
+) -> list[tuple[SpinBellLabel, float, TeleportRecord]]:
     """Teleport an unknown spin qubit onto the mode of a hybrid channel.
 
-    The sender Bell-measures her qubit against the channel qubit; the
-    conditional mode state is fixed up by the parity operation the outcome
-    dictates and compared against the analytic branch target.
+    The sender Bell-measures her qubit against the channel qubit; on each
+    of the four branches the conditional mode state is fixed up by the
+    parity operation the outcome dictates and compared against the analytic
+    branch target.
     """
     cat = Encoding.cat(z, dim, residual_tol)
     joint = tensor(_QUBIT.state(alpha, beta), bell_pair(channel, _QUBIT, cat))
     return _teleport(
-        alpha, beta, joint, (0, 1), SpinBellLabel, (_QUBIT, _QUBIT), channel, cat, rng
+        alpha, beta, joint, (0, 1), SpinBellLabel, (_QUBIT, _QUBIT), channel, cat
     )
 
 
@@ -437,21 +420,20 @@ def teleport_parity(
     channel: HesLabel,
     z: float,
     dim: int,
-    rng: RngStream,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
-) -> TeleportRecord:
+) -> list[tuple[ParityBellLabel, float, TeleportRecord]]:
     """Teleport an unknown parity qubit at amplitude z_dblprime onto a spin.
 
     The joint state is (channel qubit, channel mode at z, input mode at
     z_dblprime); the sender measures the two modes in the entangled-cat
-    basis at (z_dblprime, z) and the spin picks up the matching Pauli.
+    basis at (z_dblprime, z) and on each branch the spin picks up the
+    matching Pauli.
     """
     source = Encoding.cat(z_dblprime, dim, residual_tol)
     cat = Encoding.cat(z, dim, residual_tol)
     joint = tensor(bell_pair(channel, _QUBIT, cat), source.state(alpha, beta))
     return _teleport(
-        alpha, beta, joint, (2, 1), ParityBellLabel, (source, cat), channel, _QUBIT,
-        rng,
+        alpha, beta, joint, (2, 1), ParityBellLabel, (source, cat), channel, _QUBIT
     )
 
 
@@ -464,9 +446,10 @@ _SWAP_PAIRING = {
 
 
 def _swap_expansion(z: float, z_prime: float, dim: int, residual_tol: float):
-    """psi-(z) x psi-(z') on parties (1,2,3,4), and its expansion over
-    (spin Bell on 1,3) x (cat Bell on 2,4) as (spin label, parity label,
-    parity Bell state, coefficient) terms, each state built once."""
+    """Spin Bell measurement on qubits (1, 3) of psi-(z) x psi-(z') as
+    (spin label, parity label, p, modes (2, 4), overlap of the modes with
+    the paired parity Bell state) terms; the expansion coefficient of the
+    joint state over (spin Bell) x (cat Bell) is sqrt(p) * overlap."""
     cat = Encoding.cat(z, dim, residual_tol)
     cat_prime = Encoding.cat(z_prime, dim, residual_tol)
     joint = tensor(
@@ -474,14 +457,11 @@ def _swap_expansion(z: float, z_prime: float, dim: int, residual_tol: float):
         bell_pair(HesLabel.PSI_MINUS, _QUBIT, cat_prime),
     )
     terms = []
-    for spin_label, (parity_label, _) in _SWAP_PAIRING.items():
-        sb = spin_bell_state(spin_label).amps.reshape(2, 2)
-        pb = bell_pair(parity_label, cat, cat_prime)
-        # bra factor order matches the joint layout (qubit1, mode2, qubit3, mode4)
-        bra = np.einsum("ik,jl->ijkl", sb, pb.amps.reshape(dim, dim))
-        coeff = complex(np.vdot(bra.reshape(-1), joint.amps))
-        terms.append((spin_label, parity_label, pb, coeff))
-    return joint, terms
+    for spin_label, p, modes in measure_spin_bell(joint, (0, 2)):
+        parity_label = _SWAP_PAIRING[spin_label][0]
+        overlap = inner(bell_pair(parity_label, cat, cat_prime), modes)
+        terms.append((spin_label, parity_label, p, modes, overlap))
+    return terms
 
 
 def swap_expansion_coefficients(
@@ -491,40 +471,39 @@ def swap_expansion_coefficients(
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> list[tuple[SpinBellLabel, ParityBellLabel, complex]]:
     """Coefficients of psi- x psi- over (spin Bell on 1,3) x (cat Bell on 2,4)."""
-    _, terms = _swap_expansion(z, z_prime, dim, residual_tol)
-    return [(spin, parity, coeff) for spin, parity, _, coeff in terms]
+    terms = _swap_expansion(z, z_prime, dim, residual_tol)
+    return [(spin, parity, math.sqrt(p) * ov) for spin, parity, p, _, ov in terms]
 
 
 def swap_entanglement(
     z: float,
     z_prime: float,
     dim: int,
-    rng: RngStream,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
-) -> SwapRecord:
+) -> list[tuple[SpinBellLabel, float, SwapRecord]]:
     """Swap entanglement between two hybrid pairs by a joint spin measurement.
 
-    Builds psi-(z) on parties (1,2) and psi-(z') on (3,4), checks the signed
-    half-weight expansion over the paired Bell bases, measures the two
-    qubits (1,3), and verifies the modes (2,4) collapse onto the partnered
-    entangled-cat state.
+    Builds psi-(z) on parties (1,2) and psi-(z') on (3,4), measures the two
+    qubits (1,3), and on every branch checks the signed half-weight
+    expansion coefficient and that the modes (2,4) collapse onto the
+    partnered entangled-cat state.
     """
-    joint, terms = _swap_expansion(z, z_prime, dim, residual_tol)
-    targets = {}
-    for spin_label, parity_label, pb, coeff in terms:
+    table = []
+    terms = _swap_expansion(z, z_prime, dim, residual_tol)
+    for spin_label, parity_label, p, modes, overlap in terms:
+        coeff = math.sqrt(p) * overlap
         expected = _SWAP_PAIRING[spin_label][1]
-        if abs(coeff - expected) > 1e-10:
+        if abs(coeff - expected) > _SWAP_COEFF_TOL:
             raise ValueError(
                 f"expansion coefficient for ({spin_label.value}, "
                 f"{parity_label.value}) is {coeff!r}, expected {expected}"
             )
-        targets[spin_label] = pb
-    outcome, p, modes = measure_spin_bell(joint, (0, 2), rng)
-    parity_label = _SWAP_PAIRING[outcome][0]
-    fidelity = abs(inner(targets[outcome], modes)) ** 2
-    if fidelity < 1.0 - 1e-9:
-        raise ValueError(
-            f"modes failed to collapse onto {parity_label.value} "
-            f"(fidelity {fidelity!r})"
-        )
-    return SwapRecord(outcome, parity_label, p, fidelity, modes)
+        fidelity = abs(overlap) ** 2
+        if fidelity < 1.0 - _SWAP_FIDELITY_TOL:
+            raise ValueError(
+                f"modes failed to collapse onto {parity_label.value} "
+                f"(fidelity {fidelity!r})"
+            )
+        record = SwapRecord(spin_label, parity_label, p, fidelity, modes)
+        table.append((spin_label, p, record))
+    return table

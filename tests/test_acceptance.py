@@ -22,6 +22,7 @@ from hesim import (
     chsh_value,
     decompose_teleport_input,
     dot_s,
+    draw,
     entanglement_entropy,
     hes_state,
     k_matrix,
@@ -206,12 +207,12 @@ def test_criterion_7_teleportation():
         spin_seen, parity_seen = set(), set()
         for seed in range(48):
             alpha, beta = random_pair(rng)
-            rec = teleport_spin(alpha, beta, channel, 1.0, adim(1.0), RngStream(seed))
+            table = teleport_spin(alpha, beta, channel, 1.0, adim(1.0))
+            _, _, rec = draw(table, RngStream(seed))
             worst_fid = max(worst_fid, abs(rec.fidelity - 1.0))
             spin_seen.add(rec.outcome)
-            rec = teleport_parity(
-                alpha, beta, 0.6, channel, 1.0, adim(1.0), RngStream(seed)
-            )
+            table = teleport_parity(alpha, beta, 0.6, channel, 1.0, adim(1.0))
+            _, _, rec = draw(table, RngStream(seed))
             worst_fid = max(worst_fid, abs(rec.fidelity - 1.0))
             parity_seen.add(rec.outcome)
         ok &= spin_seen == set(SpinBellLabel)
@@ -224,9 +225,11 @@ def test_criterion_7_teleportation():
     counts_parity = {label: 0 for label in ParityBellLabel}
     dim = adim(1.0)
     for i in range(trials):
-        rec = teleport_spin(0.6, 0.8, HesLabel.PHI_PLUS, 1.0, dim, RngStream(i))
+        table = teleport_spin(0.6, 0.8, HesLabel.PHI_PLUS, 1.0, dim)
+        _, _, rec = draw(table, RngStream(i))
         counts_spin[rec.outcome] += 1
-        rec = teleport_parity(0.6, 0.8, 0.6, HesLabel.PHI_PLUS, 1.0, dim, RngStream(i))
+        table = teleport_parity(0.6, 0.8, 0.6, HesLabel.PHI_PLUS, 1.0, dim)
+        _, _, rec = draw(table, RngStream(i))
         counts_parity[rec.outcome] += 1
     worst_freq = 0.0
     for counts in (counts_spin, counts_parity):
@@ -264,7 +267,7 @@ def test_criterion_8_swapping():
     seen = set()
     dim = max(adim(1.0), adim(0.5))
     for seed in range(32):
-        rec = swap_entanglement(1.0, 0.5, dim, RngStream(seed))
+        _, _, rec = draw(swap_entanglement(1.0, 0.5, dim), RngStream(seed))
         seen.add(rec.outcome)
         worst_fid = max(worst_fid, abs(rec.fidelity - 1.0))
         cut = Bipartition.of(rec.mode_state.space, {0})

@@ -66,6 +66,20 @@ class TestKz:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flag,argv",
+        [
+            ("--zmax", ["--zmin", "0", "--zmax", "inf"]),
+            ("--zmin", ["--zmin", "nan", "--zmax", "1"]),
+        ],
+    )
+    def test_non_finite_bound_is_named(self, flag, argv, tmp_path, capsys):
+        # the grid used to turn inf - inf into a NaN z before any check
+        code, data = run(["kz", *argv, "--steps", "2"], tmp_path)
+        assert code == 1 and data == b""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be finite") and err.count("\n") == 1
+
     def test_stdout_by_default(self, capsys):
         assert main(["kz", "--zmin", "0", "--zmax", "1", "--steps", "2"]) == 0
         out = capsys.readouterr().out
@@ -214,6 +228,25 @@ class TestTeleport:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "finite" in lines[0]
 
+    def test_huge_amplitudes_are_normalized(self, tmp_path):
+        # squaring 1e200 used to overflow into an OverflowError traceback
+        argv = ["teleport", "spin", "--alpha", "1e200", "--beta", "1e200", "--z", "1"]
+        code, data = run(argv, tmp_path)
+        assert code == 0
+        payload = json.loads(data)
+        assert payload["alpha"] == payload["beta"]
+        assert payload["alpha"][0] == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        assert payload["fidelity_min"] >= 1 - 1e-9
+
+    def test_tiny_amplitude_is_not_zero(self, tmp_path):
+        # 1e-200 squared underflows to 0, which used to read as "both zero"
+        argv = ["teleport", "spin", "--alpha", "1e-200", "--beta", "0", "--z", "1"]
+        code, data = run(argv, tmp_path)
+        assert code == 0
+        payload = json.loads(data)
+        assert payload["alpha"] == [1.0, 0.0]
+        assert payload["beta"] == [0.0, 0.0]
+
     def test_zero_input_rejected(self, tmp_path, capsys):
         code, _ = run(
             ["teleport", "spin", "--alpha", "0", "--beta", "0", "--z", "1"],
@@ -233,6 +266,39 @@ class TestTeleport:
         assert first == second
         _, third = run(argv[:-1] + ["8"], tmp_path, "c.json")
         assert first != third
+
+
+class TestProtocolBuiltOnce:
+    """A Monte-Carlo command builds its branch table once, not once per trial."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        import hesim.cli
+
+        calls = []
+        original = getattr(hesim.cli, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hesim.cli, name, counted)
+        return calls
+
+    def test_teleport(self, monkeypatch, tmp_path):
+        calls = self._count_calls(monkeypatch, "teleport_spin")
+        argv = ["teleport", "spin", "--alpha", "0.6", "--beta", "0.8", "--z", "1"]
+        code, data = run(argv + ["--trials", "200"], tmp_path)
+        assert code == 0 and len(calls) == 1
+        assert sum(json.loads(data)["counts"].values()) == 200
+
+    def test_swap(self, monkeypatch, tmp_path):
+        calls = self._count_calls(monkeypatch, "swap_entanglement")
+        argv = ["swap", "--z", "1", "--zprime", "0.5", "--trials", "200"]
+        code, data = run(argv, tmp_path)
+        assert code == 0 and len(calls) == 1
+        outcomes = json.loads(data)["outcomes"].values()
+        assert sum(slot["count"] for slot in outcomes) == 200
 
 
 class TestSwap:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hesim import (
     Bipartition,
@@ -17,6 +18,7 @@ from hesim import (
     bell_pair,
     correction_for,
     decompose_teleport_input,
+    draw,
     entanglement_entropy,
     even_coherent,
     hes_state,
@@ -25,12 +27,10 @@ from hesim import (
     measure_spin_bell,
     mode_dim_for,
     odd_coherent,
-    parity_bell_probabilities,
     parity_bell_state,
     parity_correction_for,
     parity_measurement,
     qubit_state,
-    spin_bell_probabilities,
     spin_bell_state,
     swap_entanglement,
     swap_expansion_coefficients,
@@ -38,6 +38,8 @@ from hesim import (
     teleport_spin,
     tensor,
 )
+
+from hesim.protocols import _SWAP_PAIRING
 
 from conftest import random_qubit_pair
 
@@ -172,7 +174,7 @@ class TestDecomposition:
         for label, branch in decompose_teleport_input(
             1.0, 0.0, z, HesLabel.PHI_PLUS, dim
         ):
-            outcome, p, _ = parity_measurement(branch, 0, RngStream(0))
+            outcome, p, _ = draw(parity_measurement(branch, 0), RngStream(0))
             assert p == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("channel", list(HesLabel))
@@ -236,14 +238,14 @@ class TestSpinBellMeasurement:
         joint = tensor(
             qubit_state(alpha, beta), hes_state(HesLabel.PHI_PLUS, z, dim)
         )
-        probs = spin_bell_probabilities(joint, (0, 1))
+        probs = {label: p for label, p, _ in measure_spin_bell(joint, (0, 1))}
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-10)
         for p in probs.values():
             assert p == pytest.approx(0.25, abs=1e-10)
 
     def test_eigenstate_is_certain(self):
         st = tensor(spin_bell_state(SpinBellLabel.PHI_PLUS), qubit_state(1.0, 0.0))
-        label, p, collapsed = measure_spin_bell(st, (0, 1), RngStream(9))
+        label, p, collapsed = draw(measure_spin_bell(st, (0, 1)), RngStream(9))
         assert label is SpinBellLabel.PHI_PLUS
         assert p == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(collapsed.amps, [1, 0], atol=1e-12)
@@ -251,7 +253,7 @@ class TestSpinBellMeasurement:
     def test_measured_factors_are_removed(self):
         z, dim = 0.5, adim(0.5)
         joint = tensor(qubit_state(0.6, 0.8), hes_state(HesLabel.PSI_PLUS, z, dim))
-        _, _, collapsed = measure_spin_bell(joint, (0, 1), RngStream(0))
+        _, _, collapsed = draw(measure_spin_bell(joint, (0, 1)), RngStream(0))
         assert collapsed.space.dims == (dim,)
 
     def test_seeded_sequences_reproduce(self):
@@ -260,15 +262,24 @@ class TestSpinBellMeasurement:
 
         def run(seed):
             rng = RngStream(seed)
-            return [measure_spin_bell(joint, (0, 1), rng)[0] for _ in range(20)]
+            return [draw(measure_spin_bell(joint, (0, 1)), rng)[0] for _ in range(20)]
 
         assert run(123) == run(123)
         assert run(123) != run(124)
 
+    def test_zero_probability_branch_carries_no_state(self):
+        state = tensor(spin_bell_state(SpinBellLabel.PSI_PLUS), qubit_state(1.0, 0.0))
+        table = measure_spin_bell(state, (0, 1))
+        for label, p, collapsed in table:
+            if label is SpinBellLabel.PSI_PLUS:
+                assert p == pytest.approx(1.0, abs=1e-12)
+            else:
+                assert p == 0.0 and collapsed is None
+
     def test_rejects_non_qubit_factors(self):
         st = tensor(qubit_state(1.0, 0.0), even_coherent(0.5, 10))
         with pytest.raises(ValueError, match="not a qubit"):
-            measure_spin_bell(st, (0, 1), RngStream(0))
+            draw(measure_spin_bell(st, (0, 1)), RngStream(0))
 
 
 class TestParityBellMeasurement:
@@ -278,7 +289,7 @@ class TestParityBellMeasurement:
             parity_bell_state(ParityBellLabel.PSI_MINUS, z, zp, dim),
             qubit_state(1.0, 0.0),
         )
-        label, p, _ = measure_parity_bell(st, (0, 1), z, zp, RngStream(4))
+        label, p, _ = draw(measure_parity_bell(st, (0, 1), z, zp), RngStream(4))
         assert label is ParityBellLabel.PSI_MINUS
         assert p == pytest.approx(1.0, abs=1e-10)
 
@@ -288,7 +299,7 @@ class TestParityBellMeasurement:
         minus = parity_bell_state(ParityBellLabel.PHI_MINUS, z, zp, dim)
         mixed = StateVector(plus.space, (plus.amps + minus.amps) * SQRT_HALF)
         st = tensor(mixed, qubit_state(1.0, 0.0))
-        probs = parity_bell_probabilities(st, (0, 1), z, zp)
+        probs = {label: p for label, p, _ in measure_parity_bell(st, (0, 1), z, zp)}
         assert probs[ParityBellLabel.PHI_PLUS] == pytest.approx(0.5, abs=1e-10)
         assert probs[ParityBellLabel.PHI_MINUS] == pytest.approx(0.5, abs=1e-10)
         assert probs[ParityBellLabel.PSI_PLUS] == pytest.approx(0.0, abs=1e-12)
@@ -300,7 +311,7 @@ class TestParityBellMeasurement:
         e, o = even_coherent(zpp, dim), odd_coherent(zpp, dim)
         mode_in = StateVector(e.space, alpha * e.amps + beta * o.amps)
         joint = tensor(hes_state(HesLabel.PHI_PLUS, z, dim), mode_in)
-        probs = parity_bell_probabilities(joint, (2, 1), zpp, z)
+        probs = {l: p for l, p, _ in measure_parity_bell(joint, (2, 1), zpp, z)}
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-10)
         for p in probs.values():
             assert p == pytest.approx(0.25, abs=1e-10)
@@ -314,9 +325,9 @@ class TestParityBellMeasurement:
         )
         # the pairing may be given in either order
         for modes, amps in (((1, 2), (z, zp)), ((2, 1), (zp, z))):
-            probs = parity_bell_probabilities(st, modes, *amps)
+            probs = {label: p for label, p, _ in measure_parity_bell(st, modes, *amps)}
             assert probs[ParityBellLabel.PSI_MINUS] == pytest.approx(1.0, abs=1e-12)
-            label, p, rest = measure_parity_bell(st, modes, *amps, RngStream(0))
+            label, p, rest = draw(measure_parity_bell(st, modes, *amps), RngStream(0))
             assert label is ParityBellLabel.PSI_MINUS
             assert rest.space.dims == (2,)
 
@@ -326,13 +337,13 @@ class TestParityBellMeasurement:
         st = tensor(tensor(vacuum, vacuum), qubit_state(1.0, 0.0))
         # |0>|0> overlaps the z=1 codeword span only partially
         with pytest.raises(ValueError, match="outside the span"):
-            measure_parity_bell(st, (0, 1), z, z, RngStream(0))
+            draw(measure_parity_bell(st, (0, 1), z, z), RngStream(0))
 
 
 class TestParityMeasurement:
     def test_even_codeword_is_certain(self):
         st = even_coherent(1.0, adim(1.0))
-        outcome, p, collapsed = parity_measurement(st, 0, RngStream(1))
+        outcome, p, collapsed = draw(parity_measurement(st, 0), RngStream(1))
         assert outcome == 1
         assert p == pytest.approx(1.0, abs=1e-12)
         assert abs(inner(collapsed, st)) == pytest.approx(1.0, abs=1e-12)
@@ -344,7 +355,7 @@ class TestParityMeasurement:
         st = StateVector(e.space, alpha * e.amps + beta * o.amps)
         even_count = 0
         for seed in range(400):
-            outcome, p, _ = parity_measurement(st, 0, RngStream(seed))
+            outcome, p, _ = draw(parity_measurement(st, 0), RngStream(seed))
             expected = abs(alpha) ** 2 if outcome == 1 else abs(beta) ** 2
             assert p == pytest.approx(expected, abs=1e-12)
             even_count += outcome == 1
@@ -358,7 +369,8 @@ class TestTeleportSpin:
         dim = adim(z)
         for seed in range(13):
             alpha, beta = random_qubit_pair(rng)
-            rec = teleport_spin(alpha, beta, channel, z, dim, RngStream(seed))
+            table = teleport_spin(alpha, beta, channel, z, dim)
+            _, _, rec = draw(table, RngStream(seed))
             assert rec.fidelity == pytest.approx(1.0, abs=1e-10)
             assert rec.outcome_probability == pytest.approx(0.25, abs=1e-10)
             assert rec.correction is correction_for(rec.outcome, channel)
@@ -366,7 +378,8 @@ class TestTeleportSpin:
     def test_all_four_branches_reachable(self):
         seen = set()
         for seed in range(40):
-            rec = teleport_spin(0.6, 0.8, HesLabel.PHI_PLUS, 1.0, 18, RngStream(seed))
+            table = teleport_spin(0.6, 0.8, HesLabel.PHI_PLUS, 1.0, 18)
+            _, _, rec = draw(table, RngStream(seed))
             seen.add(rec.outcome)
         assert seen == set(SpinBellLabel)
 
@@ -376,28 +389,31 @@ class TestTeleportSpin:
         z, dim = 1.0, adim(1.0)
         alpha, beta = random_qubit_pair(rng)
         for seed in range(16):
-            rec = teleport_spin(alpha, beta, HesLabel.PSI_MINUS, z, dim, RngStream(seed))
-            outcome, p, _ = parity_measurement(rec.output_state, 0, RngStream(seed))
+            table = teleport_spin(alpha, beta, HesLabel.PSI_MINUS, z, dim)
+            _, _, rec = draw(table, RngStream(seed))
+            outcome, p, _ = draw(parity_measurement(rec.output_state, 0), RngStream(seed))
             expected = abs(alpha) ** 2 if outcome == 1 else abs(beta) ** 2
             assert p == pytest.approx(expected, abs=1e-10)
 
     def test_codeword_input_keeps_positive_parity(self):
-        rec = teleport_spin(1.0, 0.0, HesLabel.PHI_PLUS, 0.8, 16, RngStream(3))
-        outcome, p, _ = parity_measurement(rec.output_state, 0, RngStream(0))
+        table = teleport_spin(1.0, 0.0, HesLabel.PHI_PLUS, 0.8, 16)
+        _, _, rec = draw(table, RngStream(3))
+        outcome, p, _ = draw(parity_measurement(rec.output_state, 0), RngStream(0))
         assert outcome == 1 and p == pytest.approx(1.0, abs=1e-12)
 
     def test_outcome_frequencies(self):
         counts = {label: 0 for label in SpinBellLabel}
         trials = 1024
         for seed in range(trials):
-            rec = teleport_spin(0.6, 0.8, HesLabel.PHI_PLUS, 0.5, 12, RngStream(seed))
+            table = teleport_spin(0.6, 0.8, HesLabel.PHI_PLUS, 0.5, 12)
+            _, _, rec = draw(table, RngStream(seed))
             counts[rec.outcome] += 1
         for label, n in counts.items():
             assert abs(n / trials - 0.25) < 0.05
 
     def test_transcripts_reproduce_for_equal_seeds(self):
-        a = teleport_spin(0.6, 0.8, HesLabel.PSI_PLUS, 1.0, 18, RngStream(77))
-        b = teleport_spin(0.6, 0.8, HesLabel.PSI_PLUS, 1.0, 18, RngStream(77))
+        _, _, a = draw(teleport_spin(0.6, 0.8, HesLabel.PSI_PLUS, 1.0, 18), RngStream(77))
+        _, _, b = draw(teleport_spin(0.6, 0.8, HesLabel.PSI_PLUS, 1.0, 18), RngStream(77))
         assert a.outcome is b.outcome
         assert a.outcome_probability == b.outcome_probability
         assert a.correction is b.correction
@@ -412,12 +428,14 @@ class TestTeleportParity:
         dim = adim(1.2)
         for seed in range(10):
             alpha, beta = random_qubit_pair(rng)
-            rec = teleport_parity(alpha, beta, zpp, channel, z, dim, RngStream(seed))
+            table = teleport_parity(alpha, beta, zpp, channel, z, dim)
+            _, _, rec = draw(table, RngStream(seed))
             assert rec.fidelity == pytest.approx(1.0, abs=1e-10)
             assert rec.outcome_probability == pytest.approx(0.25, abs=1e-10)
 
     def test_output_is_a_qubit(self):
-        rec = teleport_parity(0.6, 0.8, 0.5, HesLabel.PHI_PLUS, 1.0, 18, RngStream(2))
+        table = teleport_parity(0.6, 0.8, 0.5, HesLabel.PHI_PLUS, 1.0, 18)
+        _, _, rec = draw(table, RngStream(2))
         assert rec.output_state.space.dims == (2,)
         assert rec.target_state.space.dims == (2,)
 
@@ -425,9 +443,10 @@ class TestTeleportParity:
         from hesim.pseudospin import PAULI_X
 
         for seed in range(12):
-            rec = teleport_parity(
-                SQRT_HALF, SQRT_HALF, 0.9, HesLabel.PHI_PLUS, 1.1, 20, RngStream(seed)
+            table = teleport_parity(
+                SQRT_HALF, SQRT_HALF, 0.9, HesLabel.PHI_PLUS, 1.1, 20
             )
+            _, _, rec = draw(table, RngStream(seed))
             amps = rec.output_state.amps
             sx = float(np.real(np.vdot(amps, PAULI_X @ amps)))
             assert abs(sx) == pytest.approx(1.0, abs=1e-10)
@@ -436,9 +455,8 @@ class TestTeleportParity:
         counts = {label: 0 for label in ParityBellLabel}
         trials = 1024
         for seed in range(trials):
-            rec = teleport_parity(
-                0.6, 0.8, 0.5, HesLabel.PHI_PLUS, 0.5, 12, RngStream(seed)
-            )
+            table = teleport_parity(0.6, 0.8, 0.5, HesLabel.PHI_PLUS, 0.5, 12)
+            _, _, rec = draw(table, RngStream(seed))
             counts[rec.outcome] += 1
         for label, n in counts.items():
             assert abs(n / trials - 0.25) < 0.05
@@ -484,7 +502,7 @@ class TestSwap:
         }
         seen = set()
         for seed in range(24):
-            rec = swap_entanglement(z, zp, dim, RngStream(seed))
+            _, _, rec = draw(swap_entanglement(z, zp, dim), RngStream(seed))
             assert rec.parity_label is pairing[rec.outcome]
             assert rec.probability == pytest.approx(0.25, abs=1e-10)
             assert rec.fidelity == pytest.approx(1.0, abs=1e-10)
@@ -492,13 +510,13 @@ class TestSwap:
         assert seen == set(SpinBellLabel)
 
     def test_post_collapse_entropy_is_one_ebit(self):
-        rec = swap_entanglement(0.7, 1.3, adim(1.3), RngStream(5))
+        _, _, rec = draw(swap_entanglement(0.7, 1.3, adim(1.3)), RngStream(5))
         ent = entanglement_entropy(rec.mode_state, Bipartition.of(rec.mode_state.space, {0}))
         assert ent == pytest.approx(1.0, abs=1e-10)
 
     def test_transcripts_reproduce_for_equal_seeds(self):
-        a = swap_entanglement(0.6, 1.1, 20, RngStream(31))
-        b = swap_entanglement(0.6, 1.1, 20, RngStream(31))
+        _, _, a = draw(swap_entanglement(0.6, 1.1, 20), RngStream(31))
+        _, _, b = draw(swap_entanglement(0.6, 1.1, 20), RngStream(31))
         assert a.outcome is b.outcome
         assert a.parity_label is b.parity_label
         assert a.probability == b.probability
@@ -517,3 +535,104 @@ class TestRngStream:
     def test_same_seed_same_sequence(self):
         a, b = RngStream(9), RngStream(9)
         assert [a.uniform() for _ in range(10)] == [b.uniform() for _ in range(10)]
+
+
+class _FixedVariate:
+    """Stand-in for an RngStream that always returns the same variate."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
+class TestDraw:
+    def test_zero_probability_branch_is_never_chosen(self):
+        table = [("a", 0.0, None), ("b", 0.5, "b"), ("c", 0.0, None), ("d", 0.5, "d")]
+        for u in (0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53):
+            assert draw(table, _FixedVariate(u))[0] in ("b", "d")
+        for seed in range(50):
+            assert draw(table, RngStream(seed))[0] in ("b", "d")
+
+    def test_inverse_cdf(self):
+        table = [("a", 0.25, "a"), ("b", 0.5, "b"), ("c", 0.25, "c")]
+        assert draw(table, _FixedVariate(0.2))[0] == "a"
+        assert draw(table, _FixedVariate(0.25))[0] == "b"
+        assert draw(table, _FixedVariate(0.8))[0] == "c"
+
+    def test_variate_on_the_remainder_falls_back_to_the_likeliest_branch(self):
+        # a variate at the top of the CDF lies past every cumulative sum
+        table = [("a", 0.3, "a"), ("b", 0.6, "b"), ("c", 0.1, "c")]
+        assert draw(table, _FixedVariate(1.0)) == ("b", 0.6, "b")
+
+    def test_weight_outside_the_span_raises_before_drawing(self):
+        rng = RngStream(0)
+        table = [("a", 0.45, "a"), ("b", 0.45, "b")]
+        with pytest.raises(ValueError, match="outside the span"):
+            draw(table, rng)
+        assert rng.counter == 0
+        # rounding-level shortfalls are not an error
+        assert draw([("a", 0.5, "a"), ("b", 0.5 - 1e-12, "b")], rng)[0] in ("a", "b")
+
+    def test_one_variate_per_draw(self):
+        rng = RngStream(3)
+        table = teleport_spin(0.6, 0.8, HesLabel.PHI_PLUS, 1.0, adim(1.0))
+        for _ in range(5):
+            draw(table, rng)
+        assert rng.counter == 5
+
+    def test_matches_the_table_row(self):
+        table = swap_entanglement(0.8, 1.2, adim(1.2))
+        for seed in range(8):
+            branch = draw(table, RngStream(seed))
+            assert any(branch is row for row in table)
+            outcome, p, rec = branch
+            assert rec.outcome is outcome and rec.probability == p
+
+
+AMPLITUDES = st.tuples(
+    st.floats(min_value=0.0, max_value=math.pi / 2),
+    st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    st.floats(min_value=0.0, max_value=2.0 * math.pi),
+).map(lambda t: (math.cos(t[0]) * complex(math.cos(t[1]), math.sin(t[1])),
+                 math.sin(t[0]) * complex(math.cos(t[2]), math.sin(t[2]))))
+Z = st.floats(min_value=0.0, max_value=3.0)
+
+
+class TestEveryBranch:
+    """The paper's protocol claims hold on all four branches, for every z."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(amps=AMPLITUDES, z=Z, channel=st.sampled_from(list(HesLabel)))
+    def test_teleport_spin(self, amps, z, channel):
+        table = teleport_spin(*amps, channel, z, adim(z))
+        assert [outcome for outcome, _, _ in table] == list(SpinBellLabel)
+        for outcome, p, rec in table:
+            assert p == pytest.approx(0.25, abs=1e-10)
+            assert rec.fidelity == pytest.approx(1.0, abs=1e-10)
+            assert rec.correction is correction_for(outcome, channel)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(amps=AMPLITUDES, z=Z, zpp=Z, channel=st.sampled_from(list(HesLabel)))
+    def test_teleport_parity(self, amps, z, zpp, channel):
+        table = teleport_parity(*amps, zpp, channel, z, max(adim(z), adim(zpp)))
+        assert [outcome for outcome, _, _ in table] == list(ParityBellLabel)
+        for outcome, p, rec in table:
+            assert p == pytest.approx(0.25, abs=1e-10)
+            assert rec.fidelity == pytest.approx(1.0, abs=1e-10)
+            assert rec.correction is correction_for(outcome, channel)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(z=Z, zp=Z)
+    def test_swap(self, z, zp):
+        table = swap_entanglement(z, zp, max(adim(z), adim(zp)))
+        assert [outcome for outcome, _, _ in table] == list(SpinBellLabel)
+        for outcome, p, rec in table:
+            assert rec.parity_label is _SWAP_PAIRING[outcome][0]
+            assert p == pytest.approx(0.25, abs=1e-10)
+            assert rec.fidelity == pytest.approx(1.0, abs=1e-10)
+            cut = Bipartition.of(rec.mode_state.space, {0})
+            assert entanglement_entropy(rec.mode_state, cut) == pytest.approx(
+                1.0, abs=1e-10
+            )
