@@ -274,10 +274,16 @@ def _check_kinds(
             )
 
 
-def _branch(outcome, p: float, amps: np.ndarray, space, residual: float) -> tuple:
-    """(outcome, p, amps renormalized on space), with None for the state if p = 0."""
-    state = StateVector(space, amps / math.sqrt(p), residual) if p > 0.0 else None
-    return outcome, p, state
+def _branch(outcome, amps: np.ndarray, space, residual: float) -> tuple:
+    """(outcome, p, amps renormalized on space) with p the squared norm of amps
+    itself, so any branch draw may pick renormalizes; the state is None at p = 0."""
+    p = float(np.real(np.vdot(amps, amps)))
+    if p == 0.0:
+        return outcome, p, None
+    if p < np.finfo(float).tiny:  # the root of a subnormal p has lost precision
+        amps = amps / np.max(np.abs(amps))
+        return outcome, p, StateVector(space, amps / np.linalg.norm(amps), residual)
+    return outcome, p, StateVector(space, amps / math.sqrt(p), residual)
 
 
 def _measure_bell(state, factors, labels, enc_a, enc_b):
@@ -293,8 +299,7 @@ def _measure_bell(state, factors, labels, enc_a, enc_b):
     branches = []
     for label in labels:
         amp = partial_inner(bell_pair(label, enc_a, enc_b), state, factors)
-        p = float(np.real(np.vdot(amp, amp)))
-        branches.append(_branch(label, p, amp, space, state.truncation_residual))
+        branches.append(_branch(label, amp, space, state.truncation_residual))
     return branches
 
 
@@ -338,17 +343,13 @@ def parity_measurement(
     """
     _check_kinds(state, (mode_index,), (FactorKind.MODE,))
     dims = state.space.dims
-    t = state.amps.reshape(dims)
     shape = [1] * len(dims)
     shape[mode_index] = dims[mode_index]
-    mask = (np.arange(dims[mode_index]) % 2 == 0).reshape(shape)
-    even_part = np.where(mask, t, 0.0).reshape(-1)
-    p_even = float(np.real(np.vdot(even_part, even_part)))
-    odd_part = np.where(mask, 0.0, t).reshape(-1)
-    residual = state.truncation_residual
+    odd = np.arange(dims[mode_index]).reshape(shape) % 2
+    t, residual = state.amps.reshape(dims), state.truncation_residual
     return [
-        _branch(1, p_even, even_part, state.space, residual),
-        _branch(-1, 1.0 - p_even, odd_part, state.space, residual),
+        _branch(outcome, np.where(odd == bit, t, 0.0).ravel(), state.space, residual)
+        for outcome, bit in ((1, 0), (-1, 1))
     ]
 
 

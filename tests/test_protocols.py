@@ -276,6 +276,15 @@ class TestSpinBellMeasurement:
             else:
                 assert p == 0.0 and collapsed is None
 
+    def test_subnormal_branch_still_renormalizes(self):
+        # the psi branches weigh 5e-321, below the normal floats
+        tiny = tensor(qubit_state(1.0, 1e-160), qubit_state(1.0, 0.0))
+        st = tensor(tiny, qubit_state(0.0, 1.0))
+        for label, p, collapsed in measure_spin_bell(st, (0, 1)):
+            expected = 0.5 if label.is_phi else 5e-321
+            assert p == pytest.approx(expected, rel=1e-2)
+            assert np.allclose(np.abs(collapsed.amps), [0, 1], atol=1e-12)
+
     def test_rejects_non_qubit_factors(self):
         st = tensor(qubit_state(1.0, 0.0), even_coherent(0.5, 10))
         with pytest.raises(ValueError, match="not a qubit"):
@@ -348,6 +357,20 @@ class TestParityMeasurement:
         assert p == pytest.approx(1.0, abs=1e-12)
         assert abs(inner(collapsed, st)) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("cat, parity", [(even_coherent, 1), (odd_coherent, -1)])
+    def test_cat_codewords_are_eigenstates_for_every_z(self, cat, parity):
+        # the eigen-branch's weight may round to 1 - 1ulp; the other branch
+        # must then still be the exact zero of its own amplitudes
+        for z in np.linspace(0.0, 6.0, 601):
+            table = parity_measurement(cat(z, adim(z)), 0)
+            assert [outcome for outcome, _, _ in table] == [1, -1]
+            for outcome, p, collapsed in table:
+                if outcome == parity:
+                    assert p == pytest.approx(1.0, abs=1e-12)
+                else:
+                    assert p == 0.0 and collapsed is None
+            assert draw(table, RngStream(0))[0] == parity
+
     def test_superposition_statistics(self):
         z, dim = 0.9, adim(0.9)
         alpha, beta = 0.6, 0.8j
@@ -400,6 +423,18 @@ class TestTeleportSpin:
         _, _, rec = draw(table, RngStream(3))
         outcome, p, _ = draw(parity_measurement(rec.output_state, 0), RngStream(0))
         assert outcome == 1 and p == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("amps, parity", [((1.0, 0.0), 1), ((0.0, 1.0), -1)])
+    def test_codeword_inputs_give_parity_eigenstates_on_every_branch(
+        self, amps, parity
+    ):
+        for z in np.linspace(0.0, 3.0, 31):
+            for channel in HesLabel:
+                for _, _, rec in teleport_spin(*amps, channel, z, adim(z)):
+                    table = parity_measurement(rec.output_state, 0)
+                    outcome, p, _ = max(table, key=lambda branch: branch[1])
+                    assert outcome == parity
+                    assert p == pytest.approx(1.0, abs=1e-12)
 
     def test_outcome_frequencies(self):
         counts = {label: 0 for label in SpinBellLabel}
