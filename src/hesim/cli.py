@@ -181,6 +181,9 @@ def cmd_teleport(args: argparse.Namespace) -> str:
         _parse_amplitude(args.alpha, "alpha"), _parse_amplitude(args.beta, "beta")
     )
     channel = _parse_enum(HesLabel, args.channel, "channel label")
+    if args.kind == "spin" and args.zpp is not None:
+        raise ValueError("--zpp is the input codeword amplitude of parity teleportation; "
+                         "spin teleportation takes none")
     zpp = args.zpp if args.zpp is not None else args.z
     dim = _dim_for(max(args.z, zpp), args.dim)
     if args.kind == "spin":
@@ -302,21 +305,13 @@ def cmd_entropy(args: argparse.Namespace) -> str:
     payload = {
         "command": "entropy",
         "statespec": args.statespec,
-        "entropy_bits": entanglement_entropy(state, cut),
+        "entropy_bits": spectrum.entropy(),
         "schmidt_coefficients": list(spectrum.coefficients),
     }
     return _json(payload)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hesim",
-        description="Hybrid entangled state simulator: sweeps, CHSH optimization, "
-        "teleportation and swapping Monte Carlo, entanglement reports.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("kz", help="sweep the overlap k(z) and the CHSH violation")
+def _kz_subparser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--zmin", type=float, required=True)
     p.add_argument("--zmax", type=float, required=True)
     p.add_argument("--steps", type=int, required=True, help="number of rows")
@@ -324,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_kz)
 
-    p = sub.add_parser("chsh", help="compare the CHSH maximum with the closed form")
+
+def _chsh_subparser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--label", default="phi+", help="hybrid state label (default phi+)")
     p.add_argument("--restarts", type=int, default=16, help="echoed only; must be >= 1")
@@ -333,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_chsh)
 
-    p = sub.add_parser("teleport", help="Monte-Carlo teleportation runs")
+
+def _teleport_subparser(p: argparse.ArgumentParser) -> None:
     p.add_argument("kind", choices=("spin", "parity"))
     p.add_argument("--alpha", required=True, help="input amplitude (complex literal)")
     p.add_argument("--beta", required=True)
@@ -349,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_teleport)
 
-    p = sub.add_parser("swap", help="Monte-Carlo entanglement swapping runs")
+
+def _swap_subparser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--zprime", type=float, required=True)
     p.add_argument("--trials", type=int, default=1)
@@ -358,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_swap)
 
-    p = sub.add_parser("entropy", help="entropy and Schmidt spectrum of a named state")
+
+def _entropy_subparser(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "statespec",
         help="spinbell:Phi+ | hes:phi+:z=1 | paritybell:phi~+:z=1,zp=0.5 | product:z=1",
@@ -367,12 +366,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_entropy)
 
+
+# name: (help line, fills in the subparser), in help order. The handlers are
+# bound inside the fillers, at call time, so a wrapper installed on a
+# module-level ``cmd_*`` name after import still sees every call.
+_SUBCOMMANDS = {
+    "kz": ("sweep the overlap k(z) and the CHSH violation", _kz_subparser),
+    "chsh": ("compare the CHSH maximum with the closed form", _chsh_subparser),
+    "teleport": ("Monte-Carlo teleportation runs", _teleport_subparser),
+    "swap": ("Monte-Carlo entanglement swapping runs", _swap_subparser),
+    "entropy": ("entropy and Schmidt spectrum of a named state", _entropy_subparser),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``hesim`` parser with every subcommand, or with ``command`` alone.
+
+    Each subparser is built the same way in either tree, so its help, usage
+    and errors read the same; only the top-level usage's list of subcommands
+    differs.
+    """
+    parser = argparse.ArgumentParser(
+        prog="hesim",
+        description="Hybrid entangled state simulator: sweeps, CHSH optimization, "
+        "teleportation and swapping Monte Carlo, entanglement reports.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_line, fill) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            fill(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Building all five subparsers is a large share of a short command such as
+    # chsh, so only the one argv names is built. Anything left over is
+    # reported by the full tree, whose usage lists every subcommand.
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args, extras = build_parser(command).parse_known_args(argv)
+    if extras:
+        args = build_parser().parse_args(argv)
     try:
         text = args.func(args)
         _emit(text, args.out)

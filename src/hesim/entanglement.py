@@ -11,6 +11,8 @@ import numpy as np
 from .fock import SpaceDescriptor, StateVector
 
 _EIGENVALUE_FLOOR = 1e-14
+_NEGATIVE_COEFF_TOL = 1e-15
+_SCHMIDT_NORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -49,14 +51,27 @@ class SchmidtSpectrum:
 
     def __post_init__(self) -> None:
         coeffs = tuple(float(c) for c in self.coefficients)
-        if any(c < -1e-15 for c in coeffs):
+        if any(c < -_NEGATIVE_COEFF_TOL for c in coeffs):
             raise ValueError("Schmidt coefficients must be nonnegative")
         if any(coeffs[i] < coeffs[i + 1] for i in range(len(coeffs) - 1)):
             raise ValueError("Schmidt coefficients must be sorted descending")
         total = sum(c * c for c in coeffs)
-        if abs(total - 1.0) > 1e-10:
+        if abs(total - 1.0) > _SCHMIDT_NORM_TOL:
             raise ValueError(f"squared Schmidt coefficients sum to {total!r}")
         object.__setattr__(self, "coefficients", coeffs)
+
+    def entropy(self) -> float:
+        """Von Neumann entropy of the spectrum, in bits (ebits).
+
+        Squared coefficients below 1e-14 count as exact zeros so that
+        truncation dust never produces 0*log(0) artifacts.
+        """
+        entropy = 0.0
+        for c in self.coefficients:
+            p = c * c
+            if p >= _EIGENVALUE_FLOOR:
+                entropy -= p * math.log2(p)
+        return entropy
 
 
 def _validate_cut(space: SpaceDescriptor, cut: Bipartition) -> None:
@@ -83,13 +98,7 @@ def schmidt_coefficients(state: StateVector, cut: Bipartition) -> SchmidtSpectru
 def entanglement_entropy(state: StateVector, cut: Bipartition) -> float:
     """Von Neumann entropy across the cut, in bits (ebits).
 
-    Squared Schmidt coefficients below 1e-14 count as exact zeros so that
-    truncation dust never produces 0*log(0) artifacts.
+    The entropy of ``schmidt_coefficients(state, cut)``; see
+    ``SchmidtSpectrum.entropy``.
     """
-    spectrum = schmidt_coefficients(state, cut)
-    entropy = 0.0
-    for c in spectrum.coefficients:
-        p = c * c
-        if p >= _EIGENVALUE_FLOOR:
-            entropy -= p * math.log2(p)
-    return entropy
+    return schmidt_coefficients(state, cut).entropy()

@@ -24,6 +24,8 @@ DEFAULT_RESIDUAL_TOL = 1e-12
 
 _NORM_TOL = 1e-12
 _HERMITICITY_TOL = 1e-12
+_NEGATIVE_EIGENVALUE_TOL = 1e-12
+_APPLY_NORM_TOL = 1e-10
 _MODE_DIM_CAP = 1_000_000
 
 
@@ -201,7 +203,7 @@ class DensityMatrix:
         if abs(tr - 1.0) > _NORM_TOL:
             raise ValueError(f"density matrix trace is {tr!r}, expected 1")
         lo = float(np.linalg.eigvalsh(matrix)[0])
-        if lo < -1e-12:
+        if lo < -_NEGATIVE_EIGENVALUE_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {lo!r}")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
@@ -390,7 +392,7 @@ def apply(op: Operator, state: StateVector, factor_index: int) -> StateVector:
     moved = np.tensordot(op.matrix, t, axes=([1], [factor_index]))
     out = np.moveaxis(moved, 0, factor_index).reshape(-1)
     norm = float(np.linalg.norm(out))
-    if abs(norm - 1.0) > 1e-10:
+    if abs(norm - 1.0) > _APPLY_NORM_TOL:
         raise ValueError(
             f"operator is not norm-preserving on this state (|result| = {norm!r})"
         )

@@ -28,6 +28,7 @@ from .fock import (
 )
 
 _UNIT_TOL = 1e-12
+_NONREAL_TOL = 1e-12
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -165,6 +166,6 @@ def k_matrix(
     o = odd_coherent(z, dim, residual_tol)
     ops = build_pseudospin(dim)
     val = inner(e, apply(ops.s_plus, o, 0))
-    if abs(val.imag) > 1e-12:
+    if abs(val.imag) > _NONREAL_TOL:
         raise ValueError(f"overlap has a nonreal component {val.imag!r}")
     return val.real

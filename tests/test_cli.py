@@ -1,5 +1,6 @@
 """Command-line interface: schemas, values, exit codes, reproducibility."""
 
+import argparse
 import csv
 import json
 import math
@@ -8,10 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hesim
-from hesim.cli import main
+import hesim.cli
+from hesim.cli import build_parser, main
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 
@@ -247,6 +250,17 @@ class TestTeleport:
         assert payload["alpha"] == [1.0, 0.0]
         assert payload["beta"] == [0.0, 0.0]
 
+    def test_zpp_rejected_for_spin(self, tmp_path, capsys, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("spin teleportation ran with --zpp")
+
+        monkeypatch.setattr(hesim.cli, "teleport_spin", no_table)
+        argv = ["teleport", "spin", "--alpha", "0.6", "--beta", "0.8", "--z", "1"]
+        code, data = run(argv + ["--zpp", "3"], tmp_path)
+        assert code == 1 and data == b""
+        err = capsys.readouterr().err
+        assert err.startswith("error: --zpp") and err.count("\n") == 1
+
     def test_zero_input_rejected(self, tmp_path, capsys):
         code, _ = run(
             ["teleport", "spin", "--alpha", "0", "--beta", "0", "--z", "1"],
@@ -362,7 +376,95 @@ class TestEntropy:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_one_svd_per_command(self, monkeypatch, tmp_path):
+        svd = np.linalg.svd
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        code, data = run(["entropy", "hes:phi+:z=2.5"], tmp_path)
+        assert code == 0 and len(calls) == 1
+        assert json.loads(data)["entropy_bits"] == pytest.approx(1.0, abs=1e-10)
+
     def test_missing_parameter_fails_cleanly(self, tmp_path, capsys):
         code, _ = run(["entropy", "hes:phi+"], tmp_path)
         assert code != 0
         assert "error:" in capsys.readouterr().err
+
+
+def _outcome(argv, capsys):
+    """(stdout, stderr, exit code) of one in-process command."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
+class TestParserSelection:
+    """``main`` builds only the subparser that argv names, with unchanged text."""
+
+    def test_valid_command_builds_at_most_two_parsers(self, monkeypatch, tmp_path):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        code, data = run(["chsh", "--z", "1"], tmp_path)
+        assert code == 0 and json.loads(data)["command"] == "chsh"
+        assert len(built) <= 2
+
+    def test_handler_is_looked_up_at_call_time(self, monkeypatch, tmp_path):
+        # wrappers installed on module names after import (tracing) see calls
+        calls = []
+        handler = hesim.cli.cmd_kz
+
+        def counted(args):
+            calls.append(args)
+            return handler(args)
+
+        monkeypatch.setattr(hesim.cli, "cmd_kz", counted)
+        code, _ = run(["kz", "--zmin", "0", "--zmax", "1", "--steps", "2"], tmp_path)
+        assert code == 0 and len(calls) == 1
+
+    def test_no_argument_builds_every_subcommand(self):
+        assert "{kz,chsh,teleport,swap,entropy}" in build_parser().format_usage()
+        assert "{chsh}" in build_parser("chsh").format_usage()
+
+    @pytest.mark.parametrize("columns", ["20", "80", "200"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-h"],
+            [],
+            ["bogus"],
+            ["chsh", "-h"],
+            ["teleport", "-h"],
+            ["chsh", "--z", "1", "--bogus"],
+            ["chsh", "--z", "1", "extra"],
+            ["chsh"],
+            ["chsh", "--z", "x"],
+            ["teleport", "bogus", "--alpha", "1", "--beta", "0", "--z", "1"],
+            ["entropy"],
+            ["chsh", "--z", "0.5", "--label", "psi-"],
+            ["kz", "--zmin", "0", "--zmax", "1", "--steps", "3"],
+            ["teleport", "parity", "--alpha", "0.6", "--beta", "0.8", "--z", "1",
+             "--zpp", "0.5", "--trials", "4"],
+            ["swap", "--z", "1", "--zprime", "0.5", "--trials", "3"],
+            ["entropy", "paritybell:phi~+:z=1,zp=0.5"],
+        ],
+        ids=" ".join,
+    )
+    def test_text_matches_the_full_tree(self, argv, columns, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", columns)
+        got = _outcome(argv, capsys)
+        full = build_parser
+        monkeypatch.setattr(hesim.cli, "build_parser", lambda command=None: full())
+        assert got == _outcome(argv, capsys)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hesim import (
     Bipartition,
@@ -91,6 +92,23 @@ class TestEntropy:
         assert entanglement_entropy(st, first_factor_cut(st)) == pytest.approx(
             1.0, abs=1e-10
         )
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(label=st.sampled_from(list(HesLabel)), z=st.floats(min_value=0.0, max_value=6.0))
+    def test_one_ebit_for_every_hybrid_state(self, label, z):
+        state = hes_state(label, z, mode_dim_for(z, 1e-14))
+        assert abs(entanglement_entropy(state, first_factor_cut(state)) - 1.0) <= 1e-10
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        label=st.sampled_from(list(ParityBellLabel)),
+        z=st.floats(min_value=0.0, max_value=4.0),
+        zp=st.floats(min_value=0.0, max_value=4.0),
+    )
+    def test_one_ebit_for_every_parity_bell_state(self, label, z, zp):
+        dim = max(mode_dim_for(z, 1e-14), mode_dim_for(zp, 1e-14))
+        state = parity_bell_state(label, z, zp, dim)
+        assert abs(entanglement_entropy(state, first_factor_cut(state)) - 1.0) <= 1e-10
 
     def test_product_state_has_zero_entropy(self):
         st = tensor(qubit_state(SQRT_HALF, SQRT_HALF * 1j), even_coherent(1.0, 18))
