@@ -1,11 +1,11 @@
 """CHSH correlation analysis for qubit x mode states.
 
-The Bell combination pairs a qubit Pauli projection with a mode pseudospin
-projection for four measurement settings. For the hybrid entangled states
-the in-plane optimum 2*sqrt(1 + k(z)^2) is available in closed form from
-k(z). Independently, the maximum over all settings for any qubit x mode
-state follows from the singular values of its 3x3 correlation matrix, which
-confirms the closed form numerically.
+For the hybrid entangled states the in-plane optimum 2*sqrt(1 + k(z)^2) is
+available in closed form from k(z). Independently, the maximum over all
+settings for any qubit x mode state follows from the singular values of its
+3x3 correlation matrix, which confirms the closed form numerically. Every
+Bell expectation is bilinear in the settings through that matrix, so no
+Bell operator is built here.
 """
 
 from __future__ import annotations
@@ -15,15 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FactorKind, HesLabel, Operator, SpaceDescriptor, StateVector
+from .fock import FactorKind, HesLabel, StateVector
 from .pseudospin import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     Direction,
     PseudospinOps,
-    dot_s,
-    dot_sigma,
     k_series,
 )
 
@@ -84,28 +82,6 @@ def _check_state_space(state: StateVector, ops: PseudospinOps) -> None:
         raise ValueError(
             f"state on {space.describe()} does not match qubit⊗mode({ops.dim})"
         )
-
-
-def bell_operator(settings: ChshSettings, ops: PseudospinOps) -> Operator:
-    """Four-setting Bell combination on the qubit x mode space."""
-    a = dot_sigma(settings.a).matrix
-    ap = dot_sigma(settings.a_prime).matrix
-    b = dot_s(settings.b, ops).matrix
-    bp = dot_s(settings.b_prime, ops).matrix
-    m = np.kron(a, b) + np.kron(a, bp) + np.kron(ap, b) - np.kron(ap, bp)
-    return Operator(SpaceDescriptor.qubit() * ops.s_z.space, m)
-
-
-def chsh_value(
-    state: StateVector, settings: ChshSettings, ops: PseudospinOps
-) -> float:
-    """Expectation of the Bell combination in the given state."""
-    _check_state_space(state, ops)
-    op = bell_operator(settings, ops)
-    val = complex(np.vdot(state.amps, op.matrix @ state.amps))
-    if abs(val.imag) > _NONREAL_TOL:
-        raise ValueError(f"Bell expectation has nonreal residue {val.imag!r}")
-    return val.real
 
 
 def analytic_settings(z: float, label: HesLabel = HesLabel.PHI_PLUS) -> ChshSettings:

@@ -77,10 +77,11 @@ def _parse_enum(enum_cls, text: str, what: str):
     raise ValueError(f"unknown {what} {text!r}; choose one of: {choices}")
 
 
-def _dim_for(z: float, override: int | None) -> int:
+def _dim_for(override: int | None, *zs: float) -> int:
+    """--dim if given, else the largest adaptive cutoff over the amplitudes."""
     if override is not None:
         return override
-    return mode_dim_for(z, ADAPTIVE_DIM_TOL)
+    return max(mode_dim_for(z, ADAPTIVE_DIM_TOL) for z in zs)
 
 
 def _parse_amplitude(text: str, name: str) -> complex:
@@ -138,7 +139,7 @@ def cmd_kz(args: argparse.Namespace) -> str:
     writer.writerow(["z", "K_series", "K_matrix", "abs_diff", "violation"])
     for z in zs:
         ks = k_series(z)
-        km = k_matrix(z, _dim_for(z, args.dim))
+        km = k_matrix(z, _dim_for(args.dim, z))
         violation = 2.0 * math.sqrt(1.0 + ks * ks)
         writer.writerow([repr(z), repr(ks), repr(km), repr(abs(ks - km)), repr(violation)])
     return buf.getvalue()
@@ -148,7 +149,7 @@ def cmd_chsh(args: argparse.Namespace) -> str:
     if args.restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {args.restarts}")
     label = _parse_enum(HesLabel, args.label, "hybrid state label")
-    dim = _dim_for(args.z, args.dim)
+    dim = _dim_for(args.dim, args.z)
     ops = build_pseudospin(dim)
     state = hes_state(label, args.z, dim)
     analytic = analytic_optimum(args.z, label)
@@ -185,7 +186,7 @@ def cmd_teleport(args: argparse.Namespace) -> str:
         raise ValueError("--zpp is the input codeword amplitude of parity teleportation; "
                          "spin teleportation takes none")
     zpp = args.zpp if args.zpp is not None else args.z
-    dim = _dim_for(max(args.z, zpp), args.dim)
+    dim = _dim_for(args.dim, max(args.z, zpp))
     if args.kind == "spin":
         table = teleport_spin(alpha, beta, channel, args.z, dim)
     else:
@@ -193,8 +194,8 @@ def cmd_teleport(args: argparse.Namespace) -> str:
     counts = {outcome.value: 0 for outcome, _, _ in table}
     fid_min, fid_sum = math.inf, 0.0
     for trial in range(args.trials):
-        _, _, rec = draw(table, RngStream(args.seed + trial))
-        counts[rec.outcome.value] += 1
+        outcome, _, rec = draw(table, RngStream(args.seed + trial))
+        counts[outcome.value] += 1
         fid_min = min(fid_min, rec.fidelity)
         fid_sum += rec.fidelity
     payload = {
@@ -220,24 +221,21 @@ def cmd_teleport(args: argparse.Namespace) -> str:
 def cmd_swap(args: argparse.Namespace) -> str:
     if args.trials < 1:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
-    dim = args.dim
-    if dim is None:
-        dim = max(_dim_for(args.z, None), _dim_for(args.zprime, None))
+    dim = _dim_for(args.dim, args.z, args.zprime)
     table = swap_entanglement(args.z, args.zprime, dim)
-    per_outcome = {
-        outcome.value: dict(count=0, parity_label=None, fidelity_min=None,
-                            entropy_min=None, entropy_max=None)
-        for outcome, _, _ in table
-    }
+    counts = {outcome: 0 for outcome, _, _ in table}
     for trial in range(args.trials):
-        _, _, rec = draw(table, RngStream(args.seed + trial))
-        slot = per_outcome[rec.outcome.value]
-        if slot["count"] == 0:  # every draw of an outcome yields the same record
+        counts[draw(table, RngStream(args.seed + trial))[0]] += 1
+    per_outcome = {}
+    for outcome, _, rec in table:  # every draw of an outcome yields its row's record
+        slot = per_outcome[outcome.value] = dict(
+            count=counts[outcome], parity_label=None, fidelity_min=None,
+            entropy_min=None, entropy_max=None)
+        if slot["count"]:  # an outcome never drawn reports nulls and no entropy
             cut = Bipartition.of(rec.mode_state.space, {0})
             ent = entanglement_entropy(rec.mode_state, cut)
             slot.update(parity_label=rec.parity_label.value, fidelity_min=rec.fidelity,
                         entropy_min=ent, entropy_max=ent)
-        slot["count"] += 1
     fid_min = min(s["fidelity_min"] for s in per_outcome.values() if s["count"])
     payload = {
         "command": "swap",
@@ -273,7 +271,7 @@ def _build_named_state(spec: str, dim_override: int | None) -> tuple[StateVector
             raise ValueError(f"hes spec needs a label and z=..., got {spec!r}")
         label = _parse_enum(HesLabel, parts[1], "hybrid state label")
         z = params["z"]
-        state = hes_state(label, z, _dim_for(z, dim_override))
+        state = hes_state(label, z, _dim_for(dim_override, z))
     elif kind == "paritybell":
         if len(parts) != 2 or "z" not in params or "zp" not in params:
             raise ValueError(
@@ -281,16 +279,13 @@ def _build_named_state(spec: str, dim_override: int | None) -> tuple[StateVector
             )
         label = _parse_enum(ParityBellLabel, parts[1], "parity Bell label")
         z, zp = params["z"], params["zp"]
-        dim = dim_override
-        if dim is None:
-            dim = max(_dim_for(z, None), _dim_for(zp, None))
-        state = parity_bell_state(label, z, zp, dim)
+        state = parity_bell_state(label, z, zp, _dim_for(dim_override, z, zp))
     elif kind == "product":
         if "z" not in params:
             raise ValueError(f"product spec needs z=..., got {spec!r}")
         z = params["z"]
         spin = StateVector(SpaceDescriptor.qubit(), np.array([1.0, 0.0]))
-        state = tensor(spin, even_coherent(z, _dim_for(z, dim_override)))
+        state = tensor(spin, even_coherent(z, _dim_for(dim_override, z)))
     else:
         raise ValueError(
             f"unknown state spec {spec!r}; use spinbell:..., hes:..., "

@@ -39,9 +39,6 @@ class Bipartition:
         b = frozenset(range(space.nfactors)) - a
         return cls(a, b)
 
-    def swapped(self) -> "Bipartition":
-        return Bipartition(self.side_b, self.side_a)
-
 
 @dataclass(frozen=True)
 class SchmidtSpectrum:
@@ -56,7 +53,7 @@ class SchmidtSpectrum:
         if any(coeffs[i] < coeffs[i + 1] for i in range(len(coeffs) - 1)):
             raise ValueError("Schmidt coefficients must be sorted descending")
         total = sum(c * c for c in coeffs)
-        if abs(total - 1.0) > _SCHMIDT_NORM_TOL:
+        if not abs(total - 1.0) <= _SCHMIDT_NORM_TOL:  # written so that NaN fails it
             raise ValueError(f"squared Schmidt coefficients sum to {total!r}")
         object.__setattr__(self, "coefficients", coeffs)
 

@@ -5,9 +5,11 @@ qubit (dimension 2) or a bosonic mode truncated to an even Fock dimension.
 Mode dimensions are kept even so that the parity-flip algebra built on top
 of them closes exactly on the truncated space.
 
-All state and operator values are immutable after construction; every
-operation here is a pure function and safe to share across workers. The
-Bell-pair label enums live here too, so that the analysis and protocol
+Only pure states are represented: operators act on one factor of a state
+vector, and reduced states are read off the Schmidt spectrum rather than
+built as density matrices. All values are immutable after construction;
+every operation here is a pure function and safe to share across workers.
+The Bell-pair label enums live here too, so that the analysis and protocol
 layers share them without importing each other.
 """
 
@@ -23,8 +25,6 @@ import numpy as np
 DEFAULT_RESIDUAL_TOL = 1e-12
 
 _NORM_TOL = 1e-12
-_HERMITICITY_TOL = 1e-12
-_NEGATIVE_EIGENVALUE_TOL = 1e-12
 _APPLY_NORM_TOL = 1e-10
 _MODE_DIM_CAP = 1_000_000
 
@@ -151,9 +151,9 @@ class StateVector:
                 f"space {self.space.describe()} needs {self.space.dim}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:  # written so that NaN fails it
             raise ValueError(f"state vector is not normalized: |amps| = {norm!r}")
-        if self.truncation_residual < 0.0:
+        if not self.truncation_residual >= 0.0:
             raise ValueError("truncation_residual must be nonnegative")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
@@ -176,41 +176,6 @@ class Operator:
             )
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
-
-    def dagger(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T)
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix on a space."""
-
-    space: SpaceDescriptor
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        matrix = np.array(self.matrix, dtype=complex)
-        d = self.space.dim
-        if matrix.shape != (d, d):
-            raise ValueError(
-                f"density matrix has shape {matrix.shape}, "
-                f"space {self.space.describe()} needs ({d}, {d})"
-            )
-        herm = float(np.max(np.abs(matrix - matrix.conj().T)))
-        if herm > _HERMITICITY_TOL:
-            raise ValueError(f"density matrix is not Hermitian (deviation {herm!r})")
-        tr = complex(np.trace(matrix))
-        if abs(tr - 1.0) > _NORM_TOL:
-            raise ValueError(f"density matrix trace is {tr!r}, expected 1")
-        lo = float(np.linalg.eigvalsh(matrix)[0])
-        if lo < -_NEGATIVE_EIGENVALUE_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {lo!r}")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-
-    def eigenvalues(self) -> np.ndarray:
-        """Spectrum in ascending order."""
-        return np.linalg.eigvalsh(self.matrix)
 
 
 def _log_cosh(x: float) -> float:
@@ -245,7 +210,9 @@ def mode_dim_for(z: float, tol: float) -> int:
     """Smallest even Fock dimension whose Poisson tail at mean z**2 is < tol.
 
     The photon-number distribution of a coherent amplitude z is Poisson with
-    mean z**2; the returned dimension keeps the out-of-range mass below tol.
+    mean z**2; the returned dimension keeps the coherent state's out-of-range
+    mass below tol. A renormalized even or odd cat can lose more than tol at
+    that dimension; its TruncationError then names the dimension it needs.
     Never returns less than 4.
     """
     if not (0.0 < tol < 1.0):
@@ -277,34 +244,57 @@ def mode_dim_for(z: float, tol: float) -> int:
     return d
 
 
-def _coherent_branch(
-    z: float, dim: int, parity: int, residual_tol: float
-) -> tuple[np.ndarray, float]:
-    """Truncated amplitudes and lost mass for one parity branch of |z>."""
-    log_norm = _log_cosh(z * z) if parity == 0 else _log_sinh(z * z)
+def _cat_tail(
+    z: float, parity: int, log_norm: float, dim: int
+) -> tuple[list[float], float]:
+    """Weights of one parity branch of |z> on the occupations dim discards,
+    in increasing order until negligible, and their sum. Summing the lost
+    mass directly avoids the cancellation of 1 - kept near machine precision.
+    """
     logz = math.log(z)
-    amps = np.zeros(dim, dtype=complex)
-    for n in range(parity, dim, 2):
-        la = n * logz - 0.5 * math.lgamma(n + 1) - 0.5 * log_norm
-        amps[n] = math.exp(la) if la > -745.0 else 0.0
-    # lost mass summed directly over the discarded occupations: avoids the
-    # cancellation of 1 - kept for residuals near machine precision
+    terms = []
     residual = 0.0
     n = dim if dim % 2 == parity else dim + 1
     while True:
         lt = 2 * n * logz - math.lgamma(n + 1) - log_norm
         t = math.exp(lt) if lt > -745.0 else 0.0
+        terms.append(t)
         residual += t
         if n > z * z and t <= residual * 1e-18 + 1e-300:
-            break
+            return terms, residual
         n += 2
+
+
+def _coherent_branch(
+    z: float, dim: int, parity: int, residual_tol: float
+) -> StateVector:
+    """One parity branch of |z> on a mode of dimension dim, renormalized."""
+    space = SpaceDescriptor.mode(dim)
+    _check_z(z)
+    amps = np.zeros(dim, dtype=complex)
+    if z == 0.0 or z * z == 0.0:
+        amps[parity] = 1.0
+        return StateVector(space, amps, 0.0)
+    log_norm = _log_cosh(z * z) if parity == 0 else _log_sinh(z * z)
+    logz = math.log(z)
+    for n in range(parity, dim, 2):
+        la = n * logz - 0.5 * math.lgamma(n + 1) - 0.5 * log_norm
+        amps[n] = math.exp(la) if la > -745.0 else 0.0
+    tail, residual = _cat_tail(z, parity, log_norm, dim)
     if residual > residual_tol:
+        # dim + 2j drops the tail from term j on; confirm the suffix estimate
+        j, suffix = len(tail), 0.0
+        while j > 1 and suffix + tail[j - 1] <= residual_tol:
+            j -= 1
+            suffix += tail[j]
+        while _cat_tail(z, parity, log_norm, dim + 2 * j)[1] > residual_tol:
+            j += 1
         raise TruncationError(
             f"truncation at dim {dim} loses probability {residual:.3e} "
             f"(> {residual_tol:.1e}) for z = {z!r}; "
-            f"use dim >= mode_dim_for(z, tol) or raise the tolerance"
+            f"use dim >= {dim + 2 * j} or raise the tolerance"
         )
-    return amps, residual
+    return StateVector(space, amps / np.linalg.norm(amps), residual)
 
 
 def even_coherent(
@@ -314,16 +304,9 @@ def even_coherent(
 
     Amplitudes are proportional to z**(2n)/sqrt((2n)!) on |2n> and vanish on
     odd Fock states. Raises TruncationError if dim loses more mass than
-    residual_tol.
+    residual_tol, naming the smallest dim that does not.
     """
-    space = SpaceDescriptor.mode(dim)
-    _check_z(z)
-    if z == 0.0 or z * z == 0.0:
-        amps = np.zeros(dim, dtype=complex)
-        amps[0] = 1.0
-        return StateVector(space, amps, 0.0)
-    amps, residual = _coherent_branch(z, dim, 0, residual_tol)
-    return StateVector(space, amps / np.linalg.norm(amps), residual)
+    return _coherent_branch(z, dim, 0, residual_tol)
 
 
 def odd_coherent(
@@ -334,23 +317,7 @@ def odd_coherent(
     Amplitudes are proportional to z**(2n+1)/sqrt((2n+1)!) on |2n+1>. At
     z = 0 the normalized series degenerates; its limit |1> is returned.
     """
-    space = SpaceDescriptor.mode(dim)
-    _check_z(z)
-    if z == 0.0 or z * z == 0.0:
-        amps = np.zeros(dim, dtype=complex)
-        amps[1] = 1.0
-        return StateVector(space, amps, 0.0)
-    amps, residual = _coherent_branch(z, dim, 1, residual_tol)
-    return StateVector(space, amps / np.linalg.norm(amps), residual)
-
-
-def fock_state(n: int, dim: int) -> StateVector:
-    """Number state |n> on a single truncated mode."""
-    if not 0 <= n < dim:
-        raise ValueError(f"occupation {n} outside truncated range [0, {dim})")
-    amps = np.zeros(dim, dtype=complex)
-    amps[n] = 1.0
-    return StateVector(SpaceDescriptor.mode(dim), amps)
+    return _coherent_branch(z, dim, 1, residual_tol)
 
 
 def qubit_state(alpha: complex, beta: complex) -> StateVector:
@@ -358,18 +325,10 @@ def qubit_state(alpha: complex, beta: complex) -> StateVector:
     return StateVector(SpaceDescriptor.qubit(), np.array([alpha, beta]))
 
 
-def identity_op(space: SpaceDescriptor) -> Operator:
-    return Operator(space, np.eye(space.dim, dtype=complex))
-
-
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product, a's factors first."""
     residual = _combined_residual(a.truncation_residual, b.truncation_residual)
     return StateVector(a.space * b.space, np.kron(a.amps, b.amps), residual)
-
-
-def tensor_op(a: Operator, b: Operator) -> Operator:
-    return Operator(a.space * b.space, np.kron(a.matrix, b.matrix))
 
 
 def apply(op: Operator, state: StateVector, factor_index: int) -> StateVector:
@@ -438,22 +397,3 @@ def partial_inner(
     t = state.amps.reshape(state.space.dims)
     out = np.tensordot(b, t, axes=(tuple(range(b.ndim)), factors))
     return out.reshape(-1)
-
-
-def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced density matrix over the kept factors (ascending index order)."""
-    keep_sorted = sorted(set(int(i) for i in keep))
-    nf = state.space.nfactors
-    if not keep_sorted:
-        raise ValueError("keep must name at least one factor")
-    if any(i < 0 or i >= nf for i in keep_sorted):
-        raise ValueError(f"keep indices {keep_sorted} out of range for {nf} factors")
-    rest = [i for i in range(nf) if i not in keep_sorted]
-    if not rest:
-        raise ValueError("keep must be a proper subset of the factors")
-    t = state.amps.reshape(state.space.dims)
-    m = t.transpose(keep_sorted + rest)
-    dk = math.prod(state.space.dims[i] for i in keep_sorted)
-    m = m.reshape(dk, -1)
-    rho = m @ m.conj().T
-    return DensityMatrix(state.space.subspace(keep_sorted), rho)

@@ -12,7 +12,8 @@ two hybrid pairs.
 Parties are always laid out in the order their subscripts suggest: the
 sender's qubit first, then channel factors in index order. Measurements and
 protocols return their branch table, one ``(outcome, probability, result)``
-per outcome, worked out once. ``draw`` samples a table with exactly one
+per outcome, worked out once; a protocol's result record holds only what
+the row does not. ``draw`` samples a table with exactly one
 uniform variate from an RngStream, by inverse CDF over the probabilities,
 so a seed fixes the transcript: ``draw(teleport_spin(...), RngStream(s))``
 is one seeded trial.
@@ -168,29 +169,23 @@ def draw(branches: list[tuple], rng: RngStream) -> tuple:
 
 @dataclass(frozen=True)
 class TeleportRecord:
-    """Transcript of one teleportation run."""
+    """One teleportation branch; its table row holds the outcome and p."""
 
-    outcome: BellLabel
-    outcome_probability: float
     correction: Correction
     output_state: StateVector
     target_state: StateVector
     fidelity: float
 
     def __post_init__(self) -> None:
-        if not -_PROB_SLACK <= self.outcome_probability <= 1.0 + _PROB_SLACK:
-            raise ValueError(f"outcome probability {self.outcome_probability!r}")
         if not -_FIDELITY_SLACK <= self.fidelity <= 1.0 + _FIDELITY_SLACK:
             raise ValueError(f"fidelity {self.fidelity!r} outside [0, 1]")
 
 
 @dataclass(frozen=True)
 class SwapRecord:
-    """Transcript of one entanglement-swapping run."""
+    """One entanglement-swapping branch; its row holds the spin outcome and p."""
 
-    outcome: SpinBellLabel
     parity_label: ParityBellLabel
-    probability: float
     fidelity: float
     mode_state: StateVector
 
@@ -226,24 +221,6 @@ def parity_bell_state(
     return bell_pair(label, cat, Encoding.cat(z_prime, dim, residual_tol))
 
 
-def decompose_teleport_input(
-    alpha: complex,
-    beta: complex,
-    z: float,
-    channel: HesLabel,
-    dim: int,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-) -> list[tuple[SpinBellLabel, StateVector]]:
-    """Expand (unknown qubit) x (hybrid channel) over the sender's Bell basis.
-
-    Returns the four (outcome, conditional mode state) pairs of the Bell
-    measurement's branch table; each outcome has probability 1/4, so summing
-    Bell x branch / 2 reassembles the input product state.
-    """
-    joint = tensor(_QUBIT.state(alpha, beta), hes_state(channel, z, dim, residual_tol))
-    return [(label, branch) for label, _, branch in measure_spin_bell(joint, (0, 1))]
-
-
 def correction_for(outcome: BellLabel, channel: HesLabel) -> Correction:
     """Receiver-side fix-up for a sender Bell outcome over a given channel.
 
@@ -255,9 +232,6 @@ def correction_for(outcome: BellLabel, channel: HesLabel) -> Correction:
     if outcome.is_phi == channel.is_phi:
         return Correction.IDENTITY if same_sign else Correction.S_Z
     return Correction.S_X if same_sign else Correction.S_Y
-
-
-parity_correction_for = correction_for
 
 
 def _check_kinds(
@@ -278,6 +252,8 @@ def _branch(outcome, amps: np.ndarray, space, residual: float) -> tuple:
     """(outcome, p, amps renormalized on space) with p the squared norm of amps
     itself, so any branch draw may pick renormalizes; the state is None at p = 0."""
     p = float(np.real(np.vdot(amps, amps)))
+    if not p <= 1.0 + _PROB_SLACK:  # written so that NaN fails it
+        raise ValueError(f"outcome probability {p!r}")
     if p == 0.0:
         return outcome, p, None
     if p < np.finfo(float).tiny:  # the root of a subnormal p has lost precision
@@ -387,7 +363,7 @@ def _teleport(
             if correction is not Correction.S_Z:
                 target = flipped
         fidelity = abs(inner(target, output)) ** 2
-        record = TeleportRecord(outcome, p, correction, output, target, fidelity)
+        record = TeleportRecord(correction, output, target, fidelity)
         table.append((outcome, p, record))
     return table
 
@@ -446,36 +422,6 @@ _SWAP_PAIRING = {
 }
 
 
-def _swap_expansion(z: float, z_prime: float, dim: int, residual_tol: float):
-    """Spin Bell measurement on qubits (1, 3) of psi-(z) x psi-(z') as
-    (spin label, parity label, p, modes (2, 4), overlap of the modes with
-    the paired parity Bell state) terms; the expansion coefficient of the
-    joint state over (spin Bell) x (cat Bell) is sqrt(p) * overlap."""
-    cat = Encoding.cat(z, dim, residual_tol)
-    cat_prime = Encoding.cat(z_prime, dim, residual_tol)
-    joint = tensor(
-        bell_pair(HesLabel.PSI_MINUS, _QUBIT, cat),
-        bell_pair(HesLabel.PSI_MINUS, _QUBIT, cat_prime),
-    )
-    terms = []
-    for spin_label, p, modes in measure_spin_bell(joint, (0, 2)):
-        parity_label = _SWAP_PAIRING[spin_label][0]
-        overlap = inner(bell_pair(parity_label, cat, cat_prime), modes)
-        terms.append((spin_label, parity_label, p, modes, overlap))
-    return terms
-
-
-def swap_expansion_coefficients(
-    z: float,
-    z_prime: float,
-    dim: int,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-) -> list[tuple[SpinBellLabel, ParityBellLabel, complex]]:
-    """Coefficients of psi- x psi- over (spin Bell on 1,3) x (cat Bell on 2,4)."""
-    terms = _swap_expansion(z, z_prime, dim, residual_tol)
-    return [(spin, parity, math.sqrt(p) * ov) for spin, parity, p, _, ov in terms]
-
-
 def swap_entanglement(
     z: float,
     z_prime: float,
@@ -489,11 +435,18 @@ def swap_entanglement(
     expansion coefficient and that the modes (2,4) collapse onto the
     partnered entangled-cat state.
     """
+    cat = Encoding.cat(z, dim, residual_tol)
+    cat_prime = Encoding.cat(z_prime, dim, residual_tol)
+    joint = tensor(
+        bell_pair(HesLabel.PSI_MINUS, _QUBIT, cat),
+        bell_pair(HesLabel.PSI_MINUS, _QUBIT, cat_prime),
+    )
     table = []
-    terms = _swap_expansion(z, z_prime, dim, residual_tol)
-    for spin_label, parity_label, p, modes, overlap in terms:
+    for spin_label, p, modes in measure_spin_bell(joint, (0, 2)):
+        parity_label, expected = _SWAP_PAIRING[spin_label]
+        # the coefficient of the joint state on spin Bell x paired cat Bell
+        overlap = inner(bell_pair(parity_label, cat, cat_prime), modes)
         coeff = math.sqrt(p) * overlap
-        expected = _SWAP_PAIRING[spin_label][1]
         if abs(coeff - expected) > _SWAP_COEFF_TOL:
             raise ValueError(
                 f"expansion coefficient for ({spin_label.value}, "
@@ -505,6 +458,6 @@ def swap_entanglement(
                 f"modes failed to collapse onto {parity_label.value} "
                 f"(fidelity {fidelity!r})"
             )
-        record = SwapRecord(spin_label, parity_label, p, fidelity, modes)
+        record = SwapRecord(parity_label, fidelity, modes)
         table.append((spin_label, p, record))
     return table

@@ -61,21 +61,13 @@ class Direction:
 
     def __post_init__(self) -> None:
         norm = math.sqrt(self.nx**2 + self.ny**2 + self.nz**2)
-        if abs(norm - 1.0) > _UNIT_TOL:
+        if not abs(norm - 1.0) <= _UNIT_TOL:  # written so that NaN fails it
             raise ValueError(f"direction must be a unit vector, |n| = {norm!r}")
 
     @classmethod
     def from_polar(cls, theta: float) -> "Direction":
         """In-plane direction (sin theta, 0, cos theta)."""
         return cls(math.sin(theta), 0.0, math.cos(theta))
-
-    @classmethod
-    def from_angles(cls, theta: float, phi: float) -> "Direction":
-        st = math.sin(theta)
-        return cls(st * math.cos(phi), st * math.sin(phi), math.cos(theta))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.nx, self.ny, self.nz])
 
     @property
     def theta(self) -> float:
@@ -106,22 +98,6 @@ def build_pseudospin(dim: int) -> PseudospinOps:
         s_x=Operator(space, sp + sm),
         s_y=Operator(space, -1.0j * (sp - sm)),
     )
-
-
-def dot_s(direction: Direction, ops: PseudospinOps) -> Operator:
-    """n . s; squares to the identity exactly on the even truncation."""
-    m = (
-        direction.nx * ops.s_x.matrix
-        + direction.ny * ops.s_y.matrix
-        + direction.nz * ops.s_z.matrix
-    )
-    return Operator(ops.s_z.space, m)
-
-
-def dot_sigma(direction: Direction) -> Operator:
-    """n . sigma on a qubit, in the (up, down) basis."""
-    m = direction.nx * PAULI_X + direction.ny * PAULI_Y + direction.nz * PAULI_Z
-    return Operator(SpaceDescriptor.qubit(), m)
 
 
 def k_series(z: float, tol: float = 1e-15) -> float:

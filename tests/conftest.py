@@ -13,6 +13,11 @@ def random_state(space: SpaceDescriptor, rng) -> StateVector:
     return StateVector(space, random_amps(rng, space.dim))
 
 
+def number_state(n: int, dim: int) -> StateVector:
+    """Fock state |n> on a mode of dimension dim."""
+    return StateVector(SpaceDescriptor.mode(dim), np.eye(dim)[n])
+
+
 def random_qubit_pair(rng):
     """Normalized (alpha, beta) for an unknown input qubit."""
     v = random_amps(rng, 2)

@@ -10,7 +10,6 @@ import numpy as np
 
 from hesim import (
     Bipartition,
-    Direction,
     HesLabel,
     ParityBellLabel,
     RngStream,
@@ -19,26 +18,26 @@ from hesim import (
     StateVector,
     analytic_optimum,
     build_pseudospin,
-    chsh_value,
-    decompose_teleport_input,
-    dot_s,
     draw,
     entanglement_entropy,
     hes_state,
     k_matrix,
     k_series,
+    measure_spin_bell,
     mode_dim_for,
     optimize_chsh,
     parity_bell_state,
+    qubit_state,
     schmidt_coefficients,
     spin_bell_state,
     swap_entanglement,
-    swap_expansion_coefficients,
     teleport_parity,
     teleport_spin,
     tensor,
 )
 from hesim.cli import main
+
+from oracles import chsh_expectation, direction, spin_dot, swap_expansion
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -87,7 +86,7 @@ def test_criterion_3_closed_form_violation():
         expected = 2.0 * math.sqrt(1.0 + k * k)
         for label in HesLabel:
             res = analytic_optimum(z, label)
-            got = chsh_value(hes_state(label, z, dim), res.settings, ops)
+            got = chsh_expectation(hes_state(label, z, dim), res.settings, ops)
             worst = max(worst, abs(got - expected))
             ok &= abs(got - expected) <= 1e-10
             ok &= got > 2.0
@@ -140,10 +139,7 @@ def test_criterion_5_algebra_suite():
     ops = build_pseudospin(16)
     eye = np.eye(16)
     for _ in range(100):
-        d = Direction.from_angles(
-            rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
-        )
-        m = dot_s(d, ops).matrix
+        m = spin_dot(direction(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)), ops)
         worst = max(worst, float(np.max(np.abs(m @ m - eye))))
     report(5, "parity algebra exact on truncation", worst <= 1e-13, f"worst {worst:.3e}")
 
@@ -195,8 +191,9 @@ def test_criterion_7_teleportation():
         z = float(rng.uniform(0.05, 2.0))
         channel = list(HesLabel)[int(rng.integers(0, 4))]
         dim = adim(z)
-        parts = decompose_teleport_input(alpha, beta, z, channel, dim)
-        total = sum(np.kron(spin_bell_state(l).amps, br.amps) for l, br in parts) / 2.0
+        joint = tensor(qubit_state(alpha, beta), hes_state(channel, z, dim))
+        parts = measure_spin_bell(joint, (0, 1))
+        total = sum(np.kron(spin_bell_state(l).amps, br.amps) for l, _, br in parts) / 2.0
         target = np.kron([alpha, beta], hes_state(channel, z, dim).amps)
         worst_residual = max(worst_residual, float(np.max(np.abs(total - target))))
     ok = worst_residual < 1e-12
@@ -208,13 +205,13 @@ def test_criterion_7_teleportation():
         for seed in range(48):
             alpha, beta = random_pair(rng)
             table = teleport_spin(alpha, beta, channel, 1.0, adim(1.0))
-            _, _, rec = draw(table, RngStream(seed))
+            outcome, _, rec = draw(table, RngStream(seed))
             worst_fid = max(worst_fid, abs(rec.fidelity - 1.0))
-            spin_seen.add(rec.outcome)
+            spin_seen.add(outcome)
             table = teleport_parity(alpha, beta, 0.6, channel, 1.0, adim(1.0))
-            _, _, rec = draw(table, RngStream(seed))
+            outcome, _, rec = draw(table, RngStream(seed))
             worst_fid = max(worst_fid, abs(rec.fidelity - 1.0))
-            parity_seen.add(rec.outcome)
+            parity_seen.add(outcome)
         ok &= spin_seen == set(SpinBellLabel)
         ok &= parity_seen == set(ParityBellLabel)
     ok &= worst_fid <= 1e-10
@@ -224,13 +221,11 @@ def test_criterion_7_teleportation():
     counts_spin = {label: 0 for label in SpinBellLabel}
     counts_parity = {label: 0 for label in ParityBellLabel}
     dim = adim(1.0)
+    spin_table = teleport_spin(0.6, 0.8, HesLabel.PHI_PLUS, 1.0, dim)
+    parity_table = teleport_parity(0.6, 0.8, 0.6, HesLabel.PHI_PLUS, 1.0, dim)
     for i in range(trials):
-        table = teleport_spin(0.6, 0.8, HesLabel.PHI_PLUS, 1.0, dim)
-        _, _, rec = draw(table, RngStream(i))
-        counts_spin[rec.outcome] += 1
-        table = teleport_parity(0.6, 0.8, 0.6, HesLabel.PHI_PLUS, 1.0, dim)
-        _, _, rec = draw(table, RngStream(i))
-        counts_parity[rec.outcome] += 1
+        counts_spin[draw(spin_table, RngStream(i))[0]] += 1
+        counts_parity[draw(parity_table, RngStream(i))[0]] += 1
     worst_freq = 0.0
     for counts in (counts_spin, counts_parity):
         for n in counts.values():
@@ -256,10 +251,8 @@ def test_criterion_8_swapping():
     for z in (0.3, 1.0, 2.0):
         for zp in (0.3, 1.0, 2.0):
             dim = max(adim(z), adim(zp))
-            for spin_label, parity_label, c in swap_expansion_coefficients(z, zp, dim):
-                worst_coeff = max(
-                    worst_coeff, abs(c - expected[(spin_label, parity_label)])
-                )
+            for pair, c in swap_expansion(z, zp, dim).items():
+                worst_coeff = max(worst_coeff, abs(c - expected.get(pair, 0.0)))
     ok = worst_coeff <= 1e-12
 
     worst_fid = 0.0
@@ -267,8 +260,8 @@ def test_criterion_8_swapping():
     seen = set()
     dim = max(adim(1.0), adim(0.5))
     for seed in range(32):
-        _, _, rec = draw(swap_entanglement(1.0, 0.5, dim), RngStream(seed))
-        seen.add(rec.outcome)
+        outcome, _, rec = draw(swap_entanglement(1.0, 0.5, dim), RngStream(seed))
+        seen.add(outcome)
         worst_fid = max(worst_fid, abs(rec.fidelity - 1.0))
         cut = Bipartition.of(rec.mode_state.space, {0})
         worst_ent = max(

@@ -1,4 +1,8 @@
-"""Bell operator, CHSH expectations, closed-form and numerical optima."""
+"""CHSH expectations, closed-form and numerical optima.
+
+Expectations are evaluated by the kron-built Bell operator of ``oracles``,
+independently of the correlation matrix the package maximizes.
+"""
 
 import ast
 import math
@@ -17,9 +21,7 @@ from hesim import (
     StateVector,
     analytic_optimum,
     analytic_settings,
-    bell_operator,
     build_pseudospin,
-    chsh_value,
     correlation_matrix,
     even_coherent,
     hes_state,
@@ -33,6 +35,7 @@ from hesim import (
 import hesim.bellchsh
 
 from conftest import random_amps, random_state
+from oracles import bell_operator, chsh_expectation, direction
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 # 2*sqrt(1 + k(1)^2), frozen from the 40-digit overlap evaluation
@@ -41,7 +44,7 @@ VIOLATION_AT_Z1 = 2.7879837509620812837
 
 def random_settings(rng) -> ChshSettings:
     dirs = [
-        Direction.from_angles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+        direction(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         for _ in range(4)
     ]
     return ChshSettings(*dirs)
@@ -49,7 +52,7 @@ def random_settings(rng) -> ChshSettings:
 
 def nudge(d: Direction, rng) -> Direction:
     """d rotated by a random angle of about 1e-3."""
-    v = d.as_array() + 1e-3 * rng.normal(size=3)
+    v = np.array([d.nx, d.ny, d.nz]) + 1e-3 * rng.normal(size=3)
     return Direction(*(v / np.linalg.norm(v)))
 
 
@@ -86,18 +89,18 @@ class TestBellOperator:
         zaxis = Direction(0.0, 0.0, 1.0)
         op = bell_operator(ChshSettings(zaxis, zaxis, zaxis, zaxis), ops)
         expected = 2.0 * np.kron(np.diag([1.0, -1.0]), ops.s_z.matrix)
-        assert np.allclose(op.matrix, expected, atol=1e-14)
+        assert np.allclose(op, expected, atol=1e-14)
 
     def test_hermitian_for_random_settings(self, rng):
         ops = build_pseudospin(8)
         for _ in range(10):
-            m = bell_operator(random_settings(rng), ops).matrix
+            m = bell_operator(random_settings(rng), ops)
             assert np.max(np.abs(m - m.conj().T)) < 1e-13
 
     def test_spectrum_respects_quantum_bound(self, rng):
         ops = build_pseudospin(8)
         for _ in range(20):
-            m = bell_operator(random_settings(rng), ops).matrix
+            m = bell_operator(random_settings(rng), ops)
             top = np.max(np.abs(np.linalg.eigvalsh(m)))
             assert top <= TWO_SQRT_TWO + 1e-9
 
@@ -108,7 +111,7 @@ class TestChshValue:
         ops = build_pseudospin(dim)
         state = tensor(qubit_state(1.0, 0.0), even_coherent(1.0, dim))
         zaxis = Direction(0.0, 0.0, 1.0)
-        val = chsh_value(state, ChshSettings(zaxis, zaxis, zaxis, zaxis), ops)
+        val = chsh_expectation(state, ChshSettings(zaxis, zaxis, zaxis, zaxis), ops)
         assert val == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("z", [0.4, 1.0, 2.2])
@@ -118,7 +121,7 @@ class TestChshValue:
         state = hes_state(HesLabel.PHI_PLUS, z, dim)
         for _ in range(15):
             angles = rng.uniform(0, 2 * math.pi, size=4)
-            got = chsh_value(state, ChshSettings.in_plane(*angles), ops)
+            got = chsh_expectation(state, ChshSettings.in_plane(*angles), ops)
             assert got == pytest.approx(in_plane_closed_form(z, *angles), abs=1e-10)
 
     def test_cirelson_point_at_zero(self):
@@ -126,7 +129,7 @@ class TestChshValue:
         ops = build_pseudospin(dim)
         state = hes_state(HesLabel.PHI_PLUS, 0.0, dim)
         settings = ChshSettings.in_plane(0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
-        assert chsh_value(state, settings, ops) == pytest.approx(
+        assert chsh_expectation(state, settings, ops) == pytest.approx(
             TWO_SQRT_TWO, abs=1e-12
         )
 
@@ -135,7 +138,7 @@ class TestChshValue:
         ops = build_pseudospin(dim)
         space = SpaceDescriptor.qubit() * SpaceDescriptor.mode(dim)
         for _ in range(30):
-            val = chsh_value(random_state(space, rng), random_settings(rng), ops)
+            val = chsh_expectation(random_state(space, rng), random_settings(rng), ops)
             assert abs(val) <= TWO_SQRT_TWO + 1e-9
 
     def test_flipping_mode_settings_flips_the_sign(self, rng):
@@ -150,8 +153,8 @@ class TestChshValue:
             Direction(-s.b.nx, -s.b.ny, -s.b.nz),
             Direction(-s.b_prime.nx, -s.b_prime.ny, -s.b_prime.nz),
         )
-        assert chsh_value(state, flipped, ops) == pytest.approx(
-            -chsh_value(state, s, ops), abs=1e-12
+        assert chsh_expectation(state, flipped, ops) == pytest.approx(
+            -chsh_expectation(state, s, ops), abs=1e-12
         )
 
     def test_correlation_matrix_is_the_bilinear_form(self, rng):
@@ -162,15 +165,11 @@ class TestChshValue:
         m = correlation_matrix(state, ops)
         for _ in range(5):
             s = random_settings(rng)
-            a, ap, b, bp = (d.as_array() for d in (s.a, s.a_prime, s.b, s.b_prime))
+            a, ap, b, bp = (
+                np.array([d.nx, d.ny, d.nz]) for d in (s.a, s.a_prime, s.b, s.b_prime)
+            )
             expected = a @ m @ (b + bp) + ap @ m @ (b - bp)
-            assert chsh_value(state, s, ops) == pytest.approx(expected, abs=1e-12)
-
-    def test_space_mismatch_rejected(self):
-        ops = build_pseudospin(6)
-        state = tensor(qubit_state(1.0, 0.0), even_coherent(0.5, 10))
-        with pytest.raises(ValueError, match="does not match"):
-            chsh_value(state, ChshSettings.in_plane(0, 1, 2, 3), ops)
+            assert chsh_expectation(state, s, ops) == pytest.approx(expected, abs=1e-12)
 
 
 class TestAnalyticOptimum:
@@ -194,7 +193,7 @@ class TestAnalyticOptimum:
         ops = build_pseudospin(dim)
         state = hes_state(label, z, dim)
         res = analytic_optimum(z, label)
-        got = chsh_value(state, res.settings, ops)
+        got = chsh_expectation(state, res.settings, ops)
         assert got == pytest.approx(res.value, abs=1e-10)
         assert 2.0 < got <= TWO_SQRT_TWO + 1e-9
 
@@ -236,7 +235,7 @@ class TestOptimizeChsh:
         ops = build_pseudospin(dim)
         state = hes_state(HesLabel.PSI_MINUS, z, dim)
         res = optimize_chsh(state, ops)
-        assert chsh_value(state, res.settings, ops) == pytest.approx(
+        assert chsh_expectation(state, res.settings, ops) == pytest.approx(
             res.value, abs=1e-9
         )
 
@@ -253,7 +252,7 @@ class TestOptimizeChsh:
         k = k_series(z)
         assert res.value == pytest.approx(2.0 * math.sqrt(1.0 + k * k), abs=1e-10)
         # the kron-built Bell operator, not the SVD, evaluates the settings
-        assert chsh_value(state, res.settings, ops) == pytest.approx(
+        assert chsh_expectation(state, res.settings, ops) == pytest.approx(
             res.value, abs=1e-10
         )
         assert 2.0 < res.value <= TWO_SQRT_TWO + 1e-9
@@ -265,11 +264,11 @@ class TestOptimizeChsh:
         for _ in range(4):
             state = random_state(space, rng)
             res = optimize_chsh(state, ops)
-            assert chsh_value(state, res.settings, ops) == pytest.approx(
+            assert chsh_expectation(state, res.settings, ops) == pytest.approx(
                 res.value, abs=1e-10
             )
             for _ in range(50):
-                assert chsh_value(state, random_settings(rng), ops) <= res.value + 1e-12
+                assert chsh_expectation(state, random_settings(rng), ops) <= res.value + 1e-12
             # nor do small rotations of the returned settings: it is a maximum,
             # not a saddle, of the expectation
             s = res.settings
@@ -277,7 +276,7 @@ class TestOptimizeChsh:
                 nudged = ChshSettings(
                     *(nudge(d, rng) for d in (s.a, s.a_prime, s.b, s.b_prime))
                 )
-                assert chsh_value(state, nudged, ops) <= res.value + 1e-12
+                assert chsh_expectation(state, nudged, ops) <= res.value + 1e-12
 
     def test_product_states_stay_classical(self, rng):
         dim = 8
@@ -289,6 +288,12 @@ class TestOptimizeChsh:
             )
             res = optimize_chsh(state, ops)
             assert res.value <= 2.0 + 1e-6
+
+    def test_space_mismatch_rejected(self):
+        ops = build_pseudospin(6)
+        state = tensor(qubit_state(1.0, 0.0), even_coherent(0.5, 10))
+        with pytest.raises(ValueError, match="does not match"):
+            optimize_chsh(state, ops)
 
 
 class TestChshResult:

@@ -339,6 +339,17 @@ class TestSwap:
         assert total == 1000
         assert payload["fidelity_min"] >= 1 - 1e-9
 
+    def test_undrawn_outcomes_report_null_and_cost_no_entropy(self, monkeypatch, tmp_path):
+        entropies = TestProtocolBuiltOnce._count_calls(monkeypatch, "entanglement_entropy")
+        code, data = run(["swap", "--z", "1", "--zprime", "0.5", "--trials", "2"], tmp_path)
+        assert code == 0
+        outcomes = json.loads(data)["outcomes"]
+        drawn = [slot for slot in outcomes.values() if slot["count"]]
+        assert 1 <= len(drawn) <= 2 and len(entropies) == len(drawn)
+        for slot in outcomes.values():
+            if not slot["count"]:
+                assert set(slot.values()) == {0, None}
+
     def test_byte_identical_reruns(self, tmp_path):
         argv = ["swap", "--z", "0.7", "--zprime", "1.2", "--trials", "16", "--seed", "3"]
         _, first = run(argv, tmp_path, "a.json")

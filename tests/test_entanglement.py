@@ -15,32 +15,20 @@ from hesim import (
     SpinBellLabel,
     entanglement_entropy,
     even_coherent,
-    fock_state,
     hes_state,
     mode_dim_for,
     parity_bell_state,
-    partial_trace,
     qubit_state,
     schmidt_coefficients,
     spin_bell_state,
     tensor,
 )
 
-from conftest import random_state
+from conftest import number_state, random_state
+from oracles import entropy_from_reduced_density
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 Z_GRID = [0.1, 0.5, 1.0, 2.0]
-
-
-def entropy_from_reduced_density(state, keep):
-    """Second route: eigenvalues of the reduced density matrix."""
-    rho = partial_trace(state, keep)
-    entropy = 0.0
-    for ev in rho.eigenvalues():
-        p = float(ev)
-        if p >= 1e-14:
-            entropy -= p * math.log2(p)
-    return entropy
 
 
 def first_factor_cut(state):
@@ -49,7 +37,7 @@ def first_factor_cut(state):
 
 class TestSchmidt:
     def test_product_state_is_rank_one(self):
-        st = tensor(qubit_state(1.0, 0.0), fock_state(0, 4))
+        st = tensor(qubit_state(1.0, 0.0), number_state(0, 4))
         spec = schmidt_coefficients(st, first_factor_cut(st))
         assert spec.coefficients[0] == pytest.approx(1.0, abs=1e-12)
         assert all(c < 1e-12 for c in spec.coefficients[1:])
@@ -120,8 +108,9 @@ class TestEntropy:
         space = SpaceDescriptor.qubit() * SpaceDescriptor.mode(8)
         st = random_state(space, rng)
         cut = Bipartition.of(space, {0})
+        swapped = Bipartition(cut.side_b, cut.side_a)
         assert entanglement_entropy(st, cut) == pytest.approx(
-            entanglement_entropy(st, cut.swapped()), abs=1e-10
+            entanglement_entropy(st, swapped), abs=1e-10
         )
 
     def test_two_routes_agree(self, rng):
@@ -154,7 +143,7 @@ class TestValidation:
             * SpaceDescriptor.mode(4)
         )
         st = tensor(
-            tensor(qubit_state(1.0, 0.0), fock_state(0, 4)), fock_state(1, 4)
+            tensor(qubit_state(1.0, 0.0), number_state(0, 4)), number_state(1, 4)
         )
         with pytest.raises(ValueError, match="cover"):
             schmidt_coefficients(st, Bipartition(frozenset({0}), frozenset({1})))

