@@ -18,7 +18,6 @@ from .bellchsh import (
     optimize_chsh,
 )
 from .entanglement import (
-    Bipartition,
     SchmidtSpectrum,
     entanglement_entropy,
     schmidt_coefficients,
@@ -26,7 +25,6 @@ from .entanglement import (
 from .fock import (
     DEFAULT_RESIDUAL_TOL,
     FactorKind,
-    Operator,
     SpaceDescriptor,
     StateVector,
     TruncationError,
@@ -77,7 +75,6 @@ __all__ = [
     "CLASSICAL_BOUND",
     "DEFAULT_RESIDUAL_TOL",
     "BellLabel",
-    "Bipartition",
     "ChshResult",
     "ChshSettings",
     "Correction",
@@ -85,7 +82,6 @@ __all__ = [
     "Encoding",
     "FactorKind",
     "HesLabel",
-    "Operator",
     "ParityBellLabel",
     "PseudospinOps",
     "RngStream",

@@ -5,7 +5,8 @@ available in closed form from k(z). Independently, the maximum over all
 settings for any qubit x mode state follows from the singular values of its
 3x3 correlation matrix, which confirms the closed form numerically. Every
 Bell expectation is bilinear in the settings through that matrix, so no
-Bell operator is built here.
+Bell operator is built here. A state is all the analysis takes: the mode's
+pseudospin operators are built at the mode dimension the state carries.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .pseudospin import (
     PAULI_Y,
     PAULI_Z,
     Direction,
-    PseudospinOps,
+    build_pseudospin,
     k_series,
 )
 
@@ -71,17 +72,10 @@ class ChshResult:
             )
 
 
-def _check_state_space(state: StateVector, ops: PseudospinOps) -> None:
+def _check_state_space(state: StateVector) -> None:
     space = state.space
-    if (
-        space.nfactors != 2
-        or space.kind(0) is not FactorKind.QUBIT
-        or space.kind(1) is not FactorKind.MODE
-        or space.dims[1] != ops.dim
-    ):
-        raise ValueError(
-            f"state on {space.describe()} does not match qubit⊗mode({ops.dim})"
-        )
+    if tuple(kind for kind, _ in space.factors) != (FactorKind.QUBIT, FactorKind.MODE):
+        raise ValueError(f"state on {space.describe()} is not qubit⊗mode")
 
 
 def analytic_settings(z: float, label: HesLabel = HesLabel.PHI_PLUS) -> ChshSettings:
@@ -110,13 +104,15 @@ def analytic_optimum(z: float, label: HesLabel = HesLabel.PHI_PLUS) -> ChshResul
     )
 
 
-def correlation_matrix(state: StateVector, ops: PseudospinOps) -> np.ndarray:
-    """3x3 matrix of <sigma_k x s_l> expectations; every Bell expectation
-    is bilinear in the settings through it."""
-    _check_state_space(state, ops)
-    dim = ops.dim
+def correlation_matrix(state: StateVector) -> np.ndarray:
+    """3x3 matrix of <sigma_k x s_l> expectations, with s_l the pseudospin
+    of the state's mode; every Bell expectation is bilinear in the settings
+    through it."""
+    _check_state_space(state)
+    dim = state.space.dims[1]
+    ops = build_pseudospin(dim)
     paulis = [PAULI_X, PAULI_Y, PAULI_Z]
-    spins = [ops.s_x.matrix, ops.s_y.matrix, ops.s_z.matrix]
+    spins = [ops.s_x, ops.s_y, ops.s_z]
     psi = state.amps.reshape(2, dim)
     m = np.empty((3, 3))
     for i, sig in enumerate(paulis):
@@ -129,7 +125,7 @@ def correlation_matrix(state: StateVector, ops: PseudospinOps) -> np.ndarray:
     return m
 
 
-def optimize_chsh(state: StateVector, ops: PseudospinOps) -> ChshResult:
+def optimize_chsh(state: StateVector) -> ChshResult:
     """Maximal Bell expectation over all settings, in closed form.
 
     With M = U diag(s) V^T the correlation matrix, the maximum is
@@ -137,7 +133,7 @@ def optimize_chsh(state: StateVector, ops: PseudospinOps) -> ChshResult:
     200, 340 (1995)), reached by a = u1, a' = u2 and
     b, b' = cos(t) v1 ± sin(t) v2 with tan(t) = s2/s1.
     """
-    u, s, vt = np.linalg.svd(correlation_matrix(state, ops))
+    u, s, vt = np.linalg.svd(correlation_matrix(state))
     t = math.atan2(s[1], s[0])
     b = math.cos(t) * vt[0] + math.sin(t) * vt[1]
     bp = math.cos(t) * vt[0] - math.sin(t) * vt[1]

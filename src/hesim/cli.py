@@ -20,16 +20,14 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .bellchsh import analytic_optimum, optimize_chsh
-from .entanglement import Bipartition, entanglement_entropy, schmidt_coefficients
+from .entanglement import entanglement_entropy, schmidt_coefficients
 from .fock import (
-    SpaceDescriptor,
     StateVector,
     TruncationError,
     even_coherent,
     mode_dim_for,
+    qubit_state,
     tensor,
 )
 from .protocols import (
@@ -45,7 +43,7 @@ from .protocols import (
     teleport_parity,
     teleport_spin,
 )
-from .pseudospin import Direction, build_pseudospin, k_matrix, k_series
+from .pseudospin import Direction, k_matrix, k_series
 
 ADAPTIVE_DIM_TOL = 1e-14
 DEFAULT_SEED = 0
@@ -150,10 +148,9 @@ def cmd_chsh(args: argparse.Namespace) -> str:
         raise ValueError(f"restarts must be >= 1, got {args.restarts}")
     label = _parse_enum(HesLabel, args.label, "hybrid state label")
     dim = _dim_for(args.dim, args.z)
-    ops = build_pseudospin(dim)
     state = hes_state(label, args.z, dim)
     analytic = analytic_optimum(args.z, label)
-    numeric = optimize_chsh(state, ops)
+    numeric = optimize_chsh(state)
     payload = {
         "command": "chsh",
         "z": args.z,
@@ -175,9 +172,16 @@ def cmd_chsh(args: argparse.Namespace) -> str:
     return _json(payload)
 
 
-def cmd_teleport(args: argparse.Namespace) -> str:
+def _check_runs(args: argparse.Namespace) -> None:
+    """Trial i of a Monte-Carlo command draws from RngStream(seed + i)."""
     if args.trials < 1:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+
+
+def cmd_teleport(args: argparse.Namespace) -> str:
+    _check_runs(args)
     alpha, beta = _normalized_pair(
         _parse_amplitude(args.alpha, "alpha"), _parse_amplitude(args.beta, "beta")
     )
@@ -219,8 +223,7 @@ def cmd_teleport(args: argparse.Namespace) -> str:
 
 
 def cmd_swap(args: argparse.Namespace) -> str:
-    if args.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {args.trials}")
+    _check_runs(args)
     dim = _dim_for(args.dim, args.z, args.zprime)
     table = swap_entanglement(args.z, args.zprime, dim)
     counts = {outcome: 0 for outcome, _, _ in table}
@@ -232,8 +235,7 @@ def cmd_swap(args: argparse.Namespace) -> str:
             count=counts[outcome], parity_label=None, fidelity_min=None,
             entropy_min=None, entropy_max=None)
         if slot["count"]:  # an outcome never drawn reports nulls and no entropy
-            cut = Bipartition.of(rec.mode_state.space, {0})
-            ent = entanglement_entropy(rec.mode_state, cut)
+            ent = entanglement_entropy(rec.mode_state, {0})
             slot.update(parity_label=rec.parity_label.value, fidelity_min=rec.fidelity,
                         entropy_min=ent, entropy_max=ent)
     fid_min = min(s["fidelity_min"] for s in per_outcome.values() if s["count"])
@@ -250,53 +252,59 @@ def cmd_swap(args: argparse.Namespace) -> str:
     return _json(payload)
 
 
-def _build_named_state(spec: str, dim_override: int | None) -> tuple[StateVector, Bipartition]:
+# kind: ((label enum, what the label is called) or None, parameters, needs)
+_STATE_SPECS = {
+    "spinbell": ((SpinBellLabel, "spin Bell label"), (), "a label"),
+    "hes": ((HesLabel, "hybrid state label"), ("z",), "a label and z=..."),
+    "paritybell": (
+        (ParityBellLabel, "parity Bell label"), ("z", "zp"), "a label, z=... and zp=..."
+    ),
+    "product": (None, ("z",), "z=..."),
+}
+
+
+def _build_named_state(spec: str, dim_override: int | None) -> StateVector:
     parts = _canon(spec).split(":")
-    kind = parts[0] if parts else ""
+    kind = parts[0]
+    labels, keys, needs = _STATE_SPECS.get(kind, (None, None, None))
     params: dict[str, float] = {}
-    if parts and "=" in parts[-1]:
+    if "=" in parts[-1]:
         for item in parts.pop().split(","):
             key, _, value = item.partition("=")
+            key = key.strip()
             try:
-                params[key.strip()] = float(value)
+                number = float(value)
             except ValueError:
                 raise ValueError(f"bad parameter {item!r} in state spec {spec!r}") from None
-    if kind == "spinbell":
-        if len(parts) != 2:
-            raise ValueError(f"spinbell spec needs a label, got {spec!r}")
-        label = _parse_enum(SpinBellLabel, parts[1], "spin Bell label")
-        state = spin_bell_state(label)
-    elif kind == "hes":
-        if len(parts) != 2 or "z" not in params:
-            raise ValueError(f"hes spec needs a label and z=..., got {spec!r}")
-        label = _parse_enum(HesLabel, parts[1], "hybrid state label")
-        z = params["z"]
-        state = hes_state(label, z, _dim_for(dim_override, z))
-    elif kind == "paritybell":
-        if len(parts) != 2 or "z" not in params or "zp" not in params:
-            raise ValueError(
-                f"paritybell spec needs a label, z=... and zp=..., got {spec!r}"
-            )
-        label = _parse_enum(ParityBellLabel, parts[1], "parity Bell label")
-        z, zp = params["z"], params["zp"]
-        state = parity_bell_state(label, z, zp, _dim_for(dim_override, z, zp))
-    elif kind == "product":
-        if "z" not in params:
-            raise ValueError(f"product spec needs z=..., got {spec!r}")
-        z = params["z"]
-        spin = StateVector(SpaceDescriptor.qubit(), np.array([1.0, 0.0]))
-        state = tensor(spin, even_coherent(z, _dim_for(dim_override, z)))
-    else:
+            if keys is not None and (key in params or key not in keys):
+                problem = "given twice" if key in params else "unknown" if key else "empty"
+                raise ValueError(
+                    f"parameter {key!r} in state spec {spec!r} is {problem}; "
+                    f"{kind} takes: {', '.join(keys) or 'none'}"
+                )
+            params[key] = number
+    if keys is None:
         raise ValueError(
             f"unknown state spec {spec!r}; use spinbell:..., hes:..., "
             f"paritybell:... or product:z=..."
         )
-    return state, Bipartition.of(state.space, {0})
+    if (labels and len(parts) != 2) or len(params) < len(keys):
+        raise ValueError(f"{kind} spec needs {needs}, got {spec!r}")
+    label = labels and _parse_enum(labels[0], parts[1], labels[1])
+    zs = [params[key] for key in keys]
+    if kind == "spinbell":
+        return spin_bell_state(label)
+    dim = _dim_for(dim_override, *zs)
+    if kind == "hes":
+        return hes_state(label, *zs, dim)
+    if kind == "paritybell":
+        return parity_bell_state(label, *zs, dim)
+    return tensor(qubit_state(1.0, 0.0), even_coherent(*zs, dim))
 
 
 def cmd_entropy(args: argparse.Namespace) -> str:
-    state, cut = _build_named_state(args.statespec, args.dim)
-    spectrum = schmidt_coefficients(state, cut)
+    state = _build_named_state(args.statespec, args.dim)
+    spectrum = schmidt_coefficients(state, {0})
     payload = {
         "command": "entropy",
         "statespec": args.statespec,

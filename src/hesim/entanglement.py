@@ -8,36 +8,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .fock import SpaceDescriptor, StateVector
+from .fock import StateVector
 
 _EIGENVALUE_FLOOR = 1e-14
 _NEGATIVE_COEFF_TOL = 1e-15
 _SCHMIDT_NORM_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """Two disjoint groups of factor indices covering a whole space."""
-
-    side_a: frozenset[int]
-    side_b: frozenset[int]
-
-    def __post_init__(self) -> None:
-        side_a = frozenset(int(i) for i in self.side_a)
-        side_b = frozenset(int(i) for i in self.side_b)
-        if not side_a or not side_b:
-            raise ValueError("both sides of a bipartition must be nonempty")
-        if side_a & side_b:
-            raise ValueError(f"bipartition sides overlap: {sorted(side_a & side_b)}")
-        object.__setattr__(self, "side_a", side_a)
-        object.__setattr__(self, "side_b", side_b)
-
-    @classmethod
-    def of(cls, space: SpaceDescriptor, side_a: Iterable[int]) -> "Bipartition":
-        """Bipartition of the given space with everything else on side b."""
-        a = frozenset(int(i) for i in side_a)
-        b = frozenset(range(space.nfactors)) - a
-        return cls(a, b)
 
 
 @dataclass(frozen=True)
@@ -71,20 +46,21 @@ class SchmidtSpectrum:
         return entropy
 
 
-def _validate_cut(space: SpaceDescriptor, cut: Bipartition) -> None:
-    everything = frozenset(range(space.nfactors))
-    if cut.side_a | cut.side_b != everything:
+def schmidt_coefficients(state: StateVector, side_a: Iterable[int]) -> SchmidtSpectrum:
+    """Singular values of the amplitude matrix with side a's factors as rows.
+
+    Side b is every other factor. Side a must be a nonempty proper subset
+    of the state's factor indices.
+    """
+    nf = state.space.nfactors
+    a = {int(i) for i in side_a}
+    if not a or not a < set(range(nf)):
         raise ValueError(
-            f"bipartition {sorted(cut.side_a)} | {sorted(cut.side_b)} does not "
-            f"cover all {space.nfactors} factors of {space.describe()}"
+            f"side a {sorted(a)} is not a nonempty proper subset of the "
+            f"{nf} factors of {state.space.describe()}"
         )
-
-
-def schmidt_coefficients(state: StateVector, cut: Bipartition) -> SchmidtSpectrum:
-    """Singular values of the amplitude matrix reshaped along the cut."""
-    _validate_cut(state.space, cut)
-    a_sorted = sorted(cut.side_a)
-    b_sorted = sorted(cut.side_b)
+    a_sorted = sorted(a)
+    b_sorted = [i for i in range(nf) if i not in a]
     dims = state.space.dims
     da = math.prod(dims[i] for i in a_sorted)
     m = state.amps.reshape(dims).transpose(a_sorted + b_sorted).reshape(da, -1)
@@ -92,10 +68,10 @@ def schmidt_coefficients(state: StateVector, cut: Bipartition) -> SchmidtSpectru
     return SchmidtSpectrum(tuple(float(s) for s in singular))
 
 
-def entanglement_entropy(state: StateVector, cut: Bipartition) -> float:
-    """Von Neumann entropy across the cut, in bits (ebits).
+def entanglement_entropy(state: StateVector, side_a: Iterable[int]) -> float:
+    """Von Neumann entropy between side a and the rest, in bits (ebits).
 
-    The entropy of ``schmidt_coefficients(state, cut)``; see
+    The entropy of ``schmidt_coefficients(state, side_a)``; see
     ``SchmidtSpectrum.entropy``.
     """
-    return schmidt_coefficients(state, cut).entropy()
+    return schmidt_coefficients(state, side_a).entropy()

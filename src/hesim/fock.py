@@ -5,12 +5,13 @@ qubit (dimension 2) or a bosonic mode truncated to an even Fock dimension.
 Mode dimensions are kept even so that the parity-flip algebra built on top
 of them closes exactly on the truncated space.
 
-Only pure states are represented: operators act on one factor of a state
-vector, and reduced states are read off the Schmidt spectrum rather than
-built as density matrices. All values are immutable after construction;
-every operation here is a pure function and safe to share across workers.
-The Bell-pair label enums live here too, so that the analysis and protocol
-layers share them without importing each other.
+Only pure states are represented. An operator is a plain square matrix
+that ``apply`` puts on one factor of a state vector, checked against that
+factor's dimension; reduced states are read off the Schmidt spectrum
+rather than built as density matrices. All values are immutable after
+construction; every operation here is a pure function and safe to share
+across workers. The Bell-pair label enums live here too, so that the
+analysis and protocol layers share them without importing each other.
 """
 
 from __future__ import annotations
@@ -157,25 +158,6 @@ class StateVector:
             raise ValueError("truncation_residual must be nonnegative")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
-
-
-@dataclass(frozen=True)
-class Operator:
-    """Dense matrix acting on a composite space."""
-
-    space: SpaceDescriptor
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        matrix = np.array(self.matrix, dtype=complex)
-        d = self.space.dim
-        if matrix.shape != (d, d):
-            raise ValueError(
-                f"operator matrix has shape {matrix.shape}, "
-                f"space {self.space.describe()} needs ({d}, {d})"
-            )
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
 
 
 def _log_cosh(x: float) -> float:
@@ -331,24 +313,27 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.space * b.space, np.kron(a.amps, b.amps), residual)
 
 
-def apply(op: Operator, state: StateVector, factor_index: int) -> StateVector:
-    """Act with op on one factor, extending it by the identity elsewhere.
+def _check_factor(space: SpaceDescriptor, index: int) -> None:
+    if not 0 <= index < space.nfactors:
+        raise ValueError(f"factor index {index} out of range for {space.nfactors} factors")
+
+
+def apply(op: np.ndarray, state: StateVector, factor_index: int) -> StateVector:
+    """Act with the matrix op on one factor, extending it by the identity elsewhere.
 
     The operator must be norm-preserving on this state (all uses here are
     parity rotations or parity flips of definite-parity states); a result
     drifting off the unit sphere is rejected rather than silently rescaled.
     """
-    nf = state.space.nfactors
-    if not 0 <= factor_index < nf:
-        raise ValueError(f"factor index {factor_index} out of range for {nf} factors")
-    target = state.space.subspace((factor_index,))
-    if op.space != target:
+    _check_factor(state.space, factor_index)
+    d = state.space.dims[factor_index]
+    if op.shape != (d, d):
         raise ValueError(
-            f"operator on {op.space.describe()} cannot act on factor "
+            f"operator of shape {op.shape} cannot act on factor "
             f"{factor_index} of {state.space.describe()}"
         )
     t = state.amps.reshape(state.space.dims)
-    moved = np.tensordot(op.matrix, t, axes=([1], [factor_index]))
+    moved = np.tensordot(op, t, axes=([1], [factor_index]))
     out = np.moveaxis(moved, 0, factor_index).reshape(-1)
     norm = float(np.linalg.norm(out))
     if abs(norm - 1.0) > _APPLY_NORM_TOL:
@@ -379,12 +364,10 @@ def partial_inner(
     norm is the projection probability onto |bra>.
     """
     factors = tuple(int(i) for i in factors)
+    for i in factors:
+        _check_factor(state.space, i)
     if len(set(factors)) != len(factors):
         raise ValueError(f"factor indices must be distinct, got {factors}")
-    if len(factors) != bra.space.nfactors:
-        raise ValueError(
-            f"bra has {bra.space.nfactors} factors but {len(factors)} were targeted"
-        )
     if len(factors) >= state.space.nfactors:
         raise ValueError("partial projection must leave at least one factor")
     paired = state.space.subspace(factors)

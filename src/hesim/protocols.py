@@ -32,11 +32,11 @@ from .fock import (
     BellLabel,
     FactorKind,
     HesLabel,
-    Operator,
     ParityBellLabel,
     SpaceDescriptor,
     SpinBellLabel,
     StateVector,
+    _check_factor,
     _combined_residual,
     apply,
     even_coherent,
@@ -132,7 +132,7 @@ class RngStream:
     """Counted, seeded source of uniform variates for measurement sampling."""
 
     seed: int
-    counter: int = 0
+    counter: int = field(default=0, init=False)
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -237,11 +237,8 @@ def correction_for(outcome: BellLabel, channel: HesLabel) -> Correction:
 def _check_kinds(
     state: StateVector, indices: tuple[int, ...], kinds: tuple[FactorKind, ...]
 ):
-    if len(set(indices)) != len(indices):
-        raise ValueError(f"measured factors must be distinct, got {indices}")
     for i, kind in zip(indices, kinds):
-        if not 0 <= i < state.space.nfactors:
-            raise ValueError(f"factor index {i} out of range")
+        _check_factor(state.space, i)
         if state.space.kind(i) is not kind:
             raise ValueError(
                 f"factor {i} of {state.space.describe()} is not a {kind.value}"
@@ -349,8 +346,8 @@ def _teleport(
     """
     ops = build_pseudospin(receiver.space.dim)
     plain = receiver.state(alpha, beta)
-    amps = alpha * (ops.s_plus.matrix @ receiver.one.amps) + beta * (
-        ops.s_minus.matrix @ receiver.zero.amps
+    amps = alpha * (ops.s_plus @ receiver.one.amps) + beta * (
+        ops.s_minus @ receiver.zero.amps
     )
     flipped = StateVector(receiver.space, amps, receiver.residual)
     table = []
@@ -358,8 +355,7 @@ def _teleport(
         correction = correction_for(outcome, channel)
         output, target = received, plain
         if correction is not Correction.IDENTITY:
-            fix = Operator(receiver.space, getattr(ops, correction.value).matrix)
-            output = apply(fix, received, 0)
+            output = apply(getattr(ops, correction.value), received, 0)
             if correction is not Correction.S_Z:
                 target = flipped
         fidelity = abs(inner(target, output)) ** 2

@@ -3,7 +3,8 @@
 The mode's Fock ladder splits into (even, odd) photon-number pairs; the
 parity operator and the two parity-flip operators acting within those pairs
 obey the spin-1/2 commutation relations, exactly so on an even-dimensional
-truncation. The module also evaluates the even/odd overlap k(z) that sets
+truncation. The operators are read-only matrices whose dimension is the
+mode's. The module also evaluates the even/odd overlap k(z) that sets
 the strength of the Bell-CHSH violation, by two independent routes: a
 scalar series and a matrix-element computation on the truncated space.
 """
@@ -17,8 +18,6 @@ import numpy as np
 
 from .fock import (
     DEFAULT_RESIDUAL_TOL,
-    Operator,
-    SpaceDescriptor,
     _check_z,
     _log_sinh,
     apply,
@@ -39,16 +38,16 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 class PseudospinOps:
     """Parity operator s_z = (-1)^N and parity-flip ladder on one mode.
 
-    s_plus maps |2n+1> -> |2n> and annihilates even states; s_minus is its
-    exact adjoint; s_x = s_plus + s_minus and s_y = -i(s_plus - s_minus).
+    Each is a read-only square matrix of the mode's dimension. s_plus maps
+    |2n+1> -> |2n> and annihilates even states; s_minus is its exact
+    adjoint; s_x = s_plus + s_minus and s_y = -i(s_plus - s_minus).
     """
 
-    dim: int
-    s_z: Operator
-    s_plus: Operator
-    s_minus: Operator
-    s_x: Operator
-    s_y: Operator
+    s_z: np.ndarray
+    s_plus: np.ndarray
+    s_minus: np.ndarray
+    s_x: np.ndarray
+    s_y: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -83,21 +82,16 @@ def build_pseudospin(dim: int) -> PseudospinOps:
     if dim < 2 or dim % 2 != 0:
         # an odd cutoff leaves an unpaired Fock state and breaks the algebra
         raise ValueError(f"pseudospin needs an even dimension >= 2, got {dim}")
-    space = SpaceDescriptor.mode(dim)
     signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     sz = np.diag(signs.astype(complex))
     sp = np.zeros((dim, dim), dtype=complex)
     evens = np.arange(0, dim, 2)
     sp[evens, evens + 1] = 1.0
     sm = sp.conj().T
-    return PseudospinOps(
-        dim=dim,
-        s_z=Operator(space, sz),
-        s_plus=Operator(space, sp),
-        s_minus=Operator(space, sm),
-        s_x=Operator(space, sp + sm),
-        s_y=Operator(space, -1.0j * (sp - sm)),
-    )
+    mats = dict(s_z=sz, s_plus=sp, s_minus=sm, s_x=sp + sm, s_y=-1.0j * (sp - sm))
+    for m in mats.values():
+        m.setflags(write=False)
+    return PseudospinOps(**mats)
 
 
 def k_series(z: float, tol: float = 1e-15) -> float:

@@ -39,7 +39,7 @@ def pauli_dot(d: Direction) -> np.ndarray:
 
 def spin_dot(d: Direction, ops) -> np.ndarray:
     """n . s on the mode of ops."""
-    return d.nx * ops.s_x.matrix + d.ny * ops.s_y.matrix + d.nz * ops.s_z.matrix
+    return d.nx * ops.s_x + d.ny * ops.s_y + d.nz * ops.s_z
 
 
 def bell_operator(settings, ops) -> np.ndarray:
@@ -51,7 +51,7 @@ def bell_operator(settings, ops) -> np.ndarray:
 
 def chsh_expectation(state, settings, ops) -> float:
     """<state| Bell operator |state>, which must come out real."""
-    assert state.space.dims == (2, ops.dim), state.space.describe()
+    assert state.space.dims == (2, ops.s_z.shape[0]), state.space.describe()
     val = complex(np.vdot(state.amps, bell_operator(settings, ops) @ state.amps))
     assert abs(val.imag) <= 1e-10, val
     return val.real

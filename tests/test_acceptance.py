@@ -9,7 +9,6 @@ import math
 import numpy as np
 
 from hesim import (
-    Bipartition,
     HesLabel,
     ParityBellLabel,
     RngStream,
@@ -99,15 +98,13 @@ def test_criterion_4_optimizer_consistency():
     worst_gap = 0.0
     for z in (0.0, 0.5, 1.0, 2.0):
         dim = adim(z)
-        ops = build_pseudospin(dim)
         for label in HesLabel:
-            res = optimize_chsh(hes_state(label, z, dim), ops)
+            res = optimize_chsh(hes_state(label, z, dim))
             gap = analytic_optimum(z, label).value - res.value
             worst_gap = max(worst_gap, gap)
             ok &= gap <= 1e-6
     rng = np.random.default_rng(2024)
     dim = 8
-    ops = build_pseudospin(dim)
     worst_product = 0.0
     for _ in range(20):
         q = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -116,7 +113,7 @@ def test_criterion_4_optimizer_consistency():
             StateVector(SpaceDescriptor.qubit(), q / np.linalg.norm(q)),
             StateVector(SpaceDescriptor.mode(dim), m / np.linalg.norm(m)),
         )
-        res = optimize_chsh(state, ops)
+        res = optimize_chsh(state)
         worst_product = max(worst_product, res.value)
         ok &= res.value <= 2.0 + 1e-6
     report(
@@ -132,7 +129,7 @@ def test_criterion_5_algebra_suite():
     rng = np.random.default_rng(5)
     for dim in (4, 12, 20):
         ops = build_pseudospin(dim)
-        sz, sp, sm = ops.s_z.matrix, ops.s_plus.matrix, ops.s_minus.matrix
+        sz, sp, sm = ops.s_z, ops.s_plus, ops.s_minus
         worst = max(worst, float(np.max(np.abs(sz @ sp - sp @ sz - 2 * sp))))
         worst = max(worst, float(np.max(np.abs(sz @ sm - sm @ sz + 2 * sm))))
         worst = max(worst, float(np.max(np.abs(sp @ sm - sm @ sp - sz))))
@@ -152,9 +149,8 @@ def test_criterion_6_one_ebit_suite():
         dim = adim(z)
         for label in HesLabel:
             st = hes_state(label, z, dim)
-            cut = Bipartition.of(st.space, {0})
-            worst_ent = max(worst_ent, abs(entanglement_entropy(st, cut) - 1.0))
-            spec = schmidt_coefficients(st, cut)
+            worst_ent = max(worst_ent, abs(entanglement_entropy(st, {0}) - 1.0))
+            spec = schmidt_coefficients(st, {0})
             worst_schmidt = max(
                 worst_schmidt,
                 abs(spec.coefficients[0] - SQRT_HALF),
@@ -165,9 +161,8 @@ def test_criterion_6_one_ebit_suite():
             dim = max(adim(z), adim(zp))
             for label in ParityBellLabel:
                 st = parity_bell_state(label, z, zp, dim)
-                cut = Bipartition.of(st.space, {0})
-                worst_ent = max(worst_ent, abs(entanglement_entropy(st, cut) - 1.0))
-                spec = schmidt_coefficients(st, cut)
+                worst_ent = max(worst_ent, abs(entanglement_entropy(st, {0}) - 1.0))
+                spec = schmidt_coefficients(st, {0})
                 worst_schmidt = max(
                     worst_schmidt,
                     abs(spec.coefficients[0] - SQRT_HALF),
@@ -263,9 +258,8 @@ def test_criterion_8_swapping():
         outcome, _, rec = draw(swap_entanglement(1.0, 0.5, dim), RngStream(seed))
         seen.add(outcome)
         worst_fid = max(worst_fid, abs(rec.fidelity - 1.0))
-        cut = Bipartition.of(rec.mode_state.space, {0})
         worst_ent = max(
-            worst_ent, abs(entanglement_entropy(rec.mode_state, cut) - 1.0)
+            worst_ent, abs(entanglement_entropy(rec.mode_state, {0}) - 1.0)
         )
     ok &= seen == set(SpinBellLabel)
     ok &= worst_fid <= 1e-10 and worst_ent <= 1e-10

@@ -88,7 +88,7 @@ class TestBellOperator:
         ops = build_pseudospin(6)
         zaxis = Direction(0.0, 0.0, 1.0)
         op = bell_operator(ChshSettings(zaxis, zaxis, zaxis, zaxis), ops)
-        expected = 2.0 * np.kron(np.diag([1.0, -1.0]), ops.s_z.matrix)
+        expected = 2.0 * np.kron(np.diag([1.0, -1.0]), ops.s_z)
         assert np.allclose(op, expected, atol=1e-14)
 
     def test_hermitian_for_random_settings(self, rng):
@@ -162,7 +162,7 @@ class TestChshValue:
         ops = build_pseudospin(dim)
         space = SpaceDescriptor.qubit() * SpaceDescriptor.mode(dim)
         state = random_state(space, rng)
-        m = correlation_matrix(state, ops)
+        m = correlation_matrix(state)
         for _ in range(5):
             s = random_settings(rng)
             a, ap, b, bp = (
@@ -212,20 +212,18 @@ class TestAnalyticOptimum:
 class TestOptimizeChsh:
     def test_two_qubit_bell_pair_reaches_cirelson(self):
         # a Bell pair with the partner encoded in a two-level mode
-        ops = build_pseudospin(2)
         space = SpaceDescriptor.qubit() * SpaceDescriptor.mode(2)
         amps = np.zeros(4, dtype=complex)
         amps[0] = amps[3] = 1.0 / math.sqrt(2.0)
         state = StateVector(space, amps)
-        res = optimize_chsh(state, ops)
+        res = optimize_chsh(state)
         assert res.value == pytest.approx(TWO_SQRT_TWO, abs=1e-6)
 
     def test_reaches_closed_form_on_hybrid_state(self):
         z = 0.5
         dim = mode_dim_for(z, 1e-14)
-        ops = build_pseudospin(dim)
         state = hes_state(HesLabel.PHI_PLUS, z, dim)
-        res = optimize_chsh(state, ops)
+        res = optimize_chsh(state)
         assert res.value >= analytic_optimum(z).value - 1e-6
         assert res.value <= TWO_SQRT_TWO + 1e-9
 
@@ -234,7 +232,7 @@ class TestOptimizeChsh:
         dim = mode_dim_for(z, 1e-14)
         ops = build_pseudospin(dim)
         state = hes_state(HesLabel.PSI_MINUS, z, dim)
-        res = optimize_chsh(state, ops)
+        res = optimize_chsh(state)
         assert chsh_expectation(state, res.settings, ops) == pytest.approx(
             res.value, abs=1e-9
         )
@@ -248,7 +246,7 @@ class TestOptimizeChsh:
         dim = mode_dim_for(z, 1e-14)
         ops = build_pseudospin(dim)
         state = hes_state(label, z, dim)
-        res = optimize_chsh(state, ops)
+        res = optimize_chsh(state)
         k = k_series(z)
         assert res.value == pytest.approx(2.0 * math.sqrt(1.0 + k * k), abs=1e-10)
         # the kron-built Bell operator, not the SVD, evaluates the settings
@@ -263,7 +261,7 @@ class TestOptimizeChsh:
         space = SpaceDescriptor.qubit() * SpaceDescriptor.mode(dim)
         for _ in range(4):
             state = random_state(space, rng)
-            res = optimize_chsh(state, ops)
+            res = optimize_chsh(state)
             assert chsh_expectation(state, res.settings, ops) == pytest.approx(
                 res.value, abs=1e-10
             )
@@ -280,20 +278,30 @@ class TestOptimizeChsh:
 
     def test_product_states_stay_classical(self, rng):
         dim = 8
-        ops = build_pseudospin(dim)
         for _ in range(6):
             state = tensor(
                 StateVector(SpaceDescriptor.qubit(), random_amps(rng, 2)),
                 StateVector(SpaceDescriptor.mode(dim), random_amps(rng, dim)),
             )
-            res = optimize_chsh(state, ops)
+            res = optimize_chsh(state)
             assert res.value <= 2.0 + 1e-6
 
     def test_space_mismatch_rejected(self):
-        ops = build_pseudospin(6)
-        state = tensor(qubit_state(1.0, 0.0), even_coherent(0.5, 10))
-        with pytest.raises(ValueError, match="does not match"):
-            optimize_chsh(state, ops)
+        cat = even_coherent(0.5, 10)
+        for state in (tensor(cat, qubit_state(1.0, 0.0)), qubit_state(1.0, 0.0)):
+            with pytest.raises(ValueError, match="is not qubit⊗mode"):
+                optimize_chsh(state)
+
+    def test_pseudospin_is_built_at_the_state_mode_dimension(self, monkeypatch):
+        dims = []
+
+        def recorded(dim):
+            dims.append(dim)
+            return build_pseudospin(dim)
+
+        monkeypatch.setattr(hesim.bellchsh, "build_pseudospin", recorded)
+        optimize_chsh(hes_state(HesLabel.PHI_PLUS, 0.5, 14))
+        assert dims == [14]
 
 
 class TestChshResult:

@@ -138,6 +138,14 @@ class TestChsh:
         assert code != 0
         assert "error:" in capsys.readouterr().err
 
+    def test_odd_dim_error_reads_as_in_kz(self, tmp_path, capsys):
+        # chsh builds its state before the pseudospin, like every command
+        run(["chsh", "--z", "1", "--dim", "5"], tmp_path)
+        chsh_err = capsys.readouterr().err
+        run(["kz", "--zmin", "1", "--zmax", "1", "--steps", "1", "--dim", "5"], tmp_path)
+        assert chsh_err == capsys.readouterr().err
+        assert chsh_err == "error: mode dimension must be an even integer >= 2, got 5\n"
+
     def test_restarts_below_one_rejected(self, tmp_path, capsys):
         code, data = run(["chsh", "--z", "1", "--restarts", "0"], tmp_path)
         assert code == 1 and data == b""
@@ -261,6 +269,16 @@ class TestTeleport:
         err = capsys.readouterr().err
         assert err.startswith("error: --zpp") and err.count("\n") == 1
 
+    def test_negative_seed_rejected(self, tmp_path, capsys, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("teleportation ran with a negative --seed")
+
+        monkeypatch.setattr(hesim.cli, "teleport_parity", no_table)
+        argv = ["teleport", "parity", "--alpha", "0.6", "--beta", "0.8", "--z", "1"]
+        code, data = run(argv + ["--seed", "-5"], tmp_path)
+        assert code == 1 and data == b""
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -5\n"
+
     def test_zero_input_rejected(self, tmp_path, capsys):
         code, _ = run(
             ["teleport", "spin", "--alpha", "0", "--beta", "0", "--z", "1"],
@@ -350,6 +368,12 @@ class TestSwap:
             if not slot["count"]:
                 assert set(slot.values()) == {0, None}
 
+    def test_negative_seed_rejected(self, monkeypatch, tmp_path, capsys):
+        tables = TestProtocolBuiltOnce._count_calls(monkeypatch, "swap_entanglement")
+        code, _ = run(["swap", "--z", "1", "--zprime", "0.5", "--seed", "-1"], tmp_path)
+        assert code == 1 and not tables
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+
     def test_byte_identical_reruns(self, tmp_path):
         argv = ["swap", "--z", "0.7", "--zprime", "1.2", "--trials", "16", "--seed", "3"]
         _, first = run(argv, tmp_path, "a.json")
@@ -404,6 +428,26 @@ class TestEntropy:
         code, _ = run(["entropy", "hes:phi+"], tmp_path)
         assert code != 0
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec,key,problem,takes",
+        [
+            ("hes:phi+:z=1,z=2", "z", "given twice", "z"),
+            ("hes:phi+:z=1,zp=9", "zp", "unknown", "z"),
+            ("spinbell:Phi+:z=1", "z", "unknown", "none"),
+            ("product:z=1,label=3", "label", "unknown", "z"),
+            ("paritybell:phi~+:z=1,zp=0.5,zpp=2", "zpp", "unknown", "z, zp"),
+            ("hes:phi+:z=1,=3", "", "empty", "z"),
+        ],
+    )
+    def test_stray_parameter_rejected(self, spec, key, problem, takes, tmp_path, capsys):
+        code, data = run(["entropy", spec], tmp_path)
+        kind = spec.split(":")[0]
+        assert code == 1 and data == b""
+        assert capsys.readouterr().err == (
+            f"error: parameter {key!r} in state spec {spec!r} is {problem}; "
+            f"{kind} takes: {takes}\n"
+        )
 
 
 def _outcome(argv, capsys):

@@ -1,0 +1,54 @@
+"""Byte identity of ``hesim`` reports against recorded outputs.
+
+Each line of ``cli_golden.jsonl`` is one JSON object: an argv and the
+stdout, stderr and exit code that ``hesim.cli.main`` gave for it. The
+commands cover every subcommand, ``--dim`` overrides, a swap that leaves
+outcomes undrawn, and the error lines. Reports print floats at full
+precision, so the data pins numpy 2.4.6 (with its bundled LAPACK) and
+Python 3.11's argparse wording; on another numpy the last digits of a
+report may differ.
+
+After an intended change of output, re-record every argv in the file with
+``PYTHONPATH=src python tests/test_cli_golden.py``.
+"""
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from hesim.cli import main
+
+DATA = Path(__file__).with_name("cli_golden.jsonl")
+COLUMNS = "80"  # argparse wraps usage lines to the terminal width
+
+
+def record(argv: list[str]) -> dict:
+    """argv with the stdout, stderr and exit code of one in-process command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return {"argv": argv, "stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+
+
+def _cases() -> list[dict]:
+    with DATA.open(encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
+@pytest.mark.parametrize("case", _cases(), ids=lambda case: " ".join(case["argv"]))
+def test_output_is_byte_identical(case, monkeypatch):
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    assert record(case["argv"]) == case
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = COLUMNS
+    lines = [json.dumps(record(case["argv"]), ensure_ascii=False) for case in _cases()]
+    DATA.write_text("\n".join(lines) + "\n", encoding="utf-8")

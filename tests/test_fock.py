@@ -257,7 +257,7 @@ class TestCompositeAlgebra:
         st = random_state(space, rng)
         ops = build_pseudospin(6)
         out = apply(ops.s_z, st, 1)
-        full = np.kron(np.eye(2), ops.s_z.matrix)
+        full = np.kron(np.eye(2), ops.s_z)
         assert np.allclose(out.amps, full @ st.amps, atol=1e-12)
 
     def test_apply_on_middle_factor(self, rng):
@@ -267,7 +267,7 @@ class TestCompositeAlgebra:
         st = random_state(space, rng)
         ops = build_pseudospin(4)
         out = apply(ops.s_x, st, 1)
-        full = np.kron(np.kron(np.eye(2), ops.s_x.matrix), np.eye(2))
+        full = np.kron(np.kron(np.eye(2), ops.s_x), np.eye(2))
         assert np.allclose(out.amps, full @ st.amps, atol=1e-12)
 
     def test_apply_rejects_space_mismatch(self):
@@ -275,6 +275,11 @@ class TestCompositeAlgebra:
         ops = build_pseudospin(6)
         with pytest.raises(ValueError, match="mode"):
             apply(ops.s_z, st, 1)
+
+    def test_apply_rejects_factor_out_of_range(self):
+        st = tensor(qubit_state(1.0, 0.0), number_state(0, 4))
+        with pytest.raises(ValueError, match="out of range for 2"):
+            apply(np.eye(2), st, 2)
 
     def test_apply_rejects_norm_breaking_op(self):
         st = tensor(qubit_state(1.0, 0.0), number_state(0, 4))
@@ -320,6 +325,12 @@ class TestPartialOperations:
         t = big.amps.reshape(2, 4, 6)
         expected = np.einsum("ij,kji->k", b, t)
         assert np.allclose(got, expected, atol=1e-14)
+
+    @pytest.mark.parametrize("factors", [(-2,), (2,), (5,)])
+    def test_partial_inner_rejects_factor_out_of_range(self, factors):
+        st = tensor(qubit_state(1.0, 0.0), number_state(0, 4))
+        with pytest.raises(ValueError, match=r"factor index -?\d out of range for 2"):
+            partial_inner(qubit_state(1.0, 0.0), st, factors)
 
     def test_partial_inner_rejects_wrong_space(self):
         st = tensor(qubit_state(1.0, 0.0), number_state(0, 4))

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hesim import (
-    Bipartition,
     Correction,
     Encoding,
     HesLabel,
@@ -89,7 +88,7 @@ class TestBellBases:
     def test_spin_bell_maximally_entangled(self):
         for label in SpinBellLabel:
             st = spin_bell_state(label)
-            ent = entanglement_entropy(st, Bipartition.of(st.space, {0}))
+            ent = entanglement_entropy(st, {0})
             assert ent == pytest.approx(1.0, abs=1e-12)
 
     def test_hes_pairs_up_with_odd_for_psi(self):
@@ -145,7 +144,7 @@ class TestBellBases:
             assert abs(inner(bell_pair(other, enc_a, enc_b), st)) == pytest.approx(
                 expected, abs=1e-12
             )
-        ent = entanglement_entropy(st, Bipartition.of(st.space, {0}))
+        ent = entanglement_entropy(st, {0})
         assert ent == pytest.approx(1.0, abs=1e-10)
 
     def test_bell_pair_residual_combines_encoding_means(self):
@@ -550,7 +549,7 @@ class TestSwap:
 
     def test_post_collapse_entropy_is_one_ebit(self):
         _, _, rec = draw(swap_entanglement(0.7, 1.3, adim(1.3)), RngStream(5))
-        ent = entanglement_entropy(rec.mode_state, Bipartition.of(rec.mode_state.space, {0}))
+        ent = entanglement_entropy(rec.mode_state, {0})
         assert ent == pytest.approx(1.0, abs=1e-10)
 
     def test_transcripts_reproduce_for_equal_seeds(self):
@@ -570,6 +569,10 @@ class TestRngStream:
         rng.uniform()
         rng.uniform()
         assert rng.counter == 2
+
+    def test_counter_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            RngStream(0, counter=7)
 
     def test_same_seed_same_sequence(self):
         a, b = RngStream(9), RngStream(9)
@@ -681,7 +684,6 @@ class TestEveryBranch:
             assert rec.parity_label is _SWAP_PAIRING[outcome][0]
             assert p == pytest.approx(0.25, abs=1e-10)
             assert rec.fidelity == pytest.approx(1.0, abs=1e-10)
-            cut = Bipartition.of(rec.mode_state.space, {0})
-            assert entanglement_entropy(rec.mode_state, cut) == pytest.approx(
+            assert entanglement_entropy(rec.mode_state, {0}) == pytest.approx(
                 1.0, abs=1e-10
             )

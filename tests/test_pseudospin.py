@@ -46,31 +46,37 @@ def k_brute_force(z: float, terms: int = 200) -> float:
 class TestAlgebra:
     def test_s_z_is_parity(self):
         ops = build_pseudospin(8)
-        assert np.allclose(np.diag(ops.s_z.matrix), [1, -1] * 4)
+        assert np.allclose(np.diag(ops.s_z), [1, -1] * 4)
 
     def test_s_plus_ladder_action(self):
         ops = build_pseudospin(6)
         e0, e1 = number_state(0, 6).amps, number_state(1, 6).amps
-        assert np.allclose(ops.s_plus.matrix @ e1, e0)
-        assert np.allclose(ops.s_plus.matrix @ e0, 0)
+        assert np.allclose(ops.s_plus @ e1, e0)
+        assert np.allclose(ops.s_plus @ e0, 0)
 
     def test_s_minus_is_exact_adjoint(self):
         ops = build_pseudospin(10)
-        assert np.array_equal(ops.s_minus.matrix, ops.s_plus.matrix.conj().T)
+        assert np.array_equal(ops.s_minus, ops.s_plus.conj().T)
 
     @pytest.mark.parametrize("dim", [2, 4, 10, 16])
     def test_commutators_exact(self, dim):
         ops = build_pseudospin(dim)
-        sz, sp, sm = ops.s_z.matrix, ops.s_plus.matrix, ops.s_minus.matrix
+        sz, sp, sm = ops.s_z, ops.s_plus, ops.s_minus
         assert np.max(np.abs(sz @ sp - sp @ sz - 2 * sp)) <= 1e-13
         assert np.max(np.abs(sz @ sm - sm @ sz + 2 * sm)) <= 1e-13
         assert np.max(np.abs(sp @ sm - sm @ sp - sz)) <= 1e-13
 
     def test_xy_from_ladder(self):
         ops = build_pseudospin(6)
-        sp, sm = ops.s_plus.matrix, ops.s_minus.matrix
-        assert np.array_equal(ops.s_x.matrix, sp + sm)
-        assert np.array_equal(ops.s_y.matrix, -1j * (sp - sm))
+        sp, sm = ops.s_plus, ops.s_minus
+        assert np.array_equal(ops.s_x, sp + sm)
+        assert np.array_equal(ops.s_y, -1j * (sp - sm))
+
+    def test_matrices_are_read_only(self):
+        ops = build_pseudospin(4)
+        for name in ("s_z", "s_plus", "s_minus", "s_x", "s_y"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(ops, name)[0, 0] = 2.0
 
     def test_odd_dim_rejected(self):
         with pytest.raises(ValueError):
