@@ -33,7 +33,6 @@ from .fock import (
 from .protocols import (
     HesLabel,
     ParityBellLabel,
-    RngStream,
     SpinBellLabel,
     draw,
     hes_state,
@@ -42,6 +41,7 @@ from .protocols import (
     swap_entanglement,
     teleport_parity,
     teleport_spin,
+    trial_streams,
 )
 from .pseudospin import Direction, k_matrix, k_series
 
@@ -197,8 +197,8 @@ def cmd_teleport(args: argparse.Namespace) -> str:
         table = teleport_parity(alpha, beta, zpp, channel, args.z, dim)
     counts = {outcome.value: 0 for outcome, _, _ in table}
     fid_min, fid_sum = math.inf, 0.0
-    for trial in range(args.trials):
-        outcome, _, rec = draw(table, RngStream(args.seed + trial))
+    for rng in trial_streams(args.seed, args.trials):
+        outcome, _, rec = draw(table, rng)
         counts[outcome.value] += 1
         fid_min = min(fid_min, rec.fidelity)
         fid_sum += rec.fidelity
@@ -227,8 +227,8 @@ def cmd_swap(args: argparse.Namespace) -> str:
     dim = _dim_for(args.dim, args.z, args.zprime)
     table = swap_entanglement(args.z, args.zprime, dim)
     counts = {outcome: 0 for outcome, _, _ in table}
-    for trial in range(args.trials):
-        counts[draw(table, RngStream(args.seed + trial))[0]] += 1
+    for rng in trial_streams(args.seed, args.trials):
+        counts[draw(table, rng)[0]] += 1
     per_outcome = {}
     for outcome, _, rec in table:  # every draw of an outcome yields its row's record
         slot = per_outcome[outcome.value] = dict(
@@ -288,7 +288,7 @@ def _build_named_state(spec: str, dim_override: int | None) -> StateVector:
             f"unknown state spec {spec!r}; use spinbell:..., hes:..., "
             f"paritybell:... or product:z=..."
         )
-    if (labels and len(parts) != 2) or len(params) < len(keys):
+    if len(parts) != (2 if labels else 1) or len(params) < len(keys):
         raise ValueError(f"{kind} spec needs {needs}, got {spec!r}")
     label = labels and _parse_enum(labels[0], parts[1], labels[1])
     zs = [params[key] for key in keys]

@@ -36,14 +36,15 @@ class SchmidtSpectrum:
         """Von Neumann entropy of the spectrum, in bits (ebits).
 
         Squared coefficients below 1e-14 count as exact zeros so that
-        truncation dust never produces 0*log(0) artifacts.
+        truncation dust never produces 0*log(0) artifacts, and a leading
+        square rounded above 1 cannot push a product state below zero.
         """
         entropy = 0.0
         for c in self.coefficients:
             p = c * c
             if p >= _EIGENVALUE_FLOOR:
                 entropy -= p * math.log2(p)
-        return entropy
+        return max(entropy, 0.0)
 
 
 def schmidt_coefficients(state: StateVector, side_a: Iterable[int]) -> SchmidtSpectrum:

@@ -333,6 +333,44 @@ class TestProtocolBuiltOnce:
         assert sum(slot["count"] for slot in outcomes) == 200
 
 
+class TestGeneratorsBuilt:
+    """Runs of 32-bit seeds long enough to batch build no generator."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["teleport", "spin", "--alpha", "0.6", "--beta", "0.8", "--z", "1"],
+            ["swap", "--z", "1", "--zprime", "0.5"],
+        ],
+        ids=["teleport", "swap"],
+    )
+    @pytest.mark.parametrize(
+        "trials,seed,built",
+        [
+            (100, 0, 0),
+            (2, 0, 2),
+            (hesim.protocols._BATCH_MIN_TRIALS - 1, 5, hesim.protocols._BATCH_MIN_TRIALS - 1),
+            (hesim.protocols._BATCH_MIN_TRIALS, 5, 0),
+            (100, 2**32 - 100, 0),
+            (300, 2**32 - 100, 300),
+        ],
+        ids=["batched", "two", "below_threshold", "at_threshold", "ends_at_2_32",
+             "straddles_2_32"],
+    )
+    def test_generators_built(self, command, trials, seed, built, monkeypatch, tmp_path):
+        calls = []
+        default_rng = np.random.default_rng
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        code, data = run(command + ["--trials", str(trials), "--seed", str(seed)], tmp_path)
+        assert code == 0 and len(calls) == built
+        assert json.loads(data)["trials"] == trials
+
+
 class TestSwap:
     def test_report_schema_and_pairing(self, tmp_path):
         code, data = run(
@@ -447,6 +485,13 @@ class TestEntropy:
         assert capsys.readouterr().err == (
             f"error: parameter {key!r} in state spec {spec!r} is {problem}; "
             f"{kind} takes: {takes}\n"
+        )
+
+    def test_product_takes_no_label(self, tmp_path, capsys):
+        code, data = run(["entropy", "product:foo:z=1"], tmp_path)
+        assert code == 1 and data == b""
+        assert capsys.readouterr().err == (
+            "error: product spec needs z=..., got 'product:foo:z=1'\n"
         )
 
 

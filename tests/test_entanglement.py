@@ -58,6 +58,10 @@ class TestSchmidt:
 
 
 class TestEntropy:
+    def test_leading_square_rounded_above_one_gives_zero(self):
+        # the spectrum of `hesim entropy "product:z=0.5" --dim 10`
+        assert SchmidtSpectrum((1.0000000000000002, 0.0)).entropy() == 0.0
+
     @pytest.mark.parametrize("label", list(HesLabel))
     @pytest.mark.parametrize("z", Z_GRID + [0.7])
     def test_one_ebit_for_hybrid_states(self, label, z):

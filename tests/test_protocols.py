@@ -1,6 +1,7 @@
 """Bell bases, projective measurements, teleportation and swapping."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,13 @@ from hesim import (
     tensor,
 )
 
-from hesim.protocols import _SWAP_PAIRING, _branch
+from hesim.protocols import (
+    _BATCH_MIN_TRIALS,
+    _SWAP_PAIRING,
+    _branch,
+    _first_uniforms,
+    trial_streams,
+)
 
 from conftest import random_qubit_pair
 from oracles import swap_expansion
@@ -577,6 +584,54 @@ class TestRngStream:
     def test_same_seed_same_sequence(self):
         a, b = RngStream(9), RngStream(9)
         assert [a.uniform() for _ in range(10)] == [b.uniform() for _ in range(10)]
+
+
+def _default_rng_firsts(seeds) -> np.ndarray:
+    return np.array([np.random.default_rng(int(s)).random() for s in seeds])
+
+
+class TestFirstUniforms:
+    @pytest.mark.parametrize(
+        "seeds",
+        [
+            np.arange(20_000),
+            np.arange(2**32 - 2000, 2**32),
+            np.random.default_rng(8).integers(0, 2**32, 300),
+        ],
+        ids=["from_zero", "below_2_32", "random_32_bit"],
+    )
+    def test_bit_identical_to_default_rng(self, seeds):
+        got = _first_uniforms(seeds)
+        assert np.array_equal(got.view(np.uint64), _default_rng_firsts(seeds).view(np.uint64))
+
+
+class TestTrialStreams:
+    @pytest.mark.parametrize("trials", [1, _BATCH_MIN_TRIALS - 1, _BATCH_MIN_TRIALS, 5000])
+    def test_one_stream_per_trial_in_seed_order(self, trials):
+        streams = list(trial_streams(7, trials))
+        assert [rng.seed for rng in streams] == list(range(7, 7 + trials))
+        firsts = _default_rng_firsts(range(7, 7 + trials))
+        assert [rng.uniform() for rng in streams] == firsts.tolist()
+        assert all(rng.counter == 1 for rng in streams)
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - _BATCH_MIN_TRIALS])
+    def test_batched_stream_continues_its_generator(self, seed):
+        rng = next(trial_streams(seed, _BATCH_MIN_TRIALS))
+        assert rng.first is not None
+        reference = np.random.default_rng(seed)
+        assert [rng.uniform() for _ in range(3)] == [reference.random() for _ in range(3)]
+        assert rng.counter == 3
+
+    def test_a_long_run_is_generated_block_by_block(self):
+        streams = trial_streams(0, 10**9)
+        tracemalloc.start()
+        try:
+            rng = next(streams)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rng.seed == 0 and rng.first == np.random.default_rng(0).random()
+        assert peak < 2 * 2**20
 
 
 class TestBranch:
