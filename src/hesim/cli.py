@@ -293,6 +293,8 @@ def _build_named_state(spec: str, dim_override: int | None) -> StateVector:
     label = labels and _parse_enum(labels[0], parts[1], labels[1])
     zs = [params[key] for key in keys]
     if kind == "spinbell":
+        if dim_override is not None:
+            raise ValueError("--dim is the Fock cutoff of a mode; a spin Bell state has none")
         return spin_bell_state(label)
     dim = _dim_for(dim_override, *zs)
     if kind == "hes":
@@ -318,8 +320,6 @@ def _kz_subparser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--zmin", type=float, required=True)
     p.add_argument("--zmax", type=float, required=True)
     p.add_argument("--steps", type=int, required=True, help="number of rows")
-    p.add_argument("--dim", type=int, default=None, help="override the adaptive Fock cutoff")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_kz)
 
 
@@ -328,8 +328,6 @@ def _chsh_subparser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--label", default="phi+", help="hybrid state label (default phi+)")
     p.add_argument("--restarts", type=int, default=16, help="echoed only; must be >= 1")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="echoed only")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_chsh)
 
 
@@ -345,8 +343,6 @@ def _teleport_subparser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--channel", default="phi+")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_teleport)
 
 
@@ -355,8 +351,6 @@ def _swap_subparser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--zprime", type=float, required=True)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_swap)
 
 
@@ -365,14 +359,13 @@ def _entropy_subparser(p: argparse.ArgumentParser) -> None:
         "statespec",
         help="spinbell:Phi+ | hes:phi+:z=1 | paritybell:phi~+:z=1,zp=0.5 | product:z=1",
     )
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_entropy)
 
 
-# name: (help line, fills in the subparser), in help order. The handlers are
-# bound inside the fillers, at call time, so a wrapper installed on a
-# module-level ``cmd_*`` name after import still sees every call.
+# name: (help line, fills in the subparser), in help order; build_parser adds
+# --dim and --out after each filler. The handlers are bound inside the fillers,
+# at call time, so a wrapper installed on a module-level ``cmd_*`` name after
+# import still sees every call.
 _SUBCOMMANDS = {
     "kz": ("sweep the overlap k(z) and the CHSH violation", _kz_subparser),
     "chsh": ("compare the CHSH maximum with the closed form", _chsh_subparser),
@@ -397,7 +390,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (help_line, fill) in _SUBCOMMANDS.items():
         if command in (None, name):
-            fill(sub.add_parser(name, help=help_line))
+            p = sub.add_parser(name, help=help_line)
+            fill(p)
+            p.add_argument("--dim", type=int, default=None,
+                           help="override the adaptive Fock cutoff")
+            p.add_argument("--out", default=None, help="output path (default stdout)")
     return parser
 
 

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
 import numpy as np
 
 from .fock import (
-    DEFAULT_RESIDUAL_TOL,
     BellLabel,
     FactorKind,
     HesLabel,
@@ -98,13 +97,11 @@ class Encoding:
         return cls(qubit_state(1.0, 0.0), qubit_state(0.0, 1.0))
 
     @classmethod
-    def cat(
-        cls, z: float, dim: int, residual_tol: float = DEFAULT_RESIDUAL_TOL
-    ) -> "Encoding":
-        """Even and odd cat states at amplitude z on a mode of dimension dim."""
-        return cls(
-            even_coherent(z, dim, residual_tol), odd_coherent(z, dim, residual_tol)
-        )
+    def cat(cls, z: float, dim: int) -> "Encoding":
+        """Even and odd cat states at amplitude z on a mode of dimension dim, each
+        checked at the default truncation tolerance; for another tolerance, build
+        ``Encoding(even_coherent(z, dim, tol), odd_coherent(z, dim, tol))``."""
+        return cls(even_coherent(z, dim), odd_coherent(z, dim))
 
     @property
     def space(self) -> SpaceDescriptor:
@@ -140,7 +137,6 @@ def bell_pair(label: BellLabel, enc_a: Encoding, enc_b: Encoding) -> StateVector
     return StateVector(enc_a.space * enc_b.space, amps * _SQRT_HALF, residual)
 
 
-@dataclass
 class RngStream:
     """Counted, seeded source of ``np.random.default_rng(seed)``'s variates.
 
@@ -148,13 +144,9 @@ class RngStream:
     built only if a second draw needs it.
     """
 
-    seed: int
-    first: float | None = field(default=None, kw_only=True, repr=False, compare=False)
-    counter: int = field(default=0, init=False)
-    _gen: np.random.Generator | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._gen = None if self.first is not None else np.random.default_rng(self.seed)
+    def __init__(self, seed: int, *, first: float | None = None) -> None:
+        self.seed, self.first, self.counter = seed, first, 0
+        self._gen = None if first is not None else np.random.default_rng(seed)
 
     def uniform(self) -> float:
         self.counter += 1
@@ -291,30 +283,20 @@ def spin_bell_state(label: SpinBellLabel) -> StateVector:
     return bell_pair(label, _QUBIT, _QUBIT)
 
 
-def hes_state(
-    label: HesLabel,
-    z: float,
-    dim: int,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-) -> StateVector:
+def hes_state(label: HesLabel, z: float, dim: int) -> StateVector:
     """Qubit-mode hybrid Bell state at cat amplitude z.
 
     The psi states pair spin-up with the odd cat component, the phi states
     pair spin-up with the even one; signs follow the label.
     """
-    return bell_pair(label, _QUBIT, Encoding.cat(z, dim, residual_tol))
+    return bell_pair(label, _QUBIT, Encoding.cat(z, dim))
 
 
 def parity_bell_state(
-    label: ParityBellLabel,
-    z: float,
-    z_prime: float,
-    dim: int,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
+    label: ParityBellLabel, z: float, z_prime: float, dim: int
 ) -> StateVector:
     """Two-mode entangled cat pair at amplitudes (z, z_prime)."""
-    cat = Encoding.cat(z, dim, residual_tol)
-    return bell_pair(label, cat, Encoding.cat(z_prime, dim, residual_tol))
+    return bell_pair(label, Encoding.cat(z, dim), Encoding.cat(z_prime, dim))
 
 
 def correction_for(outcome: BellLabel, channel: HesLabel) -> Correction:
@@ -355,14 +337,17 @@ def _branch(outcome, amps: np.ndarray, space, residual: float) -> tuple:
     return outcome, p, StateVector(space, amps / math.sqrt(p), residual)
 
 
-def _measure_bell(state, factors, labels, enc_a, enc_b):
+def _measure_bell(state, factors, enc_a, enc_b):
     """Branch table of projecting factors onto bell_pair(label, enc_a, enc_b).
 
     One (label, probability, renormalized state on the remaining factors)
-    per label. The basis may span only part of the measured factors' space;
+    per label, spin Bell labels on a qubit basis and parity Bell labels on a
+    cat basis. The basis may span only part of the measured factors' space;
     the probabilities then sum to less than 1, which draw refuses.
     """
-    _check_kinds(state, factors, (enc_a.space.kind(0), enc_b.space.kind(0)))
+    kind = enc_a.space.kind(0)
+    _check_kinds(state, factors, (kind, enc_b.space.kind(0)))
+    labels = SpinBellLabel if kind is FactorKind.QUBIT else ParityBellLabel
     rest = tuple(i for i in range(state.space.nfactors) if i not in factors)
     space = state.space.subspace(rest)
     branches = []
@@ -380,7 +365,7 @@ def measure_spin_bell(
     Returns each outcome with its probability and the renormalized state on
     the remaining factors (the measured qubits are removed).
     """
-    return _measure_bell(state, qubit_indices, SpinBellLabel, _QUBIT, _QUBIT)
+    return _measure_bell(state, qubit_indices, _QUBIT, _QUBIT)
 
 
 def measure_parity_bell(
@@ -388,7 +373,6 @@ def measure_parity_bell(
     mode_indices: tuple[int, int],
     z: float,
     z_prime: float,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> list[tuple[ParityBellLabel, float, StateVector | None]]:
     """Projective measurement in the entangled two-cat basis at (z, z_prime).
 
@@ -398,9 +382,9 @@ def measure_parity_bell(
     """
     _check_kinds(state, mode_indices, (FactorKind.MODE, FactorKind.MODE))
     i, j = mode_indices
-    enc_a = Encoding.cat(z, state.space.dims[i], residual_tol)
-    enc_b = Encoding.cat(z_prime, state.space.dims[j], residual_tol)
-    return _measure_bell(state, mode_indices, ParityBellLabel, enc_a, enc_b)
+    enc_a = Encoding.cat(z, state.space.dims[i])
+    enc_b = Encoding.cat(z_prime, state.space.dims[j])
+    return _measure_bell(state, mode_indices, enc_a, enc_b)
 
 
 def parity_measurement(
@@ -427,7 +411,6 @@ def _teleport(
     beta: complex,
     joint: StateVector,
     factors: tuple[int, int],
-    labels: type[BellLabel],
     basis: tuple[Encoding, Encoding],
     channel: HesLabel,
     receiver: Encoding,
@@ -447,7 +430,7 @@ def _teleport(
     )
     flipped = StateVector(receiver.space, amps, receiver.residual)
     table = []
-    for outcome, p, received in _measure_bell(joint, factors, labels, *basis):
+    for outcome, p, received in _measure_bell(joint, factors, *basis):
         correction = correction_for(outcome, channel)
         output, target = received, plain
         if correction is not Correction.IDENTITY:
@@ -466,7 +449,6 @@ def teleport_spin(
     channel: HesLabel,
     z: float,
     dim: int,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> list[tuple[SpinBellLabel, float, TeleportRecord]]:
     """Teleport an unknown spin qubit onto the mode of a hybrid channel.
 
@@ -475,11 +457,9 @@ def teleport_spin(
     parity operation the outcome dictates and compared against the analytic
     branch target.
     """
-    cat = Encoding.cat(z, dim, residual_tol)
+    cat = Encoding.cat(z, dim)
     joint = tensor(_QUBIT.state(alpha, beta), bell_pair(channel, _QUBIT, cat))
-    return _teleport(
-        alpha, beta, joint, (0, 1), SpinBellLabel, (_QUBIT, _QUBIT), channel, cat
-    )
+    return _teleport(alpha, beta, joint, (0, 1), (_QUBIT, _QUBIT), channel, cat)
 
 
 def teleport_parity(
@@ -489,7 +469,6 @@ def teleport_parity(
     channel: HesLabel,
     z: float,
     dim: int,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> list[tuple[ParityBellLabel, float, TeleportRecord]]:
     """Teleport an unknown parity qubit at amplitude z_dblprime onto a spin.
 
@@ -498,12 +477,10 @@ def teleport_parity(
     basis at (z_dblprime, z) and on each branch the spin picks up the
     matching Pauli.
     """
-    source = Encoding.cat(z_dblprime, dim, residual_tol)
-    cat = Encoding.cat(z, dim, residual_tol)
+    source = Encoding.cat(z_dblprime, dim)
+    cat = Encoding.cat(z, dim)
     joint = tensor(bell_pair(channel, _QUBIT, cat), source.state(alpha, beta))
-    return _teleport(
-        alpha, beta, joint, (2, 1), ParityBellLabel, (source, cat), channel, _QUBIT
-    )
+    return _teleport(alpha, beta, joint, (2, 1), (source, cat), channel, _QUBIT)
 
 
 _SWAP_PAIRING = {
@@ -515,10 +492,7 @@ _SWAP_PAIRING = {
 
 
 def swap_entanglement(
-    z: float,
-    z_prime: float,
-    dim: int,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
+    z: float, z_prime: float, dim: int
 ) -> list[tuple[SpinBellLabel, float, SwapRecord]]:
     """Swap entanglement between two hybrid pairs by a joint spin measurement.
 
@@ -527,8 +501,8 @@ def swap_entanglement(
     expansion coefficient and that the modes (2,4) collapse onto the
     partnered entangled-cat state.
     """
-    cat = Encoding.cat(z, dim, residual_tol)
-    cat_prime = Encoding.cat(z_prime, dim, residual_tol)
+    cat = Encoding.cat(z, dim)
+    cat_prime = Encoding.cat(z_prime, dim)
     joint = tensor(
         bell_pair(HesLabel.PSI_MINUS, _QUBIT, cat),
         bell_pair(HesLabel.PSI_MINUS, _QUBIT, cat_prime),

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
-    DEFAULT_RESIDUAL_TOL,
     _check_z,
     _log_sinh,
     apply,
@@ -94,18 +93,16 @@ def build_pseudospin(dim: int) -> PseudospinOps:
     return PseudospinOps(**mats)
 
 
-def k_series(z: float, tol: float = 1e-15) -> float:
+def k_series(z: float) -> float:
     """Even/odd parity-flip overlap k(z) summed as a scalar series.
 
     Terms are evaluated in the log domain so large z neither overflows the
     powers of z nor the factorials. Summation stops once a term falls below
-    tol on the way down (the terms first grow with n when z is large). At
+    1e-15 on the way down (the terms first grow with n when z is large). At
     z = 0 the series prefactor degenerates; the limit value 1 is returned,
     and z below 1e-8 is treated the same way.
     """
     _check_z(z)
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     if z < 1e-8:
         return 1.0
     logz = math.log(z)
@@ -121,19 +118,17 @@ def k_series(z: float, tol: float = 1e-15) -> float:
         )
         t = math.exp(lt) if lt > -745.0 else 0.0
         total += t
-        if t < tol and t < prev:
+        if t < 1e-15 and t < prev:
             break
         prev = t
         n += 1
     return total
 
 
-def k_matrix(
-    z: float, dim: int, residual_tol: float = DEFAULT_RESIDUAL_TOL
-) -> float:
+def k_matrix(z: float, dim: int) -> float:
     """k(z) as the matrix element <even| s_plus |odd> on the truncated mode."""
-    e = even_coherent(z, dim, residual_tol)
-    o = odd_coherent(z, dim, residual_tol)
+    e = even_coherent(z, dim)
+    o = odd_coherent(z, dim)
     ops = build_pseudospin(dim)
     val = inner(e, apply(ops.s_plus, o, 0))
     if abs(val.imag) > _NONREAL_TOL:

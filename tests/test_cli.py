@@ -449,6 +449,17 @@ class TestEntropy:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_dim_rejected_for_spinbell(self, tmp_path, capsys, monkeypatch):
+        def no_state(*args):
+            raise AssertionError("a spin Bell state was built with --dim")
+
+        monkeypatch.setattr(hesim.cli, "spin_bell_state", no_state)
+        # 4 is a valid mode cutoff; the golden corpus pins the invalid 3
+        code, data = run(["entropy", "spinbell:Phi+", "--dim", "4"], tmp_path)
+        assert code == 1 and data == b""
+        err = capsys.readouterr().err
+        assert err.startswith("error: --dim") and err.count("\n") == 1
+
     def test_one_svd_per_command(self, monkeypatch, tmp_path):
         svd = np.linalg.svd
         calls = []

@@ -2,8 +2,8 @@
 
 Each line of ``cli_golden.jsonl`` is one JSON object: an argv and the
 stdout, stderr and exit code that ``hesim.cli.main`` gave for it. The
-commands cover every subcommand, ``--dim`` overrides, a swap that leaves
-outcomes undrawn, and the error lines. Reports print floats at full
+commands cover every subcommand and its ``-h``, ``--dim`` overrides, a swap
+that leaves outcomes undrawn, and the error lines. Reports print floats at full
 precision, so the data pins numpy 2.4.6 (with its bundled LAPACK) and
 Python 3.11's argparse wording; on another numpy the last digits of a
 report may differ.

@@ -28,6 +28,16 @@ from oracles import entropy_from_reduced_density
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 Z_GRID = [0.1, 0.5, 1.0, 2.0]
+Z_LARGE = st.floats(min_value=3.0, max_value=9.0)  # the benchmark's cutoff_sweep range
+
+
+def cli_dim(*zs):
+    """The CLI's adaptive cutoff for a state at amplitudes zs."""
+    return max(mode_dim_for(z, 1e-14) for z in zs)
+
+
+def assert_one_ebit(state):
+    assert abs(entanglement_entropy(state, {0}) - 1.0) <= 1e-10
 
 
 class TestSchmidt:
@@ -83,8 +93,12 @@ class TestEntropy:
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(label=st.sampled_from(list(HesLabel)), z=st.floats(min_value=0.0, max_value=6.0))
     def test_one_ebit_for_every_hybrid_state(self, label, z):
-        state = hes_state(label, z, mode_dim_for(z, 1e-14))
-        assert abs(entanglement_entropy(state, {0}) - 1.0) <= 1e-10
+        assert_one_ebit(hes_state(label, z, cli_dim(z)))
+
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(label=st.sampled_from(list(HesLabel)), z=Z_LARGE)
+    def test_one_ebit_for_every_hybrid_state_at_large_z(self, label, z):
+        assert_one_ebit(hes_state(label, z, cli_dim(z)))
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
@@ -93,9 +107,12 @@ class TestEntropy:
         zp=st.floats(min_value=0.0, max_value=4.0),
     )
     def test_one_ebit_for_every_parity_bell_state(self, label, z, zp):
-        dim = max(mode_dim_for(z, 1e-14), mode_dim_for(zp, 1e-14))
-        state = parity_bell_state(label, z, zp, dim)
-        assert abs(entanglement_entropy(state, {0}) - 1.0) <= 1e-10
+        assert_one_ebit(parity_bell_state(label, z, zp, cli_dim(z, zp)))
+
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(label=st.sampled_from(list(ParityBellLabel)), z=Z_LARGE, zp=Z_LARGE)
+    def test_one_ebit_for_every_parity_bell_state_at_large_z(self, label, z, zp):
+        assert_one_ebit(parity_bell_state(label, z, zp, cli_dim(z, zp)))
 
     def test_product_state_has_zero_entropy(self):
         st = tensor(qubit_state(SQRT_HALF, SQRT_HALF * 1j), even_coherent(1.0, 18))

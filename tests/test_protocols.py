@@ -156,8 +156,8 @@ class TestBellBases:
 
     def test_bell_pair_residual_combines_encoding_means(self):
         # residuals well above machine precision, so the rule is visible
-        cat_a = Encoding.cat(1.0, 12, residual_tol=1e-6)
-        cat_b = Encoding.cat(1.5, 16, residual_tol=1e-6)
+        cat_a = Encoding(even_coherent(1.0, 12, 1e-6), odd_coherent(1.0, 12, 1e-6))
+        cat_b = Encoding(even_coherent(1.5, 16, 1e-6), odd_coherent(1.5, 16, 1e-6))
         a = 0.5 * (cat_a.zero.truncation_residual + cat_a.one.truncation_residual)
         b = 0.5 * (cat_b.zero.truncation_residual + cat_b.one.truncation_residual)
         assert a > 0.0 and b > 0.0
@@ -705,40 +705,60 @@ AMPLITUDES = st.tuples(
 ).map(lambda t: (math.cos(t[0]) * complex(math.cos(t[1]), math.sin(t[1])),
                  math.sin(t[0]) * complex(math.cos(t[2]), math.sin(t[2]))))
 Z = st.floats(min_value=0.0, max_value=3.0)
+Z_LARGE = st.floats(min_value=3.0, max_value=9.0)  # the benchmark's cutoff_sweep range
+CHANNEL = st.sampled_from(list(HesLabel))
+
+
+def check_teleport_table(table, labels, channel):
+    assert [outcome for outcome, _, _ in table] == list(labels)
+    for outcome, p, rec in table:
+        assert p == pytest.approx(0.25, abs=1e-10)
+        assert rec.fidelity == pytest.approx(1.0, abs=1e-10)
+        assert rec.correction is correction_for(outcome, channel)
+
+
+def check_swap_table(table):
+    assert [outcome for outcome, _, _ in table] == list(SpinBellLabel)
+    for outcome, p, rec in table:
+        assert rec.parity_label is _SWAP_PAIRING[outcome][0]
+        assert p == pytest.approx(0.25, abs=1e-10)
+        assert rec.fidelity == pytest.approx(1.0, abs=1e-10)
+        assert entanglement_entropy(rec.mode_state, {0}) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestEveryBranch:
     """The paper's protocol claims hold on all four branches, for every z."""
 
     @settings(derandomize=True, max_examples=40, deadline=None)
-    @given(amps=AMPLITUDES, z=Z, channel=st.sampled_from(list(HesLabel)))
+    @given(amps=AMPLITUDES, z=Z, channel=CHANNEL)
     def test_teleport_spin(self, amps, z, channel):
         table = teleport_spin(*amps, channel, z, adim(z))
-        assert [outcome for outcome, _, _ in table] == list(SpinBellLabel)
-        for outcome, p, rec in table:
-            assert p == pytest.approx(0.25, abs=1e-10)
-            assert rec.fidelity == pytest.approx(1.0, abs=1e-10)
-            assert rec.correction is correction_for(outcome, channel)
+        check_teleport_table(table, SpinBellLabel, channel)
+
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(amps=AMPLITUDES, z=Z_LARGE, channel=CHANNEL)
+    def test_teleport_spin_at_large_z(self, amps, z, channel):
+        table = teleport_spin(*amps, channel, z, adim(z))
+        check_teleport_table(table, SpinBellLabel, channel)
 
     @settings(derandomize=True, max_examples=40, deadline=None)
-    @given(amps=AMPLITUDES, z=Z, zpp=Z, channel=st.sampled_from(list(HesLabel)))
+    @given(amps=AMPLITUDES, z=Z, zpp=Z, channel=CHANNEL)
     def test_teleport_parity(self, amps, z, zpp, channel):
         table = teleport_parity(*amps, zpp, channel, z, max(adim(z), adim(zpp)))
-        assert [outcome for outcome, _, _ in table] == list(ParityBellLabel)
-        for outcome, p, rec in table:
-            assert p == pytest.approx(0.25, abs=1e-10)
-            assert rec.fidelity == pytest.approx(1.0, abs=1e-10)
-            assert rec.correction is correction_for(outcome, channel)
+        check_teleport_table(table, ParityBellLabel, channel)
+
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(amps=AMPLITUDES, z=Z_LARGE, zpp=Z_LARGE, channel=CHANNEL)
+    def test_teleport_parity_at_large_z(self, amps, z, zpp, channel):
+        table = teleport_parity(*amps, zpp, channel, z, max(adim(z), adim(zpp)))
+        check_teleport_table(table, ParityBellLabel, channel)
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(z=Z, zp=Z)
     def test_swap(self, z, zp):
-        table = swap_entanglement(z, zp, max(adim(z), adim(zp)))
-        assert [outcome for outcome, _, _ in table] == list(SpinBellLabel)
-        for outcome, p, rec in table:
-            assert rec.parity_label is _SWAP_PAIRING[outcome][0]
-            assert p == pytest.approx(0.25, abs=1e-10)
-            assert rec.fidelity == pytest.approx(1.0, abs=1e-10)
-            assert entanglement_entropy(rec.mode_state, {0}) == pytest.approx(
-                1.0, abs=1e-10
-            )
+        check_swap_table(swap_entanglement(z, zp, max(adim(z), adim(zp))))
+
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(z=Z_LARGE, zp=Z_LARGE)
+    def test_swap_at_large_z(self, z, zp):
+        check_swap_table(swap_entanglement(z, zp, max(adim(z), adim(zp))))

@@ -139,8 +139,6 @@ class TestKSeries:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             k_series(-1.0)
-        with pytest.raises(ValueError):
-            k_series(1.0, tol=0.0)
 
     @pytest.mark.parametrize("z", [math.nan, math.inf])
     def test_rejects_non_finite_z(self, z):
@@ -157,7 +155,7 @@ class TestKMatrix:
     @pytest.mark.parametrize("z", [0.1, 0.5, 1.0, 2.0, 3.0])
     def test_agrees_with_series(self, z):
         dim = mode_dim_for(z, 1e-14)
-        assert abs(k_matrix(z, dim) - k_series(z, 1e-15)) < 1e-10
+        assert abs(k_matrix(z, dim) - k_series(z)) < 1e-10
 
     def test_is_the_even_flip_odd_overlap(self):
         z, dim = 1.2, mode_dim_for(1.2, 1e-14)
