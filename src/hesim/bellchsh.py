@@ -5,8 +5,9 @@ available in closed form from k(z). Independently, the maximum over all
 settings for any qubit x mode state follows from the singular values of its
 3x3 correlation matrix, which confirms the closed form numerically. Every
 Bell expectation is bilinear in the settings through that matrix, so no
-Bell operator is built here. A state is all the analysis takes: the mode's
-pseudospin operators are built at the mode dimension the state carries.
+Bell operator is built here. A state is all the analysis takes, and the
+mode's pseudospin acts on it by index operations at the mode dimension the
+state carries, so no dim x dim matrix is built either.
 """
 
 from __future__ import annotations
@@ -17,20 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FactorKind, HesLabel, StateVector
-from .pseudospin import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    Direction,
-    build_pseudospin,
-    k_series,
-)
+from .pseudospin import PAULI_X, PAULI_Y, PAULI_Z, Direction, k_series
 
 CIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 CLASSICAL_BOUND = 2.0
 
 _VALUE_SLACK = 1e-9  # rounding allowed above the Cirelson bound
 _NONREAL_TOL = 1e-10  # largest imaginary part an expectation may carry
+# the entries of s_y and s_z on each (even, odd) pair of Fock states, as
+# build_pseudospin writes them: s_y = [[0, -i], [i, 0]], s_z = diag(1, -1)
+_S_Y_PAIR = np.array([complex(0.0, -1.0), complex(0.0, 1.0)])
+_S_Z_PAIR = np.array([1.0 + 0.0j, -1.0 + 0.0j])
 
 
 @dataclass(frozen=True)
@@ -107,18 +105,21 @@ def analytic_optimum(z: float, label: HesLabel = HesLabel.PHI_PLUS) -> ChshResul
 def correlation_matrix(state: StateVector) -> np.ndarray:
     """3x3 matrix of <sigma_k x s_l> expectations, with s_l the pseudospin
     of the state's mode; every Bell expectation is bilinear in the settings
-    through it."""
+    through it.
+
+    s_l acts within each (even, odd) pair of Fock amplitudes: s_x swaps the
+    pair, s_y swaps it and multiplies by (-i, i), and s_z flips the sign of
+    the odd one. Memory is O(dim), not the O(dim**2) of dense s_l.
+    """
     _check_state_space(state)
-    dim = state.space.dims[1]
-    ops = build_pseudospin(dim)
-    paulis = [PAULI_X, PAULI_Y, PAULI_Z]
-    spins = [ops.s_x, ops.s_y, ops.s_z]
-    psi = state.amps.reshape(2, dim)
+    psi = state.amps.reshape(2, -1)
     m = np.empty((3, 3))
-    for i, sig in enumerate(paulis):
-        left = sig @ psi  # acts on the qubit index
-        for j, s in enumerate(spins):
-            val = complex(np.vdot(psi, left @ s.T))
+    for i, sig in enumerate((PAULI_X, PAULI_Y, PAULI_Z)):
+        pairs = (sig @ psi).reshape(2, -1, 2)  # sig acts on the qubit index
+        swapped = pairs[:, :, ::-1]
+        spun = (swapped, swapped * _S_Y_PAIR, pairs * _S_Z_PAIR)
+        for j, moved in enumerate(spun):
+            val = complex(np.vdot(psi, moved))
             if abs(val.imag) > _NONREAL_TOL:
                 raise ValueError(f"correlation has nonreal residue {val.imag!r}")
             m[i, j] = val.real

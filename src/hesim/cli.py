@@ -34,9 +34,9 @@ from .protocols import (
     HesLabel,
     ParityBellLabel,
     SpinBellLabel,
-    draw,
     hes_state,
     parity_bell_state,
+    sampler,
     spin_bell_state,
     swap_entanglement,
     teleport_parity,
@@ -197,8 +197,9 @@ def cmd_teleport(args: argparse.Namespace) -> str:
         table = teleport_parity(alpha, beta, zpp, channel, args.z, dim)
     counts = {outcome.value: 0 for outcome, _, _ in table}
     fid_min, fid_sum = math.inf, 0.0
+    pick = sampler(table)
     for rng in trial_streams(args.seed, args.trials):
-        outcome, _, rec = draw(table, rng)
+        outcome, _, rec = pick(rng)
         counts[outcome.value] += 1
         fid_min = min(fid_min, rec.fidelity)
         fid_sum += rec.fidelity
@@ -227,8 +228,9 @@ def cmd_swap(args: argparse.Namespace) -> str:
     dim = _dim_for(args.dim, args.z, args.zprime)
     table = swap_entanglement(args.z, args.zprime, dim)
     counts = {outcome: 0 for outcome, _, _ in table}
+    pick = sampler(table)
     for rng in trial_streams(args.seed, args.trials):
-        counts[draw(table, rng)[0]] += 1
+        counts[pick(rng)[0]] += 1
     per_outcome = {}
     for outcome, _, rec in table:  # every draw of an outcome yields its row's record
         slot = per_outcome[outcome.value] = dict(

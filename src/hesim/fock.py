@@ -17,7 +17,7 @@ analysis and protocol layers share them without importing each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -81,6 +81,9 @@ class SpaceDescriptor:
     """Ordered factors of a composite Hilbert space."""
 
     factors: tuple[tuple[FactorKind, int], ...]
+    # read off the factors once; equality, hashing and repr use the factors
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         factors = tuple((FactorKind(kind), int(dim)) for kind, dim in self.factors)
@@ -94,6 +97,8 @@ class SpaceDescriptor:
                     f"mode dimension must be an even integer >= 2, got {dim}"
                 )
         object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "dims", tuple(dim for _, dim in factors))
+        object.__setattr__(self, "dim", math.prod(self.dims))
 
     @classmethod
     def qubit(cls) -> "SpaceDescriptor":
@@ -109,14 +114,6 @@ class SpaceDescriptor:
     @property
     def nfactors(self) -> int:
         return len(self.factors)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.factors)
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims)
 
     def kind(self, index: int) -> FactorKind:
         return self.factors[index][0]
@@ -151,7 +148,7 @@ class StateVector:
                 f"amplitude vector has length {amps.shape[0]}, "
                 f"space {self.space.describe()} needs {self.space.dim}"
             )
-        norm = float(np.linalg.norm(amps))
+        norm = math.sqrt(np.vdot(amps, amps).real)
         if not abs(norm - 1.0) <= _NORM_TOL:  # written so that NaN fails it
             raise ValueError(f"state vector is not normalized: |amps| = {norm!r}")
         if not self.truncation_residual >= 0.0:
@@ -310,7 +307,7 @@ def qubit_state(alpha: complex, beta: complex) -> StateVector:
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product, a's factors first."""
     residual = _combined_residual(a.truncation_residual, b.truncation_residual)
-    return StateVector(a.space * b.space, np.kron(a.amps, b.amps), residual)
+    return StateVector(a.space * b.space, np.outer(a.amps, b.amps).ravel(), residual)
 
 
 def _check_factor(space: SpaceDescriptor, index: int) -> None:
@@ -326,14 +323,18 @@ def apply(op: np.ndarray, state: StateVector, factor_index: int) -> StateVector:
     drifting off the unit sphere is rejected rather than silently rescaled.
     """
     _check_factor(state.space, factor_index)
-    d = state.space.dims[factor_index]
+    dims = state.space.dims
+    d = dims[factor_index]
     if op.shape != (d, d):
         raise ValueError(
             f"operator of shape {op.shape} cannot act on factor "
             f"{factor_index} of {state.space.describe()}"
         )
-    t = state.amps.reshape(state.space.dims)
-    moved = np.tensordot(op, t, axes=([1], [factor_index]))
+    # np.tensordot(op, t, ([1], [factor_index])) without its argument handling:
+    # the same transposed operand and the same single np.dot
+    rest = [i for i in range(len(dims)) if i != factor_index]
+    t = state.amps.reshape(dims).transpose([factor_index, *rest]).reshape(d, -1)
+    moved = np.dot(op, t).reshape([d, *(dims[i] for i in rest)])
     out = np.moveaxis(moved, 0, factor_index).reshape(-1)
     norm = float(np.linalg.norm(out))
     if abs(norm - 1.0) > _APPLY_NORM_TOL:
@@ -376,7 +377,9 @@ def partial_inner(
             f"bra space {bra.space.describe()} does not match targeted factors "
             f"{factors} of {state.space.describe()}"
         )
-    b = bra.amps.conj().reshape(bra.space.dims)
-    t = state.amps.reshape(state.space.dims)
-    out = np.tensordot(b, t, axes=(tuple(range(b.ndim)), factors))
-    return out.reshape(-1)
+    # np.tensordot over every bra axis, without its argument handling: the
+    # state's paired factors moved to the front and one np.dot of the same rows
+    rest = [i for i in range(state.space.nfactors) if i not in factors]
+    t = state.amps.reshape(state.space.dims).transpose([*factors, *rest])
+    b = bra.amps.conj().reshape(1, -1)
+    return np.dot(b, t.reshape(b.size, -1)).reshape(-1)

@@ -16,16 +16,18 @@ per outcome, worked out once; a protocol's result record holds only what
 the row does not. ``draw`` samples a table with exactly one
 uniform variate from an RngStream, by inverse CDF over the probabilities,
 so a seed fixes the transcript: ``draw(teleport_spin(...), RngStream(s))``
-is one seeded trial.
+is one seeded trial, and a table's ``sampler`` draws many trials the same way.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -130,11 +132,11 @@ def bell_pair(label: BellLabel, enc_a: Encoding, enc_b: Encoding) -> StateVector
     """(|0_L>|0_L> ± |1_L>|1_L>)/√2 for phi labels, (|0_L>|1_L> ± |1_L>|0_L>)/√2
     for psi labels, party a's factors first."""
     b0, b1 = (enc_b.zero, enc_b.one) if label.is_phi else (enc_b.one, enc_b.zero)
-    amps = np.kron(enc_a.zero.amps, b0.amps) + label.sign * np.kron(
+    amps = np.outer(enc_a.zero.amps, b0.amps) + label.sign * np.outer(
         enc_a.one.amps, b1.amps
     )
     residual = _combined_residual(enc_a.residual, enc_b.residual)
-    return StateVector(enc_a.space * enc_b.space, amps * _SQRT_HALF, residual)
+    return StateVector(enc_a.space * enc_b.space, amps.ravel() * _SQRT_HALF, residual)
 
 
 class RngStream:
@@ -143,6 +145,8 @@ class RngStream:
     Given ``first``, the first variate computed in a batch, the generator is
     built only if a second draw needs it.
     """
+
+    __slots__ = ("seed", "first", "counter", "_gen")
 
     def __init__(self, seed: int, *, first: float | None = None) -> None:
         self.seed, self.first, self.counter = seed, first, 0
@@ -231,6 +235,29 @@ def _first_uniforms(seeds: np.ndarray) -> np.ndarray:
     return (x >> 11).astype(np.float64) * 2.0**-53
 
 
+def sampler(branches: list[tuple]) -> Callable[[RngStream], tuple]:
+    """``draw`` for one table: sums and checks the table once and returns a
+    function that samples one of its branches per call from a stream."""
+    ps = [p for _, p, _ in branches]
+    total = sum(ps)
+    if 1.0 - total > _SPAN_TOL:
+        raise ValueError(
+            f"state carries weight {1.0 - total:.3e} outside the span of the "
+            f"measured basis"
+        )
+    # the running sums 0.0 + p0 + p1 + ... in row order; a zero row repeats
+    # the sum before it, so the first sum above a variate is never a zero
+    # row's: bisecting finds the first nonzero row whose sum exceeds it
+    sums = list(itertools.accumulate(ps, initial=0.0))[1:]
+    likeliest = max(branches, key=lambda branch: branch[1])
+
+    def pick(rng: RngStream) -> tuple:
+        row = bisect.bisect_right(sums, rng.uniform() * total)
+        return branches[row] if row < len(branches) else likeliest
+
+    return pick
+
+
 def draw(branches: list[tuple], rng: RngStream) -> tuple:
     """Sample one (outcome, probability, result) branch of a table.
 
@@ -238,21 +265,10 @@ def draw(branches: list[tuple], rng: RngStream) -> tuple:
     nonzero branch whose cumulative probability exceeds it; a variate on the
     floating-point remainder falls back to the likeliest branch. A table
     missing more than _SPAN_TOL of weight measured a state outside its
-    basis, which is an error rather than a fifth outcome.
+    basis, which is an error rather than a fifth outcome. To draw many
+    trials from one table, build its ``sampler`` once.
     """
-    total = sum(p for _, p, _ in branches)
-    if 1.0 - total > _SPAN_TOL:
-        raise ValueError(
-            f"state carries weight {1.0 - total:.3e} outside the span of the "
-            f"measured basis"
-        )
-    u = rng.uniform() * total
-    acc = 0.0
-    for branch in branches:
-        acc += branch[1]
-        if u < acc and branch[1] > 0.0:
-            return branch
-    return max(branches, key=lambda branch: branch[1])
+    return sampler(branches)(rng)
 
 
 @dataclass(frozen=True)

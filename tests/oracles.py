@@ -3,8 +3,10 @@
 Each oracle reaches a quantity by a different computation from the one the
 package uses: CHSH values through the kron-built Bell operator instead of
 the correlation matrix's SVD, entropy through the reduced density matrix
-instead of the Schmidt decomposition, and the swap expansion by projecting
-the joint state onto every product of Bell states.
+instead of the Schmidt decomposition, the swap expansion by projecting
+the joint state onto every product of Bell states, the CHSH correlation
+matrix through dense pseudospin matrices, and a branch draw by a linear
+scan over the table instead of a search over its precomputed sums.
 """
 
 import math
@@ -20,7 +22,7 @@ from hesim import (
     spin_bell_state,
     tensor,
 )
-from hesim.pseudospin import PAULI_X, PAULI_Y, PAULI_Z, Direction
+from hesim.pseudospin import PAULI_X, PAULI_Y, PAULI_Z, Direction, build_pseudospin
 
 # reduced-density eigenvalues below this count as exact zeros
 EIGENVALUE_FLOOR = 1e-14
@@ -86,3 +88,31 @@ def swap_expansion(z: float, z_prime: float, dim: int) -> dict:
             pb = parity_bell_state(parity, z, z_prime, dim).amps.reshape(dim, dim)
             out[spin, parity] = complex(np.einsum("ik,jl,ijkl->", sb.conj(), pb.conj(), joint))
     return out
+
+
+def dense_correlation_matrix(state) -> np.ndarray:
+    """<sigma_k x s_l> with s_l the dense pseudospin matrices of the mode,
+    applied as a matrix product on the mode index."""
+    dim = state.space.dims[1]
+    ops = build_pseudospin(dim)
+    psi = state.amps.reshape(2, dim)
+    m = np.empty((3, 3))
+    for i, sig in enumerate((PAULI_X, PAULI_Y, PAULI_Z)):
+        left = sig @ psi
+        for j, s in enumerate((ops.s_x, ops.s_y, ops.s_z)):
+            m[i, j] = complex(np.vdot(psi, left @ s.T)).real
+    return m
+
+
+def linear_scan_draw(branches, rng):
+    """One branch: the first nonzero row whose running sum of probabilities
+    exceeds a uniform variate scaled by their total, else the likeliest row."""
+    total = sum(p for _, p, _ in branches)
+    assert 1.0 - total <= 1e-10, total
+    u = rng.uniform() * total
+    acc = 0.0
+    for branch in branches:
+        acc += branch[1]
+        if u < acc and branch[1] > 0.0:
+            return branch
+    return max(branches, key=lambda branch: branch[1])

@@ -6,6 +6,7 @@ independently of the correlation matrix the package maximizes.
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from hesim import (
 import hesim.bellchsh
 
 from conftest import random_amps, random_state
-from oracles import bell_operator, chsh_expectation, direction
+from oracles import bell_operator, chsh_expectation, dense_correlation_matrix, direction
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 # 2*sqrt(1 + k(1)^2), frozen from the 40-digit overlap evaluation
@@ -292,16 +293,35 @@ class TestOptimizeChsh:
             with pytest.raises(ValueError, match="is not qubit⊗mode"):
                 optimize_chsh(state)
 
-    def test_pseudospin_is_built_at_the_state_mode_dimension(self, monkeypatch):
-        dims = []
+    @pytest.mark.parametrize("label", list(HesLabel))
+    def test_correlation_matrix_is_the_dense_one_bit_for_bit(self, label):
+        # the index operations reproduce the dense pseudospin products exactly,
+        # signed zeros included, at the state's own mode dimension
+        for z in np.linspace(0.0, 9.0, 46):
+            dim = mode_dim_for(z, 1e-14)
+            for d in (dim, dim + 6):
+                state = hes_state(label, float(z), d)
+                got, expected = correlation_matrix(state), dense_correlation_matrix(state)
+                assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (z, d)
 
-        def recorded(dim):
-            dims.append(dim)
-            return build_pseudospin(dim)
+    def test_correlation_matrix_of_random_states_is_the_dense_one(self, rng):
+        for dim in (2, 4, 10, 36):
+            state = random_state(SpaceDescriptor.qubit() * SpaceDescriptor.mode(dim), rng)
+            got, expected = correlation_matrix(state), dense_correlation_matrix(state)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), dim
 
-        monkeypatch.setattr(hesim.bellchsh, "build_pseudospin", recorded)
-        optimize_chsh(hes_state(HesLabel.PHI_PLUS, 0.5, 14))
-        assert dims == [14]
+    def test_correlation_matrix_memory_is_linear_in_dim(self):
+        # at z = 30 (dim 1140) one dense pseudospin matrix takes 20.8 MB
+        z = 30.0
+        state = hes_state(HesLabel.PHI_PLUS, z, mode_dim_for(z, 1e-14))
+        assert state.space.dims == (2, 1140)
+        tracemalloc.start()
+        try:
+            correlation_matrix(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * state.amps.nbytes
 
 
 class TestChshResult:

@@ -152,6 +152,15 @@ class TestChsh:
         err = capsys.readouterr().err
         assert err.startswith("error: restarts must be >= 1") and err.count("\n") == 1
 
+    def test_large_z_reports_without_dense_pseudospin(self, tmp_path):
+        # dim 10776: dense pseudospin matrices would take about 9 GB
+        code, data = run(["chsh", "--z", "100"], tmp_path)
+        assert code == 0
+        payload = json.loads(data)
+        assert payload["dim"] == 10776
+        assert abs(payload["gap"]) < 1e-9
+        assert payload["optimizer_value"] <= TWO_SQRT_TWO
+
     @pytest.mark.parametrize("z", ["nan", "inf"])
     def test_non_finite_z_fails_fast(self, z):
         # --z nan used to hang in the cat-state residual loop

@@ -1,5 +1,6 @@
 """Composite-space algebra and cat-state construction."""
 
+import itertools
 import math
 import re
 
@@ -302,6 +303,77 @@ class TestCompositeAlgebra:
     def test_inner_normalization(self):
         e = even_coherent(0.9, 14)
         assert inner(e, e).real == pytest.approx(1.0, abs=1e-12)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shape and bit-for-bit equal complex entries, signed zeros included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+QUBIT, MODE = SpaceDescriptor.qubit(), SpaceDescriptor.mode
+# 2 to 4 factors; the last takes the large-operand paths of the cutoff sweep
+FACTOR_SPACES = {
+    "qubit-mode": (QUBIT, MODE(6)),
+    "mode-qubit-mode": (MODE(4), QUBIT, MODE(8)),
+    "qubit-mode-qubit-mode": (QUBIT, MODE(6), QUBIT, MODE(4)),
+    "qubit-mode120-mode150": (QUBIT, MODE(120), MODE(150)),
+}
+
+
+def random_unitary(rng, d):
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q
+
+
+class TestSameBitsAsNumpy:
+    """tensor, partial_inner and apply reproduce np.kron and np.tensordot bit
+    for bit, so no report moves with them."""
+
+    @pytest.mark.parametrize("name", list(FACTOR_SPACES))
+    def test_tensor_is_kron(self, name, rng):
+        a, *rest = (random_state(space, rng) for space in FACTOR_SPACES[name])
+        for b in rest:
+            assert same_bits(tensor(a, b).amps, np.kron(a.amps, b.amps))
+            a = tensor(a, b)
+
+    @pytest.mark.parametrize("name", list(FACTOR_SPACES))
+    def test_partial_inner_is_tensordot_for_every_factor_order(self, name, rng):
+        factors = FACTOR_SPACES[name]
+        space = math.prod(factors[1:], start=factors[0])
+        state = random_state(space, rng)
+        t = state.amps.reshape(space.dims)
+        for k in range(1, len(factors)):
+            for paired in itertools.permutations(range(len(factors)), k):
+                bra = random_state(space.subspace(paired), rng)
+                b = bra.amps.conj().reshape(bra.space.dims)
+                expected = np.tensordot(b, t, axes=(tuple(range(k)), paired)).reshape(-1)
+                assert same_bits(partial_inner(bra, state, paired), expected), paired
+
+    @pytest.mark.parametrize("name", list(FACTOR_SPACES))
+    def test_apply_is_tensordot_on_every_factor(self, name, rng):
+        factors = FACTOR_SPACES[name]
+        space = math.prod(factors[1:], start=factors[0])
+        state = random_state(space, rng)
+        t = state.amps.reshape(space.dims)
+        for i, factor in enumerate(factors):
+            u = random_unitary(rng, factor.dim)
+            ops = [u, u.conj().T]  # C- and Fortran-ordered operands
+            if factor.kind(0) is FactorKind.MODE:
+                pseudo = build_pseudospin(factor.dim)
+                ops += [pseudo.s_x, pseudo.s_y, pseudo.s_z]
+            for op in ops:
+                moved = np.tensordot(op, t, axes=([1], [i]))
+                out = np.moveaxis(moved, 0, i).reshape(-1)
+                expected = out / float(np.linalg.norm(out))
+                assert same_bits(apply(op, state, i).amps, expected), i
+
+    def test_derived_dims_stay_out_of_equality_and_repr(self):
+        space = QUBIT * MODE(6)
+        assert (space.dims, space.dim) == ((2, 6), 12)
+        same = SpaceDescriptor(((FactorKind.QUBIT, 2), (FactorKind.MODE, 6)))
+        assert space == same and hash(space) == hash(same)
+        assert repr(space) == f"SpaceDescriptor(factors={space.factors!r})"
 
 
 class TestPartialOperations:

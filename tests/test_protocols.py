@@ -30,6 +30,7 @@ from hesim import (
     parity_bell_state,
     parity_measurement,
     qubit_state,
+    sampler,
     spin_bell_state,
     swap_entanglement,
     teleport_parity,
@@ -46,7 +47,7 @@ from hesim.protocols import (
 )
 
 from conftest import random_qubit_pair
-from oracles import swap_expansion
+from oracles import linear_scan_draw, swap_expansion
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -153,6 +154,16 @@ class TestBellBases:
             )
         ent = entanglement_entropy(st, {0})
         assert ent == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("family,label", FAMILY_LABELS)
+    def test_bell_pair_is_the_kron_sum_bit_for_bit(self, family, label):
+        enc_a, enc_b = FAMILIES[family][1]()
+        b0, b1 = (enc_b.zero, enc_b.one) if label.is_phi else (enc_b.one, enc_b.zero)
+        kron = np.kron(enc_a.zero.amps, b0.amps) + label.sign * np.kron(
+            enc_a.one.amps, b1.amps
+        )
+        amps = bell_pair(label, enc_a, enc_b).amps
+        assert np.array_equal(amps.view(np.uint64), (kron * SQRT_HALF).view(np.uint64))
 
     def test_bell_pair_residual_combines_encoding_means(self):
         # residuals well above machine precision, so the rule is visible
@@ -696,6 +707,86 @@ class TestDraw:
         for seed in range(8):
             branch = draw(table, RngStream(seed))
             assert any(branch is row for row in table)
+
+
+def boundary_variates(table):
+    """Variates that land exactly on, or one ulp either side of, the points
+    where the scaled variate crosses a running sum, plus both ends of [0, 1]."""
+    total = sum(p for _, p, _ in table)
+    us, acc = {0.0, 2.0**-1074, 1.0 - 2.0**-53, 1.0}, 0.0
+    for _, p, _ in table:
+        acc += p
+        u = acc / total
+        us.update((np.nextafter(u, -1.0), u, np.nextafter(u, 2.0)))
+    return sorted(float(u) for u in us if 0.0 <= u <= 1.0)
+
+
+class TestSampler:
+    """A table's sampler picks the row a linear scan of the table picks."""
+
+    TABLES = {
+        "zero rows": [("a", 0.0, None), ("b", 0.5, "b"), ("c", 0.0, None), ("d", 0.5, "d")],
+        "dyadic": [("a", 0.25, "a"), ("b", 0.5, "b"), ("c", 0.25, "c")],
+        "subnormal row": [("a", 0.5, "a"), ("b", 5e-324, "b"), ("c", 0.5, "c")],
+        "subnormal first": [("a", 5e-324, "a"), ("b", 1.0, "b")],
+        "tiny then zero": [("a", 1e-300, "a"), ("b", 0.0, None), ("c", 1.0, "c")],
+        "inexact total": [(k, 0.1, k) for k in "abcdefghij"],
+        "short total": [("a", 0.3, "a"), ("b", 0.6, "b"), ("c", 0.1 - 5e-11, "c")],
+        "likeliest last": [("a", 0.2, "a"), ("b", 0.0, None), ("c", 0.8, "c")],
+    }
+
+    @pytest.mark.parametrize("name", list(TABLES))
+    def test_matches_the_linear_scan_on_every_boundary(self, name):
+        table = self.TABLES[name]
+        pick = sampler(table)
+        for u in boundary_variates(table):
+            assert pick(_FixedVariate(u)) is linear_scan_draw(table, _FixedVariate(u)), u
+
+    def test_a_variate_on_the_rounding_remainder_takes_the_likeliest_row(self):
+        # ten rows of 0.1 sum to 1 - 2**-53; a variate of 1 scales to that sum
+        # and lies on no row, which the likeliest (first of the equal) rows takes
+        table = self.TABLES["inexact total"]
+        assert sum(p for _, p, _ in table) < 1.0
+        assert sampler(table)(_FixedVariate(1.0)) is table[0]
+        assert linear_scan_draw(table, _FixedVariate(1.0)) is table[0]
+        assert sampler(table)(_FixedVariate(1.0 - 2.0**-53)) is table[-1]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.just(5e-324), st.floats(1e-300, 1.0)),
+            min_size=1, max_size=8,
+        ).filter(lambda w: sum(w) > 0.0),
+        u=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_matches_the_linear_scan_on_random_tables(self, weights, u):
+        total = sum(weights)
+        table = [(k, w / total, k) for k, w in enumerate(weights)]
+        pick = sampler(table)
+        for v in [u, *boundary_variates(table)]:
+            assert pick(_FixedVariate(v)) is linear_scan_draw(table, _FixedVariate(v)), v
+
+    @pytest.mark.parametrize("table", [
+        teleport_spin(0.6, 0.8j, HesLabel.PSI_PLUS, 1.1, adim(1.1)),
+        teleport_parity(1.0, 0.0, 0.7, HesLabel.PHI_MINUS, 1.3, adim(1.3)),
+        swap_entanglement(0.8, 1.2, adim(1.2)),
+    ], ids=["teleport_spin", "teleport_parity", "swap"])
+    def test_matches_the_linear_scan_on_protocol_tables(self, table):
+        pick = sampler(table)
+        for rng, oracle in zip(trial_streams(40, 300), trial_streams(40, 300)):
+            assert pick(rng) is linear_scan_draw(table, oracle)
+            assert rng.counter == oracle.counter == 1
+
+    def test_checks_the_span_when_built(self):
+        with pytest.raises(ValueError, match="outside the span"):
+            sampler([("a", 0.45, "a"), ("b", 0.45, "b")])
+
+    def test_one_variate_per_pick(self):
+        pick = sampler(self.TABLES["dyadic"])
+        rng = RngStream(8)
+        for n in range(1, 6):
+            pick(rng)
+            assert rng.counter == n
 
 
 AMPLITUDES = st.tuples(
