@@ -310,7 +310,8 @@ class TestTeleport:
 
 
 class TestProtocolBuiltOnce:
-    """A Monte-Carlo command builds its branch table once, not once per trial."""
+    """A Monte-Carlo command builds its branch table and its sampler once, not
+    once per trial."""
 
     @staticmethod
     def _count_calls(monkeypatch, name):
@@ -328,16 +329,18 @@ class TestProtocolBuiltOnce:
 
     def test_teleport(self, monkeypatch, tmp_path):
         calls = self._count_calls(monkeypatch, "teleport_spin")
+        samplers = self._count_calls(monkeypatch, "sampler")
         argv = ["teleport", "spin", "--alpha", "0.6", "--beta", "0.8", "--z", "1"]
         code, data = run(argv + ["--trials", "200"], tmp_path)
-        assert code == 0 and len(calls) == 1
+        assert code == 0 and len(calls) == len(samplers) == 1
         assert sum(json.loads(data)["counts"].values()) == 200
 
     def test_swap(self, monkeypatch, tmp_path):
         calls = self._count_calls(monkeypatch, "swap_entanglement")
+        samplers = self._count_calls(monkeypatch, "sampler")
         argv = ["swap", "--z", "1", "--zprime", "0.5", "--trials", "200"]
         code, data = run(argv, tmp_path)
-        assert code == 0 and len(calls) == 1
+        assert code == 0 and len(calls) == len(samplers) == 1
         outcomes = json.loads(data)["outcomes"].values()
         assert sum(slot["count"] for slot in outcomes) == 200
 

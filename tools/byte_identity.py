@@ -18,7 +18,6 @@ run at ``COLUMNS`` 20, 80 and 200 (argparse wraps usage to that width).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import io
 import json
 import os
@@ -46,23 +45,12 @@ def corpus(ops: int) -> list[list[str]]:
     return argvs
 
 
-def record(main, argv: list[str]) -> dict:
-    """argv with the stdout, stderr and exit code of one in-process command."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-    return {"argv": argv, "stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
-
-
 def run_corpus(src: str) -> None:
     """Run the argv list read from stdin against the hesim under src; write the
     records, every argv at every COLUMNS, to stdout as JSON."""
-    sys.path.insert(0, src)
+    sys.path[:0] = [src, str(GOLDEN.parent)]
     import hesim
-    from hesim.cli import main
+    from test_cli_golden import record  # the golden file's own recorder
 
     if not Path(hesim.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"hesim imported from {hesim.__file__}, not from {src}")
@@ -70,7 +58,7 @@ def run_corpus(src: str) -> None:
     records = []
     for columns in COLUMNS:
         os.environ["COLUMNS"] = columns
-        records += [record(main, argv) | {"columns": columns} for argv in argvs]
+        records += [record(argv) | {"columns": columns} for argv in argvs]
     json.dump(records, sys.stdout)
 
 
