@@ -24,23 +24,22 @@ from .entanglement import (
 )
 from .fock import (
     DEFAULT_RESIDUAL_TOL,
+    Encoding,
     FactorKind,
+    LogicalState,
     SpaceDescriptor,
     StateVector,
     TruncationError,
-    apply,
     even_coherent,
     inner,
     mode_dim_for,
     odd_coherent,
-    partial_inner,
     qubit_state,
     tensor,
 )
 from .protocols import (
     BellLabel,
     Correction,
-    Encoding,
     HesLabel,
     ParityBellLabel,
     RngStream,
@@ -51,7 +50,6 @@ from .protocols import (
     correction_for,
     draw,
     hes_state,
-    measure_parity_bell,
     measure_spin_bell,
     parity_bell_state,
     parity_measurement,
@@ -61,13 +59,7 @@ from .protocols import (
     teleport_parity,
     teleport_spin,
 )
-from .pseudospin import (
-    Direction,
-    PseudospinOps,
-    build_pseudospin,
-    k_matrix,
-    k_series,
-)
+from .pseudospin import Direction, k_matrix, k_series
 
 __version__ = "0.1.0"
 
@@ -83,8 +75,8 @@ __all__ = [
     "Encoding",
     "FactorKind",
     "HesLabel",
+    "LogicalState",
     "ParityBellLabel",
-    "PseudospinOps",
     "RngStream",
     "SchmidtSpectrum",
     "SpaceDescriptor",
@@ -95,9 +87,7 @@ __all__ = [
     "TruncationError",
     "analytic_optimum",
     "analytic_settings",
-    "apply",
     "bell_pair",
-    "build_pseudospin",
     "correction_for",
     "correlation_matrix",
     "draw",
@@ -107,14 +97,12 @@ __all__ = [
     "inner",
     "k_matrix",
     "k_series",
-    "measure_parity_bell",
     "measure_spin_bell",
     "mode_dim_for",
     "odd_coherent",
     "optimize_chsh",
     "parity_bell_state",
     "parity_measurement",
-    "partial_inner",
     "qubit_state",
     "sampler",
     "schmidt_coefficients",

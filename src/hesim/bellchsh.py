@@ -6,8 +6,8 @@ settings for any qubit x mode state follows from the singular values of its
 3x3 correlation matrix, which confirms the closed form numerically. Every
 Bell expectation is bilinear in the settings through that matrix, so no
 Bell operator is built here. A state is all the analysis takes, and the
-mode's pseudospin acts on it by index operations at the mode dimension the
-state carries, so no dim x dim matrix is built either.
+mode's pseudospin acts on its 2*dim amplitudes by index operations at the
+mode dimension the state carries, so no dim x dim matrix is built either.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FactorKind, HesLabel, StateVector
+from .fock import FactorKind, HesLabel, LogicalState, StateVector
 from .pseudospin import PAULI_X, PAULI_Y, PAULI_Z, Direction, k_series
 
 CIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -26,7 +26,7 @@ CLASSICAL_BOUND = 2.0
 _VALUE_SLACK = 1e-9  # rounding allowed above the Cirelson bound
 _NONREAL_TOL = 1e-10  # largest imaginary part an expectation may carry
 # the entries of s_y and s_z on each (even, odd) pair of Fock states, as
-# build_pseudospin writes them: s_y = [[0, -i], [i, 0]], s_z = diag(1, -1)
+# the pseudospin module defines them: s_y = [[0, -i], [i, 0]], s_z = diag(1, -1)
 _S_Y_PAIR = np.array([complex(0.0, -1.0), complex(0.0, 1.0)])
 _S_Z_PAIR = np.array([1.0 + 0.0j, -1.0 + 0.0j])
 
@@ -70,10 +70,21 @@ class ChshResult:
             )
 
 
-def _check_state_space(state: StateVector) -> None:
+def _qubit_mode_amps(state: StateVector | LogicalState) -> np.ndarray:
+    """The 2*dim amplitudes of a qubit⊗mode state. A LogicalState's are the
+    sum of its four terms (qubit codeword ⊗ mode codeword) * coefficient;
+    on a Bell pair's codewords, of disjoint support, that is bit for bit
+    (|0_L>|x> ± |1_L>|y>) * 2**-0.5."""
     space = state.space
     if tuple(kind for kind, _ in space.factors) != (FactorKind.QUBIT, FactorKind.MODE):
         raise ValueError(f"state on {space.describe()} is not qubit⊗mode")
+    if isinstance(state, StateVector):
+        return state.amps
+    (qubit, mode), c = state.encodings, state.coeffs
+    terms = [np.outer(a.amps, b.amps) * c[i, j]
+             for i, a in enumerate((qubit.zero, qubit.one))
+             for j, b in enumerate((mode.zero, mode.one))]
+    return (terms[0] + terms[1] + terms[2] + terms[3]).ravel()
 
 
 def analytic_settings(z: float, label: HesLabel = HesLabel.PHI_PLUS) -> ChshSettings:
@@ -102,7 +113,7 @@ def analytic_optimum(z: float, label: HesLabel = HesLabel.PHI_PLUS) -> ChshResul
     )
 
 
-def correlation_matrix(state: StateVector) -> np.ndarray:
+def correlation_matrix(state: StateVector | LogicalState) -> np.ndarray:
     """3x3 matrix of <sigma_k x s_l> expectations, with s_l the pseudospin
     of the state's mode; every Bell expectation is bilinear in the settings
     through it.
@@ -111,8 +122,7 @@ def correlation_matrix(state: StateVector) -> np.ndarray:
     pair, s_y swaps it and multiplies by (-i, i), and s_z flips the sign of
     the odd one. Memory is O(dim), not the O(dim**2) of dense s_l.
     """
-    _check_state_space(state)
-    psi = state.amps.reshape(2, -1)
+    psi = _qubit_mode_amps(state).reshape(2, -1)
     m = np.empty((3, 3))
     for i, sig in enumerate((PAULI_X, PAULI_Y, PAULI_Z)):
         pairs = (sig @ psi).reshape(2, -1, 2)  # sig acts on the qubit index
@@ -126,7 +136,7 @@ def correlation_matrix(state: StateVector) -> np.ndarray:
     return m
 
 
-def optimize_chsh(state: StateVector) -> ChshResult:
+def optimize_chsh(state: StateVector | LogicalState) -> ChshResult:
     """Maximal Bell expectation over all settings, in closed form.
 
     With M = U diag(s) V^T the correlation matrix, the maximum is

@@ -22,14 +22,7 @@ import sys
 
 from .bellchsh import analytic_optimum, optimize_chsh
 from .entanglement import entanglement_entropy, schmidt_coefficients
-from .fock import (
-    StateVector,
-    TruncationError,
-    even_coherent,
-    mode_dim_for,
-    qubit_state,
-    tensor,
-)
+from .fock import Encoding, LogicalState, TruncationError, mode_dim_for, tensor
 from .protocols import (
     HesLabel,
     ParityBellLabel,
@@ -147,10 +140,9 @@ def cmd_chsh(args: argparse.Namespace) -> str:
     if args.restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {args.restarts}")
     label = _parse_enum(HesLabel, args.label, "hybrid state label")
+    analytic = analytic_optimum(args.z, label)  # refuses a z its series cannot reach
     dim = _dim_for(args.dim, args.z)
-    state = hes_state(label, args.z, dim)
-    analytic = analytic_optimum(args.z, label)
-    numeric = optimize_chsh(state)
+    numeric = optimize_chsh(hes_state(label, args.z, dim))
     payload = {
         "command": "chsh",
         "z": args.z,
@@ -265,7 +257,7 @@ _STATE_SPECS = {
 }
 
 
-def _build_named_state(spec: str, dim_override: int | None) -> StateVector:
+def _build_named_state(spec: str, dim_override: int | None) -> LogicalState:
     parts = _canon(spec).split(":")
     kind = parts[0]
     labels, keys, needs = _STATE_SPECS.get(kind, (None, None, None))
@@ -303,7 +295,7 @@ def _build_named_state(spec: str, dim_override: int | None) -> StateVector:
         return hes_state(label, *zs, dim)
     if kind == "paritybell":
         return parity_bell_state(label, *zs, dim)
-    return tensor(qubit_state(1.0, 0.0), even_coherent(*zs, dim))
+    return tensor(Encoding.qubit().state(1.0, 0.0), Encoding.cat(*zs, dim).state(1.0, 0.0))
 
 
 def cmd_entropy(args: argparse.Namespace) -> str:

@@ -8,7 +8,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .fock import StateVector
+from .fock import LogicalState
 
 _EIGENVALUE_FLOOR = 1e-14
 _NEGATIVE_COEFF_TOL = 1e-15
@@ -47,11 +47,14 @@ class SchmidtSpectrum:
         return max(entropy, 0.0)
 
 
-def schmidt_coefficients(state: StateVector, side_a: Iterable[int]) -> SchmidtSpectrum:
-    """Singular values of the amplitude matrix with side a's factors as rows.
+def schmidt_coefficients(state: LogicalState, side_a: Iterable[int]) -> SchmidtSpectrum:
+    """Schmidt coefficients between side a's factors and every other factor.
 
-    Side b is every other factor. Side a must be a nonempty proper subset
-    of the state's factor indices.
+    The encodings are orthonormal, so these are the singular values of the
+    coefficient tensor with side a's parties as rows: a 2x2 matrix for a
+    pair. The list keeps the length min(dim a, dim b) of the state's own
+    decomposition; past the tensor's rank its entries are exact zeros. Side
+    a must be a nonempty proper subset of the state's factor indices.
     """
     nf = state.space.nfactors
     a = {int(i) for i in side_a}
@@ -62,11 +65,11 @@ def schmidt_coefficients(state: StateVector, side_a: Iterable[int]) -> SchmidtSp
         )
     a_sorted = sorted(a)
     b_sorted = [i for i in range(nf) if i not in a]
+    m = state.coeffs.transpose(a_sorted + b_sorted).reshape(2 ** len(a), -1)
+    singular = [float(s) for s in np.linalg.svd(m, compute_uv=False)]
     dims = state.space.dims
-    da = math.prod(dims[i] for i in a_sorted)
-    m = state.amps.reshape(dims).transpose(a_sorted + b_sorted).reshape(da, -1)
-    singular = np.linalg.svd(m, compute_uv=False)
-    return SchmidtSpectrum(tuple(float(s) for s in singular))
+    rank = min(math.prod(dims[i] for i in a_sorted), math.prod(dims[i] for i in b_sorted))
+    return SchmidtSpectrum(tuple(singular + [0.0] * (rank - len(singular))))
 
 
 def entanglement_entropy(state: StateVector, side_a: Iterable[int]) -> float:

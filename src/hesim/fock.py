@@ -1,17 +1,19 @@
-"""Dense complex linear algebra over composite qubit/boson Hilbert spaces.
+"""Cat codewords on truncated Fock spaces, and states over logical codeword bases.
 
 A composite space is an ordered tensor product of factors, each either a
 qubit (dimension 2) or a bosonic mode truncated to an even Fock dimension.
 Mode dimensions are kept even so that the parity-flip algebra built on top
 of them closes exactly on the truncated space.
 
-Only pure states are represented. An operator is a plain square matrix
-that ``apply`` puts on one factor of a state vector, checked against that
-factor's dimension; reduced states are read off the Schmidt spectrum
-rather than built as density matrices. All values are immutable after
-construction; every operation here is a pure function and safe to share
-across workers. The Bell-pair label enums live here too, so that the
-analysis and protocol layers share them without importing each other.
+Only pure states are represented. A ``StateVector`` holds the amplitudes
+of one qubit or mode, such as a cat codeword. A ``LogicalState`` holds a
+coefficient tensor over its parties' ``Encoding``s, each a checked
+orthonormal pair of codewords; every multi-party state is one, so products
+and overlaps cost 2**n numbers, never dim**2 amplitudes. All values are
+immutable after construction; every operation here is a pure function and
+safe to share across workers. The Bell-pair label enums live here too, so
+that the analysis and protocol layers share them without importing each
+other.
 """
 
 from __future__ import annotations
@@ -19,14 +21,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
 
 import numpy as np
 
 DEFAULT_RESIDUAL_TOL = 1e-12
 
 _NORM_TOL = 1e-12
-_APPLY_NORM_TOL = 1e-10
+# |alpha|^2 + |beta|^2 may differ from 1 by this much in a logical state
+_AMP_NORM_TOL = 1e-12
+# largest |<0_L|1_L>| the two codewords of an encoding may carry
+_CODEWORD_OVERLAP_TOL = 1e-12
 _MODE_DIM_CAP = 1_000_000
 
 
@@ -117,9 +121,6 @@ class SpaceDescriptor:
 
     def kind(self, index: int) -> FactorKind:
         return self.factors[index][0]
-
-    def subspace(self, indices: Iterable[int]) -> "SpaceDescriptor":
-        return SpaceDescriptor(tuple(self.factors[i] for i in indices))
 
     def describe(self) -> str:
         parts = []
@@ -304,10 +305,108 @@ def qubit_state(alpha: complex, beta: complex) -> StateVector:
     return StateVector(SpaceDescriptor.qubit(), np.array([alpha, beta]))
 
 
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product, a's factors first."""
+@dataclass(frozen=True, eq=False)
+class Encoding:
+    """The two logical codewords |0_L>, |1_L> of one qubit or one mode.
+
+    Checked when built: both lie on one one-factor space and are
+    orthonormal (overlap at most _CODEWORD_OVERLAP_TOL), so coefficients
+    over encodings carry the inner products and Schmidt spectra of the
+    states they stand for. Encodings with equal codewords are equal.
+    """
+
+    zero: StateVector
+    one: StateVector
+
+    def __post_init__(self) -> None:
+        space = self.zero.space
+        if self.one.space != space or space.nfactors != 1:
+            raise ValueError(
+                f"codewords on {space.describe()} and {self.one.space.describe()} "
+                f"do not encode one qubit or mode"
+            )
+        overlap = abs(np.vdot(self.zero.amps, self.one.amps))
+        if not overlap <= _CODEWORD_OVERLAP_TOL:  # written so that NaN fails it
+            raise ValueError(f"codewords are not orthogonal: |<0_L|1_L>| = {overlap!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Encoding):
+            return NotImplemented
+        return self is other or all(
+            a.space == b.space and np.array_equal(a.amps, b.amps)
+            for a, b in ((self.zero, other.zero), (self.one, other.one))
+        )
+
+    @classmethod
+    def qubit(cls) -> "Encoding":
+        """Spin up and spin down."""
+        return cls(qubit_state(1.0, 0.0), qubit_state(0.0, 1.0))
+
+    @classmethod
+    def cat(cls, z: float, dim: int) -> "Encoding":
+        """Even and odd cat states at amplitude z on a mode of dimension dim, each
+        checked at the default truncation tolerance; for another tolerance, build
+        ``Encoding(even_coherent(z, dim, tol), odd_coherent(z, dim, tol))``."""
+        return cls(even_coherent(z, dim), odd_coherent(z, dim))
+
+    @property
+    def space(self) -> SpaceDescriptor:
+        return self.zero.space
+
+    @property
+    def residual(self) -> float:
+        """Mean truncation residual of the two codewords."""
+        return 0.5 * (self.zero.truncation_residual + self.one.truncation_residual)
+
+    def state(self, alpha: complex, beta: complex) -> "LogicalState":
+        """Logical state alpha|0_L> + beta|1_L>; the amplitudes must be normalized."""
+        norm2 = abs(alpha) ** 2 + abs(beta) ** 2
+        if not abs(norm2 - 1.0) <= _AMP_NORM_TOL:  # written so that NaN fails it
+            raise ValueError(
+                f"input qubit amplitudes are not normalized: |a|^2 + |b|^2 = {norm2!r}"
+            )
+        return LogicalState((self,), np.array([alpha, beta]), self.residual)
+
+
+@dataclass(frozen=True, eq=False)
+class LogicalState:
+    """Normalized coefficients over the logical bases of its parties.
+
+    Party k is factor k of ``space`` and carries ``encodings[k]``;
+    ``coeffs[i0, i1, ...]``, of shape (2,) * parties, is the amplitude of
+    |i0_L>|i1_L>.... ``truncation_residual`` is as on a ``StateVector``.
+    """
+
+    encodings: tuple[Encoding, ...]
+    coeffs: np.ndarray
+    truncation_residual: float = 0.0
+    space: SpaceDescriptor = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        encodings = tuple(self.encodings)
+        coeffs = np.array(self.coeffs, dtype=complex)
+        if not encodings or coeffs.shape != (2,) * len(encodings):
+            raise ValueError(
+                f"coefficients of shape {coeffs.shape} do not fit "
+                f"{len(encodings)} encoded parties"
+            )
+        norm = math.sqrt(np.vdot(coeffs, coeffs).real)
+        if not abs(norm - 1.0) <= _NORM_TOL:  # written so that NaN fails it
+            raise ValueError(f"logical state is not normalized: |coeffs| = {norm!r}")
+        if not self.truncation_residual >= 0.0:
+            raise ValueError("truncation_residual must be nonnegative")
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "encodings", encodings)
+        object.__setattr__(self, "coeffs", coeffs)
+        factors = tuple(enc.space.factors[0] for enc in encodings)
+        object.__setattr__(self, "space", SpaceDescriptor(factors))
+
+
+def tensor(a: LogicalState, b: LogicalState) -> LogicalState:
+    """Tensor product, a's parties first."""
     residual = _combined_residual(a.truncation_residual, b.truncation_residual)
-    return StateVector(a.space * b.space, np.outer(a.amps, b.amps).ravel(), residual)
+    coeffs = np.multiply.outer(a.coeffs, b.coeffs)
+    return LogicalState(a.encodings + b.encodings, coeffs, residual)
 
 
 def _check_factor(space: SpaceDescriptor, index: int) -> None:
@@ -315,71 +414,19 @@ def _check_factor(space: SpaceDescriptor, index: int) -> None:
         raise ValueError(f"factor index {index} out of range for {space.nfactors} factors")
 
 
-def apply(op: np.ndarray, state: StateVector, factor_index: int) -> StateVector:
-    """Act with the matrix op on one factor, extending it by the identity elsewhere.
-
-    The operator must be norm-preserving on this state (all uses here are
-    parity rotations or parity flips of definite-parity states); a result
-    drifting off the unit sphere is rejected rather than silently rescaled.
-    """
-    _check_factor(state.space, factor_index)
-    dims = state.space.dims
-    d = dims[factor_index]
-    if op.shape != (d, d):
-        raise ValueError(
-            f"operator of shape {op.shape} cannot act on factor "
-            f"{factor_index} of {state.space.describe()}"
-        )
-    # np.tensordot(op, t, ([1], [factor_index])) without its argument handling:
-    # the same transposed operand and the same single np.dot
-    rest = [i for i in range(len(dims)) if i != factor_index]
-    t = state.amps.reshape(dims).transpose([factor_index, *rest]).reshape(d, -1)
-    moved = np.dot(op, t).reshape([d, *(dims[i] for i in rest)])
-    out = np.moveaxis(moved, 0, factor_index).reshape(-1)
-    norm = float(np.linalg.norm(out))
-    if abs(norm - 1.0) > _APPLY_NORM_TOL:
-        raise ValueError(
-            f"operator is not norm-preserving on this state (|result| = {norm!r})"
-        )
-    return StateVector(state.space, out / norm, state.truncation_residual)
-
-
-def inner(a: StateVector, b: StateVector) -> complex:
-    """Inner product <a|b> (conjugate-linear in a)."""
-    if a.space != b.space:
+def inner(a, b) -> complex:
+    """Inner product <a|b> (conjugate-linear in a) of two StateVectors on one
+    space, or of two LogicalStates over equal encodings."""
+    if isinstance(a, LogicalState) and isinstance(b, LogicalState):
+        if a.encodings != b.encodings:
+            raise ValueError(
+                f"inner product between states on {a.space.describe()} and "
+                f"{b.space.describe()} over different encodings is undefined"
+            )
+        return complex(np.vdot(a.coeffs, b.coeffs))
+    if not (isinstance(a, StateVector) and isinstance(b, StateVector)) or a.space != b.space:
         raise ValueError(
             f"inner product between {a.space.describe()} and "
             f"{b.space.describe()} is undefined"
         )
     return complex(np.vdot(a.amps, b.amps))
-
-
-def partial_inner(
-    bra: StateVector, state: StateVector, factors: Sequence[int]
-) -> np.ndarray:
-    """Contract <bra| against the given factors of state.
-
-    ``factors[k]`` names the state factor matched with bra factor k, so the
-    pairing may be given in any order. Returns the unnormalized amplitude
-    vector on the remaining factors (in their original order); its squared
-    norm is the projection probability onto |bra>.
-    """
-    factors = tuple(int(i) for i in factors)
-    for i in factors:
-        _check_factor(state.space, i)
-    if len(set(factors)) != len(factors):
-        raise ValueError(f"factor indices must be distinct, got {factors}")
-    if len(factors) >= state.space.nfactors:
-        raise ValueError("partial projection must leave at least one factor")
-    paired = state.space.subspace(factors)
-    if paired != bra.space:
-        raise ValueError(
-            f"bra space {bra.space.describe()} does not match targeted factors "
-            f"{factors} of {state.space.describe()}"
-        )
-    # np.tensordot over every bra axis, without its argument handling: the
-    # state's paired factors moved to the front and one np.dot of the same rows
-    rest = [i for i in range(state.space.nfactors) if i not in factors]
-    t = state.amps.reshape(state.space.dims).transpose([*factors, *rest])
-    b = bra.amps.conj().reshape(1, -1)
-    return np.dot(b, t.reshape(b.size, -1)).reshape(-1)

@@ -2,9 +2,11 @@
 
 Every entangled state here is one Bell pair between two parties, each
 carrying a logical qubit in an ``Encoding``: the spin itself (up, down) or
-the even/odd cat at amplitude z. ``bell_pair`` builds all three families:
-two-qubit Bell states, qubit-mode hybrid states and two-mode parity Bell
-states. One projective measurement in such a basis drives the protocols:
+the even/odd cat at amplitude z. A state is a ``LogicalState`` over those
+encodings: a joint state of four parties is 16 numbers plus its codewords,
+at any cutoff. ``bell_pair`` builds all three families: two-qubit Bell
+states, qubit-mode hybrid states and two-mode parity Bell states. One
+projective measurement in such a basis drives the protocols:
 teleporting a spin qubit through a hybrid channel onto its mode,
 teleporting a parity qubit onto its spin, and entanglement swapping between
 two hybrid pairs.
@@ -33,28 +35,22 @@ import numpy as np
 
 from .fock import (
     BellLabel,
+    Encoding,
     FactorKind,
     HesLabel,
+    LogicalState,
     ParityBellLabel,
-    SpaceDescriptor,
     SpinBellLabel,
-    StateVector,
     _check_factor,
     _combined_residual,
-    apply,
-    even_coherent,
+    even_coherent,  # noqa: F401  unused; the benchmark traces hesim.protocols.even_coherent
     inner,
-    odd_coherent,
-    partial_inner,
-    qubit_state,
     tensor,
 )
-from .pseudospin import build_pseudospin
+from .pseudospin import PAULI_X, PAULI_Y, PAULI_Z, s_minus, s_plus
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-# |alpha|^2 + |beta|^2 may differ from 1 by this much in a logical state
-_AMP_NORM_TOL = 1e-12
 # rounding slack on the [0, 1] range of a recorded probability / fidelity
 _PROB_SLACK = 1e-12
 _FIDELITY_SLACK = 1e-9
@@ -86,57 +82,25 @@ class Correction(Enum):
     S_Y = "s_y"
 
 
-@dataclass(frozen=True)
-class Encoding:
-    """The two logical codewords |0_L>, |1_L> of one party."""
-
-    zero: StateVector
-    one: StateVector
-
-    @classmethod
-    def qubit(cls) -> "Encoding":
-        """Spin up and spin down."""
-        return cls(qubit_state(1.0, 0.0), qubit_state(0.0, 1.0))
-
-    @classmethod
-    def cat(cls, z: float, dim: int) -> "Encoding":
-        """Even and odd cat states at amplitude z on a mode of dimension dim, each
-        checked at the default truncation tolerance; for another tolerance, build
-        ``Encoding(even_coherent(z, dim, tol), odd_coherent(z, dim, tol))``."""
-        return cls(even_coherent(z, dim), odd_coherent(z, dim))
-
-    @property
-    def space(self) -> SpaceDescriptor:
-        return self.zero.space
-
-    @property
-    def residual(self) -> float:
-        """Mean truncation residual of the two codewords."""
-        return 0.5 * (self.zero.truncation_residual + self.one.truncation_residual)
-
-    def state(self, alpha: complex, beta: complex) -> StateVector:
-        """Logical state alpha|0_L> + beta|1_L>; the amplitudes must be normalized."""
-        norm2 = abs(alpha) ** 2 + abs(beta) ** 2
-        if not abs(norm2 - 1.0) <= _AMP_NORM_TOL:  # written so that NaN fails it
-            raise ValueError(
-                f"input qubit amplitudes are not normalized: |a|^2 + |b|^2 = {norm2!r}"
-            )
-        amps = alpha * self.zero.amps + beta * self.one.amps
-        return StateVector(self.space, amps, self.residual)
-
-
 _QUBIT = Encoding.qubit()
+# each correction on the receiver's coefficients: its Pauli matrix, and
+# whether it moves them onto the flipped codewords s_plus|1_L>, s_minus|0_L>
+_CORRECTIONS = {Correction.IDENTITY: (np.eye(2), False), Correction.S_Z: (PAULI_Z, False),
+                Correction.S_X: (PAULI_X, True), Correction.S_Y: (PAULI_Y, True)}
 
 
-def bell_pair(label: BellLabel, enc_a: Encoding, enc_b: Encoding) -> StateVector:
+def _bell_coeffs(label: BellLabel) -> np.ndarray:
+    c = np.zeros((2, 2), dtype=complex)
+    j = 0 if label.is_phi else 1
+    c[0, j], c[1, 1 - j] = _SQRT_HALF, label.sign * _SQRT_HALF
+    return c
+
+
+def bell_pair(label: BellLabel, enc_a: Encoding, enc_b: Encoding) -> LogicalState:
     """(|0_L>|0_L> ± |1_L>|1_L>)/√2 for phi labels, (|0_L>|1_L> ± |1_L>|0_L>)/√2
-    for psi labels, party a's factors first."""
-    b0, b1 = (enc_b.zero, enc_b.one) if label.is_phi else (enc_b.one, enc_b.zero)
-    amps = np.outer(enc_a.zero.amps, b0.amps) + label.sign * np.outer(
-        enc_a.one.amps, b1.amps
-    )
+    for psi labels, party a first."""
     residual = _combined_residual(enc_a.residual, enc_b.residual)
-    return StateVector(enc_a.space * enc_b.space, amps.ravel() * _SQRT_HALF, residual)
+    return LogicalState((enc_a, enc_b), _bell_coeffs(label), residual)
 
 
 class RngStream:
@@ -276,8 +240,8 @@ class TeleportRecord:
     """One teleportation branch; its table row holds the outcome and p."""
 
     correction: Correction
-    output_state: StateVector
-    target_state: StateVector
+    output_state: LogicalState
+    target_state: LogicalState
     fidelity: float
 
     def __post_init__(self) -> None:
@@ -291,15 +255,15 @@ class SwapRecord:
 
     parity_label: ParityBellLabel
     fidelity: float
-    mode_state: StateVector
+    mode_state: LogicalState
 
 
-def spin_bell_state(label: SpinBellLabel) -> StateVector:
-    """Two-qubit Bell state, amplitudes ordered (uu, ud, du, dd)."""
+def spin_bell_state(label: SpinBellLabel) -> LogicalState:
+    """Two-qubit Bell state; coefficients indexed (first spin, second spin)."""
     return bell_pair(label, _QUBIT, _QUBIT)
 
 
-def hes_state(label: HesLabel, z: float, dim: int) -> StateVector:
+def hes_state(label: HesLabel, z: float, dim: int) -> LogicalState:
     """Qubit-mode hybrid Bell state at cat amplitude z.
 
     The psi states pair spin-up with the odd cat component, the phi states
@@ -310,7 +274,7 @@ def hes_state(label: HesLabel, z: float, dim: int) -> StateVector:
 
 def parity_bell_state(
     label: ParityBellLabel, z: float, z_prime: float, dim: int
-) -> StateVector:
+) -> LogicalState:
     """Two-mode entangled cat pair at amplitudes (z, z_prime)."""
     return bell_pair(label, Encoding.cat(z, dim), Encoding.cat(z_prime, dim))
 
@@ -329,7 +293,7 @@ def correction_for(outcome: BellLabel, channel: HesLabel) -> Correction:
 
 
 def _check_kinds(
-    state: StateVector, indices: tuple[int, ...], kinds: tuple[FactorKind, ...]
+    state: LogicalState, indices: tuple[int, ...], kinds: tuple[FactorKind, ...]
 ):
     for i, kind in zip(indices, kinds):
         _check_factor(state.space, i)
@@ -339,43 +303,51 @@ def _check_kinds(
             )
 
 
-def _branch(outcome, amps: np.ndarray, space, residual: float) -> tuple:
-    """(outcome, p, amps renormalized on space) with p the squared norm of amps
-    itself, so any branch draw may pick renormalizes; the state is None at p = 0."""
-    p = float(np.real(np.vdot(amps, amps)))
+def _branch(outcome, coeffs: np.ndarray, encodings, residual: float) -> tuple:
+    """(outcome, p, coeffs renormalized over encodings) with p the squared norm
+    of coeffs itself, so any branch draw may pick renormalizes; the state is
+    None at p = 0."""
+    p = float(np.real(np.vdot(coeffs, coeffs)))
     if not p <= 1.0 + _PROB_SLACK:  # written so that NaN fails it
         raise ValueError(f"outcome probability {p!r}")
     if p == 0.0:
         return outcome, p, None
     if p < np.finfo(float).tiny:  # the root of a subnormal p has lost precision
-        amps = amps / np.max(np.abs(amps))
-        return outcome, p, StateVector(space, amps / np.linalg.norm(amps), residual)
-    return outcome, p, StateVector(space, amps / math.sqrt(p), residual)
+        coeffs = coeffs / np.max(np.abs(coeffs))
+        return outcome, p, LogicalState(encodings, coeffs / np.linalg.norm(coeffs), residual)
+    return outcome, p, LogicalState(encodings, coeffs / math.sqrt(p), residual)
 
 
 def _measure_bell(state, factors, enc_a, enc_b):
     """Branch table of projecting factors onto bell_pair(label, enc_a, enc_b).
 
-    One (label, probability, renormalized state on the remaining factors)
+    One (label, probability, renormalized state on the remaining parties)
     per label, spin Bell labels on a qubit basis and parity Bell labels on a
-    cat basis. The basis may span only part of the measured factors' space;
-    the probabilities then sum to less than 1, which draw refuses.
+    cat basis. The measured parties must carry the basis's encodings, so
+    the probabilities sum to 1 up to rounding.
     """
     kind = enc_a.space.kind(0)
     _check_kinds(state, factors, (kind, enc_b.space.kind(0)))
+    i, j = factors
+    rest = tuple(k for k in range(state.space.nfactors) if k not in factors)
+    if i == j or not rest:
+        raise ValueError(f"cannot Bell-measure factors {factors} of {state.space.describe()}")
+    if (state.encodings[i], state.encodings[j]) != (enc_a, enc_b):
+        raise ValueError(f"factors {factors} of {state.space.describe()} are not "
+                         f"encoded in the measured basis")
+    encodings = tuple(state.encodings[k] for k in rest)
+    pairs = np.moveaxis(state.coeffs, (i, j), (0, 1)).reshape(4, -1)
     labels = SpinBellLabel if kind is FactorKind.QUBIT else ParityBellLabel
-    rest = tuple(i for i in range(state.space.nfactors) if i not in factors)
-    space = state.space.subspace(rest)
-    branches = []
-    for label in labels:
-        amp = partial_inner(bell_pair(label, enc_a, enc_b), state, factors)
-        branches.append(_branch(label, amp, space, state.truncation_residual))
-    return branches
+    return [
+        _branch(label, (_bell_coeffs(label).conj().reshape(4) @ pairs).reshape(
+            (2,) * len(rest)), encodings, state.truncation_residual)
+        for label in labels
+    ]
 
 
 def measure_spin_bell(
-    state: StateVector, qubit_indices: tuple[int, int]
-) -> list[tuple[SpinBellLabel, float, StateVector | None]]:
+    state: LogicalState, qubit_indices: tuple[int, int]
+) -> list[tuple[SpinBellLabel, float, LogicalState | None]]:
     """Projective Bell measurement on two qubit factors.
 
     Returns each outcome with its probability and the renormalized state on
@@ -384,40 +356,28 @@ def measure_spin_bell(
     return _measure_bell(state, qubit_indices, _QUBIT, _QUBIT)
 
 
-def measure_parity_bell(
-    state: StateVector,
-    mode_indices: tuple[int, int],
-    z: float,
-    z_prime: float,
-) -> list[tuple[ParityBellLabel, float, StateVector | None]]:
-    """Projective measurement in the entangled two-cat basis at (z, z_prime).
-
-    The four basis states span only the 4-dimensional even/odd product
-    subspace of the two modes, so the input must lie in that span for its
-    table to be drawn from.
-    """
-    _check_kinds(state, mode_indices, (FactorKind.MODE, FactorKind.MODE))
-    i, j = mode_indices
-    enc_a = Encoding.cat(z, state.space.dims[i])
-    enc_b = Encoding.cat(z_prime, state.space.dims[j])
-    return _measure_bell(state, mode_indices, enc_a, enc_b)
-
-
 def parity_measurement(
-    state: StateVector, mode_index: int
-) -> list[tuple[int, float, StateVector | None]]:
+    state: LogicalState, mode_index: int
+) -> list[tuple[int, float, LogicalState | None]]:
     """Measure the photon-number parity of one mode factor in place.
 
     Outcome 1 is even parity, -1 odd; the collapsed states keep every factor.
+    The mode's encoding must have an even |0_L> and an odd |1_L>, as the cat
+    codewords and their parity flips do; the outcome then reads its logical
+    index.
     """
     _check_kinds(state, (mode_index,), (FactorKind.MODE,))
-    dims = state.space.dims
-    shape = [1] * len(dims)
-    shape[mode_index] = dims[mode_index]
-    odd = np.arange(dims[mode_index]).reshape(shape) % 2
-    t, residual = state.amps.reshape(dims), state.truncation_residual
+    enc = state.encodings[mode_index]
+    if np.any(enc.zero.amps[1::2]) or np.any(enc.one.amps[0::2]):
+        raise ValueError(
+            f"the codewords of factor {mode_index} do not have parities (even, odd)"
+        )
+    shape = [1] * state.space.nfactors
+    shape[mode_index] = 2
+    odd = np.arange(2).reshape(shape)
+    t, residual = state.coeffs, state.truncation_residual
     return [
-        _branch(outcome, np.where(odd == bit, t, 0.0).ravel(), state.space, residual)
+        _branch(outcome, np.where(odd == bit, t, 0.0), state.encodings, residual)
         for outcome, bit in ((1, 0), (-1, 1))
     ]
 
@@ -425,7 +385,7 @@ def parity_measurement(
 def _teleport(
     alpha: complex,
     beta: complex,
-    joint: StateVector,
+    joint: LogicalState,
     factors: tuple[int, int],
     basis: tuple[Encoding, Encoding],
     channel: HesLabel,
@@ -433,26 +393,25 @@ def _teleport(
 ) -> list[tuple[BellLabel, float, TeleportRecord]]:
     """Bell-measure the sender's factors of joint; correct every branch.
 
-    The receiver's codewords carry the parity algebra of build_pseudospin
-    (on a qubit it is exactly the Pauli set), so one correction and one
-    target serve both directions. A parity flip maps the codewords onto
-    s_plus|1_L> and s_minus|0_L>, unit vectors of even/odd parity, so the
-    cross-family branches target their superposition.
+    The receiver's codewords carry the pseudospin's parity algebra (on a
+    qubit it is exactly the Pauli set), so one correction and one target
+    serve both directions. s_z keeps the codewords and flips the sign of
+    |1_L>. A parity flip maps them onto s_plus|1_L> and s_minus|0_L>, unit
+    vectors of even/odd parity: on the coefficients, s_x and s_y act as
+    their Pauli matrices onto that flipped encoding, and the cross-family
+    branches target alpha s_plus|1_L> + beta s_minus|0_L>.
     """
-    ops = build_pseudospin(receiver.space.dim)
-    plain = receiver.state(alpha, beta)
-    amps = alpha * (ops.s_plus @ receiver.one.amps) + beta * (
-        ops.s_minus @ receiver.zero.amps
-    )
-    flipped = StateVector(receiver.space, amps, receiver.residual)
+    flipped = Encoding(s_plus(receiver.one), s_minus(receiver.zero))
+    targets = {False: receiver.state(alpha, beta), True: flipped.state(alpha, beta)}
     table = []
     for outcome, p, received in _measure_bell(joint, factors, *basis):
         correction = correction_for(outcome, channel)
-        output, target = received, plain
-        if correction is not Correction.IDENTITY:
-            output = apply(getattr(ops, correction.value), received, 0)
-            if correction is not Correction.S_Z:
-                target = flipped
+        pauli, flips = _CORRECTIONS[correction]
+        output = LogicalState(
+            (flipped if flips else receiver,), pauli @ received.coeffs,
+            received.truncation_residual,
+        )
+        target = targets[flips]
         fidelity = abs(inner(target, output)) ** 2
         record = TeleportRecord(correction, output, target, fidelity)
         table.append((outcome, p, record))

@@ -1,12 +1,15 @@
 """Spin-1/2-like operator algebra on a truncated bosonic mode.
 
 The mode's Fock ladder splits into (even, odd) photon-number pairs; the
-parity operator and the two parity-flip operators acting within those pairs
-obey the spin-1/2 commutation relations, exactly so on an even-dimensional
-truncation. The operators are read-only matrices whose dimension is the
-mode's. The module also evaluates the even/odd overlap k(z) that sets
-the strength of the Bell-CHSH violation, by two independent routes: a
-scalar series and a matrix-element computation on the truncated space.
+parity operator s_z = (-1)^N and the two parity-flip operators acting
+within those pairs obey the spin-1/2 commutation relations, exactly so on
+an even-dimensional truncation. s_plus maps |2n+1> -> |2n> and annihilates
+even states, s_minus is its adjoint, s_x = s_plus + s_minus and
+s_y = -i(s_plus - s_minus); on a qubit they are the Pauli matrices. They
+act here by moving amplitudes within each pair, so no dim x dim matrix is
+built. The module also evaluates the even/odd overlap k(z) that sets the
+strength of the Bell-CHSH violation, by two independent routes: a scalar
+series and a matrix-element computation on the truncated space.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
+    StateVector,
     _check_z,
     _log_sinh,
-    apply,
     even_coherent,
     inner,
     odd_coherent,
@@ -27,26 +30,11 @@ from .fock import (
 
 _UNIT_TOL = 1e-12
 _NONREAL_TOL = 1e-12
+_FLIP_NORM_TOL = 1e-10  # a parity flip must keep the norm of the state it acts on
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
-@dataclass(frozen=True)
-class PseudospinOps:
-    """Parity operator s_z = (-1)^N and parity-flip ladder on one mode.
-
-    Each is a read-only square matrix of the mode's dimension. s_plus maps
-    |2n+1> -> |2n> and annihilates even states; s_minus is its exact
-    adjoint; s_x = s_plus + s_minus and s_y = -i(s_plus - s_minus).
-    """
-
-    s_z: np.ndarray
-    s_plus: np.ndarray
-    s_minus: np.ndarray
-    s_x: np.ndarray
-    s_y: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -76,21 +64,28 @@ class Direction:
         return math.atan2(self.ny, self.nx)
 
 
-def build_pseudospin(dim: int) -> PseudospinOps:
-    """Construct the parity algebra on an even-dimensional truncated mode."""
-    if dim < 2 or dim % 2 != 0:
-        # an odd cutoff leaves an unpaired Fock state and breaks the algebra
-        raise ValueError(f"pseudospin needs an even dimension >= 2, got {dim}")
-    signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
-    sz = np.diag(signs.astype(complex))
-    sp = np.zeros((dim, dim), dtype=complex)
-    evens = np.arange(0, dim, 2)
-    sp[evens, evens + 1] = 1.0
-    sm = sp.conj().T
-    mats = dict(s_z=sz, s_plus=sp, s_minus=sm, s_x=sp + sm, s_y=-1.0j * (sp - sm))
-    for m in mats.values():
-        m.setflags(write=False)
-    return PseudospinOps(**mats)
+def _flip(state: StateVector, source: int) -> StateVector:
+    """Move the amplitude at parity ``source`` of each (even, odd) pair to its
+    partner. Writes a full-length vector and renormalizes it by its norm,
+    which the flip must keep: the state must have parity ``source``."""
+    if state.space.nfactors != 1 or state.space.dims[0] % 2 != 0:
+        raise ValueError(f"a parity flip acts on one qubit or mode, not {state.space.describe()}")
+    out = np.zeros(state.space.dim, dtype=complex)
+    out[1 - source :: 2] = state.amps[source::2]
+    norm = float(np.linalg.norm(out))
+    if abs(norm - 1.0) > _FLIP_NORM_TOL:
+        raise ValueError(f"parity flip is not norm-preserving on this state (|result| = {norm!r})")
+    return StateVector(state.space, out / norm, state.truncation_residual)
+
+
+def s_plus(state: StateVector) -> StateVector:
+    """s_plus|state> for an odd-parity state: each |2n+1> amplitude moves to |2n>."""
+    return _flip(state, 1)
+
+
+def s_minus(state: StateVector) -> StateVector:
+    """s_minus|state> for an even-parity state: each |2n> amplitude moves to |2n+1>."""
+    return _flip(state, 0)
 
 
 def k_series(z: float) -> float:
@@ -98,9 +93,11 @@ def k_series(z: float) -> float:
 
     Terms are evaluated in the log domain so large z neither overflows the
     powers of z nor the factorials. Summation stops once a term falls below
-    1e-15 on the way down (the terms first grow with n when z is large). At
-    z = 0 the series prefactor degenerates; the limit value 1 is returned,
-    and z below 1e-8 is treated the same way.
+    1e-15 on the way down (the terms first grow with n when z is large),
+    and raises ValueError if that has not happened within 100 000 terms,
+    which is the case from z of about 443.5 on. At z = 0 the series prefactor
+    degenerates; the limit value 1 is returned, and z below 1e-8 is treated
+    the same way.
     """
     _check_z(z)
     if z < 1e-8:
@@ -109,8 +106,7 @@ def k_series(z: float) -> float:
     log_pref = -0.5 * (_log_sinh(2.0 * z * z) - math.log(2.0))
     total = 0.0
     prev = -1.0
-    n = 0
-    while n < 100_000:
+    for n in range(100_000):
         lt = (
             (4 * n + 1) * logz
             - 0.5 * (math.lgamma(2 * n + 1) + math.lgamma(2 * n + 2))
@@ -119,18 +115,19 @@ def k_series(z: float) -> float:
         t = math.exp(lt) if lt > -745.0 else 0.0
         total += t
         if t < 1e-15 and t < prev:
-            break
+            return total
         prev = t
-        n += 1
-    return total
+    raise ValueError(
+        f"the k(z) series at z = {z!r} has not converged after 100000 terms; "
+        f"z is too large for it"
+    )
 
 
 def k_matrix(z: float, dim: int) -> float:
     """k(z) as the matrix element <even| s_plus |odd> on the truncated mode."""
     e = even_coherent(z, dim)
     o = odd_coherent(z, dim)
-    ops = build_pseudospin(dim)
-    val = inner(e, apply(ops.s_plus, o, 0))
+    val = inner(e, s_plus(o))
     if abs(val.imag) > _NONREAL_TOL:
         raise ValueError(f"overlap has a nonreal component {val.imag!r}")
     return val.real

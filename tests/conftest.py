@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hesim import SpaceDescriptor, StateVector
+from hesim import Encoding, LogicalState, SpaceDescriptor, StateVector
 
 
 def random_amps(rng, dim):
@@ -16,6 +16,24 @@ def random_state(space: SpaceDescriptor, rng) -> StateVector:
 def number_state(n: int, dim: int) -> StateVector:
     """Fock state |n> on a mode of dimension dim."""
     return StateVector(SpaceDescriptor.mode(dim), np.eye(dim)[n])
+
+
+def fock_encoding(dim: int) -> Encoding:
+    """The Fock states |0>, |1> of a mode as its logical codewords."""
+    return Encoding(number_state(0, dim), number_state(1, dim))
+
+
+def random_encoding(dim: int, rng) -> Encoding:
+    """Two random orthonormal codewords on a mode of dimension dim."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2)))
+    space = SpaceDescriptor.mode(dim)
+    return Encoding(StateVector(space, q[:, 0]), StateVector(space, q[:, 1]))
+
+
+def random_logical(encodings, rng) -> LogicalState:
+    """A LogicalState with random normalized coefficients over encodings."""
+    return LogicalState(tuple(encodings), random_amps(rng, 2 ** len(encodings)).reshape(
+        (2,) * len(encodings)))
 
 
 def random_qubit_pair(rng):

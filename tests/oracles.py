@@ -7,25 +7,150 @@ instead of the Schmidt decomposition, the swap expansion by projecting
 the joint state onto every product of Bell states, the CHSH correlation
 matrix through dense pseudospin matrices, and a branch draw by a linear
 scan over the table instead of a search over its precomputed sums.
+
+The dense route the package used before it kept states as coefficients
+over their codewords lives here too: ``dense`` expands a ``LogicalState``
+into its full amplitude vector, ``kron`` multiplies dense states,
+``partial_inner`` projects a dense state onto a bra over some of its
+factors, and ``build_pseudospin``/``apply`` act with dense dim x dim
+pseudospin matrices.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from hesim import (
+    Correction,
+    Encoding,
     HesLabel,
     ParityBellLabel,
+    SpaceDescriptor,
     SpinBellLabel,
+    StateVector,
+    bell_pair,
+    correction_for,
     hes_state,
+    inner,
     parity_bell_state,
     spin_bell_state,
-    tensor,
 )
-from hesim.pseudospin import PAULI_X, PAULI_Y, PAULI_Z, Direction, build_pseudospin
+from hesim.fock import _check_factor, _combined_residual
+from hesim.pseudospin import PAULI_X, PAULI_Y, PAULI_Z, Direction
 
 # reduced-density eigenvalues below this count as exact zeros
 EIGENVALUE_FLOOR = 1e-14
+# a dense operator must keep the norm of the state it acts on to this much
+APPLY_NORM_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class PseudospinOps:
+    """Parity operator s_z = (-1)^N and parity-flip ladder on one mode.
+
+    Each is a read-only square matrix of the mode's dimension. s_plus maps
+    |2n+1> -> |2n> and annihilates even states; s_minus is its exact
+    adjoint; s_x = s_plus + s_minus and s_y = -i(s_plus - s_minus).
+    """
+
+    s_z: np.ndarray
+    s_plus: np.ndarray
+    s_minus: np.ndarray
+    s_x: np.ndarray
+    s_y: np.ndarray
+
+
+def build_pseudospin(dim: int) -> PseudospinOps:
+    """Construct the parity algebra on an even-dimensional truncated mode."""
+    if dim < 2 or dim % 2 != 0:
+        # an odd cutoff leaves an unpaired Fock state and breaks the algebra
+        raise ValueError(f"pseudospin needs an even dimension >= 2, got {dim}")
+    signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
+    sz = np.diag(signs.astype(complex))
+    sp = np.zeros((dim, dim), dtype=complex)
+    evens = np.arange(0, dim, 2)
+    sp[evens, evens + 1] = 1.0
+    sm = sp.conj().T
+    mats = dict(s_z=sz, s_plus=sp, s_minus=sm, s_x=sp + sm, s_y=-1.0j * (sp - sm))
+    for m in mats.values():
+        m.setflags(write=False)
+    return PseudospinOps(**mats)
+
+
+def dense(state) -> StateVector:
+    """The full amplitude vector of a LogicalState, each coefficient times
+    the product of its parties' codewords (a StateVector is returned as it is)."""
+    if isinstance(state, StateVector):
+        return state
+    t = state.coeffs
+    for enc in state.encodings:  # contract the leading party, append its mode
+        t = np.tensordot(t, np.stack([enc.zero.amps, enc.one.amps]), axes=([0], [0]))
+    return StateVector(state.space, t.reshape(-1), state.truncation_residual)
+
+
+def kron(a: StateVector, b: StateVector) -> StateVector:
+    """Dense tensor product, a's factors first."""
+    residual = _combined_residual(a.truncation_residual, b.truncation_residual)
+    return StateVector(a.space * b.space, np.outer(a.amps, b.amps).ravel(), residual)
+
+
+def apply(op: np.ndarray, state: StateVector, factor_index: int) -> StateVector:
+    """Act with the matrix op on one factor, extending it by the identity elsewhere.
+
+    The operator must be norm-preserving on this state; a result drifting
+    off the unit sphere is rejected rather than silently rescaled.
+    """
+    _check_factor(state.space, factor_index)
+    dims = state.space.dims
+    d = dims[factor_index]
+    if op.shape != (d, d):
+        raise ValueError(
+            f"operator of shape {op.shape} cannot act on factor "
+            f"{factor_index} of {state.space.describe()}"
+        )
+    # np.tensordot(op, t, ([1], [factor_index])) without its argument handling:
+    # the same transposed operand and the same single np.dot
+    rest = [i for i in range(len(dims)) if i != factor_index]
+    t = state.amps.reshape(dims).transpose([factor_index, *rest]).reshape(d, -1)
+    moved = np.dot(op, t).reshape([d, *(dims[i] for i in rest)])
+    out = np.moveaxis(moved, 0, factor_index).reshape(-1)
+    norm = float(np.linalg.norm(out))
+    if abs(norm - 1.0) > APPLY_NORM_TOL:
+        raise ValueError(
+            f"operator is not norm-preserving on this state (|result| = {norm!r})"
+        )
+    return StateVector(state.space, out / norm, state.truncation_residual)
+
+
+def partial_inner(
+    bra: StateVector, state: StateVector, factors: Sequence[int]
+) -> np.ndarray:
+    """Contract <bra| against the given factors of state.
+
+    ``factors[k]`` names the state factor matched with bra factor k, so the
+    pairing may be given in any order. Returns the unnormalized amplitude
+    vector on the remaining factors (in their original order); its squared
+    norm is the projection probability onto |bra>.
+    """
+    factors = tuple(int(i) for i in factors)
+    for i in factors:
+        _check_factor(state.space, i)
+    if len(set(factors)) != len(factors):
+        raise ValueError(f"factor indices must be distinct, got {factors}")
+    if len(factors) >= state.space.nfactors:
+        raise ValueError("partial projection must leave at least one factor")
+    paired = SpaceDescriptor(tuple(state.space.factors[i] for i in factors))
+    if paired != bra.space:
+        raise ValueError(
+            f"bra space {bra.space.describe()} does not match targeted factors "
+            f"{factors} of {state.space.describe()}"
+        )
+    rest = [i for i in range(state.space.nfactors) if i not in factors]
+    t = state.amps.reshape(state.space.dims).transpose([*factors, *rest])
+    b = bra.amps.conj().reshape(1, -1)
+    return np.dot(b, t.reshape(b.size, -1)).reshape(-1)
 
 
 def direction(theta: float, phi: float) -> Direction:
@@ -54,7 +179,8 @@ def bell_operator(settings, ops) -> np.ndarray:
 def chsh_expectation(state, settings, ops) -> float:
     """<state| Bell operator |state>, which must come out real."""
     assert state.space.dims == (2, ops.s_z.shape[0]), state.space.describe()
-    val = complex(np.vdot(state.amps, bell_operator(settings, ops) @ state.amps))
+    amps = dense(state).amps
+    val = complex(np.vdot(amps, bell_operator(settings, ops) @ amps))
     assert abs(val.imag) <= 1e-10, val
     return val.real
 
@@ -65,7 +191,7 @@ def entropy_from_reduced_density(state, keep) -> float:
     keep = sorted(keep)
     rest = [i for i in range(state.space.nfactors) if i not in keep]
     dims = state.space.dims
-    m = state.amps.reshape(dims).transpose(keep + rest)
+    m = dense(state).amps.reshape(dims).transpose(keep + rest)
     m = m.reshape(math.prod(dims[i] for i in keep), -1)
     entropy = 0.0
     for ev in np.linalg.eigvalsh(m @ m.conj().T):
@@ -78,14 +204,15 @@ def entropy_from_reduced_density(state, keep) -> float:
 def swap_expansion(z: float, z_prime: float, dim: int) -> dict:
     """Coefficients of psi-(z) x psi-(z') over (spin Bell on qubits 1, 3) x
     (cat Bell on modes 2, 4), by direct projection, for all 16 label pairs."""
-    joint = tensor(
-        hes_state(HesLabel.PSI_MINUS, z, dim), hes_state(HesLabel.PSI_MINUS, z_prime, dim)
+    joint = kron(
+        dense(hes_state(HesLabel.PSI_MINUS, z, dim)),
+        dense(hes_state(HesLabel.PSI_MINUS, z_prime, dim)),
     ).amps.reshape(2, dim, 2, dim)
     out = {}
     for spin in SpinBellLabel:
-        sb = spin_bell_state(spin).amps.reshape(2, 2)
+        sb = dense(spin_bell_state(spin)).amps.reshape(2, 2)
         for parity in ParityBellLabel:
-            pb = parity_bell_state(parity, z, z_prime, dim).amps.reshape(dim, dim)
+            pb = dense(parity_bell_state(parity, z, z_prime, dim)).amps.reshape(dim, dim)
             out[spin, parity] = complex(np.einsum("ik,jl,ijkl->", sb.conj(), pb.conj(), joint))
     return out
 
@@ -95,7 +222,7 @@ def dense_correlation_matrix(state) -> np.ndarray:
     applied as a matrix product on the mode index."""
     dim = state.space.dims[1]
     ops = build_pseudospin(dim)
-    psi = state.amps.reshape(2, dim)
+    psi = dense(state).amps.reshape(2, dim)
     m = np.empty((3, 3))
     for i, sig in enumerate((PAULI_X, PAULI_Y, PAULI_Z)):
         left = sig @ psi
@@ -116,3 +243,76 @@ def linear_scan_draw(branches, rng):
         if u < acc and branch[1] > 0.0:
             return branch
     return max(branches, key=lambda branch: branch[1])
+
+
+def dense_schmidt(state, side_a) -> list[float]:
+    """Singular values of the dense amplitude matrix with side a's factors as rows."""
+    a = sorted(side_a)
+    b = [i for i in range(state.space.nfactors) if i not in a]
+    dims = state.space.dims
+    m = dense(state).amps.reshape(dims).transpose(a + b).reshape(math.prod(dims[i] for i in a), -1)
+    return [float(s) for s in np.linalg.svd(m, compute_uv=False)]
+
+
+def dense_measure_bell(state: StateVector, factors, enc_a: Encoding, enc_b: Encoding, labels):
+    """(label, p, renormalized dense state on the other factors) for every label,
+    by projecting the dense state onto each dense Bell pair."""
+    rest = [i for i in range(state.space.nfactors) if i not in factors]
+    space = SpaceDescriptor(tuple(state.space.factors[i] for i in rest))
+    rows = []
+    for label in labels:
+        amp = partial_inner(dense(bell_pair(label, enc_a, enc_b)), state, factors)
+        p = float(np.vdot(amp, amp).real)
+        rows.append((label, p, StateVector(space, amp / math.sqrt(p)) if p else None))
+    return rows
+
+
+def _dense_teleport(alpha, beta, joint, factors, basis, labels, channel, receiver):
+    ops = build_pseudospin(receiver.space.dim)
+    plain = dense(receiver.state(alpha, beta))
+    flipped = StateVector(receiver.space, alpha * (ops.s_plus @ receiver.one.amps)
+                          + beta * (ops.s_minus @ receiver.zero.amps))
+    rows = []
+    for outcome, p, received in dense_measure_bell(joint, factors, *basis, labels):
+        correction = correction_for(outcome, channel)
+        output, target = received, plain
+        if correction is not Correction.IDENTITY:
+            output = apply(getattr(ops, correction.value), received, 0)
+            if correction is not Correction.S_Z:
+                target = flipped
+        rows.append((outcome, p, correction, abs(inner(target, output)) ** 2, output))
+    return rows
+
+
+def dense_teleport_spin(alpha, beta, channel, z, dim) -> list[tuple]:
+    """(outcome, p, correction, fidelity, dense output) per branch of spin
+    teleportation, on the dense joint state with dense pseudospin corrections."""
+    qubit, cat = Encoding.qubit(), Encoding.cat(z, dim)
+    joint = kron(dense(qubit.state(alpha, beta)), dense(bell_pair(channel, qubit, cat)))
+    return _dense_teleport(alpha, beta, joint, (0, 1), (qubit, qubit), SpinBellLabel,
+                           channel, cat)
+
+
+def dense_teleport_parity(alpha, beta, z_dblprime, channel, z, dim) -> list[tuple]:
+    """The rows of ``dense_teleport_spin`` for parity teleportation."""
+    qubit, source, cat = Encoding.qubit(), Encoding.cat(z_dblprime, dim), Encoding.cat(z, dim)
+    joint = kron(dense(bell_pair(channel, qubit, cat)), dense(source.state(alpha, beta)))
+    return _dense_teleport(alpha, beta, joint, (2, 1), (source, cat), ParityBellLabel,
+                           channel, qubit)
+
+
+SWAP_PAIRING = {label: ParityBellLabel[label.name] for label in SpinBellLabel}
+
+
+def dense_swap(z, z_prime, dim) -> list[tuple]:
+    """(outcome, p, fidelity with the paired cat Bell state, Schmidt
+    coefficients of the modes) per branch of swapping, on the dense
+    four-party state."""
+    qubit, cat, cat_prime = Encoding.qubit(), Encoding.cat(z, dim), Encoding.cat(z_prime, dim)
+    joint = kron(dense(bell_pair(HesLabel.PSI_MINUS, qubit, cat)),
+                 dense(bell_pair(HesLabel.PSI_MINUS, qubit, cat_prime)))
+    rows = []
+    for outcome, p, modes in dense_measure_bell(joint, (0, 2), qubit, qubit, SpinBellLabel):
+        paired = dense(bell_pair(SWAP_PAIRING[outcome], cat, cat_prime))
+        rows.append((outcome, p, abs(inner(paired, modes)) ** 2, dense_schmidt(modes, [0])))
+    return rows

@@ -16,7 +16,6 @@ from hesim import (
     SpinBellLabel,
     StateVector,
     analytic_optimum,
-    build_pseudospin,
     draw,
     entanglement_entropy,
     hes_state,
@@ -26,7 +25,6 @@ from hesim import (
     mode_dim_for,
     optimize_chsh,
     parity_bell_state,
-    qubit_state,
     schmidt_coefficients,
     spin_bell_state,
     swap_entanglement,
@@ -34,9 +32,18 @@ from hesim import (
     teleport_spin,
     tensor,
 )
+from hesim.fock import Encoding
 from hesim.cli import main
 
-from oracles import chsh_expectation, direction, spin_dot, swap_expansion
+from oracles import (
+    build_pseudospin,
+    chsh_expectation,
+    dense,
+    direction,
+    kron,
+    spin_dot,
+    swap_expansion,
+)
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -109,7 +116,7 @@ def test_criterion_4_optimizer_consistency():
     for _ in range(20):
         q = rng.normal(size=2) + 1j * rng.normal(size=2)
         m = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        state = tensor(
+        state = kron(
             StateVector(SpaceDescriptor.qubit(), q / np.linalg.norm(q)),
             StateVector(SpaceDescriptor.mode(dim), m / np.linalg.norm(m)),
         )
@@ -186,10 +193,11 @@ def test_criterion_7_teleportation():
         z = float(rng.uniform(0.05, 2.0))
         channel = list(HesLabel)[int(rng.integers(0, 4))]
         dim = adim(z)
-        joint = tensor(qubit_state(alpha, beta), hes_state(channel, z, dim))
+        joint = tensor(Encoding.qubit().state(alpha, beta), hes_state(channel, z, dim))
         parts = measure_spin_bell(joint, (0, 1))
-        total = sum(np.kron(spin_bell_state(l).amps, br.amps) for l, _, br in parts) / 2.0
-        target = np.kron([alpha, beta], hes_state(channel, z, dim).amps)
+        total = sum(np.kron(dense(spin_bell_state(l)).amps, dense(br).amps)
+                    for l, _, br in parts) / 2.0
+        target = np.kron([alpha, beta], dense(hes_state(channel, z, dim)).amps)
         worst_residual = max(worst_residual, float(np.max(np.abs(total - target))))
     ok = worst_residual < 1e-12
 

@@ -22,7 +22,6 @@ from hesim import (
     StateVector,
     analytic_optimum,
     analytic_settings,
-    build_pseudospin,
     correlation_matrix,
     even_coherent,
     hes_state,
@@ -30,13 +29,19 @@ from hesim import (
     mode_dim_for,
     optimize_chsh,
     qubit_state,
-    tensor,
 )
 
 import hesim.bellchsh
 
 from conftest import random_amps, random_state
-from oracles import bell_operator, chsh_expectation, dense_correlation_matrix, direction
+from oracles import (
+    bell_operator,
+    build_pseudospin,
+    chsh_expectation,
+    dense_correlation_matrix,
+    direction,
+    kron,
+)
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 # 2*sqrt(1 + k(1)^2), frozen from the 40-digit overlap evaluation
@@ -110,7 +115,7 @@ class TestChshValue:
     def test_aligned_product_state_reaches_classical_bound(self):
         dim = mode_dim_for(1.0, 1e-14)
         ops = build_pseudospin(dim)
-        state = tensor(qubit_state(1.0, 0.0), even_coherent(1.0, dim))
+        state = kron(qubit_state(1.0, 0.0), even_coherent(1.0, dim))
         zaxis = Direction(0.0, 0.0, 1.0)
         val = chsh_expectation(state, ChshSettings(zaxis, zaxis, zaxis, zaxis), ops)
         assert val == pytest.approx(2.0, abs=1e-12)
@@ -280,7 +285,7 @@ class TestOptimizeChsh:
     def test_product_states_stay_classical(self, rng):
         dim = 8
         for _ in range(6):
-            state = tensor(
+            state = kron(
                 StateVector(SpaceDescriptor.qubit(), random_amps(rng, 2)),
                 StateVector(SpaceDescriptor.mode(dim), random_amps(rng, dim)),
             )
@@ -289,7 +294,7 @@ class TestOptimizeChsh:
 
     def test_space_mismatch_rejected(self):
         cat = even_coherent(0.5, 10)
-        for state in (tensor(cat, qubit_state(1.0, 0.0)), qubit_state(1.0, 0.0)):
+        for state in (kron(cat, qubit_state(1.0, 0.0)), qubit_state(1.0, 0.0)):
             with pytest.raises(ValueError, match="is not qubit⊗mode"):
                 optimize_chsh(state)
 
@@ -321,7 +326,7 @@ class TestOptimizeChsh:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 20 * state.amps.nbytes
+        assert peak < 20 * 16 * state.space.dim
 
 
 class TestChshResult:

@@ -31,3 +31,59 @@ def test_first_difference_names_the_argv_and_the_part_that_differs():
     assert byte_identity.first_difference(records, changed) == (
         "COLUMNS=80 hesim swap --z 1: stdout differ"
     )
+
+
+def test_corpus_takes_the_golden_argv_it_is_given():
+    golden = '{"argv": ["kz", "-h"]}\n{"argv": ["chsh", "--z", "1"]}\n'
+    argvs = byte_identity.corpus(1, golden)
+    assert argvs[-2:] == [["kz", "-h"], ["chsh", "--z", "1"]]
+    assert len(argvs) == 3 * len(byte_identity.SEEDS) + 2
+
+
+def _record(argv, stdout, stderr="", code=0):
+    return {"argv": argv, "stdout": stdout, "stderr": stderr, "exit": code, "columns": "80"}
+
+
+def test_expected_subcommands_may_differ_and_others_may_not():
+    base = [_record(["entropy", "hes:phi+:z=1"], '{"entropy_bits": 1.0}'),
+            _record(["chsh", "--z", "1"], '{"gap": 0.0}')]
+    change = [_record(["entropy", "hes:phi+:z=1"], '{"entropy_bits": 0.9999999999999998}'),
+              dict(base[1])]
+    expected = frozenset({"entropy", "swap"})
+    assert byte_identity.first_difference(base, change, expected) is None
+    assert byte_identity.first_difference(base, change) == (
+        "COLUMNS=80 hesim entropy hes:phi+:z=1: stdout differ"
+    )
+    change[1] = _record(["chsh", "--z", "1"], '{"gap": 1e-16}')
+    assert byte_identity.first_difference(base, change, expected) == (
+        "COLUMNS=80 hesim chsh --z 1: stdout differ"
+    )
+
+
+def test_changes_list_the_largest_difference_per_key_or_column():
+    old = '{"fidelity_min": 1.0, "outcomes": {"Phi+": {"entropy_max": 1.0}}, "dim": 20, "s": [0.5, 1e-17]}'
+    new = '{"fidelity_min": 1.0000000000000004, "outcomes": {"Phi+": {"entropy_max": 1.0}}, "dim": 20, "s": [0.5, 0.0]}'
+    assert byte_identity.numeric_differences(old, new) == {
+        "fidelity_min": 1.0000000000000004 - 1.0, "s": 1e-17,
+    }
+    assert byte_identity.numeric_differences('{"label": "a"}', '{"label": "b"}') == {
+        "label": "changed"
+    }
+    csv_old = "z,K_series,K_matrix\n1.0,0.5,0.5\n2.0,0.25,0.25\n"
+    csv_new = "z,K_series,K_matrix\n1.0,0.5,0.5000000000000001\n2.0,0.25,0.2500000000000001\n"
+    diffs = byte_identity.numeric_differences(csv_old, csv_new)
+    assert set(diffs) == {"K_matrix"} and diffs["K_matrix"] == 0.2500000000000001 - 0.25
+
+
+def test_each_changed_command_is_listed_once():
+    base = [_record(["swap", "--z", "1"], '{"fidelity_min": 1.0}'),
+            _record(["swap", "--z", "2"], '{"fidelity_min": 1.0}'),
+            _record(["entropy", "x"], "", "error: a\n", 1)]
+    change = [_record(["swap", "--z", "1"], '{"fidelity_min": 0.9999999999999998}'),
+              dict(base[1]),
+              _record(["entropy", "x"], "", "error: b\n", 1)]
+    lines = byte_identity.expected_changes(base, change, frozenset({"swap", "entropy"}))
+    assert lines == [
+        f"COLUMNS=80 hesim swap --z 1: fidelity_min {1.0 - 0.9999999999999998:.3g}",
+        "COLUMNS=80 hesim entropy x: stderr or exit differ",
+    ]

@@ -6,25 +6,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tracemalloc
+
 from hesim import (
+    Encoding,
     HesLabel,
     ParityBellLabel,
     SchmidtSpectrum,
-    SpaceDescriptor,
     SpinBellLabel,
     entanglement_entropy,
-    even_coherent,
     hes_state,
     mode_dim_for,
     parity_bell_state,
-    qubit_state,
     schmidt_coefficients,
     spin_bell_state,
     tensor,
 )
 
-from conftest import number_state, random_state
-from oracles import entropy_from_reduced_density
+from conftest import fock_encoding, random_encoding, random_logical
+from oracles import dense_schmidt, entropy_from_reduced_density
+
+QUBIT = Encoding.qubit()
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 Z_GRID = [0.1, 0.5, 1.0, 2.0]
@@ -42,7 +44,7 @@ def assert_one_ebit(state):
 
 class TestSchmidt:
     def test_product_state_is_rank_one(self):
-        st = tensor(qubit_state(1.0, 0.0), number_state(0, 4))
+        st = tensor(QUBIT.state(1.0, 0.0), fock_encoding(4).state(1.0, 0.0))
         spec = schmidt_coefficients(st, {0})
         assert spec.coefficients[0] == pytest.approx(1.0, abs=1e-12)
         assert all(c < 1e-12 for c in spec.coefficients[1:])
@@ -62,9 +64,29 @@ class TestSchmidt:
         assert all(c < 1e-10 for c in spec.coefficients[2:])
 
     def test_descending_order(self, rng):
-        space = SpaceDescriptor.qubit() * SpaceDescriptor.mode(6)
-        spec = schmidt_coefficients(random_state(space, rng), {0})
+        st = random_logical((QUBIT, random_encoding(6, rng)), rng)
+        spec = schmidt_coefficients(st, {0})
         assert list(spec.coefficients) == sorted(spec.coefficients, reverse=True)
+
+    @pytest.mark.parametrize("z,zp", [(0.5, 0.5), (1.0, 3.0), (9.0, 7.25)])
+    def test_list_keeps_the_length_of_the_dense_spectrum(self, z, zp):
+        dim = cli_dim(z, zp)
+        st = parity_bell_state(ParityBellLabel.PSI_MINUS, z, zp, dim)
+        spec = schmidt_coefficients(st, {0})
+        assert len(spec.coefficients) == len(dense_schmidt(st, [0])) == dim
+        # past the rank of the 2x2 coefficient matrix every entry is an exact zero
+        assert set(spec.coefficients[2:]) == {0.0}
+        assert len(schmidt_coefficients(hes_state(HesLabel.PHI_MINUS, z, dim), {1}).coefficients) == 2
+
+    def test_three_party_cut_is_the_svd_of_the_coefficients(self, rng):
+        encodings = (QUBIT, random_encoding(4, rng), random_encoding(6, rng))
+        for _ in range(8):
+            st = random_logical(encodings, rng)
+            for side in ({0}, {1}, {0, 2}):
+                got = schmidt_coefficients(st, side).coefficients
+                expected = dense_schmidt(st, side)
+                assert len(got) == len(expected)
+                assert np.allclose(got, expected, atol=1e-12)
 
 
 class TestEntropy:
@@ -115,33 +137,27 @@ class TestEntropy:
         assert_one_ebit(parity_bell_state(label, z, zp, cli_dim(z, zp)))
 
     def test_product_state_has_zero_entropy(self):
-        st = tensor(qubit_state(SQRT_HALF, SQRT_HALF * 1j), even_coherent(1.0, 18))
+        st = tensor(QUBIT.state(SQRT_HALF, SQRT_HALF * 1j), Encoding.cat(1.0, 18).state(1.0, 0.0))
         assert entanglement_entropy(st, {0}) == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_under_side_swap(self, rng):
-        space = SpaceDescriptor.qubit() * SpaceDescriptor.mode(8)
-        st = random_state(space, rng)
+        st = random_logical((QUBIT, random_encoding(8, rng)), rng)
         assert entanglement_entropy(st, {0}) == pytest.approx(
             entanglement_entropy(st, {1}), abs=1e-10
         )
 
     def test_two_routes_agree(self, rng):
-        space = (
-            SpaceDescriptor.qubit()
-            * SpaceDescriptor.mode(4)
-            * SpaceDescriptor.mode(6)
-        )
+        encodings = (QUBIT, random_encoding(4, rng), random_encoding(6, rng))
         for _ in range(8):
-            st = random_state(space, rng)
+            st = random_logical(encodings, rng)
             for keep in ({0}, {1}, {0, 2}):
                 via_schmidt = entanglement_entropy(st, keep)
                 via_density = entropy_from_reduced_density(st, keep)
                 assert via_schmidt == pytest.approx(via_density, abs=1e-9)
 
     def test_qubit_cut_cannot_exceed_one_ebit(self, rng):
-        space = SpaceDescriptor.qubit() * SpaceDescriptor.mode(10)
         for _ in range(10):
-            st = random_state(space, rng)
+            st = random_logical((QUBIT, random_encoding(10, rng)), rng)
             ent = entanglement_entropy(st, {0})
             assert -1e-12 <= ent <= 1.0 + 1e-12
 
@@ -152,7 +168,8 @@ class TestValidation:
     )
     def test_side_a_must_be_a_nonempty_proper_subset(self, side_a):
         st = tensor(
-            tensor(qubit_state(1.0, 0.0), number_state(0, 4)), number_state(1, 4)
+            tensor(QUBIT.state(1.0, 0.0), fock_encoding(4).state(1.0, 0.0)),
+            fock_encoding(4).state(0.0, 1.0),
         )
         with pytest.raises(ValueError, match="nonempty proper subset"):
             schmidt_coefficients(st, side_a)
@@ -164,3 +181,48 @@ class TestValidation:
             SchmidtSpectrum((0.9, 0.9))
         with pytest.raises(ValueError):
             SchmidtSpectrum((0.3, 0.9539392014169456))  # not descending
+
+
+Z_DENSE = st.floats(min_value=0.5, max_value=9.0)
+
+
+class TestAgainstTheDenseRoute:
+    """The 2x2 coefficient route gives the dense amplitude matrix's spectrum."""
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(label=st.sampled_from(list(HesLabel)), z=Z_DENSE)
+    def test_hybrid_spectrum(self, label, z):
+        state = hes_state(label, z, cli_dim(z))
+        got = schmidt_coefficients(state, {0}).coefficients
+        assert np.allclose(got, dense_schmidt(state, [0]), rtol=0.0, atol=1e-10)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(label=st.sampled_from(list(ParityBellLabel)), z=Z_DENSE, zp=Z_DENSE)
+    def test_parity_bell_spectrum(self, label, z, zp):
+        state = parity_bell_state(label, z, zp, cli_dim(z, zp))
+        spec = schmidt_coefficients(state, {0})
+        assert np.allclose(spec.coefficients, dense_schmidt(state, [0]), rtol=0.0, atol=1e-10)
+        assert spec.entropy() == pytest.approx(entropy_from_reduced_density(state, [0]), abs=1e-10)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(z=Z_DENSE, zp=Z_DENSE, seed=st.integers(0, 2**32 - 1))
+    def test_random_coefficients_over_cat_codewords(self, z, zp, seed):
+        dim = cli_dim(z, zp)
+        state = random_logical((Encoding.cat(z, dim), Encoding.cat(zp, dim)),
+                               np.random.default_rng(seed))
+        got = schmidt_coefficients(state, {1}).coefficients
+        assert np.allclose(got, dense_schmidt(state, [1]), rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("z,zp", [(30.0, 20.0), (100.0, 100.0)])
+def test_one_ebit_at_a_cutoff_no_dense_state_fits(z, zp):
+    # dim 10776 at z = 100: the dense pair would take 1.9 GB and its SVD far longer
+    dim = cli_dim(z, zp)
+    tracemalloc.start()
+    try:
+        for label in ParityBellLabel:
+            assert_one_ebit(parity_bell_state(label, z, zp, dim))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20

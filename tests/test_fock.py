@@ -8,23 +8,26 @@ import numpy as np
 import pytest
 
 from hesim import (
+    Encoding,
     FactorKind,
+    LogicalState,
     SchmidtSpectrum,
     SpaceDescriptor,
     StateVector,
     TruncationError,
-    apply,
     even_coherent,
     inner,
     mode_dim_for,
     odd_coherent,
-    partial_inner,
     qubit_state,
     tensor,
 )
-from hesim.pseudospin import Direction, build_pseudospin
+from hesim.pseudospin import Direction
 
-from conftest import number_state, random_state
+from conftest import fock_encoding, number_state, random_logical, random_state
+from oracles import apply, build_pseudospin, dense, kron, partial_inner
+
+QUBIT_ENC = Encoding.qubit()
 
 # (cosh 1)^(-1/2) and (sinh 1)^(-1/2), the z=1 cat-state leading amplitudes
 COSH1_INV_SQRT = 0.80501818219459204931
@@ -215,8 +218,11 @@ class TestSpaces:
             lambda: StateVector(SpaceDescriptor.qubit(), [1.0, 0.0], math.nan),
             lambda: Direction(math.nan, 0.0, 1.0),
             lambda: SchmidtSpectrum((math.nan,)),
+            lambda: LogicalState((QUBIT_ENC,), [math.nan, 1.0]),
+            lambda: LogicalState((QUBIT_ENC,), [1.0, 0.0], math.nan),
         ],
-        ids=["statevector", "qubit_state", "residual", "direction", "schmidt"],
+        ids=["statevector", "qubit_state", "residual", "direction", "schmidt",
+             "logical", "logical_residual"],
     )
     def test_nan_fails_validation(self, build):
         # NaN fails every comparison, so a `> tol` check lets it through
@@ -231,16 +237,17 @@ class TestSpaces:
 
 class TestCompositeAlgebra:
     def test_tensor_orders_factors(self):
-        q = qubit_state(1.0, 0.0)
-        m = number_state(1, 4)
+        q = QUBIT_ENC.state(1.0, 0.0)
+        m = fock_encoding(4).state(0.0, 1.0)
         st = tensor(q, m)
         assert st.space.dims == (2, 4)
+        assert st.encodings == (QUBIT_ENC, fock_encoding(4))
         expected = np.zeros(8)
         expected[1] = 1.0
-        assert np.allclose(st.amps, expected)
+        assert np.allclose(dense(st).amps, expected)
 
     def test_tensor_combines_residuals(self):
-        e = even_coherent(1.0, 16)
+        e = Encoding.cat(1.0, 16).state(1.0, 0.0)
         both = tensor(e, e)
         assert both.truncation_residual == pytest.approx(
             2 * e.truncation_residual, rel=1e-6
@@ -248,10 +255,24 @@ class TestCompositeAlgebra:
 
     def test_tensor_keeps_residuals_below_machine_precision(self):
         # 1 - (1 - a)(1 - b) rounds a = 1e-17, b = 0 down to 0
-        a = StateVector(SpaceDescriptor.qubit(), [1.0, 0.0], 1e-17)
-        b = qubit_state(0.0, 1.0)
+        a = LogicalState((QUBIT_ENC,), [1.0, 0.0], 1e-17)
+        b = QUBIT_ENC.state(0.0, 1.0)
         assert tensor(a, b).truncation_residual == 1e-17
         assert tensor(b, a).truncation_residual == 1e-17
+
+    def test_logical_inner_is_the_coefficient_overlap(self, rng):
+        encodings = (QUBIT_ENC, Encoding.cat(0.9, 16))
+        a, b = random_logical(encodings, rng), random_logical(encodings, rng)
+        assert inner(a, b) == pytest.approx(inner(dense(a), dense(b)), abs=1e-14)
+        assert inner(a, b) == np.conj(inner(b, a))
+
+    def test_logical_inner_needs_equal_encodings(self, rng):
+        a = random_logical((QUBIT_ENC, Encoding.cat(0.9, 16)), rng)
+        b = random_logical((QUBIT_ENC, Encoding.cat(1.0, 16)), rng)
+        with pytest.raises(ValueError, match="different encodings"):
+            inner(a, b)
+        with pytest.raises(ValueError, match="undefined"):
+            inner(a, dense(a))
 
     def test_apply_matches_kron_expansion(self, rng):
         space = SpaceDescriptor.qubit() * SpaceDescriptor.mode(6)
@@ -272,18 +293,18 @@ class TestCompositeAlgebra:
         assert np.allclose(out.amps, full @ st.amps, atol=1e-12)
 
     def test_apply_rejects_space_mismatch(self):
-        st = tensor(qubit_state(1.0, 0.0), number_state(0, 4))
+        st = kron(qubit_state(1.0, 0.0), number_state(0, 4))
         ops = build_pseudospin(6)
         with pytest.raises(ValueError, match="mode"):
             apply(ops.s_z, st, 1)
 
     def test_apply_rejects_factor_out_of_range(self):
-        st = tensor(qubit_state(1.0, 0.0), number_state(0, 4))
+        st = kron(qubit_state(1.0, 0.0), number_state(0, 4))
         with pytest.raises(ValueError, match="out of range for 2"):
             apply(np.eye(2), st, 2)
 
     def test_apply_rejects_norm_breaking_op(self):
-        st = tensor(qubit_state(1.0, 0.0), number_state(0, 4))
+        st = kron(qubit_state(1.0, 0.0), number_state(0, 4))
         ops = build_pseudospin(4)
         # s_plus annihilates even states, so it cannot preserve this norm
         with pytest.raises(ValueError, match="norm"):
@@ -326,16 +347,29 @@ def random_unitary(rng, d):
     return q
 
 
+def encoding_of(space: SpaceDescriptor) -> Encoding:
+    return QUBIT_ENC if space.kind(0) is FactorKind.QUBIT else fock_encoding(space.dim)
+
+
 class TestSameBitsAsNumpy:
-    """tensor, partial_inner and apply reproduce np.kron and np.tensordot bit
-    for bit, so no report moves with them."""
+    """tensor's coefficients are np.kron's, and the dense oracles kron,
+    partial_inner and apply reproduce np.kron and np.tensordot bit for bit."""
 
     @pytest.mark.parametrize("name", list(FACTOR_SPACES))
     def test_tensor_is_kron(self, name, rng):
+        a, *rest = (random_logical([encoding_of(space)], rng) for space in FACTOR_SPACES[name])
+        for b in rest:
+            both = tensor(a, b)
+            assert same_bits(both.coeffs.reshape(-1), np.kron(a.coeffs.ravel(), b.coeffs.ravel()))
+            assert both.space == a.space * b.space
+            a = both
+
+    @pytest.mark.parametrize("name", list(FACTOR_SPACES))
+    def test_dense_kron_is_kron(self, name, rng):
         a, *rest = (random_state(space, rng) for space in FACTOR_SPACES[name])
         for b in rest:
-            assert same_bits(tensor(a, b).amps, np.kron(a.amps, b.amps))
-            a = tensor(a, b)
+            assert same_bits(kron(a, b).amps, np.kron(a.amps, b.amps))
+            a = kron(a, b)
 
     @pytest.mark.parametrize("name", list(FACTOR_SPACES))
     def test_partial_inner_is_tensordot_for_every_factor_order(self, name, rng):
@@ -345,7 +379,7 @@ class TestSameBitsAsNumpy:
         t = state.amps.reshape(space.dims)
         for k in range(1, len(factors)):
             for paired in itertools.permutations(range(len(factors)), k):
-                bra = random_state(space.subspace(paired), rng)
+                bra = random_state(SpaceDescriptor(tuple(space.factors[i] for i in paired)), rng)
                 b = bra.amps.conj().reshape(bra.space.dims)
                 expected = np.tensordot(b, t, axes=(tuple(range(k)), paired)).reshape(-1)
                 assert same_bits(partial_inner(bra, state, paired), expected), paired
@@ -390,7 +424,7 @@ class TestPartialOperations:
         space = SpaceDescriptor.mode(4) * SpaceDescriptor.mode(6)
         st = random_state(space, rng)
         extra = SpaceDescriptor.qubit()
-        big = tensor(random_state(extra, rng), st)
+        big = kron(random_state(extra, rng), st)
         bra = random_state(SpaceDescriptor.mode(6) * SpaceDescriptor.mode(4), rng)
         got = partial_inner(bra, big, (2, 1))
         b = bra.amps.conj().reshape(6, 4)
@@ -400,11 +434,61 @@ class TestPartialOperations:
 
     @pytest.mark.parametrize("factors", [(-2,), (2,), (5,)])
     def test_partial_inner_rejects_factor_out_of_range(self, factors):
-        st = tensor(qubit_state(1.0, 0.0), number_state(0, 4))
+        st = kron(qubit_state(1.0, 0.0), number_state(0, 4))
         with pytest.raises(ValueError, match=r"factor index -?\d out of range for 2"):
             partial_inner(qubit_state(1.0, 0.0), st, factors)
 
     def test_partial_inner_rejects_wrong_space(self):
-        st = tensor(qubit_state(1.0, 0.0), number_state(0, 4))
+        st = kron(qubit_state(1.0, 0.0), number_state(0, 4))
         with pytest.raises(ValueError, match="does not match"):
             partial_inner(number_state(0, 6), st, (1,))
+
+
+class TestEncoding:
+    def test_cat_codewords_pass_the_checks_for_every_z(self):
+        for z in np.linspace(0.0, 9.0, 91):
+            enc = Encoding.cat(float(z), mode_dim_for(float(z), 1e-14))
+            assert abs(inner(enc.zero, enc.one)) <= 1e-12
+
+    def test_codewords_must_share_a_space(self):
+        with pytest.raises(ValueError, match="one qubit or mode"):
+            Encoding(number_state(0, 4), number_state(1, 6))
+
+    def test_codewords_must_be_one_factor(self):
+        two = SpaceDescriptor.qubit() * SpaceDescriptor.qubit()
+        with pytest.raises(ValueError, match="one qubit or mode"):
+            Encoding(StateVector(two, np.eye(4)[0]), StateVector(two, np.eye(4)[3]))
+
+    def test_codewords_must_be_orthogonal(self):
+        tilted = qubit_state(math.cos(1e-6), math.sin(1e-6))
+        with pytest.raises(ValueError, match="not orthogonal"):
+            Encoding(qubit_state(1.0, 0.0), tilted)
+        # an overlap at the tolerance itself is accepted
+        Encoding(qubit_state(1.0, 0.0), qubit_state(1e-12, math.sqrt(1.0 - 1e-24)))
+
+    def test_equal_when_the_codewords_are(self):
+        assert Encoding.cat(0.7, 14) == Encoding.cat(0.7, 14)
+        assert Encoding.cat(0.7, 14) != Encoding.cat(0.7, 16)
+        assert Encoding.cat(0.7, 14) != Encoding.cat(0.8, 14)
+        assert Encoding.qubit() == QUBIT_ENC != fock_encoding(2)
+
+
+class TestLogicalState:
+    def test_coefficients_must_fit_the_parties(self):
+        with pytest.raises(ValueError, match="do not fit"):
+            LogicalState((QUBIT_ENC, QUBIT_ENC), [1.0, 0.0])
+        with pytest.raises(ValueError, match="do not fit"):
+            LogicalState((), np.ones(()))
+
+    def test_unnormalized_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            LogicalState((QUBIT_ENC,), [1.0, 1.0])
+
+    def test_space_is_the_product_of_the_encodings(self):
+        st = LogicalState((QUBIT_ENC, fock_encoding(6)), np.eye(2) * math.sqrt(0.5))
+        assert st.space == SpaceDescriptor.qubit() * SpaceDescriptor.mode(6)
+
+    def test_coeffs_are_immutable(self):
+        st = QUBIT_ENC.state(1.0, 0.0)
+        with pytest.raises(ValueError):
+            st.coeffs[0] = 0.0

@@ -11,11 +11,10 @@ from hesim import (
     Correction,
     Encoding,
     HesLabel,
+    LogicalState,
     ParityBellLabel,
     RngStream,
-    SpaceDescriptor,
     SpinBellLabel,
-    StateVector,
     bell_pair,
     correction_for,
     draw,
@@ -23,7 +22,6 @@ from hesim import (
     even_coherent,
     hes_state,
     inner,
-    measure_parity_bell,
     measure_spin_bell,
     mode_dim_for,
     odd_coherent,
@@ -31,25 +29,37 @@ from hesim import (
     parity_measurement,
     qubit_state,
     sampler,
+    schmidt_coefficients,
     spin_bell_state,
     swap_entanglement,
     teleport_parity,
     teleport_spin,
     tensor,
 )
-
+from hesim.bellchsh import _qubit_mode_amps
 from hesim.protocols import (
     _BATCH_MIN_TRIALS,
     _SWAP_PAIRING,
     _branch,
     _first_uniforms,
+    _measure_bell,
     trial_streams,
 )
 
-from conftest import random_qubit_pair
-from oracles import linear_scan_draw, swap_expansion
+from conftest import fock_encoding, random_encoding, random_qubit_pair
+from oracles import (
+    dense,
+    dense_measure_bell,
+    dense_swap,
+    dense_teleport_parity,
+    dense_teleport_spin,
+    kron,
+    linear_scan_draw,
+    swap_expansion,
+)
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+QUBIT = Encoding.qubit()
 
 
 def adim(z):
@@ -59,7 +69,7 @@ def adim(z):
 def sender_branches(alpha, beta, z, channel, dim):
     """(outcome, conditional mode state) of the sender's Bell measurement on
     (unknown qubit) x (hybrid channel); each outcome has probability 1/4."""
-    joint = tensor(qubit_state(alpha, beta), hes_state(channel, z, dim))
+    joint = tensor(QUBIT.state(alpha, beta), hes_state(channel, z, dim))
     return [(label, branch) for label, _, branch in measure_spin_bell(joint, (0, 1))]
 
 
@@ -80,11 +90,11 @@ FAMILY_LABELS = [
 class TestBellBases:
     def test_spin_bell_amplitudes(self):
         assert np.allclose(
-            spin_bell_state(SpinBellLabel.PHI_PLUS).amps,
+            dense(spin_bell_state(SpinBellLabel.PHI_PLUS)).amps,
             [SQRT_HALF, 0, 0, SQRT_HALF],
         )
         assert np.allclose(
-            spin_bell_state(SpinBellLabel.PSI_MINUS).amps,
+            dense(spin_bell_state(SpinBellLabel.PSI_MINUS)).amps,
             [0, SQRT_HALF, -SQRT_HALF, 0],
         )
 
@@ -106,7 +116,7 @@ class TestBellBases:
         expected = SQRT_HALF * (
             np.kron([1, 0], o.amps) + np.kron([0, 1], e.amps)
         )
-        assert np.allclose(st.amps, expected, atol=1e-14)
+        assert np.allclose(dense(st).amps, expected, atol=1e-14)
 
     def test_hes_pairs_up_with_even_for_phi(self):
         z, dim = 0.8, adim(0.8)
@@ -115,7 +125,7 @@ class TestBellBases:
         expected = SQRT_HALF * (
             np.kron([1, 0], e.amps) - np.kron([0, 1], o.amps)
         )
-        assert np.allclose(st.amps, expected, atol=1e-14)
+        assert np.allclose(dense(st).amps, expected, atol=1e-14)
 
     @pytest.mark.parametrize("z", [0.0, 0.5, 1.5])
     def test_hes_orthonormal(self, z):
@@ -132,7 +142,7 @@ class TestBellBases:
         expected = SQRT_HALF * (
             np.kron(e1.amps, e2.amps) + np.kron(o1.amps, o2.amps)
         )
-        assert np.allclose(st.amps, expected, atol=1e-14)
+        assert np.allclose(dense(st).amps, expected, atol=1e-14)
 
     def test_parity_bell_orthonormal(self):
         z, zp, dim = 0.9, 0.4, adim(0.9)
@@ -157,13 +167,20 @@ class TestBellBases:
 
     @pytest.mark.parametrize("family,label", FAMILY_LABELS)
     def test_bell_pair_is_the_kron_sum_bit_for_bit(self, family, label):
+        # the coefficients are the signed pattern of halves; a hybrid pair's
+        # expansion for the CHSH analysis is the kron sum bit for bit
         enc_a, enc_b = FAMILIES[family][1]()
         b0, b1 = (enc_b.zero, enc_b.one) if label.is_phi else (enc_b.one, enc_b.zero)
-        kron = np.kron(enc_a.zero.amps, b0.amps) + label.sign * np.kron(
+        kron_sum = (np.kron(enc_a.zero.amps, b0.amps) + label.sign * np.kron(
             enc_a.one.amps, b1.amps
-        )
-        amps = bell_pair(label, enc_a, enc_b).amps
-        assert np.array_equal(amps.view(np.uint64), (kron * SQRT_HALF).view(np.uint64))
+        )) * SQRT_HALF
+        st = bell_pair(label, enc_a, enc_b)
+        pattern = np.eye(2) if label.is_phi else np.eye(2)[::-1]
+        assert np.array_equal(st.coeffs, pattern * np.array([[1.0], [label.sign]]) * SQRT_HALF)
+        if family == "qubit-cat":
+            amps = _qubit_mode_amps(st)
+            assert np.array_equal(amps.view(np.uint64), kron_sum.view(np.uint64))
+        assert np.allclose(dense(st).amps, kron_sum, rtol=0.0, atol=1e-15)
 
     def test_bell_pair_residual_combines_encoding_means(self):
         # residuals well above machine precision, so the rule is visible
@@ -186,10 +203,10 @@ class TestDecomposition:
         branches = dict(sender_branches(a, b, z, HesLabel.PHI_PLUS, dim))
         e, o = even_coherent(z, dim), odd_coherent(z, dim)
         assert np.allclose(
-            branches[SpinBellLabel.PHI_PLUS].amps, a * e.amps + b * o.amps, atol=1e-12
+            dense(branches[SpinBellLabel.PHI_PLUS]).amps, a * e.amps + b * o.amps, atol=1e-12
         )
         assert np.allclose(
-            branches[SpinBellLabel.PSI_MINUS].amps, a * o.amps - b * e.amps, atol=1e-12
+            dense(branches[SpinBellLabel.PSI_MINUS]).amps, a * o.amps - b * e.amps, atol=1e-12
         )
 
     def test_codeword_input_gives_parity_eigenstate_branches(self):
@@ -206,9 +223,9 @@ class TestDecomposition:
             dim = adim(z)
             parts = sender_branches(alpha, beta, z, channel, dim)
             total = sum(
-                np.kron(spin_bell_state(l).amps, br.amps) for l, br in parts
+                np.kron(dense(spin_bell_state(l)).amps, dense(br).amps) for l, br in parts
             ) / 2.0
-            target = np.kron([alpha, beta], hes_state(channel, z, dim).amps)
+            target = np.kron([alpha, beta], dense(hes_state(channel, z, dim)).amps)
             assert np.max(np.abs(total - target)) < 1e-12
 
     def test_rejects_unnormalized_input(self):
@@ -255,7 +272,7 @@ class TestSpinBellMeasurement:
         alpha, beta = random_qubit_pair(rng)
         z, dim = 1.0, adim(1.0)
         joint = tensor(
-            qubit_state(alpha, beta), hes_state(HesLabel.PHI_PLUS, z, dim)
+            QUBIT.state(alpha, beta), hes_state(HesLabel.PHI_PLUS, z, dim)
         )
         probs = {label: p for label, p, _ in measure_spin_bell(joint, (0, 1))}
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-10)
@@ -263,21 +280,21 @@ class TestSpinBellMeasurement:
             assert p == pytest.approx(0.25, abs=1e-10)
 
     def test_eigenstate_is_certain(self):
-        st = tensor(spin_bell_state(SpinBellLabel.PHI_PLUS), qubit_state(1.0, 0.0))
+        st = tensor(spin_bell_state(SpinBellLabel.PHI_PLUS), QUBIT.state(1.0, 0.0))
         label, p, collapsed = draw(measure_spin_bell(st, (0, 1)), RngStream(9))
         assert label is SpinBellLabel.PHI_PLUS
         assert p == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(collapsed.amps, [1, 0], atol=1e-12)
+        assert np.allclose(collapsed.coeffs, [1, 0], atol=1e-12)
 
     def test_measured_factors_are_removed(self):
         z, dim = 0.5, adim(0.5)
-        joint = tensor(qubit_state(0.6, 0.8), hes_state(HesLabel.PSI_PLUS, z, dim))
+        joint = tensor(QUBIT.state(0.6, 0.8), hes_state(HesLabel.PSI_PLUS, z, dim))
         _, _, collapsed = draw(measure_spin_bell(joint, (0, 1)), RngStream(0))
         assert collapsed.space.dims == (dim,)
 
     def test_seeded_sequences_reproduce(self):
         z, dim = 0.5, adim(0.5)
-        joint = tensor(qubit_state(0.6, 0.8), hes_state(HesLabel.PSI_PLUS, z, dim))
+        joint = tensor(QUBIT.state(0.6, 0.8), hes_state(HesLabel.PSI_PLUS, z, dim))
 
         def run(seed):
             rng = RngStream(seed)
@@ -287,7 +304,7 @@ class TestSpinBellMeasurement:
         assert run(123) != run(124)
 
     def test_zero_probability_branch_carries_no_state(self):
-        state = tensor(spin_bell_state(SpinBellLabel.PSI_PLUS), qubit_state(1.0, 0.0))
+        state = tensor(spin_bell_state(SpinBellLabel.PSI_PLUS), QUBIT.state(1.0, 0.0))
         table = measure_spin_bell(state, (0, 1))
         for label, p, collapsed in table:
             if label is SpinBellLabel.PSI_PLUS:
@@ -297,27 +314,37 @@ class TestSpinBellMeasurement:
 
     def test_subnormal_branch_still_renormalizes(self):
         # the psi branches weigh 5e-321, below the normal floats
-        tiny = tensor(qubit_state(1.0, 1e-160), qubit_state(1.0, 0.0))
-        st = tensor(tiny, qubit_state(0.0, 1.0))
+        tiny = tensor(QUBIT.state(1.0, 1e-160), QUBIT.state(1.0, 0.0))
+        st = tensor(tiny, QUBIT.state(0.0, 1.0))
         for label, p, collapsed in measure_spin_bell(st, (0, 1)):
             expected = 0.5 if label.is_phi else 5e-321
             assert p == pytest.approx(expected, rel=1e-2)
-            assert np.allclose(np.abs(collapsed.amps), [0, 1], atol=1e-12)
+            assert np.allclose(np.abs(collapsed.coeffs), [0, 1], atol=1e-12)
 
     def test_rejects_non_qubit_factors(self):
-        st = tensor(qubit_state(1.0, 0.0), even_coherent(0.5, 10))
+        st = tensor(QUBIT.state(1.0, 0.0), Encoding.cat(0.5, 10).state(1.0, 0.0))
         with pytest.raises(ValueError, match="not a qubit"):
             draw(measure_spin_bell(st, (0, 1)), RngStream(0))
 
+    def test_rejects_qubits_in_another_encoding(self):
+        flipped = Encoding(qubit_state(0.0, 1.0), qubit_state(1.0, 0.0))
+        st = tensor(spin_bell_state(SpinBellLabel.PHI_PLUS), flipped.state(1.0, 0.0))
+        assert draw(measure_spin_bell(st, (0, 1)), RngStream(0))[0] is SpinBellLabel.PHI_PLUS
+        with pytest.raises(ValueError, match="not encoded in the measured basis"):
+            measure_spin_bell(st, (1, 2))
+
 
 class TestParityBellMeasurement:
+    """The Bell measurement in a cat basis, which parity teleportation makes."""
+
     def test_basis_state_is_certain(self):
         z, zp, dim = 0.8, 1.2, adim(1.2)
         st = tensor(
             parity_bell_state(ParityBellLabel.PSI_MINUS, z, zp, dim),
-            qubit_state(1.0, 0.0),
+            QUBIT.state(1.0, 0.0),
         )
-        label, p, _ = draw(measure_parity_bell(st, (0, 1), z, zp), RngStream(4))
+        basis = Encoding.cat(z, dim), Encoding.cat(zp, dim)
+        label, p, _ = draw(_measure_bell(st, (0, 1), *basis), RngStream(4))
         assert label is ParityBellLabel.PSI_MINUS
         assert p == pytest.approx(1.0, abs=1e-10)
 
@@ -325,9 +352,9 @@ class TestParityBellMeasurement:
         z, zp, dim = 0.8, 1.2, adim(1.2)
         plus = parity_bell_state(ParityBellLabel.PHI_PLUS, z, zp, dim)
         minus = parity_bell_state(ParityBellLabel.PHI_MINUS, z, zp, dim)
-        mixed = StateVector(plus.space, (plus.amps + minus.amps) * SQRT_HALF)
-        st = tensor(mixed, qubit_state(1.0, 0.0))
-        probs = {label: p for label, p, _ in measure_parity_bell(st, (0, 1), z, zp)}
+        mixed = LogicalState(plus.encodings, (plus.coeffs + minus.coeffs) * SQRT_HALF)
+        st = tensor(mixed, QUBIT.state(1.0, 0.0))
+        probs = {label: p for label, p, _ in _measure_bell(st, (0, 1), *plus.encodings)}
         assert probs[ParityBellLabel.PHI_PLUS] == pytest.approx(0.5, abs=1e-10)
         assert probs[ParityBellLabel.PHI_MINUS] == pytest.approx(0.5, abs=1e-10)
         assert probs[ParityBellLabel.PSI_PLUS] == pytest.approx(0.0, abs=1e-12)
@@ -336,10 +363,9 @@ class TestParityBellMeasurement:
         alpha, beta = random_qubit_pair(rng)
         z, zpp = 1.0, 0.6
         dim = adim(1.0)
-        e, o = even_coherent(zpp, dim), odd_coherent(zpp, dim)
-        mode_in = StateVector(e.space, alpha * e.amps + beta * o.amps)
-        joint = tensor(hes_state(HesLabel.PHI_PLUS, z, dim), mode_in)
-        probs = {l: p for l, p, _ in measure_parity_bell(joint, (2, 1), zpp, z)}
+        source, cat = Encoding.cat(zpp, dim), Encoding.cat(z, dim)
+        joint = tensor(hes_state(HesLabel.PHI_PLUS, z, dim), source.state(alpha, beta))
+        probs = {l: p for l, p, _ in _measure_bell(joint, (2, 1), source, cat)}
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-10)
         for p in probs.values():
             assert p == pytest.approx(0.25, abs=1e-10)
@@ -349,39 +375,54 @@ class TestParityBellMeasurement:
         cat, cat_p = Encoding.cat(z, adim(z)), Encoding.cat(zp, adim(zp) + 4)
         assert cat.space != cat_p.space
         st = tensor(
-            qubit_state(1.0, 0.0), bell_pair(ParityBellLabel.PSI_MINUS, cat, cat_p)
+            QUBIT.state(1.0, 0.0), bell_pair(ParityBellLabel.PSI_MINUS, cat, cat_p)
         )
         # the pairing may be given in either order
-        for modes, amps in (((1, 2), (z, zp)), ((2, 1), (zp, z))):
-            probs = {label: p for label, p, _ in measure_parity_bell(st, modes, *amps)}
+        for modes, basis in (((1, 2), (cat, cat_p)), ((2, 1), (cat_p, cat))):
+            probs = {label: p for label, p, _ in _measure_bell(st, modes, *basis)}
             assert probs[ParityBellLabel.PSI_MINUS] == pytest.approx(1.0, abs=1e-12)
-            label, p, rest = draw(measure_parity_bell(st, modes, *amps), RngStream(0))
+            label, p, rest = draw(_measure_bell(st, modes, *basis), RngStream(0))
             assert label is ParityBellLabel.PSI_MINUS
             assert rest.space.dims == (2,)
 
     def test_out_of_span_component_rejected(self):
+        # |0>|0> overlaps the z=1 codeword span only partially, so the table
+        # its dense projection gives misses weight, and draw refuses it
         z, dim = 1.0, adim(1.0)
         vacuum = even_coherent(0.0, dim)
-        st = tensor(tensor(vacuum, vacuum), qubit_state(1.0, 0.0))
-        # |0>|0> overlaps the z=1 codeword span only partially
+        st = kron(kron(vacuum, vacuum), qubit_state(1.0, 0.0))
+        cat = Encoding.cat(z, dim)
+        table = dense_measure_bell(st, (0, 1), cat, cat, ParityBellLabel)
+        assert sum(p for _, p, _ in table) < 1.0 - 1e-10
         with pytest.raises(ValueError, match="outside the span"):
-            draw(measure_parity_bell(st, (0, 1), z, z), RngStream(0))
+            draw(table, RngStream(0))
+        with pytest.raises(ValueError, match="outside the span"):
+            sampler(table)
+
+    def test_other_encoding_rejected(self):
+        # a state whose modes carry other codewords is not projected at all
+        z, dim = 1.0, adim(1.0)
+        fock = fock_encoding(dim)
+        st = tensor(tensor(fock.state(1.0, 0.0), fock.state(1.0, 0.0)), QUBIT.state(1.0, 0.0))
+        cat = Encoding.cat(z, dim)
+        with pytest.raises(ValueError, match="not encoded in the measured basis"):
+            _measure_bell(st, (0, 1), cat, cat)
 
 
 class TestParityMeasurement:
     def test_even_codeword_is_certain(self):
-        st = even_coherent(1.0, adim(1.0))
+        st = Encoding.cat(1.0, adim(1.0)).state(1.0, 0.0)
         outcome, p, collapsed = draw(parity_measurement(st, 0), RngStream(1))
         assert outcome == 1
         assert p == pytest.approx(1.0, abs=1e-12)
         assert abs(inner(collapsed, st)) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("cat, parity", [(even_coherent, 1), (odd_coherent, -1)])
+    @pytest.mark.parametrize("cat, parity", [((1.0, 0.0), 1), ((0.0, 1.0), -1)])
     def test_cat_codewords_are_eigenstates_for_every_z(self, cat, parity):
         # the eigen-branch's weight may round to 1 - 1ulp; the other branch
         # must then still be the exact zero of its own amplitudes
         for z in np.linspace(0.0, 6.0, 601):
-            table = parity_measurement(cat(z, adim(z)), 0)
+            table = parity_measurement(Encoding.cat(z, adim(z)).state(*cat), 0)
             assert [outcome for outcome, _, _ in table] == [1, -1]
             for outcome, p, collapsed in table:
                 if outcome == parity:
@@ -393,8 +434,7 @@ class TestParityMeasurement:
     def test_superposition_statistics(self):
         z, dim = 0.9, adim(0.9)
         alpha, beta = 0.6, 0.8j
-        e, o = even_coherent(z, dim), odd_coherent(z, dim)
-        st = StateVector(e.space, alpha * e.amps + beta * o.amps)
+        st = Encoding.cat(z, dim).state(alpha, beta)
         even_count = 0
         for seed in range(400):
             outcome, p, _ = draw(parity_measurement(st, 0), RngStream(seed))
@@ -402,6 +442,13 @@ class TestParityMeasurement:
             assert p == pytest.approx(expected, abs=1e-12)
             even_count += outcome == 1
         assert abs(even_count / 400 - abs(alpha) ** 2) < 0.08
+
+    def test_codewords_without_definite_parity_rejected(self, rng):
+        st = tensor(QUBIT.state(1.0, 0.0), random_encoding(8, rng).state(1.0, 0.0))
+        with pytest.raises(ValueError, match="parities"):
+            parity_measurement(st, 1)
+        with pytest.raises(ValueError, match="not a mode"):
+            parity_measurement(st, 0)
 
 
 class TestTeleportSpin:
@@ -469,7 +516,7 @@ class TestTeleportSpin:
         assert oa is ob
         assert pa == pb
         assert a.correction is b.correction
-        assert np.array_equal(a.output_state.amps, b.output_state.amps)
+        assert np.array_equal(a.output_state.coeffs, b.output_state.coeffs)
         assert a.fidelity == b.fidelity
 
 
@@ -499,7 +546,7 @@ class TestTeleportParity:
                 SQRT_HALF, SQRT_HALF, 0.9, HesLabel.PHI_PLUS, 1.1, 20
             )
             _, _, rec = draw(table, RngStream(seed))
-            amps = rec.output_state.amps
+            amps = dense(rec.output_state).amps
             sx = float(np.real(np.vdot(amps, PAULI_X @ amps)))
             assert abs(sx) == pytest.approx(1.0, abs=1e-10)
 
@@ -536,14 +583,14 @@ class TestSwap:
     def test_expansion_reassembles_the_joint_state(self):
         z, zp = 1.0, 0.5
         dim = max(adim(z), adim(zp))
-        joint = tensor(
+        joint = dense(tensor(
             hes_state(HesLabel.PSI_MINUS, z, dim),
             hes_state(HesLabel.PSI_MINUS, zp, dim),
-        )
+        ))
         total = np.zeros_like(joint.amps.reshape(2, dim, 2, dim))
         for (spin_label, parity_label), c in swap_expansion(z, zp, dim).items():
-            sb = spin_bell_state(spin_label).amps.reshape(2, 2)
-            pb = parity_bell_state(parity_label, z, zp, dim).amps.reshape(dim, dim)
+            sb = dense(spin_bell_state(spin_label)).amps.reshape(2, 2)
+            pb = dense(parity_bell_state(parity_label, z, zp, dim)).amps.reshape(dim, dim)
             total = total + c * np.einsum("ik,jl->ijkl", sb, pb)
         assert np.max(np.abs(total.reshape(-1) - joint.amps)) < 1e-12
 
@@ -577,7 +624,7 @@ class TestSwap:
         assert a.parity_label is b.parity_label
         assert pa == pb
         assert a.fidelity == b.fidelity
-        assert np.array_equal(a.mode_state.amps, b.mode_state.amps)
+        assert np.array_equal(a.mode_state.coeffs, b.mode_state.coeffs)
 
 
 class TestRngStream:
@@ -650,11 +697,11 @@ class TestBranch:
     def test_probability_outside_the_unit_range_rejected(self, amps):
         # one guard serves every table: measurements, teleport and swap alike
         with pytest.raises(ValueError, match="outcome probability"):
-            _branch("x", np.array(amps, dtype=complex), SpaceDescriptor.qubit(), 0.0)
+            _branch("x", np.array(amps, dtype=complex), (QUBIT,), 0.0)
 
     def test_rounding_above_one_is_accepted(self):
-        _, p, state = _branch("x", np.array([1.0 + 1e-13, 0.0]), SpaceDescriptor.qubit(), 0.0)
-        assert p > 1.0 and state.amps[0] == 1.0
+        _, p, state = _branch("x", np.array([1.0 + 1e-13, 0.0]), (QUBIT,), 0.0)
+        assert p > 1.0 and state.coeffs[0] == 1.0
 
 
 class _FixedVariate:
@@ -851,3 +898,88 @@ class TestEveryBranch:
     @given(z=Z_LARGE, zp=Z_LARGE)
     def test_swap_at_large_z(self, z, zp):
         check_swap_table(swap_entanglement(z, zp, max(adim(z), adim(zp))))
+
+
+Z_DENSE = st.floats(min_value=0.5, max_value=9.0)
+
+
+def assert_same_state(logical, dense_state):
+    """The dense expansion of logical equals dense_state, up to rounding."""
+    assert np.max(np.abs(dense(logical).amps - dense_state.amps)) < 1e-10
+
+
+def check_against_dense_teleport(table, rows):
+    assert [outcome for outcome, _, _ in table] == [row[0] for row in rows]
+    for (_, p, rec), (_, dense_p, correction, fidelity, output) in zip(table, rows):
+        assert p == pytest.approx(dense_p, abs=1e-10)
+        assert rec.correction is correction
+        assert rec.fidelity == pytest.approx(fidelity, abs=1e-10)
+        assert_same_state(rec.output_state, output)
+
+
+class TestAgainstTheDenseRoute:
+    """Every table the coefficient route builds is the one the dense joint
+    state, dense projections and dense pseudospin corrections give."""
+
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(amps=AMPLITUDES, z=Z_DENSE, channel=CHANNEL)
+    def test_teleport_spin(self, amps, z, channel):
+        dim = adim(z)
+        check_against_dense_teleport(teleport_spin(*amps, channel, z, dim),
+                                     dense_teleport_spin(*amps, channel, z, dim))
+
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(amps=AMPLITUDES, z=Z_DENSE, zpp=Z_DENSE, channel=CHANNEL)
+    def test_teleport_parity(self, amps, z, zpp, channel):
+        dim = max(adim(z), adim(zpp))
+        check_against_dense_teleport(teleport_parity(*amps, zpp, channel, z, dim),
+                                     dense_teleport_parity(*amps, zpp, channel, z, dim))
+
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(z=Z_DENSE, zp=Z_DENSE)
+    def test_swap(self, z, zp):
+        dim = max(adim(z), adim(zp))
+        table = swap_entanglement(z, zp, dim)
+        rows = dense_swap(z, zp, dim)
+        assert [outcome for outcome, _, _ in table] == [row[0] for row in rows]
+        for (_, p, rec), (_, dense_p, fidelity, schmidt) in zip(table, rows):
+            assert p == pytest.approx(dense_p, abs=1e-10)
+            assert rec.fidelity == pytest.approx(fidelity, abs=1e-10)
+            got = schmidt_coefficients(rec.mode_state, {0}).coefficients
+            assert np.allclose(got, schmidt, rtol=0.0, atol=1e-10)
+
+
+def peak_bytes(build):
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("z,zp", [(30.0, 25.0), (100.0, 97.5)])
+class TestAtACutoffNoDenseStateFits:
+    """At z = 100 (dim 10776) the dense swap state would need about 7.4 GB."""
+
+    def test_swap(self, z, zp):
+        table, peak = peak_bytes(lambda: swap_entanglement(z, zp, adim(max(z, zp))))
+        check_swap_table(table)
+        for _, _, rec in table:
+            assert rec.fidelity >= 1.0 - 1e-9
+        assert peak < 50 * 2**20
+
+    def test_teleport_parity(self, z, zp):
+        dim = adim(max(z, zp))
+        table, peak = peak_bytes(
+            lambda: teleport_parity(0.6, 0.8j, zp, HesLabel.PSI_MINUS, z, dim))
+        check_teleport_table(table, ParityBellLabel, HesLabel.PSI_MINUS)
+        assert min(rec.fidelity for _, _, rec in table) >= 1.0 - 1e-9
+        assert peak < 50 * 2**20
+
+    def test_teleport_spin(self, z, zp):
+        table, peak = peak_bytes(
+            lambda: teleport_spin(0.6, 0.8j, HesLabel.PHI_MINUS, z, adim(z)))
+        check_teleport_table(table, SpinBellLabel, HesLabel.PHI_MINUS)
+        assert min(rec.fidelity for _, _, rec in table) >= 1.0 - 1e-9
+        assert peak < 50 * 2**20

@@ -1,23 +1,26 @@
 """Parity algebra and the even/odd overlap k(z)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hesim import (
     Direction,
-    apply,
-    build_pseudospin,
+    SpaceDescriptor,
+    StateVector,
     even_coherent,
     k_matrix,
     k_series,
     mode_dim_for,
     odd_coherent,
+    qubit_state,
 )
+from hesim.pseudospin import s_minus, s_plus
 
-from conftest import number_state
-from oracles import direction, spin_dot
+from conftest import number_state, random_amps
+from oracles import apply, build_pseudospin, direction, spin_dot
 
 # frozen from a 40-digit evaluation of the overlap series
 K_ORACLE = {
@@ -91,6 +94,58 @@ class TestAlgebra:
             assert np.max(np.abs(m @ m - eye)) <= 1e-13
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shape and bit-for-bit equal complex entries, signed zeros included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def with_parity(amps: np.ndarray, parity: int) -> np.ndarray:
+    """amps with the other parity's entries zeroed, renormalized."""
+    out = np.where(np.arange(amps.size) % 2 == parity, amps, 0.0)
+    return out / np.linalg.norm(out)
+
+
+class TestIndexShift:
+    """s_plus and s_minus move amplitudes by index, bit for bit what the dense
+    matrices of the oracle give."""
+
+    @pytest.mark.parametrize("dim", [2, 4, 16, 160])
+    def test_matches_the_dense_matrices_on_random_states(self, dim, rng):
+        ops = build_pseudospin(dim)
+        space = SpaceDescriptor.qubit() if dim == 2 else SpaceDescriptor.mode(dim)
+        for _ in range(20):
+            amps = random_amps(rng, dim)
+            odd = StateVector(space, with_parity(amps, 1))
+            even = StateVector(space, with_parity(amps, 0))
+            assert same_bits(s_plus(odd).amps, apply(ops.s_plus, odd, 0).amps)
+            assert same_bits(s_minus(even).amps, apply(ops.s_minus, even, 0).amps)
+
+    @pytest.mark.parametrize("z", [0.0, 0.3, 1.0, 4.0, 9.0])
+    def test_matches_the_dense_matrices_on_the_cat_codewords(self, z):
+        dim = mode_dim_for(z, 1e-14)
+        ops = build_pseudospin(dim)
+        e, o = even_coherent(z, dim), odd_coherent(z, dim)
+        assert same_bits(s_plus(o).amps, apply(ops.s_plus, o, 0).amps)
+        assert same_bits(s_minus(e).amps, apply(ops.s_minus, e, 0).amps)
+        assert s_plus(o).truncation_residual == o.truncation_residual
+
+    def test_on_a_qubit_they_are_the_pauli_ladder(self):
+        assert np.array_equal(s_plus(qubit_state(0.0, 1.0)).amps, [1.0, 0.0])
+        assert np.array_equal(s_minus(qubit_state(1.0, 0.0)).amps, [0.0, 1.0])
+
+    def test_a_state_of_the_wrong_parity_is_refused(self):
+        # s_plus annihilates even states, so it cannot preserve this norm
+        with pytest.raises(ValueError, match="norm"):
+            s_plus(number_state(0, 4))
+        with pytest.raises(ValueError, match="norm"):
+            s_minus(number_state(1, 4))
+
+    def test_a_composite_state_is_refused(self):
+        two = SpaceDescriptor.qubit() * SpaceDescriptor.qubit()
+        with pytest.raises(ValueError, match="one qubit or mode"):
+            s_plus(StateVector(two, [0.0, 1.0, 0.0, 0.0]))
+
+
 class TestDirection:
     def test_from_polar_is_in_plane(self):
         d = Direction.from_polar(0.3)
@@ -146,6 +201,19 @@ class TestKSeries:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             k_series(z)
 
+    @pytest.mark.parametrize("z", [445.0, 447.0, 500.0])
+    def test_refuses_a_z_whose_series_the_term_cap_cuts_short(self, z):
+        # the terms peak near n = z**2 / 2; past z of about 443.5 they are
+        # still above 1e-15 at the 100000-term cap, and the partial sum used
+        # to come back silently (0.665 at z = 447, 0.0 at z = 500)
+        with pytest.raises(ValueError, match=f"z = {z!r} has not converged"):
+            k_series(z)
+
+    def test_converges_below_the_cap(self):
+        # against the large-z asymptote 1 - 1/(8 z^2) - 7/(128 z^4)
+        z = 440.0
+        assert k_series(z) == pytest.approx(1.0 - 1.0 / (8 * z * z), abs=1e-9)
+
 
 class TestKMatrix:
     def test_at_zero(self):
@@ -163,8 +231,20 @@ class TestKMatrix:
         e, o = even_coherent(z, dim), odd_coherent(z, dim)
         flipped = apply(ops.s_plus, o, 0)
         direct = complex(np.vdot(e.amps, flipped.amps))
-        assert k_matrix(z, dim) == pytest.approx(direct.real, abs=1e-14)
+        assert k_matrix(z, dim) == direct.real  # the index shift is the dense product
         assert abs(direct.imag) < 1e-14
 
     def test_large_z(self):
         assert abs(k_matrix(5.0, mode_dim_for(5.0, 1e-14)) - K_ORACLE[5.0]) < 1e-10
+
+    def test_builds_no_dense_matrix(self):
+        # dim 10776: a dense s_plus alone would take 1.9 GB
+        dim = mode_dim_for(100.0, 1e-14)
+        tracemalloc.start()
+        try:
+            k = k_matrix(100.0, dim)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(k - k_series(100.0)) < 1e-10
+        assert peak < 50 * 2**20

@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/byte_identity.py --base REV [--ops N]
+    python3 tools/byte_identity.py --base REV [--ops N] [--expect-change SUBCOMMAND[,...]]
 
 Extracts ``src/`` of REV with ``git archive`` into a temporary directory,
 then runs one fixed corpus of ``hesim`` commands in-process against each
@@ -10,16 +10,25 @@ source tree, one fresh interpreter per tree, and compares every command's
 stdout, stderr and exit code. On the first difference it prints that argv
 and exits with status 1; otherwise it prints how many commands matched.
 
+``--expect-change`` names subcommands whose reports a change is meant to
+move. Their differing commands are listed instead, each with the largest
+absolute numeric difference per JSON key or CSV column; a difference in
+any other command still stops the run with status 1.
+
 The corpus is the first N ops (default 150) of every perfbench workload at
-seeds 11 and 12, followed by every argv of ``tests/cli_golden.jsonl``, each
-run at ``COLUMNS`` 20, 80 and 200 (argparse wraps usage to that width).
+seeds 11 and 12, followed by every argv of REV's ``tests/cli_golden.jsonl``
+(lines added since then pin new behaviour, which ``tests/test_cli_golden.py``
+checks), each run at ``COLUMNS`` 20, 80 and 200 (argparse wraps usage to
+that width).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -33,16 +42,17 @@ SEEDS = (11, 12)
 COLUMNS = ("20", "80", "200")
 
 
-def corpus(ops: int) -> list[list[str]]:
-    """The perfbench op streams at SEEDS, then the golden argv."""
+def corpus(ops: int, golden: str | None = None) -> list[list[str]]:
+    """The perfbench op streams at SEEDS, then the argv of the golden lines
+    (by default those of the working tree's golden file)."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
     argvs = [list(op.argv) for name in sorted(workloads.WORKLOADS)
              for seed in SEEDS for op in workloads.ops(name, seed, ops)]
-    with GOLDEN.open(encoding="utf-8") as fh:
-        argvs += [json.loads(line)["argv"] for line in fh]
-    return argvs
+    if golden is None:
+        golden = GOLDEN.read_text(encoding="utf-8")
+    return argvs + [json.loads(line)["argv"] for line in golden.splitlines()]
 
 
 def run_corpus(src: str) -> None:
@@ -71,14 +81,87 @@ def reports(src: Path, argvs: list[list[str]]) -> list[dict]:
     return json.loads(proc.stdout)
 
 
-def first_difference(base: list[dict], change: list[dict]) -> str | None:
-    """A description of the first record that differs, or None."""
+def _describe(record: dict, detail: str) -> str:
+    return f"COLUMNS={record['columns']} hesim {' '.join(record['argv'])}: {detail}"
+
+
+def first_difference(base: list[dict], change: list[dict],
+                     expected: frozenset[str] = frozenset()) -> str | None:
+    """A description of the first record that differs, or None; records of
+    the ``expected`` subcommands are skipped."""
     for old, new in zip(base, change, strict=True):
-        if old != new:
+        if old != new and old["argv"][0] not in expected:
             parts = [key for key in ("stdout", "stderr", "exit") if old[key] != new[key]]
-            return (f"COLUMNS={old['columns']} hesim {' '.join(old['argv'])}: "
-                    f"{', '.join(parts)} differ")
+            return _describe(old, f"{', '.join(parts)} differ")
     return None
+
+
+def _numbers(text: str) -> dict[str, list]:
+    """The values of a report by JSON key path or CSV column, in order."""
+    values: dict[str, list] = {}
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            for key, child in node.items():
+                walk(child, f"{path}.{key}" if path else key)
+        elif isinstance(node, list):
+            for child in node:
+                walk(child, path)
+        else:
+            values.setdefault(path, []).append(node)
+
+    try:
+        walk(json.loads(text), "")
+    except json.JSONDecodeError:
+        header, *rows = list(csv.reader(io.StringIO(text))) or [[]]
+        for row in rows:
+            for key, cell in zip(header, row):
+                values.setdefault(key, []).append(float(cell))
+    return values
+
+
+def numeric_differences(old: str, new: str) -> dict[str, float | str]:
+    """Largest absolute difference per key between two reports: a float
+    where both hold numbers, or "changed" where anything else differs."""
+    a, b = _numbers(old), _numbers(new)
+    out: dict[str, float | str] = {}
+    for key in sorted(a.keys() | b.keys()):
+        xs, ys = a.get(key, []), b.get(key, [])
+        numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                      for v in xs + ys)
+        if len(xs) != len(ys) or not numeric:
+            if xs != ys:
+                out[key] = "changed"
+            continue
+        diff = max((abs(x - y) for x, y in zip(xs, ys)), default=0.0)
+        if diff or any(math.copysign(1, x) != math.copysign(1, y) for x, y in zip(xs, ys)):
+            out[key] = diff
+    return out
+
+
+def expected_changes(base: list[dict], change: list[dict],
+                     expected: frozenset[str]) -> list[str]:
+    """One line per differing record of an expected subcommand."""
+    lines = []
+    for old, new in zip(base, change, strict=True):
+        if old != new and old["argv"][0] in expected:
+            if (old["stderr"], old["exit"]) != (new["stderr"], new["exit"]):
+                lines.append(_describe(old, "stderr or exit differ"))
+                continue
+            diffs = numeric_differences(old["stdout"], new["stdout"])
+            lines.append(_describe(old, ", ".join(
+                f"{key} {d if isinstance(d, str) else format(d, '.3g')}"
+                for key, d in diffs.items())))
+    return lines
+
+
+def git_show(rev: str, path: str) -> str:
+    """The text of path at rev."""
+    proc = subprocess.run(["git", "show", f"{rev}:{path}"], cwd=ROOT, capture_output=True,
+                          text=True, check=False)
+    if proc.returncode != 0:
+        raise SystemExit(f"git show {rev}:{path} failed:\n{proc.stderr}")
+    return proc.stdout
 
 
 def extract_src(rev: str, into: Path) -> Path:
@@ -96,6 +179,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", help="git revision to compare against")
     parser.add_argument("--ops", type=int, default=150, help="ops per workload and seed")
+    parser.add_argument("--expect-change", default="", metavar="SUBCOMMAND[,...]",
+                        help="subcommands whose reports may differ; each change is listed")
     parser.add_argument("--run", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.run:
@@ -103,15 +188,20 @@ def main() -> int:
         return 0
     if args.base is None:
         parser.error("--base is required")
-    argvs = corpus(args.ops)
+    expected = frozenset(filter(None, args.expect_change.split(",")))
+    argvs = corpus(args.ops, git_show(args.base, GOLDEN.relative_to(ROOT).as_posix()))
     with tempfile.TemporaryDirectory(prefix="byte-identity-") as tmp:
         base = reports(extract_src(args.base, Path(tmp)), argvs)
     change = reports(ROOT / "src", argvs)
-    diff = first_difference(base, change)
+    diff = first_difference(base, change, expected)
     if diff is not None:
         print(f"first difference: {diff}")
         return 1
-    print(f"{len(change)} commands identical ({len(argvs)} argv at COLUMNS "
+    changed = expected_changes(base, change, expected)
+    for line in changed:
+        print(f"changed: {line}")
+    print(f"{len(change) - len(changed)} commands identical, {len(changed)} changed in "
+          f"{', '.join(sorted(expected)) or 'no subcommand'} ({len(argvs)} argv at COLUMNS "
           f"{', '.join(COLUMNS)}) between {args.base} and the working tree")
     return 0
 
