@@ -72,9 +72,9 @@ class ChshResult:
 
 def _qubit_mode_amps(state: StateVector | LogicalState) -> np.ndarray:
     """The 2*dim amplitudes of a qubit⊗mode state. A LogicalState's are the
-    sum of its four terms (qubit codeword ⊗ mode codeword) * coefficient;
-    on a Bell pair's codewords, of disjoint support, that is bit for bit
-    (|0_L>|x> ± |1_L>|y>) * 2**-0.5."""
+    sum, in row-major order, of (qubit codeword ⊗ mode codeword) * coefficient
+    over its nonzero coefficients; on a Bell pair's codewords, of disjoint
+    support, that is bit for bit (|0_L>|x> ± |1_L>|y>) * 2**-0.5."""
     space = state.space
     if tuple(kind for kind, _ in space.factors) != (FactorKind.QUBIT, FactorKind.MODE):
         raise ValueError(f"state on {space.describe()} is not qubit⊗mode")
@@ -83,8 +83,8 @@ def _qubit_mode_amps(state: StateVector | LogicalState) -> np.ndarray:
     (qubit, mode), c = state.encodings, state.coeffs
     terms = [np.outer(a.amps, b.amps) * c[i, j]
              for i, a in enumerate((qubit.zero, qubit.one))
-             for j, b in enumerate((mode.zero, mode.one))]
-    return (terms[0] + terms[1] + terms[2] + terms[3]).ravel()
+             for j, b in enumerate((mode.zero, mode.one)) if c[i, j]]
+    return sum(terms[1:], start=terms[0]).ravel()
 
 
 def analytic_settings(z: float, label: HesLabel = HesLabel.PHI_PLUS) -> ChshSettings:

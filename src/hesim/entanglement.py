@@ -72,7 +72,7 @@ def schmidt_coefficients(state: LogicalState, side_a: Iterable[int]) -> SchmidtS
     return SchmidtSpectrum(tuple(singular + [0.0] * (rank - len(singular))))
 
 
-def entanglement_entropy(state: StateVector, side_a: Iterable[int]) -> float:
+def entanglement_entropy(state: LogicalState, side_a: Iterable[int]) -> float:
     """Von Neumann entropy between side a and the rest, in bits (ebits).
 
     The entropy of ``schmidt_coefficients(state, side_a)``; see

@@ -16,6 +16,7 @@ factors, and ``build_pseudospin``/``apply`` act with dense dim x dim
 pseudospin matrices.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -80,14 +81,20 @@ def build_pseudospin(dim: int) -> PseudospinOps:
 
 
 def dense(state) -> StateVector:
-    """The full amplitude vector of a LogicalState, each coefficient times
-    the product of its parties' codewords (a StateVector is returned as it is)."""
+    """The full amplitude vector of a LogicalState: the sum, in row-major
+    coefficient order, of each coefficient times the Kronecker product of
+    its codewords (a StateVector is returned as it is). On a Bell pair's
+    codewords, of disjoint support, this is bit for bit the kron sum
+    (|0_L>|x> ± |1_L>|y>) * 2**-0.5."""
     if isinstance(state, StateVector):
         return state
-    t = state.coeffs
-    for enc in state.encodings:  # contract the leading party, append its mode
-        t = np.tensordot(t, np.stack([enc.zero.amps, enc.one.amps]), axes=([0], [0]))
-    return StateVector(state.space, t.reshape(-1), state.truncation_residual)
+    amps = None
+    for index in np.ndindex(state.coeffs.shape):
+        codewords = [(enc.zero, enc.one)[i].amps for enc, i in zip(state.encodings, index)]
+        term = functools.reduce(lambda x, y: np.outer(x, y).ravel(), codewords)
+        term = term * state.coeffs[index]
+        amps = term if amps is None else amps + term
+    return StateVector(state.space, amps, state.truncation_residual)
 
 
 def kron(a: StateVector, b: StateVector) -> StateVector:

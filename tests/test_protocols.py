@@ -167,8 +167,8 @@ class TestBellBases:
 
     @pytest.mark.parametrize("family,label", FAMILY_LABELS)
     def test_bell_pair_is_the_kron_sum_bit_for_bit(self, family, label):
-        # the coefficients are the signed pattern of halves; a hybrid pair's
-        # expansion for the CHSH analysis is the kron sum bit for bit
+        # the coefficients are the signed pattern of halves, and their expansion
+        # (the CHSH analysis's for a hybrid pair) is the kron sum bit for bit
         enc_a, enc_b = FAMILIES[family][1]()
         b0, b1 = (enc_b.zero, enc_b.one) if label.is_phi else (enc_b.one, enc_b.zero)
         kron_sum = (np.kron(enc_a.zero.amps, b0.amps) + label.sign * np.kron(
@@ -177,10 +177,8 @@ class TestBellBases:
         st = bell_pair(label, enc_a, enc_b)
         pattern = np.eye(2) if label.is_phi else np.eye(2)[::-1]
         assert np.array_equal(st.coeffs, pattern * np.array([[1.0], [label.sign]]) * SQRT_HALF)
-        if family == "qubit-cat":
-            amps = _qubit_mode_amps(st)
-            assert np.array_equal(amps.view(np.uint64), kron_sum.view(np.uint64))
-        assert np.allclose(dense(st).amps, kron_sum, rtol=0.0, atol=1e-15)
+        amps = _qubit_mode_amps(st) if family == "qubit-cat" else dense(st).amps
+        assert np.array_equal(amps.view(np.uint64), kron_sum.view(np.uint64))
 
     def test_bell_pair_residual_combines_encoding_means(self):
         # residuals well above machine precision, so the rule is visible
@@ -417,7 +415,8 @@ class TestParityMeasurement:
         assert p == pytest.approx(1.0, abs=1e-12)
         assert abs(inner(collapsed, st)) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("cat, parity", [((1.0, 0.0), 1), ((0.0, 1.0), -1)])
+    @pytest.mark.parametrize("cat, parity", [((1.0, 0.0), 1), ((0.0, 1.0), -1)],
+                             ids=["even_coherent-1", "odd_coherent--1"])
     def test_cat_codewords_are_eigenstates_for_every_z(self, cat, parity):
         # the eigen-branch's weight may round to 1 - 1ulp; the other branch
         # must then still be the exact zero of its own amplitudes
