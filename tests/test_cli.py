@@ -485,6 +485,26 @@ class TestEntropy:
         assert code == 0 and len(calls) == 1
         assert json.loads(data)["entropy_bits"] == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "paritybell:psi~-:z=9,zp=7.25"],
+        ["entropy", "hes:phi-:z=9"],
+        ["swap", "--z", "9", "--zprime", "8", "--trials", "40"],
+        ["chsh", "--z", "9"],
+    ], ids=["paritybell", "hes", "swap", "chsh"])
+    def test_no_svd_is_larger_than_4x4(self, argv, monkeypatch, tmp_path):
+        # the dense route took the SVD of a dim x dim amplitude matrix (160 x 160 here)
+        svd = np.linalg.svd
+        shapes = []
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        code, _ = run(argv, tmp_path)
+        assert code == 0 and shapes
+        assert all(max(shape) <= 4 for shape in shapes), shapes
+
     def test_missing_parameter_fails_cleanly(self, tmp_path, capsys):
         code, _ = run(["entropy", "hes:phi+"], tmp_path)
         assert code != 0
