@@ -5,9 +5,10 @@ available in closed form from k(z). Independently, the maximum over all
 settings for any qubit x mode state follows from the singular values of its
 3x3 correlation matrix, which confirms the closed form numerically. Every
 Bell expectation is bilinear in the settings through that matrix, so no
-Bell operator is built here. A state is all the analysis takes, and the
-mode's pseudospin acts on its 2*dim amplitudes by index operations at the
-mode dimension the state carries, so no dim x dim matrix is built either.
+Bell operator is built here. A state is all the analysis takes: its 2x2
+coefficients and the pseudospin's matrix elements on each party's two
+codewords give the matrix, so neither the 2*dim amplitudes nor a dim x dim
+matrix is built.
 """
 
 from __future__ import annotations
@@ -17,18 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FactorKind, HesLabel, LogicalState, StateVector
-from .pseudospin import PAULI_X, PAULI_Y, PAULI_Z, Direction, k_series
+from .fock import HesLabel, LogicalState, SpaceDescriptor
+from .pseudospin import Direction, encoded_pseudospin, k_series
 
 CIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 CLASSICAL_BOUND = 2.0
 
 _VALUE_SLACK = 1e-9  # rounding allowed above the Cirelson bound
 _NONREAL_TOL = 1e-10  # largest imaginary part an expectation may carry
-# the entries of s_y and s_z on each (even, odd) pair of Fock states, as
-# the pseudospin module defines them: s_y = [[0, -i], [i, 0]], s_z = diag(1, -1)
-_S_Y_PAIR = np.array([complex(0.0, -1.0), complex(0.0, 1.0)])
-_S_Z_PAIR = np.array([1.0 + 0.0j, -1.0 + 0.0j])
 
 
 @dataclass(frozen=True)
@@ -70,23 +67,6 @@ class ChshResult:
             )
 
 
-def _qubit_mode_amps(state: StateVector | LogicalState) -> np.ndarray:
-    """The 2*dim amplitudes of a qubit⊗mode state. A LogicalState's are the
-    sum, in row-major order, of (qubit codeword ⊗ mode codeword) * coefficient
-    over its nonzero coefficients; on a Bell pair's codewords, of disjoint
-    support, that is bit for bit (|0_L>|x> ± |1_L>|y>) * 2**-0.5."""
-    space = state.space
-    if tuple(kind for kind, _ in space.factors) != (FactorKind.QUBIT, FactorKind.MODE):
-        raise ValueError(f"state on {space.describe()} is not qubit⊗mode")
-    if isinstance(state, StateVector):
-        return state.amps
-    (qubit, mode), c = state.encodings, state.coeffs
-    terms = [np.outer(a.amps, b.amps) * c[i, j]
-             for i, a in enumerate((qubit.zero, qubit.one))
-             for j, b in enumerate((mode.zero, mode.one)) if c[i, j]]
-    return sum(terms[1:], start=terms[0]).ravel()
-
-
 def analytic_settings(z: float, label: HesLabel = HesLabel.PHI_PLUS) -> ChshSettings:
     """In-plane settings that reach 2*sqrt(1 + k^2) for the given state.
 
@@ -113,30 +93,29 @@ def analytic_optimum(z: float, label: HesLabel = HesLabel.PHI_PLUS) -> ChshResul
     )
 
 
-def correlation_matrix(state: StateVector | LogicalState) -> np.ndarray:
+def correlation_matrix(state: LogicalState) -> np.ndarray:
     """3x3 matrix of <sigma_k x s_l> expectations, with s_l the pseudospin
     of the state's mode; every Bell expectation is bilinear in the settings
     through it.
 
-    s_l acts within each (even, odd) pair of Fock amplitudes: s_x swaps the
-    pair, s_y swaps it and multiplies by (-i, i), and s_z flips the sign of
-    the odd one. Memory is O(dim), not the O(dim**2) of dense s_l.
+    With C the 2x2 coefficients and A, B the encoded pseudospins of the
+    qubit and the mode (``encoded_pseudospin``), entry (k, l) is the sum of
+    the entries of (C^H A_k C) * B_l: two small matrix products after O(dim)
+    work on the codewords.
     """
-    psi = _qubit_mode_amps(state).reshape(2, -1)
-    m = np.empty((3, 3))
-    for i, sig in enumerate((PAULI_X, PAULI_Y, PAULI_Z)):
-        pairs = (sig @ psi).reshape(2, -1, 2)  # sig acts on the qubit index
-        swapped = pairs[:, :, ::-1]
-        spun = (swapped, swapped * _S_Y_PAIR, pairs * _S_Z_PAIR)
-        for j, moved in enumerate(spun):
-            val = complex(np.vdot(psi, moved))
-            if abs(val.imag) > _NONREAL_TOL:
-                raise ValueError(f"correlation has nonreal residue {val.imag!r}")
-            m[i, j] = val.real
-    return m
+    space = state.space
+    if space != SpaceDescriptor.qubit() * SpaceDescriptor.mode(space.dims[-1]):
+        raise ValueError(f"state on {space.describe()} is not qubit⊗mode")
+    (qubit, mode), c = state.encodings, state.coeffs
+    spun = c.conj().T @ encoded_pseudospin(qubit) @ c
+    m = spun.reshape(3, 4) @ encoded_pseudospin(mode).reshape(3, 4).T
+    residue = float(m.imag.flat[np.argmax(np.abs(m.imag))])
+    if abs(residue) > _NONREAL_TOL:
+        raise ValueError(f"correlation has nonreal residue {residue!r}")
+    return m.real
 
 
-def optimize_chsh(state: StateVector | LogicalState) -> ChshResult:
+def optimize_chsh(state: LogicalState) -> ChshResult:
     """Maximal Bell expectation over all settings, in closed form.
 
     With M = U diag(s) V^T the correlation matrix, the maximum is

@@ -7,7 +7,8 @@ an even-dimensional truncation. s_plus maps |2n+1> -> |2n> and annihilates
 even states, s_minus is its adjoint, s_x = s_plus + s_minus and
 s_y = -i(s_plus - s_minus); on a qubit they are the Pauli matrices. They
 act here by moving amplitudes within each pair, so no dim x dim matrix is
-built. The module also evaluates the even/odd overlap k(z) that sets the
+built; ``encoded_pseudospin`` gives their matrix elements on the two
+codewords of an encoding, which is all the CHSH analysis needs. The module also evaluates the even/odd overlap k(z) that sets the
 strength of the Bell-CHSH violation, by two independent routes: a scalar
 series and a matrix-element computation on the truncated space.
 """
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
+    Encoding,
     StateVector,
     _check_z,
     _log_sinh,
@@ -86,6 +88,20 @@ def s_plus(state: StateVector) -> StateVector:
 def s_minus(state: StateVector) -> StateVector:
     """s_minus|state> for an even-parity state: each |2n> amplitude moves to |2n+1>."""
     return _flip(state, 0)
+
+
+def encoded_pseudospin(enc: Encoding) -> np.ndarray:
+    """<a_L|s_l|b_L> for l = x, y, z and a, b in (0, 1), as a (3, 2, 2) array.
+
+    s_l acts on every (even, odd) pair of a codeword's amplitudes as the
+    Pauli matrix sigma_l acts on a qubit; this is the one place that pair
+    action is defined. Work and memory are O(dim). On ``Encoding.qubit()``
+    the result is the Pauli matrices.
+    """
+    words = np.stack((enc.zero.amps, enc.one.amps))
+    pairs = words.reshape(2, -1, 2)
+    return np.stack([words.conj() @ (pairs @ sigma.T).reshape(2, -1).T
+                     for sigma in (PAULI_X, PAULI_Y, PAULI_Z)])
 
 
 def k_series(z: float) -> float:

@@ -13,7 +13,8 @@ over their codewords lives here too: ``dense`` expands a ``LogicalState``
 into its full amplitude vector, ``kron`` multiplies dense states,
 ``partial_inner`` projects a dense state onto a bra over some of its
 factors, and ``build_pseudospin``/``apply`` act with dense dim x dim
-pseudospin matrices.
+pseudospin matrices. ``schmidt_logical`` goes the other way, writing a
+dense qubit⊗mode vector as a ``LogicalState`` that the CHSH analysis takes.
 """
 
 import functools
@@ -27,6 +28,7 @@ from hesim import (
     Correction,
     Encoding,
     HesLabel,
+    LogicalState,
     ParityBellLabel,
     SpaceDescriptor,
     SpinBellLabel,
@@ -45,6 +47,14 @@ from hesim.pseudospin import PAULI_X, PAULI_Y, PAULI_Z, Direction
 EIGENVALUE_FLOOR = 1e-14
 # a dense operator must keep the norm of the state it acts on to this much
 APPLY_NORM_TOL = 1e-10
+# largest entry difference between a pseudospin matrix element or CHSH
+# correlation taken on codeword coefficients and the dense one: the two sum
+# the same products in different orders (measured at most 5.6e-16 on
+# hybrid states at z in [0, 9] and 4.4e-16 on random states)
+DENSE_AGREEMENT_TOL = 4e-15
+# largest difference between a recorded chsh optimizer_value and the dense
+# correlation matrix's 2 * hypot(s1, s2) at the report's z, label and dim
+GOLDEN_CHSH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -95,6 +105,18 @@ def dense(state) -> StateVector:
         term = term * state.coeffs[index]
         amps = term if amps is None else amps + term
     return StateVector(state.space, amps, state.truncation_residual)
+
+
+def schmidt_logical(state: StateVector) -> LogicalState:
+    """A qubit⊗mode StateVector as a LogicalState over the qubit's up/down and
+    the mode's two Schmidt vectors: with the amplitudes as the 2 x dim matrix
+    U diag(s) V^H, the coefficients are U diag(s) and the mode codewords the
+    rows of V^H. Those codewords mix parities, unlike the cat codewords."""
+    dim = state.space.dims[1]
+    u, s, vh = np.linalg.svd(state.amps.reshape(2, dim), full_matrices=False)
+    mode = SpaceDescriptor.mode(dim)
+    words = Encoding(StateVector(mode, vh[0]), StateVector(mode, vh[1]))
+    return LogicalState((Encoding.qubit(), words), u * s, state.truncation_residual)
 
 
 def kron(a: StateVector, b: StateVector) -> StateVector:

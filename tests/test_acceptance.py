@@ -41,6 +41,7 @@ from oracles import (
     dense,
     direction,
     kron,
+    schmidt_logical,
     spin_dot,
     swap_expansion,
 )
@@ -116,10 +117,10 @@ def test_criterion_4_optimizer_consistency():
     for _ in range(20):
         q = rng.normal(size=2) + 1j * rng.normal(size=2)
         m = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        state = kron(
+        state = schmidt_logical(kron(
             StateVector(SpaceDescriptor.qubit(), q / np.linalg.norm(q)),
             StateVector(SpaceDescriptor.mode(dim), m / np.linalg.norm(m)),
-        )
+        ))
         res = optimize_chsh(state)
         worst_product = max(worst_product, res.value)
         ok &= res.value <= 2.0 + 1e-6

@@ -9,18 +9,25 @@ Python 3.11's argparse wording; on another numpy the last digits of a
 report may differ.
 
 After an intended change of output, re-record every argv in the file with
-``PYTHONPATH=src python tests/test_cli_golden.py``.
+``PYTHONPATH=src python tests/test_cli_golden.py``. Every recorded ``chsh``
+optimum is checked against the dense oracle as well, so a re-recorded one
+must still agree with it.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hesim import HesLabel, hes_state
 from hesim.cli import main
+
+from oracles import GOLDEN_CHSH_TOL, dense_correlation_matrix
 
 DATA = Path(__file__).with_name("cli_golden.jsonl")
 COLUMNS = "80"  # argparse wraps usage lines to the terminal width
@@ -46,6 +53,18 @@ def _cases() -> list[dict]:
 def test_output_is_byte_identical(case, monkeypatch):
     monkeypatch.setenv("COLUMNS", COLUMNS)
     assert record(case["argv"]) == case
+
+
+@pytest.mark.parametrize(
+    "case",
+    [case for case in _cases() if case["argv"][0] == "chsh" and case["stdout"].startswith("{")],
+    ids=lambda case: " ".join(case["argv"]),
+)
+def test_chsh_optimum_is_the_dense_oracle_s(case):
+    report = json.loads(case["stdout"])
+    state = hes_state(HesLabel(report["label"]), report["z"], report["dim"])
+    s = np.linalg.svd(dense_correlation_matrix(state), compute_uv=False)
+    assert abs(report["optimizer_value"] - 2.0 * math.hypot(s[0], s[1])) <= GOLDEN_CHSH_TOL
 
 
 if __name__ == "__main__":

@@ -36,7 +36,6 @@ from hesim import (
     teleport_spin,
     tensor,
 )
-from hesim.bellchsh import _qubit_mode_amps
 from hesim.protocols import (
     _BATCH_MIN_TRIALS,
     _SWAP_PAIRING,
@@ -167,8 +166,8 @@ class TestBellBases:
 
     @pytest.mark.parametrize("family,label", FAMILY_LABELS)
     def test_bell_pair_is_the_kron_sum_bit_for_bit(self, family, label):
-        # the coefficients are the signed pattern of halves, and their expansion
-        # (the CHSH analysis's for a hybrid pair) is the kron sum bit for bit
+        # the coefficients are the signed pattern of halves, and their dense
+        # expansion is the kron sum bit for bit
         enc_a, enc_b = FAMILIES[family][1]()
         b0, b1 = (enc_b.zero, enc_b.one) if label.is_phi else (enc_b.one, enc_b.zero)
         kron_sum = (np.kron(enc_a.zero.amps, b0.amps) + label.sign * np.kron(
@@ -177,8 +176,7 @@ class TestBellBases:
         st = bell_pair(label, enc_a, enc_b)
         pattern = np.eye(2) if label.is_phi else np.eye(2)[::-1]
         assert np.array_equal(st.coeffs, pattern * np.array([[1.0], [label.sign]]) * SQRT_HALF)
-        amps = _qubit_mode_amps(st) if family == "qubit-cat" else dense(st).amps
-        assert np.array_equal(amps.view(np.uint64), kron_sum.view(np.uint64))
+        assert np.array_equal(dense(st).amps.view(np.uint64), kron_sum.view(np.uint64))
 
     def test_bell_pair_residual_combines_encoding_means(self):
         # residuals well above machine precision, so the rule is visible

@@ -8,6 +8,7 @@ import pytest
 
 from hesim import (
     Direction,
+    Encoding,
     SpaceDescriptor,
     StateVector,
     even_coherent,
@@ -17,10 +18,10 @@ from hesim import (
     odd_coherent,
     qubit_state,
 )
-from hesim.pseudospin import s_minus, s_plus
+from hesim.pseudospin import PAULI_X, PAULI_Y, PAULI_Z, encoded_pseudospin, s_minus, s_plus
 
-from conftest import number_state, random_amps
-from oracles import apply, build_pseudospin, direction, spin_dot
+from conftest import number_state, random_amps, random_encoding
+from oracles import DENSE_AGREEMENT_TOL, apply, build_pseudospin, direction, spin_dot
 
 # frozen from a 40-digit evaluation of the overlap series
 K_ORACLE = {
@@ -144,6 +145,56 @@ class TestIndexShift:
         two = SpaceDescriptor.qubit() * SpaceDescriptor.qubit()
         with pytest.raises(ValueError, match="one qubit or mode"):
             s_plus(StateVector(two, [0.0, 1.0, 0.0, 0.0]))
+
+
+class TestEncodedPseudospin:
+    """The pseudospin's matrix elements on an encoding's two codewords."""
+
+    def test_on_the_qubit_it_is_the_pauli_matrices(self):
+        # + 0.0 clears the sign of PAULI_Y's zero real part (-1.0j is
+        # complex(-0.0, -1.0)); every other bit must agree
+        got = encoded_pseudospin(Encoding.qubit())
+        assert got.shape == (3, 2, 2)
+        for spin, pauli in zip(got, (PAULI_X, PAULI_Y, PAULI_Z)):
+            assert same_bits(spin, pauli + 0.0)
+
+    @staticmethod
+    def dense_elements(enc: Encoding) -> np.ndarray:
+        ops = build_pseudospin(enc.space.dim)
+        words = np.stack((enc.zero.amps, enc.one.amps))
+        return np.stack([words.conj() @ s @ words.T for s in (ops.s_x, ops.s_y, ops.s_z)])
+
+    @pytest.mark.parametrize("dim", [2, 4, 16, 160])
+    def test_matches_the_dense_matrices_on_random_codewords(self, dim, rng):
+        for _ in range(10):
+            enc = random_encoding(dim, rng)
+            got, expected = encoded_pseudospin(enc), self.dense_elements(enc)
+            assert np.max(np.abs(got - expected)) <= DENSE_AGREEMENT_TOL
+
+    @pytest.mark.parametrize("z", [0.0, 0.3, 1.0, 4.0, 9.0])
+    def test_on_the_cat_codewords_it_is_k_times_the_pauli_pair(self, z):
+        # s_x and s_y flip parity, so only their off-diagonal elements survive,
+        # k(z) and -i k(z); s_z is the parity, diag(1, -1)
+        dim = mode_dim_for(z, 1e-14)
+        enc = Encoding.cat(z, dim)
+        got = encoded_pseudospin(enc)
+        assert np.max(np.abs(got - self.dense_elements(enc))) <= DENSE_AGREEMENT_TOL
+        k = k_series(z)
+        expected = np.stack([k * PAULI_X, k * PAULI_Y, PAULI_Z])
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+    def test_builds_no_dense_matrix(self):
+        # dim 10776: a dense s_x alone would take 1.9 GB
+        z = 100.0
+        enc = Encoding.cat(z, mode_dim_for(z, 1e-14))
+        tracemalloc.start()
+        try:
+            got = encoded_pseudospin(enc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(got[0, 0, 1] - k_series(z)) < 1e-10
+        assert peak < 20 * 16 * enc.space.dim
 
 
 class TestDirection:
