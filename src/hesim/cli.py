@@ -22,7 +22,7 @@ import sys
 
 from .bellchsh import analytic_optimum, optimize_chsh
 from .entanglement import entanglement_entropy, schmidt_coefficients
-from .fock import Encoding, LogicalState, TruncationError, mode_dim_for, tensor
+from .fock import _MODE_DIM_CAP, Encoding, LogicalState, TruncationError, mode_dim_for, tensor
 from .protocols import (
     HesLabel,
     ParityBellLabel,
@@ -71,6 +71,8 @@ def _parse_enum(enum_cls, text: str, what: str):
 def _dim_for(override: int | None, *zs: float) -> int:
     """--dim if given, else the largest adaptive cutoff over the amplitudes."""
     if override is not None:
+        if override > _MODE_DIM_CAP:
+            raise ValueError(f"--dim must be at most {_MODE_DIM_CAP}, got {override}")
         return override
     return max(mode_dim_for(z, ADAPTIVE_DIM_TOL) for z in zs)
 
@@ -91,6 +93,11 @@ def _normalized_pair(alpha: complex, beta: complex) -> tuple[complex, complex]:
     norm = math.hypot(alpha.real, alpha.imag, beta.real, beta.imag)
     if norm == 0.0:
         raise ValueError("alpha and beta cannot both be zero")
+    if norm < sys.float_info.min:
+        # a subnormal norm carries too few bits; scaling by a power of two is exact
+        alpha, beta = (complex(math.ldexp(x.real, 600), math.ldexp(x.imag, 600))
+                       for x in (alpha, beta))
+        norm = math.hypot(alpha.real, alpha.imag, beta.real, beta.imag)
     return alpha / norm, beta / norm
 
 

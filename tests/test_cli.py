@@ -146,6 +146,26 @@ class TestChsh:
         assert chsh_err == capsys.readouterr().err
         assert chsh_err == "error: mode dimension must be an even integer >= 2, got 5\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["chsh", "--z", "1"],
+        ["kz", "--zmin", "1", "--zmax", "1", "--steps", "1"],
+        ["teleport", "spin", "--alpha", "0.6", "--beta", "0.8", "--z", "1"],
+        ["swap", "--z", "1", "--zprime", "1"],
+        ["entropy", "hes:phi+:z=1"],
+    ])
+    def test_dim_above_the_cap_is_refused_before_anything_is_built(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        # --dim 2000000 used to build a 2000000-amplitude state (2.6 s, 519 MB)
+        def no_build(*args):
+            raise AssertionError("a state was built at a --dim above the cap")
+
+        for name in ("hes_state", "k_matrix", "teleport_spin", "swap_entanglement"):
+            monkeypatch.setattr(hesim.cli, name, no_build)
+        code, data = run(argv + ["--dim", "1000002"], tmp_path)
+        assert code == 1 and data == b""
+        assert capsys.readouterr().err == "error: --dim must be at most 1000000, got 1000002\n"
+
     def test_restarts_below_one_rejected(self, tmp_path, capsys):
         code, data = run(["chsh", "--z", "1", "--restarts", "0"], tmp_path)
         assert code == 1 and data == b""
@@ -266,6 +286,17 @@ class TestTeleport:
         payload = json.loads(data)
         assert payload["alpha"] == [1.0, 0.0]
         assert payload["beta"] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("alpha,beta", [(1, 1), (3, 4j), (5j, -12), (7, 0), (1j, 1)])
+    def test_subnormal_amplitudes_normalize_as_their_scaled_values(self, alpha, beta):
+        # a subnormal norm used to round away the amplitudes' last bits: 5e-324
+        # and 5e-324 came out as (1, 1), which the state check refused
+        for shift in (-1074, -1060, -1030):
+            tiny = (complex(math.ldexp(x.real, shift), math.ldexp(x.imag, shift))
+                    for x in (complex(alpha), complex(beta)))
+            assert hesim.cli._normalized_pair(*tiny) == hesim.cli._normalized_pair(
+                complex(alpha), complex(beta)
+            )
 
     def test_zpp_rejected_for_spin(self, tmp_path, capsys, monkeypatch):
         def no_table(*args):
