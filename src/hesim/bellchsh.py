@@ -6,9 +6,8 @@ settings for any qubit x mode state follows from the singular values of its
 3x3 correlation matrix, which confirms the closed form numerically. Every
 Bell expectation is bilinear in the settings through that matrix, so no
 Bell operator is built here. A state is all the analysis takes: its 2x2
-coefficients and the pseudospin's matrix elements on each party's two
-codewords give the matrix, so neither the 2*dim amplitudes nor a dim x dim
-matrix is built.
+coefficients and the pseudospin on each party's codewords give the matrix,
+so neither its 2*dim amplitudes nor a dim x dim matrix is built.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import HesLabel, LogicalState, SpaceDescriptor
+from .fock import HesLabel, LogicalState
 from .pseudospin import Direction, encoded_pseudospin, k_series
 
 CIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -98,14 +97,12 @@ def correlation_matrix(state: LogicalState) -> np.ndarray:
     of the state's mode; every Bell expectation is bilinear in the settings
     through it.
 
-    With C the 2x2 coefficients and A, B the encoded pseudospins of the
-    qubit and the mode (``encoded_pseudospin``), entry (k, l) is the sum of
-    the entries of (C^H A_k C) * B_l: two small matrix products after O(dim)
-    work on the codewords.
+    With C the 2x2 coefficients and A, B the ``encoded_pseudospin`` of the
+    qubit and the mode, entry (k, l) sums the entries of (C^H A_k C) * B_l:
+    two small matrix products after O(dim) work on the codewords.
     """
-    space = state.space
-    if space != SpaceDescriptor.qubit() * SpaceDescriptor.mode(space.dims[-1]):
-        raise ValueError(f"state on {space.describe()} is not qubit⊗mode")
+    if [kind.value for kind, _ in state.space.factors] != ["qubit", "mode"]:
+        raise ValueError(f"state on {state.space.describe()} is not qubit⊗mode")
     (qubit, mode), c = state.encodings, state.coeffs
     spun = c.conj().T @ encoded_pseudospin(qubit) @ c
     m = spun.reshape(3, 4) @ encoded_pseudospin(mode).reshape(3, 4).T

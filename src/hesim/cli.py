@@ -93,11 +93,9 @@ def _normalized_pair(alpha: complex, beta: complex) -> tuple[complex, complex]:
     norm = math.hypot(alpha.real, alpha.imag, beta.real, beta.imag)
     if norm == 0.0:
         raise ValueError("alpha and beta cannot both be zero")
-    if norm < sys.float_info.min:
-        # a subnormal norm carries too few bits; scaling by a power of two is exact
-        alpha, beta = (complex(math.ldexp(x.real, 600), math.ldexp(x.imag, 600))
-                       for x in (alpha, beta))
-        norm = math.hypot(alpha.real, alpha.imag, beta.real, beta.imag)
+    if norm < sys.float_info.min:  # subnormal, so short of bits: scale by 2**600, exactly
+        return _normalized_pair(*(complex(math.ldexp(x.real, 600), math.ldexp(x.imag, 600))
+                                  for x in (alpha, beta)))
     return alpha / norm, beta / norm
 
 

@@ -7,8 +7,8 @@ an even-dimensional truncation. s_plus maps |2n+1> -> |2n> and annihilates
 even states, s_minus is its adjoint, s_x = s_plus + s_minus and
 s_y = -i(s_plus - s_minus); on a qubit they are the Pauli matrices. They
 act here by moving amplitudes within each pair, so no dim x dim matrix is
-built; ``encoded_pseudospin`` gives their matrix elements on the two
-codewords of an encoding, which is all the CHSH analysis needs. The module also evaluates the even/odd overlap k(z) that sets the
+built; ``encoded_pseudospin`` gives their elements between two codewords.
+The module also evaluates the even/odd overlap k(z) that sets the
 strength of the Bell-CHSH violation, by two independent routes: a scalar
 series and a matrix-element computation on the truncated space.
 """
@@ -37,6 +37,7 @@ _FLIP_NORM_TOL = 1e-10  # a parity flip must keep the norm of the state it acts 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_PAULIS = np.stack((PAULI_X, PAULI_Y, PAULI_Z))
 
 
 @dataclass(frozen=True)
@@ -93,15 +94,14 @@ def s_minus(state: StateVector) -> StateVector:
 def encoded_pseudospin(enc: Encoding) -> np.ndarray:
     """<a_L|s_l|b_L> for l = x, y, z and a, b in (0, 1), as a (3, 2, 2) array.
 
-    s_l acts on every (even, odd) pair of a codeword's amplitudes as the
-    Pauli matrix sigma_l acts on a qubit; this is the one place that pair
-    action is defined. Work and memory are O(dim). On ``Encoding.qubit()``
-    the result is the Pauli matrices.
+    s_l acts on every (even, odd) pair of amplitudes n as sigma_l on a qubit,
+    the one definition of that pair action, so the element sums a_n^H sigma_l
+    b_n over n: it needs the 4x4 overlaps of the codewords' even and odd
+    parts, O(dim). On ``Encoding.qubit()`` it is the Pauli matrices.
     """
-    words = np.stack((enc.zero.amps, enc.one.amps))
-    pairs = words.reshape(2, -1, 2)
-    return np.stack([words.conj() @ (pairs @ sigma.T).reshape(2, -1).T
-                     for sigma in (PAULI_X, PAULI_Y, PAULI_Z)])
+    parts = np.array([w.amps[parity::2] for w in (enc.zero, enc.one) for parity in (0, 1)])
+    overlaps = (parts.conj() @ parts.T).reshape(2, 2, 2, 2)  # [a, j, b, k]
+    return np.einsum("ljk,ajbk->lab", _PAULIS, overlaps)
 
 
 def k_series(z: float) -> float:
