@@ -95,9 +95,9 @@ def encoded_pseudospin(enc: Encoding) -> np.ndarray:
     """<a_L|s_l|b_L> for l = x, y, z and a, b in (0, 1), as a (3, 2, 2) array.
 
     s_l acts on every (even, odd) pair of amplitudes n as sigma_l on a qubit,
-    the one definition of that pair action, so the element sums a_n^H sigma_l
-    b_n over n: it needs the 4x4 overlaps of the codewords' even and odd
-    parts, O(dim). On ``Encoding.qubit()`` it is the Pauli matrices.
+    so the element sums a_n^H sigma_l b_n over n: it needs only the 4x4
+    overlaps of the codewords' even and odd parts, O(dim). On
+    ``Encoding.qubit()`` it is the Pauli matrices.
     """
     parts = np.array([w.amps[parity::2] for w in (enc.zero, enc.one) for parity in (0, 1)])
     overlaps = (parts.conj() @ parts.T).reshape(2, 2, 2, 2)  # [a, j, b, k]

@@ -253,8 +253,8 @@ class TestOptimizeChsh:
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(
-        # most examples at z <= 9, where the settings are checked densely too;
-        # a few up to z = 100 (dim 10776)
+        # about half the examples at z <= 9, where the settings are also
+        # checked densely, the rest up to z = 100 (dim 10776)
         z=st.floats(min_value=0.0, max_value=9.0) | st.floats(min_value=9.0, max_value=100.0),
         label=st.sampled_from(list(HesLabel)),
     )

@@ -60,7 +60,7 @@ def test_output_is_byte_identical(case, monkeypatch):
     [case for case in _cases() if case["argv"][0] == "chsh" and case["stdout"].startswith("{")],
     ids=lambda case: " ".join(case["argv"]),
 )
-def test_chsh_optimum_is_the_dense_oracle_s(case):
+def test_chsh_optimum_agrees_with_the_dense_oracle(case):
     report = json.loads(case["stdout"])
     state = hes_state(HesLabel(report["label"]), report["z"], report["dim"])
     s = np.linalg.svd(dense_correlation_matrix(state), compute_uv=False)
