@@ -73,7 +73,11 @@ def analytic_settings(z: float, label: HesLabel = HesLabel.PHI_PLUS) -> ChshSett
     pairing; the other three labels flip the correlator signs, which a
     reflected qubit axis or swapped mode angles undo.
     """
-    t = math.atan(k_series(z))
+    return _settings_for(k_series(z), label)
+
+
+def _settings_for(k: float, label: HesLabel) -> ChshSettings:
+    t = math.atan(k)
     if label is HesLabel.PHI_PLUS:
         return ChshSettings.in_plane(0.0, math.pi / 2.0, t, -t)
     if label is HesLabel.PHI_MINUS:
@@ -88,7 +92,7 @@ def analytic_optimum(z: float, label: HesLabel = HesLabel.PHI_PLUS) -> ChshResul
     k = k_series(z)
     return ChshResult(
         value=2.0 * math.sqrt(1.0 + k * k),
-        settings=analytic_settings(z, label),
+        settings=_settings_for(k, label),
     )
 
 

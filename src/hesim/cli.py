@@ -361,10 +361,10 @@ def _entropy_subparser(p: argparse.ArgumentParser) -> None:
     p.set_defaults(func=cmd_entropy)
 
 
-# name: (help line, fills in the subparser), in help order; build_parser adds
-# --dim and --out after each filler. The handlers are bound inside the fillers,
-# at call time, so a wrapper installed on a module-level ``cmd_*`` name after
-# import still sees every call.
+# name: (help line, fills in the subparser), in help order; _declare adds
+# --dim and --out, in the full tree and in main's one parser. The handlers are
+# bound inside the fillers, at call time, so a wrapper installed on a
+# module-level ``cmd_*`` name after import still sees every call.
 _SUBCOMMANDS = {
     "kz": ("sweep the overlap k(z) and the CHSH violation", _kz_subparser),
     "chsh": ("compare the CHSH maximum with the closed form", _chsh_subparser),
@@ -374,36 +374,36 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``hesim`` parser with every subcommand, or with ``command`` alone.
+def _declare(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Every argument of subcommand ``name``, declared on ``p``."""
+    _SUBCOMMANDS[name][1](p)
+    p.add_argument("--dim", type=int, default=None, help="override the adaptive Fock cutoff")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
+    return p
 
-    Each subparser is built the same way in either tree, so its help, usage
-    and errors read the same; only the top-level usage's list of subcommands
-    differs.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``hesim`` parser with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="hesim",
         description="Hybrid entangled state simulator: sweeps, CHSH optimization, "
         "teleportation and swapping Monte Carlo, entanglement reports.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_line, fill) in _SUBCOMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_line)
-            fill(p)
-            p.add_argument("--dim", type=int, default=None,
-                           help="override the adaptive Fock cutoff")
-            p.add_argument("--out", default=None, help="output path (default stdout)")
+    for name, (help_line, _) in _SUBCOMMANDS.items():
+        _declare(sub.add_parser(name, help=help_line), name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # Building all five subparsers is a large share of a short command such as
-    # chsh, so only the one argv names is built. Anything left over is
-    # reported by the full tree, whose usage lists every subcommand.
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    args, extras = build_parser(command).parse_known_args(argv)
+    # The full tree is a large share of a short command, so a named one gets
+    # the parser add_parser would make for it alone: same help, usage, errors.
+    # The full tree reports leftovers, no argv, top-level -h and bad commands.
+    extras = True
+    if argv and argv[0] in _SUBCOMMANDS:
+        parser = _declare(argparse.ArgumentParser(prog=f"hesim {argv[0]}"), argv[0])
+        args, extras = parser.parse_known_args(argv[1:])
     if extras:
         args = build_parser().parse_args(argv)
     try:

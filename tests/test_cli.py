@@ -414,6 +414,40 @@ class TestGeneratorsBuilt:
         assert json.loads(data)["trials"] == trials
 
 
+class TestOneDrawPerTrial:
+    """Trial i draws one uniform from RngStream(seed + i), on either path of
+    ``trial_streams``: the invariant a traced perfbench run checks, counted on
+    ``RngStream.uniform`` as perfbench does."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["teleport", "spin", "--alpha", "0.6", "--beta", "0.8", "--z", "1"],
+            ["teleport", "parity", "--alpha", "0.6", "--beta", "0.8j", "--z", "1",
+             "--zpp", "0.7"],
+            ["swap", "--z", "1", "--zprime", "0.5"],
+        ],
+        ids=["teleport_spin", "teleport_parity", "swap"],
+    )
+    @pytest.mark.parametrize(
+        "trials,seed",
+        [(1, 0), (15, 3), (16, 3), (100, 0), (300, 2**32 - 100)],
+        ids=["one", "below_batch", "at_batch", "hundred", "straddles_2_32"],
+    )
+    def test_one_draw_per_trial(self, command, trials, seed, monkeypatch, tmp_path):
+        drawn = []
+        uniform = hesim.protocols.RngStream.uniform
+
+        def counted(stream):
+            drawn.append(stream.seed)
+            return uniform(stream)
+
+        monkeypatch.setattr(hesim.protocols.RngStream, "uniform", counted)
+        code, data = run(command + ["--trials", str(trials), "--seed", str(seed)], tmp_path)
+        assert code == 0 and json.loads(data)["trials"] == trials
+        assert drawn == list(range(seed, seed + trials))
+
+
 class TestSwap:
     def test_report_schema_and_pairing(self, tmp_path):
         code, data = run(
@@ -580,9 +614,21 @@ def _outcome(argv, capsys):
 
 
 class TestParserSelection:
-    """``main`` builds only the subparser that argv names, with unchanged text."""
+    """``main`` builds only the parser of the subcommand argv names, with the
+    full tree's text."""
 
-    def test_valid_command_builds_at_most_two_parsers(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kz", "--zmin", "0", "--zmax", "1", "--steps", "2"],
+            ["chsh", "--z", "1"],
+            ["teleport", "spin", "--alpha", "0.6", "--beta", "0.8", "--z", "1"],
+            ["swap", "--z", "1", "--zprime", "0.5"],
+            ["entropy", "hes:phi+:z=1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_valid_command_builds_one_parser(self, argv, monkeypatch, tmp_path):
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -591,9 +637,9 @@ class TestParserSelection:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-        code, data = run(["chsh", "--z", "1"], tmp_path)
-        assert code == 0 and json.loads(data)["command"] == "chsh"
-        assert len(built) <= 2
+        code, data = run(argv, tmp_path)
+        assert code == 0 and data
+        assert len(built) == 1
 
     def test_handler_is_looked_up_at_call_time(self, monkeypatch, tmp_path):
         # wrappers installed on module names after import (tracing) see calls
@@ -610,7 +656,17 @@ class TestParserSelection:
 
     def test_no_argument_builds_every_subcommand(self):
         assert "{kz,chsh,teleport,swap,entropy}" in build_parser().format_usage()
-        assert "{chsh}" in build_parser("chsh").format_usage()
+
+    @staticmethod
+    def _full_tree(argv, capsys):
+        """(stdout, stderr, exit code) of ``build_parser().parse_args(argv)``
+        and, if it parses, the report of the handler it selects."""
+        try:
+            args = build_parser().parse_args(list(argv))
+        except SystemExit as exc:
+            out, err = capsys.readouterr()
+            return out, err, exc.code
+        return args.func(args), "", 0
 
     @pytest.mark.parametrize("columns", ["20", "80", "200"])
     @pytest.mark.parametrize(
@@ -633,12 +689,19 @@ class TestParserSelection:
              "--zpp", "0.5", "--trials", "4"],
             ["swap", "--z", "1", "--zprime", "0.5", "--trials", "3"],
             ["entropy", "paritybell:phi~+:z=1,zp=0.5"],
+            ["chsh", "--lab", "psi-", "--z", "1"],
+            ["chsh", "--z", "1", "--z", "0.5"],
+            ["chsh", "--", "--z", "1"],
+            ["teleport", "--alpha", "0.6", "--beta", "0.8", "--z", "1", "--", "spin"],
+            ["chsh", "--z", "1", "-h"],
+            ["chsh", "--z"],
+            ["chsh", "--z", "1", "--out"],
+            ["chsh", "--z", "1", "--dim", "x"],
+            ["teleport", "spin"],
+            ["chsh", "--z", "1", "chsh"],
         ],
         ids=" ".join,
     )
     def test_text_matches_the_full_tree(self, argv, columns, monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", columns)
-        got = _outcome(argv, capsys)
-        full = build_parser
-        monkeypatch.setattr(hesim.cli, "build_parser", lambda command=None: full())
-        assert got == _outcome(argv, capsys)
+        assert _outcome(argv, capsys) == self._full_tree(argv, capsys)
