@@ -87,3 +87,12 @@ def test_each_changed_command_is_listed_once():
         f"COLUMNS=80 hesim swap --z 1: fidelity_min {1.0 - 0.9999999999999998:.3g}",
         "COLUMNS=80 hesim entropy x: stderr or exit differ",
     ]
+
+
+def test_a_differing_record_without_argv_is_a_difference():
+    base = [_record([], "", "usage: hesim\n", 2)]
+    change = [_record([], "", "usage: hesim [-h]\n", 2)]
+    assert byte_identity.first_difference(base, change, frozenset({"chsh"})) == (
+        "COLUMNS=80 hesim : stderr differ"
+    )
+    assert byte_identity.expected_changes(base, change, frozenset({"chsh"})) == []

@@ -9,9 +9,10 @@ Python 3.11's argparse wording; on another numpy the last digits of a
 report may differ.
 
 After an intended change of output, re-record every argv in the file with
-``PYTHONPATH=src python tests/test_cli_golden.py``. Every recorded ``chsh``
-optimum is checked against the dense oracle as well, so a re-recorded one
-must still agree with it.
+``PYTHONPATH=src python tests/test_cli_golden.py``; it prints the argv of
+every line whose record changed. Every recorded ``chsh`` optimum is checked
+against the dense oracle as well, so a re-recorded one must still agree
+with it.
 """
 
 import contextlib
@@ -57,7 +58,7 @@ def test_output_is_byte_identical(case, monkeypatch):
 
 @pytest.mark.parametrize(
     "case",
-    [case for case in _cases() if case["argv"][0] == "chsh" and case["stdout"].startswith("{")],
+    [case for case in _cases() if case["argv"][:1] == ["chsh"] and case["stdout"].startswith("{")],
     ids=lambda case: " ".join(case["argv"]),
 )
 def test_chsh_optimum_agrees_with_the_dense_oracle(case):
@@ -69,5 +70,10 @@ def test_chsh_optimum_agrees_with_the_dense_oracle(case):
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = COLUMNS
-    lines = [json.dumps(record(case["argv"]), ensure_ascii=False) for case in _cases()]
+    lines = []
+    for case in _cases():
+        new = record(case["argv"])
+        if new != case:
+            print("changed:", " ".join(["hesim", *case["argv"]]))
+        lines.append(json.dumps(new, ensure_ascii=False))
     DATA.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -85,12 +85,16 @@ def _describe(record: dict, detail: str) -> str:
     return f"COLUMNS={record['columns']} hesim {' '.join(record['argv'])}: {detail}"
 
 
+def _subcommand(record: dict) -> str:
+    return record["argv"][0] if record["argv"] else ""
+
+
 def first_difference(base: list[dict], change: list[dict],
                      expected: frozenset[str] = frozenset()) -> str | None:
     """A description of the first record that differs, or None; records of
     the ``expected`` subcommands are skipped."""
     for old, new in zip(base, change, strict=True):
-        if old != new and old["argv"][0] not in expected:
+        if old != new and _subcommand(old) not in expected:
             parts = [key for key in ("stdout", "stderr", "exit") if old[key] != new[key]]
             return _describe(old, f"{', '.join(parts)} differ")
     return None
@@ -144,7 +148,7 @@ def expected_changes(base: list[dict], change: list[dict],
     """One line per differing record of an expected subcommand."""
     lines = []
     for old, new in zip(base, change, strict=True):
-        if old != new and old["argv"][0] in expected:
+        if old != new and _subcommand(old) in expected:
             if (old["stderr"], old["exit"]) != (new["stderr"], new["exit"]):
                 lines.append(_describe(old, "stderr or exit differ"))
                 continue
