@@ -9,7 +9,10 @@ Only pure states are represented. A ``StateVector`` holds the amplitudes
 of one qubit or mode, such as a cat codeword. A ``LogicalState`` holds a
 coefficient tensor over its parties' ``Encoding``s, each a checked
 orthonormal pair of codewords; every multi-party state is one, so products
-and overlaps cost 2**n numbers, never dim**2 amplitudes. All values are
+and overlaps cost 2**n numbers, never dim**2 amplitudes. The cat codewords,
+their truncation residuals, the adaptive Fock cutoff ``mode_dim_for`` and
+the overlap k(z) of ``pseudospin`` all read one list of coherent weights,
+walked outward from the Poisson peak by term ratios. All values are
 immutable after construction; every operation here is a pure function and
 safe to share across workers. The Bell-pair label enums live here too, so
 that the analysis and protocol layers share them without importing each
@@ -18,6 +21,7 @@ other.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -158,20 +162,6 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
 
 
-def _log_cosh(x: float) -> float:
-    if x > 20.0:
-        return x + math.log1p(math.exp(-2.0 * x)) - math.log(2.0)
-    return math.log(math.cosh(x))
-
-
-def _log_sinh(x: float) -> float:
-    if x <= 0.0:
-        raise ValueError("log sinh needs a positive argument")
-    if x > 20.0:
-        return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
-    return math.log(math.sinh(x))
-
-
 def _check_z(z: float) -> None:
     # NaN fails every comparison, so it must be rejected before any loop on z
     if not (math.isfinite(z) and z >= 0.0):
@@ -186,6 +176,45 @@ def _combined_residual(a: float, b: float) -> float:
     return a + b - a * b
 
 
+def _coherent_weights(z: float) -> tuple[int, list[float]]:
+    """The Poisson weights z**(2m)/m! of |z> up to a common factor, as (lo, w)
+    with w[i] the weight of Fock level lo + i; lo is even.
+
+    The walk starts at the peak m = floor(z**2) with weight 1 and steps
+    outward by the ratios z**2/(m+1) and m/z**2, so no power or factorial is
+    formed and the common factor cancels wherever the weights are normalized.
+    Each side stops below 1e-40 of the peak, where the weights fall faster
+    than a geometric series, so less than about 1e-40 of the mass is left
+    out; tolerances below that are not resolved. The walk reaches level 1
+    at least, so that the odd branch of a tiny z is |1>. z must be finite
+    with z**2 > 0; past sqrt(500 000), about 707.1, it is refused.
+    """
+    if z > math.sqrt(_MODE_DIM_CAP / 2):
+        raise ValueError(f"z = {z!r} is too large for a dense representation")
+    lam = z * z
+    peak = int(lam)
+    down, w = [], 1.0
+    for m in range(peak, 0, -1):  # w is the weight of level m
+        if w < 1e-40 and m % 2 == 0:
+            break
+        w *= m / lam
+        down.append(w)
+    up, w, m = [], 1.0, peak
+    while w >= 1e-40 or m < 1:
+        m += 1
+        w *= lam / m
+        up.append(w)
+    return peak - len(down), down[::-1] + [1.0] + up
+
+
+def _tails(weights: list[float]) -> list[float]:
+    """Suffix sums of weights, then 0.0: tails[i] sums weights[i:], added from
+    the small end so that tiny tails keep their precision."""
+    tails = list(itertools.accumulate(reversed(weights), initial=0.0))
+    tails.reverse()
+    return tails
+
+
 def mode_dim_for(z: float, tol: float) -> int:
     """Smallest even Fock dimension whose Poisson tail at mean z**2 is < tol.
 
@@ -193,56 +222,20 @@ def mode_dim_for(z: float, tol: float) -> int:
     mean z**2; the returned dimension keeps the coherent state's out-of-range
     mass below tol. A renormalized even or odd cat can lose more than tol at
     that dimension; its TruncationError then names the dimension it needs.
-    Never returns less than 4.
+    Never returns less than 4; z above about 707.1 is refused, since its
+    cutoff would pass 500 000.
     """
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must lie strictly between 0 and 1, got {tol!r}")
     _check_z(z)
-    lam = z * z
-    if lam == 0.0:
+    if z * z == 0.0:
         return 4
-    loglam = math.log(lam)
-    terms = []
-    n = 0
-    while True:
-        lt = -lam + n * loglam - math.lgamma(n + 1)
-        terms.append(math.exp(lt) if lt > -745.0 else 0.0)
-        if n > 2.0 * lam + 20.0 and terms[-1] < tol * 1e-12:
-            break
-        n += 1
-        if n > _MODE_DIM_CAP:
-            raise ValueError(f"z = {z!r} is too large for a dense representation")
-    # suffix sums from the small end keep tiny tails accurate
-    tails = [0.0] * (len(terms) + 1)
-    acc = 0.0
-    for i in range(len(terms) - 1, -1, -1):
-        acc += terms[i]
-        tails[i] = acc
-    d = 4
-    while d < len(terms) and tails[d] >= tol:
+    lo, w = _coherent_weights(z)
+    tails = _tails(w)
+    d = max(4, lo)  # below lo the whole mass, 1 >= tol, is out of range
+    while d - lo < len(w) and tails[d - lo] / tails[0] >= tol:
         d += 2
     return d
-
-
-def _cat_tail(
-    z: float, parity: int, log_norm: float, dim: int
-) -> tuple[list[float], float]:
-    """Weights of one parity branch of |z> on the occupations dim discards,
-    in increasing order until negligible, and their sum. Summing the lost
-    mass directly avoids the cancellation of 1 - kept near machine precision.
-    """
-    logz = math.log(z)
-    terms = []
-    residual = 0.0
-    n = dim if dim % 2 == parity else dim + 1
-    while True:
-        lt = 2 * n * logz - math.lgamma(n + 1) - log_norm
-        t = math.exp(lt) if lt > -745.0 else 0.0
-        terms.append(t)
-        residual += t
-        if n > z * z and t <= residual * 1e-18 + 1e-300:
-            return terms, residual
-        n += 2
 
 
 def _coherent_branch(
@@ -252,29 +245,25 @@ def _coherent_branch(
     space = SpaceDescriptor.mode(dim)
     _check_z(z)
     amps = np.zeros(dim, dtype=complex)
-    if z == 0.0 or z * z == 0.0:
+    if z * z == 0.0:
         amps[parity] = 1.0
         return StateVector(space, amps, 0.0)
-    log_norm = _log_cosh(z * z) if parity == 0 else _log_sinh(z * z)
-    logz = math.log(z)
-    for n in range(parity, dim, 2):
-        la = n * logz - 0.5 * math.lgamma(n + 1) - 0.5 * log_norm
-        amps[n] = math.exp(la) if la > -745.0 else 0.0
-    tail, residual = _cat_tail(z, parity, log_norm, dim)
+    lo, w = _coherent_weights(z)
+    branch = w[parity::2]  # levels lo + parity, lo + parity + 2, ...
+    tails = _tails(branch)
+    kept = min(len(branch), max(0, (dim - lo - parity + 1) // 2))  # levels below dim
+    residual = tails[kept] / tails[0]
     if residual > residual_tol:
-        # dim + 2j drops the tail from term j on; confirm the suffix estimate
-        j, suffix = len(tail), 0.0
-        while j > 1 and suffix + tail[j - 1] <= residual_tol:
-            j -= 1
-            suffix += tail[j]
-        while _cat_tail(z, parity, log_norm, dim + 2 * j)[1] > residual_tol:
-            j += 1
+        # keeping c levels of the branch is the cutoff lo + 2c, for either parity
+        need = next(c for c in range(kept, len(tails)) if tails[c] / tails[0] <= residual_tol)
         raise TruncationError(
             f"truncation at dim {dim} loses probability {residual:.3e} "
             f"(> {residual_tol:.1e}) for z = {z!r}; "
-            f"use dim >= {dim + 2 * j} or raise the tolerance"
+            f"use dim >= {lo + 2 * need} or raise the tolerance"
         )
-    return StateVector(space, amps / np.linalg.norm(amps), residual)
+    kept_weights = np.array(branch[:kept]) / (tails[0] - tails[kept])
+    amps[lo + parity : lo + parity + 2 * kept : 2] = np.sqrt(kept_weights)
+    return StateVector(space, amps, residual)
 
 
 def even_coherent(

@@ -6,29 +6,25 @@ within those pairs obey the spin-1/2 commutation relations, exactly so on
 an even-dimensional truncation. s_plus maps |2n+1> -> |2n> and annihilates
 even states, s_minus is its adjoint, s_x = s_plus + s_minus and
 s_y = -i(s_plus - s_minus); on a qubit they are the Pauli matrices. They
-act here by moving amplitudes within each pair, so no dim x dim matrix is
-built; ``encoded_pseudospin`` gives their elements between two codewords.
-The module also evaluates the even/odd overlap k(z) that sets the
-strength of the Bell-CHSH violation, by two independent routes: a scalar
-series and a matrix-element computation on the truncated space.
+act on the elements between two codewords (``encoded_pseudospin``), or
+on a state by moving amplitudes within each pair (``s_plus``/``s_minus``,
+which give the teleport its flipped codewords), so no dim x dim matrix is
+built. The module also evaluates the even/odd overlap k(z) that sets the
+strength of the Bell-CHSH violation: ``k_series`` sums it over the
+untruncated coherent weights, ``k_matrix`` reads it off the truncated cat
+codewords, and both start from the one walk over those weights in
+``fock``, so their agreement checks the truncation, not the weights.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (
-    Encoding,
-    StateVector,
-    _check_z,
-    _log_sinh,
-    even_coherent,
-    inner,
-    odd_coherent,
-)
+from .fock import Encoding, StateVector, _check_z, _coherent_weights
 
 _UNIT_TOL = 1e-12
 _NONREAL_TOL = 1e-12
@@ -105,45 +101,27 @@ def encoded_pseudospin(enc: Encoding) -> np.ndarray:
 
 
 def k_series(z: float) -> float:
-    """Even/odd parity-flip overlap k(z) summed as a scalar series.
+    """Even/odd parity-flip overlap k(z) of the untruncated cat codewords.
 
-    Terms are evaluated in the log domain so large z neither overflows the
-    powers of z nor the factorials. Summation stops once a term falls below
-    1e-15 on the way down (the terms first grow with n when z is large),
-    and raises ValueError if that has not happened within 100 000 terms,
-    which is the case from z of about 443.5 on. At z = 0 the series prefactor
-    degenerates; the limit value 1 is returned, and z below 1e-8 is treated
-    the same way.
+    With u_m = sqrt(w_m) the coherent amplitudes of |z> up to a common
+    factor, k = sum u_2n u_2n+1 / sqrt(sum u_2n**2 * sum u_2n+1**2), summed
+    over the weights of ``fock._coherent_weights`` around the Poisson peak,
+    so the common factor cancels and every finite z the Fock cap admits is
+    reached. At z = 0 the odd branch degenerates; its limit 1 is returned.
     """
     _check_z(z)
-    if z < 1e-8:
+    if z * z == 0.0:
         return 1.0
-    logz = math.log(z)
-    log_pref = -0.5 * (_log_sinh(2.0 * z * z) - math.log(2.0))
-    total = 0.0
-    prev = -1.0
-    for n in range(100_000):
-        lt = (
-            (4 * n + 1) * logz
-            - 0.5 * (math.lgamma(2 * n + 1) + math.lgamma(2 * n + 2))
-            + log_pref
-        )
-        t = math.exp(lt) if lt > -745.0 else 0.0
-        total += t
-        if t < 1e-15 and t < prev:
-            return total
-        prev = t
-    raise ValueError(
-        f"the k(z) series at z = {z!r} has not converged after 100000 terms; "
-        f"z is too large for it"
-    )
+    _, w = _coherent_weights(z)
+    even, odd = w[0::2], w[1::2]  # the walk starts at an even level
+    pairs = math.fsum(map(math.sqrt, map(operator.mul, even, odd)))
+    return pairs / math.sqrt(math.fsum(even) * math.fsum(odd))
 
 
 def k_matrix(z: float, dim: int) -> float:
-    """k(z) as the matrix element <even| s_plus |odd> on the truncated mode."""
-    e = even_coherent(z, dim)
-    o = odd_coherent(z, dim)
-    val = inner(e, s_plus(o))
+    """k(z) as the matrix element <even| s_x |odd> between the cat codewords
+    on the truncated mode."""
+    val = encoded_pseudospin(Encoding.cat(z, dim))[0, 0, 1]
     if abs(val.imag) > _NONREAL_TOL:
         raise ValueError(f"overlap has a nonreal component {val.imag!r}")
-    return val.real
+    return float(val.real)

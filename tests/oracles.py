@@ -15,8 +15,16 @@ into its full amplitude vector, ``kron`` multiplies dense states,
 factors, and ``build_pseudospin``/``apply`` act with dense dim x dim
 pseudospin matrices. ``schmidt_logical`` goes the other way, writing a
 dense qubit⊗mode vector as a ``LogicalState`` that the CHSH analysis takes.
+
+So does the log-domain route the package took to the coherent weights
+before it walked them from the Poisson peak: ``lgamma_mode_dim``,
+``lgamma_branch`` and ``lgamma_k_series`` evaluate every weight with
+``math.lgamma``. ``decimal_weights`` and what is built on it sum the same
+weights in 60-digit ``decimal`` arithmetic, the reference for k(z) and the
+cat codewords.
 """
 
+import decimal
 import functools
 import math
 from dataclasses import dataclass
@@ -33,6 +41,7 @@ from hesim import (
     SpaceDescriptor,
     SpinBellLabel,
     StateVector,
+    TruncationError,
     bell_pair,
     correction_for,
     hes_state,
@@ -55,6 +64,15 @@ DENSE_AGREEMENT_TOL = 4e-15
 # largest difference between a recorded chsh optimizer_value and the dense
 # correlation matrix's 2 * hypot(s1, s2) at the report's z, label and dim
 GOLDEN_CHSH_TOL = 1e-12
+# largest |k_series(z) - decimal_k(z)| for z in [0, 30] (measured at most
+# 2.2e-16 over 3001 z; the log-domain series was off by up to 4.6e-13)
+K_DECIMAL_TOL = 1e-15
+# largest |k_series(z) - (1 - 1/(8 z^2) - 7/(128 z^4))| for z in [300, 707]:
+# the next order of the expansion plus rounding (measured at most 2.2e-16
+# over 400 z)
+K_ASYMPTOTE_TOL = 1e-15
+# largest entry difference between a cat codeword and decimal_codeword
+CODEWORD_DECIMAL_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -345,3 +363,140 @@ def dense_swap(z, z_prime, dim) -> list[tuple]:
         paired = dense(bell_pair(SWAP_PAIRING[outcome], cat, cat_prime))
         rows.append((outcome, p, abs(inner(paired, modes)) ** 2, dense_schmidt(modes, [0])))
     return rows
+
+
+def lgamma_mode_dim(z: float, tol: float) -> int:
+    """``mode_dim_for`` by Poisson terms exp(-lam + n log lam - lgamma(n+1))
+    summed from n = 0, and their suffix sums."""
+    lam = z * z
+    if lam == 0.0:
+        return 4
+    loglam = math.log(lam)
+    terms = []
+    n = 0
+    while True:
+        lt = -lam + n * loglam - math.lgamma(n + 1)
+        terms.append(math.exp(lt) if lt > -745.0 else 0.0)
+        if n > 2.0 * lam + 20.0 and terms[-1] < tol * 1e-12:
+            break
+        n += 1
+    tails = [0.0] * (len(terms) + 1)
+    acc = 0.0
+    for i in range(len(terms) - 1, -1, -1):
+        acc += terms[i]
+        tails[i] = acc
+    d = 4
+    while d < len(terms) and tails[d] >= tol:
+        d += 2
+    return d
+
+
+def _lgamma_tail(z, parity, log_norm, dim):
+    """Discarded weights of one parity branch, in increasing order, and their sum."""
+    logz = math.log(z)
+    terms, residual = [], 0.0
+    n = dim if dim % 2 == parity else dim + 1
+    while True:
+        lt = 2 * n * logz - math.lgamma(n + 1) - log_norm
+        t = math.exp(lt) if lt > -745.0 else 0.0
+        terms.append(t)
+        residual += t
+        if n > z * z and t <= residual * 1e-18 + 1e-300:
+            return terms, residual
+        n += 2
+
+
+def lgamma_branch(z: float, dim: int, parity: int, residual_tol: float):
+    """(amplitudes, residual) of one parity branch of |z> at dim, normalized
+    by log cosh or log sinh of z**2 and then renormalized; raises the
+    TruncationError that ``even_coherent``/``odd_coherent`` raise."""
+    x = z * z
+    log_norm = (math.log(math.cosh(x)) if parity == 0 else math.log(math.sinh(x))) if x <= 20.0 \
+        else x + math.log1p((1 - 2 * parity) * math.exp(-2.0 * x)) - math.log(2.0)
+    amps = np.zeros(dim)
+    for n in range(parity, dim, 2):
+        la = n * math.log(z) - 0.5 * math.lgamma(n + 1) - 0.5 * log_norm
+        amps[n] = math.exp(la) if la > -745.0 else 0.0
+    tail, residual = _lgamma_tail(z, parity, log_norm, dim)
+    if residual > residual_tol:
+        j, suffix = len(tail), 0.0
+        while j > 1 and suffix + tail[j - 1] <= residual_tol:
+            j -= 1
+            suffix += tail[j]
+        while _lgamma_tail(z, parity, log_norm, dim + 2 * j)[1] > residual_tol:
+            j += 1
+        raise TruncationError(
+            f"truncation at dim {dim} loses probability {residual:.3e} "
+            f"(> {residual_tol:.1e}) for z = {z!r}; "
+            f"use dim >= {dim + 2 * j} or raise the tolerance"
+        )
+    return amps / np.linalg.norm(amps), residual
+
+
+def lgamma_k_series(z: float) -> float:
+    """k(z) as the series z**(4n+1)/sqrt((2n)!(2n+1)!) / sqrt(sinh(2 z**2)/2),
+    term by term in the log domain; 1 below z = 1e-8."""
+    if z < 1e-8:
+        return 1.0
+    x = 2.0 * z * z
+    log_sinh = math.log(math.sinh(x)) if x <= 20.0 else x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
+    log_pref = -0.5 * (log_sinh - math.log(2.0))
+    total, prev = 0.0, -1.0
+    for n in range(100_000):
+        lt = (4 * n + 1) * math.log(z) - 0.5 * (math.lgamma(2 * n + 1) + math.lgamma(2 * n + 2)) + log_pref
+        t = math.exp(lt) if lt > -745.0 else 0.0
+        total += t
+        if t < 1e-15 and t < prev:
+            return total
+        prev = t
+    raise ValueError(f"the k(z) series at z = {z!r} has not converged after 100000 terms")
+
+
+def k_asymptote(z: float) -> float:
+    """The large-z expansion 1 - 1/(8 z^2) - 7/(128 z^4) of k(z).
+
+    With lam = z**2, k = sum over even m of w_m sqrt(lam/(m+1)), divided by
+    sqrt(cosh(lam) sinh(lam)), the w_m being the Poisson weights times e**lam.
+    Up to terms of order e**(-2 lam) that is the Poisson mean of
+    (1 + X/lam)**(-1/2) with X = N + 1 - lam. Expanding the root, the moments
+    E[X] = 1, E[X^2] = lam + 1, E[X^3] = 4 lam + 1 and E[X^4] = 3 lam^2 + O(lam)
+    give 1 - (1/2 - 3/8)/lam + (3/8 - 5/4 + 105/128)/lam^2 + O(lam^-3).
+    """
+    return 1.0 - 1.0 / (8 * z**2) - 7.0 / (128 * z**4)
+
+
+def decimal_weights(z: float) -> list[decimal.Decimal]:
+    """z**(2m)/m! for m = 0, 1, ... from the exact binary value of z, until
+    the terms past the peak fall below 1e-70 of it; call it, and do
+    arithmetic on its result, in a 60-digit ``decimal.localcontext``."""
+    lam = decimal.Decimal(z) * decimal.Decimal(z)
+    w, top = [decimal.Decimal(1)], decimal.Decimal(1)
+    while len(w) <= lam or w[-1] >= top * decimal.Decimal("1e-70"):
+        w.append(w[-1] * lam / len(w))
+        top = max(top, w[-1])
+    return w
+
+
+def decimal_k(z: float) -> float:
+    """k(z) = sum u_2n u_2n+1 / sqrt(sum u_2n**2 * sum u_2n+1**2), u = sqrt(w),
+    in 60-digit arithmetic; 1 at z = 0."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        w = decimal_weights(z)
+        even, odd = w[0::2], w[1::2]
+        if not any(odd):
+            return 1.0
+        pairs = sum((a * b).sqrt() for a, b in zip(even, odd))
+        return float(pairs / (sum(even) * sum(odd)).sqrt())
+
+
+def decimal_codeword(z: float, dim: int, parity: int) -> np.ndarray:
+    """Amplitudes of one parity branch of |z> on the levels below dim,
+    normalized over those levels in 60-digit arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        w = decimal_weights(z)[:dim]
+        norm = sum(w[parity::2])
+        out = np.zeros(dim)
+        out[parity:len(w):2] = [float((x / norm).sqrt()) for x in w[parity::2]]
+        return out

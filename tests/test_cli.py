@@ -2,15 +2,18 @@
 
 import argparse
 import csv
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import hesim
 import hesim.cli
@@ -194,6 +197,65 @@ class TestChsh:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "finite and nonnegative" in lines[0]
+
+
+_checks_spec = importlib.util.spec_from_file_location(
+    "perfbench_checks", Path(__file__).resolve().parents[1] / "perfbench" / "checks.py")
+checks = importlib.util.module_from_spec(_checks_spec)
+_checks_spec.loader.exec_module(checks)
+# the largest z whose coherent weights the Fock cap admits
+Z_CAP = math.sqrt(hesim.fock._MODE_DIM_CAP / 2)
+# about two thirds of the examples at z <= 9, the rest up to the Fock cap
+Z_TO_THE_CAP = st.floats(min_value=0.0, max_value=9.0) | st.floats(min_value=9.0, max_value=Z_CAP)
+
+
+def passes_the_benchmark_checks(argv, tmp_path) -> dict | str:
+    """The report of argv, after it has passed perfbench's check of it."""
+    code, data = run(argv, tmp_path)
+    assert code == 0
+    text = data.decode()
+    op = SimpleNamespace(command=argv[0], work="1")
+    assert checks.check(op, text) == []
+    return json.loads(text) if argv[0] == "chsh" else text
+
+
+class TestEveryZ:
+    """The k(z) routes and the CHSH optimum at every z up to the Fock cap:
+    the terms of the k(z) series once stopped short from z of about 443.5 on."""
+
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(z=Z_TO_THE_CAP)
+    @example(z=446.0)
+    def test_kz(self, z, tmp_path_factory):
+        text = passes_the_benchmark_checks(
+            ["kz", "--zmin", repr(z), "--zmax", repr(z), "--steps", "1"],
+            tmp_path_factory.mktemp("kz"))
+        _, ks, km, diff, violation = (float(x) for x in text.splitlines()[1].split(","))
+        assert ks == hesim.k_series(z) and diff == abs(ks - km) < 1e-10
+        assert 2.0 < violation == 2.0 * math.sqrt(1.0 + ks * ks) <= TWO_SQRT_TWO
+
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(z=Z_TO_THE_CAP, label=st.sampled_from(["psi+", "psi-", "phi+", "phi-"]))
+    @example(z=500.0, label="psi-")
+    def test_chsh(self, z, label, tmp_path_factory):
+        report = passes_the_benchmark_checks(["chsh", "--z", repr(z), "--label", label],
+                                             tmp_path_factory.mktemp("chsh"))
+        k = hesim.k_series(z)
+        assert report["analytic_value"] == 2.0 * math.sqrt(1.0 + k * k)
+        assert abs(report["gap"]) < 1e-9
+
+    @pytest.mark.parametrize("command", ["kz", "chsh"])
+    def test_at_the_fock_cap(self, command, tmp_path, capsys):
+        def argv(z):
+            zs = ["--zmin", repr(z), "--zmax", repr(z), "--steps", "1"]
+            return [command, *(zs if command == "kz" else ["--z", repr(z)])]
+
+        passes_the_benchmark_checks(argv(Z_CAP), tmp_path)
+        above = math.nextafter(Z_CAP, math.inf)
+        code, data = run(argv(above), tmp_path, name="above")
+        assert code == 1 and data == b""
+        assert capsys.readouterr().err == (
+            f"error: z = {above!r} is too large for a dense representation\n")
 
 
 class TestTeleport:

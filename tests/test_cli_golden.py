@@ -28,10 +28,11 @@ import pytest
 from hesim import HesLabel, hes_state
 from hesim.cli import main
 
-from oracles import GOLDEN_CHSH_TOL, dense_correlation_matrix
+from oracles import GOLDEN_CHSH_TOL, dense_correlation_matrix, k_asymptote
 
 DATA = Path(__file__).with_name("cli_golden.jsonl")
 COLUMNS = "80"  # argparse wraps usage lines to the terminal width
+DENSE_DIM_MAX = 400  # the dense oracle's five dim x dim matrices take 13 MB there
 
 
 def record(argv: list[str]) -> dict:
@@ -56,16 +57,29 @@ def test_output_is_byte_identical(case, monkeypatch):
     assert record(case["argv"]) == case
 
 
-@pytest.mark.parametrize(
-    "case",
-    [case for case in _cases() if case["argv"][:1] == ["chsh"] and case["stdout"].startswith("{")],
-    ids=lambda case: " ".join(case["argv"]),
-)
+def _chsh_cases(dense: bool) -> list[dict]:
+    """The chsh lines with a report, at a dim the dense oracle can hold or past it."""
+    return [case for case in _cases() if case["argv"][:1] == ["chsh"]
+            and case["stdout"].startswith("{")
+            and (json.loads(case["stdout"])["dim"] <= DENSE_DIM_MAX) == dense]
+
+
+@pytest.mark.parametrize("case", _chsh_cases(dense=True), ids=lambda case: " ".join(case["argv"]))
 def test_chsh_optimum_agrees_with_the_dense_oracle(case):
     report = json.loads(case["stdout"])
     state = hes_state(HesLabel(report["label"]), report["z"], report["dim"])
     s = np.linalg.svd(dense_correlation_matrix(state), compute_uv=False)
     assert abs(report["optimizer_value"] - 2.0 * math.hypot(s[0], s[1])) <= GOLDEN_CHSH_TOL
+
+
+@pytest.mark.parametrize("case", _chsh_cases(dense=False), ids=lambda case: " ".join(case["argv"]))
+def test_large_z_chsh_optimum_agrees_with_the_asymptote(case):
+    # the dense oracle's matrices do not fit in memory at such a dim; from
+    # z = 300 on the large-z expansion of k(z) gives 2 sqrt(1 + k^2) instead
+    report = json.loads(case["stdout"])
+    assert report["z"] >= 300.0
+    k = k_asymptote(report["z"])
+    assert abs(report["optimizer_value"] - 2.0 * math.sqrt(1.0 + k * k)) <= GOLDEN_CHSH_TOL
 
 
 if __name__ == "__main__":

@@ -22,10 +22,21 @@ from hesim import (
     qubit_state,
     tensor,
 )
+from hesim.fock import _MODE_DIM_CAP
 from hesim.pseudospin import Direction
 
 from conftest import fock_encoding, number_state, random_logical, random_state
-from oracles import apply, build_pseudospin, dense, kron, partial_inner
+from oracles import (
+    CODEWORD_DECIMAL_TOL,
+    apply,
+    build_pseudospin,
+    decimal_codeword,
+    dense,
+    kron,
+    lgamma_branch,
+    lgamma_mode_dim,
+    partial_inner,
+)
 
 QUBIT_ENC = Encoding.qubit()
 
@@ -89,6 +100,19 @@ class TestModeDimFor:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             mode_dim_for(z, 1e-12)
 
+    def test_matches_the_lgamma_route_it_replaced(self):
+        for z in np.linspace(0.0, 30.0, 301):
+            for tol in (1e-6, 1e-12, 1e-14, 1e-16):
+                assert mode_dim_for(float(z), tol) == lgamma_mode_dim(float(z), tol), (z, tol)
+
+    def test_at_the_cap(self):
+        # the largest z admitted has z**2 = 500 000; the walk from the Poisson
+        # peak finds its cutoff without summing the million levels below it
+        cap = math.sqrt(_MODE_DIM_CAP / 2)
+        assert mode_dim_for(cap, 1e-14) == 505_420
+        with pytest.raises(ValueError, match="too large for a dense representation"):
+            mode_dim_for(math.nextafter(cap, math.inf), 1e-14)
+
 
 class TestCatStates:
     def test_even_at_zero_is_vacuum(self):
@@ -100,6 +124,37 @@ class TestCatStates:
         st = odd_coherent(0.0, 4)
         assert np.allclose(st.amps, [0, 1, 0, 0])
         assert st.truncation_residual == 0.0
+
+    @pytest.mark.parametrize("z", [1e-25, 1e-170])
+    def test_tiny_z_cats_are_vacuum_and_single_photon(self, z):
+        assert np.array_equal(even_coherent(z, 4).amps, [1, 0, 0, 0])
+        assert np.array_equal(odd_coherent(z, 4).amps, [0, 1, 0, 0])
+
+    @pytest.mark.parametrize("z,dim", [(0.5, 12), (1.0, 18), (1.5, 14), (3.0, 42), (9.0, 160),
+                                       (30.0, 1140)])
+    def test_amplitudes_match_the_decimal_sum(self, z, dim):
+        for parity, build in enumerate((even_coherent, odd_coherent)):
+            got = build(z, dim, 1e-6).amps
+            assert np.max(np.abs(got - decimal_codeword(z, dim, parity))) <= CODEWORD_DECIMAL_TOL
+
+    def test_matches_the_lgamma_route_it_replaced(self):
+        # amplitudes, residuals and the TruncationError text, over cutoffs
+        # from far too small to generous
+        for z in np.linspace(0.05, 9.0, 60):
+            z, adaptive = float(z), mode_dim_for(float(z), 1e-14)
+            for dim in (4, 8, adaptive - 4, adaptive - 2, adaptive, adaptive + 6):
+                for parity, build in enumerate((even_coherent, odd_coherent)):
+                    try:
+                        amps, residual = lgamma_branch(z, max(dim, 4), parity, 1e-12)
+                    except TruncationError as exc:
+                        with pytest.raises(TruncationError) as got:
+                            build(z, max(dim, 4))
+                        assert str(got.value) == str(exc)
+                        continue
+                    st = build(z, max(dim, 4))
+                    # the lgamma route's own rounding reaches 1.3e-14 at z <= 9
+                    assert np.max(np.abs(st.amps - amps)) <= 5e-14
+                    assert st.truncation_residual == pytest.approx(residual, rel=1e-9, abs=1e-40)
 
     def test_even_z1_leading_amplitude(self):
         st = even_coherent(1.0, mode_dim_for(1.0, 1e-14))

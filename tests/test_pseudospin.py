@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hesim import (
     Direction,
@@ -18,10 +19,22 @@ from hesim import (
     odd_coherent,
     qubit_state,
 )
+from hesim import pseudospin
 from hesim.pseudospin import PAULI_X, PAULI_Y, PAULI_Z, encoded_pseudospin, s_minus, s_plus
 
 from conftest import number_state, random_amps, random_encoding
-from oracles import DENSE_AGREEMENT_TOL, apply, build_pseudospin, direction, spin_dot
+from oracles import (
+    DENSE_AGREEMENT_TOL,
+    K_ASYMPTOTE_TOL,
+    K_DECIMAL_TOL,
+    apply,
+    build_pseudospin,
+    decimal_k,
+    direction,
+    k_asymptote,
+    lgamma_k_series,
+    spin_dot,
+)
 
 # frozen from a 40-digit evaluation of the overlap series
 K_ORACLE = {
@@ -217,8 +230,9 @@ class TestKSeries:
     def test_at_zero_is_one(self):
         assert k_series(0.0) == 1.0
 
-    def test_tiny_z_uses_limit(self):
-        assert k_series(1e-10) == 1.0
+    @pytest.mark.parametrize("z", [1e-9, 1e-10, 1e-25, 1e-170])
+    def test_tiny_z_reaches_the_limit(self, z):
+        assert k_series(z) == 1.0
 
     @pytest.mark.parametrize("z", sorted(K_ORACLE))
     def test_frozen_values(self, z):
@@ -252,18 +266,31 @@ class TestKSeries:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             k_series(z)
 
-    @pytest.mark.parametrize("z", [445.0, 447.0, 500.0])
-    def test_refuses_a_z_whose_series_the_term_cap_cuts_short(self, z):
-        # the terms peak near n = z**2 / 2; past z of about 443.5 they are
-        # still above 1e-15 at the 100000-term cap, and the partial sum used
-        # to come back silently (0.665 at z = 447, 0.0 at z = 500)
-        with pytest.raises(ValueError, match=f"z = {z!r} has not converged"):
-            k_series(z)
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(z=st.floats(min_value=0.0, max_value=30.0))
+    @example(z=9.0)
+    @example(z=15.0)
+    def test_matches_the_decimal_sum_for_every_z(self, z):
+        # the log-domain series was off by 3.4e-14 at z = 9 and 2.2e-14 at z = 15
+        assert abs(k_series(z) - decimal_k(z)) <= K_DECIMAL_TOL
 
-    def test_converges_below_the_cap(self):
-        # against the large-z asymptote 1 - 1/(8 z^2) - 7/(128 z^4)
-        z = 440.0
-        assert k_series(z) == pytest.approx(1.0 - 1.0 / (8 * z * z), abs=1e-9)
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(z=st.floats(min_value=300.0, max_value=707.0))
+    @example(z=446.0)
+    @example(z=500.0)
+    def test_matches_the_large_z_asymptote(self, z):
+        # the log-domain series stopped at 100 000 terms, short of the terms'
+        # peak from z of about 443.5 on, and had drifted by 1.5e-11 at z = 300
+        assert abs(k_series(z) - k_asymptote(z)) <= K_ASYMPTOTE_TOL
+
+    @pytest.mark.parametrize("z", [0.3, 1.0, 2.6, 9.0, 30.0])
+    def test_agrees_with_the_log_domain_series_it_replaced(self, z):
+        # whose lgamma terms drift further at larger z: 7.4e-12 at z = 100
+        assert abs(k_series(z) - lgamma_k_series(z)) <= 1e-12
+
+    def test_past_the_fock_cap_it_refuses_z(self):
+        with pytest.raises(ValueError, match="too large for a dense representation"):
+            k_series(708.0)
 
 
 class TestKMatrix:
@@ -282,8 +309,19 @@ class TestKMatrix:
         e, o = even_coherent(z, dim), odd_coherent(z, dim)
         flipped = apply(ops.s_plus, o, 0)
         direct = complex(np.vdot(e.amps, flipped.amps))
-        assert k_matrix(z, dim) == direct.real  # the index shift is the dense product
+        assert abs(k_matrix(z, dim) - direct.real) <= DENSE_AGREEMENT_TOL
         assert abs(direct.imag) < 1e-14
+
+    @pytest.mark.parametrize("z", [0.0, 0.3, 1.0, 4.0, 9.0])
+    def test_is_the_encoded_pseudospin_element(self, z):
+        enc = Encoding.cat(z, mode_dim_for(z, 1e-14))
+        assert k_matrix(z, enc.space.dim) == encoded_pseudospin(enc)[0, 0, 1].real
+
+    def test_a_nonreal_element_is_refused(self, monkeypatch):
+        monkeypatch.setattr(pseudospin, "encoded_pseudospin",
+                            lambda enc: np.full((3, 2, 2), 0.5 + 1e-9j))
+        with pytest.raises(ValueError, match="nonreal"):
+            k_matrix(1.0, 18)
 
     def test_large_z(self):
         assert abs(k_matrix(5.0, mode_dim_for(5.0, 1e-14)) - K_ORACLE[5.0]) < 1e-10
