@@ -187,11 +187,11 @@ def _coherent_weights(z: float) -> tuple[int, list[float]]:
     than a geometric series, so less than about 1e-40 of the mass is left
     out; tolerances below that are not resolved. The walk reaches level 1
     at least, so that the odd branch of a tiny z is |1>. z must be finite
-    with z**2 > 0; past sqrt(500 000), about 707.1, it is refused.
+    with z**2 > 0; a z whose peak lies past the largest cutoff is refused.
     """
-    if z > math.sqrt(_MODE_DIM_CAP / 2):
-        raise ValueError(f"z = {z!r} is too large for a dense representation")
     lam = z * z
+    if lam > _MODE_DIM_CAP:
+        raise ValueError(f"z = {z!r} is too large for a dense representation")
     peak = int(lam)
     down, w = [], 1.0
     for m in range(peak, 0, -1):  # w is the weight of level m
@@ -222,8 +222,8 @@ def mode_dim_for(z: float, tol: float) -> int:
     mean z**2; the returned dimension keeps the coherent state's out-of-range
     mass below tol. A renormalized even or odd cat can lose more than tol at
     that dimension; its TruncationError then names the dimension it needs.
-    Never returns less than 4; z above about 707.1 is refused, since its
-    cutoff would pass 500 000.
+    Never returns less than 4, nor more than 1 000 000: a z that needs more
+    (at tol 1e-14, every z above 996.1769613439574) is refused.
     """
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must lie strictly between 0 and 1, got {tol!r}")
@@ -235,6 +235,8 @@ def mode_dim_for(z: float, tol: float) -> int:
     d = max(4, lo)  # below lo the whole mass, 1 >= tol, is out of range
     while d - lo < len(w) and tails[d - lo] / tails[0] >= tol:
         d += 2
+    if d > _MODE_DIM_CAP:
+        raise ValueError(f"z = {z!r} is too large for a dense representation")
     return d
 
 

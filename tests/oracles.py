@@ -67,9 +67,8 @@ GOLDEN_CHSH_TOL = 1e-12
 # largest |k_series(z) - decimal_k(z)| for z in [0, 30] (measured at most
 # 2.2e-16 over 3001 z; the log-domain series was off by up to 4.6e-13)
 K_DECIMAL_TOL = 1e-15
-# largest |k_series(z) - (1 - 1/(8 z^2) - 7/(128 z^4))| for z in [300, 707]:
-# the next order of the expansion plus rounding (measured at most 2.2e-16
-# over 400 z)
+# largest |k_series(z) - k_asymptote(z)| for z in [300, 1000]: the next
+# order of the expansion plus rounding (measured at most 2.2e-16 over 500 z)
 K_ASYMPTOTE_TOL = 1e-15
 # largest entry difference between a cat codeword and decimal_codeword
 CODEWORD_DECIMAL_TOL = 1e-15

@@ -39,6 +39,8 @@ from oracles import (
 )
 
 QUBIT_ENC = Encoding.qubit()
+# the largest z whose cutoff at tol 1e-14 stays within _MODE_DIM_CAP
+Z_CAP = 996.1769613439574
 
 # (cosh 1)^(-1/2) and (sinh 1)^(-1/2), the z=1 cat-state leading amplitudes
 COSH1_INV_SQRT = 0.80501818219459204931
@@ -106,12 +108,11 @@ class TestModeDimFor:
                 assert mode_dim_for(float(z), tol) == lgamma_mode_dim(float(z), tol), (z, tol)
 
     def test_at_the_cap(self):
-        # the largest z admitted has z**2 = 500 000; the walk from the Poisson
-        # peak finds its cutoff without summing the million levels below it
-        cap = math.sqrt(_MODE_DIM_CAP / 2)
-        assert mode_dim_for(cap, 1e-14) == 505_420
+        # the walk from the Poisson peak finds the cutoff at the cap without
+        # summing the million levels below it
+        assert mode_dim_for(Z_CAP, 1e-14) == _MODE_DIM_CAP
         with pytest.raises(ValueError, match="too large for a dense representation"):
-            mode_dim_for(math.nextafter(cap, math.inf), 1e-14)
+            mode_dim_for(math.nextafter(Z_CAP, math.inf), 1e-14)
 
 
 class TestCatStates:
