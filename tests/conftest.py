@@ -3,6 +3,10 @@ import pytest
 
 from hesim import Encoding, LogicalState, SpaceDescriptor, StateVector
 
+# the largest z whose adaptive cutoff, at tol 1e-14, stays within the
+# 1 000 000 Fock levels of the cap
+Z_CAP = 996.1769613439574
+
 
 def random_amps(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)

@@ -19,6 +19,8 @@ import hesim
 import hesim.cli
 from hesim.cli import build_parser, main
 
+from conftest import Z_CAP
+
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 
 
@@ -203,8 +205,6 @@ _checks_spec = importlib.util.spec_from_file_location(
     "perfbench_checks", Path(__file__).resolve().parents[1] / "perfbench" / "checks.py")
 checks = importlib.util.module_from_spec(_checks_spec)
 _checks_spec.loader.exec_module(checks)
-# the largest z whose adaptive cutoff stays within the 1 000 000 levels of the cap
-Z_CAP = 996.1769613439574
 # about two thirds of the examples at z <= 9, the rest up to the Fock cap
 Z_TO_THE_CAP = st.floats(min_value=0.0, max_value=9.0) | st.floats(min_value=9.0, max_value=Z_CAP)
 

@@ -25,7 +25,7 @@ from hesim import (
 from hesim.fock import _MODE_DIM_CAP
 from hesim.pseudospin import Direction
 
-from conftest import fock_encoding, number_state, random_logical, random_state
+from conftest import Z_CAP, fock_encoding, number_state, random_logical, random_state
 from oracles import (
     CODEWORD_DECIMAL_TOL,
     apply,
@@ -39,8 +39,6 @@ from oracles import (
 )
 
 QUBIT_ENC = Encoding.qubit()
-# the largest z whose cutoff at tol 1e-14 stays within _MODE_DIM_CAP
-Z_CAP = 996.1769613439574
 
 # (cosh 1)^(-1/2) and (sinh 1)^(-1/2), the z=1 cat-state leading amplitudes
 COSH1_INV_SQRT = 0.80501818219459204931
