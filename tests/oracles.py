@@ -390,6 +390,13 @@ def lgamma_mode_dim(z: float, tol: float) -> int:
     return d
 
 
+def _log_cosh_sinh(x: float, sign: int) -> float:
+    """log cosh x (sign 1) or log sinh x (sign -1), without overflow at large x."""
+    if x > 20.0:
+        return x + math.log1p(sign * math.exp(-2.0 * x)) - math.log(2.0)
+    return math.log(math.cosh(x) if sign > 0 else math.sinh(x))
+
+
 def _lgamma_tail(z, parity, log_norm, dim):
     """Discarded weights of one parity branch, in increasing order, and their sum."""
     logz = math.log(z)
@@ -409,9 +416,7 @@ def lgamma_branch(z: float, dim: int, parity: int, residual_tol: float):
     """(amplitudes, residual) of one parity branch of |z> at dim, normalized
     by log cosh or log sinh of z**2 and then renormalized; raises the
     TruncationError that ``even_coherent``/``odd_coherent`` raise."""
-    x = z * z
-    log_norm = (math.log(math.cosh(x)) if parity == 0 else math.log(math.sinh(x))) if x <= 20.0 \
-        else x + math.log1p((1 - 2 * parity) * math.exp(-2.0 * x)) - math.log(2.0)
+    log_norm = _log_cosh_sinh(z * z, 1 - 2 * parity)
     amps = np.zeros(dim)
     for n in range(parity, dim, 2):
         la = n * math.log(z) - 0.5 * math.lgamma(n + 1) - 0.5 * log_norm
@@ -437,12 +442,11 @@ def lgamma_k_series(z: float) -> float:
     term by term in the log domain; 1 below z = 1e-8."""
     if z < 1e-8:
         return 1.0
-    x = 2.0 * z * z
-    log_sinh = math.log(math.sinh(x)) if x <= 20.0 else x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
-    log_pref = -0.5 * (log_sinh - math.log(2.0))
+    log_pref = -0.5 * (_log_cosh_sinh(2.0 * z * z, -1) - math.log(2.0))
     total, prev = 0.0, -1.0
     for n in range(100_000):
-        lt = (4 * n + 1) * math.log(z) - 0.5 * (math.lgamma(2 * n + 1) + math.lgamma(2 * n + 2)) + log_pref
+        lt = ((4 * n + 1) * math.log(z) + log_pref
+              - 0.5 * (math.lgamma(2 * n + 1) + math.lgamma(2 * n + 2)))
         t = math.exp(lt) if lt > -745.0 else 0.0
         total += t
         if t < 1e-15 and t < prev:
