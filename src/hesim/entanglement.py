@@ -47,6 +47,19 @@ class SchmidtSpectrum:
         return max(entropy, 0.0)
 
 
+def _singular_values(state: LogicalState, a: set[int]) -> list[float]:
+    """Singular values of the coefficient tensor with side a's parties as rows."""
+    nf = state.space.nfactors
+    if not a or not a < set(range(nf)):
+        raise ValueError(
+            f"side a {sorted(a)} is not a nonempty proper subset of the "
+            f"{nf} factors of {state.space.describe()}"
+        )
+    rows = sorted(a)
+    m = state.coeffs.transpose(rows + [i for i in range(nf) if i not in a])
+    return [float(s) for s in np.linalg.svd(m.reshape(2 ** len(a), -1), compute_uv=False)]
+
+
 def schmidt_coefficients(state: LogicalState, side_a: Iterable[int]) -> SchmidtSpectrum:
     """Schmidt coefficients between side a's factors and every other factor.
 
@@ -56,26 +69,19 @@ def schmidt_coefficients(state: LogicalState, side_a: Iterable[int]) -> SchmidtS
     decomposition; past the tensor's rank its entries are exact zeros. Side
     a must be a nonempty proper subset of the state's factor indices.
     """
-    nf = state.space.nfactors
     a = {int(i) for i in side_a}
-    if not a or not a < set(range(nf)):
-        raise ValueError(
-            f"side a {sorted(a)} is not a nonempty proper subset of the "
-            f"{nf} factors of {state.space.describe()}"
-        )
-    a_sorted = sorted(a)
-    b_sorted = [i for i in range(nf) if i not in a]
-    m = state.coeffs.transpose(a_sorted + b_sorted).reshape(2 ** len(a), -1)
-    singular = [float(s) for s in np.linalg.svd(m, compute_uv=False)]
+    singular = _singular_values(state, a)
     dims = state.space.dims
-    rank = min(math.prod(dims[i] for i in a_sorted), math.prod(dims[i] for i in b_sorted))
+    rank = min(math.prod(dims[i] for i in a),
+               math.prod(d for i, d in enumerate(dims) if i not in a))
     return SchmidtSpectrum(tuple(singular + [0.0] * (rank - len(singular))))
 
 
 def entanglement_entropy(state: LogicalState, side_a: Iterable[int]) -> float:
     """Von Neumann entropy between side a and the rest, in bits (ebits).
 
-    The entropy of ``schmidt_coefficients(state, side_a)``; see
-    ``SchmidtSpectrum.entropy``.
+    The entropy of ``schmidt_coefficients(state, side_a)`` (see
+    ``SchmidtSpectrum.entropy``), taken from the singular values alone: the
+    zeros that list is padded with add nothing.
     """
-    return schmidt_coefficients(state, side_a).entropy()
+    return SchmidtSpectrum(tuple(_singular_values(state, {int(i) for i in side_a}))).entropy()

@@ -21,8 +21,10 @@ other.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -176,7 +178,11 @@ def _combined_residual(a: float, b: float) -> float:
     return a + b - a * b
 
 
-def _coherent_weights(z: float) -> tuple[int, list[float]]:
+# mode_dim_for, Encoding.cat and k_series walk the same z in one command, so
+# the walks of the last few z are kept; a walk at the Fock cap is 27 043
+# floats. Across commands no z repeats, so no other caller gains from it.
+@functools.lru_cache(maxsize=4)
+def _coherent_weights(z: float) -> tuple[int, tuple[float, ...]]:
     """The Poisson weights z**(2m)/m! of |z> up to a common factor, as (lo, w)
     with w[i] the weight of Fock level lo + i; lo is even.
 
@@ -204,10 +210,10 @@ def _coherent_weights(z: float) -> tuple[int, list[float]]:
         m += 1
         w *= lam / m
         up.append(w)
-    return peak - len(down), down[::-1] + [1.0] + up
+    return peak - len(down), tuple(down[::-1] + [1.0] + up)
 
 
-def _tails(weights: list[float]) -> list[float]:
+def _tails(weights: tuple[float, ...]) -> list[float]:
     """Suffix sums of weights, then 0.0: tails[i] sums weights[i:], added from
     the small end so that tiny tails keep their precision."""
     tails = list(itertools.accumulate(reversed(weights), initial=0.0))
@@ -240,18 +246,16 @@ def mode_dim_for(z: float, tol: float) -> int:
     return d
 
 
-def _coherent_branch(
+def _branch(
     z: float, dim: int, parity: int, residual_tol: float
-) -> StateVector:
-    """One parity branch of |z> on a mode of dimension dim, renormalized."""
-    space = SpaceDescriptor.mode(dim)
-    _check_z(z)
-    amps = np.zeros(dim, dtype=complex)
-    if z * z == 0.0:
-        amps[parity] = 1.0
-        return StateVector(space, amps, 0.0)
+) -> tuple[int, tuple[float, ...], float, float]:
+    """(lo, kept, mass, residual) of one parity branch of |z> on dim levels:
+    the walk's weights of the levels lo + parity, lo + parity + 2, ... below
+    dim, their sum, and the share of the branch's mass at or past dim.
+    Raises TruncationError, naming the dim needed, if that share exceeds
+    residual_tol. z**2 must be positive."""
     lo, w = _coherent_weights(z)
-    branch = w[parity::2]  # levels lo + parity, lo + parity + 2, ...
+    branch = w[parity::2]
     tails = _tails(branch)
     kept = min(len(branch), max(0, (dim - lo - parity + 1) // 2))  # levels below dim
     residual = tails[kept] / tails[0]
@@ -263,8 +267,29 @@ def _coherent_branch(
             f"(> {residual_tol:.1e}) for z = {z!r}; "
             f"use dim >= {lo + 2 * need} or raise the tolerance"
         )
-    kept_weights = np.array(branch[:kept]) / (tails[0] - tails[kept])
-    amps[lo + parity : lo + parity + 2 * kept : 2] = np.sqrt(kept_weights)
+    return lo, branch[:kept], tails[0] - tails[kept], residual
+
+
+def _pair_overlap(even, odd, mass_even: float, mass_odd: float) -> float:
+    """<even|s_x|odd> of two branches with these weights on the (even, odd)
+    level pairs, each normalized to its mass: sum sqrt(w_2n w_2n+1) over
+    sqrt(mass_even * mass_odd)."""
+    pairs = math.fsum(map(math.sqrt, map(operator.mul, even, odd)))
+    return pairs / math.sqrt(mass_even * mass_odd)
+
+
+def _coherent_branch(
+    z: float, dim: int, parity: int, residual_tol: float
+) -> StateVector:
+    """One parity branch of |z> on a mode of dimension dim, renormalized."""
+    space = SpaceDescriptor.mode(dim)
+    _check_z(z)
+    amps = np.zeros(dim, dtype=complex)
+    if z * z == 0.0:
+        amps[parity] = 1.0
+        return StateVector(space, amps, 0.0)
+    lo, kept, mass, residual = _branch(z, dim, parity, residual_tol)
+    amps[lo + parity : lo + parity + 2 * len(kept) : 2] = np.sqrt(np.array(kept) / mass)
     return StateVector(space, amps, residual)
 
 
@@ -303,11 +328,15 @@ class Encoding:
     Checked when built: both lie on one one-factor space and are
     orthonormal (overlap at most _CODEWORD_OVERLAP_TOL), so coefficients
     over encodings carry the inner products and Schmidt spectra of the
-    states they stand for. Encodings with equal codewords are equal.
+    states they stand for. Encodings with equal codewords are equal. The
+    cat codewords are a ``CatEncoding`` (see ``Encoding.cat``).
     """
 
     zero: StateVector
     one: StateVector
+    # read off the codewords once; residual is their mean truncation residual
+    space: SpaceDescriptor = field(init=False, repr=False)
+    residual: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         space = self.zero.space
@@ -319,6 +348,9 @@ class Encoding:
         overlap = abs(np.vdot(self.zero.amps, self.one.amps))
         if not overlap <= _CODEWORD_OVERLAP_TOL:  # written so that NaN fails it
             raise ValueError(f"codewords are not orthogonal: |<0_L|1_L>| = {overlap!r}")
+        residual = 0.5 * (self.zero.truncation_residual + self.one.truncation_residual)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "residual", residual)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Encoding):
@@ -334,20 +366,19 @@ class Encoding:
         return cls(qubit_state(1.0, 0.0), qubit_state(0.0, 1.0))
 
     @classmethod
-    def cat(cls, z: float, dim: int) -> "Encoding":
+    def cat(cls, z: float, dim: int) -> "CatEncoding":
         """Even and odd cat states at amplitude z on a mode of dimension dim, each
         checked at the default truncation tolerance; for another tolerance, build
-        ``Encoding(even_coherent(z, dim, tol), odd_coherent(z, dim, tol))``."""
-        return cls(even_coherent(z, dim), odd_coherent(z, dim))
+        ``Encoding(even_coherent(z, dim, tol), odd_coherent(z, dim, tol))``.
 
-    @property
-    def space(self) -> SpaceDescriptor:
-        return self.zero.space
-
-    @property
-    def residual(self) -> float:
-        """Mean truncation residual of the two codewords."""
-        return 0.5 * (self.zero.truncation_residual + self.one.truncation_residual)
+        Reads one walk of the coherent weights and builds no codeword."""
+        space = SpaceDescriptor.mode(dim)
+        _check_z(z)
+        if z * z == 0.0:  # the limits |0> and |1>
+            return CatEncoding(z, space, (0.0, 0.0), 1.0)
+        _, even, mass_even, r_even = _branch(z, dim, 0, DEFAULT_RESIDUAL_TOL)
+        _, odd, mass_odd, r_odd = _branch(z, dim, 1, DEFAULT_RESIDUAL_TOL)
+        return CatEncoding(z, space, (r_even, r_odd), _pair_overlap(even, odd, mass_even, mass_odd))
 
     def state(self, alpha: complex, beta: complex) -> "LogicalState":
         """Logical state alpha|0_L> + beta|1_L>; the amplitudes must be normalized."""
@@ -357,6 +388,61 @@ class Encoding:
                 f"input qubit amplitudes are not normalized: |a|^2 + |b|^2 = {norm2!r}"
             )
         return LogicalState((self,), np.array([alpha, beta]), self.residual)
+
+
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class CatEncoding(Encoding):
+    """The even and odd cat at amplitude z, or, ``flipped``, their parity
+    flips s_plus|odd>, s_minus|even>: codewords of parities (even, odd),
+    orthogonal by parity.
+
+    Held as the scalars every claim reads: the truncation residuals of the
+    even and the odd cat, and the overlap k = <even|s_x|odd> of the two cats
+    truncated to the mode, which the flips share. ``zero`` and ``one`` are
+    built only when read. Equal (z, dim, flipped) are equal encodings.
+    """
+
+    z: float
+    residuals: tuple[float, float]
+    k: float
+    flipped: bool
+
+    def __init__(self, z: float, space: SpaceDescriptor, residuals: tuple[float, float],
+                 k: float, flipped: bool = False) -> None:
+        vars(self).update(z=z, space=space, residuals=residuals, k=k, flipped=flipped,
+                          residual=0.5 * (residuals[0] + residuals[1]))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Encoding):
+            return NotImplemented
+        return isinstance(other, CatEncoding) and (self.z, self.space, self.flipped) == (
+            other.z, other.space, other.flipped)
+
+    def __repr__(self) -> str:
+        return f"CatEncoding(z={self.z!r}, dim={self.space.dim}, flipped={self.flipped})"
+
+    def flip(self) -> "CatEncoding":
+        """The encoding on s_plus|1_L>, s_minus|0_L>."""
+        return CatEncoding(self.z, self.space, self.residuals, self.k, not self.flipped)
+
+    @functools.cached_property
+    def zero(self) -> StateVector:
+        return self._codeword(0)
+
+    @functools.cached_property
+    def one(self) -> StateVector:
+        return self._codeword(1)
+
+    def _codeword(self, logical: int) -> StateVector:
+        """|logical_L>: the cat of its parity, or, flipped, the other cat's
+        amplitudes moved onto it within each (even, odd) pair."""
+        source = logical ^ self.flipped
+        word = (odd_coherent if source else even_coherent)(self.z, self.space.dim)
+        if not self.flipped:
+            return word
+        amps = np.zeros(self.space.dim, dtype=complex)
+        amps[logical::2] = word.amps[source::2]
+        return StateVector(self.space, amps, word.truncation_residual)
 
 
 @dataclass(frozen=True, eq=False)

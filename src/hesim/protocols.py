@@ -3,8 +3,8 @@
 Every entangled state here is one Bell pair between two parties, each
 carrying a logical qubit in an ``Encoding``: the spin itself (up, down) or
 the even/odd cat at amplitude z. A state is a ``LogicalState`` over those
-encodings: a joint state of four parties is 16 numbers plus its codewords,
-at any cutoff. ``bell_pair`` builds all three families: two-qubit Bell
+encodings: a joint state of four parties is 16 numbers over four
+encodings, at any cutoff. ``bell_pair`` builds all three families: two-qubit Bell
 states, qubit-mode hybrid states and two-mode parity Bell states. One
 projective measurement in such a basis drives the protocols:
 teleporting a spin qubit through a hybrid channel onto its mode,
@@ -35,6 +35,7 @@ import numpy as np
 
 from .fock import (
     BellLabel,
+    CatEncoding,
     Encoding,
     FactorKind,
     HesLabel,
@@ -47,7 +48,7 @@ from .fock import (
     inner,
     tensor,
 )
-from .pseudospin import PAULI_X, PAULI_Y, PAULI_Z, s_minus, s_plus
+from .pseudospin import PAULI_X, PAULI_Y, PAULI_Z
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -362,13 +363,13 @@ def parity_measurement(
     """Measure the photon-number parity of one mode factor in place.
 
     Outcome 1 is even parity, -1 odd; the collapsed states keep every factor.
-    The mode's encoding must have an even |0_L> and an odd |1_L>, as the cat
-    codewords and their parity flips do; the outcome then reads its logical
-    index.
+    The mode's encoding must have an even |0_L> and an odd |1_L>, as a cat
+    encoding does by its kind; the outcome then reads its logical index.
     """
     _check_kinds(state, (mode_index,), (FactorKind.MODE,))
     enc = state.encodings[mode_index]
-    if np.any(enc.zero.amps[1::2]) or np.any(enc.one.amps[0::2]):
+    if not isinstance(enc, CatEncoding) and (
+            np.any(enc.zero.amps[1::2]) or np.any(enc.one.amps[0::2])):
         raise ValueError(
             f"the codewords of factor {mode_index} do not have parities (even, odd)"
         )
@@ -399,9 +400,10 @@ def _teleport(
     |1_L>. A parity flip maps them onto s_plus|1_L> and s_minus|0_L>, unit
     vectors of even/odd parity: on the coefficients, s_x and s_y act as
     their Pauli matrices onto that flipped encoding, and the cross-family
-    branches target alpha s_plus|1_L> + beta s_minus|0_L>.
+    branches target alpha s_plus|1_L> + beta s_minus|0_L>. On a qubit those
+    are its own codewords, |0> and |1>; a cat's are its flipped encoding.
     """
-    flipped = Encoding(s_plus(receiver.one), s_minus(receiver.zero))
+    flipped = receiver.flip() if isinstance(receiver, CatEncoding) else receiver
     targets = {False: receiver.state(alpha, beta), True: flipped.state(alpha, beta)}
     table = []
     for outcome, p, received in _measure_bell(joint, factors, *basis):

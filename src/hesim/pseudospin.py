@@ -6,29 +6,36 @@ within those pairs obey the spin-1/2 commutation relations, exactly so on
 an even-dimensional truncation. s_plus maps |2n+1> -> |2n> and annihilates
 even states, s_minus is its adjoint, s_x = s_plus + s_minus and
 s_y = -i(s_plus - s_minus); on a qubit they are the Pauli matrices. They
-act on the elements between two codewords (``encoded_pseudospin``), or
-on a state by moving amplitudes within each pair (``s_plus``/``s_minus``,
-which give the teleport its flipped codewords), so no dim x dim matrix is
-built. The module also evaluates the even/odd overlap k(z) that sets the
-strength of the Bell-CHSH violation: ``k_series`` sums it over the
-untruncated coherent weights, ``k_matrix`` reads it off the truncated cat
-codewords, and both start from the one walk over those weights in
+act only through their elements between two codewords
+(``encoded_pseudospin``), so no dim x dim matrix is built; on the cat
+codewords and on their parity flips those elements are the parity and the
+even/odd overlap k(z), so a cat encoding's codewords are not read either.
+k(z) sets the strength of the Bell-CHSH violation. ``k_series`` sums it
+over the untruncated coherent weights, ``Encoding.cat`` over the levels
+below its cutoff, and ``k_matrix`` reads it off the truncated cat
+codewords. All three start from the one walk over those weights in
 ``fock``, so their agreement checks the truncation, not the weights.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import Encoding, StateVector, _check_z, _coherent_weights
+from .fock import (
+    CatEncoding,
+    Encoding,
+    _check_z,
+    _coherent_weights,
+    _pair_overlap,
+    even_coherent,
+    odd_coherent,
+)
 
 _UNIT_TOL = 1e-12
 _NONREAL_TOL = 1e-12
-_FLIP_NORM_TOL = 1e-10  # a parity flip must keep the norm of the state it acts on
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -63,38 +70,18 @@ class Direction:
         return math.atan2(self.ny, self.nx)
 
 
-def _flip(state: StateVector, source: int) -> StateVector:
-    """Move the amplitude at parity ``source`` of each (even, odd) pair to its
-    partner. Writes a full-length vector and renormalizes it by its norm,
-    which the flip must keep: the state must have parity ``source``."""
-    if state.space.nfactors != 1 or state.space.dims[0] % 2 != 0:
-        raise ValueError(f"a parity flip acts on one qubit or mode, not {state.space.describe()}")
-    out = np.zeros(state.space.dim, dtype=complex)
-    out[1 - source :: 2] = state.amps[source::2]
-    norm = float(np.linalg.norm(out))
-    if abs(norm - 1.0) > _FLIP_NORM_TOL:
-        raise ValueError(f"parity flip is not norm-preserving on this state (|result| = {norm!r})")
-    return StateVector(state.space, out / norm, state.truncation_residual)
-
-
-def s_plus(state: StateVector) -> StateVector:
-    """s_plus|state> for an odd-parity state: each |2n+1> amplitude moves to |2n>."""
-    return _flip(state, 1)
-
-
-def s_minus(state: StateVector) -> StateVector:
-    """s_minus|state> for an even-parity state: each |2n> amplitude moves to |2n+1>."""
-    return _flip(state, 0)
-
-
 def encoded_pseudospin(enc: Encoding) -> np.ndarray:
     """<a_L|s_l|b_L> for l = x, y, z and a, b in (0, 1), as a (3, 2, 2) array.
 
     s_l acts on every (even, odd) pair of amplitudes n as sigma_l on a qubit,
     so the element sums a_n^H sigma_l b_n over n: it needs only the 4x4
     overlaps of the codewords' even and odd parts, O(dim). On
-    ``Encoding.qubit()`` it is the Pauli matrices.
+    ``Encoding.qubit()`` it is the Pauli matrices. On a cat encoding, plain
+    or flipped, it is (k sigma_x, k sigma_y, sigma_z) with k the encoding's
+    overlap: s_x and s_y flip parity and s_z reads it, so no codeword is read.
     """
+    if isinstance(enc, CatEncoding):
+        return np.stack((enc.k * PAULI_X, enc.k * PAULI_Y, PAULI_Z))
     parts = np.array([w.amps[parity::2] for w in (enc.zero, enc.one) for parity in (0, 1)])
     overlaps = (parts.conj() @ parts.T).reshape(2, 2, 2, 2)  # [a, j, b, k]
     return np.einsum("ljk,ajbk->lab", _PAULIS, overlaps)
@@ -114,14 +101,15 @@ def k_series(z: float) -> float:
         return 1.0
     _, w = _coherent_weights(z)
     even, odd = w[0::2], w[1::2]  # the walk starts at an even level
-    pairs = math.fsum(map(math.sqrt, map(operator.mul, even, odd)))
-    return pairs / math.sqrt(math.fsum(even) * math.fsum(odd))
+    return _pair_overlap(even, odd, math.fsum(even), math.fsum(odd))
 
 
 def k_matrix(z: float, dim: int) -> float:
     """k(z) as the matrix element <even| s_x |odd> between the cat codewords
-    on the truncated mode."""
-    val = encoded_pseudospin(Encoding.cat(z, dim))[0, 0, 1]
+    on the truncated mode, read off the codewords themselves: the dense
+    check of the overlap that ``Encoding.cat`` carries."""
+    words = Encoding(even_coherent(z, dim), odd_coherent(z, dim))
+    val = encoded_pseudospin(words)[0, 0, 1]
     if abs(val.imag) > _NONREAL_TOL:
         raise ValueError(f"overlap has a nonreal component {val.imag!r}")
     return float(val.real)

@@ -13,7 +13,9 @@ over their codewords lives here too: ``dense`` expands a ``LogicalState``
 into its full amplitude vector, ``kron`` multiplies dense states,
 ``partial_inner`` projects a dense state onto a bra over some of its
 factors, and ``build_pseudospin``/``apply`` act with dense dim x dim
-pseudospin matrices. ``schmidt_logical`` goes the other way, writing a
+pseudospin matrices. ``s_plus``/``s_minus`` flip a codeword's parity by
+moving its amplitudes within each (even, odd) pair, as the teleport once
+built its flipped cat codewords. ``schmidt_logical`` goes the other way, writing a
 dense qubit⊗mode vector as a ``LogicalState`` that the CHSH analysis takes.
 
 So does the log-domain route the package took to the coherent weights
@@ -54,13 +56,19 @@ from hesim.pseudospin import PAULI_X, PAULI_Y, PAULI_Z, Direction
 
 # reduced-density eigenvalues below this count as exact zeros
 EIGENVALUE_FLOOR = 1e-14
-# a dense operator must keep the norm of the state it acts on to this much
+# a dense operator or a parity flip must keep the norm of the state it acts
+# on to this much
 APPLY_NORM_TOL = 1e-10
 # largest entry difference between a pseudospin matrix element or CHSH
 # correlation taken on codeword coefficients and the dense one: the two sum
 # the same products in different orders (measured at most 5.6e-16 on
 # hybrid states at z in [0, 9] and 4.4e-16 on random states)
 DENSE_AGREEMENT_TOL = 4e-15
+# largest entry difference between encoded_pseudospin of a cat encoding, plain
+# or flipped, which sums k over the walk's weights, and the same elements on
+# its codewords: the two round differently (measured at most 2.0e-15 over
+# 7047 (z, dim) at z in [0, 30], dims from the adaptive cutoff -4 to +6)
+CAT_PSEUDOSPIN_TOL = 4e-15
 # largest difference between a recorded chsh optimizer_value and the dense
 # correlation matrix's 2 * hypot(s1, s2) at the report's z, label and dim
 GOLDEN_CHSH_TOL = 1e-12
@@ -168,6 +176,30 @@ def apply(op: np.ndarray, state: StateVector, factor_index: int) -> StateVector:
             f"operator is not norm-preserving on this state (|result| = {norm!r})"
         )
     return StateVector(state.space, out / norm, state.truncation_residual)
+
+
+def _flip(state: StateVector, source: int) -> StateVector:
+    """Move the amplitude at parity ``source`` of each (even, odd) pair to its
+    partner. Writes a full-length vector and renormalizes it by its norm,
+    which the flip must keep: the state must have parity ``source``."""
+    if state.space.nfactors != 1 or state.space.dims[0] % 2 != 0:
+        raise ValueError(f"a parity flip acts on one qubit or mode, not {state.space.describe()}")
+    out = np.zeros(state.space.dim, dtype=complex)
+    out[1 - source :: 2] = state.amps[source::2]
+    norm = float(np.linalg.norm(out))
+    if abs(norm - 1.0) > APPLY_NORM_TOL:
+        raise ValueError(f"parity flip is not norm-preserving on this state (|result| = {norm!r})")
+    return StateVector(state.space, out / norm, state.truncation_residual)
+
+
+def s_plus(state: StateVector) -> StateVector:
+    """s_plus|state> for an odd-parity state: each |2n+1> amplitude moves to |2n>."""
+    return _flip(state, 1)
+
+
+def s_minus(state: StateVector) -> StateVector:
+    """s_minus|state> for an even-parity state: each |2n> amplitude moves to |2n+1>."""
+    return _flip(state, 0)
 
 
 def partial_inner(

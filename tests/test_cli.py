@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import functools
 import importlib.util
 import json
 import math
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import hesim
 import hesim.cli
+from hesim import StateVector
 from hesim.cli import build_parser, main
 
 from conftest import Z_CAP
@@ -206,7 +208,9 @@ _checks_spec = importlib.util.spec_from_file_location(
 checks = importlib.util.module_from_spec(_checks_spec)
 _checks_spec.loader.exec_module(checks)
 # about two thirds of the examples at z <= 9, the rest up to the Fock cap
-Z_TO_THE_CAP = st.floats(min_value=0.0, max_value=9.0) | st.floats(min_value=9.0, max_value=Z_CAP)
+Z_PAST_9 = st.floats(min_value=9.0, max_value=Z_CAP)
+Z_TO_THE_CAP = st.floats(min_value=0.0, max_value=9.0) | Z_PAST_9
+CAP = repr(Z_CAP)
 
 
 def passes_the_benchmark_checks(argv, tmp_path) -> dict | str:
@@ -214,9 +218,10 @@ def passes_the_benchmark_checks(argv, tmp_path) -> dict | str:
     code, data = run(argv, tmp_path)
     assert code == 0
     text = data.decode()
-    op = SimpleNamespace(command=argv[0], work="1")
+    trials = int(argv[argv.index("--trials") + 1]) if "--trials" in argv else 1
+    op = SimpleNamespace(command=argv[0], work="1", trials=trials)
     assert checks.check(op, text) == []
-    return json.loads(text) if argv[0] == "chsh" else text
+    return text if argv[0] == "kz" else json.loads(text)
 
 
 class TestEveryZ:
@@ -244,6 +249,49 @@ class TestEveryZ:
         assert report["analytic_value"] == 2.0 * math.sqrt(1.0 + k * k)
         assert abs(report["gap"]) < 1e-9
 
+    @settings(derandomize=True, max_examples=4, deadline=None)
+    @given(z=Z_PAST_9, label=st.sampled_from(["psi+", "psi-", "phi+", "phi-"]))
+    @example(z=Z_CAP, label="phi+")
+    def test_entropy_hes(self, z, label, tmp_path_factory):
+        passes_the_benchmark_checks(["entropy", f"hes:{label}:z={z!r}"],
+                                    tmp_path_factory.mktemp("entropy"))
+
+    @settings(derandomize=True, max_examples=4, deadline=None)
+    @given(z=Z_PAST_9, zprime=Z_PAST_9, seed=st.integers(0, 2**20))
+    @example(z=Z_CAP, zprime=9.0, seed=0)
+    def test_swap(self, z, zprime, seed, tmp_path_factory):
+        passes_the_benchmark_checks(
+            ["swap", "--z", repr(z), "--zprime", repr(zprime), "--trials", "8", "--seed", str(seed)],
+            tmp_path_factory.mktemp("swap"))
+
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(kind=st.sampled_from(["spin", "parity"]), z=Z_PAST_9, zpp=Z_PAST_9,
+           channel=st.sampled_from(["psi+", "psi-", "phi+", "phi-"]),
+           beta=st.sampled_from(["0.8", "0.8j", "-0.6+0.2j"]), seed=st.integers(0, 2**20))
+    @example(kind="parity", z=9.0, zpp=Z_CAP, channel="psi-", beta="0.8j", seed=0)
+    def test_teleport(self, kind, z, zpp, channel, beta, seed, tmp_path_factory):
+        zs = ["--z", repr(z)] + (["--zpp", repr(zpp)] if kind == "parity" else [])
+        report = passes_the_benchmark_checks(
+            ["teleport", kind, "--alpha", "0.6", f"--beta={beta}", *zs, "--channel", channel,
+             "--trials", "8", "--seed", str(seed)], tmp_path_factory.mktemp("teleport"))
+        assert report["fidelity_mean"] >= 1.0 - checks.FIDELITY_TOL
+
+    @pytest.mark.parametrize("argv", [
+        ["chsh", "--z", CAP, "--label", "psi-"],
+        ["teleport", "spin", "--alpha", "0.6", "--beta", "0.8j", "--z", CAP, "--trials", "8"],
+        ["teleport", "parity", "--alpha", "0.6", "--beta", "0.8", "--z", CAP, "--trials", "8"],
+        ["swap", "--z", CAP, "--zprime", CAP, "--trials", "8"],
+        ["entropy", f"hes:psi+:z={CAP}"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_at_the_fock_cap_no_cat_codeword_is_built(self, argv, tmp_path, monkeypatch):
+        # a codeword there is a vector of 1 000 000 amplitudes
+        dims = []
+        validate = StateVector.__post_init__
+        monkeypatch.setattr(StateVector, "__post_init__",
+                            lambda sv: (dims.append(sv.space.dim), validate(sv))[1])
+        passes_the_benchmark_checks(argv, tmp_path)
+        assert set(dims) <= {2}
+
     @pytest.mark.parametrize("command", ["kz", "chsh"])
     def test_at_the_fock_cap(self, command, tmp_path, capsys):
         def argv(z):
@@ -256,6 +304,37 @@ class TestEveryZ:
         assert code == 1 and data == b""
         assert capsys.readouterr().err == (
             f"error: z = {above!r} is too large for a dense representation\n")
+
+
+class TestOneWalkPerZ:
+    """A command walks the coherent weights once for each z it reads: its
+    cutoff, its cat encodings, k_series and k_matrix share the walk."""
+
+    @pytest.mark.parametrize("argv,walks", [
+        (["chsh", "--z", "1.5"], 1),
+        (["teleport", "spin", "--alpha", "0.6", "--beta", "0.8", "--z", "1.5"], 1),
+        (["teleport", "parity", "--alpha", "0.6", "--beta", "0.8", "--z", "1.5",
+          "--zpp", "0.7"], 2),
+        (["swap", "--z", "1.5", "--zprime", "0.7"], 2),
+        (["entropy", "paritybell:phi~+:z=1.5,zp=0.7"], 2),
+        (["kz", "--zmin", "3", "--zmax", "9", "--steps", "4"], 4),
+    ], ids=lambda arg: " ".join(arg[:2]) if isinstance(arg, list) else str(arg))
+    def test_walks(self, argv, walks, tmp_path, monkeypatch):
+        # a fresh cache of the same size, as in a fresh process, over a
+        # counted walk, on every module that binds it
+        cached = hesim.fock._coherent_weights
+        walked = []
+
+        def walk(z):
+            walked.append(z)
+            return cached.__wrapped__(z)
+
+        fresh = functools.lru_cache(**cached.cache_parameters())(walk)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("hesim") and hasattr(module, "_coherent_weights"):
+                monkeypatch.setattr(module, "_coherent_weights", fresh)
+        code, _ = run(argv, tmp_path)
+        assert code == 0 and len(walked) == walks == len(set(walked))
 
 
 class TestTeleport:

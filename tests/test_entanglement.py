@@ -155,6 +155,16 @@ class TestEntropy:
                 via_density = entropy_from_reduced_density(st, keep)
                 assert via_schmidt == pytest.approx(via_density, abs=1e-9)
 
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(parties=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_is_the_padded_spectrum_entropy_bit_for_bit(self, parties, seed, data):
+        # the zeros schmidt_coefficients pads with add exactly 0.0
+        rng = np.random.default_rng(seed)
+        pool = (QUBIT, random_encoding(4, rng), Encoding.cat(1.3, 20), Encoding.cat(4.0, 56))
+        st_ = random_logical([pool[i] for i in rng.integers(0, len(pool), parties)], rng)
+        side = data.draw(st.sets(st.integers(0, parties - 1), min_size=1, max_size=parties - 1))
+        assert entanglement_entropy(st_, side) == schmidt_coefficients(st_, side).entropy()
+
     def test_qubit_cut_cannot_exceed_one_ebit(self, rng):
         for _ in range(10):
             st = random_logical((QUBIT, random_encoding(10, rng)), rng)

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hesim import (
     Encoding,
@@ -22,7 +23,7 @@ from hesim import (
     qubit_state,
     tensor,
 )
-from hesim.fock import _MODE_DIM_CAP
+from hesim.fock import _MODE_DIM_CAP, CatEncoding
 from hesim.pseudospin import Direction
 
 from conftest import Z_CAP, fock_encoding, number_state, random_logical, random_state
@@ -525,6 +526,62 @@ class TestEncoding:
         assert Encoding.cat(0.7, 14) != Encoding.cat(0.7, 16)
         assert Encoding.cat(0.7, 14) != Encoding.cat(0.8, 14)
         assert Encoding.qubit() == QUBIT_ENC != fock_encoding(2)
+
+
+def built_or_refused(build):
+    """What build() returns, or the type and text of the error it raises."""
+    try:
+        return build()
+    except (TruncationError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestCatEncoding:
+    """A cat encoding is its amplitude, cutoff and flip, plus the residuals and
+    overlap of one walk; its codewords are built only when read."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(z=st.floats(min_value=0.0, max_value=30.0),
+           offset=st.sampled_from(range(-4, 8, 2)), flipped=st.booleans())
+    @example(z=0.0, offset=-4, flipped=False)  # dim 0
+    @example(z=1e-200, offset=0, flipped=True)  # z**2 underflows to 0
+    @example(z=1.0, offset=-4, flipped=False)  # the even cat is cut short
+    def test_carries_the_residuals_and_refusals_of_its_codewords(self, z, offset, flipped):
+        dim = mode_dim_for(z, 1e-14) + offset
+        cat = built_or_refused(lambda: Encoding.cat(z, dim))
+        words = [built_or_refused(lambda: build(z, dim)) for build in (even_coherent, odd_coherent)]
+        refusals = [w for w in words if isinstance(w, tuple)]
+        if refusals:  # the even cat's refusal first, with its exact text
+            assert cat == refusals[0]
+            return
+        even, odd = words
+        assert isinstance(cat, CatEncoding) and isinstance(cat, Encoding)
+        assert cat.residuals == (even.truncation_residual, odd.truncation_residual)
+        assert cat.residual == Encoding(even, odd).residual
+        assert cat.space == SpaceDescriptor.mode(dim)
+        enc = cat.flip() if flipped else cat
+        assert enc.residual == cat.residual and enc.k == cat.k and enc.flipped == flipped
+        # |0_L> is even and |1_L> odd; flipped, each holds the other cat's amplitudes
+        for logical, source in ((0, enc.zero), (1, enc.one)):
+            word = (even, odd)[logical ^ flipped]
+            assert np.array_equal(source.amps[logical::2], word.amps[logical ^ flipped::2])
+            assert not np.any(source.amps[1 - logical::2])
+            assert source.truncation_residual == word.truncation_residual
+
+    def test_is_equal_by_its_amplitude_cutoff_and_flip(self):
+        cat = Encoding.cat(0.7, 14)
+        assert cat == Encoding.cat(0.7, 14) == cat.flip().flip()
+        assert cat != cat.flip() and cat.flip() == Encoding.cat(0.7, 14).flip()
+        assert cat != Encoding.cat(math.nextafter(0.7, 1.0), 14)
+        # equal codewords, but a cat is compared by what it is built from
+        assert cat != Encoding(even_coherent(0.7, 14), odd_coherent(0.7, 14)) != cat
+        assert cat != QUBIT_ENC and cat != fock_encoding(14)
+
+    def test_reads_no_codeword_until_asked(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(StateVector, "__post_init__", lambda sv: built.append(sv))
+        cat = Encoding.cat(Z_CAP, _MODE_DIM_CAP).flip()
+        assert built == [] and repr(cat) == f"CatEncoding(z={Z_CAP!r}, dim=1000000, flipped=True)"
 
 
 class TestLogicalState:

@@ -5,13 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hesim import (
     Direction,
     Encoding,
     SpaceDescriptor,
     StateVector,
+    TruncationError,
     even_coherent,
     k_matrix,
     k_series,
@@ -20,10 +21,11 @@ from hesim import (
     qubit_state,
 )
 from hesim import pseudospin
-from hesim.pseudospin import PAULI_X, PAULI_Y, PAULI_Z, encoded_pseudospin, s_minus, s_plus
+from hesim.pseudospin import PAULI_X, PAULI_Y, PAULI_Z, encoded_pseudospin
 
 from conftest import number_state, random_amps, random_encoding
 from oracles import (
+    CAT_PSEUDOSPIN_TOL,
     DENSE_AGREEMENT_TOL,
     K_ASYMPTOTE_TOL,
     K_DECIMAL_TOL,
@@ -33,6 +35,8 @@ from oracles import (
     direction,
     k_asymptote,
     lgamma_k_series,
+    s_minus,
+    s_plus,
     spin_dot,
 )
 
@@ -196,6 +200,25 @@ class TestEncodedPseudospin:
         expected = np.stack([k * PAULI_X, k * PAULI_Y, PAULI_Z])
         assert np.max(np.abs(got - expected)) <= 1e-12
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(z=st.floats(min_value=0.0, max_value=30.0), offset=st.sampled_from(range(-4, 8, 2)))
+    @example(z=0.0, offset=-2)
+    @example(z=1e-200, offset=0)
+    def test_on_a_cat_encoding_it_is_the_codewords_overlap(self, z, offset):
+        # exactly (k sigma_x, k sigma_y, sigma_z), on the cats and on their flips
+        dim = max(2, mode_dim_for(z, 1e-14) + offset)
+        try:
+            cat = Encoding.cat(z, dim)
+        except TruncationError:
+            assume(False)
+        words = Encoding(even_coherent(z, dim), odd_coherent(z, dim))
+        flips = Encoding(s_plus(words.one), s_minus(words.zero))
+        exact = np.stack((cat.k * PAULI_X, cat.k * PAULI_Y, PAULI_Z))
+        for enc, codewords in ((cat, words), (cat.flip(), flips)):
+            got = encoded_pseudospin(enc)
+            assert np.array_equal(got, exact)
+            assert np.max(np.abs(got - encoded_pseudospin(codewords))) <= CAT_PSEUDOSPIN_TOL
+
     def test_builds_no_dense_matrix(self):
         # dim 10776: a dense s_x alone would take 1.9 GB
         z = 100.0
@@ -316,8 +339,10 @@ class TestKMatrix:
 
     @pytest.mark.parametrize("z", [0.0, 0.3, 1.0, 4.0, 9.0])
     def test_is_the_encoded_pseudospin_element(self, z):
-        enc = Encoding.cat(z, mode_dim_for(z, 1e-14))
-        assert k_matrix(z, enc.space.dim) == encoded_pseudospin(enc)[0, 0, 1].real
+        # of the codewords themselves: a cat encoding carries its own overlap
+        dim = mode_dim_for(z, 1e-14)
+        enc = Encoding(even_coherent(z, dim), odd_coherent(z, dim))
+        assert k_matrix(z, dim) == encoded_pseudospin(enc)[0, 0, 1].real
 
     def test_a_nonreal_element_is_refused(self, monkeypatch):
         monkeypatch.setattr(pseudospin, "encoded_pseudospin",
