@@ -9,14 +9,16 @@ Only pure states are represented. A ``StateVector`` holds the amplitudes
 of one qubit or mode, such as a cat codeword. A ``LogicalState`` holds a
 coefficient tensor over its parties' ``Encoding``s, each a checked
 orthonormal pair of codewords; every multi-party state is one, so products
-and overlaps cost 2**n numbers, never dim**2 amplitudes. The cat codewords,
-their truncation residuals, the adaptive Fock cutoff ``mode_dim_for`` and
-the overlap k(z) of ``pseudospin`` all read one list of coherent weights,
-walked outward from the Poisson peak by term ratios. All values are
-immutable after construction; every operation here is a pure function and
-safe to share across workers. The Bell-pair label enums live here too, so
-that the analysis and protocol layers share them without importing each
-other.
+and overlaps cost 2**n numbers, never dim**2 amplitudes. A cat encoding
+keeps only scalars: its amplitude, cutoff, residuals and even/odd overlap,
+and builds its codewords only when they are read. The cat codewords, their
+truncation residuals and overlap, the adaptive Fock cutoff ``mode_dim_for``
+and the overlap k(z) of ``pseudospin`` all read one list of coherent
+weights, walked outward from the Poisson peak by term ratios; a command
+walks each of its z once. All values are immutable after construction;
+every operation here is a pure function and safe to share across workers.
+The Bell-pair label enums live here too, so that the analysis and protocol
+layers share them without importing each other.
 """
 
 from __future__ import annotations
@@ -392,14 +394,12 @@ class Encoding:
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
 class CatEncoding(Encoding):
-    """The even and odd cat at amplitude z, or, ``flipped``, their parity
-    flips s_plus|odd>, s_minus|even>: codewords of parities (even, odd),
-    orthogonal by parity.
-
-    Held as the scalars every claim reads: the truncation residuals of the
-    even and the odd cat, and the overlap k = <even|s_x|odd> of the two cats
-    truncated to the mode, which the flips share. ``zero`` and ``one`` are
-    built only when read. Equal (z, dim, flipped) are equal encodings.
+    """The even and odd cat at amplitude z or, ``flipped``, their parity flips
+    s_plus|odd>, s_minus|even>: codewords of parities (even, odd), so
+    orthogonal. Held as the scalars every claim reads: the residuals of the
+    even and the odd cat and their overlap k = <even|s_x|odd> on the mode,
+    which the flips share. ``zero`` and ``one`` are built only when read.
+    Equal (z, dim, flipped) are equal encodings.
     """
 
     z: float

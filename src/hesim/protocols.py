@@ -3,8 +3,8 @@
 Every entangled state here is one Bell pair between two parties, each
 carrying a logical qubit in an ``Encoding``: the spin itself (up, down) or
 the even/odd cat at amplitude z. A state is a ``LogicalState`` over those
-encodings: a joint state of four parties is 16 numbers over four
-encodings, at any cutoff. ``bell_pair`` builds all three families: two-qubit Bell
+encodings: a joint state of four parties is 16 numbers plus its encodings,
+at any cutoff. ``bell_pair`` builds all three families: two-qubit Bell
 states, qubit-mode hybrid states and two-mode parity Bell states. One
 projective measurement in such a basis drives the protocols:
 teleporting a spin qubit through a hybrid channel onto its mode,
