@@ -330,8 +330,8 @@ class TestOneWalkPerZ:
             return cached.__wrapped__(z)
 
         fresh = functools.lru_cache(**cached.cache_parameters())(walk)
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("hesim") and hasattr(module, "_coherent_weights"):
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hesim") and hasattr(module, "_coherent_weights"):
                 monkeypatch.setattr(module, "_coherent_weights", fresh)
         code, _ = run(argv, tmp_path)
         assert code == 0 and len(walked) == walks == len(set(walked))
