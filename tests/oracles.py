@@ -15,8 +15,9 @@ into its full amplitude vector, ``kron`` multiplies dense states,
 factors, and ``build_pseudospin``/``apply`` act with dense dim x dim
 pseudospin matrices. ``s_plus``/``s_minus`` flip a codeword's parity by
 moving its amplitudes within each (even, odd) pair, as the teleport once
-built its flipped cat codewords. ``schmidt_logical`` goes the other way, writing a
-dense qubit⊗mode vector as a ``LogicalState`` that the CHSH analysis takes.
+built its flipped cat codewords. ``schmidt_logical`` goes the other way,
+writing a dense qubit⊗mode vector as a ``LogicalState`` that the CHSH
+analysis takes.
 
 So does the log-domain route the package took to the coherent weights
 before it walked them from the Poisson peak: ``lgamma_mode_dim``,
