@@ -47,8 +47,15 @@ class SchmidtSpectrum:
         return max(entropy, 0.0)
 
 
-def _singular_values(state: LogicalState, a: set[int]) -> list[float]:
-    """Singular values of the coefficient tensor with side a's parties as rows."""
+def schmidt_coefficients(state: LogicalState, side_a: Iterable[int]) -> SchmidtSpectrum:
+    """Schmidt coefficients between side a's factors and every other factor.
+
+    The encodings are orthonormal, so these are the singular values of the
+    coefficient tensor with side a's parties as rows: min(2**|a|, 2**(n-|a|))
+    of them for n parties, two for a pair. Side a must be a nonempty proper
+    subset of the state's factor indices.
+    """
+    a = {int(i) for i in side_a}
     nf = state.space.nfactors
     if not a or not a < set(range(nf)):
         raise ValueError(
@@ -57,31 +64,10 @@ def _singular_values(state: LogicalState, a: set[int]) -> list[float]:
         )
     rows = sorted(a)
     m = state.coeffs.transpose(rows + [i for i in range(nf) if i not in a])
-    return [float(s) for s in np.linalg.svd(m.reshape(2 ** len(a), -1), compute_uv=False)]
-
-
-def schmidt_coefficients(state: LogicalState, side_a: Iterable[int]) -> SchmidtSpectrum:
-    """Schmidt coefficients between side a's factors and every other factor.
-
-    The encodings are orthonormal, so these are the singular values of the
-    coefficient tensor with side a's parties as rows: a 2x2 matrix for a
-    pair. The list keeps the length min(dim a, dim b) of the state's own
-    decomposition; past the tensor's rank its entries are exact zeros. Side
-    a must be a nonempty proper subset of the state's factor indices.
-    """
-    a = {int(i) for i in side_a}
-    singular = _singular_values(state, a)
-    dims = state.space.dims
-    rank = min(math.prod(dims[i] for i in a),
-               math.prod(d for i, d in enumerate(dims) if i not in a))
-    return SchmidtSpectrum(tuple(singular + [0.0] * (rank - len(singular))))
+    return SchmidtSpectrum(tuple(np.linalg.svd(m.reshape(2 ** len(a), -1), compute_uv=False)))
 
 
 def entanglement_entropy(state: LogicalState, side_a: Iterable[int]) -> float:
-    """Von Neumann entropy between side a and the rest, in bits (ebits).
-
-    The entropy of ``schmidt_coefficients(state, side_a)`` (see
-    ``SchmidtSpectrum.entropy``), taken from the singular values alone: the
-    zeros that list is padded with add nothing.
-    """
-    return SchmidtSpectrum(tuple(_singular_values(state, {int(i) for i in side_a}))).entropy()
+    """Von Neumann entropy between side a and the rest, in bits (ebits):
+    the entropy of ``schmidt_coefficients(state, side_a)``."""
+    return schmidt_coefficients(state, side_a).entropy()

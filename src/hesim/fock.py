@@ -199,7 +199,8 @@ def _coherent_weights(z: float) -> tuple[int, tuple[float, ...]]:
     """
     lam = z * z
     if lam > _MODE_DIM_CAP:
-        raise ValueError(f"z = {z!r} is too large for a dense representation")
+        raise ValueError(
+            f"z = {z!r} is too large: its Poisson peak z**2 passes {_MODE_DIM_CAP} levels")
     peak = int(lam)
     down, w = [], 1.0
     for m in range(peak, 0, -1):  # w is the weight of level m
@@ -244,7 +245,8 @@ def mode_dim_for(z: float, tol: float) -> int:
     while d - lo < len(w) and tails[d - lo] / tails[0] >= tol:
         d += 2
     if d > _MODE_DIM_CAP:
-        raise ValueError(f"z = {z!r} is too large for a dense representation")
+        raise ValueError(
+            f"z = {z!r} is too large: its adaptive cutoff passes {_MODE_DIM_CAP} levels")
     return d
 
 

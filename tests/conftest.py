@@ -40,6 +40,17 @@ def random_logical(encodings, rng) -> LogicalState:
         (2,) * len(encodings)))
 
 
+def assert_leads_the_dense_spectrum(got, dense, parties, side_a, atol):
+    """got, the Schmidt list of a cut of `parties` parties with side_a on one
+    side, has min(2**|a|, 2**(n-|a|)) entries, equal within atol to the
+    leading values of the dense spectrum; every dense value past them is at
+    most 1e-10."""
+    rank = min(2 ** len(side_a), 2 ** (parties - len(side_a)))
+    assert len(got) == rank
+    assert np.allclose(got, dense[:rank], rtol=0.0, atol=atol)
+    assert all(s <= 1e-10 for s in dense[rank:])
+
+
 def random_qubit_pair(rng):
     """Normalized (alpha, beta) for an unknown input qubit."""
     v = random_amps(rng, 2)

@@ -257,6 +257,14 @@ class TestEveryZ:
                                     tmp_path_factory.mktemp("entropy"))
 
     @settings(derandomize=True, max_examples=4, deadline=None)
+    @given(z=Z_PAST_9, zp=Z_PAST_9, label=st.sampled_from(["psi~+", "psi~-", "phi~+", "phi~-"]))
+    @example(z=Z_CAP, zp=990.0, label="phi~+")
+    def test_entropy_paritybell(self, z, zp, label, tmp_path_factory):
+        report = passes_the_benchmark_checks(["entropy", f"paritybell:{label}:z={z!r},zp={zp!r}"],
+                                             tmp_path_factory.mktemp("entropy"))
+        assert len(report["schmidt_coefficients"]) == 2
+
+    @settings(derandomize=True, max_examples=4, deadline=None)
     @given(z=Z_PAST_9, zprime=Z_PAST_9, seed=st.integers(0, 2**20))
     @example(z=Z_CAP, zprime=9.0, seed=0)
     def test_swap(self, z, zprime, seed, tmp_path_factory):
@@ -282,6 +290,7 @@ class TestEveryZ:
         ["teleport", "parity", "--alpha", "0.6", "--beta", "0.8", "--z", CAP, "--trials", "8"],
         ["swap", "--z", CAP, "--zprime", CAP, "--trials", "8"],
         ["entropy", f"hes:psi+:z={CAP}"],
+        ["entropy", f"paritybell:phi~+:z={CAP},zp={CAP}"],
     ], ids=lambda argv: " ".join(argv[:2]))
     def test_at_the_fock_cap_no_cat_codeword_is_built(self, argv, tmp_path, monkeypatch):
         # a codeword there is a vector of 1 000 000 amplitudes
@@ -303,7 +312,7 @@ class TestEveryZ:
         code, data = run(argv(above), tmp_path, name="above")
         assert code == 1 and data == b""
         assert capsys.readouterr().err == (
-            f"error: z = {above!r} is too large for a dense representation\n")
+            f"error: z = {above!r} is too large: its adaptive cutoff passes 1000000 levels\n")
 
 
 class TestOneWalkPerZ:

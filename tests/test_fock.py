@@ -110,7 +110,8 @@ class TestModeDimFor:
         # the walk from the Poisson peak finds the cutoff at the cap without
         # summing the million levels below it
         assert mode_dim_for(Z_CAP, 1e-14) == _MODE_DIM_CAP
-        with pytest.raises(ValueError, match="too large for a dense representation"):
+        with pytest.raises(ValueError,
+                           match="too large: its adaptive cutoff passes 1000000 levels"):
             mode_dim_for(math.nextafter(Z_CAP, math.inf), 1e-14)
 
 

@@ -314,7 +314,8 @@ class TestKSeries:
     def test_past_the_fock_cap_it_refuses_z(self):
         # z**2 above 1 000 000 puts the Poisson peak past the largest cutoff
         assert 0.0 < k_series(1000.0) < 1.0
-        with pytest.raises(ValueError, match="too large for a dense representation"):
+        with pytest.raises(ValueError,
+                           match=r"too large: its Poisson peak z\*\*2 passes 1000000 levels"):
             k_series(math.nextafter(1000.0, math.inf))
 
 
