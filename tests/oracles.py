@@ -73,6 +73,10 @@ CAT_PSEUDOSPIN_TOL = 4e-15
 # largest difference between a recorded chsh optimizer_value and the dense
 # correlation matrix's 2 * hypot(s1, s2) at the report's z, label and dim
 GOLDEN_CHSH_TOL = 1e-12
+# largest difference between a recorded entropy report's Schmidt coefficients
+# or entropy_bits and the dense oracles' at the report's state, the dense
+# entanglement tests' tolerance (measured at most 3.2e-16 on the golden lines)
+GOLDEN_ENTROPY_TOL = 1e-10
 # largest |k_series(z) - decimal_k(z)| for z in [0, 30] (measured at most
 # 2.2e-16 over 3001 z; the log-domain series was off by up to 4.6e-13)
 K_DECIMAL_TOL = 1e-15

@@ -10,9 +10,10 @@ report may differ.
 
 After an intended change of output, re-record every argv in the file with
 ``PYTHONPATH=src python tests/test_cli_golden.py``; it prints the argv of
-every line whose record changed. Every recorded ``chsh`` optimum is checked
-against the dense oracle as well, so a re-recorded one must still agree
-with it.
+every line whose record changed. Every recorded ``chsh`` optimum and, up to
+the dense oracle's size, every recorded ``entropy`` report is checked
+against the dense oracles as well, so a re-recorded one must still agree
+with them.
 """
 
 import contextlib
@@ -26,9 +27,11 @@ import numpy as np
 import pytest
 
 from hesim import HesLabel, hes_state
-from hesim.cli import main
+from hesim.cli import _build_named_state, build_parser, main
 
-from oracles import GOLDEN_CHSH_TOL, dense_correlation_matrix, k_asymptote
+from conftest import assert_leads_the_dense_spectrum
+from oracles import (GOLDEN_CHSH_TOL, GOLDEN_ENTROPY_TOL, dense_correlation_matrix, dense_schmidt,
+                     entropy_from_reduced_density, k_asymptote)
 
 DATA = Path(__file__).with_name("cli_golden.jsonl")
 COLUMNS = "80"  # argparse wraps usage lines to the terminal width
@@ -80,6 +83,27 @@ def test_large_z_chsh_optimum_agrees_with_the_asymptote(case):
     assert report["z"] >= 300.0
     k = k_asymptote(report["z"])
     assert abs(report["optimizer_value"] - 2.0 * math.sqrt(1.0 + k * k)) <= GOLDEN_CHSH_TOL
+
+
+def _named_state(case: dict):
+    """The state an entropy line reports on, as the CLI builds it."""
+    args = build_parser().parse_args(case["argv"])
+    return _build_named_state(args.statespec, args.dim)
+
+
+def _entropy_cases() -> list[dict]:
+    """The entropy lines with a report, at dims the dense oracle can hold."""
+    return [case for case in _cases() if case["argv"][:1] == ["entropy"]
+            and case["stdout"].startswith("{")
+            and max(_named_state(case).space.dims) <= DENSE_DIM_MAX]
+
+
+@pytest.mark.parametrize("case", _entropy_cases(), ids=lambda case: " ".join(case["argv"]))
+def test_entropy_agrees_with_the_dense_oracles(case):
+    report, state = json.loads(case["stdout"]), _named_state(case)
+    assert_leads_the_dense_spectrum(report["schmidt_coefficients"], dense_schmidt(state, [0]),
+                                    state.space.nfactors, {0}, GOLDEN_ENTROPY_TOL)
+    assert abs(report["entropy_bits"] - entropy_from_reduced_density(state, [0])) <= GOLDEN_ENTROPY_TOL
 
 
 if __name__ == "__main__":
