@@ -459,7 +459,6 @@ class LogicalState:
     encodings: tuple[Encoding, ...]
     coeffs: np.ndarray
     truncation_residual: float = 0.0
-    space: SpaceDescriptor = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         encodings = tuple(self.encodings)
@@ -477,8 +476,11 @@ class LogicalState:
         coeffs.setflags(write=False)
         object.__setattr__(self, "encodings", encodings)
         object.__setattr__(self, "coeffs", coeffs)
-        factors = tuple(enc.space.factors[0] for enc in encodings)
-        object.__setattr__(self, "space", SpaceDescriptor(factors))
+
+    @functools.cached_property
+    def space(self) -> SpaceDescriptor:
+        """The parties' factors, each already checked by its encoding."""
+        return SpaceDescriptor(tuple(enc.space.factors[0] for enc in self.encodings))
 
 
 def tensor(a: LogicalState, b: LogicalState) -> LogicalState:

@@ -90,10 +90,13 @@ _CORRECTIONS = {Correction.IDENTITY: (np.eye(2), False), Correction.S_Z: (PAULI_
                 Correction.S_X: (PAULI_X, True), Correction.S_Y: (PAULI_Y, True)}
 
 
+@functools.cache
 def _bell_coeffs(label: BellLabel) -> np.ndarray:
+    """A Bell label's 2x2 coefficients, one read-only array per label."""
     c = np.zeros((2, 2), dtype=complex)
     j = 0 if label.is_phi else 1
     c[0, j], c[1, 1 - j] = _SQRT_HALF, label.sign * _SQRT_HALF
+    c.setflags(write=False)
     return c
 
 
