@@ -19,6 +19,10 @@ the row does not. ``draw`` samples a table with exactly one
 uniform variate from an RngStream, by inverse CDF over the probabilities,
 so a seed fixes the transcript: ``draw(teleport_spin(...), RngStream(s))``
 is one seeded trial, and a table's ``sampler`` draws many trials the same way.
+A stream's variates are those of ``np.random.default_rng(s)``. Its first is
+computed from s, one seed at a time or a run's seeds in one numpy batch,
+and the generator is built only for a second draw, so a command, which
+draws once a trial, never imports numpy.random.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
@@ -71,7 +76,11 @@ _SEQ_INIT_A, _SEQ_MULT_A = 0x43B0D7E5, 0x931E8875
 _SEQ_INIT_B, _SEQ_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SEQ_MIX_L, _SEQ_MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32 = 2**32 - 1
+# M**2 and c = M**2 + M + 1, mod 2**128, of the seeded state (see _first_uniforms)
+_PCG_MULT2 = _PCG_MULT**2 % 2**128
+_PCG_C = (_PCG_MULT2 + _PCG_MULT + 1) % 2**128
+_M32, _M64 = 2**32 - 1, 2**64 - 1
+_MIX_ORDER = tuple(itertools.permutations(range(4), 2))  # (source, destination) pool words
 
 
 class Correction(Enum):
@@ -110,21 +119,22 @@ def bell_pair(label: BellLabel, enc_a: Encoding, enc_b: Encoding) -> LogicalStat
 class RngStream:
     """Counted, seeded source of ``np.random.default_rng(seed)``'s variates.
 
-    Given ``first``, the first variate computed in a batch, the generator is
-    built only if a second draw needs it.
+    The first variate is ``first`` when a batch computed it, else
+    ``_first_uniform(seed)``. The generator is built only if a second draw
+    needs it, so a run that draws once a trial never imports numpy.random.
     """
 
     __slots__ = ("seed", "first", "counter", "_gen")
 
     def __init__(self, seed: int, *, first: float | None = None) -> None:
-        self.seed, self.first, self.counter = seed, first, 0
-        self._gen = None if first is not None else np.random.default_rng(seed)
+        self.seed, self.counter, self._gen = seed, 0, None
+        self.first = _first_uniform(seed) if first is None else first
 
     def uniform(self) -> float:
         self.counter += 1
+        if self.counter == 1:
+            return self.first
         if self._gen is None:
-            if self.counter == 1:
-                return self.first
             self._gen = np.random.default_rng(self.seed)
             self._gen.random()  # the variate already handed out
         return float(self._gen.random())
@@ -135,7 +145,8 @@ def trial_streams(seed: int, trials: int) -> Iterator[RngStream]:
 
     A run of at least _BATCH_MIN_TRIALS trials whose seeds all lie below
     2**32 (one SeedSequence entropy word each) computes its first variates
-    _BATCH_BLOCK seeds at a time; any other run builds a generator a trial.
+    _BATCH_BLOCK seeds at a time with ``_first_uniforms``; any other run
+    computes each from its seed with ``_first_uniform``.
     """
     if trials < _BATCH_MIN_TRIALS or seed < 0 or seed + trials > 2**32:
         yield from map(RngStream, range(seed, seed + trials))
@@ -146,10 +157,50 @@ def trial_streams(seed: int, trials: int) -> Iterator[RngStream]:
         yield from (RngStream(s, first=u) for s, u in zip(seeds, firsts.tolist()))
 
 
+def _first_uniform(seed: int) -> float:
+    """``np.random.default_rng(seed).random()`` for one seed >= 0, bit for bit.
+
+    The steps of ``_first_uniforms`` in Python integers, for a seed of any
+    number of 32-bit words. As in numpy's ``SeedSequence``, the words past a
+    pool's fourth are mixed into every pool word after the pool's own mixing.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed >> shift & _M32 for shift in range(0, seed.bit_length() or 1, 32)]
+    n = max(len(words), 4)
+    # 4 hashes fill the pool; then each pool word is mixed into every other
+    # and each word past the fourth into every pool word, a hash per mix
+    consts = _hash_consts(_SEQ_INIT_A, _SEQ_MULT_A, 4 * n)
+    pool = [_hash(v, *c) for v, c in zip((words + [0, 0, 0])[:4], consts)] + words[4:]
+    mixes = itertools.chain(_MIX_ORDER, itertools.product(range(4, n), range(4)))
+    for (src, dst), c in zip(mixes, consts[4:]):
+        v = _SEQ_MIX_L * pool[dst] - _SEQ_MIX_R * _hash(pool[src], *c) & _M32
+        pool[dst] = v ^ v >> 16
+    consts = _hash_consts(_SEQ_INIT_B, _SEQ_MULT_B, 8)
+    w = [_hash(pool[k % 4], *c) for k, c in enumerate(consts)]
+    # uint64 j is words 2j (low half) and 2j + 1; s0 is uint64s 0 (high) and 1, i0 2 and 3
+    s0 = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+    i0 = w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]
+    hi, lo = divmod((s0 * _PCG_MULT2 + (2 * i0 + 1) * _PCG_C) % 2**128, 2**64)
+    x, rot = hi ^ lo, hi >> 58
+    x = (x >> rot | x << (64 - rot)) & _M64
+    return (x >> 11) * 2.0**-53
+
+
+@functools.cache
+def _hash_consts(init: int, mult: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The first n (xor, multiplier) pairs of a SeedSequence hash constant,
+    which each hash xors in, steps by ``mult`` and multiplies by."""
+    steps = list(itertools.accumulate([mult] * n, lambda c, m: c * m & _M32, initial=init))
+    return tuple(zip(steps, steps[1:]))
+
+
 def _hash(v, xor, mul):
-    """One SeedSequence hash of uint32 words: xor, multiply, xorshift."""
-    v = (v ^ xor) * mul
-    return v ^ (v >> 16)
+    """One SeedSequence hash of uint32 words, in numpy or Python integers:
+    xor, multiply, xorshift."""
+    v = (v ^ xor) * mul & _M32
+    return v ^ v >> 16
 
 
 def _mul128(hi, lo, c_hi, c_lo):
@@ -163,15 +214,15 @@ def _mul128(hi, lo, c_hi, c_lo):
 @functools.cache
 def _seed_tables() -> tuple:
     """Constant arrays of ``_first_uniforms``, built on its first call."""
-    a = np.array([_SEQ_INIT_A * _SEQ_MULT_A**k % 2**32 for k in range(18)], np.uint32)[:, None]
-    b = np.array([_SEQ_INIT_B * _SEQ_MULT_B**k % 2**32 for k in range(9)], np.uint32)[:, None]
+    # 17 constants: the unused diagonal of k below reaches 16
+    a_xor, a_mul = np.array(_hash_consts(_SEQ_INIT_A, _SEQ_MULT_A, 17), np.uint32).T[:, :, None]
+    b_xor, b_mul = np.array(_hash_consts(_SEQ_INIT_B, _SEQ_MULT_B, 8), np.uint32).T.reshape(
+        2, 2, 4, 1)
     src, dst = np.ogrid[:4, :4]
     k = 4 + 3 * src + dst - (dst > src)  # hash call mixing word src into dst; diagonal unused
-    m2 = _PCG_MULT**2 % 2**128
-    c = (m2 + _PCG_MULT + 1) % 2**128
-    mul = np.array([divmod(m2, 2**64), divmod(2 * c % 2**128, 2**64)], np.uint64).T[:, :, None]
-    return (a[:4], a[1:5], a[k], a[k + 1], b[:8].reshape(2, 4, 1), b[1:].reshape(2, 4, 1),
-            mul, divmod(c, 2**64))
+    mul = np.array([divmod(_PCG_MULT2, 2**64), divmod(2 * _PCG_C % 2**128, 2**64)],
+                   np.uint64).T[:, :, None]
+    return (a_xor[:4], a_mul[:4], a_xor[k], a_mul[k], b_xor, b_mul, mul, divmod(_PCG_C, 2**64))
 
 
 def _first_uniforms(seeds: np.ndarray) -> np.ndarray:

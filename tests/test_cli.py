@@ -527,7 +527,8 @@ class TestProtocolBuiltOnce:
 
 
 class TestGeneratorsBuilt:
-    """Runs of 32-bit seeds long enough to batch build no generator."""
+    """A run that draws once a trial builds no generator, on either path of
+    ``trial_streams``: batched, or each first variate from its seed alone."""
 
     @pytest.mark.parametrize(
         "command",
@@ -538,19 +539,19 @@ class TestGeneratorsBuilt:
         ids=["teleport", "swap"],
     )
     @pytest.mark.parametrize(
-        "trials,seed,built",
+        "trials,seed",
         [
-            (100, 0, 0),
-            (2, 0, 2),
-            (hesim.protocols._BATCH_MIN_TRIALS - 1, 5, hesim.protocols._BATCH_MIN_TRIALS - 1),
-            (hesim.protocols._BATCH_MIN_TRIALS, 5, 0),
-            (100, 2**32 - 100, 0),
-            (300, 2**32 - 100, 300),
+            (100, 0),
+            (2, 0),
+            (hesim.protocols._BATCH_MIN_TRIALS - 1, 5),
+            (hesim.protocols._BATCH_MIN_TRIALS, 5),
+            (100, 2**32 - 100),
+            (300, 2**32 - 100),
         ],
         ids=["batched", "two", "below_threshold", "at_threshold", "ends_at_2_32",
              "straddles_2_32"],
     )
-    def test_generators_built(self, command, trials, seed, built, monkeypatch, tmp_path):
+    def test_generators_built(self, command, trials, seed, monkeypatch, tmp_path):
         calls = []
         default_rng = np.random.default_rng
 
@@ -560,8 +561,34 @@ class TestGeneratorsBuilt:
 
         monkeypatch.setattr(np.random, "default_rng", counted)
         code, data = run(command + ["--trials", str(trials), "--seed", str(seed)], tmp_path)
-        assert code == 0 and len(calls) == built
+        assert code == 0 and len(calls) == 0
         assert json.loads(data)["trials"] == trials
+
+
+class TestNumpyRandomNotImported:
+    """A fresh interpreter runs Monte-Carlo commands of either path without
+    importing numpy.random: each trial's one variate comes from its seed."""
+
+    def test_fresh_interpreter(self):
+        commands = [
+            ["teleport", "spin", "--alpha", "0.6", "--beta", "0.8", "--z", "1"],
+            ["teleport", "parity", "--alpha", "0.6", "--beta", "0.8j", "--z", "1",
+             "--zpp", "0.7", "--trials", "8"],
+            ["swap", "--z", "1", "--zprime", "0.5", "--trials", "2"],
+            ["swap", "--z", "1", "--zprime", "0.5", "--seed", "4294967290", "--trials", "20"],
+        ]
+        script = (
+            "import os, sys\n"
+            "from hesim.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    assert main(argv + ['--out', os.devnull]) == 0, argv\n"
+            "print('numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(hesim.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True False\n"
 
 
 class TestOneDrawPerTrial:

@@ -40,6 +40,7 @@ from hesim.protocols import (
     _BATCH_MIN_TRIALS,
     _SWAP_PAIRING,
     _branch,
+    _first_uniform,
     _first_uniforms,
     _measure_bell,
     trial_streams,
@@ -641,12 +642,23 @@ class TestRngStream:
         a, b = RngStream(9), RngStream(9)
         assert [a.uniform() for _ in range(10)] == [b.uniform() for _ in range(10)]
 
+    @pytest.mark.parametrize("seed", [0, 9, 2**32 - 1, 2**32, 10**50])
+    def test_unbatched_stream_continues_default_rng(self, seed):
+        rng, reference = RngStream(seed), np.random.default_rng(seed)
+        assert [rng.uniform() for _ in range(3)] == [reference.random() for _ in range(3)]
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            RngStream(-1)
+
 
 def _default_rng_firsts(seeds) -> np.ndarray:
     return np.array([np.random.default_rng(int(s)).random() for s in seeds])
 
 
 class TestFirstUniforms:
+    """The batch for seeds below 2**32, and the scalar path for any seed."""
+
     @pytest.mark.parametrize(
         "seeds",
         [
@@ -657,8 +669,21 @@ class TestFirstUniforms:
         ids=["from_zero", "below_2_32", "random_32_bit"],
     )
     def test_bit_identical_to_default_rng(self, seeds):
-        got = _first_uniforms(seeds)
-        assert np.array_equal(got.view(np.uint64), _default_rng_firsts(seeds).view(np.uint64))
+        expected = _default_rng_firsts(seeds).view(np.uint64)
+        assert np.array_equal(_first_uniforms(seeds).view(np.uint64), expected)
+        scalar = np.array([_first_uniform(int(s)) for s in seeds])
+        assert np.array_equal(scalar.view(np.uint64), expected)
+
+    # seeds of one, two, three, five and six 32-bit words: the last two mix
+    # words past the pool's fourth
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 3, 2**128 + 7, 10**50])
+    def test_multi_word_seed(self, seed):
+        assert _first_uniform(seed) == np.random.default_rng(seed).random()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**200 - 1))
+    def test_any_seed_below_2_200(self, seed):
+        assert _first_uniform(seed) == np.random.default_rng(seed).random()
 
 
 class TestTrialStreams:
