@@ -53,6 +53,7 @@ from .protocols import (
     measure_spin_bell,
     parity_bell_state,
     parity_measurement,
+    run_trials,
     sampler,
     spin_bell_state,
     swap_entanglement,
@@ -104,6 +105,7 @@ __all__ = [
     "parity_bell_state",
     "parity_measurement",
     "qubit_state",
+    "run_trials",
     "sampler",
     "schmidt_coefficients",
     "spin_bell_state",

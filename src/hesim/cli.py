@@ -29,12 +29,11 @@ from .protocols import (
     SpinBellLabel,
     hes_state,
     parity_bell_state,
-    sampler,
+    run_trials,
     spin_bell_state,
     swap_entanglement,
     teleport_parity,
     teleport_spin,
-    trial_streams,
 )
 from .pseudospin import Direction, k_matrix, k_series
 
@@ -192,14 +191,9 @@ def cmd_teleport(args: argparse.Namespace) -> str:
         table = teleport_spin(alpha, beta, channel, args.z, dim)
     else:
         table = teleport_parity(alpha, beta, zpp, channel, args.z, dim)
-    counts = {outcome.value: 0 for outcome, _, _ in table}
-    fid_min, fid_sum = math.inf, 0.0
-    pick = sampler(table)
-    for rng in trial_streams(args.seed, args.trials):
-        outcome, _, rec = pick(rng)
-        counts[outcome.value] += 1
-        fid_min = min(fid_min, rec.fidelity)
-        fid_sum += rec.fidelity
+    counts, fid_sum = run_trials(table, args.seed, args.trials)
+    fid_min = min(rec.fidelity for (_, _, rec), count in zip(table, counts) if count)
+    counts = {outcome.value: count for (outcome, _, _), count in zip(table, counts)}
     payload = {
         "command": "teleport",
         "kind": args.kind,
@@ -224,14 +218,11 @@ def cmd_swap(args: argparse.Namespace) -> str:
     _check_runs(args)
     dim = _dim_for(args.dim, args.z, args.zprime)
     table = swap_entanglement(args.z, args.zprime, dim)
-    counts = {outcome: 0 for outcome, _, _ in table}
-    pick = sampler(table)
-    for rng in trial_streams(args.seed, args.trials):
-        counts[pick(rng)[0]] += 1
+    counts, _ = run_trials(table, args.seed, args.trials)
     per_outcome = {}
-    for outcome, _, rec in table:  # every draw of an outcome yields its row's record
+    for (outcome, _, rec), count in zip(table, counts):  # a drawn row yields its record
         slot = per_outcome[outcome.value] = dict(
-            count=counts[outcome], parity_label=None, fidelity_min=None,
+            count=count, parity_label=None, fidelity_min=None,
             entropy_min=None, entropy_max=None)
         if slot["count"]:  # an outcome never drawn reports nulls and no entropy
             ent = entanglement_entropy(rec.mode_state, {0})

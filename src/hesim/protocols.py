@@ -19,6 +19,9 @@ the row does not. ``draw`` samples a table with exactly one
 uniform variate from an RngStream, by inverse CDF over the probabilities,
 so a seed fixes the transcript: ``draw(teleport_spin(...), RngStream(s))``
 is one seeded trial, and a table's ``sampler`` draws many trials the same way.
+``run_trials(table, seed, trials)`` draws trial i from ``RngStream(seed + i)``
+as ``sampler`` would and returns each row's count and the summed fidelity:
+a Monte-Carlo command's whole run, in one call.
 A stream's variates are those of ``np.random.default_rng(s)``. Its first is
 computed from s, one seed at a time or a run's seeds in one numpy batch,
 and the generator is built only for a second draw, so a command, which
@@ -32,6 +35,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
@@ -67,9 +71,10 @@ _SWAP_COEFF_TOL = 1e-10
 # shortfall from 1 allowed of the swapped modes' fidelity with their pair
 _SWAP_FIDELITY_TOL = 1e-9
 # a run of at least this many trials computes its first variates in one batch:
-# on a 2-core x86 host, seeding and drawing 4-32 trials took 0.18-0.27 ms
-# batched and about 20 us a trial looped, so the two broke even near 9 trials
-_BATCH_MIN_TRIALS = 16
+# timed inside run_trials on a 2-vCPU x86 VM (trials 2-32, min of 7 runs), the
+# batch took about 95 us at any count and the seed-by-seed path about 19 us a
+# trial, so the batch was first faster at 5 trials (at 6 in one of three passes)
+_BATCH_MIN_TRIALS = 5
 _BATCH_BLOCK = 4096  # seeds per batch, so memory stays flat in the trial count
 # numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier M
 _SEQ_INIT_A, _SEQ_MULT_A = 0x43B0D7E5, 0x931E8875
@@ -126,7 +131,7 @@ class RngStream:
 
     __slots__ = ("seed", "first", "counter", "_gen")
 
-    def __init__(self, seed: int, *, first: float | None = None) -> None:
+    def __init__(self, seed: int, first: float | None = None) -> None:
         self.seed, self.counter, self._gen = seed, 0, None
         self.first = _first_uniform(seed) if first is None else first
 
@@ -140,21 +145,27 @@ class RngStream:
         return float(self._gen.random())
 
 
-def trial_streams(seed: int, trials: int) -> Iterator[RngStream]:
-    """``RngStream(seed + i)`` for trial i of a run, in trial order.
+def _stream_blocks(seed: int, trials: int) -> Iterator[list[RngStream]]:
+    """``RngStream(seed + i)`` for trial i of a run, _BATCH_BLOCK trials at a time.
 
     A run of at least _BATCH_MIN_TRIALS trials whose seeds all lie below
-    2**32 (one SeedSequence entropy word each) computes its first variates
-    _BATCH_BLOCK seeds at a time with ``_first_uniforms``; any other run
-    computes each from its seed with ``_first_uniform``.
+    2**32 (one SeedSequence entropy word each) computes a block's first
+    variates in one ``_first_uniforms`` batch; any other run computes each
+    from its seed with ``_first_uniform``.
     """
-    if trials < _BATCH_MIN_TRIALS or seed < 0 or seed + trials > 2**32:
-        yield from map(RngStream, range(seed, seed + trials))
-        return
+    batched = trials >= _BATCH_MIN_TRIALS and seed >= 0 and seed + trials <= 2**32
     for start in range(seed, seed + trials, _BATCH_BLOCK):
         seeds = range(start, min(start + _BATCH_BLOCK, seed + trials))
-        firsts = _first_uniforms(np.arange(seeds.start, seeds.stop))
-        yield from (RngStream(s, first=u) for s, u in zip(seeds, firsts.tolist()))
+        if batched:
+            yield list(map(RngStream, seeds, _first_uniforms(np.arange(start, seeds.stop)).tolist()))
+        else:
+            yield list(map(RngStream, seeds))
+
+
+def trial_streams(seed: int, trials: int) -> Iterator[RngStream]:
+    """``RngStream(seed + i)`` for trial i of a run, in trial order: the
+    streams ``run_trials`` draws from, one block at a time."""
+    return itertools.chain.from_iterable(_stream_blocks(seed, trials))
 
 
 def _first_uniform(seed: int) -> float:
@@ -254,9 +265,13 @@ def _first_uniforms(seeds: np.ndarray) -> np.ndarray:
     return (x >> 11).astype(np.float64) * 2.0**-53
 
 
-def sampler(branches: list[tuple]) -> Callable[[RngStream], tuple]:
-    """``draw`` for one table: sums and checks the table once and returns a
-    function that samples one of its branches per call from a stream."""
+def _running_sums(branches: list[tuple]) -> tuple[list[float], float, int]:
+    """A table's running sums, their total and its likeliest row, checked once.
+
+    The sums are 0.0 + p0 + p1 + ... in row order; a zero row repeats the
+    sum before it, so the first sum above a variate is never a zero row's:
+    bisecting finds the first nonzero row whose sum exceeds it.
+    """
     ps = [p for _, p, _ in branches]
     total = sum(ps)
     if 1.0 - total > _SPAN_TOL:
@@ -264,17 +279,48 @@ def sampler(branches: list[tuple]) -> Callable[[RngStream], tuple]:
             f"state carries weight {1.0 - total:.3e} outside the span of the "
             f"measured basis"
         )
-    # the running sums 0.0 + p0 + p1 + ... in row order; a zero row repeats
-    # the sum before it, so the first sum above a variate is never a zero
-    # row's: bisecting finds the first nonzero row whose sum exceeds it
     sums = list(itertools.accumulate(ps, initial=0.0))[1:]
-    likeliest = max(branches, key=lambda branch: branch[1])
+    return sums, total, max(range(len(ps)), key=ps.__getitem__)
+
+
+def sampler(branches: list[tuple]) -> Callable[[RngStream], tuple]:
+    """``draw`` for one table: sums and checks the table once and returns a
+    function that samples one of its branches per call from a stream."""
+    sums, total, likeliest = _running_sums(branches)
 
     def pick(rng: RngStream) -> tuple:
         row = bisect.bisect_right(sums, rng.uniform() * total)
-        return branches[row] if row < len(branches) else likeliest
+        return branches[row if row < len(branches) else likeliest]
 
     return pick
+
+
+def run_trials(branches: list[tuple], seed: int, trials: int) -> tuple[list[int], float]:
+    """Trials seed, ..., seed + trials - 1 of one table, each drawn as
+    ``sampler(branches)(RngStream(seed + i))`` draws it.
+
+    Returns each row's count and the drawn records' fidelities summed in
+    trial order, so every row's record must carry a ``fidelity``. A block
+    of trials takes one ``RngStream.uniform`` call per stream, then one
+    search over the running sums for all of them; a variate past the last
+    sum counts for the likeliest row, as in ``sampler``.
+    """
+    sums, total, likeliest = _running_sums(branches)
+    sums = np.array(sums)
+    fidelities = [rec.fidelity for _, _, rec in branches]
+    fidelities.append(fidelities[likeliest])  # the row past the sums
+    counts = np.zeros(len(fidelities), dtype=np.intp)
+    fidelity = 0.0
+    uniform = RngStream.uniform  # read per run: a wrapper on the class sees every draw
+    for streams in _stream_blocks(seed, trials):
+        us = np.array([uniform(rng) for rng in streams])
+        rows = np.searchsorted(sums, us * total, side="right")
+        counts += np.bincount(rows, minlength=len(fidelities))
+        for row in rows.tolist():  # in trial order, one rounding per trial
+            fidelity += fidelities[row]
+    counts = counts.tolist()
+    counts[likeliest] += counts.pop()
+    return counts, fidelity
 
 
 def draw(branches: list[tuple], rng: RngStream) -> tuple:
@@ -285,7 +331,8 @@ def draw(branches: list[tuple], rng: RngStream) -> tuple:
     floating-point remainder falls back to the likeliest branch. A table
     missing more than _SPAN_TOL of weight measured a state outside its
     basis, which is an error rather than a fifth outcome. To draw many
-    trials from one table, build its ``sampler`` once.
+    trials from one table, build its ``sampler`` once, or tally a seeded
+    run with ``run_trials``.
     """
     return sampler(branches)(rng)
 
@@ -334,6 +381,7 @@ def parity_bell_state(
     return bell_pair(label, Encoding.cat(z, dim), Encoding.cat(z_prime, dim))
 
 
+@functools.cache
 def correction_for(outcome: BellLabel, channel: HesLabel) -> Correction:
     """Receiver-side fix-up for a sender Bell outcome over a given channel.
 
@@ -358,28 +406,43 @@ def _check_kinds(
             )
 
 
-def _branch(outcome, coeffs: np.ndarray, encodings, residual: float) -> tuple:
-    """(outcome, p, coeffs renormalized over encodings) with p the squared norm
-    of coeffs itself, so any branch draw may pick renormalizes; the state is
-    None at p = 0."""
+def _branch(outcome, coeffs: np.ndarray, build: Callable) -> tuple:
+    """(outcome, p, build(outcome, coeffs renormalized)) with p the squared
+    norm of coeffs itself, so any branch draw may pick renormalizes; the
+    result is None at p = 0."""
     p = float(np.real(np.vdot(coeffs, coeffs)))
     if not p <= 1.0 + _PROB_SLACK:  # written so that NaN fails it
         raise ValueError(f"outcome probability {p!r}")
     if p == 0.0:
         return outcome, p, None
-    if p < np.finfo(float).tiny:  # the root of a subnormal p has lost precision
+    if p < sys.float_info.min:  # the root of a subnormal p has lost precision
         coeffs = coeffs / np.max(np.abs(coeffs))
-        return outcome, p, LogicalState(encodings, coeffs / np.linalg.norm(coeffs), residual)
-    return outcome, p, LogicalState(encodings, coeffs / math.sqrt(p), residual)
+        return outcome, p, build(outcome, coeffs / np.linalg.norm(coeffs))
+    return outcome, p, build(outcome, coeffs / math.sqrt(p))
 
 
-def _measure_bell(state, factors, enc_a, enc_b):
+def _states_over(encodings, residual: float) -> Callable:
+    """A ``_branch`` build that makes the renormalized state over encodings."""
+    return lambda _, coeffs: LogicalState(encodings, coeffs, residual)
+
+
+@functools.cache
+def _bell_row(label: BellLabel) -> np.ndarray:
+    """The conjugated coefficients of a Bell label, as one row of four."""
+    row = _bell_coeffs(label).conj().reshape(4)
+    row.setflags(write=False)
+    return row
+
+
+def _measure_bell(state, factors, enc_a, enc_b, build=None):
     """Branch table of projecting factors onto bell_pair(label, enc_a, enc_b).
 
     One (label, probability, renormalized state on the remaining parties)
     per label, spin Bell labels on a qubit basis and parity Bell labels on a
-    cat basis. The measured parties must carry the basis's encodings, so
-    the probabilities sum to 1 up to rounding.
+    cat basis; a ``_branch`` build, if given, makes each row's result from
+    its label and renormalized coefficients instead. The measured parties
+    must carry the basis's encodings, so the probabilities sum to 1 up to
+    rounding.
     """
     kind = enc_a.space.kind(0)
     _check_kinds(state, factors, (kind, enc_b.space.kind(0)))
@@ -390,14 +453,14 @@ def _measure_bell(state, factors, enc_a, enc_b):
     if (state.encodings[i], state.encodings[j]) != (enc_a, enc_b):
         raise ValueError(f"factors {factors} of {state.space.describe()} are not "
                          f"encoded in the measured basis")
-    encodings = tuple(state.encodings[k] for k in rest)
-    pairs = np.moveaxis(state.coeffs, (i, j), (0, 1)).reshape(4, -1)
+    if build is None:
+        build = _states_over(tuple(state.encodings[k] for k in rest),
+                             state.truncation_residual)
+    pairs = state.coeffs.transpose((i, j, *rest)).reshape(4, -1)
     labels = SpinBellLabel if kind is FactorKind.QUBIT else ParityBellLabel
-    return [
-        _branch(label, (_bell_coeffs(label).conj().reshape(4) @ pairs).reshape(
-            (2,) * len(rest)), encodings, state.truncation_residual)
-        for label in labels
-    ]
+    shape = (2,) * len(rest)
+    return [_branch(label, (_bell_row(label) @ pairs).reshape(shape), build)
+            for label in labels]
 
 
 def measure_spin_bell(
@@ -430,9 +493,9 @@ def parity_measurement(
     shape = [1] * state.space.nfactors
     shape[mode_index] = 2
     odd = np.arange(2).reshape(shape)
-    t, residual = state.coeffs, state.truncation_residual
+    build = _states_over(state.encodings, state.truncation_residual)
     return [
-        _branch(outcome, np.where(odd == bit, t, 0.0), state.encodings, residual)
+        _branch(outcome, np.where(odd == bit, state.coeffs, 0.0), build)
         for outcome, bit in ((1, 0), (-1, 1))
     ]
 
@@ -459,19 +522,16 @@ def _teleport(
     """
     flipped = receiver.flip() if isinstance(receiver, CatEncoding) else receiver
     targets = {False: receiver.state(alpha, beta), True: flipped.state(alpha, beta)}
-    table = []
-    for outcome, p, received in _measure_bell(joint, factors, *basis):
+    residual = joint.truncation_residual
+
+    def record(outcome: BellLabel, received: np.ndarray) -> TeleportRecord:
         correction = correction_for(outcome, channel)
         pauli, flips = _CORRECTIONS[correction]
-        output = LogicalState(
-            (flipped if flips else receiver,), pauli @ received.coeffs,
-            received.truncation_residual,
-        )
         target = targets[flips]
-        fidelity = abs(inner(target, output)) ** 2
-        record = TeleportRecord(correction, output, target, fidelity)
-        table.append((outcome, p, record))
-    return table
+        output = LogicalState(target.encodings, pauli @ received, residual)
+        return TeleportRecord(correction, output, target, abs(inner(target, output)) ** 2)
+
+    return _measure_bell(joint, factors, *basis, record)
 
 
 def teleport_spin(

@@ -7,6 +7,9 @@ instead of the Schmidt decomposition, the swap expansion by projecting
 the joint state onto every product of Bell states, the CHSH correlation
 matrix through dense pseudospin matrices, and a branch draw by a linear
 scan over the table instead of a search over its precomputed sums.
+``looped_trials`` is the Monte-Carlo loop the CLI ran before
+``run_trials``: one ``sampler`` pick per stream of ``trial_streams``,
+tallied a trial at a time.
 
 The dense route the package used before it kept states as coefficients
 over their codewords lives here too: ``dense`` expands a ``LogicalState``
@@ -50,9 +53,11 @@ from hesim import (
     hes_state,
     inner,
     parity_bell_state,
+    sampler,
     spin_bell_state,
 )
 from hesim.fock import _check_factor, _combined_residual
+from hesim.protocols import trial_streams
 from hesim.pseudospin import PAULI_X, PAULI_Y, PAULI_Z, Direction
 
 # reduced-density eigenvalues below this count as exact zeros
@@ -326,6 +331,19 @@ def linear_scan_draw(branches, rng):
         if u < acc and branch[1] > 0.0:
             return branch
     return max(branches, key=lambda branch: branch[1])
+
+
+def looped_trials(branches, seed, trials):
+    """Each row's count and the drawn records' fidelities summed in trial
+    order, one ``sampler`` pick per stream of ``trial_streams``."""
+    rows = {id(branch): k for k, branch in enumerate(branches)}
+    counts, fidelity = [0] * len(branches), 0.0
+    pick = sampler(branches)
+    for rng in trial_streams(seed, trials):
+        branch = pick(rng)
+        counts[rows[id(branch)]] += 1
+        fidelity += branch[2].fidelity
+    return counts, fidelity
 
 
 def dense_schmidt(state, side_a) -> list[float]:

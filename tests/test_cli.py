@@ -491,8 +491,8 @@ class TestTeleport:
 
 
 class TestProtocolBuiltOnce:
-    """A Monte-Carlo command builds its branch table and its sampler once, not
-    once per trial."""
+    """A Monte-Carlo command builds its branch table once and runs all its
+    trials in one ``run_trials`` call, not once per trial."""
 
     @staticmethod
     def _count_calls(monkeypatch, name):
@@ -510,25 +510,64 @@ class TestProtocolBuiltOnce:
 
     def test_teleport(self, monkeypatch, tmp_path):
         calls = self._count_calls(monkeypatch, "teleport_spin")
-        samplers = self._count_calls(monkeypatch, "sampler")
+        runs = self._count_calls(monkeypatch, "run_trials")
         argv = ["teleport", "spin", "--alpha", "0.6", "--beta", "0.8", "--z", "1"]
         code, data = run(argv + ["--trials", "200"], tmp_path)
-        assert code == 0 and len(calls) == len(samplers) == 1
+        assert code == 0 and len(calls) == len(runs) == 1
         assert sum(json.loads(data)["counts"].values()) == 200
 
     def test_swap(self, monkeypatch, tmp_path):
         calls = self._count_calls(monkeypatch, "swap_entanglement")
-        samplers = self._count_calls(monkeypatch, "sampler")
+        runs = self._count_calls(monkeypatch, "run_trials")
         argv = ["swap", "--z", "1", "--zprime", "0.5", "--trials", "200"]
         code, data = run(argv, tmp_path)
-        assert code == 0 and len(calls) == len(samplers) == 1
+        assert code == 0 and len(calls) == len(runs) == 1
         outcomes = json.loads(data)["outcomes"].values()
         assert sum(slot["count"] for slot in outcomes) == 200
 
 
+class TestDrawsInsideTheRun:
+    """Every draw of a Monte-Carlo command happens inside its one call of the
+    public ``protocols.run_trials``, so a span around that call, as a traced
+    benchmark run records it, holds all of the command's trials."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["teleport", "spin", "--alpha", "0.6", "--beta", "0.8", "--z", "1"],
+            ["teleport", "parity", "--alpha", "0.6", "--beta", "0.8j", "--z", "1"],
+            ["swap", "--z", "1", "--zprime", "0.5"],
+        ],
+        ids=["teleport_spin", "teleport_parity", "swap"],
+    )
+    @pytest.mark.parametrize("trials", [1, 100])
+    def test_every_draw_inside_one_run(self, command, trials, monkeypatch, tmp_path):
+        runs, open_runs, draws = [], [], []
+        run_trials = hesim.cli.run_trials
+        uniform = hesim.protocols.RngStream.uniform
+
+        def traced_run(table, seed, trials):
+            runs.append((seed, trials))
+            open_runs.append(seed)
+            try:
+                return run_trials(table, seed, trials)
+            finally:
+                open_runs.pop()
+
+        def counted(stream):
+            draws.append((stream.seed, bool(open_runs)))
+            return uniform(stream)
+
+        monkeypatch.setattr(hesim.cli, "run_trials", traced_run)
+        monkeypatch.setattr(hesim.protocols.RngStream, "uniform", counted)
+        code, _ = run(command + ["--trials", str(trials), "--seed", "3"], tmp_path)
+        assert code == 0 and runs == [(3, trials)]
+        assert draws == [(seed, True) for seed in range(3, 3 + trials)]
+
+
 class TestGeneratorsBuilt:
     """A run that draws once a trial builds no generator, on either path of
-    ``trial_streams``: batched, or each first variate from its seed alone."""
+    ``run_trials``'s streams: batched, or each first variate from its seed alone."""
 
     @pytest.mark.parametrize(
         "command",
@@ -593,7 +632,7 @@ class TestNumpyRandomNotImported:
 
 class TestOneDrawPerTrial:
     """Trial i draws one uniform from RngStream(seed + i), on either path of
-    ``trial_streams``: the invariant a traced perfbench run checks, counted on
+    ``run_trials``'s streams: the invariant a traced perfbench run checks, counted on
     ``RngStream.uniform`` as perfbench does."""
 
     @pytest.mark.parametrize(
@@ -608,7 +647,8 @@ class TestOneDrawPerTrial:
     )
     @pytest.mark.parametrize(
         "trials,seed",
-        [(1, 0), (15, 3), (16, 3), (100, 0), (300, 2**32 - 100)],
+        [(1, 0), (hesim.protocols._BATCH_MIN_TRIALS - 1, 3),
+         (hesim.protocols._BATCH_MIN_TRIALS, 3), (100, 0), (300, 2**32 - 100)],
         ids=["one", "below_batch", "at_batch", "hundred", "straddles_2_32"],
     )
     def test_one_draw_per_trial(self, command, trials, seed, monkeypatch, tmp_path):

@@ -1,7 +1,9 @@
 """Bell bases, projective measurements, teleportation and swapping."""
 
+import functools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from hesim import (
     parity_bell_state,
     parity_measurement,
     qubit_state,
+    run_trials,
     sampler,
     schmidt_coefficients,
     spin_bell_state,
@@ -36,13 +39,16 @@ from hesim import (
     teleport_spin,
     tensor,
 )
+import hesim.protocols
 from hesim.protocols import (
+    _BATCH_BLOCK,
     _BATCH_MIN_TRIALS,
     _SWAP_PAIRING,
     _branch,
     _first_uniform,
     _first_uniforms,
     _measure_bell,
+    _states_over,
     trial_streams,
 )
 
@@ -56,6 +62,7 @@ from oracles import (
     dense_teleport_spin,
     kron,
     linear_scan_draw,
+    looped_trials,
     swap_expansion,
 )
 
@@ -720,10 +727,10 @@ class TestBranch:
     def test_probability_outside_the_unit_range_rejected(self, amps):
         # one guard serves every table: measurements, teleport and swap alike
         with pytest.raises(ValueError, match="outcome probability"):
-            _branch("x", np.array(amps, dtype=complex), (QUBIT,), 0.0)
+            _branch("x", np.array(amps, dtype=complex), _states_over((QUBIT,), 0.0))
 
     def test_rounding_above_one_is_accepted(self):
-        _, p, state = _branch("x", np.array([1.0 + 1e-13, 0.0]), (QUBIT,), 0.0)
+        _, p, state = _branch("x", np.array([1.0 + 1e-13, 0.0]), _states_over((QUBIT,), 0.0))
         assert p > 1.0 and state.coeffs[0] == 1.0
 
 
@@ -855,6 +862,86 @@ class TestSampler:
     def test_checks_the_span_when_built(self):
         with pytest.raises(ValueError, match="outside the span"):
             sampler([("a", 0.45, "a"), ("b", 0.45, "b")])
+
+
+_CACHED_FIRST_UNIFORM = functools.cache(_first_uniform)
+
+
+class TestRunTrials:
+    """``run_trials`` counts and sums what ``sampler`` over ``trial_streams``
+    draws, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def _seeds_hashed_once(self, monkeypatch):
+        # the cases share their unbatched seeds; a cached _first_uniform hands
+        # each stream the same float without hashing its seed again
+        monkeypatch.setattr(hesim.protocols, "_first_uniform", _CACHED_FIRST_UNIFORM)
+
+    @staticmethod
+    def _table(name):
+        """A protocol table, or a sampler table whose rows carry fidelities
+        that round differently when added in another order."""
+        if name in TestSampler.PROTOCOLS:
+            return TestSampler.PROTOCOLS[name]()
+        return [(k, p, SimpleNamespace(fidelity=math.pi**-row))
+                for row, (k, p, _) in enumerate(TestSampler.TABLES[name])]
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 20, 2**40])
+    @pytest.mark.parametrize("trials", [1, _BATCH_MIN_TRIALS - 1, _BATCH_MIN_TRIALS, 15, 16, 17,
+                                        _BATCH_BLOCK, _BATCH_BLOCK + 1])
+    @pytest.mark.parametrize("name", [*TestSampler.TABLES, *TestSampler.PROTOCOLS])
+    def test_matches_the_loop_bit_for_bit(self, name, trials, seed):
+        table = self._table(name)
+        counts, fidelity = run_trials(table, seed, trials)
+        expected_counts, expected_fidelity = looped_trials(table, seed, trials)
+        assert counts == expected_counts and sum(counts) == trials
+        assert fidelity == expected_fidelity
+
+    @pytest.mark.parametrize("name", list(TestSampler.TABLES))
+    def test_matches_the_loop_on_every_boundary(self, name, monkeypatch):
+        table = self._table(name)
+        us = boundary_variates(table)  # trial i draws us[i]
+        monkeypatch.setattr(RngStream, "uniform", lambda rng: us[rng.seed])
+        assert run_trials(table, 0, len(us)) == looped_trials(table, 0, len(us))
+
+    def test_a_variate_on_the_rounding_remainder_counts_for_the_likeliest_row(
+            self, monkeypatch):
+        table = self._table("inexact total")
+        monkeypatch.setattr(RngStream, "uniform", lambda rng: 1.0)
+        assert run_trials(table, 0, 3) == ([3] + [0] * 9, 3.0)
+
+    def test_one_draw_per_stream_through_the_class_method(self, monkeypatch):
+        # the method is read when the run starts, so a wrapper installed on
+        # the class after import sees every draw, as a traced run counts them
+        table, drawn = self._table("swap"), []
+        uniform = RngStream.uniform
+
+        def counted(rng):
+            drawn.append(rng.seed)
+            return uniform(rng)
+
+        monkeypatch.setattr(RngStream, "uniform", counted)
+        run_trials(table, 5, _BATCH_BLOCK + 1)
+        assert drawn == list(range(5, 5 + _BATCH_BLOCK + 1))
+
+    def test_checks_the_span_before_drawing(self):
+        with pytest.raises(ValueError, match="outside the span"):
+            run_trials([("a", 0.45, None), ("b", 0.45, None)], 0, 1)
+
+    def test_a_run_of_three_blocks_stays_flat(self):
+        table = self._table("teleport_spin")
+        run_trials(table, 0, _BATCH_MIN_TRIALS)  # the batch's constant tables
+        peaks = []
+        for blocks in (2, 3):
+            tracemalloc.start()
+            try:
+                counts, _ = run_trials(table, 0, blocks * _BATCH_BLOCK)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert sum(counts) == blocks * _BATCH_BLOCK
+        # one block's streams and variates take about 0.6 MB
+        assert peaks[1] < peaks[0] + 2**16 and peaks[1] < 2 * 2**20
 
 
 AMPLITUDES = st.tuples(
