@@ -13,7 +13,6 @@ from .bellchsh import (
     ChshResult,
     ChshSettings,
     analytic_optimum,
-    analytic_settings,
     correlation_matrix,
     optimize_chsh,
 )
@@ -34,7 +33,6 @@ from .fock import (
     inner,
     mode_dim_for,
     odd_coherent,
-    qubit_state,
     tensor,
 )
 from .protocols import (
@@ -48,13 +46,11 @@ from .protocols import (
     TeleportRecord,
     bell_pair,
     correction_for,
-    draw,
     hes_state,
     measure_spin_bell,
     parity_bell_state,
     parity_measurement,
     run_trials,
-    sampler,
     spin_bell_state,
     swap_entanglement,
     teleport_parity,
@@ -87,11 +83,9 @@ __all__ = [
     "TeleportRecord",
     "TruncationError",
     "analytic_optimum",
-    "analytic_settings",
     "bell_pair",
     "correction_for",
     "correlation_matrix",
-    "draw",
     "entanglement_entropy",
     "even_coherent",
     "hes_state",
@@ -104,9 +98,7 @@ __all__ = [
     "optimize_chsh",
     "parity_bell_state",
     "parity_measurement",
-    "qubit_state",
     "run_trials",
-    "sampler",
     "schmidt_coefficients",
     "spin_bell_state",
     "swap_entanglement",

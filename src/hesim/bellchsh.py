@@ -6,8 +6,10 @@ settings for any qubit x mode state follows from the singular values of its
 3x3 correlation matrix, which confirms the closed form numerically. Every
 Bell expectation is bilinear in the settings through that matrix, so no
 Bell operator is built here. A state is all the analysis takes: its 2x2
-coefficients and the pseudospin on each party's codewords give the matrix,
-so neither its 2*dim amplitudes nor a dim x dim matrix is built.
+coefficients and each party's pseudospin elements, (k sigma_x, k sigma_y,
+sigma_z) with k its encoding's overlap, give the matrix, so no codeword and
+no dim x dim matrix is built. The closed form's settings are those of
+``analytic_optimum``.
 """
 
 from __future__ import annotations
@@ -66,17 +68,13 @@ class ChshResult:
             )
 
 
-def analytic_settings(z: float, label: HesLabel = HesLabel.PHI_PLUS) -> ChshSettings:
+def _settings_for(k: float, label: HesLabel) -> ChshSettings:
     """In-plane settings that reach 2*sqrt(1 + k^2) for the given state.
 
     The canonical choice (0, pi/2, atan k, -atan k) is exact for the phi+
     pairing; the other three labels flip the correlator signs, which a
     reflected qubit axis or swapped mode angles undo.
     """
-    return _settings_for(k_series(z), label)
-
-
-def _settings_for(k: float, label: HesLabel) -> ChshSettings:
     t = math.atan(k)
     if label is HesLabel.PHI_PLUS:
         return ChshSettings.in_plane(0.0, math.pi / 2.0, t, -t)
@@ -88,7 +86,8 @@ def _settings_for(k: float, label: HesLabel) -> ChshSettings:
 
 
 def analytic_optimum(z: float, label: HesLabel = HesLabel.PHI_PLUS) -> ChshResult:
-    """Closed-form maximal Bell expectation 2*sqrt(1 + k(z)^2) for a hybrid pair."""
+    """Closed-form maximal Bell expectation 2*sqrt(1 + k(z)^2) for a hybrid
+    pair, with in-plane settings that reach it."""
     k = k_series(z)
     return ChshResult(
         value=2.0 * math.sqrt(1.0 + k * k),
@@ -103,7 +102,7 @@ def correlation_matrix(state: LogicalState) -> np.ndarray:
 
     With C the 2x2 coefficients and A, B the ``encoded_pseudospin`` of the
     qubit and the mode, entry (k, l) sums the entries of (C^H A_k C) * B_l:
-    two small matrix products after O(dim) work on the codewords.
+    two small matrix products, whatever the mode's dim.
     """
     if [kind.value for kind, _ in state.space.factors] != ["qubit", "mode"]:
         raise ValueError(f"state on {state.space.describe()} is not qubit⊗mode")

@@ -5,20 +5,21 @@ qubit (dimension 2) or a bosonic mode truncated to an even Fock dimension.
 Mode dimensions are kept even so that the parity-flip algebra built on top
 of them closes exactly on the truncated space.
 
-Only pure states are represented. A ``StateVector`` holds the amplitudes
-of one qubit or mode, such as a cat codeword. A ``LogicalState`` holds a
-coefficient tensor over its parties' ``Encoding``s, each a checked
-orthonormal pair of codewords; every multi-party state is one, so products
-and overlaps cost 2**n numbers, never dim**2 amplitudes. A cat encoding
-keeps only scalars: its amplitude, cutoff, residuals and even/odd overlap,
-and builds its codewords only when they are read. The cat codewords, their
-truncation residuals and overlap, the adaptive Fock cutoff ``mode_dim_for``
-and the overlap k(z) of ``pseudospin`` all read one list of coherent
-weights, walked outward from the Poisson peak by term ratios; a command
-walks each of its z once. All values are immutable after construction;
-every operation here is a pure function and safe to share across workers.
-The Bell-pair label enums live here too, so that the analysis and protocol
-layers share them without importing each other.
+Only pure states are represented. A ``LogicalState`` holds a coefficient
+tensor over its parties' ``Encoding``s; every state is one, so products
+and overlaps cost 2**n numbers, never dim**2 amplitudes. An encoding is
+scalars: the qubit, or a cat's amplitude, cutoff, flip, residuals and
+even/odd overlap, so no state holds a codeword. A ``StateVector`` holds
+the amplitudes of one mode: ``even_coherent`` and ``odd_coherent`` build
+the cat codewords, which only the dense check ``pseudospin.k_matrix``
+reads. The cat codewords, their truncation residuals and overlap, the
+adaptive Fock cutoff ``mode_dim_for`` and the overlap k(z) of
+``pseudospin`` all read one list of coherent weights, walked outward from
+the Poisson peak by term ratios; a command walks each of its z once. All
+values are immutable after construction; every operation here is a pure
+function and safe to share across workers. The Bell-pair label enums live
+here too, so that the analysis and protocol layers share them without
+importing each other.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ DEFAULT_RESIDUAL_TOL = 1e-12
 _NORM_TOL = 1e-12
 # |alpha|^2 + |beta|^2 may differ from 1 by this much in a logical state
 _AMP_NORM_TOL = 1e-12
-# largest |<0_L|1_L>| the two codewords of an encoding may carry
-_CODEWORD_OVERLAP_TOL = 1e-12
 _MODE_DIM_CAP = 1_000_000
 
 
@@ -320,69 +319,55 @@ def odd_coherent(
     return _coherent_branch(z, dim, 1, residual_tol)
 
 
-def qubit_state(alpha: complex, beta: complex) -> StateVector:
-    """Qubit alpha|0> + beta|1>; amplitudes must already be normalized."""
-    return StateVector(SpaceDescriptor.qubit(), np.array([alpha, beta]))
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Encoding:
-    """The two logical codewords |0_L>, |1_L> of one qubit or one mode.
+    """The logical basis |0_L>, |1_L> of one qubit or one mode, as the scalars
+    every claim reads.
 
-    Checked when built: both lie on one one-factor space and are
-    orthonormal (overlap at most _CODEWORD_OVERLAP_TOL), so coefficients
-    over encodings carry the inner products and Schmidt spectra of the
-    states they stand for. Encodings with equal codewords are equal. The
-    cat codewords are a ``CatEncoding`` (see ``Encoding.cat``).
+    ``Encoding.qubit()`` is spin up and down. ``Encoding.cat(z, dim)`` is the
+    even and odd cat at amplitude z or, ``flipped``, their parity flips
+    s_plus|odd>, s_minus|even>: codewords of parities (even, odd), so
+    orthonormal. It holds the truncation ``residuals`` of the even and the
+    odd cat and their overlap k = <even|s_x|odd> on the mode, which the flips
+    share. The qubit is the case k = 1 with no residual, and its own flip.
+    No codeword is built. Equal space, z and flip are equal encodings.
     """
 
-    zero: StateVector
-    one: StateVector
-    # read off the codewords once; residual is their mean truncation residual
-    space: SpaceDescriptor = field(init=False, repr=False)
-    residual: float = field(init=False, repr=False)
+    space: SpaceDescriptor
+    z: float = 0.0
+    residuals: tuple[float, float] = field(default=(0.0, 0.0), compare=False)
+    k: float = field(default=1.0, compare=False)
+    flipped: bool = False
+    # the mean of the residuals, read off them once
+    residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        space = self.zero.space
-        if self.one.space != space or space.nfactors != 1:
-            raise ValueError(
-                f"codewords on {space.describe()} and {self.one.space.describe()} "
-                f"do not encode one qubit or mode"
-            )
-        overlap = abs(np.vdot(self.zero.amps, self.one.amps))
-        if not overlap <= _CODEWORD_OVERLAP_TOL:  # written so that NaN fails it
-            raise ValueError(f"codewords are not orthogonal: |<0_L|1_L>| = {overlap!r}")
-        residual = 0.5 * (self.zero.truncation_residual + self.one.truncation_residual)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "residual", residual)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Encoding):
-            return NotImplemented
-        return self is other or all(
-            a.space == b.space and np.array_equal(a.amps, b.amps)
-            for a, b in ((self.zero, other.zero), (self.one, other.one))
-        )
+        object.__setattr__(self, "residual", 0.5 * (self.residuals[0] + self.residuals[1]))
 
     @classmethod
     def qubit(cls) -> "Encoding":
         """Spin up and spin down."""
-        return cls(qubit_state(1.0, 0.0), qubit_state(0.0, 1.0))
+        return cls(SpaceDescriptor.qubit())
 
     @classmethod
-    def cat(cls, z: float, dim: int) -> "CatEncoding":
+    def cat(cls, z: float, dim: int) -> "Encoding":
         """Even and odd cat states at amplitude z on a mode of dimension dim, each
-        checked at the default truncation tolerance; for another tolerance, build
-        ``Encoding(even_coherent(z, dim, tol), odd_coherent(z, dim, tol))``.
+        checked at the default truncation tolerance.
 
         Reads one walk of the coherent weights and builds no codeword."""
         space = SpaceDescriptor.mode(dim)
         _check_z(z)
         if z * z == 0.0:  # the limits |0> and |1>
-            return CatEncoding(z, space, (0.0, 0.0), 1.0)
+            return cls(space, z)
         _, even, mass_even, r_even = _branch(z, dim, 0, DEFAULT_RESIDUAL_TOL)
         _, odd, mass_odd, r_odd = _branch(z, dim, 1, DEFAULT_RESIDUAL_TOL)
-        return CatEncoding(z, space, (r_even, r_odd), _pair_overlap(even, odd, mass_even, mass_odd))
+        return cls(space, z, (r_even, r_odd), _pair_overlap(even, odd, mass_even, mass_odd))
+
+    def flip(self) -> "Encoding":
+        """The encoding on s_plus|1_L>, s_minus|0_L>: a qubit's are its own codewords."""
+        if self.space.kind(0) is FactorKind.QUBIT:
+            return self
+        return Encoding(self.space, self.z, self.residuals, self.k, not self.flipped)
 
     def state(self, alpha: complex, beta: complex) -> "LogicalState":
         """Logical state alpha|0_L> + beta|1_L>; the amplitudes must be normalized."""
@@ -392,59 +377,6 @@ class Encoding:
                 f"input qubit amplitudes are not normalized: |a|^2 + |b|^2 = {norm2!r}"
             )
         return LogicalState((self,), np.array([alpha, beta]), self.residual)
-
-
-@dataclass(frozen=True, eq=False, init=False, repr=False)
-class CatEncoding(Encoding):
-    """The even and odd cat at amplitude z or, ``flipped``, their parity flips
-    s_plus|odd>, s_minus|even>: codewords of parities (even, odd), so
-    orthogonal. Held as the scalars every claim reads: the residuals of the
-    even and the odd cat and their overlap k = <even|s_x|odd> on the mode,
-    which the flips share. ``zero`` and ``one`` are built only when read.
-    Equal (z, dim, flipped) are equal encodings.
-    """
-
-    z: float
-    residuals: tuple[float, float]
-    k: float
-    flipped: bool
-
-    def __init__(self, z: float, space: SpaceDescriptor, residuals: tuple[float, float],
-                 k: float, flipped: bool = False) -> None:
-        vars(self).update(z=z, space=space, residuals=residuals, k=k, flipped=flipped,
-                          residual=0.5 * (residuals[0] + residuals[1]))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Encoding):
-            return NotImplemented
-        return isinstance(other, CatEncoding) and (self.z, self.space, self.flipped) == (
-            other.z, other.space, other.flipped)
-
-    def __repr__(self) -> str:
-        return f"CatEncoding(z={self.z!r}, dim={self.space.dim}, flipped={self.flipped})"
-
-    def flip(self) -> "CatEncoding":
-        """The encoding on s_plus|1_L>, s_minus|0_L>."""
-        return CatEncoding(self.z, self.space, self.residuals, self.k, not self.flipped)
-
-    @functools.cached_property
-    def zero(self) -> StateVector:
-        return self._codeword(0)
-
-    @functools.cached_property
-    def one(self) -> StateVector:
-        return self._codeword(1)
-
-    def _codeword(self, logical: int) -> StateVector:
-        """|logical_L>: the cat of its parity, or, flipped, the other cat's
-        amplitudes moved onto it within each (even, odd) pair."""
-        source = logical ^ self.flipped
-        word = (odd_coherent if source else even_coherent)(self.z, self.space.dim)
-        if not self.flipped:
-            return word
-        amps = np.zeros(self.space.dim, dtype=complex)
-        amps[logical::2] = word.amps[source::2]
-        return StateVector(self.space, amps, word.truncation_residual)
 
 
 @dataclass(frozen=True, eq=False)
@@ -495,19 +427,12 @@ def _check_factor(space: SpaceDescriptor, index: int) -> None:
         raise ValueError(f"factor index {index} out of range for {space.nfactors} factors")
 
 
-def inner(a, b) -> complex:
-    """Inner product <a|b> (conjugate-linear in a) of two StateVectors on one
-    space, or of two LogicalStates over equal encodings."""
-    if isinstance(a, LogicalState) and isinstance(b, LogicalState):
-        if a.encodings != b.encodings:
-            raise ValueError(
-                f"inner product between states on {a.space.describe()} and "
-                f"{b.space.describe()} over different encodings is undefined"
-            )
-        return complex(np.vdot(a.coeffs, b.coeffs))
-    if not (isinstance(a, StateVector) and isinstance(b, StateVector)) or a.space != b.space:
+def inner(a: LogicalState, b: LogicalState) -> complex:
+    """Inner product <a|b> (conjugate-linear in a) of two LogicalStates over
+    equal encodings."""
+    if a.encodings != b.encodings:
         raise ValueError(
-            f"inner product between {a.space.describe()} and "
-            f"{b.space.describe()} is undefined"
+            f"inner product between states on {a.space.describe()} and "
+            f"{b.space.describe()} over different encodings is undefined"
         )
-    return complex(np.vdot(a.amps, b.amps))
+    return complex(np.vdot(a.coeffs, b.coeffs))

@@ -15,13 +15,10 @@ Parties are always laid out in the order their subscripts suggest: the
 sender's qubit first, then channel factors in index order. Measurements and
 protocols return their branch table, one ``(outcome, probability, result)``
 per outcome, worked out once; a protocol's result record holds only what
-the row does not. ``draw`` samples a table with exactly one
-uniform variate from an RngStream, by inverse CDF over the probabilities,
-so a seed fixes the transcript: ``draw(teleport_spin(...), RngStream(s))``
-is one seeded trial, and a table's ``sampler`` draws many trials the same way.
-``run_trials(table, seed, trials)`` draws trial i from ``RngStream(seed + i)``
-as ``sampler`` would and returns each row's count and the summed fidelity:
-a Monte-Carlo command's whole run, in one call.
+the row does not. ``run_trials(table, seed, trials)`` draws trial i from
+``RngStream(seed + i)`` with one uniform variate, by inverse CDF over the
+probabilities, so a seed fixes the transcript, and returns each row's count
+and the summed fidelity: a Monte-Carlo command's whole run, in one call.
 A stream's variates are those of ``np.random.default_rng(s)``. Its first is
 computed from s, one seed at a time or a run's seeds in one numpy batch,
 and the generator is built only for a second draw, so a command, which
@@ -30,7 +27,6 @@ draws once a trial, never imports numpy.random.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -44,7 +40,6 @@ import numpy as np
 
 from .fock import (
     BellLabel,
-    CatEncoding,
     Encoding,
     FactorKind,
     HesLabel,
@@ -162,12 +157,6 @@ def _stream_blocks(seed: int, trials: int) -> Iterator[list[RngStream]]:
             yield list(map(RngStream, seeds))
 
 
-def trial_streams(seed: int, trials: int) -> Iterator[RngStream]:
-    """``RngStream(seed + i)`` for trial i of a run, in trial order: the
-    streams ``run_trials`` draws from, one block at a time."""
-    return itertools.chain.from_iterable(_stream_blocks(seed, trials))
-
-
 def _first_uniform(seed: int) -> float:
     """``np.random.default_rng(seed).random()`` for one seed >= 0, bit for bit.
 
@@ -265,12 +254,19 @@ def _first_uniforms(seeds: np.ndarray) -> np.ndarray:
     return (x >> 11).astype(np.float64) * 2.0**-53
 
 
-def _running_sums(branches: list[tuple]) -> tuple[list[float], float, int]:
-    """A table's running sums, their total and its likeliest row, checked once.
+def run_trials(branches: list[tuple], seed: int, trials: int) -> tuple[list[int], float]:
+    """Trials seed, ..., seed + trials - 1 of one table, trial i drawn with one
+    uniform variate u from ``RngStream(seed + i)``.
 
-    The sums are 0.0 + p0 + p1 + ... in row order; a zero row repeats the
-    sum before it, so the first sum above a variate is never a zero row's:
-    bisecting finds the first nonzero row whose sum exceeds it.
+    A trial draws the first nonzero row whose running sum of probabilities
+    exceeds u times their total; a variate past the last sum, on the
+    floating-point remainder, counts for the likeliest row. A table missing
+    more than _SPAN_TOL of weight measured a state outside its basis, which
+    is an error rather than a fifth outcome. Returns each row's count and
+    the drawn records' fidelities summed in trial order, so every row's
+    record must carry a ``fidelity``. A block of trials takes one
+    ``RngStream.uniform`` call per stream, then one search over the running
+    sums for all of them.
     """
     ps = [p for _, p, _ in branches]
     total = sum(ps)
@@ -279,34 +275,10 @@ def _running_sums(branches: list[tuple]) -> tuple[list[float], float, int]:
             f"state carries weight {1.0 - total:.3e} outside the span of the "
             f"measured basis"
         )
-    sums = list(itertools.accumulate(ps, initial=0.0))[1:]
-    return sums, total, max(range(len(ps)), key=ps.__getitem__)
-
-
-def sampler(branches: list[tuple]) -> Callable[[RngStream], tuple]:
-    """``draw`` for one table: sums and checks the table once and returns a
-    function that samples one of its branches per call from a stream."""
-    sums, total, likeliest = _running_sums(branches)
-
-    def pick(rng: RngStream) -> tuple:
-        row = bisect.bisect_right(sums, rng.uniform() * total)
-        return branches[row if row < len(branches) else likeliest]
-
-    return pick
-
-
-def run_trials(branches: list[tuple], seed: int, trials: int) -> tuple[list[int], float]:
-    """Trials seed, ..., seed + trials - 1 of one table, each drawn as
-    ``sampler(branches)(RngStream(seed + i))`` draws it.
-
-    Returns each row's count and the drawn records' fidelities summed in
-    trial order, so every row's record must carry a ``fidelity``. A block
-    of trials takes one ``RngStream.uniform`` call per stream, then one
-    search over the running sums for all of them; a variate past the last
-    sum counts for the likeliest row, as in ``sampler``.
-    """
-    sums, total, likeliest = _running_sums(branches)
-    sums = np.array(sums)
+    # 0.0 + p0 + p1 + ... in row order; a zero row repeats the sum before it,
+    # so the first sum above a variate is never a zero row's
+    sums = np.array(list(itertools.accumulate(ps, initial=0.0))[1:])
+    likeliest = max(range(len(ps)), key=ps.__getitem__)
     fidelities = [rec.fidelity for _, _, rec in branches]
     fidelities.append(fidelities[likeliest])  # the row past the sums
     counts = np.zeros(len(fidelities), dtype=np.intp)
@@ -321,20 +293,6 @@ def run_trials(branches: list[tuple], seed: int, trials: int) -> tuple[list[int]
     counts = counts.tolist()
     counts[likeliest] += counts.pop()
     return counts, fidelity
-
-
-def draw(branches: list[tuple], rng: RngStream) -> tuple:
-    """Sample one (outcome, probability, result) branch of a table.
-
-    One uniform variate, scaled by the summed probability, picks the first
-    nonzero branch whose cumulative probability exceeds it; a variate on the
-    floating-point remainder falls back to the likeliest branch. A table
-    missing more than _SPAN_TOL of weight measured a state outside its
-    basis, which is an error rather than a fifth outcome. To draw many
-    trials from one table, build its ``sampler`` once, or tally a seeded
-    run with ``run_trials``.
-    """
-    return sampler(branches)(rng)
 
 
 @dataclass(frozen=True)
@@ -480,16 +438,10 @@ def parity_measurement(
     """Measure the photon-number parity of one mode factor in place.
 
     Outcome 1 is even parity, -1 odd; the collapsed states keep every factor.
-    The mode's encoding must have an even |0_L> and an odd |1_L>, as a cat
-    encoding does by its kind; the outcome then reads its logical index.
+    A mode's encoding, plain or flipped, has an even |0_L> and an odd
+    |1_L>, so the outcome reads the logical index.
     """
     _check_kinds(state, (mode_index,), (FactorKind.MODE,))
-    enc = state.encodings[mode_index]
-    if not isinstance(enc, CatEncoding) and (
-            np.any(enc.zero.amps[1::2]) or np.any(enc.one.amps[0::2])):
-        raise ValueError(
-            f"the codewords of factor {mode_index} do not have parities (even, odd)"
-        )
     shape = [1] * state.space.nfactors
     shape[mode_index] = 2
     odd = np.arange(2).reshape(shape)
@@ -520,8 +472,7 @@ def _teleport(
     branches target alpha s_plus|1_L> + beta s_minus|0_L>. On a qubit those
     are its own codewords, |0> and |1>; a cat's are its flipped encoding.
     """
-    flipped = receiver.flip() if isinstance(receiver, CatEncoding) else receiver
-    targets = {False: receiver.state(alpha, beta), True: flipped.state(alpha, beta)}
+    targets = {False: receiver.state(alpha, beta), True: receiver.flip().state(alpha, beta)}
     residual = joint.truncation_residual
 
     def record(outcome: BellLabel, received: np.ndarray) -> TeleportRecord:

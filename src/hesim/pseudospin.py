@@ -6,10 +6,10 @@ within those pairs obey the spin-1/2 commutation relations, exactly so on
 an even-dimensional truncation. s_plus maps |2n+1> -> |2n> and annihilates
 even states, s_minus is its adjoint, s_x = s_plus + s_minus and
 s_y = -i(s_plus - s_minus); on a qubit they are the Pauli matrices. They
-act only through their elements between two codewords
-(``encoded_pseudospin``), so no dim x dim matrix is built; on the cat
-codewords and on their parity flips those elements are the parity and the
-even/odd overlap k(z), so a cat encoding's codewords are not read either.
+act only through their elements between an encoding's two codewords
+(``encoded_pseudospin``): on the qubit those are the Pauli matrices, and on
+the cat codewords and on their parity flips they are the parity and the
+even/odd overlap k(z), so no codeword and no dim x dim matrix is built.
 k(z) sets the strength of the Bell-CHSH violation. ``k_series`` sums it
 over the untruncated coherent weights, ``Encoding.cat`` over the levels
 below its cutoff, and ``k_matrix`` reads it off the truncated cat
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
-    CatEncoding,
     Encoding,
     _check_z,
     _coherent_weights,
@@ -40,7 +39,6 @@ _NONREAL_TOL = 1e-12
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_PAULIS = np.stack((PAULI_X, PAULI_Y, PAULI_Z))
 
 
 @dataclass(frozen=True)
@@ -71,20 +69,16 @@ class Direction:
 
 
 def encoded_pseudospin(enc: Encoding) -> np.ndarray:
-    """<a_L|s_l|b_L> for l = x, y, z and a, b in (0, 1), as a (3, 2, 2) array.
+    """<a_L|s_l|b_L> for l = x, y, z and a, b in (0, 1), as a (3, 2, 2) array:
+    (k sigma_x, k sigma_y, sigma_z) with k the encoding's overlap.
 
-    s_l acts on every (even, odd) pair of amplitudes n as sigma_l on a qubit,
-    so the element sums a_n^H sigma_l b_n over n: it needs only the 4x4
-    overlaps of the codewords' even and odd parts, O(dim). On
-    ``Encoding.qubit()`` it is the Pauli matrices. On a cat encoding, plain
-    or flipped, it is (k sigma_x, k sigma_y, sigma_z) with k the encoding's
-    overlap: s_x and s_y flip parity and s_z reads it, so no codeword is read.
+    s_l acts on every (even, odd) pair of amplitudes as sigma_l on a qubit.
+    The codewords have parities (even, odd), so s_z reads the parity, and
+    s_x and s_y, which flip it, meet the other codeword with overlap k: on a
+    cat, plain or flipped, k(z), and on the qubit 1, so there the elements
+    are the Pauli matrices.
     """
-    if isinstance(enc, CatEncoding):
-        return np.stack((enc.k * PAULI_X, enc.k * PAULI_Y, PAULI_Z))
-    parts = np.array([w.amps[parity::2] for w in (enc.zero, enc.one) for parity in (0, 1)])
-    overlaps = (parts.conj() @ parts.T).reshape(2, 2, 2, 2)  # [a, j, b, k]
-    return np.einsum("ljk,ajbk->lab", _PAULIS, overlaps)
+    return np.stack((enc.k * PAULI_X, enc.k * PAULI_Y, PAULI_Z))
 
 
 def k_series(z: float) -> float:
@@ -107,9 +101,11 @@ def k_series(z: float) -> float:
 def k_matrix(z: float, dim: int) -> float:
     """k(z) as the matrix element <even| s_x |odd> between the cat codewords
     on the truncated mode, read off the codewords themselves: the dense
-    check of the overlap that ``Encoding.cat`` carries."""
-    words = Encoding(even_coherent(z, dim), odd_coherent(z, dim))
-    val = encoded_pseudospin(words)[0, 0, 1]
+    check of the overlap that ``Encoding.cat`` carries. s_x moves each odd
+    amplitude onto the even level below it, so the element is the overlap
+    of the even cat's even levels with the odd cat's odd ones."""
+    parts = np.array([even_coherent(z, dim).amps[0::2], odd_coherent(z, dim).amps[1::2]])
+    val = (parts.conj() @ parts.T)[0, 1]
     if abs(val.imag) > _NONREAL_TOL:
         raise ValueError(f"overlap has a nonreal component {val.imag!r}")
     return float(val.real)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hesim import Encoding, LogicalState, SpaceDescriptor, StateVector
+from hesim import Encoding, LogicalState, SpaceDescriptor, StateVector, TruncationError
 
 # the largest z whose adaptive cutoff, at tol 1e-14, stays within the
 # 1 000 000 Fock levels of the cap
@@ -22,16 +22,17 @@ def number_state(n: int, dim: int) -> StateVector:
     return StateVector(SpaceDescriptor.mode(dim), np.eye(dim)[n])
 
 
-def fock_encoding(dim: int) -> Encoding:
-    """The Fock states |0>, |1> of a mode as its logical codewords."""
-    return Encoding(number_state(0, dim), number_state(1, dim))
-
-
-def random_encoding(dim: int, rng) -> Encoding:
-    """Two random orthonormal codewords on a mode of dimension dim."""
-    q, _ = np.linalg.qr(rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2)))
-    space = SpaceDescriptor.mode(dim)
-    return Encoding(StateVector(space, q[:, 0]), StateVector(space, q[:, 1]))
+def random_cat(dim: int, rng) -> Encoding:
+    """A cat encoding on a mode of dimension dim, plain or flipped, at a random
+    amplitude below 3, halved until the mode holds both cats."""
+    z = rng.uniform(0.0, 3.0)
+    while True:
+        try:
+            enc = Encoding.cat(z, dim)
+        except TruncationError:
+            z /= 2
+            continue
+        return enc.flip() if rng.random() < 0.5 else enc
 
 
 def random_logical(encodings, rng) -> LogicalState:

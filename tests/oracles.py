@@ -9,18 +9,21 @@ matrix through dense pseudospin matrices, and a branch draw by a linear
 scan over the table instead of a search over its precomputed sums.
 ``looped_trials`` is the Monte-Carlo loop the CLI ran before
 ``run_trials``: one ``sampler`` pick per stream of ``trial_streams``,
-tallied a trial at a time.
+tallied a trial at a time; ``draw`` is one such pick.
 
 The dense route the package used before it kept states as coefficients
-over their codewords lives here too: ``dense`` expands a ``LogicalState``
-into its full amplitude vector, ``kron`` multiplies dense states,
+over their codewords lives here too: ``codewords`` builds an encoding's
+two codewords, as the package did before an encoding became its scalars,
+``dense`` expands a ``LogicalState`` into its full amplitude vector,
+``kron`` multiplies dense states, ``dense_inner`` takes their overlap,
 ``partial_inner`` projects a dense state onto a bra over some of its
 factors, and ``build_pseudospin``/``apply`` act with dense dim x dim
 pseudospin matrices. ``s_plus``/``s_minus`` flip a codeword's parity by
 moving its amplitudes within each (even, odd) pair, as the teleport once
-built its flipped cat codewords. ``schmidt_logical`` goes the other way,
-writing a dense qubit⊗mode vector as a ``LogicalState`` that the CHSH
-analysis takes.
+built its flipped cat codewords. ``overlap_pseudospin`` takes the
+pseudospin's elements on any two codewords from the 4x4 overlaps of their
+even and odd parts, the route ``encoded_pseudospin`` took before it read
+k, and ``overlap_k_matrix`` is ``k_matrix`` by that route.
 
 So does the log-domain route the package took to the coherent weights
 before it walked them from the Poisson peak: ``lgamma_mode_dim``,
@@ -30,8 +33,10 @@ weights in 60-digit ``decimal`` arithmetic, the reference for k(z) and the
 cat codewords.
 """
 
+import bisect
 import decimal
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -41,23 +46,24 @@ import numpy as np
 from hesim import (
     Correction,
     Encoding,
+    FactorKind,
     HesLabel,
-    LogicalState,
     ParityBellLabel,
+    RngStream,
     SpaceDescriptor,
     SpinBellLabel,
     StateVector,
     TruncationError,
     bell_pair,
     correction_for,
+    even_coherent,
     hes_state,
-    inner,
+    odd_coherent,
     parity_bell_state,
-    sampler,
     spin_bell_state,
 )
 from hesim.fock import _check_factor, _combined_residual
-from hesim.protocols import trial_streams
+from hesim.protocols import _SPAN_TOL, _stream_blocks
 from hesim.pseudospin import PAULI_X, PAULI_Y, PAULI_Z, Direction
 
 # reduced-density eigenvalues below this count as exact zeros
@@ -125,6 +131,29 @@ def build_pseudospin(dim: int) -> PseudospinOps:
     return PseudospinOps(**mats)
 
 
+def qubit_state(alpha: complex, beta: complex) -> StateVector:
+    """Qubit alpha|0> + beta|1>; amplitudes must already be normalized."""
+    return StateVector(SpaceDescriptor.qubit(), np.array([alpha, beta]))
+
+
+def codewords(enc: Encoding) -> tuple[StateVector, StateVector]:
+    """|0_L> and |1_L> of an encoding: up and down on a qubit; on a mode the
+    even and odd cat or, flipped, the other cat's amplitudes moved onto each
+    within every (even, odd) pair, with that cat's truncation residual."""
+    if enc.space.kind(0) is FactorKind.QUBIT:
+        return qubit_state(1.0, 0.0), qubit_state(0.0, 1.0)
+    words = []
+    for logical in (0, 1):
+        source = logical ^ enc.flipped
+        word = (odd_coherent if source else even_coherent)(enc.z, enc.space.dim)
+        if enc.flipped:
+            amps = np.zeros(enc.space.dim, dtype=complex)
+            amps[logical::2] = word.amps[source::2]
+            word = StateVector(enc.space, amps, word.truncation_residual)
+        words.append(word)
+    return words[0], words[1]
+
+
 def dense(state) -> StateVector:
     """The full amplitude vector of a LogicalState: the sum, in row-major
     coefficient order, of each coefficient times the Kronecker product of
@@ -133,25 +162,24 @@ def dense(state) -> StateVector:
     (|0_L>|x> ± |1_L>|y>) * 2**-0.5."""
     if isinstance(state, StateVector):
         return state
+    words = [codewords(enc) for enc in state.encodings]
     amps = None
     for index in np.ndindex(state.coeffs.shape):
-        codewords = [(enc.zero, enc.one)[i].amps for enc, i in zip(state.encodings, index)]
-        term = functools.reduce(lambda x, y: np.outer(x, y).ravel(), codewords)
+        term = functools.reduce(lambda x, y: np.outer(x, y).ravel(),
+                                [pair[i].amps for pair, i in zip(words, index)])
         term = term * state.coeffs[index]
         amps = term if amps is None else amps + term
     return StateVector(state.space, amps, state.truncation_residual)
 
 
-def schmidt_logical(state: StateVector) -> LogicalState:
-    """A qubit⊗mode StateVector as a LogicalState over the qubit's up/down and
-    the mode's two Schmidt vectors: with the amplitudes as the 2 x dim matrix
-    U diag(s) V^H, the coefficients are U diag(s) and the mode codewords the
-    rows of V^H. Those codewords mix parities, unlike the cat codewords."""
-    dim = state.space.dims[1]
-    u, s, vh = np.linalg.svd(state.amps.reshape(2, dim), full_matrices=False)
-    mode = SpaceDescriptor.mode(dim)
-    words = Encoding(StateVector(mode, vh[0]), StateVector(mode, vh[1]))
-    return LogicalState((Encoding.qubit(), words), u * s, state.truncation_residual)
+def dense_inner(a: StateVector, b: StateVector) -> complex:
+    """<a|b> (conjugate-linear in a) of two StateVectors on one space."""
+    if a.space != b.space:
+        raise ValueError(
+            f"inner product between {a.space.describe()} and "
+            f"{b.space.describe()} is undefined"
+        )
+    return complex(np.vdot(a.amps, b.amps))
 
 
 def kron(a: StateVector, b: StateVector) -> StateVector:
@@ -319,6 +347,23 @@ def dense_correlation_matrix(state) -> np.ndarray:
     return m
 
 
+def overlap_pseudospin(zero: StateVector, one: StateVector) -> np.ndarray:
+    """<a_L|s_l|b_L> for l = x, y, z on two codewords, as a (3, 2, 2) array.
+
+    s_l acts on every (even, odd) pair of amplitudes n as sigma_l on a qubit,
+    so the element sums a_n^H sigma_l b_n over n: it needs only the 4x4
+    overlaps of the codewords' even and odd parts, O(dim)."""
+    parts = np.array([w.amps[parity::2] for w in (zero, one) for parity in (0, 1)])
+    overlaps = (parts.conj() @ parts.T).reshape(2, 2, 2, 2)  # [a, j, b, k]
+    return np.einsum("ljk,ajbk->lab", np.stack((PAULI_X, PAULI_Y, PAULI_Z)), overlaps)
+
+
+def overlap_k_matrix(z: float, dim: int) -> float:
+    """<even|s_x|odd> of the cat codewords at (z, dim) by ``overlap_pseudospin``:
+    the real part of the element, as ``k_matrix`` once read it."""
+    return float(overlap_pseudospin(even_coherent(z, dim), odd_coherent(z, dim))[0, 0, 1].real)
+
+
 def linear_scan_draw(branches, rng):
     """One branch: the first nonzero row whose running sum of probabilities
     exceeds a uniform variate scaled by their total, else the likeliest row."""
@@ -331,6 +376,43 @@ def linear_scan_draw(branches, rng):
         if u < acc and branch[1] > 0.0:
             return branch
     return max(branches, key=lambda branch: branch[1])
+
+
+def trial_streams(seed: int, trials: int):
+    """``RngStream(seed + i)`` for trial i of a run, in trial order: the
+    streams ``run_trials`` draws from, one block at a time."""
+    return itertools.chain.from_iterable(_stream_blocks(seed, trials))
+
+
+def sampler(branches):
+    """A function drawing one (outcome, probability, result) branch of a
+    table per call from a stream, the table summed and checked once.
+
+    One uniform variate, scaled by the summed probability, picks the first
+    nonzero branch whose running sum exceeds it, by bisecting the sums
+    0.0 + p0 + p1 + ...; a variate on the floating-point remainder falls back
+    to the likeliest branch. A table missing more than the package's span
+    tolerance of weight is refused."""
+    ps = [p for _, p, _ in branches]
+    total = sum(ps)
+    if 1.0 - total > _SPAN_TOL:
+        raise ValueError(
+            f"state carries weight {1.0 - total:.3e} outside the span of the "
+            f"measured basis"
+        )
+    sums = list(itertools.accumulate(ps, initial=0.0))[1:]
+    likeliest = max(range(len(ps)), key=ps.__getitem__)
+
+    def pick(rng: RngStream):
+        row = bisect.bisect_right(sums, rng.uniform() * total)
+        return branches[row if row < len(branches) else likeliest]
+
+    return pick
+
+
+def draw(branches, rng):
+    """One branch of a table, drawn with one variate of rng as ``sampler`` draws it."""
+    return sampler(branches)(rng)
 
 
 def looped_trials(branches, seed, trials):
@@ -371,8 +453,9 @@ def dense_measure_bell(state: StateVector, factors, enc_a: Encoding, enc_b: Enco
 def _dense_teleport(alpha, beta, joint, factors, basis, labels, channel, receiver):
     ops = build_pseudospin(receiver.space.dim)
     plain = dense(receiver.state(alpha, beta))
-    flipped = StateVector(receiver.space, alpha * (ops.s_plus @ receiver.one.amps)
-                          + beta * (ops.s_minus @ receiver.zero.amps))
+    zero, one = codewords(receiver)
+    flipped = StateVector(receiver.space, alpha * (ops.s_plus @ one.amps)
+                          + beta * (ops.s_minus @ zero.amps))
     rows = []
     for outcome, p, received in dense_measure_bell(joint, factors, *basis, labels):
         correction = correction_for(outcome, channel)
@@ -381,7 +464,7 @@ def _dense_teleport(alpha, beta, joint, factors, basis, labels, channel, receive
             output = apply(getattr(ops, correction.value), received, 0)
             if correction is not Correction.S_Z:
                 target = flipped
-        rows.append((outcome, p, correction, abs(inner(target, output)) ** 2, output))
+        rows.append((outcome, p, correction, abs(dense_inner(target, output)) ** 2, output))
     return rows
 
 
@@ -415,7 +498,7 @@ def dense_swap(z, z_prime, dim) -> list[tuple]:
     rows = []
     for outcome, p, modes in dense_measure_bell(joint, (0, 2), qubit, qubit, SpinBellLabel):
         paired = dense(bell_pair(SWAP_PAIRING[outcome], cat, cat_prime))
-        rows.append((outcome, p, abs(inner(paired, modes)) ** 2, dense_schmidt(modes, [0])))
+        rows.append((outcome, p, abs(dense_inner(paired, modes)) ** 2, dense_schmidt(modes, [0])))
     return rows
 
 

@@ -12,11 +12,8 @@ from hesim import (
     HesLabel,
     ParityBellLabel,
     RngStream,
-    SpaceDescriptor,
     SpinBellLabel,
-    StateVector,
     analytic_optimum,
-    draw,
     entanglement_entropy,
     hes_state,
     k_matrix,
@@ -25,6 +22,7 @@ from hesim import (
     mode_dim_for,
     optimize_chsh,
     parity_bell_state,
+    run_trials,
     schmidt_coefficients,
     spin_bell_state,
     swap_entanglement,
@@ -40,8 +38,7 @@ from oracles import (
     chsh_expectation,
     dense,
     direction,
-    kron,
-    schmidt_logical,
+    draw,
     spin_dot,
     swap_expansion,
 )
@@ -112,15 +109,14 @@ def test_criterion_4_optimizer_consistency():
             worst_gap = max(worst_gap, gap)
             ok &= gap <= 1e-6
     rng = np.random.default_rng(2024)
-    dim = 8
     worst_product = 0.0
     for _ in range(20):
+        # a random qubit times a random superposition of the cats at a random z
         q = rng.normal(size=2) + 1j * rng.normal(size=2)
-        m = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        state = schmidt_logical(kron(
-            StateVector(SpaceDescriptor.qubit(), q / np.linalg.norm(q)),
-            StateVector(SpaceDescriptor.mode(dim), m / np.linalg.norm(m)),
-        ))
+        m = rng.normal(size=2) + 1j * rng.normal(size=2)
+        z = float(rng.uniform(0.0, 3.0))
+        state = tensor(Encoding.qubit().state(*(q / np.linalg.norm(q))),
+                       Encoding.cat(z, adim(z)).state(*(m / np.linalg.norm(m))))
         res = optimize_chsh(state)
         worst_product = max(worst_product, res.value)
         ok &= res.value <= 2.0 + 1e-6
@@ -222,14 +218,12 @@ def test_criterion_7_teleportation():
 
     # 4096-trial outcome frequencies for both protocols
     trials = 4096
-    counts_spin = {label: 0 for label in SpinBellLabel}
-    counts_parity = {label: 0 for label in ParityBellLabel}
     dim = adim(1.0)
     spin_table = teleport_spin(0.6, 0.8, HesLabel.PHI_PLUS, 1.0, dim)
     parity_table = teleport_parity(0.6, 0.8, 0.6, HesLabel.PHI_PLUS, 1.0, dim)
-    for i in range(trials):
-        counts_spin[draw(spin_table, RngStream(i))[0]] += 1
-        counts_parity[draw(parity_table, RngStream(i))[0]] += 1
+    # trial i draws from RngStream(i)
+    counts_spin = dict(zip(SpinBellLabel, run_trials(spin_table, 0, trials)[0]))
+    counts_parity = dict(zip(ParityBellLabel, run_trials(parity_table, 0, trials)[0]))
     worst_freq = 0.0
     for counts in (counts_spin, counts_parity):
         for n in counts.values():

@@ -21,9 +21,7 @@ from hesim import (
     HesLabel,
     ParityBellLabel,
     SpaceDescriptor,
-    StateVector,
     analytic_optimum,
-    analytic_settings,
     correlation_matrix,
     bell_pair,
     even_coherent,
@@ -31,12 +29,12 @@ from hesim import (
     k_series,
     mode_dim_for,
     optimize_chsh,
-    qubit_state,
+    tensor,
 )
 
 import hesim.bellchsh
 
-from conftest import random_amps, random_encoding, random_logical, random_state
+from conftest import random_cat, random_logical, random_qubit_pair, random_state
 from oracles import (
     DENSE_AGREEMENT_TOL,
     bell_operator,
@@ -45,8 +43,10 @@ from oracles import (
     dense_correlation_matrix,
     direction,
     kron,
-    schmidt_logical,
+    qubit_state,
 )
+
+QUBIT = Encoding.qubit()
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 # 2*sqrt(1 + k(1)^2), frozen from the 40-digit overlap evaluation
@@ -62,6 +62,11 @@ def random_settings(rng) -> ChshSettings:
         for _ in range(4)
     ]
     return ChshSettings(*dirs)
+
+
+def random_hybrid(dim: int, rng):
+    """Random coefficients over the qubit and a random cat encoding."""
+    return random_logical((QUBIT, random_cat(dim, rng)), rng)
 
 
 def nudge(d: Direction, rng) -> Direction:
@@ -174,8 +179,7 @@ class TestChshValue:
     def test_correlation_matrix_is_the_bilinear_form(self, rng):
         dim = 8
         ops = build_pseudospin(dim)
-        space = SpaceDescriptor.qubit() * SpaceDescriptor.mode(dim)
-        state = schmidt_logical(random_state(space, rng))
+        state = random_hybrid(dim, rng)
         m = correlation_matrix(state)
         for _ in range(5):
             s = random_settings(rng)
@@ -212,7 +216,7 @@ class TestAnalyticOptimum:
         assert 2.0 < got <= TWO_SQRT_TWO + 1e-9
 
     def test_settings_are_in_plane_with_matched_mode_angles(self):
-        s = analytic_settings(1.0)
+        s = analytic_optimum(1.0).settings
         k = k_series(1.0)
         assert s.b.theta == pytest.approx(math.atan(k), abs=1e-12)
         assert s.b_prime.theta == pytest.approx(math.atan(k), abs=1e-12)
@@ -225,11 +229,8 @@ class TestAnalyticOptimum:
 
 class TestOptimizeChsh:
     def test_two_qubit_bell_pair_reaches_cirelson(self):
-        # a Bell pair with the partner encoded in a two-level mode
-        space = SpaceDescriptor.qubit() * SpaceDescriptor.mode(2)
-        amps = np.zeros(4, dtype=complex)
-        amps[0] = amps[3] = 1.0 / math.sqrt(2.0)
-        state = schmidt_logical(StateVector(space, amps))
+        # a Bell pair with the partner encoded in a two-level mode, as |0>, |1>
+        state = bell_pair(HesLabel.PHI_PLUS, QUBIT, Encoding.cat(0.0, 2))
         res = optimize_chsh(state)
         assert res.value == pytest.approx(TWO_SQRT_TWO, abs=1e-6)
 
@@ -276,9 +277,8 @@ class TestOptimizeChsh:
     def test_no_random_settings_beat_the_maximum(self, rng):
         dim = 10
         ops = build_pseudospin(dim)
-        space = SpaceDescriptor.qubit() * SpaceDescriptor.mode(dim)
         for _ in range(4):
-            state = schmidt_logical(random_state(space, rng))
+            state = random_hybrid(dim, rng)
             res = optimize_chsh(state)
             assert chsh_expectation(state, res.settings, ops) == pytest.approx(
                 res.value, abs=1e-10
@@ -297,10 +297,8 @@ class TestOptimizeChsh:
     def test_product_states_stay_classical(self, rng):
         dim = 8
         for _ in range(6):
-            state = schmidt_logical(kron(
-                StateVector(SpaceDescriptor.qubit(), random_amps(rng, 2)),
-                StateVector(SpaceDescriptor.mode(dim), random_amps(rng, dim)),
-            ))
+            state = tensor(QUBIT.state(*random_qubit_pair(rng)),
+                           random_cat(dim, rng).state(*random_qubit_pair(rng)))
             res = optimize_chsh(state)
             assert res.value <= 2.0 + 1e-6
 
@@ -326,15 +324,10 @@ class TestOptimizeChsh:
                 assert np.max(np.abs(got - expected)) <= DENSE_AGREEMENT_TOL, (z, d)
 
     def test_correlation_matrix_of_random_states_is_the_dense_one(self, rng):
-        qubit_space = SpaceDescriptor.qubit()
+        # random coefficients over cat encodings, plain and flipped
         for dim in (2, 4, 10, 36):
-            # codewords of mixed parity on both parties, and a dense vector
-            # written over its Schmidt vectors
-            q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-            qubit = Encoding(StateVector(qubit_space, q[:, 0]), StateVector(qubit_space, q[:, 1]))
-            space = qubit_space * SpaceDescriptor.mode(dim)
-            for state in (random_logical((qubit, random_encoding(dim, rng)), rng),
-                          schmidt_logical(random_state(space, rng))):
+            for _ in range(4):
+                state = random_hybrid(dim, rng)
                 got, expected = correlation_matrix(state), dense_correlation_matrix(state)
                 assert np.max(np.abs(got - expected)) <= DENSE_AGREEMENT_TOL, dim
 

@@ -10,13 +10,14 @@ report may differ.
 
 After an intended change of output, re-record every argv in the file with
 ``PYTHONPATH=src python tests/test_cli_golden.py``; it prints the argv of
-every line whose record changed. Every recorded ``chsh`` optimum and, up to
-the dense oracle's size, every recorded ``entropy`` report is checked
-against the dense oracles as well, so a re-recorded one must still agree
-with them.
+every line whose record changed. Every recorded ``chsh`` optimum, every
+``kz`` row and, up to the dense oracle's size, every recorded ``entropy``
+report is checked against the oracles as well, so a re-recorded one must
+still agree with them.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -27,11 +28,12 @@ import numpy as np
 import pytest
 
 from hesim import HesLabel, hes_state
-from hesim.cli import _build_named_state, build_parser, main
+from hesim.cli import _build_named_state, _dim_for, build_parser, main
 
 from conftest import assert_leads_the_dense_spectrum
-from oracles import (GOLDEN_CHSH_TOL, GOLDEN_ENTROPY_TOL, dense_correlation_matrix, dense_schmidt,
-                     entropy_from_reduced_density, k_asymptote)
+from oracles import (GOLDEN_CHSH_TOL, GOLDEN_ENTROPY_TOL, K_ASYMPTOTE_TOL, K_DECIMAL_TOL, decimal_k,
+                     dense_correlation_matrix, dense_schmidt, entropy_from_reduced_density,
+                     k_asymptote, overlap_k_matrix)
 
 DATA = Path(__file__).with_name("cli_golden.jsonl")
 COLUMNS = "80"  # argparse wraps usage lines to the terminal width
@@ -83,6 +85,30 @@ def test_large_z_chsh_optimum_agrees_with_the_asymptote(case):
     assert report["z"] >= 300.0
     k = k_asymptote(report["z"])
     assert abs(report["optimizer_value"] - 2.0 * math.sqrt(1.0 + k * k)) <= GOLDEN_CHSH_TOL
+
+
+def _kz_cases() -> list[dict]:
+    """The kz lines with a report."""
+    return [case for case in _cases() if case["argv"][:1] == ["kz"]
+            and case["stdout"].startswith("z,")]
+
+
+@pytest.mark.parametrize("case", _kz_cases(), ids=lambda case: " ".join(case["argv"]))
+def test_kz_rows_agree_with_the_oracles(case):
+    # K_series against the 60-digit sum up to z = 30 and the large-z expansion
+    # from z = 300 on; K_matrix bit for bit against the overlap route that
+    # read it off the codewords' four even and odd parts
+    args = build_parser().parse_args(case["argv"])
+    rows = list(csv.DictReader(io.StringIO(case["stdout"])))
+    assert rows
+    for row in rows:
+        z, k_series = float(row["z"]), float(row["K_series"])
+        if z <= 30.0:
+            assert abs(k_series - decimal_k(z)) <= K_DECIMAL_TOL, z
+        else:
+            assert z >= 300.0, f"no K_series oracle between z = 30 and 300, got {z}"
+            assert abs(k_series - k_asymptote(z)) <= K_ASYMPTOTE_TOL, z
+        assert float(row["K_matrix"]) == overlap_k_matrix(z, _dim_for(args.dim, z)), z
 
 
 def _named_state(case: dict):

@@ -23,7 +23,7 @@ from hesim import (
     tensor,
 )
 
-from conftest import assert_leads_the_dense_spectrum, fock_encoding, random_encoding, random_logical
+from conftest import assert_leads_the_dense_spectrum, random_cat, random_logical
 from oracles import dense_schmidt, entropy_from_reduced_density
 
 QUBIT = Encoding.qubit()
@@ -44,7 +44,7 @@ def assert_one_ebit(state):
 
 class TestSchmidt:
     def test_product_state_is_rank_one(self):
-        st = tensor(QUBIT.state(1.0, 0.0), fock_encoding(4).state(1.0, 0.0))
+        st = tensor(QUBIT.state(1.0, 0.0), Encoding.cat(0.0, 4).state(1.0, 0.0))
         spec = schmidt_coefficients(st, {0})
         assert spec.coefficients[0] == pytest.approx(1.0, abs=1e-12)
         assert all(c < 1e-12 for c in spec.coefficients[1:])
@@ -64,7 +64,7 @@ class TestSchmidt:
         assert all(c < 1e-10 for c in spec.coefficients[2:])
 
     def test_descending_order(self, rng):
-        st = random_logical((QUBIT, random_encoding(6, rng)), rng)
+        st = random_logical((QUBIT, random_cat(6, rng)), rng)
         spec = schmidt_coefficients(st, {0})
         assert list(spec.coefficients) == sorted(spec.coefficients, reverse=True)
 
@@ -78,7 +78,7 @@ class TestSchmidt:
         assert len(schmidt_coefficients(hes_state(HesLabel.PHI_MINUS, z, dim), {1}).coefficients) == 2
 
     def test_three_party_cut_is_the_svd_of_the_coefficients(self, rng):
-        encodings = (QUBIT, random_encoding(4, rng), random_encoding(6, rng))
+        encodings = (QUBIT, random_cat(4, rng), random_cat(6, rng))
         for _ in range(8):
             st = random_logical(encodings, rng)
             for side in ({0}, {1}, {0, 2}):
@@ -138,13 +138,13 @@ class TestEntropy:
         assert entanglement_entropy(st, {0}) == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_under_side_swap(self, rng):
-        st = random_logical((QUBIT, random_encoding(8, rng)), rng)
+        st = random_logical((QUBIT, random_cat(8, rng)), rng)
         assert entanglement_entropy(st, {0}) == pytest.approx(
             entanglement_entropy(st, {1}), abs=1e-10
         )
 
     def test_two_routes_agree(self, rng):
-        encodings = (QUBIT, random_encoding(4, rng), random_encoding(6, rng))
+        encodings = (QUBIT, random_cat(4, rng), random_cat(6, rng))
         for _ in range(8):
             st = random_logical(encodings, rng)
             for keep in ({0}, {1}, {0, 2}):
@@ -157,7 +157,7 @@ class TestEntropy:
     def test_list_has_one_entry_per_row_of_the_smaller_side(self, parties, seed, data):
         # whatever the parties' dims: the coefficient tensor has 2 rows per party
         rng = np.random.default_rng(seed)
-        pool = (QUBIT, random_encoding(4, rng), Encoding.cat(1.3, 20), Encoding.cat(4.0, 56))
+        pool = (QUBIT, random_cat(4, rng), Encoding.cat(1.3, 20), Encoding.cat(4.0, 56))
         st_ = random_logical([pool[i] for i in rng.integers(0, len(pool), parties)], rng)
         side = data.draw(st.sets(st.integers(0, parties - 1), min_size=1, max_size=parties - 1))
         assert len(schmidt_coefficients(st_, side).coefficients) == min(
@@ -165,7 +165,7 @@ class TestEntropy:
 
     def test_qubit_cut_cannot_exceed_one_ebit(self, rng):
         for _ in range(10):
-            st = random_logical((QUBIT, random_encoding(10, rng)), rng)
+            st = random_logical((QUBIT, random_cat(10, rng)), rng)
             ent = entanglement_entropy(st, {0})
             assert -1e-12 <= ent <= 1.0 + 1e-12
 
@@ -176,8 +176,8 @@ class TestValidation:
     )
     def test_side_a_must_be_a_nonempty_proper_subset(self, side_a):
         st = tensor(
-            tensor(QUBIT.state(1.0, 0.0), fock_encoding(4).state(1.0, 0.0)),
-            fock_encoding(4).state(0.0, 1.0),
+            tensor(QUBIT.state(1.0, 0.0), Encoding.cat(0.0, 4).state(1.0, 0.0)),
+            Encoding.cat(0.0, 4).state(0.0, 1.0),
         )
         with pytest.raises(ValueError, match="nonempty proper subset"):
             schmidt_coefficients(st, side_a)

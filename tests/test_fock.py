@@ -20,23 +20,25 @@ from hesim import (
     inner,
     mode_dim_for,
     odd_coherent,
-    qubit_state,
     tensor,
 )
-from hesim.fock import _MODE_DIM_CAP, CatEncoding
+from hesim.fock import _MODE_DIM_CAP
 from hesim.pseudospin import Direction
 
-from conftest import Z_CAP, fock_encoding, number_state, random_logical, random_state
+from conftest import Z_CAP, number_state, random_cat, random_logical, random_state
 from oracles import (
     CODEWORD_DECIMAL_TOL,
     apply,
     build_pseudospin,
+    codewords,
     decimal_codeword,
     dense,
+    dense_inner,
     kron,
     lgamma_branch,
     lgamma_mode_dim,
     partial_inner,
+    qubit_state,
 )
 
 QUBIT_ENC = Encoding.qubit()
@@ -178,7 +180,7 @@ class TestCatStates:
     @pytest.mark.parametrize("z", [0.0, 0.1, 0.5, 1.0, 2.0, 3.0])
     def test_even_odd_orthogonal(self, z):
         dim = mode_dim_for(z, 1e-14)
-        val = inner(even_coherent(z, dim), odd_coherent(z, dim))
+        val = dense_inner(even_coherent(z, dim), odd_coherent(z, dim))
         assert abs(val) < 1e-14
 
     @pytest.mark.parametrize("z", [0.05, 0.5, 1.0, 2.5])
@@ -294,10 +296,10 @@ class TestSpaces:
 class TestCompositeAlgebra:
     def test_tensor_orders_factors(self):
         q = QUBIT_ENC.state(1.0, 0.0)
-        m = fock_encoding(4).state(0.0, 1.0)
+        m = Encoding.cat(0.0, 4).state(0.0, 1.0)  # the Fock states |0>, |1>
         st = tensor(q, m)
         assert st.space.dims == (2, 4)
-        assert st.encodings == (QUBIT_ENC, fock_encoding(4))
+        assert st.encodings == (QUBIT_ENC, Encoding.cat(0.0, 4))
         expected = np.zeros(8)
         expected[1] = 1.0
         assert np.allclose(dense(st).amps, expected)
@@ -319,16 +321,18 @@ class TestCompositeAlgebra:
     def test_logical_inner_is_the_coefficient_overlap(self, rng):
         encodings = (QUBIT_ENC, Encoding.cat(0.9, 16))
         a, b = random_logical(encodings, rng), random_logical(encodings, rng)
-        assert inner(a, b) == pytest.approx(inner(dense(a), dense(b)), abs=1e-14)
+        assert inner(a, b) == pytest.approx(dense_inner(dense(a), dense(b)), abs=1e-14)
         assert inner(a, b) == np.conj(inner(b, a))
 
     def test_logical_inner_needs_equal_encodings(self, rng):
-        a = random_logical((QUBIT_ENC, Encoding.cat(0.9, 16)), rng)
+        cat = Encoding.cat(0.9, 16)
+        a = random_logical((QUBIT_ENC, cat), rng)
         b = random_logical((QUBIT_ENC, Encoding.cat(1.0, 16)), rng)
         with pytest.raises(ValueError, match="different encodings"):
             inner(a, b)
+        # the flipped codewords are another basis of the same mode
         with pytest.raises(ValueError, match="undefined"):
-            inner(a, dense(a))
+            inner(a, LogicalState((QUBIT_ENC, cat.flip()), a.coeffs))
 
     def test_apply_matches_kron_expansion(self, rng):
         space = SpaceDescriptor.qubit() * SpaceDescriptor.mode(6)
@@ -367,18 +371,18 @@ class TestCompositeAlgebra:
             apply(ops.s_plus, st, 1)
 
     def test_inner_conjugate_symmetry(self, rng):
-        space = SpaceDescriptor.mode(8)
-        a, b = random_state(space, rng), random_state(space, rng)
+        encodings = (QUBIT_ENC, random_cat(8, rng))
+        a, b = random_logical(encodings, rng), random_logical(encodings, rng)
         assert inner(a, b) == np.conj(inner(b, a))
 
     def test_inner_space_mismatch_names_both(self):
-        a = number_state(0, 4)
-        b = number_state(0, 6)
+        a = Encoding.cat(0.0, 4).state(1.0, 0.0)
+        b = Encoding.cat(0.0, 6).state(1.0, 0.0)
         with pytest.raises(ValueError, match=r"mode\(4\).*mode\(6\)"):
             inner(a, b)
 
     def test_inner_normalization(self):
-        e = even_coherent(0.9, 14)
+        e = Encoding.cat(0.9, 14).state(0.6, 0.8j)
         assert inner(e, e).real == pytest.approx(1.0, abs=1e-12)
 
 
@@ -404,7 +408,7 @@ def random_unitary(rng, d):
 
 
 def encoding_of(space: SpaceDescriptor) -> Encoding:
-    return QUBIT_ENC if space.kind(0) is FactorKind.QUBIT else fock_encoding(space.dim)
+    return QUBIT_ENC if space.kind(0) is FactorKind.QUBIT else Encoding.cat(0.0, space.dim)
 
 
 class TestSameBitsAsNumpy:
@@ -501,32 +505,34 @@ class TestPartialOperations:
 
 
 class TestEncoding:
-    def test_cat_codewords_pass_the_checks_for_every_z(self):
+    def test_cat_codewords_are_orthonormal_for_every_z(self):
         for z in np.linspace(0.0, 9.0, 91):
-            enc = Encoding.cat(float(z), mode_dim_for(float(z), 1e-14))
-            assert abs(inner(enc.zero, enc.one)) <= 1e-12
+            cat = Encoding.cat(float(z), mode_dim_for(float(z), 1e-14))
+            for enc in (cat, cat.flip()):
+                zero, one = codewords(enc)
+                assert abs(dense_inner(zero, one)) <= 1e-12
 
-    def test_codewords_must_share_a_space(self):
-        with pytest.raises(ValueError, match="one qubit or mode"):
-            Encoding(number_state(0, 4), number_state(1, 6))
+    def test_the_qubit_is_k_one_without_residual_and_its_own_flip(self):
+        assert (QUBIT_ENC.k, QUBIT_ENC.residuals, QUBIT_ENC.residual) == (1.0, (0.0, 0.0), 0.0)
+        assert QUBIT_ENC.flip() is QUBIT_ENC and not QUBIT_ENC.flipped
+        # as is the cat pair at z = 0, |0> and |1>, apart from its flag
+        vacuum = Encoding.cat(0.0, 4)
+        assert (vacuum.k, vacuum.residuals) == (1.0, (0.0, 0.0)) and vacuum.flip().flipped
 
-    def test_codewords_must_be_one_factor(self):
-        two = SpaceDescriptor.qubit() * SpaceDescriptor.qubit()
-        with pytest.raises(ValueError, match="one qubit or mode"):
-            Encoding(StateVector(two, np.eye(4)[0]), StateVector(two, np.eye(4)[3]))
+    def test_is_frozen(self):
+        cat = Encoding.cat(0.7, 14)
+        with pytest.raises(AttributeError):
+            cat.k = 1.0
+        with pytest.raises(AttributeError):
+            cat.flipped = True
 
-    def test_codewords_must_be_orthogonal(self):
-        tilted = qubit_state(math.cos(1e-6), math.sin(1e-6))
-        with pytest.raises(ValueError, match="not orthogonal"):
-            Encoding(qubit_state(1.0, 0.0), tilted)
-        # an overlap at the tolerance itself is accepted
-        Encoding(qubit_state(1.0, 0.0), qubit_state(1e-12, math.sqrt(1.0 - 1e-24)))
-
-    def test_equal_when_the_codewords_are(self):
+    def test_equal_by_kind_dim_z_and_flip(self):
         assert Encoding.cat(0.7, 14) == Encoding.cat(0.7, 14)
+        assert hash(Encoding.cat(0.7, 14)) == hash(Encoding.cat(0.7, 14))
         assert Encoding.cat(0.7, 14) != Encoding.cat(0.7, 16)
         assert Encoding.cat(0.7, 14) != Encoding.cat(0.8, 14)
-        assert Encoding.qubit() == QUBIT_ENC != fock_encoding(2)
+        # the same codewords |0>, |1>, but a qubit is not a mode
+        assert Encoding.qubit() == QUBIT_ENC != Encoding.cat(0.0, 2)
 
 
 def built_or_refused(build):
@@ -539,7 +545,7 @@ def built_or_refused(build):
 
 class TestCatEncoding:
     """A cat encoding is its amplitude, cutoff and flip, plus the residuals and
-    overlap of one walk; its codewords are built only when read."""
+    overlap of one walk; it builds no codeword (``oracles.codewords`` does)."""
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(z=st.floats(min_value=0.0, max_value=30.0),
@@ -556,14 +562,13 @@ class TestCatEncoding:
             assert cat == refusals[0]
             return
         even, odd = words
-        assert isinstance(cat, CatEncoding) and isinstance(cat, Encoding)
         assert cat.residuals == (even.truncation_residual, odd.truncation_residual)
-        assert cat.residual == Encoding(even, odd).residual
+        assert cat.residual == 0.5 * (even.truncation_residual + odd.truncation_residual)
         assert cat.space == SpaceDescriptor.mode(dim)
         enc = cat.flip() if flipped else cat
         assert enc.residual == cat.residual and enc.k == cat.k and enc.flipped == flipped
         # |0_L> is even and |1_L> odd; flipped, each holds the other cat's amplitudes
-        for logical, source in ((0, enc.zero), (1, enc.one)):
+        for logical, source in enumerate(codewords(enc)):
             word = (even, odd)[logical ^ flipped]
             assert np.array_equal(source.amps[logical::2], word.amps[logical ^ flipped::2])
             assert not np.any(source.amps[1 - logical::2])
@@ -574,15 +579,13 @@ class TestCatEncoding:
         assert cat == Encoding.cat(0.7, 14) == cat.flip().flip()
         assert cat != cat.flip() and cat.flip() == Encoding.cat(0.7, 14).flip()
         assert cat != Encoding.cat(math.nextafter(0.7, 1.0), 14)
-        # equal codewords, but a cat is compared by what it is built from
-        assert cat != Encoding(even_coherent(0.7, 14), odd_coherent(0.7, 14)) != cat
-        assert cat != QUBIT_ENC and cat != fock_encoding(14)
+        assert cat != QUBIT_ENC and cat != Encoding.cat(0.0, 14)
 
-    def test_reads_no_codeword_until_asked(self, monkeypatch):
+    def test_builds_no_codeword(self, monkeypatch):
         built = []
         monkeypatch.setattr(StateVector, "__post_init__", lambda sv: built.append(sv))
         cat = Encoding.cat(Z_CAP, _MODE_DIM_CAP).flip()
-        assert built == [] and repr(cat) == f"CatEncoding(z={Z_CAP!r}, dim=1000000, flipped=True)"
+        assert built == [] and (cat.z, cat.space.dim, cat.flipped) == (Z_CAP, 1000000, True)
 
 
 class TestLogicalState:
@@ -597,7 +600,7 @@ class TestLogicalState:
             LogicalState((QUBIT_ENC,), [1.0, 1.0])
 
     def test_space_is_the_product_of_the_encodings(self):
-        st = LogicalState((QUBIT_ENC, fock_encoding(6)), np.eye(2) * math.sqrt(0.5))
+        st = LogicalState((QUBIT_ENC, Encoding.cat(0.0, 6)), np.eye(2) * math.sqrt(0.5))
         assert st.space == SpaceDescriptor.qubit() * SpaceDescriptor.mode(6)
 
     def test_coeffs_are_immutable(self):

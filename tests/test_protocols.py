@@ -4,6 +4,7 @@ import functools
 import math
 import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from hesim import (
     SpinBellLabel,
     bell_pair,
     correction_for,
-    draw,
     entanglement_entropy,
     even_coherent,
     hes_state,
@@ -29,9 +29,7 @@ from hesim import (
     odd_coherent,
     parity_bell_state,
     parity_measurement,
-    qubit_state,
     run_trials,
-    sampler,
     schmidt_coefficients,
     spin_bell_state,
     swap_entanglement,
@@ -49,21 +47,23 @@ from hesim.protocols import (
     _first_uniforms,
     _measure_bell,
     _states_over,
-    trial_streams,
 )
 
-from conftest import (
-    assert_leads_the_dense_spectrum, fock_encoding, random_encoding, random_qubit_pair)
+from conftest import assert_leads_the_dense_spectrum, random_qubit_pair
 from oracles import (
+    codewords,
     dense,
     dense_measure_bell,
     dense_swap,
     dense_teleport_parity,
     dense_teleport_spin,
+    draw,
     kron,
     linear_scan_draw,
     looped_trials,
+    qubit_state,
     swap_expansion,
+    trial_streams,
 )
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -178,22 +178,22 @@ class TestBellBases:
         # the coefficients are the signed pattern of halves, and their dense
         # expansion is the kron sum bit for bit
         enc_a, enc_b = FAMILIES[family][1]()
-        b0, b1 = (enc_b.zero, enc_b.one) if label.is_phi else (enc_b.one, enc_b.zero)
-        kron_sum = (np.kron(enc_a.zero.amps, b0.amps) + label.sign * np.kron(
-            enc_a.one.amps, b1.amps
-        )) * SQRT_HALF
+        (a0, a1), (b0, b1) = codewords(enc_a), codewords(enc_b)
+        if not label.is_phi:
+            b0, b1 = b1, b0
+        kron_sum = (np.kron(a0.amps, b0.amps) + label.sign * np.kron(a1.amps, b1.amps)) * SQRT_HALF
         st = bell_pair(label, enc_a, enc_b)
         pattern = np.eye(2) if label.is_phi else np.eye(2)[::-1]
         assert np.array_equal(st.coeffs, pattern * np.array([[1.0], [label.sign]]) * SQRT_HALF)
         assert np.array_equal(dense(st).amps.view(np.uint64), kron_sum.view(np.uint64))
 
     def test_bell_pair_residual_combines_encoding_means(self):
-        # residuals well above machine precision, so the rule is visible
-        cat_a = Encoding(even_coherent(1.0, 12, 1e-6), odd_coherent(1.0, 12, 1e-6))
-        cat_b = Encoding(even_coherent(1.5, 16, 1e-6), odd_coherent(1.5, 16, 1e-6))
-        a = 0.5 * (cat_a.zero.truncation_residual + cat_a.one.truncation_residual)
-        b = 0.5 * (cat_b.zero.truncation_residual + cat_b.one.truncation_residual)
-        assert a > 0.0 and b > 0.0
+        # cutoffs two levels short of the adaptive ones, where each residual is
+        # large enough for the product term a*b to move the sum
+        cat_a, cat_b = Encoding.cat(1.5, 20), Encoding.cat(2.0, 26)
+        a, b = (0.5 * sum(word.truncation_residual for word in codewords(cat))
+                for cat in (cat_a, cat_b))
+        assert a + b - a * b != a + b
         assert cat_a.residual == a
         st = bell_pair(ParityBellLabel.PHI_MINUS, cat_a, cat_b)
         assert st.truncation_residual == a + b - a * b
@@ -331,13 +331,6 @@ class TestSpinBellMeasurement:
         with pytest.raises(ValueError, match="not a qubit"):
             draw(measure_spin_bell(st, (0, 1)), RngStream(0))
 
-    def test_rejects_qubits_in_another_encoding(self):
-        flipped = Encoding(qubit_state(0.0, 1.0), qubit_state(1.0, 0.0))
-        st = tensor(spin_bell_state(SpinBellLabel.PHI_PLUS), flipped.state(1.0, 0.0))
-        assert draw(measure_spin_bell(st, (0, 1)), RngStream(0))[0] is SpinBellLabel.PHI_PLUS
-        with pytest.raises(ValueError, match="not encoded in the measured basis"):
-            measure_spin_bell(st, (1, 2))
-
 
 class TestParityBellMeasurement:
     """The Bell measurement in a cat basis, which parity teleportation makes."""
@@ -392,7 +385,7 @@ class TestParityBellMeasurement:
 
     def test_out_of_span_component_rejected(self):
         # |0>|0> overlaps the z=1 codeword span only partially, so the table
-        # its dense projection gives misses weight, and draw refuses it
+        # its dense projection gives misses weight, and run_trials refuses it
         z, dim = 1.0, adim(1.0)
         vacuum = even_coherent(0.0, dim)
         st = kron(kron(vacuum, vacuum), qubit_state(1.0, 0.0))
@@ -400,18 +393,26 @@ class TestParityBellMeasurement:
         table = dense_measure_bell(st, (0, 1), cat, cat, ParityBellLabel)
         assert sum(p for _, p, _ in table) < 1.0 - 1e-10
         with pytest.raises(ValueError, match="outside the span"):
-            draw(table, RngStream(0))
-        with pytest.raises(ValueError, match="outside the span"):
-            sampler(table)
+            run_trials(table, 0, 1)
 
     def test_other_encoding_rejected(self):
-        # a state whose modes carry other codewords is not projected at all
+        # a state whose modes carry other codewords is not projected at all:
+        # here the Fock states |0>, |1> (the cat pair at z = 0)
         z, dim = 1.0, adim(1.0)
-        fock = fock_encoding(dim)
+        fock = Encoding.cat(0.0, dim)
         st = tensor(tensor(fock.state(1.0, 0.0), fock.state(1.0, 0.0)), QUBIT.state(1.0, 0.0))
         cat = Encoding.cat(z, dim)
         with pytest.raises(ValueError, match="not encoded in the measured basis"):
             _measure_bell(st, (0, 1), cat, cat)
+
+    def test_flipped_encoding_rejected(self):
+        # the parity flips of the cats are another basis of the same modes
+        cat, cat_p = Encoding.cat(0.8, adim(1.2)), Encoding.cat(1.2, adim(1.2))
+        st = tensor(bell_pair(ParityBellLabel.PSI_MINUS, cat.flip(), cat_p), QUBIT.state(1.0, 0.0))
+        probs = {label: p for label, p, _ in _measure_bell(st, (0, 1), cat.flip(), cat_p)}
+        assert probs[ParityBellLabel.PSI_MINUS] == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="not encoded in the measured basis"):
+            _measure_bell(st, (0, 1), cat, cat_p)
 
 
 class TestParityMeasurement:
@@ -427,15 +428,17 @@ class TestParityMeasurement:
     def test_cat_codewords_are_eigenstates_for_every_z(self, cat, parity):
         # the eigen-branch's weight may round to 1 - 1ulp; the other branch
         # must then still be the exact zero of its own amplitudes
+        # plain or flipped, |0_L> is even and |1_L> odd
         for z in np.linspace(0.0, 6.0, 601):
-            table = parity_measurement(Encoding.cat(z, adim(z)).state(*cat), 0)
-            assert [outcome for outcome, _, _ in table] == [1, -1]
-            for outcome, p, collapsed in table:
-                if outcome == parity:
-                    assert p == pytest.approx(1.0, abs=1e-12)
-                else:
-                    assert p == 0.0 and collapsed is None
-            assert draw(table, RngStream(0))[0] == parity
+            enc = Encoding.cat(z, adim(z))
+            for table in (parity_measurement(e.state(*cat), 0) for e in (enc, enc.flip())):
+                assert [outcome for outcome, _, _ in table] == [1, -1]
+                for outcome, p, collapsed in table:
+                    if outcome == parity:
+                        assert p == pytest.approx(1.0, abs=1e-12)
+                    else:
+                        assert p == 0.0 and collapsed is None
+                assert draw(table, RngStream(0))[0] == parity
 
     def test_superposition_statistics(self):
         z, dim = 0.9, adim(0.9)
@@ -449,10 +452,8 @@ class TestParityMeasurement:
             even_count += outcome == 1
         assert abs(even_count / 400 - abs(alpha) ** 2) < 0.08
 
-    def test_codewords_without_definite_parity_rejected(self, rng):
-        st = tensor(QUBIT.state(1.0, 0.0), random_encoding(8, rng).state(1.0, 0.0))
-        with pytest.raises(ValueError, match="parities"):
-            parity_measurement(st, 1)
+    def test_qubit_factor_rejected(self):
+        st = tensor(QUBIT.state(1.0, 0.0), Encoding.cat(0.5, adim(0.5)).state(1.0, 0.0))
         with pytest.raises(ValueError, match="not a mode"):
             parity_measurement(st, 0)
 
@@ -744,46 +745,58 @@ class _FixedVariate:
         return self.u
 
 
+def drawn_rows(table, us):
+    """The row of table that ``run_trials`` counts for a trial drawing the
+    variate u, for each u in us: one single-trial run per variate."""
+    records = [(k, p, SimpleNamespace(fidelity=0.0)) for k, p, _ in table]
+    with mock.patch.object(RngStream, "uniform", lambda rng: us[rng.seed]):
+        return [run_trials(records, i, 1)[0].index(1) for i in range(len(us))]
+
+
+def scan_rows(table, us):
+    """The row ``linear_scan_draw`` picks for each variate u in us."""
+    return [next(i for i, row in enumerate(table) if row is linear_scan_draw(table, _FixedVariate(u)))
+            for u in us]
+
+
 class TestDraw:
+    """``run_trials`` draws each trial by inverse CDF over the probabilities."""
+
     def test_zero_probability_branch_is_never_chosen(self):
         table = [("a", 0.0, None), ("b", 0.5, "b"), ("c", 0.0, None), ("d", 0.5, "d")]
-        for u in (0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53):
-            assert draw(table, _FixedVariate(u))[0] in ("b", "d")
-        for seed in range(50):
-            assert draw(table, RngStream(seed))[0] in ("b", "d")
+        assert set(drawn_rows(table, [0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53])) == {1, 3}
+        records = [(k, p, SimpleNamespace(fidelity=1.0)) for k, p, _ in table]
+        counts, _ = run_trials(records, 0, 50)
+        assert counts[0] == counts[2] == 0 and sum(counts) == 50
 
     def test_inverse_cdf(self):
         table = [("a", 0.25, "a"), ("b", 0.5, "b"), ("c", 0.25, "c")]
-        assert draw(table, _FixedVariate(0.2))[0] == "a"
-        assert draw(table, _FixedVariate(0.25))[0] == "b"
-        assert draw(table, _FixedVariate(0.8))[0] == "c"
+        assert drawn_rows(table, [0.2, 0.25, 0.8]) == [0, 1, 2]
 
     def test_variate_on_the_remainder_falls_back_to_the_likeliest_branch(self):
         # a variate at the top of the CDF lies past every cumulative sum
         table = [("a", 0.3, "a"), ("b", 0.6, "b"), ("c", 0.1, "c")]
-        assert draw(table, _FixedVariate(1.0)) == ("b", 0.6, "b")
+        assert drawn_rows(table, [1.0]) == [1]
 
-    def test_weight_outside_the_span_raises_before_drawing(self):
-        rng = RngStream(0)
-        table = [("a", 0.45, "a"), ("b", 0.45, "b")]
+    def test_weight_outside_the_span_raises_before_drawing(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(RngStream, "uniform", lambda rng: drawn.append(rng) or 0.5)
+        table = [("a", 0.45, SimpleNamespace(fidelity=1.0)), ("b", 0.45, SimpleNamespace(fidelity=1.0))]
         with pytest.raises(ValueError, match="outside the span"):
-            draw(table, rng)
-        assert rng.counter == 0
+            run_trials(table, 0, 1)
+        assert drawn == []
         # rounding-level shortfalls are not an error
-        assert draw([("a", 0.5, "a"), ("b", 0.5 - 1e-12, "b")], rng)[0] in ("a", "b")
+        short = [("a", 0.5, SimpleNamespace(fidelity=1.0)),
+                 ("b", 0.5 - 1e-12, SimpleNamespace(fidelity=1.0))]
+        assert run_trials(short, 0, 1) == ([1, 0], 1.0)
 
-    def test_one_variate_per_draw(self):
-        rng = RngStream(3)
-        table = teleport_spin(0.6, 0.8, HesLabel.PHI_PLUS, 1.0, adim(1.0))
-        for _ in range(5):
-            draw(table, rng)
-        assert rng.counter == 5
-
-    def test_matches_the_table_row(self):
-        table = swap_entanglement(0.8, 1.2, adim(1.2))
-        for seed in range(8):
-            branch = draw(table, RngStream(seed))
-            assert any(branch is row for row in table)
+    def test_one_variate_per_draw(self, monkeypatch):
+        # seed by seed, below the batch
+        table, drawn = teleport_spin(0.6, 0.8, HesLabel.PHI_PLUS, 1.0, adim(1.0)), []
+        uniform = RngStream.uniform
+        monkeypatch.setattr(RngStream, "uniform", lambda rng: drawn.append(rng.seed) or uniform(rng))
+        run_trials(table, 3, _BATCH_MIN_TRIALS - 1)
+        assert drawn == list(range(3, 3 + _BATCH_MIN_TRIALS - 1))
 
 
 def boundary_variates(table):
@@ -798,8 +811,8 @@ def boundary_variates(table):
     return sorted(float(u) for u in us if 0.0 <= u <= 1.0)
 
 
-class TestSampler:
-    """A table's sampler picks the row a linear scan of the table picks."""
+class TestRowChoice:
+    """``run_trials`` counts each trial for the row a linear scan of the table picks."""
 
     TABLES = {
         "zero rows": [("a", 0.0, None), ("b", 0.5, "b"), ("c", 0.0, None), ("d", 0.5, "d")],
@@ -815,18 +828,16 @@ class TestSampler:
     @pytest.mark.parametrize("name", list(TABLES))
     def test_matches_the_linear_scan_on_every_boundary(self, name):
         table = self.TABLES[name]
-        pick = sampler(table)
-        for u in boundary_variates(table):
-            assert pick(_FixedVariate(u)) is linear_scan_draw(table, _FixedVariate(u)), u
+        us = boundary_variates(table)
+        assert drawn_rows(table, us) == scan_rows(table, us)
 
     def test_a_variate_on_the_rounding_remainder_takes_the_likeliest_row(self):
         # ten rows of 0.1 sum to 1 - 2**-53; a variate of 1 scales to that sum,
         # past every running sum, so the likeliest row (the first of ten) is drawn
         table = self.TABLES["inexact total"]
         assert sum(p for _, p, _ in table) < 1.0
-        assert sampler(table)(_FixedVariate(1.0)) is table[0]
-        assert linear_scan_draw(table, _FixedVariate(1.0)) is table[0]
-        assert sampler(table)(_FixedVariate(1.0 - 2.0**-53)) is table[-1]
+        assert drawn_rows(table, [1.0, 1.0 - 2.0**-53]) == [0, 9]
+        assert scan_rows(table, [1.0]) == [0]
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(
@@ -839,9 +850,8 @@ class TestSampler:
     def test_matches_the_linear_scan_on_random_tables(self, weights, u):
         total = sum(weights)
         table = [(k, w / total, k) for k, w in enumerate(weights)]
-        pick = sampler(table)
-        for v in [u, *boundary_variates(table)]:
-            assert pick(_FixedVariate(v)) is linear_scan_draw(table, _FixedVariate(v)), v
+        us = [u, *boundary_variates(table)]
+        assert drawn_rows(table, us) == scan_rows(table, us)
 
     PROTOCOLS = {
         "teleport_spin": lambda: teleport_spin(0.6, 0.8j, HesLabel.PSI_PLUS, 1.1, adim(1.1)),
@@ -854,22 +864,18 @@ class TestSampler:
     @pytest.mark.parametrize("name", list(PROTOCOLS))
     def test_matches_the_linear_scan_on_protocol_tables(self, name):
         table = self.PROTOCOLS[name]()
-        pick = sampler(table)
-        for rng, oracle in zip(trial_streams(40, 300), trial_streams(40, 300)):
-            assert pick(rng) is linear_scan_draw(table, oracle)
-            assert rng.counter == oracle.counter == 1
-
-    def test_checks_the_span_when_built(self):
-        with pytest.raises(ValueError, match="outside the span"):
-            sampler([("a", 0.45, "a"), ("b", 0.45, "b")])
+        scanned = [0] * len(table)
+        for rng in trial_streams(40, 300):
+            scanned[scan_rows(table, [rng.uniform()])[0]] += 1
+        assert run_trials(table, 40, 300)[0] == scanned
 
 
 _CACHED_FIRST_UNIFORM = functools.cache(_first_uniform)
 
 
 class TestRunTrials:
-    """``run_trials`` counts and sums what ``sampler`` over ``trial_streams``
-    draws, bit for bit."""
+    """``run_trials`` counts and sums what the oracle loop, one ``sampler``
+    pick per stream of ``trial_streams``, draws, bit for bit."""
 
     @pytest.fixture(autouse=True)
     def _seeds_hashed_once(self, monkeypatch):
@@ -879,17 +885,17 @@ class TestRunTrials:
 
     @staticmethod
     def _table(name):
-        """A protocol table, or a sampler table whose rows carry fidelities
+        """A protocol table, or a row-choice table whose rows carry fidelities
         that round differently when added in another order."""
-        if name in TestSampler.PROTOCOLS:
-            return TestSampler.PROTOCOLS[name]()
+        if name in TestRowChoice.PROTOCOLS:
+            return TestRowChoice.PROTOCOLS[name]()
         return [(k, p, SimpleNamespace(fidelity=math.pi**-row))
-                for row, (k, p, _) in enumerate(TestSampler.TABLES[name])]
+                for row, (k, p, _) in enumerate(TestRowChoice.TABLES[name])]
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 20, 2**40])
     @pytest.mark.parametrize("trials", [1, _BATCH_MIN_TRIALS - 1, _BATCH_MIN_TRIALS, 15, 16, 17,
                                         _BATCH_BLOCK, _BATCH_BLOCK + 1])
-    @pytest.mark.parametrize("name", [*TestSampler.TABLES, *TestSampler.PROTOCOLS])
+    @pytest.mark.parametrize("name", [*TestRowChoice.TABLES, *TestRowChoice.PROTOCOLS])
     def test_matches_the_loop_bit_for_bit(self, name, trials, seed):
         table = self._table(name)
         counts, fidelity = run_trials(table, seed, trials)
@@ -897,7 +903,7 @@ class TestRunTrials:
         assert counts == expected_counts and sum(counts) == trials
         assert fidelity == expected_fidelity
 
-    @pytest.mark.parametrize("name", list(TestSampler.TABLES))
+    @pytest.mark.parametrize("name", list(TestRowChoice.TABLES))
     def test_matches_the_loop_on_every_boundary(self, name, monkeypatch):
         table = self._table(name)
         us = boundary_variates(table)  # trial i draws us[i]

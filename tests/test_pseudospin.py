@@ -18,12 +18,11 @@ from hesim import (
     k_series,
     mode_dim_for,
     odd_coherent,
-    qubit_state,
 )
 from hesim import pseudospin
 from hesim.pseudospin import PAULI_X, PAULI_Y, PAULI_Z, encoded_pseudospin
 
-from conftest import number_state, random_amps, random_encoding
+from conftest import Z_CAP, number_state, random_amps, random_cat
 from oracles import (
     CAT_PSEUDOSPIN_TOL,
     DENSE_AGREEMENT_TOL,
@@ -31,10 +30,14 @@ from oracles import (
     K_DECIMAL_TOL,
     apply,
     build_pseudospin,
+    codewords,
     decimal_k,
     direction,
     k_asymptote,
     lgamma_k_series,
+    overlap_k_matrix,
+    overlap_pseudospin,
+    qubit_state,
     s_minus,
     s_plus,
     spin_dot,
@@ -178,13 +181,13 @@ class TestEncodedPseudospin:
     @staticmethod
     def dense_elements(enc: Encoding) -> np.ndarray:
         ops = build_pseudospin(enc.space.dim)
-        words = np.stack((enc.zero.amps, enc.one.amps))
+        words = np.stack([word.amps for word in codewords(enc)])
         return np.stack([words.conj() @ s @ words.T for s in (ops.s_x, ops.s_y, ops.s_z)])
 
     @pytest.mark.parametrize("dim", [2, 4, 16, 160])
-    def test_matches_the_dense_matrices_on_random_codewords(self, dim, rng):
+    def test_matches_the_dense_matrices_on_random_cat_encodings(self, dim, rng):
         for _ in range(10):
-            enc = random_encoding(dim, rng)
+            enc = random_cat(dim, rng)
             got, expected = encoded_pseudospin(enc), self.dense_elements(enc)
             assert np.max(np.abs(got - expected)) <= DENSE_AGREEMENT_TOL
 
@@ -211,13 +214,12 @@ class TestEncodedPseudospin:
             cat = Encoding.cat(z, dim)
         except TruncationError:
             assume(False)
-        words = Encoding(even_coherent(z, dim), odd_coherent(z, dim))
-        flips = Encoding(s_plus(words.one), s_minus(words.zero))
+        even, odd = even_coherent(z, dim), odd_coherent(z, dim)
         exact = np.stack((cat.k * PAULI_X, cat.k * PAULI_Y, PAULI_Z))
-        for enc, codewords in ((cat, words), (cat.flip(), flips)):
+        for enc, words in ((cat, (even, odd)), (cat.flip(), (s_plus(odd), s_minus(even)))):
             got = encoded_pseudospin(enc)
             assert np.array_equal(got, exact)
-            assert np.max(np.abs(got - encoded_pseudospin(codewords))) <= CAT_PSEUDOSPIN_TOL
+            assert np.max(np.abs(got - overlap_pseudospin(*words))) <= CAT_PSEUDOSPIN_TOL
 
     def test_builds_no_dense_matrix(self):
         # dim 10776: a dense s_x alone would take 1.9 GB
@@ -339,15 +341,26 @@ class TestKMatrix:
         assert abs(direct.imag) < 1e-14
 
     @pytest.mark.parametrize("z", [0.0, 0.3, 1.0, 4.0, 9.0])
-    def test_is_the_encoded_pseudospin_element(self, z):
-        # of the codewords themselves: a cat encoding carries its own overlap
+    def test_is_the_element_the_overlap_route_gives(self, z):
+        # of the codewords themselves, over their four even and odd parts
         dim = mode_dim_for(z, 1e-14)
-        enc = Encoding(even_coherent(z, dim), odd_coherent(z, dim))
-        assert k_matrix(z, dim) == encoded_pseudospin(enc)[0, 0, 1].real
+        assert k_matrix(z, dim) == overlap_k_matrix(z, dim)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(z=st.floats(min_value=0.0, max_value=30.0) | st.floats(min_value=30.0, max_value=Z_CAP),
+           offset=st.sampled_from(range(0, 8, 2)))
+    @example(z=446.0, offset=0)
+    @example(z=Z_CAP, offset=0)
+    def test_is_the_overlap_route_bit_for_bit_for_every_z(self, z, offset):
+        # kz's K_matrix column kept its bytes when the route moved to the oracles
+        dim = mode_dim_for(z, 1e-14) + offset
+        assume(dim <= 1_000_000)
+        assert k_matrix(z, dim).hex() == overlap_k_matrix(z, dim).hex()
 
     def test_a_nonreal_element_is_refused(self, monkeypatch):
-        monkeypatch.setattr(pseudospin, "encoded_pseudospin",
-                            lambda enc: np.full((3, 2, 2), 0.5 + 1e-9j))
+        even = even_coherent(1.0, 18)
+        turned = StateVector(even.space, even.amps * np.exp(1e-9j), even.truncation_residual)
+        monkeypatch.setattr(pseudospin, "even_coherent", lambda z, dim: turned)
         with pytest.raises(ValueError, match="nonreal"):
             k_matrix(1.0, 18)
 
