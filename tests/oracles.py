@@ -84,6 +84,10 @@ CAT_PSEUDOSPIN_TOL = 4e-15
 # largest difference between a recorded chsh optimizer_value and the dense
 # correlation matrix's 2 * hypot(s1, s2) at the report's z, label and dim
 GOLDEN_CHSH_TOL = 1e-12
+# largest difference between a recorded teleport or swap fidelity (fidelity_min,
+# fidelity_mean) and the dense oracle's at the report's state and dim (measured
+# at most 8.9e-16 on the golden lines)
+GOLDEN_FIDELITY_TOL = 1e-13
 # largest difference between a recorded entropy report's Schmidt coefficients
 # or entropy_bits and the dense oracles' at the report's state, the dense
 # entanglement tests' tolerance (measured at most 3.2e-16 on the golden lines)
@@ -345,6 +349,28 @@ def dense_correlation_matrix(state) -> np.ndarray:
         for j, s in enumerate((ops.s_x, ops.s_y, ops.s_z)):
             m[i, j] = complex(np.vdot(psi, left @ s.T)).real
     return m
+
+
+def pair_correlation(label: HesLabel, k: float) -> np.ndarray:
+    """The correlation matrix of a hybrid pair whose cats overlap by k: the
+    two-qubit Bell state's diag(XX, YY, ZZ), with the x and y entries scaled
+    by k. phi pairs give diag(s k, -s k, 1), psi pairs diag(s k, s k, -1),
+    s the label's sign."""
+    sign = label.sign
+    return np.diag([sign * k, (-sign if label.is_phi else sign) * k, 1.0 if label.is_phi else -1.0])
+
+
+def bell_value(m: np.ndarray, settings) -> float:
+    """a.m.b + a.m.b' + a'.m.b - a'.m.b' for a correlation matrix m."""
+    a, ap, b, bp = (np.array([d.nx, d.ny, d.nz]) for d in
+                    (settings.a, settings.a_prime, settings.b, settings.b_prime))
+    return float(a @ m @ (b + bp) + ap @ m @ (b - bp))
+
+
+def spectrum_entropy(coefficients) -> float:
+    """Von Neumann entropy (bits) of Schmidt coefficients, squares below
+    EIGENVALUE_FLOOR counting as zeros."""
+    return -sum(p * math.log2(p) for p in (c * c for c in coefficients) if p >= EIGENVALUE_FLOOR)
 
 
 def overlap_pseudospin(zero: StateVector, one: StateVector) -> np.ndarray:

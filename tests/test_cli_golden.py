@@ -23,17 +23,20 @@ import json
 import math
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hesim import HesLabel, hes_state
+from hesim import ChshSettings, HesLabel, hes_state
 from hesim.cli import _build_named_state, _dim_for, build_parser, main
 
 from conftest import assert_leads_the_dense_spectrum
-from oracles import (GOLDEN_CHSH_TOL, GOLDEN_ENTROPY_TOL, K_ASYMPTOTE_TOL, K_DECIMAL_TOL, decimal_k,
-                     dense_correlation_matrix, dense_schmidt, entropy_from_reduced_density,
-                     k_asymptote, overlap_k_matrix)
+from oracles import (GOLDEN_CHSH_TOL, GOLDEN_ENTROPY_TOL, GOLDEN_FIDELITY_TOL, K_ASYMPTOTE_TOL,
+                     K_DECIMAL_TOL, SWAP_PAIRING, bell_value, decimal_k, dense_correlation_matrix,
+                     dense_schmidt, dense_swap, dense_teleport_parity, dense_teleport_spin,
+                     direction, entropy_from_reduced_density, k_asymptote, looped_trials,
+                     overlap_k_matrix, pair_correlation, spectrum_entropy)
 
 DATA = Path(__file__).with_name("cli_golden.jsonl")
 COLUMNS = "80"  # argparse wraps usage lines to the terminal width
@@ -85,6 +88,72 @@ def test_large_z_chsh_optimum_agrees_with_the_asymptote(case):
     assert report["z"] >= 300.0
     k = k_asymptote(report["z"])
     assert abs(report["optimizer_value"] - 2.0 * math.sqrt(1.0 + k * k)) <= GOLDEN_CHSH_TOL
+
+
+@pytest.mark.parametrize("case", _chsh_cases(dense=True) + _chsh_cases(dense=False),
+                         ids=lambda case: " ".join(case["argv"]))
+def test_chsh_settings_reach_the_optimum(case):
+    # the four recorded directions, rebuilt from their angles, give the recorded
+    # value on the dense correlation matrix, or past its reach on the hybrid
+    # pair's closed form at the large-z k(z)
+    report = json.loads(case["stdout"])
+    label = HesLabel(report["label"])
+    if report["dim"] <= DENSE_DIM_MAX:
+        m = dense_correlation_matrix(hes_state(label, report["z"], report["dim"]))
+    else:
+        m = pair_correlation(label, k_asymptote(report["z"]))
+    angles = report["optimizer_settings"]
+    settings = ChshSettings(*(direction(angles[key]["theta"], angles[key]["phi"])
+                              for key in ("a", "a_prime", "b", "b_prime")))
+    assert abs(bell_value(m, settings) - report["optimizer_value"]) <= GOLDEN_CHSH_TOL
+
+
+def _report_cases(command: str) -> list[dict]:
+    """The lines of one subcommand with a report."""
+    return [case for case in _cases() if case["argv"][:1] == [command]
+            and case["stdout"].startswith("{")]
+
+
+def _oracle_draws(rows, report):
+    """Each row's count and the summed fidelity of the report's trials, drawn
+    by ``looped_trials`` from oracle rows (outcome, p, ..., fidelity, last)."""
+    table = [(row[0], row[1], SimpleNamespace(fidelity=row[-2])) for row in rows]
+    return looped_trials(table, report["seed"], report["trials"])
+
+
+@pytest.mark.parametrize("case", _report_cases("teleport"), ids=lambda case: " ".join(case["argv"]))
+def test_teleport_agrees_with_the_dense_oracle(case):
+    report = json.loads(case["stdout"])
+    alpha, beta = complex(*report["alpha"]), complex(*report["beta"])
+    channel, z, dim = HesLabel(report["channel"]), report["z"], report["dim"]
+    if report["kind"] == "spin":
+        rows = dense_teleport_spin(alpha, beta, channel, z, dim)
+    else:
+        rows = dense_teleport_parity(alpha, beta, report["z_dblprime"], channel, z, dim)
+    counts, fidelity = _oracle_draws(rows, report)
+    assert report["counts"] == {row[0].value: count for row, count in zip(rows, counts)}
+    drawn = min(row[3] for row, count in zip(rows, counts) if count)
+    assert abs(report["fidelity_min"] - drawn) <= GOLDEN_FIDELITY_TOL
+    assert abs(report["fidelity_mean"] - fidelity / report["trials"]) <= GOLDEN_FIDELITY_TOL
+
+
+@pytest.mark.parametrize("case", _report_cases("swap"), ids=lambda case: " ".join(case["argv"]))
+def test_swap_agrees_with_the_dense_oracle(case):
+    report = json.loads(case["stdout"])
+    rows = dense_swap(report["z"], report["zprime"], report["dim"])
+    counts, _ = _oracle_draws(rows, report)
+    for (outcome, _, fidelity, schmidt), count in zip(rows, counts):
+        slot = report["outcomes"][outcome.value]
+        assert slot["count"] == count
+        if not count:
+            assert slot["fidelity_min"] is slot["entropy_min"] is None
+            continue
+        assert slot["parity_label"] == SWAP_PAIRING[outcome].value
+        assert abs(slot["fidelity_min"] - fidelity) <= GOLDEN_FIDELITY_TOL
+        for key in ("entropy_min", "entropy_max"):
+            assert abs(slot[key] - spectrum_entropy(schmidt)) <= GOLDEN_ENTROPY_TOL
+    drawn = min(row[2] for row, count in zip(rows, counts) if count)
+    assert abs(report["fidelity_min"] - drawn) <= GOLDEN_FIDELITY_TOL
 
 
 def _kz_cases() -> list[dict]:
