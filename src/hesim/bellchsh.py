@@ -8,18 +8,18 @@ Bell expectation is bilinear in the settings through that matrix, so no
 Bell operator is built here. A state is all the analysis takes: its 2x2
 coefficients and each party's pseudospin elements, (k sigma_x, k sigma_y,
 sigma_z) with k its encoding's overlap, give the matrix, so no codeword and
-no dim x dim matrix is built. The closed form's settings are those of
-``analytic_optimum``.
+no dim x dim matrix is built. The matrix is three rows of Python floats,
+and its singular values come from ``fock._svd``, so no numpy is loaded.
+The closed form's settings are those of ``analytic_optimum``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
-import numpy as np
-
-from .fock import HesLabel, LogicalState
+from .fock import HesLabel, LogicalState, _svd
 from .pseudospin import Direction, encoded_pseudospin, k_series
 
 CIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -95,24 +95,31 @@ def analytic_optimum(z: float, label: HesLabel = HesLabel.PHI_PLUS) -> ChshResul
     )
 
 
-def correlation_matrix(state: LogicalState) -> np.ndarray:
-    """3x3 matrix of <sigma_k x s_l> expectations, with s_l the pseudospin
-    of the state's mode; every Bell expectation is bilinear in the settings
-    through it.
+def correlation_matrix(state: LogicalState) -> tuple[tuple[float, ...], ...]:
+    """3x3 matrix of <sigma_k x s_l> expectations, as three rows of floats
+    (row k, column l), with s_l the pseudospin of the state's mode; every
+    Bell expectation is bilinear in the settings through it.
 
     With C the 2x2 coefficients and A, B the ``encoded_pseudospin`` of the
     qubit and the mode, entry (k, l) sums the entries of (C^H A_k C) * B_l:
-    two small matrix products, whatever the mode's dim.
+    small matrix products, whatever the mode's dim, taken as (C^H A_k) C.
     """
     if [kind.value for kind, _ in state.space.factors] != ["qubit", "mode"]:
         raise ValueError(f"state on {state.space.describe()} is not qubit⊗mode")
-    (qubit, mode), c = state.encodings, state.coeffs
-    spun = c.conj().T @ encoded_pseudospin(qubit) @ c
-    m = spun.reshape(3, 4) @ encoded_pseudospin(mode).reshape(3, 4).T
-    residue = float(m.imag.flat[np.argmax(np.abs(m.imag))])
+    (qubit, mode), (c00, c01, c10, c11) = state.encodings, state.coeffs
+    c_h = ((c00.conjugate(), c10.conjugate()), (c01.conjugate(), c11.conjugate()))
+    b_flat = [b[0] + b[1] for b in encoded_pseudospin(mode)]
+    m = []
+    for (a00, a01), (a10, a11) in encoded_pseudospin(qubit):
+        spun = []  # C^H A_k C, row by row
+        for x0, x1 in c_h:
+            y0, y1 = x0 * a00 + x1 * a10, x0 * a01 + x1 * a11
+            spun += (y0 * c00 + y1 * c10, y0 * c01 + y1 * c11)
+        m.append([sum(map(operator.mul, spun, b)) for b in b_flat])
+    residue = max((x.imag for row in m for x in row), key=abs)
     if abs(residue) > _NONREAL_TOL:
         raise ValueError(f"correlation has nonreal residue {residue!r}")
-    return m.real
+    return tuple(tuple(x.real for x in row) for row in m)
 
 
 def optimize_chsh(state: LogicalState) -> ChshResult:
@@ -121,13 +128,15 @@ def optimize_chsh(state: LogicalState) -> ChshResult:
     With M = U diag(s) V^T the correlation matrix, the maximum is
     2*sqrt(s1^2 + s2^2) (Horodecki, Horodecki & Horodecki, Phys. Lett. A
     200, 340 (1995)), reached by a = u1, a' = u2 and
-    b, b' = cos(t) v1 ± sin(t) v2 with tan(t) = s2/s1.
+    b, b' = cos(t) v1 ± sin(t) v2 with tan(t) = s2/s1. Where singular
+    values tie the settings are a convention: on a hybrid pair's diagonal
+    matrix, u1 and u2 are the axes of the two largest entries, the later
+    axis first among equal ones, and the v's carry the entries' signs.
     """
-    u, s, vt = np.linalg.svd(correlation_matrix(state))
+    s, u, v = _svd(correlation_matrix(state))
     t = math.atan2(s[1], s[0])
-    b = math.cos(t) * vt[0] + math.sin(t) * vt[1]
-    bp = math.cos(t) * vt[0] - math.sin(t) * vt[1]
-    settings = ChshSettings(
-        *(Direction(*map(float, v)) for v in (u[:, 0], u[:, 1], b, bp))
-    )
+    cos, sin = math.cos(t), math.sin(t)
+    b = [cos * x + sin * y for x, y in zip(v[0], v[1])]
+    bp = [cos * x - sin * y for x, y in zip(v[0], v[1])]
+    settings = ChshSettings(*(Direction(*w) for w in (u[0], u[1], b, bp)))
     return ChshResult(value=2.0 * math.hypot(s[0], s[1]), settings=settings)

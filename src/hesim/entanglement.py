@@ -1,4 +1,9 @@
-"""Bipartite entanglement of pure states: Schmidt spectra and entropy."""
+"""Bipartite entanglement of pure states: Schmidt spectra and entropy.
+
+A cut's Schmidt coefficients are the singular values of the state's
+coefficient tuple laid out as a matrix, taken by ``fock._svd`` in Python
+complex numbers, so no numpy is loaded.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
-from .fock import LogicalState
+from .fock import LogicalState, _party_order, _svd
 
 _EIGENVALUE_FLOOR = 1e-14
 _NEGATIVE_COEFF_TOL = 1e-15
@@ -62,9 +65,11 @@ def schmidt_coefficients(state: LogicalState, side_a: Iterable[int]) -> SchmidtS
             f"side a {sorted(a)} is not a nonempty proper subset of the "
             f"{nf} factors of {state.space.describe()}"
         )
-    rows = sorted(a)
-    m = state.coeffs.transpose(rows + [i for i in range(nf) if i not in a])
-    return SchmidtSpectrum(tuple(np.linalg.svd(m.reshape(2 ** len(a), -1), compute_uv=False)))
+    order = (*sorted(a), *(i for i in range(nf) if i not in a))
+    c = [state.coeffs[j] for j in _party_order(nf, order)]
+    width = 2 ** (nf - len(a))
+    s, _, _ = _svd([c[i : i + width] for i in range(0, len(c), width)])
+    return SchmidtSpectrum(tuple(s))
 
 
 def entanglement_entropy(state: LogicalState, side_a: Iterable[int]) -> float:

@@ -5,15 +5,18 @@ qubit (dimension 2) or a bosonic mode truncated to an even Fock dimension.
 Mode dimensions are kept even so that the parity-flip algebra built on top
 of them closes exactly on the truncated space.
 
-Only pure states are represented. A ``LogicalState`` holds a coefficient
-tensor over its parties' ``Encoding``s; every state is one, so products
-and overlaps cost 2**n numbers, never dim**2 amplitudes. An encoding is
+Only pure states are represented. A ``LogicalState`` holds a tuple of
+2**n Python complex coefficients over its n parties' ``Encoding``s; every
+state is one, so products and overlaps cost 2**n numbers, never dim**2
+amplitudes, and take no numpy. ``_svd``, a one-sided Jacobi SVD of such
+small matrices, serves the Schmidt and the CHSH analyses. An encoding is
 scalars: the qubit, or a cat's amplitude, cutoff, flip, residuals and
 even/odd overlap, so no state holds a codeword. A ``StateVector`` holds
-the amplitudes of one mode: ``even_coherent`` and ``odd_coherent`` build
-the cat codewords, which only the dense check ``pseudospin.k_matrix``
-reads. The cat codewords, their truncation residuals and overlap, the
-adaptive Fock cutoff ``mode_dim_for`` and the overlap k(z) of
+the numpy amplitudes of one mode: ``even_coherent`` and ``odd_coherent``
+build the cat codewords, which only the dense check ``pseudospin.k_matrix``
+reads; they are the one numpy kernel here, and import numpy when called.
+The cat codewords, their truncation residuals and overlap, the adaptive
+Fock cutoff ``mode_dim_for`` and the overlap k(z) of
 ``pseudospin`` all read one list of coherent weights, walked outward from
 the Poisson peak by term ratios; a command walks each of its z once. All
 values are immutable after construction; every operation here is a pure
@@ -28,10 +31,13 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_RESIDUAL_TOL = 1e-12
 
@@ -39,6 +45,12 @@ _NORM_TOL = 1e-12
 # |alpha|^2 + |beta|^2 may differ from 1 by this much in a logical state
 _AMP_NORM_TOL = 1e-12
 _MODE_DIM_CAP = 1_000_000
+# rounding allowed above 1 of a cat's overlap k (Encoding.cat measured at most
+# one ulp, 2.2e-16, above 1 at z up to the Fock cap)
+_K_SLACK = 1e-15
+# a pair of rows counts as orthogonal in _svd once their overlap is at most
+# this share of the product of their norms
+_SVD_TOL = 4 * sys.float_info.epsilon
 
 
 class TruncationError(ValueError):
@@ -150,6 +162,7 @@ class StateVector:
     truncation_residual: float = 0.0
 
     def __post_init__(self) -> None:
+        import numpy as np
         amps = np.array(self.amps, dtype=complex).reshape(-1)
         if amps.shape != (self.space.dim,):
             raise ValueError(
@@ -285,6 +298,7 @@ def _coherent_branch(
     z: float, dim: int, parity: int, residual_tol: float
 ) -> StateVector:
     """One parity branch of |z> on a mode of dimension dim, renormalized."""
+    import numpy as np
     space = SpaceDescriptor.mode(dim)
     _check_z(z)
     amps = np.zeros(dim, dtype=complex)
@@ -331,6 +345,11 @@ class Encoding:
     odd cat and their overlap k = <even|s_x|odd> on the mode, which the flips
     share. The qubit is the case k = 1 with no residual, and its own flip.
     No codeword is built. Equal space, z and flip are equal encodings.
+
+    Refuses, with a ValueError, any other space than one factor, a qubit
+    other than spin up and down (z = 0, k = 1, no residual, no flip), and on
+    a mode a z that is not finite and nonnegative, a residual outside
+    [0, 1] or a k outside [0, 1] beyond rounding.
     """
 
     space: SpaceDescriptor
@@ -342,7 +361,20 @@ class Encoding:
     residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "residual", 0.5 * (self.residuals[0] + self.residuals[1]))
+        space, (r_even, r_odd), k = self.space, self.residuals, self.k
+        if space.nfactors != 1:
+            raise ValueError(f"an encoding has one factor, got {space.describe()}")
+        if space.kind(0) is FactorKind.QUBIT:
+            if (self.z, r_even, r_odd, k, self.flipped) != (0.0, 0.0, 0.0, 1.0, False):
+                raise ValueError("a qubit encoding is spin up and down: z = 0, k = 1, "
+                                 "no residual and no flip")
+        else:
+            _check_z(self.z)
+            if not (0.0 <= r_even <= 1.0 and 0.0 <= r_odd <= 1.0):  # so that NaN fails it
+                raise ValueError(f"residuals must lie in [0, 1], got {self.residuals!r}")
+            if not 0.0 <= k <= 1.0 + _K_SLACK:
+                raise ValueError(f"overlap k must lie in [0, 1], got {k!r}")
+        object.__setattr__(self, "residual", 0.5 * (r_even + r_odd))
 
     @classmethod
     def qubit(cls) -> "Encoding":
@@ -376,36 +408,36 @@ class Encoding:
             raise ValueError(
                 f"input qubit amplitudes are not normalized: |a|^2 + |b|^2 = {norm2!r}"
             )
-        return LogicalState((self,), np.array([alpha, beta]), self.residual)
+        return LogicalState((self,), (alpha, beta), self.residual)
 
 
 @dataclass(frozen=True, eq=False)
 class LogicalState:
     """Normalized coefficients over the logical bases of its parties.
 
-    Party k is factor k of ``space`` and carries ``encodings[k]``;
-    ``coeffs[i0, i1, ...]``, of shape (2,) * parties, is the amplitude of
-    |i0_L>|i1_L>.... ``truncation_residual`` is as on a ``StateVector``.
+    Party k is factor k of ``space`` and carries ``encodings[k]``. ``coeffs``
+    is a tuple of 2**n complex numbers for n parties, in row-major order with
+    party 0 as the most significant index bit: ``coeffs[i]`` is the amplitude
+    of |i0_L>|i1_L>... for i = i0 i1 ... in binary. ``truncation_residual``
+    is as on a ``StateVector``.
     """
 
     encodings: tuple[Encoding, ...]
-    coeffs: np.ndarray
+    coeffs: tuple[complex, ...]
     truncation_residual: float = 0.0
 
     def __post_init__(self) -> None:
         encodings = tuple(self.encodings)
-        coeffs = np.array(self.coeffs, dtype=complex)
-        if not encodings or coeffs.shape != (2,) * len(encodings):
+        coeffs = tuple(map(complex, self.coeffs))
+        if not encodings or len(coeffs) != 2 ** len(encodings):
             raise ValueError(
-                f"coefficients of shape {coeffs.shape} do not fit "
-                f"{len(encodings)} encoded parties"
+                f"{len(coeffs)} coefficients do not fit {len(encodings)} encoded parties"
             )
-        norm = math.sqrt(np.vdot(coeffs, coeffs).real)
+        norm = math.hypot(*map(abs, coeffs))
         if not abs(norm - 1.0) <= _NORM_TOL:  # written so that NaN fails it
             raise ValueError(f"logical state is not normalized: |coeffs| = {norm!r}")
         if not self.truncation_residual >= 0.0:
             raise ValueError("truncation_residual must be nonnegative")
-        coeffs.setflags(write=False)
         object.__setattr__(self, "encodings", encodings)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -418,7 +450,7 @@ class LogicalState:
 def tensor(a: LogicalState, b: LogicalState) -> LogicalState:
     """Tensor product, a's parties first."""
     residual = _combined_residual(a.truncation_residual, b.truncation_residual)
-    coeffs = np.multiply.outer(a.coeffs, b.coeffs)
+    coeffs = [x * y for x in a.coeffs for y in b.coeffs]
     return LogicalState(a.encodings + b.encodings, coeffs, residual)
 
 
@@ -435,4 +467,63 @@ def inner(a: LogicalState, b: LogicalState) -> complex:
             f"inner product between states on {a.space.describe()} and "
             f"{b.space.describe()} over different encodings is undefined"
         )
-    return complex(np.vdot(a.coeffs, b.coeffs))
+    return sum(map(operator.mul, map(complex.conjugate, a.coeffs), b.coeffs), 0j)
+
+
+@functools.cache
+def _party_order(n: int, order: tuple[int, ...]) -> tuple[int, ...]:
+    """Where entry j of an n-party coefficient tuple re-laid with its parties
+    in ``order`` sits in the original: j's index bits, most significant first,
+    are those of parties order[0], order[1], ...."""
+    return tuple(
+        sum((j >> (n - 1 - pos) & 1) << (n - 1 - party) for pos, party in enumerate(order))
+        for j in range(2**n)
+    )
+
+
+def _svd(a) -> tuple[list[float], list[list], list[list]]:
+    """(s, u, v) of a small dense matrix a, given as rows of floats or complex
+    numbers: a = sum_j s[j] u[j] v[j]^H over min(rows, columns) terms, with s
+    descending and equal values ordered from the later row down.
+
+    One-sided Jacobi (Hestenes): rotate pairs of rows of a, or of a^H if a
+    has more rows than columns, until every pair is orthogonal to _SVD_TOL
+    of the product of their norms, each rotation applied as well to w, which
+    starts as the identity. Then the rows of w a are s[j] v[j]^H, and u[j]
+    is row j of w, conjugated. A row already orthogonal to the others is
+    left as it is, so on a diagonal matrix w stays the identity and each
+    v[j] carries the sign of its entry. A zero singular value's v (its u,
+    for a^H) is the zero vector.
+    """
+    if len(a) > len(a[0]):  # work on a^H = sum s v u^H, whose rows are fewer
+        s, v, u = _svd([[x.conjugate() for x in col] for col in zip(*a)])
+        return s, u, v
+    n = len(a)
+    rows, w = list(a), [[float(i == j) for j in range(n)] for i in range(n)]
+    norms = [math.hypot(*map(abs, row)) for row in rows]
+    for _ in range(60):  # loop bound: a sweep past the first few rotates by rounding only
+        rotated = False
+        for p, q in itertools.combinations(range(n), 2):
+            gamma = sum([x * y.conjugate() for x, y in zip(rows[p], rows[q])])
+            g = abs(gamma)
+            if g <= _SVD_TOL * norms[p] * norms[q]:
+                continue
+            rotated = True
+            # phase row q so that the overlap is g, then rotate the real 2 x 2 Gram
+            # matrix [[|p|**2, g], [g, |q|**2]] to diagonal by the smaller angle
+            phase = gamma / g
+            zeta = (norms[q] - norms[p]) * (norms[q] + norms[p]) / (2.0 * g)
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+            c = 1.0 / math.hypot(1.0, t)
+            sc = c * t
+            for m in (rows, w):
+                xp, yq = m[p], [phase * y for y in m[q]]
+                m[p] = [c * x - sc * y for x, y in zip(xp, yq)]
+                m[q] = [sc * x + c * y for x, y in zip(xp, yq)]
+            norms[p], norms[q] = math.hypot(*map(abs, rows[p])), math.hypot(*map(abs, rows[q]))
+        if not rotated:
+            break
+    s = norms
+    order = sorted(range(n), key=lambda j: (s[j], j), reverse=True)
+    return ([s[j] for j in order], [[x.conjugate() for x in w[j]] for j in order],
+            [[x.conjugate() / s[j] if s[j] else 0.0 * x for x in rows[j]] for j in order])

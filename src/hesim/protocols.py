@@ -3,9 +3,11 @@
 Every entangled state here is one Bell pair between two parties, each
 carrying a logical qubit in an ``Encoding``: the spin itself (up, down) or
 the even/odd cat at amplitude z. A state is a ``LogicalState`` over those
-encodings: a joint state of four parties is 16 numbers plus its encodings,
-at any cutoff. ``bell_pair`` builds all three families: two-qubit Bell
-states, qubit-mode hybrid states and two-mode parity Bell states. One
+encodings: a joint state of four parties is 16 Python complex numbers plus
+its encodings, at any cutoff. A measurement reorders a state's parties by
+index arithmetic on its coefficient tuple. ``bell_pair`` builds all three
+families: two-qubit Bell states, qubit-mode hybrid states and two-mode
+parity Bell states. One
 projective measurement in such a basis drives the protocols:
 teleporting a spin qubit through a hybrid channel onto its mode,
 teleporting a parity qubit onto its spin, and entanglement swapping between
@@ -22,11 +24,14 @@ and the summed fidelity: a Monte-Carlo command's whole run, in one call.
 A stream's variates are those of ``np.random.default_rng(s)``. Its first is
 computed from s, one seed at a time or a run's seeds in one numpy batch,
 and the generator is built only for a second draw, so a command, which
-draws once a trial, never imports numpy.random.
+draws once a trial, never imports numpy.random. Those are the only numpy
+kernels here, each importing numpy when first run: a run of fewer than
+_BATCH_MIN_TRIALS trials never loads numpy at all.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -34,9 +39,10 @@ import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .fock import (
     BellLabel,
@@ -48,6 +54,7 @@ from .fock import (
     SpinBellLabel,
     _check_factor,
     _combined_residual,
+    _party_order,
     even_coherent,  # noqa: F401  unused; the benchmark traces hesim.protocols.even_coherent
     inner,
     tensor,
@@ -95,18 +102,16 @@ class Correction(Enum):
 _QUBIT = Encoding.qubit()
 # each correction on the receiver's coefficients: its Pauli matrix, and
 # whether it moves them onto the flipped codewords s_plus|1_L>, s_minus|0_L>
-_CORRECTIONS = {Correction.IDENTITY: (np.eye(2), False), Correction.S_Z: (PAULI_Z, False),
+_IDENTITY = ((1 + 0j, 0j), (0j, 1 + 0j))
+_CORRECTIONS = {Correction.IDENTITY: (_IDENTITY, False), Correction.S_Z: (PAULI_Z, False),
                 Correction.S_X: (PAULI_X, True), Correction.S_Y: (PAULI_Y, True)}
 
 
 @functools.cache
-def _bell_coeffs(label: BellLabel) -> np.ndarray:
-    """A Bell label's 2x2 coefficients, one read-only array per label."""
-    c = np.zeros((2, 2), dtype=complex)
-    j = 0 if label.is_phi else 1
-    c[0, j], c[1, 1 - j] = _SQRT_HALF, label.sign * _SQRT_HALF
-    c.setflags(write=False)
-    return c
+def _bell_coeffs(label: BellLabel) -> tuple[complex, ...]:
+    """A Bell label's four coefficients: c00 and c11 for phi, c01 and c10 for psi."""
+    first, second = complex(_SQRT_HALF), complex(label.sign * _SQRT_HALF)
+    return (first, 0j, 0j, second) if label.is_phi else (0j, first, second, 0j)
 
 
 def bell_pair(label: BellLabel, enc_a: Encoding, enc_b: Encoding) -> LogicalState:
@@ -135,7 +140,8 @@ class RngStream:
         if self.counter == 1:
             return self.first
         if self._gen is None:
-            self._gen = np.random.default_rng(self.seed)
+            from numpy.random import default_rng
+            self._gen = default_rng(self.seed)
             self._gen.random()  # the variate already handed out
         return float(self._gen.random())
 
@@ -152,6 +158,7 @@ def _stream_blocks(seed: int, trials: int) -> Iterator[list[RngStream]]:
     for start in range(seed, seed + trials, _BATCH_BLOCK):
         seeds = range(start, min(start + _BATCH_BLOCK, seed + trials))
         if batched:
+            import numpy as np
             yield list(map(RngStream, seeds, _first_uniforms(np.arange(start, seeds.stop)).tolist()))
         else:
             yield list(map(RngStream, seeds))
@@ -214,6 +221,7 @@ def _mul128(hi, lo, c_hi, c_lo):
 @functools.cache
 def _seed_tables() -> tuple:
     """Constant arrays of ``_first_uniforms``, built on its first call."""
+    import numpy as np
     # 17 constants: the unused diagonal of k below reaches 16
     a_xor, a_mul = np.array(_hash_consts(_SEQ_INIT_A, _SEQ_MULT_A, 17), np.uint32).T[:, :, None]
     b_xor, b_mul = np.array(_hash_consts(_SEQ_INIT_B, _SEQ_MULT_B, 8), np.uint32).T.reshape(
@@ -236,6 +244,7 @@ def _first_uniforms(seeds: np.ndarray) -> np.ndarray:
     LCG twice and the draw once, to s0*M**2 + (2*i0 + 1)*c mod 2**128 with
     c = M**2 + M + 1; the XSL-RR output x gives ``(x >> 11) * 2**-53``.
     """
+    import numpy as np
     in_xor, in_mul, mix_xor, mix_mul, out_xor, out_mul, mul, (c_hi, c_lo) = _seed_tables()
     pool = _hash(np.eye(4, 1, dtype=np.uint32) * seeds.astype(np.uint32), in_xor, in_mul)
     for src in range(4):
@@ -264,9 +273,8 @@ def run_trials(branches: list[tuple], seed: int, trials: int) -> tuple[list[int]
     more than _SPAN_TOL of weight measured a state outside its basis, which
     is an error rather than a fifth outcome. Returns each row's count and
     the drawn records' fidelities summed in trial order, so every row's
-    record must carry a ``fidelity``. A block of trials takes one
-    ``RngStream.uniform`` call per stream, then one search over the running
-    sums for all of them.
+    record must carry a ``fidelity``. A trial takes one ``RngStream.uniform``
+    call and one bisection of the running sums.
     """
     ps = [p for _, p, _ in branches]
     total = sum(ps)
@@ -277,20 +285,19 @@ def run_trials(branches: list[tuple], seed: int, trials: int) -> tuple[list[int]
         )
     # 0.0 + p0 + p1 + ... in row order; a zero row repeats the sum before it,
     # so the first sum above a variate is never a zero row's
-    sums = np.array(list(itertools.accumulate(ps, initial=0.0))[1:])
+    sums = list(itertools.accumulate(ps, initial=0.0))[1:]
     likeliest = max(range(len(ps)), key=ps.__getitem__)
     fidelities = [rec.fidelity for _, _, rec in branches]
     fidelities.append(fidelities[likeliest])  # the row past the sums
-    counts = np.zeros(len(fidelities), dtype=np.intp)
+    counts = [0] * len(fidelities)
     fidelity = 0.0
     uniform = RngStream.uniform  # read per run: a wrapper on the class sees every draw
+    bisect_right = bisect.bisect_right
     for streams in _stream_blocks(seed, trials):
-        us = np.array([uniform(rng) for rng in streams])
-        rows = np.searchsorted(sums, us * total, side="right")
-        counts += np.bincount(rows, minlength=len(fidelities))
-        for row in rows.tolist():  # in trial order, one rounding per trial
+        rows = [bisect_right(sums, uniform(rng) * total) for rng in streams]
+        counts = [count + rows.count(row) for row, count in enumerate(counts)]
+        for row in rows:  # in trial order, one rounding per trial
             fidelity += fidelities[row]
-    counts = counts.tolist()
     counts[likeliest] += counts.pop()
     return counts, fidelity
 
@@ -364,19 +371,26 @@ def _check_kinds(
             )
 
 
-def _branch(outcome, coeffs: np.ndarray, build: Callable) -> tuple:
+def _norm2(coeffs) -> float:
+    """The squared norm of a vector of complex numbers."""
+    return sum(c.real * c.real + c.imag * c.imag for c in coeffs)
+
+
+def _branch(outcome, coeffs: list[complex], build: Callable) -> tuple:
     """(outcome, p, build(outcome, coeffs renormalized)) with p the squared
     norm of coeffs itself, so any branch draw may pick renormalizes; the
     result is None at p = 0."""
-    p = float(np.real(np.vdot(coeffs, coeffs)))
+    p = _norm2(coeffs)
     if not p <= 1.0 + _PROB_SLACK:  # written so that NaN fails it
         raise ValueError(f"outcome probability {p!r}")
     if p == 0.0:
         return outcome, p, None
+    root = math.sqrt(p)
     if p < sys.float_info.min:  # the root of a subnormal p has lost precision
-        coeffs = coeffs / np.max(np.abs(coeffs))
-        return outcome, p, build(outcome, coeffs / np.linalg.norm(coeffs))
-    return outcome, p, build(outcome, coeffs / math.sqrt(p))
+        top = max(map(abs, coeffs))
+        coeffs = [c / top for c in coeffs]
+        root = math.sqrt(_norm2(coeffs))
+    return outcome, p, build(outcome, [c / root for c in coeffs])
 
 
 def _states_over(encodings, residual: float) -> Callable:
@@ -385,11 +399,9 @@ def _states_over(encodings, residual: float) -> Callable:
 
 
 @functools.cache
-def _bell_row(label: BellLabel) -> np.ndarray:
-    """The conjugated coefficients of a Bell label, as one row of four."""
-    row = _bell_coeffs(label).conj().reshape(4)
-    row.setflags(write=False)
-    return row
+def _bell_row(label: BellLabel) -> tuple[complex, ...]:
+    """The conjugated coefficients of a Bell label."""
+    return tuple(c.conjugate() for c in _bell_coeffs(label))
 
 
 def _measure_bell(state, factors, enc_a, enc_b, build=None):
@@ -414,11 +426,12 @@ def _measure_bell(state, factors, enc_a, enc_b, build=None):
     if build is None:
         build = _states_over(tuple(state.encodings[k] for k in rest),
                              state.truncation_residual)
-    pairs = state.coeffs.transpose((i, j, *rest)).reshape(4, -1)
+    # the measured parties' four values index the rows, the rest's the columns
+    c = list(map(state.coeffs.__getitem__, _party_order(state.space.nfactors, (i, j, *rest))))
+    columns = [c[k :: len(c) // 4] for k in range(len(c) // 4)]
     labels = SpinBellLabel if kind is FactorKind.QUBIT else ParityBellLabel
-    shape = (2,) * len(rest)
-    return [_branch(label, (_bell_row(label) @ pairs).reshape(shape), build)
-            for label in labels]
+    return [_branch(label, [sum(map(operator.mul, row, col)) for col in columns], build)
+            for label, row in zip(labels, map(_bell_row, labels))]
 
 
 def measure_spin_bell(
@@ -442,12 +455,11 @@ def parity_measurement(
     |1_L>, so the outcome reads the logical index.
     """
     _check_kinds(state, (mode_index,), (FactorKind.MODE,))
-    shape = [1] * state.space.nfactors
-    shape[mode_index] = 2
-    odd = np.arange(2).reshape(shape)
+    shift = state.space.nfactors - 1 - mode_index  # the mode's bit in a coefficient's index
     build = _states_over(state.encodings, state.truncation_residual)
     return [
-        _branch(outcome, np.where(odd == bit, state.coeffs, 0.0), build)
+        _branch(outcome, [c if j >> shift & 1 == bit else 0j for j, c in enumerate(state.coeffs)],
+                build)
         for outcome, bit in ((1, 0), (-1, 1))
     ]
 
@@ -475,11 +487,12 @@ def _teleport(
     targets = {False: receiver.state(alpha, beta), True: receiver.flip().state(alpha, beta)}
     residual = joint.truncation_residual
 
-    def record(outcome: BellLabel, received: np.ndarray) -> TeleportRecord:
+    def record(outcome: BellLabel, received: list[complex]) -> TeleportRecord:
         correction = correction_for(outcome, channel)
         pauli, flips = _CORRECTIONS[correction]
         target = targets[flips]
-        output = LogicalState(target.encodings, pauli @ received, residual)
+        output = LogicalState(target.encodings,
+                              [sum(map(operator.mul, row, received)) for row in pauli], residual)
         return TeleportRecord(correction, output, target, abs(inner(target, output)) ** 2)
 
     return _measure_bell(joint, factors, *basis, record)

@@ -10,6 +10,8 @@ act only through their elements between an encoding's two codewords
 (``encoded_pseudospin``): on the qubit those are the Pauli matrices, and on
 the cat codewords and on their parity flips they are the parity and the
 even/odd overlap k(z), so no codeword and no dim x dim matrix is built.
+The matrices are nested tuples of Python complex numbers, rows first;
+only ``k_matrix`` builds codewords, and with them imports numpy.
 k(z) sets the strength of the Bell-CHSH violation. ``k_series`` sums it
 over the untruncated coherent weights, ``Encoding.cat`` over the levels
 below its cutoff, and ``k_matrix`` reads it off the truncated cat
@@ -21,8 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .fock import (
     Encoding,
@@ -36,9 +36,10 @@ from .fock import (
 _UNIT_TOL = 1e-12
 _NONREAL_TOL = 1e-12
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+# rows of complex numbers; -1j is complex(-0.0, -1.0)
+PAULI_X = ((0j, 1 + 0j), (1 + 0j, 0j))
+PAULI_Y = ((0j, -1j), (1j, 0j))
+PAULI_Z = ((1 + 0j, 0j), (0j, -1 + 0j))
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,9 @@ class Direction:
         return math.atan2(self.ny, self.nx)
 
 
-def encoded_pseudospin(enc: Encoding) -> np.ndarray:
-    """<a_L|s_l|b_L> for l = x, y, z and a, b in (0, 1), as a (3, 2, 2) array:
+def encoded_pseudospin(enc: Encoding) -> tuple:
+    """<a_L|s_l|b_L> for l = x, y, z and a, b in (0, 1), as three 2 x 2
+    matrices of rows of complex numbers, element [l][a][b]:
     (k sigma_x, k sigma_y, sigma_z) with k the encoding's overlap.
 
     s_l acts on every (even, odd) pair of amplitudes as sigma_l on a qubit.
@@ -78,7 +80,9 @@ def encoded_pseudospin(enc: Encoding) -> np.ndarray:
     cat, plain or flipped, k(z), and on the qubit 1, so there the elements
     are the Pauli matrices.
     """
-    return np.stack((enc.k * PAULI_X, enc.k * PAULI_Y, PAULI_Z))
+    k = enc.k
+    return tuple(tuple(tuple(k * x for x in row) for row in pauli)
+                 for pauli in (PAULI_X, PAULI_Y)) + (PAULI_Z,)
 
 
 def k_series(z: float) -> float:
@@ -104,6 +108,7 @@ def k_matrix(z: float, dim: int) -> float:
     check of the overlap that ``Encoding.cat`` carries. s_x moves each odd
     amplitude onto the even level below it, so the element is the overlap
     of the even cat's even levels with the odd cat's odd ones."""
+    import numpy as np
     parts = np.array([even_coherent(z, dim).amps[0::2], odd_coherent(z, dim).amps[1::2]])
     val = (parts.conj() @ parts.T)[0, 1]
     if abs(val.imag) > _NONREAL_TOL:

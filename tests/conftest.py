@@ -37,8 +37,7 @@ def random_cat(dim: int, rng) -> Encoding:
 
 def random_logical(encodings, rng) -> LogicalState:
     """A LogicalState with random normalized coefficients over encodings."""
-    return LogicalState(tuple(encodings), random_amps(rng, 2 ** len(encodings)).reshape(
-        (2,) * len(encodings)))
+    return LogicalState(tuple(encodings), random_amps(rng, 2 ** len(encodings)))
 
 
 def assert_leads_the_dense_spectrum(got, dense, parties, side_a, atol):

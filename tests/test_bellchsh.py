@@ -37,12 +37,15 @@ import hesim.bellchsh
 from conftest import random_cat, random_logical, random_qubit_pair, random_state
 from oracles import (
     DENSE_AGREEMENT_TOL,
+    SVD_AGREEMENT_TOL,
     bell_operator,
     build_pseudospin,
     chsh_expectation,
     dense_correlation_matrix,
     direction,
     kron,
+    lapack_optimize_chsh,
+    numpy_correlation_matrix,
     qubit_state,
 )
 
@@ -330,6 +333,38 @@ class TestOptimizeChsh:
                 state = random_hybrid(dim, rng)
                 got, expected = correlation_matrix(state), dense_correlation_matrix(state)
                 assert np.max(np.abs(got - expected)) <= DENSE_AGREEMENT_TOL, dim
+
+    @pytest.mark.parametrize("label", list(HesLabel))
+    def test_on_hybrid_pairs_it_is_numpys_route_bit_for_bit(self, label):
+        # the correlation matrix by numpy's matrix products, and the settings
+        # by LAPACK's SVD: a diagonal of entries k, k and 1, whose tie the
+        # later axis wins; only k = 1 (z = 0), where all three tie, differs
+        for z in np.linspace(0.02, 9.0, 46):
+            state = hes_state(label, float(z), mode_dim_for(z, 1e-14))
+            assert np.array_equal(correlation_matrix(state), numpy_correlation_matrix(state))
+            result = optimize_chsh(state)
+            value, settings = lapack_optimize_chsh(state)
+            assert result.value == value, z
+            for got, expected in zip(
+                    (result.settings.a, result.settings.a_prime, result.settings.b,
+                     result.settings.b_prime), settings):
+                assert [got.nx, got.ny, got.nz] == expected.tolist(), z
+
+    def test_product_states_get_an_orthonormal_pair_of_qubit_settings(self, rng):
+        # the correlation matrix has rank one, so u2 belongs to a zero
+        # singular value and only completes the pair
+        for dim in (2, 4, 10):
+            for _ in range(6):
+                state = tensor(QUBIT.state(*random_qubit_pair(rng)),
+                               random_cat(dim, rng).state(*random_qubit_pair(rng)))
+                result = optimize_chsh(state)
+                a, ap = (np.array([d.nx, d.ny, d.nz]) for d in
+                         (result.settings.a, result.settings.a_prime))
+                assert abs(a @ ap) <= SVD_AGREEMENT_TOL
+                assert abs(result.value - lapack_optimize_chsh(state)[0]) <= SVD_AGREEMENT_TOL
+                b, bp = (np.array([d.nx, d.ny, d.nz]) for d in
+                         (result.settings.b, result.settings.b_prime))
+                assert np.max(np.abs(b - bp)) <= SVD_AGREEMENT_TOL
 
     def test_correlation_matrix_memory_is_linear_in_dim(self):
         # at z = 30 (dim 1140) one dense pseudospin matrix takes 20.8 MB

@@ -606,7 +606,45 @@ class TestGeneratorsBuilt:
 
 class TestNumpyRandomNotImported:
     """A fresh interpreter runs Monte-Carlo commands of either path without
-    importing numpy.random: each trial's one variate comes from its seed."""
+    importing numpy.random: each trial's one variate comes from its seed.
+    numpy itself loads only for the kernels that need it: kz's dense check,
+    the seed batch of a run of _BATCH_MIN_TRIALS trials or more, and a
+    stream's second draw."""
+
+    def test_commands_off_the_numpy_kernels_never_load_numpy(self):
+        commands = [
+            ["-h"],
+            ["teleport", "spin", "--alpha", "x", "--beta", "0.8", "--z", "1"],
+            ["chsh", "--z", "1"],
+            ["chsh", "--z", "0", "--label", "psi-"],
+            ["entropy", "spinbell:Phi+"],
+            ["entropy", "hes:phi+:z=1"],
+            ["entropy", "paritybell:psi~-:z=0.8,zp=0.3"],
+            ["entropy", "product:z=1"],
+            ["teleport", "spin", "--alpha", "0.6", "--beta", "0.8", "--z", "1", "--trials", "4"],
+            ["teleport", "parity", "--alpha", "0.6", "--beta", "0.8j", "--z", "1",
+             "--zpp", "0.7", "--trials", "4"],
+            ["swap", "--z", "1", "--zprime", "0.5", "--trials", "2"],
+        ]
+        assert hesim.protocols._BATCH_MIN_TRIALS > 4
+        script = (
+            "import contextlib, os, sys\n"
+            "import hesim.cli\n"
+            "print('numpy' in sys.modules)\n"
+            f"for argv in {commands!r}:\n"
+            "    with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink), \\\n"
+            "            contextlib.redirect_stderr(sink):\n"
+            "        try:\n"
+            "            code = hesim.cli.main(argv + ['--out', os.devnull])\n"
+            "        except SystemExit as exc:\n"
+            "            code = exc.code\n"
+            "    print(code, 'numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(hesim.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False", "0 False", "1 False"] + ["0 False"] * 9
 
     def test_fresh_interpreter(self):
         commands = [
@@ -755,14 +793,14 @@ class TestEntropy:
         assert err.startswith("error: --dim") and err.count("\n") == 1
 
     def test_one_svd_per_command(self, monkeypatch, tmp_path):
-        svd = np.linalg.svd
+        svd = hesim.entanglement._svd
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return svd(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(hesim.entanglement, "_svd", counted)
         code, data = run(["entropy", "hes:phi+:z=2.5"], tmp_path)
         assert code == 0 and len(calls) == 1
         assert json.loads(data)["entropy_bits"] == pytest.approx(1.0, abs=1e-10)
@@ -775,14 +813,15 @@ class TestEntropy:
     ], ids=["paritybell", "hes", "swap", "chsh"])
     def test_no_svd_is_larger_than_4x4(self, argv, monkeypatch, tmp_path):
         # the dense route took the SVD of a dim x dim amplitude matrix (160 x 160 here)
-        svd = np.linalg.svd
+        svd = hesim.fock._svd
         shapes = []
 
-        def recorded(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
+        def recorded(a):
+            shapes.append((len(a), len(a[0])))
+            return svd(a)
 
-        monkeypatch.setattr(np.linalg, "svd", recorded)
+        for module in (hesim.entanglement, hesim.bellchsh):
+            monkeypatch.setattr(module, "_svd", recorded)
         code, _ = run(argv, tmp_path)
         assert code == 0 and shapes
         assert all(max(shape) <= 4 for shape in shapes), shapes

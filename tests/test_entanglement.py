@@ -24,7 +24,7 @@ from hesim import (
 )
 
 from conftest import assert_leads_the_dense_spectrum, random_cat, random_logical
-from oracles import dense_schmidt, entropy_from_reduced_density
+from oracles import SVD_AGREEMENT_TOL, dense_schmidt, entropy_from_reduced_density, numpy_schmidt
 
 QUBIT = Encoding.qubit()
 
@@ -84,6 +84,16 @@ class TestSchmidt:
             for side in ({0}, {1}, {0, 2}):
                 got = schmidt_coefficients(st, side).coefficients
                 assert_leads_the_dense_spectrum(got, dense_schmidt(st, side), 3, side, 1e-12)
+
+
+    def test_every_cut_of_four_parties_is_lapacks(self, rng):
+        # 2 x 8, 4 x 4 and 8 x 2 coefficient matrices, as a swap's joint state has
+        encodings = (QUBIT, random_cat(4, rng), QUBIT, random_cat(6, rng))
+        for _ in range(6):
+            st = random_logical(encodings, rng)
+            for side in ({0}, {1, 3}, {0, 1, 2}, {2}):
+                got = schmidt_coefficients(st, side).coefficients
+                assert np.max(np.abs(np.array(got) - numpy_schmidt(st, side))) <= SVD_AGREEMENT_TOL
 
 
 class TestEntropy:

@@ -22,12 +22,13 @@ from hesim import (
     odd_coherent,
     tensor,
 )
-from hesim.fock import _MODE_DIM_CAP
+from hesim.fock import _K_SLACK, _MODE_DIM_CAP, _svd
 from hesim.pseudospin import Direction
 
 from conftest import Z_CAP, number_state, random_cat, random_logical, random_state
 from oracles import (
     CODEWORD_DECIMAL_TOL,
+    SVD_AGREEMENT_TOL,
     apply,
     build_pseudospin,
     codewords,
@@ -412,15 +413,19 @@ def encoding_of(space: SpaceDescriptor) -> Encoding:
 
 
 class TestSameBitsAsNumpy:
-    """tensor's coefficients are np.kron's, and the dense oracles kron,
-    partial_inner and apply reproduce np.kron and np.tensordot bit for bit."""
+    """tensor's coefficients are np.kron's up to the rounding of one complex
+    product, and the dense oracles kron, partial_inner and apply reproduce
+    np.kron and np.tensordot bit for bit."""
 
     @pytest.mark.parametrize("name", list(FACTOR_SPACES))
     def test_tensor_is_kron(self, name, rng):
         a, *rest = (random_logical([encoding_of(space)], rng) for space in FACTOR_SPACES[name])
         for b in rest:
             both = tensor(a, b)
-            assert same_bits(both.coeffs.reshape(-1), np.kron(a.coeffs.ravel(), b.coeffs.ravel()))
+            # numpy's vector loops may fuse the multiply-add of a complex product
+            expected = np.kron(a.coeffs, b.coeffs)
+            assert np.all(np.abs(np.array(both.coeffs) - expected)
+                          <= 4 * np.finfo(float).eps * np.abs(expected))
             assert both.space == a.space * b.space
             a = both
 
@@ -534,6 +539,41 @@ class TestEncoding:
         # the same codewords |0>, |1>, but a qubit is not a mode
         assert Encoding.qubit() == QUBIT_ENC != Encoding.cat(0.0, 2)
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(z=st.one_of(st.floats(0.0, 5.0), st.floats(0.0, Z_CAP), st.floats(1e-9, 1e-3)))
+    def test_a_cat_overlap_stays_within_the_rounding_slack(self, z):
+        # k is a ratio of sums that Cauchy-Schwarz bounds by 1; rounding put it
+        # one ulp above 1 at most in a scan of 6300 z, a quarter of _K_SLACK
+        cat = Encoding.cat(z, mode_dim_for(z, 1e-14))
+        assert 0.0 < cat.k <= 1.0 + _K_SLACK / 4
+
+    def test_refuses_more_than_one_factor(self):
+        with pytest.raises(ValueError, match="one factor"):
+            Encoding(SpaceDescriptor.qubit() * SpaceDescriptor.mode(4))
+
+    @pytest.mark.parametrize("fields", [
+        dict(flipped=True), dict(k=0.5), dict(residuals=(1e-13, 0.0)), dict(z=1.0),
+        dict(k=math.nan)], ids=["flipped", "k", "residual", "z", "nan_k"])
+    def test_refuses_a_qubit_other_than_spin_up_and_down(self, fields):
+        with pytest.raises(ValueError, match="qubit encoding is spin up and down"):
+            Encoding(SpaceDescriptor.qubit(), **fields)
+
+    @pytest.mark.parametrize("z", [-1.0, math.inf, math.nan])
+    def test_refuses_a_mode_amplitude_not_finite_and_nonnegative(self, z):
+        with pytest.raises(ValueError, match="z must be finite and nonnegative"):
+            Encoding(SpaceDescriptor.mode(4), z)
+
+    @pytest.mark.parametrize("residuals", [(-1e-18, 0.0), (0.0, 1.5), (math.nan, 0.0)])
+    def test_refuses_a_mode_residual_outside_the_unit_interval(self, residuals):
+        with pytest.raises(ValueError, match="residuals must lie in"):
+            Encoding(SpaceDescriptor.mode(4), 1.0, residuals)
+
+    @pytest.mark.parametrize("k", [1.5, 1.0 + 2 * _K_SLACK, -0.25, math.nan])
+    def test_refuses_a_mode_overlap_outside_the_unit_interval(self, k):
+        with pytest.raises(ValueError, match="overlap k must lie in"):
+            Encoding(SpaceDescriptor.mode(4), k=k)
+        assert Encoding(SpaceDescriptor.mode(4), k=1.0 + _K_SLACK).k == 1.0 + _K_SLACK
+
 
 def built_or_refused(build):
     """What build() returns, or the type and text of the error it raises."""
@@ -593,17 +633,86 @@ class TestLogicalState:
         with pytest.raises(ValueError, match="do not fit"):
             LogicalState((QUBIT_ENC, QUBIT_ENC), [1.0, 0.0])
         with pytest.raises(ValueError, match="do not fit"):
-            LogicalState((), np.ones(()))
+            LogicalState((), ())
 
     def test_unnormalized_coefficients_rejected(self):
         with pytest.raises(ValueError, match="not normalized"):
             LogicalState((QUBIT_ENC,), [1.0, 1.0])
 
     def test_space_is_the_product_of_the_encodings(self):
-        st = LogicalState((QUBIT_ENC, Encoding.cat(0.0, 6)), np.eye(2) * math.sqrt(0.5))
+        st = LogicalState((QUBIT_ENC, Encoding.cat(0.0, 6)), np.eye(2).ravel() * math.sqrt(0.5))
         assert st.space == SpaceDescriptor.qubit() * SpaceDescriptor.mode(6)
 
     def test_coeffs_are_immutable(self):
         st = QUBIT_ENC.state(1.0, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             st.coeffs[0] = 0.0
+
+
+# (rows, columns, complex entries) of the matrices the package takes an SVD of:
+# Schmidt cuts of 2 and 4 parties, and the 3 x 3 correlation matrix
+SVD_SHAPES = [(2, 2, True), (2, 8, True), (4, 4, True), (8, 2, True), (3, 3, False)]
+
+
+def matrix_of_kind(kind: str, shape, seed: int) -> np.ndarray:
+    """A matrix of spectral norm 1 of the given shape: random, of rank 1, with
+    a repeated singular value, or a diagonal of signed ties."""
+    rows, cols, is_complex = shape
+    rng = np.random.default_rng(seed)
+
+    def draw(*size):
+        x = rng.normal(size=size)
+        return x + 1j * rng.normal(size=size) if is_complex else x
+
+    if kind == "diagonal":  # like a hybrid pair's correlation matrix diag(k, -k, 1)
+        m = np.zeros((rows, cols), dtype=complex if is_complex else float)
+        k = rng.choice([rng.uniform(0.0, 1.0), 1.0, 0.0])
+        values = rng.choice([-1.0, 1.0], size=min(rows, cols)) * rng.choice([k, 1.0], size=min(rows, cols))
+        m[range(min(rows, cols)), range(min(rows, cols))] = values
+    elif kind == "rank_one":
+        m = np.outer(draw(rows), draw(cols).conj())
+    elif kind == "repeated":  # two equal singular values, the rest smaller
+        u, _ = np.linalg.qr(draw(rows, rows))
+        v, _ = np.linalg.qr(draw(cols, cols))
+        s = np.sort(rng.uniform(0.0, 1.0, size=min(rows, cols)))[::-1]
+        s[1] = s[0]
+        m = (u[:, : len(s)] * s) @ v[:, : len(s)].conj().T
+    else:
+        m = draw(rows, cols)
+    norm = np.linalg.norm(m, 2)
+    return m / norm if norm else m
+
+
+class TestSvd:
+    """fock._svd, the pure-Python one-sided Jacobi SVD of Schmidt cuts and
+    correlation matrices, against numpy.linalg.svd."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(shape=st.sampled_from(SVD_SHAPES),
+           kind=st.sampled_from(["random", "rank_one", "repeated", "diagonal"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_agrees_with_lapack(self, shape, kind, seed):
+        m = matrix_of_kind(kind, shape, seed)
+        s, u, v = _svd(m.tolist())
+        rank = min(m.shape)
+        assert len(s) == len(u) == len(v) == rank
+        assert all(a >= b for a, b in zip(s, s[1:]))
+        assert np.max(np.abs(np.array(s) - np.linalg.svd(m, compute_uv=False))) <= SVD_AGREEMENT_TOL
+        u, v = np.array(u).T, np.array(v).T  # singular vectors as columns
+        # the rotations give the vectors of the side with fewer entries, all
+        # orthonormal; the other side's vectors are those of a nonzero value,
+        # orthonormal, and zero vectors for a zero one
+        rotated, scaled = (u, v) if m.shape[0] <= m.shape[1] else (v, u)
+        assert np.max(np.abs(rotated.conj().T @ rotated - np.eye(rank))) <= SVD_AGREEMENT_TOL
+        kept = [j for j in range(rank) if s[j] > 0.0]
+        assert not np.any(scaled[:, [j for j in range(rank) if s[j] == 0.0]])
+        assert np.max(np.abs(scaled[:, kept].conj().T @ scaled[:, kept] - np.eye(len(kept))),
+                      initial=0.0) <= SVD_AGREEMENT_TOL
+        assert np.max(np.abs((u * s) @ v.conj().T - m)) <= SVD_AGREEMENT_TOL
+
+    def test_a_diagonal_keeps_its_axes_and_gives_its_signs_to_v(self):
+        # ties go to the later row first: the order LAPACK gives diag(k, -k, 1)
+        s, u, v = _svd(((0.5, 0.0, 0.0), (0.0, -0.5, 0.0), (0.0, 0.0, 1.0)))
+        assert s == [1.0, 0.5, 0.5]
+        assert u == [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+        assert v == [[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]]

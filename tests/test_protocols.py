@@ -184,7 +184,8 @@ class TestBellBases:
         kron_sum = (np.kron(a0.amps, b0.amps) + label.sign * np.kron(a1.amps, b1.amps)) * SQRT_HALF
         st = bell_pair(label, enc_a, enc_b)
         pattern = np.eye(2) if label.is_phi else np.eye(2)[::-1]
-        assert np.array_equal(st.coeffs, pattern * np.array([[1.0], [label.sign]]) * SQRT_HALF)
+        expected = (pattern * np.array([[1.0], [label.sign]]) * SQRT_HALF).ravel()
+        assert np.array_equal(st.coeffs, expected)
         assert np.array_equal(dense(st).amps.view(np.uint64), kron_sum.view(np.uint64))
 
     def test_bell_pair_residual_combines_encoding_means(self):
@@ -350,7 +351,8 @@ class TestParityBellMeasurement:
         z, zp, dim = 0.8, 1.2, adim(1.2)
         plus = parity_bell_state(ParityBellLabel.PHI_PLUS, z, zp, dim)
         minus = parity_bell_state(ParityBellLabel.PHI_MINUS, z, zp, dim)
-        mixed = LogicalState(plus.encodings, (plus.coeffs + minus.coeffs) * SQRT_HALF)
+        mixed = LogicalState(plus.encodings,
+                             (np.array(plus.coeffs) + np.array(minus.coeffs)) * SQRT_HALF)
         st = tensor(mixed, QUBIT.state(1.0, 0.0))
         probs = {label: p for label, p, _ in _measure_bell(st, (0, 1), *plus.encodings)}
         assert probs[ParityBellLabel.PHI_PLUS] == pytest.approx(0.5, abs=1e-10)

@@ -173,10 +173,10 @@ class TestEncodedPseudospin:
     def test_on_the_qubit_it_is_the_pauli_matrices(self):
         # + 0.0 clears the sign of PAULI_Y's zero real part (-1.0j is
         # complex(-0.0, -1.0)); every other bit must agree
-        got = encoded_pseudospin(Encoding.qubit())
+        got = np.array(encoded_pseudospin(Encoding.qubit()))
         assert got.shape == (3, 2, 2)
         for spin, pauli in zip(got, (PAULI_X, PAULI_Y, PAULI_Z)):
-            assert same_bits(spin, pauli + 0.0)
+            assert same_bits(spin, np.array(pauli) + 0.0)
 
     @staticmethod
     def dense_elements(enc: Encoding) -> np.ndarray:
@@ -188,7 +188,7 @@ class TestEncodedPseudospin:
     def test_matches_the_dense_matrices_on_random_cat_encodings(self, dim, rng):
         for _ in range(10):
             enc = random_cat(dim, rng)
-            got, expected = encoded_pseudospin(enc), self.dense_elements(enc)
+            got, expected = np.array(encoded_pseudospin(enc)), self.dense_elements(enc)
             assert np.max(np.abs(got - expected)) <= DENSE_AGREEMENT_TOL
 
     @pytest.mark.parametrize("z", [0.0, 0.3, 1.0, 4.0, 9.0])
@@ -197,10 +197,10 @@ class TestEncodedPseudospin:
         # k(z) and -i k(z); s_z is the parity, diag(1, -1)
         dim = mode_dim_for(z, 1e-14)
         enc = Encoding.cat(z, dim)
-        got = encoded_pseudospin(enc)
+        got = np.array(encoded_pseudospin(enc))
         assert np.max(np.abs(got - self.dense_elements(enc))) <= DENSE_AGREEMENT_TOL
         k = k_series(z)
-        expected = np.stack([k * PAULI_X, k * PAULI_Y, PAULI_Z])
+        expected = np.array([k * np.array(PAULI_X), k * np.array(PAULI_Y), PAULI_Z])
         assert np.max(np.abs(got - expected)) <= 1e-12
 
     @settings(derandomize=True, max_examples=60, deadline=None)
@@ -215,9 +215,9 @@ class TestEncodedPseudospin:
         except TruncationError:
             assume(False)
         even, odd = even_coherent(z, dim), odd_coherent(z, dim)
-        exact = np.stack((cat.k * PAULI_X, cat.k * PAULI_Y, PAULI_Z))
+        exact = np.array([cat.k * np.array(PAULI_X), cat.k * np.array(PAULI_Y), PAULI_Z])
         for enc, words in ((cat, (even, odd)), (cat.flip(), (s_plus(odd), s_minus(even)))):
-            got = encoded_pseudospin(enc)
+            got = np.array(encoded_pseudospin(enc))
             assert np.array_equal(got, exact)
             assert np.max(np.abs(got - overlap_pseudospin(*words))) <= CAT_PSEUDOSPIN_TOL
 
@@ -231,7 +231,7 @@ class TestEncodedPseudospin:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert abs(got[0, 0, 1] - k_series(z)) < 1e-10
+        assert abs(got[0][0][1] - k_series(z)) < 1e-10
         assert peak < 20 * 16 * enc.space.dim
 
 
