@@ -66,7 +66,7 @@ def schmidt_coefficients(state: LogicalState, side_a: Iterable[int]) -> SchmidtS
             f"{nf} factors of {state.space.describe()}"
         )
     order = (*sorted(a), *(i for i in range(nf) if i not in a))
-    c = [state.coeffs[j] for j in _party_order(nf, order)]
+    c = list(map(state.coeffs.__getitem__, _party_order(nf, order)))
     width = 2 ** (nf - len(a))
     s, _, _ = _svd([c[i : i + width] for i in range(0, len(c), width)])
     return SchmidtSpectrum(tuple(s))

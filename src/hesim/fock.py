@@ -481,6 +481,11 @@ def _party_order(n: int, order: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
+@functools.cache
+def _identity(n: int) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(float(i == j) for j in range(n)) for i in range(n))
+
+
 def _svd(a) -> tuple[list[float], list[list], list[list]]:
     """(s, u, v) of a small dense matrix a, given as rows of floats or complex
     numbers: a = sum_j s[j] u[j] v[j]^H over min(rows, columns) terms, with s
@@ -499,7 +504,7 @@ def _svd(a) -> tuple[list[float], list[list], list[list]]:
         s, v, u = _svd([[x.conjugate() for x in col] for col in zip(*a)])
         return s, u, v
     n = len(a)
-    rows, w = list(a), [[float(i == j) for j in range(n)] for i in range(n)]
+    rows, w = list(a), list(_identity(n))
     norms = [math.hypot(*map(abs, row)) for row in rows]
     for _ in range(60):  # loop bound: a sweep past the first few rotates by rounding only
         rotated = False
@@ -524,6 +529,6 @@ def _svd(a) -> tuple[list[float], list[list], list[list]]:
         if not rotated:
             break
     s = norms
-    order = sorted(range(n), key=lambda j: (s[j], j), reverse=True)
+    order = sorted(reversed(range(n)), key=s.__getitem__, reverse=True)  # stable: later rows first
     return ([s[j] for j in order], [[x.conjugate() for x in w[j]] for j in order],
             [[x.conjugate() / s[j] if s[j] else 0.0 * x for x in rows[j]] for j in order])
