@@ -483,6 +483,7 @@ def _party_order(n: int, order: tuple[int, ...]) -> tuple[int, ...]:
 
 @functools.cache
 def _identity(n: int) -> tuple[tuple[float, ...], ...]:
+    """The n x n identity as rows of floats, where ``_svd`` starts w."""
     return tuple(tuple(float(i == j) for j in range(n)) for i in range(n))
 
 
