@@ -565,8 +565,9 @@ def swap_entanglement(
     table = []
     for spin_label, p, modes in measure_spin_bell(joint, (0, 2)):
         parity_label, expected = _SWAP_PAIRING[spin_label]
-        # the coefficient of the joint state on spin Bell x paired cat Bell
-        overlap = inner(bell_pair(parity_label, cat, cat_prime), modes)
+        # the coefficient of the joint state on spin Bell x paired cat Bell: the
+        # modes, over (cat, cat_prime), dotted with that pair's conjugated coefficients
+        overlap = sum(map(operator.mul, _bell_row(parity_label), modes.coeffs), 0j)
         coeff = math.sqrt(p) * overlap
         if abs(coeff - expected) > _SWAP_COEFF_TOL:
             raise ValueError(
