@@ -11,6 +11,12 @@ scan over the table instead of a search over its precomputed sums.
 ``run_trials``: one ``sampler`` pick per stream of ``trial_streams``,
 tallied a trial at a time; ``draw`` is one such pick.
 
+The numpy routes the package took before its coefficients became Python
+tuples live here too: ``numpy_correlation_matrix`` (matrix products of
+arrays), ``lapack_optimize_chsh`` (LAPACK's SVD of that matrix) and
+``numpy_schmidt`` (LAPACK's singular values of a cut), next to
+``coefficient_array``, a state's coefficients as an array.
+
 The dense route the package used before it kept states as coefficients
 over their codewords lives here too: ``codewords`` builds an encoding's
 two codewords, as the package did before an encoding became its scalars,

@@ -4,16 +4,19 @@ Each line of ``cli_golden.jsonl`` is one JSON object: an argv and the
 stdout, stderr and exit code that ``hesim.cli.main`` gave for it. The
 commands cover every subcommand and its ``-h``, ``--dim`` overrides, a swap
 that leaves outcomes undrawn, and the error lines. Reports print floats at full
-precision, so the data pins numpy 2.4.6 (with its bundled LAPACK) and
-Python 3.11's argparse wording; on another numpy the last digits of a
-report may differ.
+precision. Only the ``kz`` rows still depend on numpy and its bundled
+LAPACK, through the dense codewords of ``K_matrix`` (pinned at numpy 2.4.6);
+every other report is computed in Python floats and pins Python 3.11's
+float arithmetic and argparse wording. The seed batch of a long run uses
+numpy's integer arithmetic, which is exact.
 
 After an intended change of output, re-record every argv in the file with
 ``PYTHONPATH=src python tests/test_cli_golden.py``; it prints the argv of
-every line whose record changed. Every recorded ``chsh`` optimum, every
-``kz`` row and, up to the dense oracle's size, every recorded ``entropy``
-report is checked against the oracles as well, so a re-recorded one must
-still agree with them.
+every line whose record changed. Every recorded ``chsh`` optimum and its
+settings, every ``kz`` row, every ``teleport`` and ``swap`` report (counts,
+fidelities, entropies) and, up to the dense oracle's size, every recorded
+``entropy`` report is checked against the oracles as well, so a
+re-recorded one must still agree with them.
 """
 
 import contextlib

@@ -85,7 +85,6 @@ class TestSchmidt:
                 got = schmidt_coefficients(st, side).coefficients
                 assert_leads_the_dense_spectrum(got, dense_schmidt(st, side), 3, side, 1e-12)
 
-
     def test_every_cut_of_four_parties_is_lapacks(self, rng):
         # 2 x 8, 4 x 4 and 8 x 2 coefficient matrices, as a swap's joint state has
         encodings = (QUBIT, random_cat(4, rng), QUBIT, random_cat(6, rng))
