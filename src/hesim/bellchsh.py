@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
-from .fock import HesLabel, LogicalState, _svd
+from .fock import HesLabel, LogicalState, _set, _svd, _Value
 from .pseudospin import Direction, encoded_pseudospin, k_series
 
 CIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -29,14 +28,16 @@ _VALUE_SLACK = 1e-9  # rounding allowed above the Cirelson bound
 _NONREAL_TOL = 1e-10  # largest imaginary part an expectation may carry
 
 
-@dataclass(frozen=True)
-class ChshSettings:
+class ChshSettings(_Value):
     """The four measurement directions entering the Bell combination."""
 
-    a: Direction
-    a_prime: Direction
-    b: Direction
-    b_prime: Direction
+    _fields = _compared = ("a", "a_prime", "b", "b_prime")
+
+    def __init__(self, a: Direction, a_prime: Direction, b: Direction, b_prime: Direction) -> None:
+        _set(self, "a", a)
+        _set(self, "a_prime", a_prime)
+        _set(self, "b", b)
+        _set(self, "b_prime", b_prime)
 
     @classmethod
     def in_plane(
@@ -55,17 +56,19 @@ class ChshSettings:
         )
 
 
-@dataclass(frozen=True)
-class ChshResult:
-    value: float
-    settings: ChshSettings
+class ChshResult(_Value):
+    """A CHSH value and the settings that reach it."""
 
-    def __post_init__(self) -> None:
-        if abs(self.value) > CIRELSON_BOUND + _VALUE_SLACK:
+    _fields = _compared = ("value", "settings")
+
+    def __init__(self, value: float, settings: ChshSettings) -> None:
+        if abs(value) > CIRELSON_BOUND + _VALUE_SLACK:
             raise ValueError(
-                f"CHSH value {self.value!r} exceeds the quantum bound "
+                f"CHSH value {value!r} exceeds the quantum bound "
                 f"{CIRELSON_BOUND}"
             )
+        _set(self, "value", value)
+        _set(self, "settings", settings)
 
 
 def _settings_for(k: float, label: HesLabel) -> ChshSettings:

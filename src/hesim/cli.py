@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import io
 import json
 import math
@@ -115,6 +114,7 @@ def _json(payload: dict) -> str:
 
 
 def cmd_kz(args: argparse.Namespace) -> str:
+    import csv  # only kz writes CSV
     if args.steps < 1:
         raise ValueError(f"steps must be >= 1, got {args.steps}")
     for flag, z in (("--zmin", args.zmin), ("--zmax", args.zmax)):

@@ -8,24 +8,22 @@ complex numbers, so no numpy is loaded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
-from .fock import LogicalState, _party_order, _svd
+from .fock import LogicalState, _party_order, _set, _svd, _Value
 
 _EIGENVALUE_FLOOR = 1e-14
 _NEGATIVE_COEFF_TOL = 1e-15
 _SCHMIDT_NORM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SchmidtSpectrum:
+class SchmidtSpectrum(_Value):
     """Schmidt coefficients in descending order; their squares sum to one."""
 
-    coefficients: tuple[float, ...]
+    _fields = _compared = ("coefficients",)
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coefficients)
+    def __init__(self, coefficients: tuple[float, ...]) -> None:
+        coeffs = tuple(float(c) for c in coefficients)
         if any(c < -_NEGATIVE_COEFF_TOL for c in coeffs):
             raise ValueError("Schmidt coefficients must be nonnegative")
         if any(coeffs[i] < coeffs[i + 1] for i in range(len(coeffs) - 1)):
@@ -33,7 +31,7 @@ class SchmidtSpectrum:
         total = sum(c * c for c in coeffs)
         if not abs(total - 1.0) <= _SCHMIDT_NORM_TOL:  # written so that NaN fails it
             raise ValueError(f"squared Schmidt coefficients sum to {total!r}")
-        object.__setattr__(self, "coefficients", coeffs)
+        _set(self, "coefficients", coeffs)
 
     def entropy(self) -> float:
         """Von Neumann entropy of the spectrum, in bits (ebits).

@@ -32,7 +32,6 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -51,6 +50,37 @@ _K_SLACK = 1e-15
 # a pair of rows counts as orthogonal in _svd once their overlap is at most
 # this share of the product of their norms
 _SVD_TOL = 4 * sys.float_info.epsilon
+# how a _Value's __init__ sets its attributes past its frozen __setattr__
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the frozen value classes. The repr shows ``_fields``, the
+    constructor's arguments in order; == (between instances of one class)
+    and the hash read the tuple of ``_compared``. Each ``__init__`` runs its
+    class's checks and sets the attributes with ``_set``; any later
+    assignment or deletion raises AttributeError."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 class TruncationError(ValueError):
@@ -99,17 +129,14 @@ class ParityBellLabel(BellLabel):
     PSI_MINUS = "psi~-"
 
 
-@dataclass(frozen=True)
-class SpaceDescriptor:
+class SpaceDescriptor(_Value):
     """Ordered factors of a composite Hilbert space."""
 
-    factors: tuple[tuple[FactorKind, int], ...]
-    # read off the factors once; equality, hashing and repr use the factors
-    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    dim: int = field(init=False, repr=False, compare=False)
+    # dims and dim are read off the factors once; equality, hashing and repr use the factors
+    _fields = _compared = ("factors",)
 
-    def __post_init__(self) -> None:
-        factors = tuple((FactorKind(kind), int(dim)) for kind, dim in self.factors)
+    def __init__(self, factors: tuple[tuple[FactorKind, int], ...]) -> None:
+        factors = tuple((FactorKind(kind), int(dim)) for kind, dim in factors)
         if not factors:
             raise ValueError("a space needs at least one factor")
         for kind, dim in factors:
@@ -119,9 +146,9 @@ class SpaceDescriptor:
                 raise ValueError(
                     f"mode dimension must be an even integer >= 2, got {dim}"
                 )
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "dims", tuple(dim for _, dim in factors))
-        object.__setattr__(self, "dim", math.prod(self.dims))
+        _set(self, "factors", factors)
+        _set(self, "dims", tuple(dim for _, dim in factors))
+        _set(self, "dim", math.prod(self.dims))
 
     @classmethod
     def qubit(cls) -> "SpaceDescriptor":
@@ -148,8 +175,7 @@ class SpaceDescriptor:
         return "⊗".join(parts)
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(_Value):
     """Normalized amplitude vector over a composite space.
 
     ``truncation_residual`` records the probability mass the construction
@@ -157,9 +183,14 @@ class StateVector:
     it is carried along verbatim through later operations.
     """
 
-    space: SpaceDescriptor
-    amps: np.ndarray
-    truncation_residual: float = 0.0
+    _fields = _compared = ("space", "amps", "truncation_residual")
+
+    def __init__(self, space: SpaceDescriptor, amps: np.ndarray,
+                 truncation_residual: float = 0.0) -> None:
+        _set(self, "space", space)
+        _set(self, "amps", amps)
+        _set(self, "truncation_residual", truncation_residual)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         import numpy as np
@@ -175,7 +206,7 @@ class StateVector:
         if not self.truncation_residual >= 0.0:
             raise ValueError("truncation_residual must be nonnegative")
         amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
+        _set(self, "amps", amps)
 
 
 def _check_z(z: float) -> None:
@@ -333,8 +364,7 @@ def odd_coherent(
     return _coherent_branch(z, dim, 1, residual_tol)
 
 
-@dataclass(frozen=True)
-class Encoding:
+class Encoding(_Value):
     """The logical basis |0_L>, |1_L> of one qubit or one mode, as the scalars
     every claim reads.
 
@@ -352,29 +382,32 @@ class Encoding:
     [0, 1] or a k outside [0, 1] beyond rounding.
     """
 
-    space: SpaceDescriptor
-    z: float = 0.0
-    residuals: tuple[float, float] = field(default=(0.0, 0.0), compare=False)
-    k: float = field(default=1.0, compare=False)
-    flipped: bool = False
-    # the mean of the residuals, read off them once
-    residual: float = field(init=False, repr=False, compare=False)
+    # residual, the mean of the residuals, is read off them once
+    _fields = ("space", "z", "residuals", "k", "flipped")
+    _compared = ("space", "z", "flipped")
 
-    def __post_init__(self) -> None:
-        space, (r_even, r_odd), k = self.space, self.residuals, self.k
+    def __init__(self, space: SpaceDescriptor, z: float = 0.0,
+                 residuals: tuple[float, float] = (0.0, 0.0), k: float = 1.0,
+                 flipped: bool = False) -> None:
+        r_even, r_odd = residuals
         if space.nfactors != 1:
             raise ValueError(f"an encoding has one factor, got {space.describe()}")
         if space.kind(0) is FactorKind.QUBIT:
-            if (self.z, r_even, r_odd, k, self.flipped) != (0.0, 0.0, 0.0, 1.0, False):
+            if (z, r_even, r_odd, k, flipped) != (0.0, 0.0, 0.0, 1.0, False):
                 raise ValueError("a qubit encoding is spin up and down: z = 0, k = 1, "
                                  "no residual and no flip")
         else:
-            _check_z(self.z)
+            _check_z(z)
             if not (0.0 <= r_even <= 1.0 and 0.0 <= r_odd <= 1.0):  # so that NaN fails it
-                raise ValueError(f"residuals must lie in [0, 1], got {self.residuals!r}")
+                raise ValueError(f"residuals must lie in [0, 1], got {residuals!r}")
             if not 0.0 <= k <= 1.0 + _K_SLACK:
                 raise ValueError(f"overlap k must lie in [0, 1], got {k!r}")
-        object.__setattr__(self, "residual", 0.5 * (r_even + r_odd))
+        _set(self, "space", space)
+        _set(self, "z", z)
+        _set(self, "residuals", residuals)
+        _set(self, "k", k)
+        _set(self, "flipped", flipped)
+        _set(self, "residual", 0.5 * (r_even + r_odd))
 
     @classmethod
     def qubit(cls) -> "Encoding":
@@ -411,24 +444,23 @@ class Encoding:
         return LogicalState((self,), (alpha, beta), self.residual)
 
 
-@dataclass(frozen=True, eq=False)
-class LogicalState:
+class LogicalState(_Value):
     """Normalized coefficients over the logical bases of its parties.
 
     Party k is factor k of ``space`` and carries ``encodings[k]``. ``coeffs``
     is a tuple of 2**n complex numbers for n parties, in row-major order with
     party 0 as the most significant index bit: ``coeffs[i]`` is the amplitude
     of |i0_L>|i1_L>... for i = i0 i1 ... in binary. ``truncation_residual``
-    is as on a ``StateVector``.
+    is as on a ``StateVector``. A state is equal only to itself.
     """
 
-    encodings: tuple[Encoding, ...]
-    coeffs: tuple[complex, ...]
-    truncation_residual: float = 0.0
+    _fields = ("encodings", "coeffs", "truncation_residual")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
-        encodings = tuple(self.encodings)
-        coeffs = tuple(map(complex, self.coeffs))
+    def __init__(self, encodings: tuple[Encoding, ...], coeffs: tuple[complex, ...],
+                 truncation_residual: float = 0.0) -> None:
+        encodings = tuple(encodings)
+        coeffs = tuple(map(complex, coeffs))
         if not encodings or len(coeffs) != 2 ** len(encodings):
             raise ValueError(
                 f"{len(coeffs)} coefficients do not fit {len(encodings)} encoded parties"
@@ -436,10 +468,11 @@ class LogicalState:
         norm = math.hypot(*map(abs, coeffs))
         if not abs(norm - 1.0) <= _NORM_TOL:  # written so that NaN fails it
             raise ValueError(f"logical state is not normalized: |coeffs| = {norm!r}")
-        if not self.truncation_residual >= 0.0:
+        if not truncation_residual >= 0.0:
             raise ValueError("truncation_residual must be nonnegative")
-        object.__setattr__(self, "encodings", encodings)
-        object.__setattr__(self, "coeffs", coeffs)
+        _set(self, "encodings", encodings)
+        _set(self, "coeffs", coeffs)
+        _set(self, "truncation_residual", truncation_residual)
 
     @functools.cached_property
     def space(self) -> SpaceDescriptor:

@@ -37,7 +37,6 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -55,6 +54,8 @@ from .fock import (
     _check_factor,
     _combined_residual,
     _party_order,
+    _set,
+    _Value,
     even_coherent,  # noqa: F401  unused; the benchmark traces hesim.protocols.even_coherent
     inner,
     tensor,
@@ -294,35 +295,39 @@ def run_trials(branches: list[tuple], seed: int, trials: int) -> tuple[list[int]
     uniform = RngStream.uniform  # read per run: a wrapper on the class sees every draw
     bisect_right = bisect.bisect_right
     for streams in _stream_blocks(seed, trials):
-        rows = [bisect_right(sums, uniform(rng) * total) for rng in streams]
-        counts = [count + rows.count(row) for row, count in enumerate(counts)]
-        for row in rows:  # in trial order, one rounding per trial
+        for rng in streams:  # in trial order, one rounding of the sum per trial
+            row = bisect_right(sums, uniform(rng) * total)
+            counts[row] += 1
             fidelity += fidelities[row]
     counts[likeliest] += counts.pop()
     return counts, fidelity
 
 
-@dataclass(frozen=True)
-class TeleportRecord:
+class TeleportRecord(_Value):
     """One teleportation branch; its table row holds the outcome and p."""
 
-    correction: Correction
-    output_state: LogicalState
-    target_state: LogicalState
-    fidelity: float
+    _fields = _compared = ("correction", "output_state", "target_state", "fidelity")
 
-    def __post_init__(self) -> None:
-        if not -_FIDELITY_SLACK <= self.fidelity <= 1.0 + _FIDELITY_SLACK:
-            raise ValueError(f"fidelity {self.fidelity!r} outside [0, 1]")
+    def __init__(self, correction: Correction, output_state: LogicalState,
+                 target_state: LogicalState, fidelity: float) -> None:
+        if not -_FIDELITY_SLACK <= fidelity <= 1.0 + _FIDELITY_SLACK:
+            raise ValueError(f"fidelity {fidelity!r} outside [0, 1]")
+        _set(self, "correction", correction)
+        _set(self, "output_state", output_state)
+        _set(self, "target_state", target_state)
+        _set(self, "fidelity", fidelity)
 
 
-@dataclass(frozen=True)
-class SwapRecord:
+class SwapRecord(_Value):
     """One entanglement-swapping branch; its row holds the spin outcome and p."""
 
-    parity_label: ParityBellLabel
-    fidelity: float
-    mode_state: LogicalState
+    _fields = _compared = ("parity_label", "fidelity", "mode_state")
+
+    def __init__(self, parity_label: ParityBellLabel, fidelity: float,
+                 mode_state: LogicalState) -> None:
+        _set(self, "parity_label", parity_label)
+        _set(self, "fidelity", fidelity)
+        _set(self, "mode_state", mode_state)
 
 
 def spin_bell_state(label: SpinBellLabel) -> LogicalState:

@@ -22,13 +22,14 @@ codewords. All three start from the one walk over those weights in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .fock import (
     Encoding,
     _check_z,
     _coherent_weights,
     _pair_overlap,
+    _set,
+    _Value,
     even_coherent,
     odd_coherent,
 )
@@ -42,18 +43,18 @@ PAULI_Y = ((0j, -1j), (1j, 0j))
 PAULI_Z = ((1 + 0j, 0j), (0j, -1 + 0j))
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(_Value):
     """Unit vector on the Bloch sphere; a measurement setting."""
 
-    nx: float
-    ny: float
-    nz: float
+    _fields = _compared = ("nx", "ny", "nz")
 
-    def __post_init__(self) -> None:
-        norm = math.sqrt(self.nx**2 + self.ny**2 + self.nz**2)
+    def __init__(self, nx: float, ny: float, nz: float) -> None:
+        norm = math.sqrt(nx**2 + ny**2 + nz**2)
         if not abs(norm - 1.0) <= _UNIT_TOL:  # written so that NaN fails it
             raise ValueError(f"direction must be a unit vector, |n| = {norm!r}")
+        _set(self, "nx", nx)
+        _set(self, "ny", ny)
+        _set(self, "nz", nz)
 
     @classmethod
     def from_polar(cls, theta: float) -> "Direction":

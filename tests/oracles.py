@@ -37,6 +37,11 @@ before it walked them from the Poisson peak: ``lgamma_mode_dim``,
 ``math.lgamma``. ``decimal_weights`` and what is built on it sum the same
 weights in 60-digit ``decimal`` arithmetic, the reference for k(z) and the
 cat codewords.
+
+``TWINS`` holds the frozen dataclasses the package's ten value classes were
+declared as before they became plain classes, one per class and of its
+name; ``twin`` rebuilds a value as its twin, whose repr, ==, hash and
+refusal to change are the reference for the plain class's.
 """
 
 import bisect
@@ -44,21 +49,27 @@ import decimal
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, make_dataclass
 from typing import Sequence
 
 import numpy as np
 
 from hesim import (
+    ChshResult,
+    ChshSettings,
     Correction,
     Encoding,
     FactorKind,
     HesLabel,
     ParityBellLabel,
+    LogicalState,
     RngStream,
+    SchmidtSpectrum,
     SpaceDescriptor,
     SpinBellLabel,
     StateVector,
+    SwapRecord,
+    TeleportRecord,
     TruncationError,
     bell_pair,
     correction_for,
@@ -130,6 +141,51 @@ class PseudospinOps:
     s_minus: np.ndarray
     s_x: np.ndarray
     s_y: np.ndarray
+
+
+def _twin(cls, *specs, eq=True):
+    """A frozen dataclass named as cls, over make_dataclass field specs."""
+    return make_dataclass(cls.__name__, specs, frozen=True, eq=eq)
+
+
+def _derived(kind):
+    """The spec of a field read off the others: out of init, repr and ==."""
+    return kind, field(init=False, repr=False, compare=False)
+
+
+TWINS = {
+    SpaceDescriptor: _twin(SpaceDescriptor, ("factors", tuple), ("dims", *_derived(tuple)),
+                           ("dim", *_derived(int))),
+    StateVector: _twin(StateVector, ("space", SpaceDescriptor), ("amps", np.ndarray),
+                       ("truncation_residual", float, 0.0)),
+    Encoding: _twin(Encoding, ("space", SpaceDescriptor), ("z", float, 0.0),
+                    ("residuals", tuple, field(default=(0.0, 0.0), compare=False)),
+                    ("k", float, field(default=1.0, compare=False)), ("flipped", bool, False),
+                    ("residual", *_derived(float))),
+    LogicalState: _twin(LogicalState, ("encodings", tuple), ("coeffs", tuple),
+                        ("truncation_residual", float, 0.0), eq=False),
+    Direction: _twin(Direction, ("nx", float), ("ny", float), ("nz", float)),
+    ChshSettings: _twin(ChshSettings, ("a", Direction), ("a_prime", Direction),
+                        ("b", Direction), ("b_prime", Direction)),
+    ChshResult: _twin(ChshResult, ("value", float), ("settings", ChshSettings)),
+    SchmidtSpectrum: _twin(SchmidtSpectrum, ("coefficients", tuple)),
+    TeleportRecord: _twin(TeleportRecord, ("correction", Correction),
+                          ("output_state", LogicalState), ("target_state", LogicalState),
+                          ("fidelity", float)),
+    SwapRecord: _twin(SwapRecord, ("parity_label", ParityBellLabel), ("fidelity", float),
+                      ("mode_state", LogicalState)),
+}
+
+
+def init_fields(cls) -> list[str]:
+    """The names of cls's constructor arguments, in order, read off its twin."""
+    return [f.name for f in fields(TWINS[cls]) if f.init]
+
+
+def twin(value):
+    """value's dataclass twin, built from value's constructor arguments."""
+    cls = type(value)
+    return TWINS[cls](*(getattr(value, name) for name in init_fields(cls)))
 
 
 def build_pseudospin(dim: int) -> PseudospinOps:

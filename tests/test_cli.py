@@ -609,7 +609,8 @@ class TestNumpyRandomNotImported:
     importing numpy.random: each trial's one variate comes from its seed.
     numpy itself loads only for the kernels that need it: kz's dense check,
     the seed batch of a run of _BATCH_MIN_TRIALS trials or more, and a
-    stream's second draw."""
+    stream's second draw. No command loads dataclasses or what it imports,
+    and only kz loads csv."""
 
     def test_commands_off_the_numpy_kernels_never_load_numpy(self):
         commands = [
@@ -626,11 +627,15 @@ class TestNumpyRandomNotImported:
              "--zpp", "0.7", "--trials", "4"],
             ["swap", "--z", "1", "--zprime", "0.5", "--trials", "2"],
         ]
+        # nor the dataclasses machinery and what it imports, nor csv before a kz
+        unused = ["numpy", "dataclasses", "inspect", "ast", "dis", "tokenize", "csv"]
+        commands.append(["kz", "--zmin", "1", "--zmax", "1", "--steps", "1"])
         assert hesim.protocols._BATCH_MIN_TRIALS > 4
         script = (
             "import contextlib, os, sys\n"
             "import hesim.cli\n"
-            "print('numpy' in sys.modules)\n"
+            f"loaded = lambda: [m for m in {unused!r} if m in sys.modules]\n"
+            "print(*loaded())\n"
             f"for argv in {commands!r}:\n"
             "    with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink), \\\n"
             "            contextlib.redirect_stderr(sink):\n"
@@ -638,13 +643,16 @@ class TestNumpyRandomNotImported:
             "            code = hesim.cli.main(argv + ['--out', os.devnull])\n"
             "        except SystemExit as exc:\n"
             "            code = exc.code\n"
-            "    print(code, 'numpy' in sys.modules)\n"
+            "    print(code, *loaded())\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(hesim.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["False", "0 False", "1 False"] + ["0 False"] * 9
+        *lines, kz = proc.stdout.splitlines()
+        assert lines == ["", "0", "1"] + ["0"] * 9
+        code, *loaded = kz.split()  # kz's dense check loads numpy, and it writes CSV
+        assert code == "0" and {"numpy", "csv"} <= set(loaded)
 
     def test_fresh_interpreter(self):
         commands = [

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import operator
+import pickle
 import re
 
 import numpy as np
@@ -9,12 +11,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hesim import (
+    ChshResult,
+    ChshSettings,
+    Correction,
     Encoding,
     FactorKind,
     LogicalState,
+    ParityBellLabel,
     SchmidtSpectrum,
     SpaceDescriptor,
     StateVector,
+    SwapRecord,
+    TeleportRecord,
     TruncationError,
     even_coherent,
     inner,
@@ -25,21 +33,24 @@ from hesim import (
 from hesim.fock import _K_SLACK, _MODE_DIM_CAP, _svd
 from hesim.pseudospin import Direction
 
-from conftest import Z_CAP, number_state, random_cat, random_logical, random_state
+from conftest import Z_CAP, number_state, random_amps, random_cat, random_logical, random_state
 from oracles import (
     CODEWORD_DECIMAL_TOL,
     SVD_AGREEMENT_TOL,
+    TWINS,
     apply,
     build_pseudospin,
     codewords,
     decimal_codeword,
     dense,
     dense_inner,
+    init_fields,
     kron,
     lgamma_branch,
     lgamma_mode_dim,
     partial_inner,
     qubit_state,
+    twin,
 )
 
 QUBIT_ENC = Encoding.qubit()
@@ -716,3 +727,104 @@ class TestSvd:
         assert s == [1.0, 0.5, 0.5]
         assert u == [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
         assert v == [[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]]
+
+
+def random_space(rng) -> SpaceDescriptor:
+    """One to three factors, each a qubit or a mode of even dimension 2-14."""
+    kinds = rng.integers(0, 2, size=rng.integers(1, 4))
+    return SpaceDescriptor(tuple((FactorKind.QUBIT, 2) if kind else
+                                 (FactorKind.MODE, 2 * int(rng.integers(1, 8))) for kind in kinds))
+
+
+def random_encoding(rng) -> Encoding:
+    """The qubit, a cat, or a mode encoding of random valid scalars."""
+    pick = rng.integers(0, 3)
+    if pick == 0:
+        return Encoding.qubit()
+    if pick == 1:
+        return random_cat(2 * int(rng.integers(4, 10)), rng)
+    return Encoding(SpaceDescriptor.mode(2 * int(rng.integers(1, 8))), float(rng.uniform(0, 3)),
+                    tuple(map(float, rng.uniform(0, 1, 2))), float(rng.uniform(0, 1)),
+                    bool(rng.integers(0, 2)))
+
+
+def random_direction(rng) -> Direction:
+    theta, phi = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
+    return Direction(math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+                     math.cos(theta))
+
+
+def random_value(cls, rng):
+    """A random valid instance of one of the package's value classes."""
+    def state():
+        return random_logical([random_encoding(rng) for _ in range(rng.integers(1, 3))], rng)
+
+    def settings():
+        return ChshSettings(*(random_direction(rng) for _ in range(4)))
+
+    build = {
+        SpaceDescriptor: lambda: random_space(rng),
+        StateVector: lambda: random_state(random_space(rng), rng),
+        Encoding: lambda: random_encoding(rng),
+        LogicalState: state,
+        Direction: lambda: random_direction(rng),
+        ChshSettings: settings,
+        ChshResult: lambda: ChshResult(float(rng.uniform(-2.8, 2.8)), settings()),
+        SchmidtSpectrum: lambda: SchmidtSpectrum(
+            tuple(sorted(abs(random_amps(rng, int(rng.integers(1, 5)))), reverse=True))),
+        TeleportRecord: lambda: TeleportRecord(rng.choice(list(Correction)), state(), state(),
+                                               float(rng.uniform(0, 1))),
+        SwapRecord: lambda: SwapRecord(rng.choice(list(ParityBellLabel)),
+                                       float(rng.uniform(0, 1)), state()),
+    }
+    return build[cls]()
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+class TestValueClasses:
+    """The ten frozen value classes behave as the dataclasses they replaced,
+    their twins in ``oracles.TWINS``: the same repr, ==, hash and refusal
+    to assign or delete."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(cls=st.sampled_from(list(TWINS)), seed=st.integers(0, 2**32 - 1),
+           mask=st.integers(0, 15))
+    def test_matches_its_dataclass_twin(self, cls, seed, mask):
+        rng = np.random.default_rng(seed)
+        x, other = random_value(cls, rng), random_value(cls, rng)
+        try:  # x with the arguments in mask taken from other: mask 0 rebuilds x
+            y = cls(*(getattr(other if mask >> i & 1 else x, name)
+                      for i, name in enumerate(init_fields(cls))))
+        except ValueError:
+            y = other
+        tx, ty = twin(x), twin(y)
+        assert type(tx).__name__ == cls.__name__
+        assert (repr(x), repr(y)) == (repr(tx), repr(ty))
+        for a, b, ta, tb in ((x, y, tx, ty), (x, x, tx, tx), (x, other, tx, twin(other))):
+            assert outcome(operator.eq, a, b) == outcome(operator.eq, ta, tb)
+            assert outcome(operator.ne, a, b) == outcome(operator.ne, ta, tb)
+        assert x != tx and x != object() and tx != object()
+        if cls is LogicalState:  # equal only to itself, and hashed so
+            assert hash(x) == object.__hash__(x) and hash(tx) == object.__hash__(tx)
+        else:
+            assert outcome(hash, x) == outcome(hash, tx)
+        for name in (*init_fields(cls), "space", "extra"):
+            for value in (x, tx):
+                with pytest.raises(AttributeError):
+                    setattr(value, name, 1.0)
+                with pytest.raises(AttributeError):
+                    delattr(value, name)
+        assert repr(pickle.loads(pickle.dumps(x))) == repr(x)
+
+    def test_a_logical_state_caches_its_space(self):
+        state = random_logical([Encoding.qubit(), Encoding.cat(0.7, 14)],
+                               np.random.default_rng(5))
+        assert state.space is state.space == Encoding.qubit().space * SpaceDescriptor.mode(14)
+        assert repr(state) == repr(twin(state))  # the cached space stays out of it
