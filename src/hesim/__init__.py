@@ -1,10 +1,12 @@
 """Simulation toolkit for qubit-boson hybrid entangled states.
 
-Builds even/odd cat codewords on truncated Fock spaces, the pseudospin
-parity algebra, CHSH Bell analysis with the k(z) closed form and the
-singular-value maximum over all settings, entanglement measures, and seeded
-teleportation / entanglement swapping protocols, plus a batch CLI
-(``hesim``).
+Encodes a qubit, or an even/odd cat pair on a truncated Fock mode, as
+scalars: no state holds a codeword, and only the dense check of ``kz``
+builds the cat codewords (``even_coherent``, ``odd_coherent``). On top sit
+the pseudospin parity algebra, CHSH Bell analysis with the k(z) closed form
+and the singular-value maximum over all settings, entanglement measures,
+and seeded teleportation / entanglement swapping protocols, plus a batch
+CLI (``hesim``).
 """
 
 from .bellchsh import (

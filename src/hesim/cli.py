@@ -21,7 +21,7 @@ import sys
 
 from .bellchsh import analytic_optimum, optimize_chsh
 from .entanglement import entanglement_entropy, schmidt_coefficients
-from .fock import _MODE_DIM_CAP, Encoding, LogicalState, TruncationError, mode_dim_for, tensor
+from .fock import _MODE_DIM_CAP, Encoding, LogicalState, mode_dim_for, tensor
 from .protocols import (
     HesLabel,
     ParityBellLabel,
@@ -400,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         text = args.func(args)
         _emit(text, args.out)
-    except (ValueError, TruncationError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

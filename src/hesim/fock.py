@@ -18,7 +18,8 @@ reads; they are the one numpy kernel here, and import numpy when called.
 The cat codewords, their truncation residuals and overlap, the adaptive
 Fock cutoff ``mode_dim_for`` and the overlap k(z) of
 ``pseudospin`` all read one list of coherent weights, walked outward from
-the Poisson peak by term ratios; a command walks each of its z once. All
+the Poisson peak by term ratios; a command walks each of its z once. The
+walk alone checks z and defines the limit z -> 0 for all of them. All
 values are immutable after construction; every operation here is a pure
 function and safe to share across workers. The Bell-pair label enums live
 here too, so that the analysis and protocol layers share them without
@@ -180,10 +181,12 @@ class StateVector(_Value):
 
     ``truncation_residual`` records the probability mass the construction
     dropped by working on a truncated space (0 for exact constructions);
-    it is carried along verbatim through later operations.
+    it is carried along verbatim through later operations. A state vector
+    is equal only to itself.
     """
 
-    _fields = _compared = ("space", "amps", "truncation_residual")
+    _fields = ("space", "amps", "truncation_residual")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, space: SpaceDescriptor, amps: np.ndarray,
                  truncation_residual: float = 0.0) -> None:
@@ -237,10 +240,14 @@ def _coherent_weights(z: float) -> tuple[int, tuple[float, ...]]:
     Each side stops below 1e-40 of the peak, where the weights fall faster
     than a geometric series, so less than about 1e-40 of the mass is left
     out; tolerances below that are not resolved. The walk reaches level 1
-    at least, so that the odd branch of a tiny z is |1>. z must be finite
-    with z**2 > 0; a z whose peak lies past the largest cutoff is refused.
+    at least, so the odd branch of a tiny z is |1>; where z**2 is 0, the
+    limit z -> 0 is weight 1 on levels 0 and 1. It checks z for every
+    reader, and refuses a z whose peak lies past the largest cutoff.
     """
+    _check_z(z)
     lam = z * z
+    if lam == 0.0:
+        return 0, (1.0, 1.0)
     if lam > _MODE_DIM_CAP:
         raise ValueError(
             f"z = {z!r} is too large: its Poisson peak z**2 passes {_MODE_DIM_CAP} levels")
@@ -252,7 +259,7 @@ def _coherent_weights(z: float) -> tuple[int, tuple[float, ...]]:
         w *= m / lam
         down.append(w)
     up, w, m = [], 1.0, peak
-    while w >= 1e-40 or m < 1:
+    while w >= 1e-40:
         m += 1
         w *= lam / m
         up.append(w)
@@ -279,9 +286,6 @@ def mode_dim_for(z: float, tol: float) -> int:
     """
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must lie strictly between 0 and 1, got {tol!r}")
-    _check_z(z)
-    if z * z == 0.0:
-        return 4
     lo, w = _coherent_weights(z)
     tails = _tails(w)
     d = max(4, lo)  # below lo the whole mass, 1 >= tol, is out of range
@@ -300,7 +304,7 @@ def _branch(
     the walk's weights of the levels lo + parity, lo + parity + 2, ... below
     dim, their sum, and the share of the branch's mass at or past dim.
     Raises TruncationError, naming the dim needed, if that share exceeds
-    residual_tol. z**2 must be positive."""
+    residual_tol."""
     lo, w = _coherent_weights(z)
     branch = w[parity::2]
     tails = _tails(branch)
@@ -331,12 +335,8 @@ def _coherent_branch(
     """One parity branch of |z> on a mode of dimension dim, renormalized."""
     import numpy as np
     space = SpaceDescriptor.mode(dim)
-    _check_z(z)
-    amps = np.zeros(dim, dtype=complex)
-    if z * z == 0.0:
-        amps[parity] = 1.0
-        return StateVector(space, amps, 0.0)
     lo, kept, mass, residual = _branch(z, dim, parity, residual_tol)
+    amps = np.zeros(dim, dtype=complex)
     amps[lo + parity : lo + parity + 2 * len(kept) : 2] = np.sqrt(np.array(kept) / mass)
     return StateVector(space, amps, residual)
 
@@ -421,9 +421,6 @@ class Encoding(_Value):
 
         Reads one walk of the coherent weights and builds no codeword."""
         space = SpaceDescriptor.mode(dim)
-        _check_z(z)
-        if z * z == 0.0:  # the limits |0> and |1>
-            return cls(space, z)
         _, even, mass_even, r_even = _branch(z, dim, 0, DEFAULT_RESIDUAL_TOL)
         _, odd, mass_odd, r_odd = _branch(z, dim, 1, DEFAULT_RESIDUAL_TOL)
         return cls(space, z, (r_even, r_odd), _pair_overlap(even, odd, mass_even, mass_odd))

@@ -25,7 +25,6 @@ import math
 
 from .fock import (
     Encoding,
-    _check_z,
     _coherent_weights,
     _pair_overlap,
     _set,
@@ -93,11 +92,8 @@ def k_series(z: float) -> float:
     factor, k = sum u_2n u_2n+1 / sqrt(sum u_2n**2 * sum u_2n+1**2), summed
     over the weights of ``fock._coherent_weights`` around the Poisson peak,
     so the common factor cancels and every finite z the Fock cap admits is
-    reached. At z = 0 the odd branch degenerates; its limit 1 is returned.
+    reached. At z = 0 the odd branch degenerates; the walk's limit gives 1.
     """
-    _check_z(z)
-    if z * z == 0.0:
-        return 1.0
     _, w = _coherent_weights(z)
     even, odd = w[0::2], w[1::2]  # the walk starts at an even level
     return _pair_overlap(even, odd, math.fsum(even), math.fsum(odd))

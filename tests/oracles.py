@@ -41,7 +41,9 @@ cat codewords.
 ``TWINS`` holds the frozen dataclasses the package's ten value classes were
 declared as before they became plain classes, one per class and of its
 name; ``twin`` rebuilds a value as its twin, whose repr, ==, hash and
-refusal to change are the reference for the plain class's.
+refusal to change are the reference for the plain class's. The twins of
+``StateVector`` and ``LogicalState`` compare by identity, as those classes
+now do; the old ``StateVector`` dataclass raised on == and hash.
 """
 
 import bisect
@@ -157,7 +159,7 @@ TWINS = {
     SpaceDescriptor: _twin(SpaceDescriptor, ("factors", tuple), ("dims", *_derived(tuple)),
                            ("dim", *_derived(int))),
     StateVector: _twin(StateVector, ("space", SpaceDescriptor), ("amps", np.ndarray),
-                       ("truncation_residual", float, 0.0)),
+                       ("truncation_residual", float, 0.0), eq=False),
     Encoding: _twin(Encoding, ("space", SpaceDescriptor), ("z", float, 0.0),
                     ("residuals", tuple, field(default=(0.0, 0.0), compare=False)),
                     ("k", float, field(default=1.0, compare=False)), ("flipped", bool, False),

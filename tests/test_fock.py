@@ -31,7 +31,7 @@ from hesim import (
     tensor,
 )
 from hesim.fock import _K_SLACK, _MODE_DIM_CAP, _svd
-from hesim.pseudospin import Direction
+from hesim.pseudospin import Direction, k_series
 
 from conftest import Z_CAP, number_state, random_amps, random_cat, random_logical, random_state
 from oracles import (
@@ -140,10 +140,30 @@ class TestCatStates:
         assert np.allclose(st.amps, [0, 1, 0, 0])
         assert st.truncation_residual == 0.0
 
-    @pytest.mark.parametrize("z", [1e-25, 1e-170])
+    # at 1e-160, z**2 is subnormal but nonzero; below, it underflows to 0
+    @pytest.mark.parametrize("z", [0.0, -0.0, 5e-324, 1e-170, 1e-160, 1e-25])
     def test_tiny_z_cats_are_vacuum_and_single_photon(self, z):
-        assert np.array_equal(even_coherent(z, 4).amps, [1, 0, 0, 0])
-        assert np.array_equal(odd_coherent(z, 4).amps, [0, 1, 0, 0])
+        # every reader of the coherent walk takes the same z -> 0 limit
+        for build, amps in ((even_coherent, [1, 0, 0, 0]), (odd_coherent, [0, 1, 0, 0])):
+            st = build(z, 4)
+            assert np.array_equal(st.amps, amps) and st.truncation_residual == 0.0
+        assert mode_dim_for(z, 1e-12) == mode_dim_for(z, 1e-14) == 4
+        enc = Encoding.cat(z, 4)
+        assert (enc.residuals, enc.k) == ((0.0, 0.0), 1.0)
+        assert k_series(z) == 1.0
+        # and refuses a bad z with one message
+        readers = (lambda z: mode_dim_for(z, 1e-12), lambda z: Encoding.cat(z, 4), k_series,
+                   lambda z: even_coherent(z, 4), lambda z: odd_coherent(z, 4))
+        for read, bad in itertools.product(readers, (math.nan, math.inf, -1.0)):
+            with pytest.raises(ValueError, match="z must be finite and nonnegative"):
+                read(bad)
+        # after the tolerance or the dimension
+        for read, match in ((lambda: mode_dim_for(math.nan, 0.0), "tol must lie"),
+                            (lambda: even_coherent(math.nan, 3), "mode dimension must be"),
+                            (lambda: odd_coherent(math.nan, 3), "mode dimension must be"),
+                            (lambda: Encoding.cat(math.nan, 3), "mode dimension must be")):
+            with pytest.raises(ValueError, match=match):
+                read()
 
     @pytest.mark.parametrize("z,dim", [(0.5, 12), (1.0, 18), (1.5, 14), (3.0, 42), (9.0, 160),
                                        (30.0, 1140)])
@@ -811,7 +831,7 @@ class TestValueClasses:
             assert outcome(operator.eq, a, b) == outcome(operator.eq, ta, tb)
             assert outcome(operator.ne, a, b) == outcome(operator.ne, ta, tb)
         assert x != tx and x != object() and tx != object()
-        if cls is LogicalState:  # equal only to itself, and hashed so
+        if cls in (LogicalState, StateVector):  # equal only to itself, and hashed so
             assert hash(x) == object.__hash__(x) and hash(tx) == object.__hash__(tx)
         else:
             assert outcome(hash, x) == outcome(hash, tx)
@@ -822,6 +842,12 @@ class TestValueClasses:
                 with pytest.raises(AttributeError):
                     delattr(value, name)
         assert repr(pickle.loads(pickle.dumps(x))) == repr(x)
+
+    def test_state_vectors_are_equal_only_to_themselves(self):
+        # by identity, since numpy amplitudes compare elementwise
+        x, y = even_coherent(1.0, 20), even_coherent(1.0, 20)
+        assert (x == y, x != y, x == x, x != x) == (False, True, True, False)
+        assert hash(x) == object.__hash__(x) and len({x, y, x}) == 2
 
     def test_a_logical_state_caches_its_space(self):
         state = random_logical([Encoding.qubit(), Encoding.cat(0.7, 14)],
