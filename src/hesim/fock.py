@@ -316,7 +316,7 @@ def _branch(
         raise TruncationError(
             f"truncation at dim {dim} loses probability {residual:.3e} "
             f"(> {residual_tol:.1e}) for z = {z!r}; "
-            f"use dim >= {lo + 2 * need} or raise the tolerance"
+            f"use dim >= {lo + 2 * need}"
         )
     return lo, branch[:kept], tails[0] - tails[kept], residual
 

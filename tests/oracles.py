@@ -699,7 +699,7 @@ def lgamma_branch(z: float, dim: int, parity: int, residual_tol: float):
         raise TruncationError(
             f"truncation at dim {dim} loses probability {residual:.3e} "
             f"(> {residual_tol:.1e}) for z = {z!r}; "
-            f"use dim >= {dim + 2 * j} or raise the tolerance"
+            f"use dim >= {dim + 2 * j}"
         )
     return amps / np.linalg.norm(amps), residual
 

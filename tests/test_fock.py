@@ -254,7 +254,7 @@ class TestCatStates:
                 try:
                     build(z, dim, 1e-12)
                 except TruncationError as exc:
-                    need = int(re.search(r"use dim >= (\d+) ", str(exc)).group(1))
+                    need = int(re.search(r"use dim >= (\d+)$", str(exc)).group(1))
                     assert need > dim and need % 2 == 0
                     assert build(z, need, 1e-12).truncation_residual <= 1e-12
                     with pytest.raises(TruncationError):
@@ -264,7 +264,7 @@ class TestCatStates:
         assert named and max(named) == 2
 
     def test_error_names_a_dim_far_above_an_undersized_one(self):
-        with pytest.raises(TruncationError, match=r"at dim 6 .* use dim >= 26 "):
+        with pytest.raises(TruncationError, match=r"at dim 6 .* use dim >= 26$"):
             even_coherent(2.0, 6)
 
     def test_residual_tolerance_override(self):
