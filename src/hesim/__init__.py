@@ -24,7 +24,6 @@ from .entanglement import (
     schmidt_coefficients,
 )
 from .fock import (
-    DEFAULT_RESIDUAL_TOL,
     Encoding,
     FactorKind,
     LogicalState,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CIRELSON_BOUND",
     "CLASSICAL_BOUND",
-    "DEFAULT_RESIDUAL_TOL",
     "BellLabel",
     "ChshResult",
     "ChshSettings",

@@ -36,7 +36,6 @@ from .protocols import (
 )
 from .pseudospin import Direction, k_matrix, k_series
 
-ADAPTIVE_DIM_TOL = 1e-14
 DEFAULT_SEED = 0
 
 _UNICODE_ALIASES = str.maketrans(
@@ -72,7 +71,7 @@ def _dim_for(override: int | None, *zs: float) -> int:
         if override > _MODE_DIM_CAP:
             raise ValueError(f"--dim must be at most {_MODE_DIM_CAP}, got {override}")
         return override
-    return max(mode_dim_for(z, ADAPTIVE_DIM_TOL) for z in zs)
+    return max(mode_dim_for(z) for z in zs)
 
 
 def _parse_amplitude(text: str, name: str) -> complex:

@@ -19,7 +19,9 @@ The cat codewords, their truncation residuals and overlap, the adaptive
 Fock cutoff ``mode_dim_for`` and the overlap k(z) of
 ``pseudospin`` all read one list of coherent weights, walked outward from
 the Poisson peak by term ratios; a command walks each of its z once. The
-walk alone checks z and defines the limit z -> 0 for all of them. All
+walk alone checks z and defines the limit z -> 0 for all of them. The
+truncation policy is fixed here as well: the cutoff is sized so that |z>
+loses less than 1e-14, and a cat may lose at most 1e-12. All
 values are immutable after construction; every operation here is a pure
 function and safe to share across workers. The Bell-pair label enums live
 here too, so that the analysis and protocol layers share them without
@@ -39,7 +41,14 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_RESIDUAL_TOL = 1e-12
+# The truncation policy. mode_dim_for sizes a mode so that the coherent state
+# |z> loses less than _CUTOFF_TOL of its mass; a cat on it may lose at most
+# _RESIDUAL_TOL of its own. A cat's branch holds about half of the mass, and
+# the odd one of a small z far less, so its share past the cutoff exceeds the
+# coherent one; the margin keeps every cat at the adaptive cutoff buildable,
+# where sizing at _RESIDUAL_TOL left some two levels short.
+_CUTOFF_TOL = 1e-14
+_RESIDUAL_TOL = 1e-12
 
 _NORM_TOL = 1e-12
 # |alpha|^2 + |beta|^2 may differ from 1 by this much in a logical state
@@ -239,10 +248,10 @@ def _coherent_weights(z: float) -> tuple[int, tuple[float, ...]]:
     formed and the common factor cancels wherever the weights are normalized.
     Each side stops below 1e-40 of the peak, where the weights fall faster
     than a geometric series, so less than about 1e-40 of the mass is left
-    out; tolerances below that are not resolved. The walk reaches level 1
-    at least, so the odd branch of a tiny z is |1>; where z**2 is 0, the
-    limit z -> 0 is weight 1 on levels 0 and 1. It checks z for every
-    reader, and refuses a z whose peak lies past the largest cutoff.
+    out, far below the truncation tolerances. The walk reaches level 1 at
+    least, so the odd branch of a tiny z is |1>; where z**2 is 0, the limit
+    z -> 0 is weight 1 on levels 0 and 1. It checks z for every reader, and
+    refuses a z whose peak lies past the largest cutoff.
     """
     _check_z(z)
     lam = z * z
@@ -274,20 +283,20 @@ def _tails(weights: tuple[float, ...]) -> list[float]:
     return tails
 
 
-def mode_dim_for(z: float, tol: float) -> int:
-    """Smallest even Fock dimension whose Poisson tail at mean z**2 is < tol.
+def mode_dim_for(z: float) -> int:
+    """Smallest even Fock dimension whose Poisson tail at mean z**2 is below
+    1e-14, the adaptive cutoff.
 
     The photon-number distribution of a coherent amplitude z is Poisson with
     mean z**2; the returned dimension keeps the coherent state's out-of-range
-    mass below tol. A renormalized even or odd cat can lose more than tol at
-    that dimension; its TruncationError then names the dimension it needs.
-    Never returns less than 4, nor more than 1 000 000: a z that needs more
-    (at tol 1e-14, every z above 996.1769613439574) is refused.
+    mass below 1e-14, so that the even and the odd cat there each lose at
+    most 1e-12 of their own. Never returns less than 4, nor more than
+    1 000 000: a z that needs more (every z above 996.1769613439574) is
+    refused.
     """
-    if not (0.0 < tol < 1.0):
-        raise ValueError(f"tol must lie strictly between 0 and 1, got {tol!r}")
     lo, w = _coherent_weights(z)
     tails = _tails(w)
+    tol = _CUTOFF_TOL
     d = max(4, lo)  # below lo the whole mass, 1 >= tol, is out of range
     while d - lo < len(w) and tails[d - lo] / tails[0] >= tol:
         d += 2
@@ -297,25 +306,23 @@ def mode_dim_for(z: float, tol: float) -> int:
     return d
 
 
-def _branch(
-    z: float, dim: int, parity: int, residual_tol: float
-) -> tuple[int, tuple[float, ...], float, float]:
+def _branch(z: float, dim: int, parity: int) -> tuple[int, tuple[float, ...], float, float]:
     """(lo, kept, mass, residual) of one parity branch of |z> on dim levels:
     the walk's weights of the levels lo + parity, lo + parity + 2, ... below
     dim, their sum, and the share of the branch's mass at or past dim.
-    Raises TruncationError, naming the dim needed, if that share exceeds
-    residual_tol."""
+    Raises TruncationError, naming the smallest dim that suffices, if that
+    share exceeds 1e-12."""
     lo, w = _coherent_weights(z)
     branch = w[parity::2]
     tails = _tails(branch)
     kept = min(len(branch), max(0, (dim - lo - parity + 1) // 2))  # levels below dim
     residual = tails[kept] / tails[0]
-    if residual > residual_tol:
+    if residual > _RESIDUAL_TOL:
         # keeping c levels of the branch is the cutoff lo + 2c, for either parity
-        need = next(c for c in range(kept, len(tails)) if tails[c] / tails[0] <= residual_tol)
+        need = next(c for c in range(kept, len(tails)) if tails[c] / tails[0] <= _RESIDUAL_TOL)
         raise TruncationError(
             f"truncation at dim {dim} loses probability {residual:.3e} "
-            f"(> {residual_tol:.1e}) for z = {z!r}; "
+            f"(> {_RESIDUAL_TOL:.1e}) for z = {z!r}; "
             f"use dim >= {lo + 2 * need}"
         )
     return lo, branch[:kept], tails[0] - tails[kept], residual
@@ -329,39 +336,34 @@ def _pair_overlap(even, odd, mass_even: float, mass_odd: float) -> float:
     return pairs / math.sqrt(mass_even * mass_odd)
 
 
-def _coherent_branch(
-    z: float, dim: int, parity: int, residual_tol: float
-) -> StateVector:
+def _coherent_branch(z: float, dim: int, parity: int) -> StateVector:
     """One parity branch of |z> on a mode of dimension dim, renormalized."""
     import numpy as np
     space = SpaceDescriptor.mode(dim)
-    lo, kept, mass, residual = _branch(z, dim, parity, residual_tol)
+    lo, kept, mass, residual = _branch(z, dim, parity)
     amps = np.zeros(dim, dtype=complex)
     amps[lo + parity : lo + parity + 2 * len(kept) : 2] = np.sqrt(np.array(kept) / mass)
     return StateVector(space, amps, residual)
 
 
-def even_coherent(
-    z: float, dim: int, residual_tol: float = DEFAULT_RESIDUAL_TOL
-) -> StateVector:
+def even_coherent(z: float, dim: int) -> StateVector:
     """Even-photon-number projection of the coherent state |z>, renormalized.
 
     Amplitudes are proportional to z**(2n)/sqrt((2n)!) on |2n> and vanish on
-    odd Fock states. Raises TruncationError if dim loses more mass than
-    residual_tol, naming the smallest dim that does not.
+    odd Fock states. Raises TruncationError if dim loses more than 1e-12 of
+    the cat's mass, naming the smallest dim that does not.
     """
-    return _coherent_branch(z, dim, 0, residual_tol)
+    return _coherent_branch(z, dim, 0)
 
 
-def odd_coherent(
-    z: float, dim: int, residual_tol: float = DEFAULT_RESIDUAL_TOL
-) -> StateVector:
+def odd_coherent(z: float, dim: int) -> StateVector:
     """Odd-photon-number projection of the coherent state |z>, renormalized.
 
     Amplitudes are proportional to z**(2n+1)/sqrt((2n+1)!) on |2n+1>. At
     z = 0 the normalized series degenerates; its limit |1> is returned.
+    Refuses an undersized dim as ``even_coherent`` does.
     """
-    return _coherent_branch(z, dim, 1, residual_tol)
+    return _coherent_branch(z, dim, 1)
 
 
 class Encoding(_Value):
@@ -416,13 +418,13 @@ class Encoding(_Value):
 
     @classmethod
     def cat(cls, z: float, dim: int) -> "Encoding":
-        """Even and odd cat states at amplitude z on a mode of dimension dim, each
-        checked at the default truncation tolerance.
+        """Even and odd cat states at amplitude z on a mode of dimension dim; each
+        may lose at most 1e-12 of its mass, as ``even_coherent`` checks.
 
         Reads one walk of the coherent weights and builds no codeword."""
         space = SpaceDescriptor.mode(dim)
-        _, even, mass_even, r_even = _branch(z, dim, 0, DEFAULT_RESIDUAL_TOL)
-        _, odd, mass_odd, r_odd = _branch(z, dim, 1, DEFAULT_RESIDUAL_TOL)
+        _, even, mass_even, r_even = _branch(z, dim, 0)
+        _, odd, mass_odd, r_odd = _branch(z, dim, 1)
         return cls(space, z, (r_even, r_odd), _pair_overlap(even, odd, mass_even, mass_odd))
 
     def flip(self) -> "Encoding":

@@ -45,7 +45,6 @@ from oracles import (
 
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 SQRT_HALF = 1.0 / math.sqrt(2.0)
-ADAPTIVE_TOL = 1e-14
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -53,10 +52,6 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {number} {name}: {status}{suffix}")
     assert ok, f"criterion {number} ({name}) failed{suffix}"
-
-
-def adim(z: float) -> int:
-    return mode_dim_for(z, ADAPTIVE_TOL)
 
 
 def random_pair(rng):
@@ -75,7 +70,7 @@ def test_criterion_1_limit_overlap_and_cirelson_point():
 def test_criterion_2_dual_route_overlap():
     worst = 0.0
     for z in (0.1, 0.5, 1.0, 2.0, 3.0):
-        diff = abs(k_series(z) - k_matrix(z, adim(z)))
+        diff = abs(k_series(z) - k_matrix(z, mode_dim_for(z)))
         worst = max(worst, diff)
     report(2, "series vs matrix overlap", worst < 1e-10, f"worst diff {worst:.3e}")
 
@@ -84,7 +79,7 @@ def test_criterion_3_closed_form_violation():
     worst = 0.0
     ok = True
     for z in (0.0, 0.5, 1.0, 2.0):
-        dim = adim(z)
+        dim = mode_dim_for(z)
         ops = build_pseudospin(dim)
         k = k_series(z)
         expected = 2.0 * math.sqrt(1.0 + k * k)
@@ -102,7 +97,7 @@ def test_criterion_4_optimizer_consistency():
     ok = True
     worst_gap = 0.0
     for z in (0.0, 0.5, 1.0, 2.0):
-        dim = adim(z)
+        dim = mode_dim_for(z)
         for label in HesLabel:
             res = optimize_chsh(hes_state(label, z, dim))
             gap = analytic_optimum(z, label).value - res.value
@@ -116,7 +111,7 @@ def test_criterion_4_optimizer_consistency():
         m = rng.normal(size=2) + 1j * rng.normal(size=2)
         z = float(rng.uniform(0.0, 3.0))
         state = tensor(Encoding.qubit().state(*(q / np.linalg.norm(q))),
-                       Encoding.cat(z, adim(z)).state(*(m / np.linalg.norm(m))))
+                       Encoding.cat(z, mode_dim_for(z)).state(*(m / np.linalg.norm(m))))
         res = optimize_chsh(state)
         worst_product = max(worst_product, res.value)
         ok &= res.value <= 2.0 + 1e-6
@@ -150,7 +145,7 @@ def test_criterion_6_one_ebit_suite():
     worst_ent = 0.0
     worst_schmidt = 0.0
     for z in grid:
-        dim = adim(z)
+        dim = mode_dim_for(z)
         for label in HesLabel:
             st = hes_state(label, z, dim)
             worst_ent = max(worst_ent, abs(entanglement_entropy(st, {0}) - 1.0))
@@ -162,7 +157,7 @@ def test_criterion_6_one_ebit_suite():
             )
     for z in grid:
         for zp in grid:
-            dim = max(adim(z), adim(zp))
+            dim = max(mode_dim_for(z), mode_dim_for(zp))
             for label in ParityBellLabel:
                 st = parity_bell_state(label, z, zp, dim)
                 worst_ent = max(worst_ent, abs(entanglement_entropy(st, {0}) - 1.0))
@@ -189,7 +184,7 @@ def test_criterion_7_teleportation():
         alpha, beta = random_pair(rng)
         z = float(rng.uniform(0.05, 2.0))
         channel = list(HesLabel)[int(rng.integers(0, 4))]
-        dim = adim(z)
+        dim = mode_dim_for(z)
         joint = tensor(Encoding.qubit().state(alpha, beta), hes_state(channel, z, dim))
         parts = measure_spin_bell(joint, (0, 1))
         total = sum(np.kron(dense(spin_bell_state(l)).amps, dense(br).amps)
@@ -204,11 +199,11 @@ def test_criterion_7_teleportation():
         spin_seen, parity_seen = set(), set()
         for seed in range(48):
             alpha, beta = random_pair(rng)
-            table = teleport_spin(alpha, beta, channel, 1.0, adim(1.0))
+            table = teleport_spin(alpha, beta, channel, 1.0, mode_dim_for(1.0))
             outcome, _, rec = draw(table, RngStream(seed))
             worst_fid = max(worst_fid, abs(rec.fidelity - 1.0))
             spin_seen.add(outcome)
-            table = teleport_parity(alpha, beta, 0.6, channel, 1.0, adim(1.0))
+            table = teleport_parity(alpha, beta, 0.6, channel, 1.0, mode_dim_for(1.0))
             outcome, _, rec = draw(table, RngStream(seed))
             worst_fid = max(worst_fid, abs(rec.fidelity - 1.0))
             parity_seen.add(outcome)
@@ -218,7 +213,7 @@ def test_criterion_7_teleportation():
 
     # 4096-trial outcome frequencies for both protocols
     trials = 4096
-    dim = adim(1.0)
+    dim = mode_dim_for(1.0)
     spin_table = teleport_spin(0.6, 0.8, HesLabel.PHI_PLUS, 1.0, dim)
     parity_table = teleport_parity(0.6, 0.8, 0.6, HesLabel.PHI_PLUS, 1.0, dim)
     # trial i draws from RngStream(i)
@@ -248,7 +243,7 @@ def test_criterion_8_swapping():
     worst_coeff = 0.0
     for z in (0.3, 1.0, 2.0):
         for zp in (0.3, 1.0, 2.0):
-            dim = max(adim(z), adim(zp))
+            dim = max(mode_dim_for(z), mode_dim_for(zp))
             for pair, c in swap_expansion(z, zp, dim).items():
                 worst_coeff = max(worst_coeff, abs(c - expected.get(pair, 0.0)))
     ok = worst_coeff <= 1e-12
@@ -256,7 +251,7 @@ def test_criterion_8_swapping():
     worst_fid = 0.0
     worst_ent = 0.0
     seen = set()
-    dim = max(adim(1.0), adim(0.5))
+    dim = max(mode_dim_for(1.0), mode_dim_for(0.5))
     for seed in range(32):
         outcome, _, rec = draw(swap_entanglement(1.0, 0.5, dim), RngStream(seed))
         seen.add(outcome)

@@ -129,7 +129,7 @@ class TestBellOperator:
 
 class TestChshValue:
     def test_aligned_product_state_reaches_classical_bound(self):
-        dim = mode_dim_for(1.0, 1e-14)
+        dim = mode_dim_for(1.0)
         ops = build_pseudospin(dim)
         state = kron(qubit_state(1.0, 0.0), even_coherent(1.0, dim))
         zaxis = Direction(0.0, 0.0, 1.0)
@@ -138,7 +138,7 @@ class TestChshValue:
 
     @pytest.mark.parametrize("z", [0.4, 1.0, 2.2])
     def test_matches_in_plane_closed_form(self, z, rng):
-        dim = mode_dim_for(z, 1e-14)
+        dim = mode_dim_for(z)
         ops = build_pseudospin(dim)
         state = hes_state(HesLabel.PHI_PLUS, z, dim)
         for _ in range(15):
@@ -210,7 +210,7 @@ class TestAnalyticOptimum:
     @pytest.mark.parametrize("label", list(HesLabel))
     @pytest.mark.parametrize("z", [0.0, 0.5, 1.0, 2.0])
     def test_settings_reproduce_value_for_every_label(self, label, z):
-        dim = mode_dim_for(z, 1e-14)
+        dim = mode_dim_for(z)
         ops = build_pseudospin(dim)
         state = hes_state(label, z, dim)
         res = analytic_optimum(z, label)
@@ -239,7 +239,7 @@ class TestOptimizeChsh:
 
     def test_reaches_closed_form_on_hybrid_state(self):
         z = 0.5
-        dim = mode_dim_for(z, 1e-14)
+        dim = mode_dim_for(z)
         state = hes_state(HesLabel.PHI_PLUS, z, dim)
         res = optimize_chsh(state)
         assert res.value >= analytic_optimum(z).value - 1e-6
@@ -247,7 +247,7 @@ class TestOptimizeChsh:
 
     def test_found_settings_reproduce_reported_value(self):
         z = 1.0
-        dim = mode_dim_for(z, 1e-14)
+        dim = mode_dim_for(z)
         ops = build_pseudospin(dim)
         state = hes_state(HesLabel.PSI_MINUS, z, dim)
         res = optimize_chsh(state)
@@ -264,7 +264,7 @@ class TestOptimizeChsh:
     )
     @example(z=100.0, label=HesLabel.PSI_MINUS)
     def test_equals_closed_form_for_every_z_and_label(self, z, label):
-        dim = mode_dim_for(z, 1e-14)
+        dim = mode_dim_for(z)
         state = hes_state(label, z, dim)
         res = optimize_chsh(state)
         k = k_series(z)
@@ -320,7 +320,7 @@ class TestOptimizeChsh:
     def test_correlation_matrix_matches_the_dense_one(self, label):
         # at the state's own mode dimension and at a larger one
         for z in np.linspace(0.0, 9.0, 46):
-            dim = mode_dim_for(z, 1e-14)
+            dim = mode_dim_for(z)
             for d in (dim, dim + 6):
                 state = hes_state(label, float(z), d)
                 got, expected = correlation_matrix(state), dense_correlation_matrix(state)
@@ -340,7 +340,7 @@ class TestOptimizeChsh:
         # by LAPACK's SVD: a diagonal of entries k, k and 1, whose tie the
         # later axis wins; only k = 1 (z = 0), where all three tie, differs
         for z in np.linspace(0.02, 9.0, 46):
-            state = hes_state(label, float(z), mode_dim_for(z, 1e-14))
+            state = hes_state(label, float(z), mode_dim_for(z))
             assert np.array_equal(correlation_matrix(state), numpy_correlation_matrix(state))
             result = optimize_chsh(state)
             value, settings = lapack_optimize_chsh(state)
@@ -369,7 +369,7 @@ class TestOptimizeChsh:
     def test_correlation_matrix_memory_is_linear_in_dim(self):
         # at z = 30 (dim 1140) one dense pseudospin matrix takes 20.8 MB
         z = 30.0
-        state = hes_state(HesLabel.PHI_PLUS, z, mode_dim_for(z, 1e-14))
+        state = hes_state(HesLabel.PHI_PLUS, z, mode_dim_for(z))
         assert state.space.dims == (2, 1140)
         tracemalloc.start()
         try:

@@ -35,7 +35,7 @@ Z_LARGE = st.floats(min_value=3.0, max_value=9.0)  # the benchmark's cutoff_swee
 
 def cli_dim(*zs):
     """The CLI's adaptive cutoff for a state at amplitudes zs."""
-    return max(mode_dim_for(z, 1e-14) for z in zs)
+    return max(mode_dim_for(z) for z in zs)
 
 
 def assert_one_ebit(state):
@@ -56,7 +56,7 @@ class TestSchmidt:
 
     @pytest.mark.parametrize("z", Z_GRID)
     def test_hybrid_state_spectrum_matches_bell_pair(self, z):
-        dim = mode_dim_for(z, 1e-14)
+        dim = mode_dim_for(z)
         st = hes_state(HesLabel.PHI_PLUS, z, dim)
         spec = schmidt_coefficients(st, {0})
         assert spec.coefficients[0] == pytest.approx(SQRT_HALF, abs=1e-10)
@@ -103,7 +103,7 @@ class TestEntropy:
     @pytest.mark.parametrize("label", list(HesLabel))
     @pytest.mark.parametrize("z", Z_GRID + [0.7])
     def test_one_ebit_for_hybrid_states(self, label, z):
-        dim = mode_dim_for(z, 1e-14)
+        dim = mode_dim_for(z)
         st = hes_state(label, z, dim)
         assert entanglement_entropy(st, {0}) == pytest.approx(
             1.0, abs=1e-10
@@ -112,7 +112,7 @@ class TestEntropy:
     @pytest.mark.parametrize("label", list(ParityBellLabel))
     @pytest.mark.parametrize("z,zp", [(0.1, 2.0), (0.5, 0.5), (1.0, 0.1), (2.0, 1.0)])
     def test_one_ebit_for_entangled_cat_pairs(self, label, z, zp):
-        dim = max(mode_dim_for(z, 1e-14), mode_dim_for(zp, 1e-14))
+        dim = max(mode_dim_for(z), mode_dim_for(zp))
         st = parity_bell_state(label, z, zp, dim)
         assert entanglement_entropy(st, {0}) == pytest.approx(
             1.0, abs=1e-10

@@ -70,10 +70,6 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 QUBIT = Encoding.qubit()
 
 
-def adim(z):
-    return mode_dim_for(z, 1e-14)
-
-
 def sender_branches(alpha, beta, z, channel, dim):
     """(outcome, conditional mode state) of the sender's Bell measurement on
     (unknown qubit) x (hybrid channel); each outcome has probability 1/4."""
@@ -84,10 +80,10 @@ def sender_branches(alpha, beta, z, channel, dim):
 # each Bell family: its label enum and the encodings of its two parties
 FAMILIES = {
     "qubit-qubit": (SpinBellLabel, lambda: (Encoding.qubit(), Encoding.qubit())),
-    "qubit-cat": (HesLabel, lambda: (Encoding.qubit(), Encoding.cat(1.3, adim(1.3)))),
+    "qubit-cat": (HesLabel, lambda: (Encoding.qubit(), Encoding.cat(1.3, mode_dim_for(1.3)))),
     "cat-cat": (
         ParityBellLabel,
-        lambda: (Encoding.cat(0.4, adim(0.4)), Encoding.cat(1.7, adim(1.7))),
+        lambda: (Encoding.cat(0.4, mode_dim_for(0.4)), Encoding.cat(1.7, mode_dim_for(1.7))),
     ),
 }
 FAMILY_LABELS = [
@@ -118,7 +114,7 @@ class TestBellBases:
             assert ent == pytest.approx(1.0, abs=1e-12)
 
     def test_hes_pairs_up_with_odd_for_psi(self):
-        z, dim = 0.8, adim(0.8)
+        z, dim = 0.8, mode_dim_for(0.8)
         st = hes_state(HesLabel.PSI_PLUS, z, dim)
         e, o = even_coherent(z, dim), odd_coherent(z, dim)
         expected = SQRT_HALF * (
@@ -127,7 +123,7 @@ class TestBellBases:
         assert np.allclose(dense(st).amps, expected, atol=1e-14)
 
     def test_hes_pairs_up_with_even_for_phi(self):
-        z, dim = 0.8, adim(0.8)
+        z, dim = 0.8, mode_dim_for(0.8)
         st = hes_state(HesLabel.PHI_MINUS, z, dim)
         e, o = even_coherent(z, dim), odd_coherent(z, dim)
         expected = SQRT_HALF * (
@@ -137,13 +133,13 @@ class TestBellBases:
 
     @pytest.mark.parametrize("z", [0.0, 0.5, 1.5])
     def test_hes_orthonormal(self, z):
-        dim = adim(z)
+        dim = mode_dim_for(z)
         states = [hes_state(l, z, dim) for l in HesLabel]
         gram = np.array([[inner(a, b) for b in states] for a in states])
         assert np.allclose(gram, np.eye(4), atol=1e-12)
 
     def test_parity_bell_amplitudes(self):
-        z, zp, dim = 0.6, 1.1, adim(1.1)
+        z, zp, dim = 0.6, 1.1, mode_dim_for(1.1)
         st = parity_bell_state(ParityBellLabel.PHI_PLUS, z, zp, dim)
         e1, o1 = even_coherent(z, dim), odd_coherent(z, dim)
         e2, o2 = even_coherent(zp, dim), odd_coherent(zp, dim)
@@ -153,7 +149,7 @@ class TestBellBases:
         assert np.allclose(dense(st).amps, expected, atol=1e-14)
 
     def test_parity_bell_orthonormal(self):
-        z, zp, dim = 0.9, 0.4, adim(0.9)
+        z, zp, dim = 0.9, 0.4, mode_dim_for(0.9)
         states = [parity_bell_state(l, z, zp, dim) for l in ParityBellLabel]
         gram = np.array([[inner(a, b) for b in states] for a in states])
         assert np.allclose(gram, np.eye(4), atol=1e-12)
@@ -204,7 +200,7 @@ class TestBellBases:
 
 class TestDecomposition:
     def test_worked_channel_branches(self):
-        z, dim = 1.0, adim(1.0)
+        z, dim = 1.0, mode_dim_for(1.0)
         a, b = 0.6, 0.8
         branches = dict(sender_branches(a, b, z, HesLabel.PHI_PLUS, dim))
         e, o = even_coherent(z, dim), odd_coherent(z, dim)
@@ -216,7 +212,7 @@ class TestDecomposition:
         )
 
     def test_codeword_input_gives_parity_eigenstate_branches(self):
-        z, dim = 0.7, adim(0.7)
+        z, dim = 0.7, mode_dim_for(0.7)
         for label, branch in sender_branches(1.0, 0.0, z, HesLabel.PHI_PLUS, dim):
             outcome, p, _ = draw(parity_measurement(branch, 0), RngStream(0))
             assert p == pytest.approx(1.0, abs=1e-12)
@@ -226,7 +222,7 @@ class TestDecomposition:
         for _ in range(13):
             alpha, beta = random_qubit_pair(rng)
             z = float(rng.uniform(0.05, 2.0))
-            dim = adim(z)
+            dim = mode_dim_for(z)
             parts = sender_branches(alpha, beta, z, channel, dim)
             total = sum(
                 np.kron(dense(spin_bell_state(l)).amps, dense(br).amps) for l, br in parts
@@ -276,7 +272,7 @@ class TestCorrections:
 class TestSpinBellMeasurement:
     def test_uniform_outcomes_on_teleport_input(self, rng):
         alpha, beta = random_qubit_pair(rng)
-        z, dim = 1.0, adim(1.0)
+        z, dim = 1.0, mode_dim_for(1.0)
         joint = tensor(
             QUBIT.state(alpha, beta), hes_state(HesLabel.PHI_PLUS, z, dim)
         )
@@ -293,13 +289,13 @@ class TestSpinBellMeasurement:
         assert np.allclose(collapsed.coeffs, [1, 0], atol=1e-12)
 
     def test_measured_factors_are_removed(self):
-        z, dim = 0.5, adim(0.5)
+        z, dim = 0.5, mode_dim_for(0.5)
         joint = tensor(QUBIT.state(0.6, 0.8), hes_state(HesLabel.PSI_PLUS, z, dim))
         _, _, collapsed = draw(measure_spin_bell(joint, (0, 1)), RngStream(0))
         assert collapsed.space.dims == (dim,)
 
     def test_seeded_sequences_reproduce(self):
-        z, dim = 0.5, adim(0.5)
+        z, dim = 0.5, mode_dim_for(0.5)
         joint = tensor(QUBIT.state(0.6, 0.8), hes_state(HesLabel.PSI_PLUS, z, dim))
 
         def run(seed):
@@ -337,7 +333,7 @@ class TestParityBellMeasurement:
     """The Bell measurement in a cat basis, which parity teleportation makes."""
 
     def test_basis_state_is_certain(self):
-        z, zp, dim = 0.8, 1.2, adim(1.2)
+        z, zp, dim = 0.8, 1.2, mode_dim_for(1.2)
         st = tensor(
             parity_bell_state(ParityBellLabel.PSI_MINUS, z, zp, dim),
             QUBIT.state(1.0, 0.0),
@@ -348,7 +344,7 @@ class TestParityBellMeasurement:
         assert p == pytest.approx(1.0, abs=1e-10)
 
     def test_equal_superposition_splits_evenly(self):
-        z, zp, dim = 0.8, 1.2, adim(1.2)
+        z, zp, dim = 0.8, 1.2, mode_dim_for(1.2)
         plus = parity_bell_state(ParityBellLabel.PHI_PLUS, z, zp, dim)
         minus = parity_bell_state(ParityBellLabel.PHI_MINUS, z, zp, dim)
         mixed = LogicalState(plus.encodings,
@@ -362,7 +358,7 @@ class TestParityBellMeasurement:
     def test_teleport_joint_state_has_uniform_outcomes(self, rng):
         alpha, beta = random_qubit_pair(rng)
         z, zpp = 1.0, 0.6
-        dim = adim(1.0)
+        dim = mode_dim_for(1.0)
         source, cat = Encoding.cat(zpp, dim), Encoding.cat(z, dim)
         joint = tensor(hes_state(HesLabel.PHI_PLUS, z, dim), source.state(alpha, beta))
         probs = {l: p for l, p, _ in _measure_bell(joint, (2, 1), source, cat)}
@@ -372,7 +368,7 @@ class TestParityBellMeasurement:
 
     def test_modes_of_different_dims(self):
         z, zp = 0.8, 1.2
-        cat, cat_p = Encoding.cat(z, adim(z)), Encoding.cat(zp, adim(zp) + 4)
+        cat, cat_p = Encoding.cat(z, mode_dim_for(z)), Encoding.cat(zp, mode_dim_for(zp) + 4)
         assert cat.space != cat_p.space
         st = tensor(
             QUBIT.state(1.0, 0.0), bell_pair(ParityBellLabel.PSI_MINUS, cat, cat_p)
@@ -388,7 +384,7 @@ class TestParityBellMeasurement:
     def test_out_of_span_component_rejected(self):
         # |0>|0> overlaps the z=1 codeword span only partially, so the table
         # its dense projection gives misses weight, and run_trials refuses it
-        z, dim = 1.0, adim(1.0)
+        z, dim = 1.0, mode_dim_for(1.0)
         vacuum = even_coherent(0.0, dim)
         st = kron(kron(vacuum, vacuum), qubit_state(1.0, 0.0))
         cat = Encoding.cat(z, dim)
@@ -400,7 +396,7 @@ class TestParityBellMeasurement:
     def test_other_encoding_rejected(self):
         # a state whose modes carry other codewords is not projected at all:
         # here the Fock states |0>, |1> (the cat pair at z = 0)
-        z, dim = 1.0, adim(1.0)
+        z, dim = 1.0, mode_dim_for(1.0)
         fock = Encoding.cat(0.0, dim)
         st = tensor(tensor(fock.state(1.0, 0.0), fock.state(1.0, 0.0)), QUBIT.state(1.0, 0.0))
         cat = Encoding.cat(z, dim)
@@ -409,7 +405,7 @@ class TestParityBellMeasurement:
 
     def test_flipped_encoding_rejected(self):
         # the parity flips of the cats are another basis of the same modes
-        cat, cat_p = Encoding.cat(0.8, adim(1.2)), Encoding.cat(1.2, adim(1.2))
+        cat, cat_p = Encoding.cat(0.8, mode_dim_for(1.2)), Encoding.cat(1.2, mode_dim_for(1.2))
         st = tensor(bell_pair(ParityBellLabel.PSI_MINUS, cat.flip(), cat_p), QUBIT.state(1.0, 0.0))
         probs = {label: p for label, p, _ in _measure_bell(st, (0, 1), cat.flip(), cat_p)}
         assert probs[ParityBellLabel.PSI_MINUS] == pytest.approx(1.0, abs=1e-12)
@@ -419,7 +415,7 @@ class TestParityBellMeasurement:
 
 class TestParityMeasurement:
     def test_even_codeword_is_certain(self):
-        st = Encoding.cat(1.0, adim(1.0)).state(1.0, 0.0)
+        st = Encoding.cat(1.0, mode_dim_for(1.0)).state(1.0, 0.0)
         outcome, p, collapsed = draw(parity_measurement(st, 0), RngStream(1))
         assert outcome == 1
         assert p == pytest.approx(1.0, abs=1e-12)
@@ -432,7 +428,7 @@ class TestParityMeasurement:
         # must then still be the exact zero of its own amplitudes
         # plain or flipped, |0_L> is even and |1_L> odd
         for z in np.linspace(0.0, 6.0, 601):
-            enc = Encoding.cat(z, adim(z))
+            enc = Encoding.cat(z, mode_dim_for(z))
             for table in (parity_measurement(e.state(*cat), 0) for e in (enc, enc.flip())):
                 assert [outcome for outcome, _, _ in table] == [1, -1]
                 for outcome, p, collapsed in table:
@@ -443,7 +439,7 @@ class TestParityMeasurement:
                 assert draw(table, RngStream(0))[0] == parity
 
     def test_superposition_statistics(self):
-        z, dim = 0.9, adim(0.9)
+        z, dim = 0.9, mode_dim_for(0.9)
         alpha, beta = 0.6, 0.8j
         st = Encoding.cat(z, dim).state(alpha, beta)
         even_count = 0
@@ -455,7 +451,7 @@ class TestParityMeasurement:
         assert abs(even_count / 400 - abs(alpha) ** 2) < 0.08
 
     def test_qubit_factor_rejected(self):
-        st = tensor(QUBIT.state(1.0, 0.0), Encoding.cat(0.5, adim(0.5)).state(1.0, 0.0))
+        st = tensor(QUBIT.state(1.0, 0.0), Encoding.cat(0.5, mode_dim_for(0.5)).state(1.0, 0.0))
         with pytest.raises(ValueError, match="not a mode"):
             parity_measurement(st, 0)
 
@@ -464,7 +460,7 @@ class TestTeleportSpin:
     @pytest.mark.parametrize("channel", list(HesLabel))
     @pytest.mark.parametrize("z", [0.0, 0.5, 1.0, 2.0])
     def test_unit_fidelity_everywhere(self, channel, z, rng):
-        dim = adim(z)
+        dim = mode_dim_for(z)
         for seed in range(13):
             alpha, beta = random_qubit_pair(rng)
             table = teleport_spin(alpha, beta, channel, z, dim)
@@ -483,7 +479,7 @@ class TestTeleportSpin:
     def test_output_parity_statistics_match_input_weights(self, rng):
         # the teleported mode state must answer parity questions exactly
         # like the input qubit answers z-basis questions
-        z, dim = 1.0, adim(1.0)
+        z, dim = 1.0, mode_dim_for(1.0)
         alpha, beta = random_qubit_pair(rng)
         for seed in range(16):
             table = teleport_spin(alpha, beta, HesLabel.PSI_MINUS, z, dim)
@@ -504,7 +500,7 @@ class TestTeleportSpin:
     ):
         for z in np.linspace(0.0, 3.0, 31):
             for channel in HesLabel:
-                for _, _, rec in teleport_spin(*amps, channel, z, adim(z)):
+                for _, _, rec in teleport_spin(*amps, channel, z, mode_dim_for(z)):
                     table = parity_measurement(rec.output_state, 0)
                     outcome, p, _ = max(table, key=lambda branch: branch[1])
                     assert outcome == parity
@@ -533,7 +529,7 @@ class TestTeleportParity:
     @pytest.mark.parametrize("channel", list(HesLabel))
     def test_unit_fidelity(self, channel, rng):
         z, zpp = 1.2, 0.7
-        dim = adim(1.2)
+        dim = mode_dim_for(1.2)
         for seed in range(10):
             alpha, beta = random_qubit_pair(rng)
             table = teleport_parity(alpha, beta, zpp, channel, z, dim)
@@ -572,7 +568,7 @@ class TestTeleportParity:
 class TestSwap:
     @pytest.mark.parametrize("z,zp", [(0.3, 0.3), (0.3, 1.0), (1.0, 2.0), (2.0, 0.3)])
     def test_expansion_signs_and_magnitudes(self, z, zp):
-        dim = max(adim(z), adim(zp))
+        dim = max(mode_dim_for(z), mode_dim_for(zp))
         expected = {
             (SpinBellLabel.PHI_PLUS, ParityBellLabel.PHI_PLUS): 0.5,
             (SpinBellLabel.PHI_MINUS, ParityBellLabel.PHI_MINUS): -0.5,
@@ -591,7 +587,7 @@ class TestSwap:
 
     def test_expansion_reassembles_the_joint_state(self):
         z, zp = 1.0, 0.5
-        dim = max(adim(z), adim(zp))
+        dim = max(mode_dim_for(z), mode_dim_for(zp))
         joint = dense(tensor(
             hes_state(HesLabel.PSI_MINUS, z, dim),
             hes_state(HesLabel.PSI_MINUS, zp, dim),
@@ -605,7 +601,7 @@ class TestSwap:
 
     def test_collapse_onto_paired_state(self):
         z, zp = 1.0, 0.5
-        dim = max(adim(z), adim(zp))
+        dim = max(mode_dim_for(z), mode_dim_for(zp))
         pairing = {
             SpinBellLabel.PHI_PLUS: ParityBellLabel.PHI_PLUS,
             SpinBellLabel.PHI_MINUS: ParityBellLabel.PHI_MINUS,
@@ -622,7 +618,7 @@ class TestSwap:
         assert seen == set(SpinBellLabel)
 
     def test_post_collapse_entropy_is_one_ebit(self):
-        _, _, rec = draw(swap_entanglement(0.7, 1.3, adim(1.3)), RngStream(5))
+        _, _, rec = draw(swap_entanglement(0.7, 1.3, mode_dim_for(1.3)), RngStream(5))
         ent = entanglement_entropy(rec.mode_state, {0})
         assert ent == pytest.approx(1.0, abs=1e-10)
 
@@ -794,7 +790,7 @@ class TestDraw:
 
     def test_one_variate_per_draw(self, monkeypatch):
         # seed by seed, below the batch
-        table, drawn = teleport_spin(0.6, 0.8, HesLabel.PHI_PLUS, 1.0, adim(1.0)), []
+        table, drawn = teleport_spin(0.6, 0.8, HesLabel.PHI_PLUS, 1.0, mode_dim_for(1.0)), []
         uniform = RngStream.uniform
         monkeypatch.setattr(RngStream, "uniform", lambda rng: drawn.append(rng.seed) or uniform(rng))
         run_trials(table, 3, _BATCH_MIN_TRIALS - 1)
@@ -856,11 +852,13 @@ class TestRowChoice:
         assert drawn_rows(table, us) == scan_rows(table, us)
 
     PROTOCOLS = {
-        "teleport_spin": lambda: teleport_spin(0.6, 0.8j, HesLabel.PSI_PLUS, 1.1, adim(1.1)),
-        "teleport_parity": lambda: teleport_parity(
-            1.0, 0.0, 0.7, HesLabel.PHI_MINUS, 1.3, adim(1.3)
+        "teleport_spin": lambda: teleport_spin(
+            0.6, 0.8j, HesLabel.PSI_PLUS, 1.1, mode_dim_for(1.1)
         ),
-        "swap": lambda: swap_entanglement(0.8, 1.2, adim(1.2)),
+        "teleport_parity": lambda: teleport_parity(
+            1.0, 0.0, 0.7, HesLabel.PHI_MINUS, 1.3, mode_dim_for(1.3)
+        ),
+        "swap": lambda: swap_entanglement(0.8, 1.2, mode_dim_for(1.2)),
     }
 
     @pytest.mark.parametrize("name", list(PROTOCOLS))
@@ -986,36 +984,36 @@ class TestEveryBranch:
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(amps=AMPLITUDES, z=Z, channel=CHANNEL)
     def test_teleport_spin(self, amps, z, channel):
-        table = teleport_spin(*amps, channel, z, adim(z))
+        table = teleport_spin(*amps, channel, z, mode_dim_for(z))
         check_teleport_table(table, SpinBellLabel, channel)
 
     @settings(derandomize=True, max_examples=10, deadline=None)
     @given(amps=AMPLITUDES, z=Z_LARGE, channel=CHANNEL)
     def test_teleport_spin_at_large_z(self, amps, z, channel):
-        table = teleport_spin(*amps, channel, z, adim(z))
+        table = teleport_spin(*amps, channel, z, mode_dim_for(z))
         check_teleport_table(table, SpinBellLabel, channel)
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(amps=AMPLITUDES, z=Z, zpp=Z, channel=CHANNEL)
     def test_teleport_parity(self, amps, z, zpp, channel):
-        table = teleport_parity(*amps, zpp, channel, z, max(adim(z), adim(zpp)))
+        table = teleport_parity(*amps, zpp, channel, z, max(mode_dim_for(z), mode_dim_for(zpp)))
         check_teleport_table(table, ParityBellLabel, channel)
 
     @settings(derandomize=True, max_examples=10, deadline=None)
     @given(amps=AMPLITUDES, z=Z_LARGE, zpp=Z_LARGE, channel=CHANNEL)
     def test_teleport_parity_at_large_z(self, amps, z, zpp, channel):
-        table = teleport_parity(*amps, zpp, channel, z, max(adim(z), adim(zpp)))
+        table = teleport_parity(*amps, zpp, channel, z, max(mode_dim_for(z), mode_dim_for(zpp)))
         check_teleport_table(table, ParityBellLabel, channel)
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(z=Z, zp=Z)
     def test_swap(self, z, zp):
-        check_swap_table(swap_entanglement(z, zp, max(adim(z), adim(zp))))
+        check_swap_table(swap_entanglement(z, zp, max(mode_dim_for(z), mode_dim_for(zp))))
 
     @settings(derandomize=True, max_examples=10, deadline=None)
     @given(z=Z_LARGE, zp=Z_LARGE)
     def test_swap_at_large_z(self, z, zp):
-        check_swap_table(swap_entanglement(z, zp, max(adim(z), adim(zp))))
+        check_swap_table(swap_entanglement(z, zp, max(mode_dim_for(z), mode_dim_for(zp))))
 
 
 Z_DENSE = st.floats(min_value=0.5, max_value=9.0)
@@ -1042,21 +1040,21 @@ class TestAgainstTheDenseRoute:
     @settings(derandomize=True, max_examples=15, deadline=None)
     @given(amps=AMPLITUDES, z=Z_DENSE, channel=CHANNEL)
     def test_teleport_spin(self, amps, z, channel):
-        dim = adim(z)
+        dim = mode_dim_for(z)
         check_against_dense_teleport(teleport_spin(*amps, channel, z, dim),
                                      dense_teleport_spin(*amps, channel, z, dim))
 
     @settings(derandomize=True, max_examples=15, deadline=None)
     @given(amps=AMPLITUDES, z=Z_DENSE, zpp=Z_DENSE, channel=CHANNEL)
     def test_teleport_parity(self, amps, z, zpp, channel):
-        dim = max(adim(z), adim(zpp))
+        dim = max(mode_dim_for(z), mode_dim_for(zpp))
         check_against_dense_teleport(teleport_parity(*amps, zpp, channel, z, dim),
                                      dense_teleport_parity(*amps, zpp, channel, z, dim))
 
     @settings(derandomize=True, max_examples=10, deadline=None)
     @given(z=Z_DENSE, zp=Z_DENSE)
     def test_swap(self, z, zp):
-        dim = max(adim(z), adim(zp))
+        dim = max(mode_dim_for(z), mode_dim_for(zp))
         table = swap_entanglement(z, zp, dim)
         rows = dense_swap(z, zp, dim)
         assert [outcome for outcome, _, _ in table] == [row[0] for row in rows]
@@ -1081,14 +1079,14 @@ class TestAtACutoffNoDenseStateFits:
     """At z = 100 (dim 10776) the dense swap state would need about 7.4 GB."""
 
     def test_swap(self, z, zp):
-        table, peak = peak_bytes(lambda: swap_entanglement(z, zp, adim(max(z, zp))))
+        table, peak = peak_bytes(lambda: swap_entanglement(z, zp, mode_dim_for(max(z, zp))))
         check_swap_table(table)
         for _, _, rec in table:
             assert rec.fidelity >= 1.0 - 1e-9
         assert peak < 50 * 2**20
 
     def test_teleport_parity(self, z, zp):
-        dim = adim(max(z, zp))
+        dim = mode_dim_for(max(z, zp))
         table, peak = peak_bytes(
             lambda: teleport_parity(0.6, 0.8j, zp, HesLabel.PSI_MINUS, z, dim))
         check_teleport_table(table, ParityBellLabel, HesLabel.PSI_MINUS)
@@ -1097,7 +1095,7 @@ class TestAtACutoffNoDenseStateFits:
 
     def test_teleport_spin(self, z, zp):
         table, peak = peak_bytes(
-            lambda: teleport_spin(0.6, 0.8j, HesLabel.PHI_MINUS, z, adim(z)))
+            lambda: teleport_spin(0.6, 0.8j, HesLabel.PHI_MINUS, z, mode_dim_for(z)))
         check_teleport_table(table, SpinBellLabel, HesLabel.PHI_MINUS)
         assert min(rec.fidelity for _, _, rec in table) >= 1.0 - 1e-9
         assert peak < 50 * 2**20

@@ -143,7 +143,7 @@ class TestIndexShift:
 
     @pytest.mark.parametrize("z", [0.0, 0.3, 1.0, 4.0, 9.0])
     def test_matches_the_dense_matrices_on_the_cat_codewords(self, z):
-        dim = mode_dim_for(z, 1e-14)
+        dim = mode_dim_for(z)
         ops = build_pseudospin(dim)
         e, o = even_coherent(z, dim), odd_coherent(z, dim)
         assert same_bits(s_plus(o).amps, apply(ops.s_plus, o, 0).amps)
@@ -195,7 +195,7 @@ class TestEncodedPseudospin:
     def test_on_the_cat_codewords_it_is_k_times_the_pauli_pair(self, z):
         # s_x and s_y flip parity, so only their off-diagonal elements survive,
         # k(z) and -i k(z); s_z is the parity, diag(1, -1)
-        dim = mode_dim_for(z, 1e-14)
+        dim = mode_dim_for(z)
         enc = Encoding.cat(z, dim)
         got = np.array(encoded_pseudospin(enc))
         assert np.max(np.abs(got - self.dense_elements(enc))) <= DENSE_AGREEMENT_TOL
@@ -209,7 +209,7 @@ class TestEncodedPseudospin:
     @example(z=1e-200, offset=0)
     def test_on_a_cat_encoding_it_is_the_codewords_overlap(self, z, offset):
         # exactly (k sigma_x, k sigma_y, sigma_z), on the cats and on their flips
-        dim = max(2, mode_dim_for(z, 1e-14) + offset)
+        dim = max(2, mode_dim_for(z) + offset)
         try:
             cat = Encoding.cat(z, dim)
         except TruncationError:
@@ -224,7 +224,7 @@ class TestEncodedPseudospin:
     def test_builds_no_dense_matrix(self):
         # dim 10776: a dense s_x alone would take 1.9 GB
         z = 100.0
-        enc = Encoding.cat(z, mode_dim_for(z, 1e-14))
+        enc = Encoding.cat(z, mode_dim_for(z))
         tracemalloc.start()
         try:
             got = encoded_pseudospin(enc)
@@ -328,11 +328,11 @@ class TestKMatrix:
 
     @pytest.mark.parametrize("z", [0.1, 0.5, 1.0, 2.0, 3.0])
     def test_agrees_with_series(self, z):
-        dim = mode_dim_for(z, 1e-14)
+        dim = mode_dim_for(z)
         assert abs(k_matrix(z, dim) - k_series(z)) < 1e-10
 
     def test_is_the_even_flip_odd_overlap(self):
-        z, dim = 1.2, mode_dim_for(1.2, 1e-14)
+        z, dim = 1.2, mode_dim_for(1.2)
         ops = build_pseudospin(dim)
         e, o = even_coherent(z, dim), odd_coherent(z, dim)
         flipped = apply(ops.s_plus, o, 0)
@@ -343,7 +343,7 @@ class TestKMatrix:
     @pytest.mark.parametrize("z", [0.0, 0.3, 1.0, 4.0, 9.0])
     def test_is_the_element_the_overlap_route_gives(self, z):
         # of the codewords themselves, over their four even and odd parts
-        dim = mode_dim_for(z, 1e-14)
+        dim = mode_dim_for(z)
         assert k_matrix(z, dim) == overlap_k_matrix(z, dim)
 
     @settings(derandomize=True, max_examples=30, deadline=None)
@@ -353,7 +353,7 @@ class TestKMatrix:
     @example(z=Z_CAP, offset=0)
     def test_is_the_overlap_route_bit_for_bit_for_every_z(self, z, offset):
         # kz's K_matrix column kept its bytes when the route moved to the oracles
-        dim = mode_dim_for(z, 1e-14) + offset
+        dim = mode_dim_for(z) + offset
         assume(dim <= 1_000_000)
         assert k_matrix(z, dim).hex() == overlap_k_matrix(z, dim).hex()
 
@@ -365,11 +365,11 @@ class TestKMatrix:
             k_matrix(1.0, 18)
 
     def test_large_z(self):
-        assert abs(k_matrix(5.0, mode_dim_for(5.0, 1e-14)) - K_ORACLE[5.0]) < 1e-10
+        assert abs(k_matrix(5.0, mode_dim_for(5.0)) - K_ORACLE[5.0]) < 1e-10
 
     def test_builds_no_dense_matrix(self):
         # dim 10776: a dense s_plus alone would take 1.9 GB
-        dim = mode_dim_for(100.0, 1e-14)
+        dim = mode_dim_for(100.0)
         tracemalloc.start()
         try:
             k = k_matrix(100.0, dim)
