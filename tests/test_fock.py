@@ -1,5 +1,6 @@
 """Composite-space algebra and cat-state construction."""
 
+import inspect
 import itertools
 import math
 import operator
@@ -30,7 +31,7 @@ from hesim import (
     odd_coherent,
     tensor,
 )
-from hesim.fock import _K_SLACK, _MODE_DIM_CAP, _svd
+from hesim.fock import _CUTOFF_TOL, _K_SLACK, _MODE_DIM_CAP, _RESIDUAL_TOL, _svd
 from hesim.pseudospin import Direction, k_series
 
 from conftest import Z_CAP, number_state, random_amps, random_cat, random_logical, random_state
@@ -91,6 +92,16 @@ class TestModeDimFor:
     @pytest.mark.parametrize("z", [0.3, 0.7, 1.0, 2.0, 3.0])
     def test_matches_brute_force(self, z):
         assert mode_dim_for(z) == brute_force_mode_dim(z, 1e-14)
+
+    @pytest.mark.parametrize("z", [0.3, 0.7, 1.0, 2.0, 3.0])
+    def test_its_cutoff_passes_the_residual_check(self, z):
+        # the cutoff is sized at a tighter tolerance than the cats are checked
+        # against, so it is never below a sizing at the check's own tolerance
+        assert _CUTOFF_TOL < _RESIDUAL_TOL
+        dim = mode_dim_for(z)
+        assert dim >= brute_force_mode_dim(z, _RESIDUAL_TOL)
+        for build in (even_coherent, odd_coherent):
+            assert build(z, dim).truncation_residual <= _RESIDUAL_TOL
 
     def test_monotone_in_z(self):
         assert mode_dim_for(3.0) > mode_dim_for(1.0)
@@ -260,6 +271,14 @@ class TestCatStates:
     def test_error_names_a_dim_far_above_an_undersized_one(self):
         with pytest.raises(TruncationError, match=r"at dim 6 .* use dim >= 26$"):
             even_coherent(2.0, 6)
+
+    @pytest.mark.parametrize("build,params", [(mode_dim_for, ["z"]), (even_coherent, ["z", "dim"]),
+                                              (odd_coherent, ["z", "dim"])])
+    def test_takes_no_tolerance(self, build, params):
+        # the truncation tolerances are constants of fock, not arguments
+        assert list(inspect.signature(build).parameters) == params
+        with pytest.raises(TypeError):
+            build(*[2.0, 26][:len(params)], 0.5)
 
     def test_negative_z_rejected(self):
         with pytest.raises(ValueError):
