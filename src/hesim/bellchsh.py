@@ -31,7 +31,7 @@ _NONREAL_TOL = 1e-10  # largest imaginary part an expectation may carry
 class ChshSettings(_Value):
     """The four measurement directions entering the Bell combination."""
 
-    _fields = _compared = ("a", "a_prime", "b", "b_prime")
+    _fields = ("a", "a_prime", "b", "b_prime")
 
     def __init__(self, a: Direction, a_prime: Direction, b: Direction, b_prime: Direction) -> None:
         _set(self, "a", a)
@@ -59,7 +59,7 @@ class ChshSettings(_Value):
 class ChshResult(_Value):
     """A CHSH value and the settings that reach it."""
 
-    _fields = _compared = ("value", "settings")
+    _fields = ("value", "settings")
 
     def __init__(self, value: float, settings: ChshSettings) -> None:
         if abs(value) > CIRELSON_BOUND + _VALUE_SLACK:

@@ -20,7 +20,7 @@ _SCHMIDT_NORM_TOL = 1e-10
 class SchmidtSpectrum(_Value):
     """Schmidt coefficients in descending order; their squares sum to one."""
 
-    _fields = _compared = ("coefficients",)
+    _fields = ("coefficients",)
 
     def __init__(self, coefficients: tuple[float, ...]) -> None:
         coeffs = tuple(float(c) for c in coefficients)

@@ -10,18 +10,19 @@ Only pure states are represented. A ``LogicalState`` holds a tuple of
 state is one, so products and overlaps cost 2**n numbers, never dim**2
 amplitudes, and take no numpy. ``_svd``, a one-sided Jacobi SVD of such
 small matrices, serves the Schmidt and the CHSH analyses. An encoding is
-scalars: the qubit, or a cat's amplitude, cutoff, flip, residuals and
-even/odd overlap, so no state holds a codeword. A ``StateVector`` holds
-the numpy amplitudes of one mode: ``even_coherent`` and ``odd_coherent``
-build the cat codewords, which only the dense check ``pseudospin.k_matrix``
-reads; they are the one numpy kernel here, and import numpy when called.
-The cat codewords, their truncation residuals and overlap, the adaptive
-Fock cutoff ``mode_dim_for`` and the overlap k(z) of
-``pseudospin`` all read one list of coherent weights, walked outward from
-the Poisson peak by term ratios; a command walks each of its z once. The
-walk alone checks z and defines the limit z -> 0 for all of them. The
-truncation policy is fixed here as well: the cutoff is sized so that |z>
-loses less than 1e-14, and a cat may lose at most 1e-12. All
+scalars: the qubit, or a cat's mode, amplitude and flip, from which its
+constructor works out the residuals and the even/odd overlap, so no state
+holds a codeword. A ``StateVector`` holds the numpy amplitudes of one
+mode: ``even_coherent`` and ``odd_coherent`` build the cat codewords,
+which only the dense check ``pseudospin.k_matrix`` reads; they are the
+one numpy kernel here, and import numpy when called. The cat codewords,
+their truncation residuals and overlap, the adaptive Fock cutoff
+``mode_dim_for`` and the overlap k(z) of ``pseudospin`` all read one list
+of coherent weights, walked outward from the Poisson peak by term ratios;
+a command walks each of its z once. The walk alone checks z, for a
+directly built encoding too, and defines the limit z -> 0 for all of
+them. The truncation policy is fixed here as well: the cutoff is sized so
+that |z> loses less than 1e-14, and a cat may lose at most 1e-12. All
 values are immutable after construction; every operation here is a pure
 function and safe to share across workers. The Bell-pair label enums live
 here too, so that the analysis and protocol layers share them without
@@ -54,9 +55,6 @@ _NORM_TOL = 1e-12
 # |alpha|^2 + |beta|^2 may differ from 1 by this much in a logical state
 _AMP_NORM_TOL = 1e-12
 _MODE_DIM_CAP = 1_000_000
-# rounding allowed above 1 of a cat's overlap k (Encoding.cat measured at most
-# one ulp, 2.2e-16, above 1 at z up to the Fock cap)
-_K_SLACK = 1e-15
 # a pair of rows counts as orthogonal in _svd once their overlap is at most
 # this share of the product of their norms
 _SVD_TOL = 4 * sys.float_info.epsilon
@@ -65,9 +63,9 @@ _set = object.__setattr__
 
 
 class _Value:
-    """Base of the frozen value classes. The repr shows ``_fields``, the
-    constructor's arguments in order; == (between instances of one class)
-    and the hash read the tuple of ``_compared``. Each ``__init__`` runs its
+    """Base of the frozen value classes. ``_fields`` are the constructor's
+    arguments in order: the repr shows them, and == (between instances of
+    one class) and the hash read their tuple. Each ``__init__`` runs its
     class's checks and sets the attributes with ``_set``; any later
     assignment or deletion raises AttributeError."""
 
@@ -82,7 +80,7 @@ class _Value:
         return f"{type(self).__qualname__}({args})"
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._compared)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -143,7 +141,7 @@ class SpaceDescriptor(_Value):
     """Ordered factors of a composite Hilbert space."""
 
     # dims and dim are read off the factors once; equality, hashing and repr use the factors
-    _fields = _compared = ("factors",)
+    _fields = ("factors",)
 
     def __init__(self, factors: tuple[tuple[FactorKind, int], ...]) -> None:
         factors = tuple((FactorKind(kind), int(dim)) for kind, dim in factors)
@@ -221,12 +219,6 @@ class StateVector(_Value):
         _set(self, "amps", amps)
 
 
-def _check_z(z: float) -> None:
-    # NaN fails every comparison, so it must be rejected before any loop on z
-    if not (math.isfinite(z) and z >= 0.0):
-        raise ValueError(f"z must be finite and nonnegative, got {z!r}")
-
-
 def _combined_residual(a: float, b: float) -> float:
     """Mass lost by a product of two truncations losing a and b: 1-(1-a)(1-b).
 
@@ -235,7 +227,7 @@ def _combined_residual(a: float, b: float) -> float:
     return a + b - a * b
 
 
-# mode_dim_for, Encoding.cat and k_series walk the same z in one command, so
+# mode_dim_for, an Encoding and k_series walk the same z in one command, so
 # the walks of the last few z are kept; a walk at the Fock cap is 27 043
 # floats. Across commands no z repeats, so no other caller gains from it.
 @functools.lru_cache(maxsize=4)
@@ -253,7 +245,9 @@ def _coherent_weights(z: float) -> tuple[int, tuple[float, ...]]:
     z -> 0 is weight 1 on levels 0 and 1. It checks z for every reader, and
     refuses a z whose peak lies past the largest cutoff.
     """
-    _check_z(z)
+    # NaN fails every comparison, so it must be rejected before any loop on z
+    if not (math.isfinite(z) and z >= 0.0):
+        raise ValueError(f"z must be finite and nonnegative, got {z!r}")
     lam = z * z
     if lam == 0.0:
         return 0, (1.0, 1.0)
@@ -370,46 +364,42 @@ class Encoding(_Value):
     """The logical basis |0_L>, |1_L> of one qubit or one mode, as the scalars
     every claim reads.
 
-    ``Encoding.qubit()`` is spin up and down. ``Encoding.cat(z, dim)`` is the
-    even and odd cat at amplitude z or, ``flipped``, their parity flips
-    s_plus|odd>, s_minus|even>: codewords of parities (even, odd), so
-    orthonormal. It holds the truncation ``residuals`` of the even and the
-    odd cat and their overlap k = <even|s_x|odd> on the mode, which the flips
-    share. The qubit is the case k = 1 with no residual, and its own flip.
-    No codeword is built. Equal space, z and flip are equal encodings.
+    ``Encoding.qubit()`` is spin up and down. On a mode of dimension dim,
+    ``Encoding(space, z)`` is the even and odd cat at amplitude z or,
+    ``flipped``, their parity flips s_plus|odd>, s_minus|even>: codewords of
+    parities (even, odd), so orthonormal. The constructor works out, from
+    one walk of the coherent weights, the truncation ``residuals`` of the
+    even and the odd cat and their overlap k = <even|s_x|odd> on the mode,
+    which the flips share; no caller passes them. The qubit is the case
+    k = 1 with no residual, and its own flip. No codeword is built. Equal
+    space, z and flip are equal encodings.
 
-    Refuses, with a ValueError, any other space than one factor, a qubit
-    other than spin up and down (z = 0, k = 1, no residual, no flip), and on
-    a mode a z that is not finite and nonnegative, a residual outside
-    [0, 1] or a k outside [0, 1] beyond rounding.
+    Refuses, with a ValueError, any other space than one factor and a qubit
+    other than spin up and down (z = 0 and no flip); on a mode, a z that is
+    not finite and nonnegative, then, with a TruncationError, a cat that
+    loses more than 1e-12 of its mass.
     """
 
-    # residual, the mean of the residuals, is read off them once
-    _fields = ("space", "z", "residuals", "k", "flipped")
-    _compared = ("space", "z", "flipped")
+    # residuals, k and residual, the mean of the residuals, are worked out from them
+    _fields = ("space", "z", "flipped")
 
-    def __init__(self, space: SpaceDescriptor, z: float = 0.0,
-                 residuals: tuple[float, float] = (0.0, 0.0), k: float = 1.0,
-                 flipped: bool = False) -> None:
-        r_even, r_odd = residuals
+    def __init__(self, space: SpaceDescriptor, z: float = 0.0, flipped: bool = False) -> None:
         if space.nfactors != 1:
             raise ValueError(f"an encoding has one factor, got {space.describe()}")
         if space.kind(0) is FactorKind.QUBIT:
-            if (z, r_even, r_odd, k, flipped) != (0.0, 0.0, 0.0, 1.0, False):
-                raise ValueError("a qubit encoding is spin up and down: z = 0, k = 1, "
-                                 "no residual and no flip")
+            if (z, flipped) != (0.0, False):
+                raise ValueError("a qubit encoding is spin up and down: z = 0 and no flip")
+            residuals, k = (0.0, 0.0), 1.0
         else:
-            _check_z(z)
-            if not (0.0 <= r_even <= 1.0 and 0.0 <= r_odd <= 1.0):  # so that NaN fails it
-                raise ValueError(f"residuals must lie in [0, 1], got {residuals!r}")
-            if not 0.0 <= k <= 1.0 + _K_SLACK:
-                raise ValueError(f"overlap k must lie in [0, 1], got {k!r}")
+            _, even, mass_even, r_even = _branch(z, space.dim, 0)
+            _, odd, mass_odd, r_odd = _branch(z, space.dim, 1)
+            residuals, k = (r_even, r_odd), _pair_overlap(even, odd, mass_even, mass_odd)
         _set(self, "space", space)
         _set(self, "z", z)
         _set(self, "residuals", residuals)
         _set(self, "k", k)
         _set(self, "flipped", flipped)
-        _set(self, "residual", 0.5 * (r_even + r_odd))
+        _set(self, "residual", 0.5 * (residuals[0] + residuals[1]))
 
     @classmethod
     def qubit(cls) -> "Encoding":
@@ -421,17 +411,18 @@ class Encoding(_Value):
         """Even and odd cat states at amplitude z on a mode of dimension dim; each
         may lose at most 1e-12 of its mass, as ``even_coherent`` checks.
 
-        Reads one walk of the coherent weights and builds no codeword."""
-        space = SpaceDescriptor.mode(dim)
-        _, even, mass_even, r_even = _branch(z, dim, 0)
-        _, odd, mass_odd, r_odd = _branch(z, dim, 1)
-        return cls(space, z, (r_even, r_odd), _pair_overlap(even, odd, mass_even, mass_odd))
+        Refuses the dim first, then z; builds no codeword."""
+        return cls(SpaceDescriptor.mode(dim), z)
 
     def flip(self) -> "Encoding":
-        """The encoding on s_plus|1_L>, s_minus|0_L>: a qubit's are its own codewords."""
+        """The encoding on s_plus|1_L>, s_minus|0_L>: a qubit's are its own codewords.
+
+        A cat's flip shares its residuals and k, so it walks nothing."""
         if self.space.kind(0) is FactorKind.QUBIT:
             return self
-        return Encoding(self.space, self.z, self.residuals, self.k, not self.flipped)
+        flipped = object.__new__(Encoding)
+        vars(flipped).update(vars(self), flipped=not self.flipped)
+        return flipped
 
     def state(self, alpha: complex, beta: complex) -> "LogicalState":
         """Logical state alpha|0_L> + beta|1_L>; the amplitudes must be normalized."""

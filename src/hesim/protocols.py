@@ -306,7 +306,7 @@ def run_trials(branches: list[tuple], seed: int, trials: int) -> tuple[list[int]
 class TeleportRecord(_Value):
     """One teleportation branch; its table row holds the outcome and p."""
 
-    _fields = _compared = ("correction", "output_state", "target_state", "fidelity")
+    _fields = ("correction", "output_state", "target_state", "fidelity")
 
     def __init__(self, correction: Correction, output_state: LogicalState,
                  target_state: LogicalState, fidelity: float) -> None:
@@ -321,7 +321,7 @@ class TeleportRecord(_Value):
 class SwapRecord(_Value):
     """One entanglement-swapping branch; its row holds the spin outcome and p."""
 
-    _fields = _compared = ("parity_label", "fidelity", "mode_state")
+    _fields = ("parity_label", "fidelity", "mode_state")
 
     def __init__(self, parity_label: ParityBellLabel, fidelity: float,
                  mode_state: LogicalState) -> None:

@@ -45,7 +45,7 @@ PAULI_Z = ((1 + 0j, 0j), (0j, -1 + 0j))
 class Direction(_Value):
     """Unit vector on the Bloch sphere; a measurement setting."""
 
-    _fields = _compared = ("nx", "ny", "nz")
+    _fields = ("nx", "ny", "nz")
 
     def __init__(self, nx: float, ny: float, nz: float) -> None:
         norm = math.sqrt(nx**2 + ny**2 + nz**2)

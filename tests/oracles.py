@@ -161,9 +161,8 @@ TWINS = {
     StateVector: _twin(StateVector, ("space", SpaceDescriptor), ("amps", np.ndarray),
                        ("truncation_residual", float, 0.0), eq=False),
     Encoding: _twin(Encoding, ("space", SpaceDescriptor), ("z", float, 0.0),
-                    ("residuals", tuple, field(default=(0.0, 0.0), compare=False)),
-                    ("k", float, field(default=1.0, compare=False)), ("flipped", bool, False),
-                    ("residual", *_derived(float))),
+                    ("flipped", bool, False), ("residuals", *_derived(tuple)),
+                    ("k", *_derived(float)), ("residual", *_derived(float))),
     LogicalState: _twin(LogicalState, ("encodings", tuple), ("coeffs", tuple),
                         ("truncation_residual", float, 0.0), eq=False),
     Direction: _twin(Direction, ("nx", float), ("ny", float), ("nz", float)),

@@ -1,4 +1,4 @@
-"""``tools/byte_identity.py``: its corpus and its comparison of two runs."""
+"""``tools/byte_identity.py``: its corpus, the changes it expects and its comparison of two runs."""
 
 import importlib.util
 import json
@@ -42,6 +42,10 @@ def test_corpus_takes_the_golden_argv_it_is_given():
 
 def _record(argv, stdout, stderr="", code=0):
     return {"argv": argv, "stdout": stdout, "stderr": stderr, "exit": code, "columns": "80"}
+
+
+def _line(argv, stdout="", stderr="", code=0):
+    return json.dumps({"argv": argv, "stdout": stdout, "stderr": stderr, "exit": code})
 
 
 def test_expected_subcommands_may_differ_and_others_may_not():
@@ -96,3 +100,43 @@ def test_a_differing_record_without_argv_is_a_difference():
         "COLUMNS=80 hesim : stderr differ"
     )
     assert byte_identity.expected_changes(base, change, frozenset({"chsh"})) == []
+
+
+def test_expectation_is_read_off_the_golden_files():
+    base = "\n".join([_line(["kz", "a"], "x"), _line(["chsh", "b"], "", "error: a\n", 1),
+                      _line(["chsh", "c"], "", "error: a\n", 1), _line(["swap", "d"], "y"),
+                      _line(["entropy", "e"], "z"), _line([], "", "usage\n", 2)])
+    golden = "\n".join([_line(["kz", "a"], "x"),  # kept
+                        _line(["chsh", "b"], "", "error: b\n", 1),  # stderr re-recorded
+                        _line(["chsh", "c"], "", "error: b\n", 2),  # exit changed
+                        _line(["swap", "d"], "w"),  # stdout changed
+                        _line(["teleport", "f"], "v")])  # added; entropy and [] dropped
+    expected = byte_identity.golden_expectation(base, golden)
+    assert expected == {("chsh", "b"), "chsh", "swap", "entropy", ()}
+    only_b = byte_identity.golden_expectation(base, golden.replace('"exit": 2', '"exit": 1'))
+    assert only_b == {("chsh", "b"), ("chsh", "c"), "swap", "entropy", ()}
+    # a re-recorded argv may differ and is listed; the rest of its subcommand may not
+    records = [_record(["chsh", "b"], "", "error: a\n", 1), _record(["chsh", "x"], "s")]
+    changed = [_record(["chsh", "b"], "", "error: b\n", 1), _record(["chsh", "x"], "t")]
+    argv_only = frozenset({("chsh", "b")})
+    assert byte_identity.first_difference(records, changed, argv_only) == (
+        "COLUMNS=80 hesim chsh x: stdout differ"
+    )
+    assert byte_identity.expected_changes(records, changed, argv_only) == [
+        "COLUMNS=80 hesim chsh b: stderr or exit differ"
+    ]
+
+
+def test_a_stderr_only_rerecord_expects_its_argv_and_no_subcommand():
+    # 29e8192 -> fe71a30 cut "or raise the tolerance" from six TruncationError lines
+    path = byte_identity.GOLDEN.relative_to(ROOT).as_posix()
+    expected = byte_identity.golden_expectation(byte_identity.git_show("29e8192", path),
+                                                byte_identity.git_show("fe71a30", path))
+    assert sorted(expected) == sorted([
+        ("kz", "--zmin", "0", "--zmax", "3", "--steps", "3", "--dim", "8"),
+        ("chsh", "--z", "2", "--dim", "6"),
+        ("teleport", "parity", "--alpha", "1", "--beta", "0", "--z", "2", "--dim", "8"),
+        ("swap", "--z", "2", "--zprime", "1", "--dim", "6"),
+        ("entropy", "product:z=0.5", "--dim", "8"),
+        ("entropy", "hes:phi+:z=2", "--dim", "6"),
+    ])

@@ -31,7 +31,7 @@ from hesim import (
     odd_coherent,
     tensor,
 )
-from hesim.fock import _CUTOFF_TOL, _K_SLACK, _MODE_DIM_CAP, _RESIDUAL_TOL, _svd
+from hesim.fock import _CUTOFF_TOL, _MODE_DIM_CAP, _RESIDUAL_TOL, _coherent_weights, _svd
 from hesim.pseudospin import Direction, k_series
 
 from conftest import Z_CAP, number_state, random_amps, random_cat, random_logical, random_state
@@ -577,6 +577,9 @@ class TestEncoding:
         assert Encoding.cat(0.7, 14) != Encoding.cat(0.8, 14)
         # the same codewords |0>, |1>, but a qubit is not a mode
         assert Encoding.qubit() == QUBIT_ENC != Encoding.cat(0.0, 2)
+        # built on its mode, a cat works out the same residuals and k, bit for bit
+        direct, cat = Encoding(SpaceDescriptor.mode(18), 1.0), Encoding.cat(1.0, 18)
+        assert direct == cat and (direct.residuals, direct.k) == (cat.residuals, cat.k)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(z=st.one_of(st.floats(0.0, 5.0), st.floats(0.0, Z_CAP), st.floats(1e-9, 1e-3)))
@@ -586,19 +589,19 @@ class TestEncoding:
     @example(z=4.0)
     def test_a_cat_overlap_stays_within_the_rounding_slack(self, z):
         # k is a ratio of sums that Cauchy-Schwarz bounds by 1; rounding put it
-        # one ulp above 1 at most in a scan of 6300 z, a quarter of _K_SLACK
+        # one ulp above 1 at most in a scan of 6300 z, a quarter of 1e-15
         cat = Encoding.cat(z, mode_dim_for(z))
-        assert 0.0 < cat.k <= 1.0 + _K_SLACK / 4
+        assert 0.0 < cat.k <= 1.0 + 1e-15 / 4
 
     def test_refuses_more_than_one_factor(self):
         with pytest.raises(ValueError, match="one factor"):
             Encoding(SpaceDescriptor.qubit() * SpaceDescriptor.mode(4))
 
-    @pytest.mark.parametrize("fields", [
-        dict(flipped=True), dict(k=0.5), dict(residuals=(1e-13, 0.0)), dict(z=1.0),
-        dict(k=math.nan)], ids=["flipped", "k", "residual", "z", "nan_k"])
+    @pytest.mark.parametrize("fields", [dict(flipped=True), dict(z=1.0), dict(z=math.nan)],
+                             ids=["flipped", "z", "nan_z"])
     def test_refuses_a_qubit_other_than_spin_up_and_down(self, fields):
-        with pytest.raises(ValueError, match="qubit encoding is spin up and down"):
+        message = "a qubit encoding is spin up and down: z = 0 and no flip$"
+        with pytest.raises(ValueError, match=message):
             Encoding(SpaceDescriptor.qubit(), **fields)
 
     @pytest.mark.parametrize("z", [-1.0, math.inf, math.nan])
@@ -606,16 +609,18 @@ class TestEncoding:
         with pytest.raises(ValueError, match="z must be finite and nonnegative"):
             Encoding(SpaceDescriptor.mode(4), z)
 
-    @pytest.mark.parametrize("residuals", [(-1e-18, 0.0), (0.0, 1.5), (math.nan, 0.0)])
-    def test_refuses_a_mode_residual_outside_the_unit_interval(self, residuals):
-        with pytest.raises(ValueError, match="residuals must lie in"):
-            Encoding(SpaceDescriptor.mode(4), 1.0, residuals)
+    def test_refuses_a_mode_that_cannot_hold_its_cats(self):
+        # as Encoding.cat(2.0, 4) does: the even cat loses 67% of its mass
+        message = r"at dim 4 loses probability 6.704e-01 .*; use dim >= 26$"
+        with pytest.raises(TruncationError, match=message):
+            Encoding(SpaceDescriptor.mode(4), 2.0)
 
-    @pytest.mark.parametrize("k", [1.5, 1.0 + 2 * _K_SLACK, -0.25, math.nan])
-    def test_refuses_a_mode_overlap_outside_the_unit_interval(self, k):
-        with pytest.raises(ValueError, match="overlap k must lie in"):
-            Encoding(SpaceDescriptor.mode(4), k=k)
-        assert Encoding(SpaceDescriptor.mode(4), k=1.0 + _K_SLACK).k == 1.0 + _K_SLACK
+    def test_takes_no_residuals_or_overlap(self):
+        # both are worked out from the mode and z, never passed
+        assert list(inspect.signature(Encoding).parameters) == ["space", "z", "flipped"]
+        for scalars in (dict(k=0.3), dict(residuals=(0.0, 0.0))):
+            with pytest.raises(TypeError):
+                Encoding(SpaceDescriptor.mode(18), 1.0, **scalars)
 
 
 def built_or_refused(build):
@@ -667,8 +672,13 @@ class TestCatEncoding:
     def test_builds_no_codeword(self, monkeypatch):
         built = []
         monkeypatch.setattr(StateVector, "__post_init__", lambda sv: built.append(sv))
-        cat = Encoding.cat(Z_CAP, _MODE_DIM_CAP).flip()
-        assert built == [] and (cat.z, cat.space.dim, cat.flipped) == (Z_CAP, 1000000, True)
+        cat = Encoding.cat(Z_CAP, _MODE_DIM_CAP)
+        walks = _coherent_weights.cache_info()
+        flip = cat.flip()
+        assert built == [] and (flip.z, flip.space.dim, flip.flipped) == (Z_CAP, 1000000, True)
+        # a flip shares the residuals and k, and walks nothing
+        assert flip.residuals is cat.residuals and flip.k is cat.k
+        assert _coherent_weights.cache_info() == walks
 
 
 class TestLogicalState:
@@ -769,15 +779,13 @@ def random_space(rng) -> SpaceDescriptor:
 
 
 def random_encoding(rng) -> Encoding:
-    """The qubit, a cat, or a mode encoding of random valid scalars."""
+    """The qubit, a cat on a mode of 8-18 levels, or one on 2-14 levels."""
     pick = rng.integers(0, 3)
     if pick == 0:
         return Encoding.qubit()
     if pick == 1:
         return random_cat(2 * int(rng.integers(4, 10)), rng)
-    return Encoding(SpaceDescriptor.mode(2 * int(rng.integers(1, 8))), float(rng.uniform(0, 3)),
-                    tuple(map(float, rng.uniform(0, 1, 2))), float(rng.uniform(0, 1)),
-                    bool(rng.integers(0, 2)))
+    return random_cat(2 * int(rng.integers(1, 8)), rng)
 
 
 def random_direction(rng) -> Direction:

@@ -10,8 +10,12 @@ source tree, one fresh interpreter per tree, and compares every command's
 stdout, stderr and exit code. On the first difference it prints that argv
 and exits with status 1; otherwise it prints how many commands matched.
 
-``--expect-change`` names subcommands whose reports a change is meant to
-move. Their differing commands are listed instead, each with the largest
+The reports a change is meant to move are read off REV's and the working
+tree's ``tests/cli_golden.jsonl``: a line the change re-records with its
+stdout and exit kept expects its argv to differ, and a line whose stdout or
+exit changed, or that was dropped, expects its whole subcommand (argv[0]).
+``--expect-change`` names more such subcommands, for local runs. Differing
+commands that are expected are listed instead, each with the largest
 absolute numeric difference per JSON key or CSV column; a difference in
 any other command still stops the run with status 1.
 
@@ -85,16 +89,40 @@ def _describe(record: dict, detail: str) -> str:
     return f"COLUMNS={record['columns']} hesim {' '.join(record['argv'])}: {detail}"
 
 
-def _subcommand(record: dict) -> str:
-    return record["argv"][0] if record["argv"] else ""
+def _expected(record: dict, expected: frozenset) -> bool:
+    """Whether expected, a set of subcommands (str) and whole argv (tuple),
+    holds the record's argv or its subcommand."""
+    argv = tuple(record["argv"])
+    return argv in expected or bool(argv) and argv[0] in expected
+
+
+def golden_expectation(base_golden: str, golden: str) -> frozenset:
+    """What a change from base_golden to golden expects to move. A line
+    re-recorded with its stdout and exit kept expects its argv, a tuple; a
+    line whose stdout or exit changed, or that golden drops, expects its
+    subcommand, argv[0] (an empty argv expects itself)."""
+    kept = set(golden.splitlines())
+    now = {tuple(case["argv"]): case for case in map(json.loads, golden.splitlines())}
+    expected = set()
+    for line in base_golden.splitlines():
+        if line in kept:
+            continue
+        old = json.loads(line)
+        argv = tuple(old["argv"])
+        new = now.get(argv)
+        if new is not None and (new["stdout"], new["exit"]) == (old["stdout"], old["exit"]):
+            expected.add(argv)
+        else:
+            expected.add(argv[0] if argv else argv)
+    return frozenset(expected)
 
 
 def first_difference(base: list[dict], change: list[dict],
-                     expected: frozenset[str] = frozenset()) -> str | None:
-    """A description of the first record that differs, or None; records of
-    the ``expected`` subcommands are skipped."""
+                     expected: frozenset = frozenset()) -> str | None:
+    """A description of the first record that differs, or None; records
+    ``expected`` holds (see ``_expected``) are skipped."""
     for old, new in zip(base, change, strict=True):
-        if old != new and _subcommand(old) not in expected:
+        if old != new and not _expected(old, expected):
             parts = [key for key in ("stdout", "stderr", "exit") if old[key] != new[key]]
             return _describe(old, f"{', '.join(parts)} differ")
     return None
@@ -143,12 +171,11 @@ def numeric_differences(old: str, new: str) -> dict[str, float | str]:
     return out
 
 
-def expected_changes(base: list[dict], change: list[dict],
-                     expected: frozenset[str]) -> list[str]:
-    """One line per differing record of an expected subcommand."""
+def expected_changes(base: list[dict], change: list[dict], expected: frozenset) -> list[str]:
+    """One line per differing record that expected holds."""
     lines = []
     for old, new in zip(base, change, strict=True):
-        if old != new and _subcommand(old) in expected:
+        if old != new and _expected(old, expected):
             if (old["stderr"], old["exit"]) != (new["stderr"], new["exit"]):
                 lines.append(_describe(old, "stderr or exit differ"))
                 continue
@@ -192,8 +219,10 @@ def main() -> int:
         return 0
     if args.base is None:
         parser.error("--base is required")
-    expected = frozenset(filter(None, args.expect_change.split(",")))
-    argvs = corpus(args.ops, git_show(args.base, GOLDEN.relative_to(ROOT).as_posix()))
+    base_golden = git_show(args.base, GOLDEN.relative_to(ROOT).as_posix())
+    expected = (golden_expectation(base_golden, GOLDEN.read_text(encoding="utf-8"))
+                | frozenset(filter(None, args.expect_change.split(","))))
+    argvs = corpus(args.ops, base_golden)
     with tempfile.TemporaryDirectory(prefix="byte-identity-") as tmp:
         base = reports(extract_src(args.base, Path(tmp)), argvs)
     change = reports(ROOT / "src", argvs)
@@ -204,8 +233,10 @@ def main() -> int:
     changed = expected_changes(base, change, expected)
     for line in changed:
         print(f"changed: {line}")
+    subcommands = sorted(name for name in expected if isinstance(name, str))
     print(f"{len(change) - len(changed)} commands identical, {len(changed)} changed in "
-          f"{', '.join(sorted(expected)) or 'no subcommand'} ({len(argvs)} argv at COLUMNS "
+          f"{len(expected) - len(subcommands)} re-recorded argv and "
+          f"{', '.join(subcommands) or 'no subcommand'} ({len(argvs)} argv at COLUMNS "
           f"{', '.join(COLUMNS)}) between {args.base} and the working tree")
     return 0
 
