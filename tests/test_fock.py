@@ -615,12 +615,32 @@ class TestEncoding:
         with pytest.raises(TruncationError, match=message):
             Encoding(SpaceDescriptor.mode(4), 2.0)
 
-    def test_takes_no_residuals_or_overlap(self):
+    # the scalars a caller could pass before they were worked out: on the qubit
+    # the refused k, residuals and NaN k, on a mode a k and residuals that
+    # disagree with z, and the old positional order (space, z, residuals, k)
+    @pytest.mark.parametrize("args, scalars", [
+        ((SpaceDescriptor.qubit(),), dict(k=0.5)),
+        ((SpaceDescriptor.qubit(),), dict(residuals=(1e-13, 0.0))),
+        ((SpaceDescriptor.qubit(),), dict(k=math.nan)),
+        ((SpaceDescriptor.mode(18), 1.0), dict(k=0.3)),
+        ((SpaceDescriptor.mode(18), 1.0), dict(residuals=(0.0, 0.0))),
+        ((SpaceDescriptor.mode(18), 1.0, (0.0, 0.0), 0.3), {})],
+        ids=["qubit_k", "qubit_residual", "qubit_nan_k", "mode_k", "mode_residuals", "positional"])
+    def test_takes_no_residuals_or_overlap(self, args, scalars):
         # both are worked out from the mode and z, never passed
         assert list(inspect.signature(Encoding).parameters) == ["space", "z", "flipped"]
-        for scalars in (dict(k=0.3), dict(residuals=(0.0, 0.0))):
-            with pytest.raises(TypeError):
-                Encoding(SpaceDescriptor.mode(18), 1.0, **scalars)
+        with pytest.raises(TypeError):
+            Encoding(*args, **scalars)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(z=st.one_of(st.floats(0.0, 5.0), st.floats(0.0, Z_CAP), st.floats(1e-9, 1e-3)),
+           extra=st.sampled_from(range(0, 8, 2)))
+    def test_a_mode_residual_lies_within_the_check(self, z, extra):
+        # the range refusal on passed residuals is gone: worked out, each is a
+        # share of its branch's mass, at most the 1e-12 a cat may lose
+        enc = Encoding(SpaceDescriptor.mode(mode_dim_for(z) + extra), z)
+        assert all(0.0 <= r <= _RESIDUAL_TOL for r in enc.residuals)
+        assert enc.residual == 0.5 * (enc.residuals[0] + enc.residuals[1])
 
 
 def built_or_refused(build):
