@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import io
 import json
 import math
 import sys
@@ -113,7 +112,6 @@ def _json(payload: dict) -> str:
 
 
 def cmd_kz(args: argparse.Namespace) -> str:
-    import csv  # only kz writes CSV
     if args.steps < 1:
         raise ValueError(f"steps must be >= 1, got {args.steps}")
     for flag, z in (("--zmin", args.zmin), ("--zmax", args.zmax)):
@@ -128,15 +126,13 @@ def cmd_kz(args: argparse.Namespace) -> str:
     else:
         span = args.zmax - args.zmin
         zs = [args.zmin + i * span / (args.steps - 1) for i in range(args.steps)]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["z", "K_series", "K_matrix", "abs_diff", "violation"])
-    for z in zs:
+    rows = ["z,K_series,K_matrix,abs_diff,violation\n"]
+    for z in zs:  # reprs of finite floats: no field needs CSV quoting
         ks = k_series(z)
         km = k_matrix(z, _dim_for(args.dim, z))
         violation = 2.0 * math.sqrt(1.0 + ks * ks)
-        writer.writerow([repr(z), repr(ks), repr(km), repr(abs(ks - km)), repr(violation)])
-    return buf.getvalue()
+        rows.append(",".join(map(repr, (z, ks, km, abs(ks - km), violation))) + "\n")
+    return "".join(rows)
 
 
 def cmd_chsh(args: argparse.Namespace) -> str:
@@ -305,70 +301,56 @@ def cmd_entropy(args: argparse.Namespace) -> str:
     return _json(payload)
 
 
-def _kz_subparser(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--zmin", type=float, required=True)
-    p.add_argument("--zmax", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True, help="number of rows")
-    p.set_defaults(func=cmd_kz)
-
-
-def _chsh_subparser(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--z", type=float, required=True)
-    p.add_argument("--label", default="phi+", help="hybrid state label (default phi+)")
-    p.add_argument("--restarts", type=int, default=16, help="echoed only; must be >= 1")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="echoed only")
-    p.set_defaults(func=cmd_chsh)
-
-
-def _teleport_subparser(p: argparse.ArgumentParser) -> None:
-    p.add_argument("kind", choices=("spin", "parity"))
-    p.add_argument("--alpha", required=True, help="input amplitude (complex literal)")
-    p.add_argument("--beta", required=True)
-    p.add_argument("--z", type=float, required=True, help="channel cat amplitude")
-    p.add_argument(
-        "--zpp", type=float, default=None,
-        help="input codeword amplitude for parity teleportation (default: z)",
-    )
-    p.add_argument("--channel", default="phi+")
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(func=cmd_teleport)
-
-
-def _swap_subparser(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--z", type=float, required=True)
-    p.add_argument("--zprime", type=float, required=True)
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(func=cmd_swap)
-
-
-def _entropy_subparser(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "statespec",
-        help="spinbell:Phi+ | hes:phi+:z=1 | paritybell:phi~+:z=1,zp=0.5 | product:z=1",
-    )
-    p.set_defaults(func=cmd_entropy)
-
-
-# name: (help line, fills in the subparser), in help order; _declare adds
-# --dim and --out, in the full tree and in main's one parser. The handlers are
-# bound inside the fillers, at call time, so a wrapper installed on a
-# module-level ``cmd_*`` name after import still sees every call.
+# name: (help line, ((flag, add_argument keywords), ...)), in help order and
+# argument order; every subcommand then takes _COMMON's --dim and --out. The
+# full tree and main's one parser are both declared from this table.
 _SUBCOMMANDS = {
-    "kz": ("sweep the overlap k(z) and the CHSH violation", _kz_subparser),
-    "chsh": ("compare the CHSH maximum with the closed form", _chsh_subparser),
-    "teleport": ("Monte-Carlo teleportation runs", _teleport_subparser),
-    "swap": ("Monte-Carlo entanglement swapping runs", _swap_subparser),
-    "entropy": ("entropy and Schmidt spectrum of a named state", _entropy_subparser),
+    "kz": ("sweep the overlap k(z) and the CHSH violation", (
+        ("--zmin", dict(type=float, required=True)),
+        ("--zmax", dict(type=float, required=True)),
+        ("--steps", dict(type=int, required=True, help="number of rows")),
+    )),
+    "chsh": ("compare the CHSH maximum with the closed form", (
+        ("--z", dict(type=float, required=True)),
+        ("--label", dict(default="phi+", help="hybrid state label (default phi+)")),
+        ("--restarts", dict(type=int, default=16, help="echoed only; must be >= 1")),
+        ("--seed", dict(type=int, default=DEFAULT_SEED, help="echoed only")),
+    )),
+    "teleport": ("Monte-Carlo teleportation runs", (
+        ("kind", dict(choices=("spin", "parity"))),
+        ("--alpha", dict(required=True, help="input amplitude (complex literal)")),
+        ("--beta", dict(required=True)),
+        ("--z", dict(type=float, required=True, help="channel cat amplitude")),
+        ("--zpp", dict(type=float, default=None,
+                       help="input codeword amplitude for parity teleportation (default: z)")),
+        ("--channel", dict(default="phi+")),
+        ("--trials", dict(type=int, default=1)),
+        ("--seed", dict(type=int, default=DEFAULT_SEED)),
+    )),
+    "swap": ("Monte-Carlo entanglement swapping runs", (
+        ("--z", dict(type=float, required=True)),
+        ("--zprime", dict(type=float, required=True)),
+        ("--trials", dict(type=int, default=1)),
+        ("--seed", dict(type=int, default=DEFAULT_SEED)),
+    )),
+    "entropy": ("entropy and Schmidt spectrum of a named state", (
+        ("statespec", dict(
+            help="spinbell:Phi+ | hes:phi+:z=1 | paritybell:phi~+:z=1,zp=0.5 | product:z=1")),
+    )),
 }
+_COMMON = (
+    ("--dim", dict(type=int, default=None, help="override the adaptive Fock cutoff")),
+    ("--out", dict(default=None, help="output path (default stdout)")),
+)
 
 
 def _declare(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Every argument of subcommand ``name``, declared on ``p``."""
-    _SUBCOMMANDS[name][1](p)
-    p.add_argument("--dim", type=int, default=None, help="override the adaptive Fock cutoff")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+    """Every argument of subcommand ``name``, declared on ``p``. The handler
+    ``cmd_<name>`` is looked up here, when the parser is built, so a wrapper
+    installed on that module-level name after import still sees every call."""
+    for flag, keywords in _SUBCOMMANDS[name][1] + _COMMON:
+        p.add_argument(flag, **keywords)
+    p.set_defaults(func=globals()[f"cmd_{name}"])
     return p
 
 

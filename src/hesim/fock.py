@@ -374,16 +374,19 @@ class Encoding(_Value):
     k = 1 with no residual, and its own flip. No codeword is built. Equal
     space, z and flip are equal encodings.
 
-    Refuses, with a ValueError, any other space than one factor and a qubit
-    other than spin up and down (z = 0 and no flip); on a mode, a z that is
-    not finite and nonnegative, then, with a TruncationError, a cat that
-    loses more than 1e-12 of its mass.
+    Refuses, with a TypeError, a ``flipped`` that is not a bool; with a
+    ValueError, any other space than one factor and a qubit other than spin
+    up and down (z = 0 and no flip); on a mode, a z that is not finite and
+    nonnegative, then, with a TruncationError, a cat that loses more than
+    1e-12 of its mass.
     """
 
     # residuals, k and residual, the mean of the residuals, are worked out from them
     _fields = ("space", "z", "flipped")
 
     def __init__(self, space: SpaceDescriptor, z: float = 0.0, flipped: bool = False) -> None:
+        if not isinstance(flipped, bool):
+            raise TypeError(f"flipped must be a bool, got {flipped!r}")
         if space.nfactors != 1:
             raise ValueError(f"an encoding has one factor, got {space.describe()}")
         if space.kind(0) is FactorKind.QUBIT:

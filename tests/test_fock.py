@@ -624,12 +624,15 @@ class TestEncoding:
         ((SpaceDescriptor.qubit(),), dict(k=math.nan)),
         ((SpaceDescriptor.mode(18), 1.0), dict(k=0.3)),
         ((SpaceDescriptor.mode(18), 1.0), dict(residuals=(0.0, 0.0))),
-        ((SpaceDescriptor.mode(18), 1.0, (0.0, 0.0), 0.3), {})],
-        ids=["qubit_k", "qubit_residual", "qubit_nan_k", "mode_k", "mode_residuals", "positional"])
+        ((SpaceDescriptor.mode(18), 1.0, (0.0, 0.0), 0.3), {}),
+        ((SpaceDescriptor.mode(18), 1.0, (0.0, 0.0)), {})],
+        ids=["qubit_k", "qubit_residual", "qubit_nan_k", "mode_k", "mode_residuals", "positional",
+             "positional_residuals_as_flipped"])
     def test_takes_no_residuals_or_overlap(self, args, scalars):
-        # both are worked out from the mode and z, never passed
+        # both are worked out from the mode and z, never passed; residuals in
+        # flipped's place are refused by name, not taken for a truthy flip
         assert list(inspect.signature(Encoding).parameters) == ["space", "z", "flipped"]
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=r"\(0\.0, 0\.0\)" if len(args) == 3 else None):
             Encoding(*args, **scalars)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
