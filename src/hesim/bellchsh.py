@@ -74,18 +74,15 @@ class ChshResult(_Value):
 def _settings_for(k: float, label: HesLabel) -> ChshSettings:
     """In-plane settings that reach 2*sqrt(1 + k^2) for the given state.
 
-    The canonical choice (0, pi/2, atan k, -atan k) is exact for the phi+
-    pairing; the other three labels flip the correlator signs, which a
-    reflected qubit axis or swapped mode angles undo.
+    The canonical choice (0, pi/2, atan k, -atan k) is exact for phi+. A psi
+    pair anticorrelates z, which the qubit axis a = pi undoes; a minus sign
+    flips the x correlator, which the sign s undoes on the mode angles of a
+    phi pair and on a' of a psi pair.
     """
-    t = math.atan(k)
-    if label is HesLabel.PHI_PLUS:
-        return ChshSettings.in_plane(0.0, math.pi / 2.0, t, -t)
-    if label is HesLabel.PHI_MINUS:
-        return ChshSettings.in_plane(0.0, math.pi / 2.0, -t, t)
-    if label is HesLabel.PSI_PLUS:
-        return ChshSettings.in_plane(math.pi, math.pi / 2.0, t, -t)
-    return ChshSettings.in_plane(math.pi, -math.pi / 2.0, t, -t)
+    s, t = label.sign, math.atan(k)
+    if label.is_phi:
+        return ChshSettings.in_plane(0.0, math.pi / 2.0, s * t, -s * t)
+    return ChshSettings.in_plane(math.pi, s * math.pi / 2.0, t, -t)
 
 
 def analytic_optimum(z: float, label: HesLabel = HesLabel.PHI_PLUS) -> ChshResult:

@@ -8,6 +8,7 @@ complex numbers, so no numpy is loaded.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable
 
 from .fock import LogicalState, _party_order, _set, _svd, _Value
@@ -54,9 +55,10 @@ def schmidt_coefficients(state: LogicalState, side_a: Iterable[int]) -> SchmidtS
     The encodings are orthonormal, so these are the singular values of the
     coefficient tensor with side a's parties as rows: min(2**|a|, 2**(n-|a|))
     of them for n parties, two for a pair. Side a must be a nonempty proper
-    subset of the state's factor indices.
+    subset of the state's factor indices, each an integer: a float index is
+    a ``TypeError``, not rounded to a factor.
     """
-    a = {int(i) for i in side_a}
+    a = set(map(operator.index, side_a))
     nf = state.space.nfactors
     if not a or not a < set(range(nf)):
         raise ValueError(

@@ -275,8 +275,11 @@ def run_trials(branches: list[tuple], seed: int, trials: int) -> tuple[list[int]
     is an error rather than a fifth outcome. Returns each row's count and
     the drawn records' fidelities summed in trial order, so every row's
     record must carry a ``fidelity``. A trial takes one ``RngStream.uniform``
-    call and one bisection of the running sums.
+    call and one bisection of the running sums. A negative trial count is
+    refused before any draw; 0 trials is the empty run.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials!r}")
     ps = [p for _, p, _ in branches]
     total = sum(ps)
     if 1.0 - total > _SPAN_TOL:
@@ -543,14 +546,6 @@ def teleport_parity(
     return _teleport(alpha, beta, joint, (2, 1), (source, cat), channel, _QUBIT)
 
 
-_SWAP_PAIRING = {
-    SpinBellLabel.PHI_PLUS: (ParityBellLabel.PHI_PLUS, 0.5),
-    SpinBellLabel.PHI_MINUS: (ParityBellLabel.PHI_MINUS, -0.5),
-    SpinBellLabel.PSI_PLUS: (ParityBellLabel.PSI_PLUS, -0.5),
-    SpinBellLabel.PSI_MINUS: (ParityBellLabel.PSI_MINUS, 0.5),
-}
-
-
 def swap_entanglement(
     z: float, z_prime: float, dim: int
 ) -> list[tuple[SpinBellLabel, float, SwapRecord]]:
@@ -569,7 +564,9 @@ def swap_entanglement(
     )
     table = []
     for spin_label, p, modes in measure_spin_bell(joint, (0, 2)):
-        parity_label, expected = _SWAP_PAIRING[spin_label]
+        parity_label = ParityBellLabel[spin_label.name]
+        # psi-psi- = 1/2 (Phi+phi~+ - Phi-phi~- - Psi+psi~+ + Psi-psi~-)
+        expected = (0.5 if spin_label.is_phi else -0.5) * spin_label.sign
         # the coefficient of the joint state on spin Bell x paired cat Bell: the
         # modes, over (cat, cat_prime), dotted with that pair's conjugated coefficients
         overlap = sum(map(operator.mul, _bell_row(parity_label), modes.coeffs), 0j)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 
 from .fock import (
+    _NORM_TOL,
     Encoding,
     _coherent_weights,
     _pair_overlap,
@@ -32,9 +33,6 @@ from .fock import (
     even_coherent,
     odd_coherent,
 )
-
-_UNIT_TOL = 1e-12
-_NONREAL_TOL = 1e-12
 
 # rows of complex numbers; -1j is complex(-0.0, -1.0)
 PAULI_X = ((0j, 1 + 0j), (1 + 0j, 0j))
@@ -49,7 +47,7 @@ class Direction(_Value):
 
     def __init__(self, nx: float, ny: float, nz: float) -> None:
         norm = math.sqrt(nx**2 + ny**2 + nz**2)
-        if not abs(norm - 1.0) <= _UNIT_TOL:  # written so that NaN fails it
+        if not abs(norm - 1.0) <= _NORM_TOL:  # written so that NaN fails it
             raise ValueError(f"direction must be a unit vector, |n| = {norm!r}")
         _set(self, "nx", nx)
         _set(self, "ny", ny)
@@ -104,10 +102,9 @@ def k_matrix(z: float, dim: int) -> float:
     on the truncated mode, read off the codewords themselves: the dense
     check of the overlap that ``Encoding.cat`` carries. s_x moves each odd
     amplitude onto the even level below it, so the element is the overlap
-    of the even cat's even levels with the odd cat's odd ones."""
+    of the even cat's even levels with the odd cat's odd ones. Both
+    codewords' amplitudes are real square roots stored as complex, so the
+    element's imaginary part is exactly 0 and its real part is returned."""
     import numpy as np
     parts = np.array([even_coherent(z, dim).amps[0::2], odd_coherent(z, dim).amps[1::2]])
-    val = (parts.conj() @ parts.T)[0, 1]
-    if abs(val.imag) > _NONREAL_TOL:
-        raise ValueError(f"overlap has a nonreal component {val.imag!r}")
-    return float(val.real)
+    return float((parts.conj() @ parts.T)[0, 1].real)

@@ -34,7 +34,7 @@ from hesim import (
 
 import hesim.bellchsh
 
-from conftest import random_cat, random_logical, random_qubit_pair, random_state
+from conftest import Z_CAP, random_cat, random_logical, random_qubit_pair, random_state
 from oracles import (
     DENSE_AGREEMENT_TOL,
     SVD_AGREEMENT_TOL,
@@ -224,6 +224,24 @@ class TestAnalyticOptimum:
         assert s.b.theta == pytest.approx(math.atan(k), abs=1e-12)
         assert s.b_prime.theta == pytest.approx(math.atan(k), abs=1e-12)
         assert s.b_prime.nx == pytest.approx(-s.b.nx, abs=1e-12)
+
+    # each label's closed-form settings (a, a', b, b') from t = atan k(z)
+    SETTINGS_TABLE = {
+        HesLabel.PHI_PLUS: lambda t: (0.0, math.pi / 2, t, -t),
+        HesLabel.PHI_MINUS: lambda t: (0.0, math.pi / 2, -t, t),
+        HesLabel.PSI_PLUS: lambda t: (math.pi, math.pi / 2, t, -t),
+        HesLabel.PSI_MINUS: lambda t: (math.pi, -math.pi / 2, t, -t),
+    }
+
+    @pytest.mark.parametrize("label", list(HesLabel))
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(z=st.floats(min_value=0.0, max_value=9.0) | st.floats(min_value=9.0, max_value=Z_CAP))
+    @example(z=0.0)
+    @example(z=Z_CAP)
+    def test_settings_are_the_label_table_bit_for_bit(self, label, z):
+        expected = ChshSettings.in_plane(*self.SETTINGS_TABLE[label](math.atan(k_series(z))))
+        got = analytic_optimum(z, label).settings
+        assert got == expected and repr(got) == repr(expected)  # repr tells -0.0 from 0.0
 
     def test_negative_z_rejected(self):
         with pytest.raises(ValueError):

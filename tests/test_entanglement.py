@@ -193,6 +193,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="nonempty proper subset"):
             entanglement_entropy(st, side_a)
 
+    @pytest.mark.parametrize("side_a", [[0.7], [1.9]], ids=repr)
+    def test_side_a_holds_integer_indices(self, side_a):
+        # int() would cut a float at the factor below it
+        state = hes_state(HesLabel.PHI_PLUS, 1.0, 18)
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            schmidt_coefficients(state, side_a)
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            entanglement_entropy(state, side_a)
+
     def test_spectrum_validates_normalization(self):
         with pytest.raises(ValueError):
             SchmidtSpectrum((0.9, 0.9))

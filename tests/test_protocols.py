@@ -41,7 +41,6 @@ import hesim.protocols
 from hesim.protocols import (
     _BATCH_BLOCK,
     _BATCH_MIN_TRIALS,
-    _SWAP_PAIRING,
     _branch,
     _first_uniform,
     _first_uniforms,
@@ -565,16 +564,21 @@ class TestTeleportParity:
             assert abs(n / trials - 0.25) < 0.05
 
 
+# psi-psi- = 1/2 (Phi+phi~+ - Phi-phi~- - Psi+psi~+ + Psi-psi~-): each spin
+# outcome's partnered cat pair and the joint state's coefficient on the two
+SWAP_PAIRING = {
+    SpinBellLabel.PHI_PLUS: (ParityBellLabel.PHI_PLUS, 0.5),
+    SpinBellLabel.PHI_MINUS: (ParityBellLabel.PHI_MINUS, -0.5),
+    SpinBellLabel.PSI_PLUS: (ParityBellLabel.PSI_PLUS, -0.5),
+    SpinBellLabel.PSI_MINUS: (ParityBellLabel.PSI_MINUS, 0.5),
+}
+
+
 class TestSwap:
     @pytest.mark.parametrize("z,zp", [(0.3, 0.3), (0.3, 1.0), (1.0, 2.0), (2.0, 0.3)])
     def test_expansion_signs_and_magnitudes(self, z, zp):
         dim = max(mode_dim_for(z), mode_dim_for(zp))
-        expected = {
-            (SpinBellLabel.PHI_PLUS, ParityBellLabel.PHI_PLUS): 0.5,
-            (SpinBellLabel.PHI_MINUS, ParityBellLabel.PHI_MINUS): -0.5,
-            (SpinBellLabel.PSI_PLUS, ParityBellLabel.PSI_PLUS): -0.5,
-            (SpinBellLabel.PSI_MINUS, ParityBellLabel.PSI_MINUS): 0.5,
-        }
+        expected = {(spin, parity): c for spin, (parity, c) in SWAP_PAIRING.items()}
         coeffs = swap_expansion(z, zp, dim)
         assert len(coeffs) == 16
         for pair, c in coeffs.items():
@@ -602,16 +606,10 @@ class TestSwap:
     def test_collapse_onto_paired_state(self):
         z, zp = 1.0, 0.5
         dim = max(mode_dim_for(z), mode_dim_for(zp))
-        pairing = {
-            SpinBellLabel.PHI_PLUS: ParityBellLabel.PHI_PLUS,
-            SpinBellLabel.PHI_MINUS: ParityBellLabel.PHI_MINUS,
-            SpinBellLabel.PSI_PLUS: ParityBellLabel.PSI_PLUS,
-            SpinBellLabel.PSI_MINUS: ParityBellLabel.PSI_MINUS,
-        }
         seen = set()
         for seed in range(24):
             outcome, p, rec = draw(swap_entanglement(z, zp, dim), RngStream(seed))
-            assert rec.parity_label is pairing[outcome]
+            assert rec.parity_label is SWAP_PAIRING[outcome][0]
             assert p == pytest.approx(0.25, abs=1e-10)
             assert rec.fidelity == pytest.approx(1.0, abs=1e-10)
             seen.add(outcome)
@@ -930,6 +928,13 @@ class TestRunTrials:
         run_trials(table, 5, _BATCH_BLOCK + 1)
         assert drawn == list(range(5, 5 + _BATCH_BLOCK + 1))
 
+    def test_refuses_a_negative_trial_count_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(RngStream, "uniform", lambda rng: pytest.fail("drew a variate"))
+        table = self._table("teleport_spin")
+        with pytest.raises(ValueError, match=r"trials must be >= 0, got -5"):
+            run_trials(table, 0, -5)
+        assert run_trials(table, 0, 0) == ([0, 0, 0, 0], 0.0)
+
     def test_checks_the_span_before_drawing(self):
         with pytest.raises(ValueError, match="outside the span"):
             run_trials([("a", 0.45, None), ("b", 0.45, None)], 0, 1)
@@ -972,7 +977,10 @@ def check_teleport_table(table, labels, channel):
 def check_swap_table(table):
     assert [outcome for outcome, _, _ in table] == list(SpinBellLabel)
     for outcome, p, rec in table:
-        assert rec.parity_label is _SWAP_PAIRING[outcome][0]
+        parity_label, expected = SWAP_PAIRING[outcome]
+        assert rec.parity_label is parity_label
+        pair = bell_pair(parity_label, *rec.mode_state.encodings)
+        assert abs(math.sqrt(p) * inner(pair, rec.mode_state) - expected) <= 1e-12
         assert p == pytest.approx(0.25, abs=1e-10)
         assert rec.fidelity == pytest.approx(1.0, abs=1e-10)
         assert entanglement_entropy(rec.mode_state, {0}) == pytest.approx(1.0, abs=1e-10)

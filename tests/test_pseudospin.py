@@ -19,7 +19,6 @@ from hesim import (
     mode_dim_for,
     odd_coherent,
 )
-from hesim import pseudospin
 from hesim.pseudospin import PAULI_X, PAULI_Y, PAULI_Z, encoded_pseudospin
 
 from conftest import Z_CAP, number_state, random_amps, random_cat
@@ -357,12 +356,13 @@ class TestKMatrix:
         assume(dim <= 1_000_000)
         assert k_matrix(z, dim).hex() == overlap_k_matrix(z, dim).hex()
 
-    def test_a_nonreal_element_is_refused(self, monkeypatch):
-        even = even_coherent(1.0, 18)
-        turned = StateVector(even.space, even.amps * np.exp(1e-9j), even.truncation_residual)
-        monkeypatch.setattr(pseudospin, "even_coherent", lambda z, dim: turned)
-        with pytest.raises(ValueError, match="nonreal"):
-            k_matrix(1.0, 18)
+    @pytest.mark.parametrize("z", [0.0, 1e-9, 0.3, 1.0, 2.5, 5.0, 9.0, 20.0])
+    @pytest.mark.parametrize("offset", [0, 10])
+    def test_the_codewords_carry_no_imaginary_part(self, z, offset):
+        # so k_matrix returns the element's real part, with nothing dropped
+        dim = mode_dim_for(z) + offset
+        for word in (even_coherent(z, dim), odd_coherent(z, dim)):
+            assert not word.amps.imag.any()
 
     def test_large_z(self):
         assert abs(k_matrix(5.0, mode_dim_for(5.0)) - K_ORACLE[5.0]) < 1e-10
