@@ -5,22 +5,23 @@ qubit (dimension 2) or a bosonic mode truncated to an even Fock dimension.
 Mode dimensions are kept even so that the parity-flip algebra built on top
 of them closes exactly on the truncated space.
 
-Only pure states are represented. A ``LogicalState`` holds a tuple of
-2**n Python complex coefficients over its n parties' ``Encoding``s; every
-state is one, so products and overlaps cost 2**n numbers, never dim**2
+Only pure states are represented. A ``LogicalState`` holds a tuple of 2**n
+Python complex coefficients over its n parties' ``Encoding``s; every state
+is one, so products and overlaps cost 2**n numbers, never dim**2
 amplitudes, and take no numpy. ``_svd``, a one-sided Jacobi SVD of such
 small matrices, serves the Schmidt and the CHSH analyses. An encoding is
 scalars: the qubit, or a cat's mode, amplitude and flip, from which its
 constructor works out the residuals and the even/odd overlap, so no state
-holds a codeword. A ``StateVector`` holds the numpy amplitudes of one
-mode: ``even_coherent`` and ``odd_coherent`` build the cat codewords,
-which only the dense check ``pseudospin.k_matrix`` reads; they are the
-one numpy kernel here, and import numpy when called. The cat codewords,
-their truncation residuals and overlap, the adaptive Fock cutoff
-``mode_dim_for`` and the overlap k(z) of ``pseudospin`` all read one list
-of coherent weights, walked outward from the Poisson peak by term ratios;
-a command walks each of its z once. The walk alone checks z, for a
-directly built encoding too, and defines the limit z -> 0 for all of
+holds a codeword; a state works out its truncation residual from its
+encodings', the one use of the product rule. A ``StateVector`` holds the
+numpy amplitudes of one mode: ``even_coherent`` and ``odd_coherent`` build
+the cat codewords, which only the dense check ``pseudospin.k_matrix``
+reads; they are the one numpy kernel here, and import numpy when called.
+The cat codewords, their truncation residuals and overlap, the adaptive
+Fock cutoff ``mode_dim_for`` and the overlap k(z) of ``pseudospin`` all
+read one list of coherent weights, walked outward from the Poisson peak by
+term ratios; a command walks each of its z once. The walk alone checks z,
+for a directly built encoding too, and defines the limit z -> 0 for all of
 them. The truncation policy is fixed here as well: the cutoff is sized so
 that |z> loses less than 1e-14, and a cat may lose at most 1e-12. All
 values are immutable after construction; every operation here is a pure
@@ -52,8 +53,6 @@ _CUTOFF_TOL = 1e-14
 _RESIDUAL_TOL = 1e-12
 
 _NORM_TOL = 1e-12
-# |alpha|^2 + |beta|^2 may differ from 1 by this much in a logical state
-_AMP_NORM_TOL = 1e-12
 _MODE_DIM_CAP = 1_000_000
 # a pair of rows counts as orthogonal in _svd once their overlap is at most
 # this share of the product of their norms
@@ -429,12 +428,7 @@ class Encoding(_Value):
 
     def state(self, alpha: complex, beta: complex) -> "LogicalState":
         """Logical state alpha|0_L> + beta|1_L>; the amplitudes must be normalized."""
-        norm2 = abs(alpha) ** 2 + abs(beta) ** 2
-        if not abs(norm2 - 1.0) <= _AMP_NORM_TOL:  # written so that NaN fails it
-            raise ValueError(
-                f"input qubit amplitudes are not normalized: |a|^2 + |b|^2 = {norm2!r}"
-            )
-        return LogicalState((self,), (alpha, beta), self.residual)
+        return LogicalState((self,), (alpha, beta))
 
 
 class LogicalState(_Value):
@@ -444,14 +438,15 @@ class LogicalState(_Value):
     is a tuple of 2**n complex numbers for n parties, in row-major order with
     party 0 as the most significant index bit: ``coeffs[i]`` is the amplitude
     of |i0_L>|i1_L>... for i = i0 i1 ... in binary. ``truncation_residual``
-    is as on a ``StateVector``. A state is equal only to itself.
+    is worked out from the encodings, so a state on fewer parties carries
+    only theirs. A state is equal only to itself.
     """
 
-    _fields = ("encodings", "coeffs", "truncation_residual")
+    # space and truncation_residual are worked out from the encodings
+    _fields = ("encodings", "coeffs")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, encodings: tuple[Encoding, ...], coeffs: tuple[complex, ...],
-                 truncation_residual: float = 0.0) -> None:
+    def __init__(self, encodings: tuple[Encoding, ...], coeffs: tuple[complex, ...]) -> None:
         encodings = tuple(encodings)
         coeffs = tuple(map(complex, coeffs))
         if not encodings or len(coeffs) != 2 ** len(encodings):
@@ -461,23 +456,24 @@ class LogicalState(_Value):
         norm = math.hypot(*map(abs, coeffs))
         if not abs(norm - 1.0) <= _NORM_TOL:  # written so that NaN fails it
             raise ValueError(f"logical state is not normalized: |coeffs| = {norm!r}")
-        if not truncation_residual >= 0.0:
-            raise ValueError("truncation_residual must be nonnegative")
         _set(self, "encodings", encodings)
         _set(self, "coeffs", coeffs)
-        _set(self, "truncation_residual", truncation_residual)
 
     @functools.cached_property
     def space(self) -> SpaceDescriptor:
         """The parties' factors, each already checked by its encoding."""
         return SpaceDescriptor(tuple(enc.space.factors[0] for enc in self.encodings))
 
+    @functools.cached_property
+    def truncation_residual(self) -> float:
+        """The mass the product of the parties' truncations loses: their
+        encodings' ``residual``s combined by the product rule, in party order."""
+        return functools.reduce(_combined_residual, (enc.residual for enc in self.encodings))
+
 
 def tensor(a: LogicalState, b: LogicalState) -> LogicalState:
     """Tensor product, a's parties first."""
-    residual = _combined_residual(a.truncation_residual, b.truncation_residual)
-    coeffs = [x * y for x in a.coeffs for y in b.coeffs]
-    return LogicalState(a.encodings + b.encodings, coeffs, residual)
+    return LogicalState(a.encodings + b.encodings, [x * y for x in a.coeffs for y in b.coeffs])
 
 
 def _check_factor(space: SpaceDescriptor, index: int) -> None:

@@ -17,7 +17,9 @@ Parties are always laid out in the order their subscripts suggest: the
 sender's qubit first, then channel factors in index order. Measurements and
 protocols return their branch table, one ``(outcome, probability, result)``
 per outcome, worked out once; a protocol's result record holds only what
-the row does not. ``run_trials(table, seed, trials)`` draws trial i from
+the row does not and works out its fidelity from its states. A branch's
+state carries only its own parties' truncation residual.
+``run_trials(table, seed, trials)`` draws trial i from
 ``RngStream(seed + i)`` with one uniform variate, by inverse CDF over the
 probabilities, so a seed fixes the transcript, and returns each row's count
 and the summed fidelity: a Monte-Carlo command's whole run, in one call.
@@ -52,7 +54,6 @@ from .fock import (
     ParityBellLabel,
     SpinBellLabel,
     _check_factor,
-    _combined_residual,
     _party_order,
     _set,
     _Value,
@@ -64,9 +65,8 @@ from .pseudospin import PAULI_X, PAULI_Y, PAULI_Z
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-# rounding slack on the [0, 1] range of a recorded probability / fidelity
+# rounding slack on the [0, 1] range of a branch probability
 _PROB_SLACK = 1e-12
-_FIDELITY_SLACK = 1e-9
 # weight a measured state may carry outside the measured basis
 _SPAN_TOL = 1e-10
 # deviation allowed of a swap expansion coefficient from its signed half
@@ -118,8 +118,7 @@ def _bell_coeffs(label: BellLabel) -> tuple[complex, ...]:
 def bell_pair(label: BellLabel, enc_a: Encoding, enc_b: Encoding) -> LogicalState:
     """(|0_L>|0_L> ± |1_L>|1_L>)/√2 for phi labels, (|0_L>|1_L> ± |1_L>|0_L>)/√2
     for psi labels, party a first."""
-    residual = _combined_residual(enc_a.residual, enc_b.residual)
-    return LogicalState((enc_a, enc_b), _bell_coeffs(label), residual)
+    return LogicalState((enc_a, enc_b), _bell_coeffs(label))
 
 
 class RngStream:
@@ -307,30 +306,31 @@ def run_trials(branches: list[tuple], seed: int, trials: int) -> tuple[list[int]
 
 
 class TeleportRecord(_Value):
-    """One teleportation branch; its table row holds the outcome and p."""
+    """One teleportation branch; its table row holds the outcome and p. Its
+    ``fidelity`` |<target_state|output_state>|**2 is worked out from the states."""
 
-    _fields = ("correction", "output_state", "target_state", "fidelity")
+    _fields = ("correction", "output_state", "target_state")
 
     def __init__(self, correction: Correction, output_state: LogicalState,
-                 target_state: LogicalState, fidelity: float) -> None:
-        if not -_FIDELITY_SLACK <= fidelity <= 1.0 + _FIDELITY_SLACK:
-            raise ValueError(f"fidelity {fidelity!r} outside [0, 1]")
+                 target_state: LogicalState) -> None:
         _set(self, "correction", correction)
         _set(self, "output_state", output_state)
         _set(self, "target_state", target_state)
-        _set(self, "fidelity", fidelity)
+        _set(self, "fidelity", abs(inner(target_state, output_state)) ** 2)
 
 
 class SwapRecord(_Value):
-    """One entanglement-swapping branch; its row holds the spin outcome and p."""
+    """One entanglement-swapping branch; its row holds the spin outcome and p.
+    Its ``fidelity`` |<pair|mode_state>|**2 is worked out with pair the
+    ``bell_pair`` of ``parity_label`` over the mode state's two encodings."""
 
-    _fields = ("parity_label", "fidelity", "mode_state")
+    _fields = ("parity_label", "mode_state")
 
-    def __init__(self, parity_label: ParityBellLabel, fidelity: float,
-                 mode_state: LogicalState) -> None:
+    def __init__(self, parity_label: ParityBellLabel, mode_state: LogicalState) -> None:
         _set(self, "parity_label", parity_label)
-        _set(self, "fidelity", fidelity)
         _set(self, "mode_state", mode_state)
+        pair = bell_pair(parity_label, *mode_state.encodings)
+        _set(self, "fidelity", abs(inner(pair, mode_state)) ** 2)
 
 
 def spin_bell_state(label: SpinBellLabel) -> LogicalState:
@@ -401,9 +401,9 @@ def _branch(outcome, coeffs: list[complex], build: Callable) -> tuple:
     return outcome, p, build(outcome, [c / root for c in coeffs])
 
 
-def _states_over(encodings, residual: float) -> Callable:
+def _states_over(encodings) -> Callable:
     """A ``_branch`` build that makes the renormalized state over encodings."""
-    return lambda _, coeffs: LogicalState(encodings, coeffs, residual)
+    return lambda _, coeffs: LogicalState(encodings, coeffs)
 
 
 @functools.cache
@@ -432,8 +432,7 @@ def _measure_bell(state, factors, enc_a, enc_b, build=None):
         raise ValueError(f"factors {factors} of {state.space.describe()} are not "
                          f"encoded in the measured basis")
     if build is None:
-        build = _states_over(tuple(state.encodings[k] for k in rest),
-                             state.truncation_residual)
+        build = _states_over(tuple(state.encodings[k] for k in rest))
     # the measured parties' four values index the rows, the rest's the columns
     c = list(map(state.coeffs.__getitem__, _party_order(state.space.nfactors, (i, j, *rest))))
     columns = [c[k :: len(c) // 4] for k in range(len(c) // 4)]
@@ -464,7 +463,7 @@ def parity_measurement(
     """
     _check_kinds(state, (mode_index,), (FactorKind.MODE,))
     shift = state.space.nfactors - 1 - mode_index  # the mode's bit in a coefficient's index
-    build = _states_over(state.encodings, state.truncation_residual)
+    build = _states_over(state.encodings)
     return [
         _branch(outcome, [c if j >> shift & 1 == bit else 0j for j, c in enumerate(state.coeffs)],
                 build)
@@ -491,17 +490,17 @@ def _teleport(
     their Pauli matrices onto that flipped encoding, and the cross-family
     branches target alpha s_plus|1_L> + beta s_minus|0_L>. On a qubit those
     are its own codewords, |0> and |1>; a cat's are its flipped encoding.
+    The output carries only the receiver's residual: none on a spin.
     """
     targets = {False: receiver.state(alpha, beta), True: receiver.flip().state(alpha, beta)}
-    residual = joint.truncation_residual
 
     def record(outcome: BellLabel, received: list[complex]) -> TeleportRecord:
         correction = correction_for(outcome, channel)
         pauli, flips = _CORRECTIONS[correction]
         target = targets[flips]
         output = LogicalState(target.encodings,
-                              [sum(map(operator.mul, row, received)) for row in pauli], residual)
-        return TeleportRecord(correction, output, target, abs(inner(target, output)) ** 2)
+                              [sum(map(operator.mul, row, received)) for row in pauli])
+        return TeleportRecord(correction, output, target)
 
     return _measure_bell(joint, factors, *basis, record)
 
@@ -576,12 +575,11 @@ def swap_entanglement(
                 f"expansion coefficient for ({spin_label.value}, "
                 f"{parity_label.value}) is {coeff!r}, expected {expected}"
             )
-        fidelity = abs(overlap) ** 2
-        if fidelity < 1.0 - _SWAP_FIDELITY_TOL:
+        record = SwapRecord(parity_label, modes)
+        if record.fidelity < 1.0 - _SWAP_FIDELITY_TOL:
             raise ValueError(
                 f"modes failed to collapse onto {parity_label.value} "
-                f"(fidelity {fidelity!r})"
+                f"(fidelity {record.fidelity!r})"
             )
-        record = SwapRecord(parity_label, fidelity, modes)
         table.append((spin_label, p, record))
     return table

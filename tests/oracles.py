@@ -40,8 +40,10 @@ cat codewords.
 
 ``TWINS`` holds the frozen dataclasses the package's ten value classes were
 declared as before they became plain classes, one per class and of its
-name; ``twin`` rebuilds a value as its twin, whose repr, ==, hash and
-refusal to change are the reference for the plain class's. The twins of
+name, each field a class works out from its arguments declared as
+derived (out of init, repr and ==); ``twin`` rebuilds a value as its
+twin, whose repr, ==, hash and refusal to change are the reference for
+the plain class's. The twins of
 ``StateVector`` and ``LogicalState`` compare by identity, as those classes
 now do; the old ``StateVector`` dataclass raised on == and hash.
 """
@@ -164,7 +166,7 @@ TWINS = {
                     ("flipped", bool, False), ("residuals", *_derived(tuple)),
                     ("k", *_derived(float)), ("residual", *_derived(float))),
     LogicalState: _twin(LogicalState, ("encodings", tuple), ("coeffs", tuple),
-                        ("truncation_residual", float, 0.0), eq=False),
+                        ("truncation_residual", *_derived(float)), eq=False),
     Direction: _twin(Direction, ("nx", float), ("ny", float), ("nz", float)),
     ChshSettings: _twin(ChshSettings, ("a", Direction), ("a_prime", Direction),
                         ("b", Direction), ("b_prime", Direction)),
@@ -172,9 +174,9 @@ TWINS = {
     SchmidtSpectrum: _twin(SchmidtSpectrum, ("coefficients", tuple)),
     TeleportRecord: _twin(TeleportRecord, ("correction", Correction),
                           ("output_state", LogicalState), ("target_state", LogicalState),
-                          ("fidelity", float)),
-    SwapRecord: _twin(SwapRecord, ("parity_label", ParityBellLabel), ("fidelity", float),
-                      ("mode_state", LogicalState)),
+                          ("fidelity", *_derived(float))),
+    SwapRecord: _twin(SwapRecord, ("parity_label", ParityBellLabel),
+                      ("mode_state", LogicalState), ("fidelity", *_derived(float))),
 }
 
 

@@ -352,6 +352,25 @@ class TestOptimizeChsh:
                 got, expected = correlation_matrix(state), dense_correlation_matrix(state)
                 assert np.max(np.abs(got - expected)) <= DENSE_AGREEMENT_TOL, dim
 
+    @pytest.mark.parametrize("z", [0.0, 0.3, 1.0, 2.5, 5.0, 9.0, 15.0, 22.0, 30.0])
+    def test_every_entry_it_sums_is_real_bit_for_bit(self, z, rng, monkeypatch):
+        # so correlation_matrix returns each entry's real part, with nothing
+        # dropped: over random states on the plain and the flipped cat, every
+        # sum it takes has an imaginary part of exactly 0
+        sums = []
+
+        def recorded(terms):
+            sums.append(sum(terms))
+            return sums[-1]
+
+        monkeypatch.setattr(hesim.bellchsh, "sum", recorded, raising=False)
+        cat = Encoding.cat(z, mode_dim_for(z))
+        for enc in (cat, cat.flip()):
+            for _ in range(50):
+                got = correlation_matrix(random_logical((QUBIT, enc), rng))
+                assert [x for row in got for x in row] == [x.real for x in sums[-9:]]
+        assert len(sums) == 2 * 50 * 9 and all(x.imag == 0.0 for x in sums)
+
     @pytest.mark.parametrize("label", list(HesLabel))
     def test_on_hybrid_pairs_it_is_numpys_route_bit_for_bit(self, label):
         # the correlation matrix by numpy's matrix products, and the settings

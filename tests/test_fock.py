@@ -317,10 +317,8 @@ class TestSpaces:
             lambda: Direction(math.nan, 0.0, 1.0),
             lambda: SchmidtSpectrum((math.nan,)),
             lambda: LogicalState((QUBIT_ENC,), [math.nan, 1.0]),
-            lambda: LogicalState((QUBIT_ENC,), [1.0, 0.0], math.nan),
         ],
-        ids=["statevector", "qubit_state", "residual", "direction", "schmidt",
-             "logical", "logical_residual"],
+        ids=["statevector", "qubit_state", "residual", "direction", "schmidt", "logical"],
     )
     def test_nan_fails_validation(self, build):
         # NaN fails every comparison, so a `> tol` check lets it through
@@ -352,11 +350,13 @@ class TestCompositeAlgebra:
         )
 
     def test_tensor_keeps_residuals_below_machine_precision(self):
-        # 1 - (1 - a)(1 - b) rounds a = 1e-17, b = 0 down to 0
-        a = LogicalState((QUBIT_ENC,), [1.0, 0.0], 1e-17)
-        b = QUBIT_ENC.state(0.0, 1.0)
-        assert tensor(a, b).truncation_residual == 1e-17
-        assert tensor(b, a).truncation_residual == 1e-17
+        # 1 - (1 - a)(1 - b) rounds a cat's residual of 1.4e-19, with b = 0, down to 0
+        cat = Encoding.cat(1.0, 20)
+        assert 0.0 < cat.residual < 1e-18 and 1.0 - (1.0 - cat.residual) == 0.0
+        a, b = cat.state(1.0, 0.0), QUBIT_ENC.state(0.0, 1.0)
+        assert a.truncation_residual == cat.residual
+        assert tensor(a, b).truncation_residual == cat.residual
+        assert tensor(b, a).truncation_residual == cat.residual
 
     def test_logical_inner_is_the_coefficient_overlap(self, rng):
         encodings = (QUBIT_ENC, Encoding.cat(0.9, 16))
@@ -724,6 +724,23 @@ class TestLogicalState:
         with pytest.raises(TypeError):
             st.coeffs[0] = 0.0
 
+    # the residuals a caller could pass before a state worked its own out: the
+    # NaN the nonnegative check refused, and the 1e-17 a tensor product kept
+    @pytest.mark.parametrize("args, kwargs", [
+        ((math.nan,), {}), ((1e-17,), {}), ((), dict(truncation_residual=0.0))],
+        ids=["nan", "below_machine_precision", "keyword"])
+    def test_takes_no_truncation_residual(self, args, kwargs):
+        assert list(inspect.signature(LogicalState).parameters) == ["encodings", "coeffs"]
+        with pytest.raises(TypeError):
+            LogicalState((QUBIT_ENC,), [1.0, 0.0], *args, **kwargs)
+
+    @pytest.mark.parametrize("alpha", [math.sqrt(1.0 + 1e-6), math.nan], ids=["off_by_1e-6", "nan"])
+    def test_an_encoding_refuses_unnormalized_amplitudes(self, alpha):
+        # through LogicalState's own check, for a qubit and a cat alike
+        for enc in (QUBIT_ENC, Encoding.cat(0.7, 14)):
+            with pytest.raises(ValueError, match="not normalized"):
+                enc.state(alpha, 0.0)
+
 
 # (rows, columns, complex entries) of the matrices the package takes an SVD of:
 # Schmidt cuts of 2 and 4 parties, and the 3 x 3 correlation matrix
@@ -822,6 +839,10 @@ def random_value(cls, rng):
     def state():
         return random_logical([random_encoding(rng) for _ in range(rng.integers(1, 3))], rng)
 
+    def states_over(parties, n):  # n states over the same random encodings
+        encodings = [random_encoding(rng) for _ in range(parties)]
+        return [random_logical(encodings, rng) for _ in range(n)]
+
     def settings():
         return ChshSettings(*(random_direction(rng) for _ in range(4)))
 
@@ -835,10 +856,8 @@ def random_value(cls, rng):
         ChshResult: lambda: ChshResult(float(rng.uniform(-2.8, 2.8)), settings()),
         SchmidtSpectrum: lambda: SchmidtSpectrum(
             tuple(sorted(abs(random_amps(rng, int(rng.integers(1, 5)))), reverse=True))),
-        TeleportRecord: lambda: TeleportRecord(rng.choice(list(Correction)), state(), state(),
-                                               float(rng.uniform(0, 1))),
-        SwapRecord: lambda: SwapRecord(rng.choice(list(ParityBellLabel)),
-                                       float(rng.uniform(0, 1)), state()),
+        TeleportRecord: lambda: TeleportRecord(rng.choice(list(Correction)), *states_over(1, 2)),
+        SwapRecord: lambda: SwapRecord(rng.choice(list(ParityBellLabel)), *states_over(2, 1)),
     }
     return build[cls]()
 
@@ -892,8 +911,11 @@ class TestValueClasses:
         assert (x == y, x != y, x == x, x != x) == (False, True, True, False)
         assert hash(x) == object.__hash__(x) and len({x, y, x}) == 2
 
-    def test_a_logical_state_caches_its_space(self):
-        state = random_logical([Encoding.qubit(), Encoding.cat(0.7, 14)],
-                               np.random.default_rng(5))
+    def test_a_logical_state_caches_what_it_works_out(self):
+        cat = Encoding.cat(0.7, 14)
+        state = random_logical([Encoding.qubit(), cat], np.random.default_rng(5))
         assert state.space is state.space == Encoding.qubit().space * SpaceDescriptor.mode(14)
-        assert repr(state) == repr(twin(state))  # the cached space stays out of it
+        assert state.truncation_residual is state.truncation_residual == cat.residual
+        # the cached space and residual stay out of it
+        assert repr(state) == repr(twin(state)) == (
+            f"LogicalState(encodings={state.encodings!r}, coeffs={state.coeffs!r})")

@@ -18,6 +18,8 @@ from hesim import (
     ParityBellLabel,
     RngStream,
     SpinBellLabel,
+    SwapRecord,
+    TeleportRecord,
     bell_pair,
     correction_for,
     entanglement_entropy,
@@ -724,10 +726,10 @@ class TestBranch:
     def test_probability_outside_the_unit_range_rejected(self, amps):
         # one guard serves every table: measurements, teleport and swap alike
         with pytest.raises(ValueError, match="outcome probability"):
-            _branch("x", np.array(amps, dtype=complex), _states_over((QUBIT,), 0.0))
+            _branch("x", np.array(amps, dtype=complex), _states_over((QUBIT,)))
 
     def test_rounding_above_one_is_accepted(self):
-        _, p, state = _branch("x", np.array([1.0 + 1e-13, 0.0]), _states_over((QUBIT,), 0.0))
+        _, p, state = _branch("x", np.array([1.0 + 1e-13, 0.0]), _states_over((QUBIT,)))
         assert p > 1.0 and state.coeffs[0] == 1.0
 
 
@@ -1022,6 +1024,88 @@ class TestEveryBranch:
     @given(z=Z_LARGE, zp=Z_LARGE)
     def test_swap_at_large_z(self, z, zp):
         check_swap_table(swap_entanglement(z, zp, max(mode_dim_for(z), mode_dim_for(zp))))
+
+
+def product_rule(encodings) -> float:
+    """1 - prod(1 - r) over the encodings' residuals, in party order, each
+    step written as a + b - a*b so that residuals near machine precision survive."""
+    return functools.reduce(lambda a, b: a + b - a * b, (enc.residual for enc in encodings))
+
+
+def states_of(table):
+    """Every state a branch table holds: a branch's own, or its record's."""
+    for _, _, result in table:
+        if isinstance(result, LogicalState):
+            yield result
+        elif result is not None:
+            yield from (v for v in vars(result).values() if isinstance(v, LogicalState))
+
+
+class TestWorkedOut:
+    """A state works out its truncation residual from its encodings, and a
+    record its fidelity from its states; no caller passes either."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(amps=AMPLITUDES, z=st.floats(0.0, 9.0), zp=st.floats(0.0, 9.0), channel=CHANNEL)
+    def test_every_tables_residuals_follow_the_product_rule(self, amps, z, zp, channel):
+        dim = max(mode_dim_for(z), mode_dim_for(zp))
+        cat, cat_prime = Encoding.cat(z, dim), Encoding.cat(zp, dim)
+        spin_joint = tensor(QUBIT.state(*amps), hes_state(channel, z, dim))
+        parity_joint = tensor(hes_state(channel, z, dim), cat_prime.state(*amps))
+        tables = [teleport_spin(*amps, channel, z, dim), teleport_parity(*amps, zp, channel, z, dim),
+                  swap_entanglement(z, zp, dim), measure_spin_bell(spin_joint, (0, 1)),
+                  _measure_bell(parity_joint, (2, 1), cat_prime, cat),
+                  parity_measurement(parity_joint, 2), parity_measurement(spin_joint, 2)]
+        states = [spin_joint, parity_joint, *(s for table in tables for s in states_of(table))]
+        assert len(states) >= 2 + 8 + 8 + 4 + 4 + 4 + 1 + 1  # a parity branch may be empty
+        for state in states:
+            assert state.truncation_residual == product_rule(state.encodings)
+        # a parity teleport lands on a spin, which loses nothing to truncation
+        for _, _, rec in tables[1]:
+            assert rec.output_state.truncation_residual == 0.0
+        for _, _, rec in tables[0]:
+            assert rec.output_state.truncation_residual == cat.residual
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(z=st.floats(0.0, 9.0), zp=st.floats(0.0, 9.0))
+    def test_a_swap_fidelity_is_the_swaps_own_overlap_bit_for_bit(self, z, zp):
+        # the pair's conjugated coefficients against the modes', from 0j, in order
+        for _, _, rec in swap_entanglement(z, zp, max(mode_dim_for(z), mode_dim_for(zp))):
+            row = [c.conjugate() for c in bell_pair(rec.parity_label, QUBIT, QUBIT).coeffs]
+            overlap = sum((x * y for x, y in zip(row, rec.mode_state.coeffs)), 0j)
+            assert rec.fidelity.hex() == (abs(overlap) ** 2).hex()
+
+    def test_a_teleport_fidelity_is_the_overlap_of_its_states(self, rng):
+        cat = Encoding.cat(1.2, mode_dim_for(1.2))
+        output, target = cat.state(*random_qubit_pair(rng)), cat.state(*random_qubit_pair(rng))
+        rec = TeleportRecord(Correction.S_Z, output, target)
+        assert rec.fidelity == abs(inner(target, output)) ** 2
+        assert repr(rec) == (f"TeleportRecord(correction={Correction.S_Z!r}, "
+                             f"output_state={output!r}, target_state={target!r})")
+
+    def test_a_teleport_record_refuses_states_over_different_encodings(self):
+        cat = Encoding.cat(1.2, mode_dim_for(1.2))
+        for output, target in ((QUBIT.state(1.0, 0.0), cat.state(1.0, 0.0)),
+                               (cat.state(1.0, 0.0), cat.flip().state(1.0, 0.0))):
+            with pytest.raises(ValueError, match="over different encodings"):
+                TeleportRecord(Correction.IDENTITY, output, target)
+
+    def test_a_swap_record_refuses_a_mode_state_that_is_not_a_pair(self):
+        cat = Encoding.cat(1.2, mode_dim_for(1.2))
+        one = cat.state(1.0, 0.0)
+        for state in (one, tensor(one, hes_state(HesLabel.PHI_PLUS, 1.2, cat.space.dim))):
+            with pytest.raises(TypeError):
+                SwapRecord(ParityBellLabel.PHI_PLUS, state)
+
+    def test_records_take_no_fidelity(self):
+        cat = Encoding.cat(1.2, mode_dim_for(1.2))
+        target = cat.state(1.0, 0.0)
+        modes = parity_bell_state(ParityBellLabel.PSI_MINUS, 1.2, 1.2, cat.space.dim)
+        with pytest.raises(TypeError):
+            TeleportRecord(Correction.IDENTITY, target, target, 1.0)
+        with pytest.raises(TypeError):  # the old order (parity_label, fidelity, mode_state)
+            SwapRecord(ParityBellLabel.PSI_MINUS, 1.0, modes)
+        assert SwapRecord(ParityBellLabel.PSI_MINUS, modes).fidelity == pytest.approx(1.0, abs=1e-15)
 
 
 Z_DENSE = st.floats(min_value=0.5, max_value=9.0)
