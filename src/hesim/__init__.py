@@ -43,7 +43,6 @@ from .protocols import (
     ParityBellLabel,
     RngStream,
     SpinBellLabel,
-    SwapRecord,
     TeleportRecord,
     bell_pair,
     correction_for,
@@ -79,7 +78,6 @@ __all__ = [
     "SpaceDescriptor",
     "SpinBellLabel",
     "StateVector",
-    "SwapRecord",
     "TeleportRecord",
     "TruncationError",
     "analytic_optimum",

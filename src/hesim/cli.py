@@ -25,6 +25,7 @@ from .protocols import (
     HesLabel,
     ParityBellLabel,
     SpinBellLabel,
+    _swap_partner,
     hes_state,
     parity_bell_state,
     run_trials,
@@ -36,6 +37,8 @@ from .protocols import (
 from .pseudospin import Direction, k_matrix, k_series
 
 DEFAULT_SEED = 0
+# kz builds every row before it writes one, about 0.35 KB each: 35 MB at the cap
+_KZ_STEPS_CAP = 100_000
 
 _UNICODE_ALIASES = str.maketrans(
     {
@@ -114,6 +117,8 @@ def _json(payload: dict) -> str:
 def cmd_kz(args: argparse.Namespace) -> str:
     if args.steps < 1:
         raise ValueError(f"steps must be >= 1, got {args.steps}")
+    if args.steps > _KZ_STEPS_CAP:
+        raise ValueError(f"steps must be at most {_KZ_STEPS_CAP}, got {args.steps}")
     for flag, z in (("--zmin", args.zmin), ("--zmax", args.zmax)):
         if not math.isfinite(z):
             raise ValueError(f"{flag} must be finite, got {z!r}")
@@ -220,8 +225,8 @@ def cmd_swap(args: argparse.Namespace) -> str:
             count=count, parity_label=None, fidelity_min=None,
             entropy_min=None, entropy_max=None)
         if slot["count"]:  # an outcome never drawn reports nulls and no entropy
-            ent = entanglement_entropy(rec.mode_state, {0})
-            slot.update(parity_label=rec.parity_label.value, fidelity_min=rec.fidelity,
+            ent = entanglement_entropy(rec.output_state, {0})
+            slot.update(parity_label=_swap_partner(outcome).value, fidelity_min=rec.fidelity,
                         entropy_min=ent, entropy_max=ent)
     fid_min = min(s["fidelity_min"] for s in per_outcome.values() if s["count"])
     payload = {

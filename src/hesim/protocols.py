@@ -7,18 +7,19 @@ encodings: a joint state of four parties is 16 Python complex numbers plus
 its encodings, at any cutoff. A measurement reorders a state's parties by
 index arithmetic on its coefficient tuple. ``bell_pair`` builds all three
 families: two-qubit Bell states, qubit-mode hybrid states and two-mode
-parity Bell states. One
-projective measurement in such a basis drives the protocols:
-teleporting a spin qubit through a hybrid channel onto its mode,
-teleporting a parity qubit onto its spin, and entanglement swapping between
-two hybrid pairs.
+parity Bell states. One core, a projective measurement in such a basis
+followed by each outcome's correction and comparison with its target,
+drives the protocols: teleporting a spin qubit through a hybrid channel
+onto its mode, teleporting a parity qubit onto its spin, and entanglement
+swapping between two hybrid pairs, the teleportation of entanglement.
 
 Parties are always laid out in the order their subscripts suggest: the
 sender's qubit first, then channel factors in index order. Measurements and
 protocols return their branch table, one ``(outcome, probability, result)``
-per outcome, worked out once; a protocol's result record holds only what
-the row does not and works out its fidelity from its states. A branch's
-state carries only its own parties' truncation residual.
+per outcome, worked out once; every protocol's result is one record, a
+``TeleportRecord``, which holds only what the row does not and works out
+its fidelity from its states. A branch's state carries only its own
+parties' truncation residual.
 ``run_trials(table, seed, trials)`` draws trial i from
 ``RngStream(seed + i)`` with one uniform variate, by inverse CDF over the
 probabilities, so a seed fixes the transcript, and returns each row's count
@@ -69,10 +70,6 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _PROB_SLACK = 1e-12
 # weight a measured state may carry outside the measured basis
 _SPAN_TOL = 1e-10
-# deviation allowed of a swap expansion coefficient from its signed half
-_SWAP_COEFF_TOL = 1e-10
-# shortfall from 1 allowed of the swapped modes' fidelity with their pair
-_SWAP_FIDELITY_TOL = 1e-9
 # a run of at least this many trials computes its first variates in one batch:
 # timed inside run_trials on a 2-vCPU x86 VM (trials 2-32, min of 7 runs), the
 # batch took about 95 us at any count and the seed-by-seed path about 19 us a
@@ -101,10 +98,10 @@ class Correction(Enum):
 
 
 _QUBIT = Encoding.qubit()
-# each correction on the receiver's coefficients: its Pauli matrix, and
-# whether it moves them onto the flipped codewords s_plus|1_L>, s_minus|0_L>
-_IDENTITY = ((1 + 0j, 0j), (0j, 1 + 0j))
-_CORRECTIONS = {Correction.IDENTITY: (_IDENTITY, False), Correction.S_Z: (PAULI_Z, False),
+# each correction on the receiver's coefficients: its Pauli matrix (none for the
+# identity, which leaves any number of parties as they are), and whether it
+# moves them onto the flipped codewords s_plus|1_L>, s_minus|0_L>
+_CORRECTIONS = {Correction.IDENTITY: (None, False), Correction.S_Z: (PAULI_Z, False),
                 Correction.S_X: (PAULI_X, True), Correction.S_Y: (PAULI_Y, True)}
 
 
@@ -306,8 +303,9 @@ def run_trials(branches: list[tuple], seed: int, trials: int) -> tuple[list[int]
 
 
 class TeleportRecord(_Value):
-    """One teleportation branch; its table row holds the outcome and p. Its
-    ``fidelity`` |<target_state|output_state>|**2 is worked out from the states."""
+    """One protocol branch, a teleport's or a swap's; its table row holds the
+    outcome and p. Its ``fidelity`` |<target_state|output_state>|**2 is
+    worked out from the states, which must be over the same encodings."""
 
     _fields = ("correction", "output_state", "target_state")
 
@@ -317,20 +315,6 @@ class TeleportRecord(_Value):
         _set(self, "output_state", output_state)
         _set(self, "target_state", target_state)
         _set(self, "fidelity", abs(inner(target_state, output_state)) ** 2)
-
-
-class SwapRecord(_Value):
-    """One entanglement-swapping branch; its row holds the spin outcome and p.
-    Its ``fidelity`` |<pair|mode_state>|**2 is worked out with pair the
-    ``bell_pair`` of ``parity_label`` over the mode state's two encodings."""
-
-    _fields = ("parity_label", "mode_state")
-
-    def __init__(self, parity_label: ParityBellLabel, mode_state: LogicalState) -> None:
-        _set(self, "parity_label", parity_label)
-        _set(self, "mode_state", mode_state)
-        pair = bell_pair(parity_label, *mode_state.encodings)
-        _set(self, "fidelity", abs(inner(pair, mode_state)) ** 2)
 
 
 def spin_bell_state(label: SpinBellLabel) -> LogicalState:
@@ -384,10 +368,10 @@ def _norm2(coeffs) -> float:
     return sum(c.real * c.real + c.imag * c.imag for c in coeffs)
 
 
-def _branch(outcome, coeffs: list[complex], build: Callable) -> tuple:
-    """(outcome, p, build(outcome, coeffs renormalized)) with p the squared
-    norm of coeffs itself, so any branch draw may pick renormalizes; the
-    result is None at p = 0."""
+def _branch(outcome, coeffs: list[complex], encodings: tuple[Encoding, ...]) -> tuple:
+    """(outcome, p, the state of coeffs renormalized over encodings) with p the
+    squared norm of coeffs itself, so any branch draw may pick renormalizes;
+    the state is None at p = 0."""
     p = _norm2(coeffs)
     if not p <= 1.0 + _PROB_SLACK:  # written so that NaN fails it
         raise ValueError(f"outcome probability {p!r}")
@@ -398,12 +382,7 @@ def _branch(outcome, coeffs: list[complex], build: Callable) -> tuple:
         top = max(map(abs, coeffs))
         coeffs = [c / top for c in coeffs]
         root = math.sqrt(_norm2(coeffs))
-    return outcome, p, build(outcome, [c / root for c in coeffs])
-
-
-def _states_over(encodings) -> Callable:
-    """A ``_branch`` build that makes the renormalized state over encodings."""
-    return lambda _, coeffs: LogicalState(encodings, coeffs)
+    return outcome, p, LogicalState(encodings, [c / root for c in coeffs])
 
 
 @functools.cache
@@ -412,15 +391,13 @@ def _bell_row(label: BellLabel) -> tuple[complex, ...]:
     return tuple(c.conjugate() for c in _bell_coeffs(label))
 
 
-def _measure_bell(state, factors, enc_a, enc_b, build=None):
+def _measure_bell(state, factors, enc_a, enc_b):
     """Branch table of projecting factors onto bell_pair(label, enc_a, enc_b).
 
     One (label, probability, renormalized state on the remaining parties)
     per label, spin Bell labels on a qubit basis and parity Bell labels on a
-    cat basis; a ``_branch`` build, if given, makes each row's result from
-    its label and renormalized coefficients instead. The measured parties
-    must carry the basis's encodings, so the probabilities sum to 1 up to
-    rounding.
+    cat basis. The measured parties must carry the basis's encodings, so
+    the probabilities sum to 1 up to rounding.
     """
     kind = enc_a.space.kind(0)
     _check_kinds(state, factors, (kind, enc_b.space.kind(0)))
@@ -431,13 +408,12 @@ def _measure_bell(state, factors, enc_a, enc_b, build=None):
     if (state.encodings[i], state.encodings[j]) != (enc_a, enc_b):
         raise ValueError(f"factors {factors} of {state.space.describe()} are not "
                          f"encoded in the measured basis")
-    if build is None:
-        build = _states_over(tuple(state.encodings[k] for k in rest))
+    encodings = tuple(state.encodings[k] for k in rest)
     # the measured parties' four values index the rows, the rest's the columns
     c = list(map(state.coeffs.__getitem__, _party_order(state.space.nfactors, (i, j, *rest))))
     columns = [c[k :: len(c) // 4] for k in range(len(c) // 4)]
     labels = SpinBellLabel if kind is FactorKind.QUBIT else ParityBellLabel
-    return [_branch(label, [sum(map(operator.mul, row, col)) for col in columns], build)
+    return [_branch(label, [sum(map(operator.mul, row, col)) for col in columns], encodings)
             for label, row in zip(labels, map(_bell_row, labels))]
 
 
@@ -463,46 +439,45 @@ def parity_measurement(
     """
     _check_kinds(state, (mode_index,), (FactorKind.MODE,))
     shift = state.space.nfactors - 1 - mode_index  # the mode's bit in a coefficient's index
-    build = _states_over(state.encodings)
     return [
         _branch(outcome, [c if j >> shift & 1 == bit else 0j for j, c in enumerate(state.coeffs)],
-                build)
+                state.encodings)
         for outcome, bit in ((1, 0), (-1, 1))
     ]
 
 
 def _teleport(
-    alpha: complex,
-    beta: complex,
     joint: LogicalState,
     factors: tuple[int, int],
     basis: tuple[Encoding, Encoding],
-    channel: HesLabel,
-    receiver: Encoding,
+    plan: Callable[[BellLabel], tuple[Correction, tuple[complex, ...]]],
 ) -> list[tuple[BellLabel, float, TeleportRecord]]:
-    """Bell-measure the sender's factors of joint; correct every branch.
+    """Bell-measure factors of joint in basis; correct and compare every branch.
 
-    The receiver's codewords carry the pseudospin's parity algebra (on a
-    qubit it is exactly the Pauli set), so one correction and one target
-    serve both directions. s_z keeps the codewords and flips the sign of
-    |1_L>. A parity flip maps them onto s_plus|1_L> and s_minus|0_L>, unit
-    vectors of even/odd parity: on the coefficients, s_x and s_y act as
-    their Pauli matrices onto that flipped encoding, and the cross-family
-    branches target alpha s_plus|1_L> + beta s_minus|0_L>. On a qubit those
-    are its own codewords, |0> and |1>; a cat's are its flipped encoding.
-    The output carries only the receiver's residual: none on a spin.
+    ``plan(outcome)`` gives the outcome's correction and its target's
+    coefficients, which the target holds over the output's encodings. The
+    identity leaves the branch state as it is, on any number of parties.
+    Any other correction acts on one receiver, whose codewords carry the
+    pseudospin's parity algebra (on a qubit it is exactly the Pauli set),
+    so one correction and one target serve both teleport directions. s_z
+    keeps the codewords and flips the sign of |1_L>. A parity flip maps
+    them onto s_plus|1_L> and s_minus|0_L>, unit vectors of even/odd
+    parity: on the coefficients, s_x and s_y act as their Pauli matrices
+    onto that flipped encoding. On a qubit those are its own codewords,
+    |0> and |1>; a cat's are its flipped encoding. The output carries only
+    the receiver's residual: none on a spin.
     """
-    targets = {False: receiver.state(alpha, beta), True: receiver.flip().state(alpha, beta)}
 
-    def record(outcome: BellLabel, received: list[complex]) -> TeleportRecord:
-        correction = correction_for(outcome, channel)
+    def record(outcome: BellLabel, branch: LogicalState) -> TeleportRecord:
+        correction, coeffs = plan(outcome)
         pauli, flips = _CORRECTIONS[correction]
-        target = targets[flips]
-        output = LogicalState(target.encodings,
-                              [sum(map(operator.mul, row, received)) for row in pauli])
-        return TeleportRecord(correction, output, target)
+        output = branch if pauli is None else LogicalState(
+            [enc.flip() for enc in branch.encodings] if flips else branch.encodings,
+            [sum(map(operator.mul, row, branch.coeffs)) for row in pauli])
+        return TeleportRecord(correction, output, LogicalState(output.encodings, coeffs))
 
-    return _measure_bell(joint, factors, *basis, record)
+    return [(outcome, p, branch and record(outcome, branch))
+            for outcome, p, branch in _measure_bell(joint, factors, *basis)]
 
 
 def teleport_spin(
@@ -521,7 +496,8 @@ def teleport_spin(
     """
     cat = Encoding.cat(z, dim)
     joint = tensor(_QUBIT.state(alpha, beta), bell_pair(channel, _QUBIT, cat))
-    return _teleport(alpha, beta, joint, (0, 1), (_QUBIT, _QUBIT), channel, cat)
+    return _teleport(joint, (0, 1), (_QUBIT, _QUBIT),
+                     lambda outcome: (correction_for(outcome, channel), (alpha, beta)))
 
 
 def teleport_parity(
@@ -542,18 +518,26 @@ def teleport_parity(
     source = Encoding.cat(z_dblprime, dim)
     cat = Encoding.cat(z, dim)
     joint = tensor(bell_pair(channel, _QUBIT, cat), source.state(alpha, beta))
-    return _teleport(alpha, beta, joint, (2, 1), (source, cat), channel, _QUBIT)
+    return _teleport(joint, (2, 1), (source, cat),
+                     lambda outcome: (correction_for(outcome, channel), (alpha, beta)))
+
+
+def _swap_partner(outcome: SpinBellLabel) -> ParityBellLabel:
+    """The cat pair a swap's spin outcome leaves the modes in: the one of the
+    same family and sign, since
+    psi-psi- = 1/2 (Phi+phi~+ - Phi-phi~- - Psi+psi~+ + Psi-psi~-)."""
+    return ParityBellLabel[outcome.name]
 
 
 def swap_entanglement(
     z: float, z_prime: float, dim: int
-) -> list[tuple[SpinBellLabel, float, SwapRecord]]:
+) -> list[tuple[SpinBellLabel, float, TeleportRecord]]:
     """Swap entanglement between two hybrid pairs by a joint spin measurement.
 
-    Builds psi-(z) on parties (1,2) and psi-(z') on (3,4), measures the two
-    qubits (1,3), and on every branch checks the signed half-weight
-    expansion coefficient and that the modes (2,4) collapse onto the
-    partnered entangled-cat state.
+    Builds psi-(z) on parties (1,2) and psi-(z') on (3,4) and measures the
+    two qubits (1,3): the teleportation of entanglement. No branch is
+    corrected, and each targets the partnered entangled-cat pair of the
+    modes (2,4), which its output is with fidelity 1.
     """
     cat = Encoding.cat(z, dim)
     cat_prime = Encoding.cat(z_prime, dim)
@@ -561,25 +545,5 @@ def swap_entanglement(
         bell_pair(HesLabel.PSI_MINUS, _QUBIT, cat),
         bell_pair(HesLabel.PSI_MINUS, _QUBIT, cat_prime),
     )
-    table = []
-    for spin_label, p, modes in measure_spin_bell(joint, (0, 2)):
-        parity_label = ParityBellLabel[spin_label.name]
-        # psi-psi- = 1/2 (Phi+phi~+ - Phi-phi~- - Psi+psi~+ + Psi-psi~-)
-        expected = (0.5 if spin_label.is_phi else -0.5) * spin_label.sign
-        # the coefficient of the joint state on spin Bell x paired cat Bell: the
-        # modes, over (cat, cat_prime), dotted with that pair's conjugated coefficients
-        overlap = sum(map(operator.mul, _bell_row(parity_label), modes.coeffs), 0j)
-        coeff = math.sqrt(p) * overlap
-        if abs(coeff - expected) > _SWAP_COEFF_TOL:
-            raise ValueError(
-                f"expansion coefficient for ({spin_label.value}, "
-                f"{parity_label.value}) is {coeff!r}, expected {expected}"
-            )
-        record = SwapRecord(parity_label, modes)
-        if record.fidelity < 1.0 - _SWAP_FIDELITY_TOL:
-            raise ValueError(
-                f"modes failed to collapse onto {parity_label.value} "
-                f"(fidelity {record.fidelity!r})"
-            )
-        table.append((spin_label, p, record))
-    return table
+    return _teleport(joint, (0, 2), (_QUBIT, _QUBIT),
+                     lambda outcome: (Correction.IDENTITY, _bell_coeffs(_swap_partner(outcome))))

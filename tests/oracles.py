@@ -72,7 +72,6 @@ from hesim import (
     SpaceDescriptor,
     SpinBellLabel,
     StateVector,
-    SwapRecord,
     TeleportRecord,
     TruncationError,
     bell_pair,
@@ -175,8 +174,6 @@ TWINS = {
     TeleportRecord: _twin(TeleportRecord, ("correction", Correction),
                           ("output_state", LogicalState), ("target_state", LogicalState),
                           ("fidelity", *_derived(float))),
-    SwapRecord: _twin(SwapRecord, ("parity_label", ParityBellLabel),
-                      ("mode_state", LogicalState), ("fidelity", *_derived(float))),
 }
 
 

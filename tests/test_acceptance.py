@@ -257,7 +257,7 @@ def test_criterion_8_swapping():
         seen.add(outcome)
         worst_fid = max(worst_fid, abs(rec.fidelity - 1.0))
         worst_ent = max(
-            worst_ent, abs(entanglement_entropy(rec.mode_state, {0}) - 1.0)
+            worst_ent, abs(entanglement_entropy(rec.output_state, {0}) - 1.0)
         )
     ok &= seen == set(SpinBellLabel)
     ok &= worst_fid <= 1e-10 and worst_ent <= 1e-10

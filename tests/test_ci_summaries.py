@@ -3,9 +3,10 @@
 Three steps of ``.github/workflows/tier1.yml`` feed the run's summary from
 an inline ``python - >> "$GITHUB_STEP_SUMMARY" <<'EOF'`` script: the code
 lines and tolerance constants, the public names and the CLI, and the
-import time of ``hesim.cli``. Each is read off the workflow as plain text
-(no YAML parser is installed in CI), run from the repository root with
-``PYTHONPATH=src``, and its summary lines are checked for their shape.
+import time of ``hesim.cli``, from bytecode and compiled from source. Each
+is read off the workflow as plain text (no YAML parser is installed in CI),
+run from the repository root with ``PYTHONPATH=src``, and its summary lines
+are checked for their shape.
 """
 
 import os
@@ -30,7 +31,9 @@ SHAPES = {
     "public names": [r"hesim\.__all__: \d+ names, \d+ parameters, \d+ with a default",
                      r"hesim CLI: \d+ subcommands, \d+ arguments, \d+ optional flags"],
     "import time": [r"import hesim\.cli: \d+\.\d ms, best of 5 fresh interpreters; "
-                    r"numpy loaded: False; dataclasses loaded: False; inspect loaded: False"],
+                    r"numpy loaded: False; dataclasses loaded: False; inspect loaded: False",
+                    r"import hesim\.cli compiled from source: \d+\.\d ms, best of 5 fresh "
+                    r"interpreters with -B and no hesim bytecode"],
 }
 
 

@@ -90,6 +90,21 @@ class TestKz:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} must be finite") and err.count("\n") == 1
 
+    def test_steps_above_the_cap_refused_before_any_row(self, monkeypatch, tmp_path, capsys):
+        # kz builds every row before it writes one, so --steps 2**31 would need
+        # tens of GB; it is refused with the cap named before any z is walked
+        cap = hesim.cli._KZ_STEPS_CAP
+        monkeypatch.setattr(hesim.cli, "k_series", lambda z: pytest.fail("built a row"))
+        for steps in (cap + 1, 2**31):
+            code, data = run(["kz", "--zmin", "0", "--zmax", "1", "--steps", str(steps)], tmp_path)
+            assert code == 1 and data == b""
+            assert capsys.readouterr().err == f"error: steps must be at most {cap}, got {steps}\n"
+        # the cap itself is a valid sweep, here of stand-in rows
+        monkeypatch.setattr(hesim.cli, "k_series", lambda z: 0.5)
+        monkeypatch.setattr(hesim.cli, "k_matrix", lambda z, dim: 0.5)
+        code, data = run(["kz", "--zmin", "0", "--zmax", "1", "--steps", str(cap)], tmp_path)
+        assert cap == 100_000 and code == 0 and data.count(b"\n") == cap + 1
+
     def test_stdout_by_default(self, capsys):
         assert main(["kz", "--zmin", "0", "--zmax", "1", "--steps", "2"]) == 0
         out = capsys.readouterr().out

@@ -18,11 +18,9 @@ from hesim import (
     Encoding,
     FactorKind,
     LogicalState,
-    ParityBellLabel,
     SchmidtSpectrum,
     SpaceDescriptor,
     StateVector,
-    SwapRecord,
     TeleportRecord,
     TruncationError,
     even_coherent,
@@ -856,8 +854,8 @@ def random_value(cls, rng):
         ChshResult: lambda: ChshResult(float(rng.uniform(-2.8, 2.8)), settings()),
         SchmidtSpectrum: lambda: SchmidtSpectrum(
             tuple(sorted(abs(random_amps(rng, int(rng.integers(1, 5)))), reverse=True))),
-        TeleportRecord: lambda: TeleportRecord(rng.choice(list(Correction)), *states_over(1, 2)),
-        SwapRecord: lambda: SwapRecord(rng.choice(list(ParityBellLabel)), *states_over(2, 1)),
+        TeleportRecord: lambda: TeleportRecord(rng.choice(list(Correction)),
+                                               *states_over(int(rng.integers(1, 3)), 2)),
     }
     return build[cls]()
 
@@ -871,7 +869,7 @@ def outcome(f, *args):
 
 
 class TestValueClasses:
-    """The ten frozen value classes behave as the dataclasses they replaced,
+    """The nine frozen value classes behave as the dataclasses they replaced,
     their twins in ``oracles.TWINS``: the same repr, ==, hash and refusal
     to assign or delete."""
 

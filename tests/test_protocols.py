@@ -2,13 +2,14 @@
 
 import functools
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hesim import (
     Correction,
@@ -18,7 +19,6 @@ from hesim import (
     ParityBellLabel,
     RngStream,
     SpinBellLabel,
-    SwapRecord,
     TeleportRecord,
     bell_pair,
     correction_for,
@@ -47,7 +47,7 @@ from hesim.protocols import (
     _first_uniform,
     _first_uniforms,
     _measure_bell,
-    _states_over,
+    _teleport,
 )
 
 from conftest import assert_leads_the_dense_spectrum, random_qubit_pair
@@ -576,6 +576,15 @@ SWAP_PAIRING = {
 }
 
 
+def assert_targets(rec, label):
+    """rec is uncorrected and targets bell_pair(label) over its output's
+    encodings, bit for bit."""
+    pair = bell_pair(label, *rec.output_state.encodings)
+    assert rec.correction is Correction.IDENTITY
+    assert rec.target_state.encodings == pair.encodings
+    assert rec.target_state.coeffs == pair.coeffs
+
+
 class TestSwap:
     @pytest.mark.parametrize("z,zp", [(0.3, 0.3), (0.3, 1.0), (1.0, 2.0), (2.0, 0.3)])
     def test_expansion_signs_and_magnitudes(self, z, zp):
@@ -587,7 +596,9 @@ class TestSwap:
             assert abs(c - expected.get(pair, 0.0)) < 1e-12
         # the table pairs each spin outcome with its cat Bell state at weight 1/4
         for outcome, p, rec in swap_entanglement(z, zp, dim):
-            assert expected[outcome, rec.parity_label] ** 2 == pytest.approx(
+            parity_label = SWAP_PAIRING[outcome][0]
+            assert_targets(rec, parity_label)
+            assert expected[outcome, parity_label] ** 2 == pytest.approx(
                 p * rec.fidelity, abs=1e-12
             )
 
@@ -611,7 +622,7 @@ class TestSwap:
         seen = set()
         for seed in range(24):
             outcome, p, rec = draw(swap_entanglement(z, zp, dim), RngStream(seed))
-            assert rec.parity_label is SWAP_PAIRING[outcome][0]
+            assert_targets(rec, SWAP_PAIRING[outcome][0])
             assert p == pytest.approx(0.25, abs=1e-10)
             assert rec.fidelity == pytest.approx(1.0, abs=1e-10)
             seen.add(outcome)
@@ -619,17 +630,17 @@ class TestSwap:
 
     def test_post_collapse_entropy_is_one_ebit(self):
         _, _, rec = draw(swap_entanglement(0.7, 1.3, mode_dim_for(1.3)), RngStream(5))
-        ent = entanglement_entropy(rec.mode_state, {0})
+        ent = entanglement_entropy(rec.output_state, {0})
         assert ent == pytest.approx(1.0, abs=1e-10)
 
     def test_transcripts_reproduce_for_equal_seeds(self):
         oa, pa, a = draw(swap_entanglement(0.6, 1.1, 20), RngStream(31))
         ob, pb, b = draw(swap_entanglement(0.6, 1.1, 20), RngStream(31))
         assert oa is ob
-        assert a.parity_label is b.parity_label
+        assert a.target_state.coeffs == b.target_state.coeffs
         assert pa == pb
         assert a.fidelity == b.fidelity
-        assert np.array_equal(a.mode_state.coeffs, b.mode_state.coeffs)
+        assert np.array_equal(a.output_state.coeffs, b.output_state.coeffs)
 
 
 class TestRngStream:
@@ -726,10 +737,10 @@ class TestBranch:
     def test_probability_outside_the_unit_range_rejected(self, amps):
         # one guard serves every table: measurements, teleport and swap alike
         with pytest.raises(ValueError, match="outcome probability"):
-            _branch("x", np.array(amps, dtype=complex), _states_over((QUBIT,)))
+            _branch("x", np.array(amps, dtype=complex), (QUBIT,))
 
     def test_rounding_above_one_is_accepted(self):
-        _, p, state = _branch("x", np.array([1.0 + 1e-13, 0.0]), _states_over((QUBIT,)))
+        _, p, state = _branch("x", np.array([1.0 + 1e-13, 0.0]), (QUBIT,))
         assert p > 1.0 and state.coeffs[0] == 1.0
 
 
@@ -976,16 +987,19 @@ def check_teleport_table(table, labels, channel):
         assert rec.correction is correction_for(outcome, channel)
 
 
-def check_swap_table(table):
-    assert [outcome for outcome, _, _ in table] == list(SpinBellLabel)
+def check_swap_table(table, pairing=SWAP_PAIRING):
+    """Each outcome leaves the unmeasured pair in its partner with p = 1/4 and
+    the joint state's signed coefficient sqrt(p) <pair|output> = ±1/2, and the
+    record targets that partner with fidelity 1. The protocol does not check
+    the coefficient or the collapse itself; this does."""
+    assert [outcome for outcome, _, _ in table] == list(type(table[0][0]))
     for outcome, p, rec in table:
-        parity_label, expected = SWAP_PAIRING[outcome]
-        assert rec.parity_label is parity_label
-        pair = bell_pair(parity_label, *rec.mode_state.encodings)
-        assert abs(math.sqrt(p) * inner(pair, rec.mode_state) - expected) <= 1e-12
+        partner, expected = pairing[outcome]
+        assert_targets(rec, partner)
+        assert abs(math.sqrt(p) * inner(rec.target_state, rec.output_state) - expected) <= 1e-12
         assert p == pytest.approx(0.25, abs=1e-10)
         assert rec.fidelity == pytest.approx(1.0, abs=1e-10)
-        assert entanglement_entropy(rec.mode_state, {0}) == pytest.approx(1.0, abs=1e-10)
+        assert entanglement_entropy(rec.output_state, {0}) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestEveryBranch:
@@ -1024,6 +1038,26 @@ class TestEveryBranch:
     @given(z=Z_LARGE, zp=Z_LARGE)
     def test_swap_at_large_z(self, z, zp):
         check_swap_table(swap_entanglement(z, zp, max(mode_dim_for(z), mode_dim_for(zp))))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @example(z=0.0, zp=0.0)
+    @example(z=9.0, zp=9.0)
+    @given(z=st.floats(0.0, 9.0), zp=st.floats(0.0, 9.0))
+    def test_reverse_swap(self, z, zp):
+        # an extension: Bell-measuring the two modes of psi-(z) x psi-(z') in
+        # the cat basis entangles the two spins, with the swap's pairing read
+        # the other way round
+        dim = max(mode_dim_for(z), mode_dim_for(zp))
+        cat, cat_prime = Encoding.cat(z, dim), Encoding.cat(zp, dim)
+        joint = tensor(bell_pair(HesLabel.PSI_MINUS, QUBIT, cat),
+                       bell_pair(HesLabel.PSI_MINUS, QUBIT, cat_prime))
+        pairing = {parity: (spin, c) for spin, (parity, c) in SWAP_PAIRING.items()}
+        table = _teleport(joint, (1, 3), (cat, cat_prime), lambda outcome: (
+            Correction.IDENTITY, bell_pair(pairing[outcome][0], QUBIT, QUBIT).coeffs))
+        check_swap_table(table, pairing)
+        for _, p, rec in table:  # measured at most 1.1e-16 and 4.4e-16 over 200 (z, z')
+            assert rec.output_state.encodings == (QUBIT, QUBIT)
+            assert abs(p - 0.25) <= 1e-15 and 1.0 - rec.fidelity <= 1e-15
 
 
 def product_rule(encodings) -> float:
@@ -1070,9 +1104,10 @@ class TestWorkedOut:
     @given(z=st.floats(0.0, 9.0), zp=st.floats(0.0, 9.0))
     def test_a_swap_fidelity_is_the_swaps_own_overlap_bit_for_bit(self, z, zp):
         # the pair's conjugated coefficients against the modes', from 0j, in order
-        for _, _, rec in swap_entanglement(z, zp, max(mode_dim_for(z), mode_dim_for(zp))):
-            row = [c.conjugate() for c in bell_pair(rec.parity_label, QUBIT, QUBIT).coeffs]
-            overlap = sum((x * y for x, y in zip(row, rec.mode_state.coeffs)), 0j)
+        for outcome, _, rec in swap_entanglement(z, zp, max(mode_dim_for(z), mode_dim_for(zp))):
+            pair = bell_pair(SWAP_PAIRING[outcome][0], QUBIT, QUBIT)
+            row = [c.conjugate() for c in pair.coeffs]
+            overlap = sum((x * y for x, y in zip(row, rec.output_state.coeffs)), 0j)
             assert rec.fidelity.hex() == (abs(overlap) ** 2).hex()
 
     def test_a_teleport_fidelity_is_the_overlap_of_its_states(self, rng):
@@ -1090,12 +1125,16 @@ class TestWorkedOut:
             with pytest.raises(ValueError, match="over different encodings"):
                 TeleportRecord(Correction.IDENTITY, output, target)
 
-    def test_a_swap_record_refuses_a_mode_state_that_is_not_a_pair(self):
-        cat = Encoding.cat(1.2, mode_dim_for(1.2))
-        one = cat.state(1.0, 0.0)
-        for state in (one, tensor(one, hes_state(HesLabel.PHI_PLUS, 1.2, cat.space.dim))):
-            with pytest.raises(TypeError):
-                SwapRecord(ParityBellLabel.PHI_PLUS, state)
+    def test_a_record_refuses_a_pair_and_a_target_over_other_encodings(self):
+        cat, cat_prime = Encoding.cat(1.2, 20), Encoding.cat(0.7, 24)
+        modes = bell_pair(ParityBellLabel.PSI_MINUS, cat, cat_prime)
+        for target in (bell_pair(ParityBellLabel.PSI_MINUS, cat_prime, cat),
+                       bell_pair(ParityBellLabel.PSI_MINUS, cat.flip(), cat_prime),
+                       cat.state(1.0, 0.0), hes_state(HesLabel.PSI_MINUS, 0.7, 24)):
+            spaces = (f"between states on {re.escape(target.space.describe())} and "
+                      f"{re.escape(modes.space.describe())} over different encodings")
+            with pytest.raises(ValueError, match=spaces):
+                TeleportRecord(Correction.IDENTITY, modes, target)
 
     def test_records_take_no_fidelity(self):
         cat = Encoding.cat(1.2, mode_dim_for(1.2))
@@ -1103,9 +1142,8 @@ class TestWorkedOut:
         modes = parity_bell_state(ParityBellLabel.PSI_MINUS, 1.2, 1.2, cat.space.dim)
         with pytest.raises(TypeError):
             TeleportRecord(Correction.IDENTITY, target, target, 1.0)
-        with pytest.raises(TypeError):  # the old order (parity_label, fidelity, mode_state)
-            SwapRecord(ParityBellLabel.PSI_MINUS, 1.0, modes)
-        assert SwapRecord(ParityBellLabel.PSI_MINUS, modes).fidelity == pytest.approx(1.0, abs=1e-15)
+        assert TeleportRecord(Correction.IDENTITY, modes, modes).fidelity == pytest.approx(
+            1.0, abs=1e-15)
 
 
 Z_DENSE = st.floats(min_value=0.5, max_value=9.0)
@@ -1153,7 +1191,7 @@ class TestAgainstTheDenseRoute:
         for (_, p, rec), (_, dense_p, fidelity, schmidt) in zip(table, rows):
             assert p == pytest.approx(dense_p, abs=1e-10)
             assert rec.fidelity == pytest.approx(fidelity, abs=1e-10)
-            got = schmidt_coefficients(rec.mode_state, {0}).coefficients
+            got = schmidt_coefficients(rec.output_state, {0}).coefficients
             assert_leads_the_dense_spectrum(got, schmidt, 2, {0}, 1e-10)
 
 
