@@ -18,7 +18,7 @@ import json
 import math
 import sys
 
-from .bellchsh import analytic_optimum, optimize_chsh
+from .bellchsh import ChshSettings, analytic_optimum, optimize_chsh
 from .entanglement import entanglement_entropy, schmidt_coefficients
 from .fock import _MODE_DIM_CAP, Encoding, LogicalState, mode_dim_for, tensor
 from .protocols import (
@@ -34,11 +34,15 @@ from .protocols import (
     teleport_parity,
     teleport_spin,
 )
-from .pseudospin import Direction, k_matrix, k_series
+from .pseudospin import k_matrix, k_series
 
 DEFAULT_SEED = 0
 # kz builds every row before it writes one, about 0.35 KB each: 35 MB at the cap
 _KZ_STEPS_CAP = 100_000
+# and each row walks up to its cutoff: steps times the largest cutoff is capped
+# so that the largest accepted sweep takes about a minute (on a 2-vCPU x86 VM,
+# 48 s for 100 000 rows up to z = 63 and 20 s for 403 rows near the Fock cap)
+_KZ_LEVELS_CAP = 400_000_000
 
 _UNICODE_ALIASES = str.maketrans(
     {
@@ -98,10 +102,6 @@ def _normalized_pair(alpha: complex, beta: complex) -> tuple[complex, complex]:
     return alpha / norm, beta / norm
 
 
-def _direction_angles(d: Direction) -> dict[str, float]:
-    return {"theta": d.theta, "phi": d.phi}
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -126,6 +126,13 @@ def cmd_kz(args: argparse.Namespace) -> str:
         raise ValueError(
             f"need 0 <= zmin <= zmax, got zmin={args.zmin!r} zmax={args.zmax!r}"
         )
+    # the largest cutoff, without a walk: --dim, else about zmax**2 levels; no
+    # row walks past the Fock cap, where it fails as a one-row sweep does
+    levels = math.ceil(min(args.zmax * args.zmax if args.dim is None else args.dim,
+                           _MODE_DIM_CAP))
+    if args.steps * levels > _KZ_LEVELS_CAP:
+        raise ValueError(f"steps x largest cutoff must be at most {_KZ_LEVELS_CAP} levels, "
+                         f"got {args.steps} x {levels}")
     if args.steps == 1:
         zs = [args.zmin]
     else:
@@ -159,11 +166,9 @@ def cmd_chsh(args: argparse.Namespace) -> str:
         "optimizer_value": numeric.value,
         "gap": numeric.value - analytic.value,
         "optimizer_settings": {
-            "a": _direction_angles(numeric.settings.a),
-            "a_prime": _direction_angles(numeric.settings.a_prime),
-            "b": _direction_angles(numeric.settings.b),
-            "b_prime": _direction_angles(numeric.settings.b_prime),
-        },
+            name: {"theta": getattr(numeric.settings, name).theta,
+                   "phi": getattr(numeric.settings, name).phi}
+            for name in ChshSettings._fields},
     }
     return _json(payload)
 
@@ -242,21 +247,26 @@ def cmd_swap(args: argparse.Namespace) -> str:
     return _json(payload)
 
 
-# kind: ((label enum, what the label is called) or None, parameters, needs)
+def _product_state(z: float, dim: int) -> LogicalState:
+    return tensor(Encoding.qubit().state(1.0, 0.0), Encoding.cat(z, dim).state(1.0, 0.0))
+
+
+# kind: (builder, (label enum, what the label is called) or None, parameters,
+# needs); the builder takes the label, if any, then the parameters and, if
+# there are any, the cutoff that fits them all
 _STATE_SPECS = {
-    "spinbell": ((SpinBellLabel, "spin Bell label"), (), "a label"),
-    "hes": ((HesLabel, "hybrid state label"), ("z",), "a label and z=..."),
-    "paritybell": (
-        (ParityBellLabel, "parity Bell label"), ("z", "zp"), "a label, z=... and zp=..."
-    ),
-    "product": (None, ("z",), "z=..."),
+    "spinbell": (spin_bell_state, (SpinBellLabel, "spin Bell label"), (), "a label"),
+    "hes": (hes_state, (HesLabel, "hybrid state label"), ("z",), "a label and z=..."),
+    "paritybell": (parity_bell_state, (ParityBellLabel, "parity Bell label"), ("z", "zp"),
+                   "a label, z=... and zp=..."),
+    "product": (_product_state, None, ("z",), "z=..."),
 }
 
 
 def _build_named_state(spec: str, dim_override: int | None) -> LogicalState:
     parts = _canon(spec).split(":")
     kind = parts[0]
-    labels, keys, needs = _STATE_SPECS.get(kind, (None, None, None))
+    build, labels, keys, needs = _STATE_SPECS.get(kind, (None, None, None, None))
     params: dict[str, float] = {}
     if "=" in parts[-1]:
         for item in parts.pop().split(","):
@@ -280,18 +290,13 @@ def _build_named_state(spec: str, dim_override: int | None) -> LogicalState:
         )
     if len(parts) != (2 if labels else 1) or len(params) < len(keys):
         raise ValueError(f"{kind} spec needs {needs}, got {spec!r}")
-    label = labels and _parse_enum(labels[0], parts[1], labels[1])
+    label = [_parse_enum(labels[0], parts[1], labels[1])] if labels else []
     zs = [params[key] for key in keys]
-    if kind == "spinbell":
-        if dim_override is not None:
-            raise ValueError("--dim is the Fock cutoff of a mode; a spin Bell state has none")
-        return spin_bell_state(label)
-    dim = _dim_for(dim_override, *zs)
-    if kind == "hes":
-        return hes_state(label, *zs, dim)
-    if kind == "paritybell":
-        return parity_bell_state(label, *zs, dim)
-    return tensor(Encoding.qubit().state(1.0, 0.0), Encoding.cat(*zs, dim).state(1.0, 0.0))
+    if zs:
+        return build(*label, *zs, _dim_for(dim_override, *zs))
+    if dim_override is not None:
+        raise ValueError("--dim is the Fock cutoff of a mode; a spin Bell state has none")
+    return build(*label)
 
 
 def cmd_entropy(args: argparse.Namespace) -> str:

@@ -14,7 +14,6 @@ from typing import Iterable
 from .fock import LogicalState, _party_order, _set, _svd, _Value
 
 _EIGENVALUE_FLOOR = 1e-14
-_NEGATIVE_COEFF_TOL = 1e-15
 _SCHMIDT_NORM_TOL = 1e-10
 
 
@@ -25,7 +24,7 @@ class SchmidtSpectrum(_Value):
 
     def __init__(self, coefficients: tuple[float, ...]) -> None:
         coeffs = tuple(float(c) for c in coefficients)
-        if any(c < -_NEGATIVE_COEFF_TOL for c in coeffs):
+        if any(c < 0.0 for c in coeffs):  # -0.0 passes
             raise ValueError("Schmidt coefficients must be nonnegative")
         if any(coeffs[i] < coeffs[i + 1] for i in range(len(coeffs) - 1)):
             raise ValueError("Schmidt coefficients must be sorted descending")

@@ -47,6 +47,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .fock import (
+    _NORM_TOL,
     BellLabel,
     Encoding,
     FactorKind,
@@ -66,8 +67,6 @@ from .pseudospin import PAULI_X, PAULI_Y, PAULI_Z
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-# rounding slack on the [0, 1] range of a branch probability
-_PROB_SLACK = 1e-12
 # weight a measured state may carry outside the measured basis
 _SPAN_TOL = 1e-10
 # a run of at least this many trials computes its first variates in one batch:
@@ -371,9 +370,10 @@ def _norm2(coeffs) -> float:
 def _branch(outcome, coeffs: list[complex], encodings: tuple[Encoding, ...]) -> tuple:
     """(outcome, p, the state of coeffs renormalized over encodings) with p the
     squared norm of coeffs itself, so any branch draw may pick renormalizes;
-    the state is None at p = 0."""
+    the state is None at p = 0. A projection of a LogicalState, whose norm
+    is within _NORM_TOL of 1, has p at most the square of 1 + _NORM_TOL."""
     p = _norm2(coeffs)
-    if not p <= 1.0 + _PROB_SLACK:  # written so that NaN fails it
+    if not p <= (1.0 + _NORM_TOL) ** 2:  # written so that NaN fails it
         raise ValueError(f"outcome probability {p!r}")
     if p == 0.0:
         return outcome, p, None
@@ -385,19 +385,14 @@ def _branch(outcome, coeffs: list[complex], encodings: tuple[Encoding, ...]) -> 
     return outcome, p, LogicalState(encodings, [c / root for c in coeffs])
 
 
-@functools.cache
-def _bell_row(label: BellLabel) -> tuple[complex, ...]:
-    """The conjugated coefficients of a Bell label."""
-    return tuple(c.conjugate() for c in _bell_coeffs(label))
-
-
 def _measure_bell(state, factors, enc_a, enc_b):
     """Branch table of projecting factors onto bell_pair(label, enc_a, enc_b).
 
     One (label, probability, renormalized state on the remaining parties)
     per label, spin Bell labels on a qubit basis and parity Bell labels on a
     cat basis. The measured parties must carry the basis's encodings, so
-    the probabilities sum to 1 up to rounding.
+    the probabilities sum to 1 up to rounding. A Bell pair's coefficients
+    are real, so they are their own conjugates in the projection.
     """
     kind = enc_a.space.kind(0)
     _check_kinds(state, factors, (kind, enc_b.space.kind(0)))
@@ -414,7 +409,7 @@ def _measure_bell(state, factors, enc_a, enc_b):
     columns = [c[k :: len(c) // 4] for k in range(len(c) // 4)]
     labels = SpinBellLabel if kind is FactorKind.QUBIT else ParityBellLabel
     return [_branch(label, [sum(map(operator.mul, row, col)) for col in columns], encodings)
-            for label, row in zip(labels, map(_bell_row, labels))]
+            for label, row in zip(labels, map(_bell_coeffs, labels))]
 
 
 def measure_spin_bell(

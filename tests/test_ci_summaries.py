@@ -26,7 +26,8 @@ FENCE = r"```"
 # each script's summary lines, in order; a pattern marked + may repeat
 SHAPES = {
     "code lines": [FENCE, (r" *\d+ src/hesim/\w+\.py", "+"), r" *\d+ code lines",
-                   (r" *\d+ tolerances in src/hesim/\w+\.py", "+"), r" *\d+ tolerance constants",
+                   (r" *\d+ tolerances in src/hesim/\w+\.py(: _\w+(, _\w+)*)?", "+"),
+                   r" *\d+ tolerance constants",
                    FENCE],
     "public names": [r"hesim\.__all__: \d+ names, \d+ parameters, \d+ with a default",
                      r"hesim CLI: \d+ subcommands, \d+ arguments, \d+ optional flags"],

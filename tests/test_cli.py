@@ -1,14 +1,18 @@
 """Command-line interface: schemas, values, exit codes, reproducibility."""
 
 import argparse
+import contextlib
 import csv
 import functools
 import importlib.util
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -104,6 +108,49 @@ class TestKz:
         monkeypatch.setattr(hesim.cli, "k_matrix", lambda z, dim: 0.5)
         code, data = run(["kz", "--zmin", "0", "--zmax", "1", "--steps", str(cap)], tmp_path)
         assert cap == 100_000 and code == 0 and data.count(b"\n") == cap + 1
+
+    @pytest.mark.parametrize("argv, levels", [
+        (["--zmin", "990", "--zmax", "996", "--steps", "100000"], 992016),  # 996**2
+        (["--zmin", "0", "--zmax", "1", "--steps", "401", "--dim", "1000000"], 1000000),
+        (["--zmin", "0", "--zmax", "63.3", "--steps", "100000"], 4007),  # ceil(63.3**2)
+        (["--zmin", "0", "--zmax", "1e300", "--steps", "401"], 1000000),  # the Fock cap
+    ])
+    def test_levels_above_the_budget_refused_before_any_walk(
+            self, argv, levels, monkeypatch, tmp_path, capsys):
+        # every row walks up to its cutoff, so 100 000 rows near the Fock cap
+        # would take hours; steps x the largest cutoff (--dim, else zmax**2,
+        # at most the Fock cap) is refused before any z is walked
+        budget = hesim.cli._KZ_LEVELS_CAP
+        for name in ("k_series", "k_matrix", "mode_dim_for"):
+            monkeypatch.setattr(hesim.cli, name, lambda *args: pytest.fail("walked a z"))
+        code, data = run(["kz", *argv], tmp_path)
+        assert code == 1 and data == b""
+        steps = argv[argv.index("--steps") + 1]
+        assert capsys.readouterr().err == (
+            f"error: steps x largest cutoff must be at most {budget} levels, "
+            f"got {steps} x {levels}\n")
+
+    @pytest.mark.parametrize("argv, rows", [
+        (["--zmin", "0", "--zmax", "1", "--steps", "400", "--dim", "1000000"], 400),
+        (["--zmin", "0", "--zmax", "63.2", "--steps", "100000"], 100_000),  # 3995 levels
+    ])
+    def test_a_sweep_at_the_budget_runs(self, argv, rows, monkeypatch, tmp_path):
+        # the budget itself is a valid sweep, here of stand-in rows
+        monkeypatch.setattr(hesim.cli, "k_series", lambda z: 0.5)
+        monkeypatch.setattr(hesim.cli, "k_matrix", lambda z, dim: 0.5)
+        monkeypatch.setattr(hesim.cli, "mode_dim_for", lambda z: 4)
+        code, data = run(["kz", *argv], tmp_path)
+        assert hesim.cli._KZ_LEVELS_CAP == 400_000_000
+        assert code == 0 and data.count(b"\n") == rows + 1
+
+    def test_a_few_rows_past_the_fock_cap_fail_at_their_row(self, tmp_path, capsys):
+        # the budget reads the cap, not zmax**2, so a short sweep past it is
+        # refused by the row that passes it, with that row's z
+        code, data = run(["kz", "--zmin", "0", "--zmax", "1e300", "--steps", "400"], tmp_path)
+        assert code == 1 and data == b""
+        assert capsys.readouterr().err == (
+            f"error: z = {1e300 / 399!r} is too large: "
+            "its Poisson peak z**2 passes 1000000 levels\n")
 
     def test_stdout_by_default(self, capsys):
         assert main(["kz", "--zmin", "0", "--zmax", "1", "--steps", "2"]) == 0
@@ -985,3 +1032,124 @@ class TestParserSelection:
     def test_text_matches_the_full_tree(self, argv, columns, monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", columns)
         assert _outcome(argv, capsys) == self._full_tree(argv, capsys)
+
+
+# What the argv fuzz draws for each argument: small valid values three times
+# in four, else edge values, as text. A huge positive --trials is left out:
+# time is linear in it (README), with nothing to refuse.
+def _mostly(valid, edges):
+    return st.integers(0, 3).flatmap(lambda pick: valid if pick else st.sampled_from(edges))
+
+
+HUGE_INTS = (str(2**64), str(2**32 - 1))
+INT_EDGES = ("-1", "0", "nan", "1.5", "", f"-{2**64}")
+FLOATS = _mostly(st.floats(0.0, 2.0).map(repr), (  # dim 28 holds z = 2
+    "nan", "-nan", "inf", "-inf", "5e-324", "2.2250738585072014e-308", "-1", "-0.0", "1000.5",
+    str(2**64), "1e300", "0x1p3", ""))
+LABELS = _mostly(st.sampled_from(("phi+", "phi-", "psi+", "psi-", "φ⁺", "ψ⁻")),
+                 ("Phi+", "phi~+", "bogus", ""))
+AMPLITUDES = _mostly(st.sampled_from(("0.6", "-0.8", "0.6+0.8j", "0.8j", "1e200", "5e-324")),
+                     ("0", "-1j", "1e400", "nan", "inf", "-inf+1j", "abc", ""))
+NOT_A_DIRECTORY = str(Path(__file__) / "out")  # a path under a file: every write fails
+TEXT = {
+    "--label": LABELS,
+    "--channel": LABELS,
+    "--alpha": AMPLITUDES,
+    "--beta": AMPLITUDES,
+    "statespec": _mostly(st.one_of(
+        st.sampled_from(("spinbell:Phi+", "spinbell:Ψ⁻", "paritybell:phi~+:z=1,zp=0.5")),
+        st.builds("hes:{}:z={}".format, LABELS, FLOATS),
+        st.builds("paritybell:phi~-:z={},zp={}".format, FLOATS, FLOATS),
+        st.builds("product:z={}".format, FLOATS)), (
+        "hes:phi+", "hes:bogus:z=1", "paritybell:phi~+:z=1,zp=1,zp=2", "paritybell:phi~+:z=1,=2",
+        "product:foo:z=1", "spinbell:Phi+:z=1", "bogus:z=1", "", ":", "hes:phi+:z=abc")),
+    "--out": st.just(NOT_A_DIRECTORY),
+}
+
+
+def _values(flag, keywords):
+    """Text for one argument of the CLI's table, by its type or its flag."""
+    if "choices" in keywords:
+        return _mostly(st.sampled_from(keywords["choices"]), ("bogus",))
+    if keywords.get("type") is float:
+        return FLOATS
+    if keywords.get("type") is int:
+        if flag == "--dim":
+            return _mostly(st.integers(15, 20).map(lambda n: str(2 * n)),
+                           INT_EDGES + HUGE_INTS + ("2", "3", "1000002"))
+        return _mostly(st.integers(1, 4).map(str),
+                       INT_EDGES if flag == "--trials" else INT_EDGES + HUGE_INTS)
+    return TEXT[flag]
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand and arguments drawn from ``cli._SUBCOMMANDS`` and ``cli._COMMON``:
+    a required argument is left out one time in ten, an optional one two
+    times in three, and a flag's value is given as a separate word or after ``=``."""
+    name = draw(st.sampled_from((*hesim.cli._SUBCOMMANDS, "bogus")))
+    argv = [name]
+    declared = hesim.cli._SUBCOMMANDS[name][1] + hesim.cli._COMMON if name != "bogus" else ()
+    for flag, keywords in declared:
+        needed = not flag.startswith("-") or keywords.get("required")
+        if draw(st.integers(0, 9)) >= (9 if needed else 3):
+            continue
+        value = draw(_values(flag, keywords))
+        if not flag.startswith("-"):
+            argv.append(value)
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+    return argv
+
+
+def _finite(report: str) -> bool:
+    """Whether every number of a kz CSV or a JSON report is finite."""
+    if report.startswith("z,"):
+        return all(math.isfinite(float(x)) for row in report.splitlines()[1:]
+                   for x in row.split(","))
+
+    def refuse(constant):
+        raise ValueError(constant)
+
+    try:
+        json.loads(report, parse_constant=refuse)
+    except ValueError:
+        return False
+    return True
+
+
+class TestEveryArgvEnds:
+    """The CLI's contract: any argv drawn from the flag table ends fast in
+    a finite report (exit 0), one ``error:`` line (exit 1) or an
+    argparse usage error (``SystemExit(2)``), with no traceback and no
+    warning. The costly corners, z near the Fock cap and kz's steps near a
+    cap, are the cap tests of ``TestKz``."""
+
+    @given(argvs())
+    @example(["kz", "--zmin", "0", "--zmax=2", "--steps", "3", "--dim", "30"])
+    @example(["chsh", "--z", "1", "--label=ψ⁻", "--restarts", str(2**64), "--seed", "-1"])
+    @example(["teleport", "parity", "--alpha", "5e-324", "--beta=-0.8", "--z", "0.5",
+              "--zpp", "1", "--trials", "4", "--seed", str(2**64)])
+    @example(["swap", "--z", "0", "--zprime", "5e-324", "--trials", "4", "--seed", "4294967295"])
+    @example(["entropy", "paritybell:phi~-:z=1,zp=0.5", "--dim", "30"])
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_argv_ends_in_a_report_an_error_line_or_a_usage_error(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                code = "usage"
+        assert not caught, (argv, [str(w.message) for w in caught])
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert err == "" and _finite(out), argv
+        elif code == 1:
+            assert out == "" and re.fullmatch(r"error: [^\n]*\n", err), (argv, err)
+        else:
+            assert code == "usage" and out == "" and "error: " in err, (argv, code)

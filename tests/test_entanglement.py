@@ -208,6 +208,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             SchmidtSpectrum((0.3, 0.9539392014169456))  # not descending
 
+    def test_spectrum_refuses_any_negative_coefficient(self):
+        # singular values are norms, so no coefficient of a cut rounds below 0
+        with pytest.raises(ValueError, match="nonnegative"):
+            SchmidtSpectrum((1.0, -1e-16))
+        assert SchmidtSpectrum((1.0, -0.0)).coefficients == (1.0, -0.0)
+
 
 Z_DENSE = st.floats(min_value=0.5, max_value=9.0)
 

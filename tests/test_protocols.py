@@ -743,6 +743,25 @@ class TestBranch:
         _, p, state = _branch("x", np.array([1.0 + 1e-13, 0.0]), (QUBIT,))
         assert p > 1.0 and state.coeffs[0] == 1.0
 
+    SCALE = 1.0 + 0.99e-12  # the norm of a state LogicalState accepts, just inside 1e-12
+
+    def assert_measured(self, table, labels):
+        # every branch comes back; the one that holds the state has p = SCALE**2
+        assert [outcome for outcome, _, _ in table] == labels
+        (p, state), = [(p, state) for _, p, state in table if p]
+        assert abs(p - self.SCALE**2) <= 1e-15 and p > 1.0 + 1.9e-12
+        assert abs(inner(state, state) - 1.0) <= 1e-15
+
+    def test_a_spin_bell_measurement_takes_a_state_at_its_norm_bound(self):
+        joint = tensor(spin_bell_state(SpinBellLabel.PSI_MINUS), QUBIT.state(0.6, 0.8j))
+        scaled = LogicalState(joint.encodings, [c * self.SCALE for c in joint.coeffs])
+        self.assert_measured(measure_spin_bell(scaled, (0, 1)), list(SpinBellLabel))
+
+    def test_a_parity_measurement_takes_a_state_at_its_norm_bound(self):
+        pair = (QUBIT, Encoding.cat(1.0, mode_dim_for(1.0)))
+        scaled = LogicalState(pair, [0.6 * self.SCALE, 0j, 0.8j * self.SCALE, 0j])
+        self.assert_measured(parity_measurement(scaled, 1), [1, -1])
+
 
 class _FixedVariate:
     """Stand-in for an RngStream that always returns the same variate."""
