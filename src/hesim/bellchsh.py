@@ -18,13 +18,11 @@ from __future__ import annotations
 import math
 import operator
 
-from .fock import HesLabel, LogicalState, _set, _svd, _Value
+from .fock import _NORM_TOL, HesLabel, LogicalState, _set, _svd, _Value
 from .pseudospin import Direction, encoded_pseudospin, k_series
 
 CIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 CLASSICAL_BOUND = 2.0
-
-_VALUE_SLACK = 1e-9  # rounding allowed above the Cirelson bound
 
 
 class ChshSettings(_Value):
@@ -56,14 +54,19 @@ class ChshSettings(_Value):
 
 
 class ChshResult(_Value):
-    """A CHSH value and the settings that reach it."""
+    """A CHSH value and the settings that reach it.
+
+    Every correlation entry scales with the squared norm of the state, which
+    a ``LogicalState`` holds within _NORM_TOL of 1, so a value may pass the
+    Cirelson bound by at most the factor (1 + _NORM_TOL)**2.
+    """
 
     _fields = ("value", "settings")
 
     def __init__(self, value: float, settings: ChshSettings) -> None:
-        if abs(value) > CIRELSON_BOUND + _VALUE_SLACK:
+        if not abs(value) <= CIRELSON_BOUND * (1.0 + _NORM_TOL) ** 2:  # NaN fails it
             raise ValueError(
-                f"CHSH value {value!r} exceeds the quantum bound "
+                f"CHSH value {value!r} is not within the quantum bound "
                 f"{CIRELSON_BOUND}"
             )
         _set(self, "value", value)

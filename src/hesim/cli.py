@@ -251,22 +251,28 @@ def _product_state(z: float, dim: int) -> LogicalState:
     return tensor(Encoding.qubit().state(1.0, 0.0), Encoding.cat(z, dim).state(1.0, 0.0))
 
 
-# kind: (builder, (label enum, what the label is called) or None, parameters,
-# needs); the builder takes the label, if any, then the parameters and, if
-# there are any, the cutoff that fits them all
+# kind: (builder, (label enum, what the label is called) or None, parameters);
+# the builder takes the label, if any, then the parameters and, if there are
+# any, the cutoff that fits them all
 _STATE_SPECS = {
-    "spinbell": (spin_bell_state, (SpinBellLabel, "spin Bell label"), (), "a label"),
-    "hes": (hes_state, (HesLabel, "hybrid state label"), ("z",), "a label and z=..."),
-    "paritybell": (parity_bell_state, (ParityBellLabel, "parity Bell label"), ("z", "zp"),
-                   "a label, z=... and zp=..."),
-    "product": (_product_state, None, ("z",), "z=..."),
+    "spinbell": (spin_bell_state, (SpinBellLabel, "spin Bell label"), ()),
+    "hes": (hes_state, (HesLabel, "hybrid state label"), ("z",)),
+    "paritybell": (parity_bell_state, (ParityBellLabel, "parity Bell label"), ("z", "zp")),
+    "product": (_product_state, None, ("z",)),
 }
+
+
+def _needs(labels, keys: tuple[str, ...]) -> str:
+    """What a spec of a kind must hold past its kind, read off its row: "a
+    label", "a label and z=...", "a label, z=... and zp=..." or "z=..."."""
+    items = ["a label"] * bool(labels) + [f"{key}=..." for key in keys]
+    return " and ".join(filter(None, (", ".join(items[:-1]), items[-1])))
 
 
 def _build_named_state(spec: str, dim_override: int | None) -> LogicalState:
     parts = _canon(spec).split(":")
     kind = parts[0]
-    build, labels, keys, needs = _STATE_SPECS.get(kind, (None, None, None, None))
+    build, labels, keys = _STATE_SPECS.get(kind, (None, None, None))
     params: dict[str, float] = {}
     if "=" in parts[-1]:
         for item in parts.pop().split(","):
@@ -284,12 +290,11 @@ def _build_named_state(spec: str, dim_override: int | None) -> LogicalState:
                 )
             params[key] = number
     if keys is None:
-        raise ValueError(
-            f"unknown state spec {spec!r}; use spinbell:..., hes:..., "
-            f"paritybell:... or product:z=..."
-        )
+        kinds = [f"{name}:{'...' if labelled else _needs(None, names)}"
+                 for name, (_, labelled, names) in _STATE_SPECS.items()]
+        raise ValueError(f"unknown state spec {spec!r}; use {', '.join(kinds[:-1])} or {kinds[-1]}")
     if len(parts) != (2 if labels else 1) or len(params) < len(keys):
-        raise ValueError(f"{kind} spec needs {needs}, got {spec!r}")
+        raise ValueError(f"{kind} spec needs {_needs(labels, keys)}, got {spec!r}")
     label = [_parse_enum(labels[0], parts[1], labels[1])] if labels else []
     zs = [params[key] for key in keys]
     if zs:

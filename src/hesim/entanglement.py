@@ -11,14 +11,18 @@ import math
 import operator
 from typing import Iterable
 
-from .fock import LogicalState, _party_order, _set, _svd, _Value
+from .fock import _NORM_TOL, LogicalState, _party_order, _set, _svd, _Value
 
 _EIGENVALUE_FLOOR = 1e-14
-_SCHMIDT_NORM_TOL = 1e-10
 
 
 class SchmidtSpectrum(_Value):
-    """Schmidt coefficients in descending order; their squares sum to one."""
+    """Schmidt coefficients in descending order; their squares sum to one.
+
+    The squares sum to the squared norm of the state they came from, which
+    a ``LogicalState`` holds within _NORM_TOL of 1, so the sum must lie
+    between the squares of 1 - _NORM_TOL and 1 + _NORM_TOL.
+    """
 
     _fields = ("coefficients",)
 
@@ -29,7 +33,7 @@ class SchmidtSpectrum(_Value):
         if any(coeffs[i] < coeffs[i + 1] for i in range(len(coeffs) - 1)):
             raise ValueError("Schmidt coefficients must be sorted descending")
         total = sum(c * c for c in coeffs)
-        if not abs(total - 1.0) <= _SCHMIDT_NORM_TOL:  # written so that NaN fails it
+        if not (1.0 - _NORM_TOL) ** 2 <= total <= (1.0 + _NORM_TOL) ** 2:  # NaN fails it
             raise ValueError(f"squared Schmidt coefficients sum to {total!r}")
         _set(self, "coefficients", coeffs)
 

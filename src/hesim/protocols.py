@@ -25,7 +25,7 @@ parties' truncation residual.
 probabilities, so a seed fixes the transcript, and returns each row's count
 and the summed fidelity: a Monte-Carlo command's whole run, in one call.
 A stream's variates are those of ``np.random.default_rng(s)``. Its first is
-computed from s, one seed at a time or a run's seeds in one numpy batch,
+computed from s, one seed at a time or a block of seeds in one numpy batch,
 and the generator is built only for a second draw, so a command, which
 draws once a trial, never imports numpy.random. Those are the only numpy
 kernels here, each importing numpy when first run: a run of fewer than
@@ -67,9 +67,7 @@ from .pseudospin import PAULI_X, PAULI_Y, PAULI_Z
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-# weight a measured state may carry outside the measured basis
-_SPAN_TOL = 1e-10
-# a run of at least this many trials computes its first variates in one batch:
+# a block of at least this many seeds computes its first variates in one batch:
 # timed inside run_trials on a 2-vCPU x86 VM (trials 2-32, min of 7 runs), the
 # batch took about 95 us at any count and the seed-by-seed path about 19 us a
 # trial, so the batch was first faster at 5 trials (at 6 in one of three passes)
@@ -145,19 +143,19 @@ class RngStream:
 def _stream_blocks(seed: int, trials: int) -> Iterator[list[RngStream]]:
     """``RngStream(seed + i)`` for trial i of a run, _BATCH_BLOCK trials at a time.
 
-    A run of at least _BATCH_MIN_TRIALS trials whose seeds all lie below
-    2**32 (one SeedSequence entropy word each) computes a block's first
-    variates in one ``_first_uniforms`` batch; any other run computes each
-    from its seed with ``_first_uniform``.
+    A block of at least _BATCH_MIN_TRIALS seeds, all >= 0 and below 2**64
+    (two SeedSequence entropy words each), computes its first variates in
+    one ``_first_uniforms`` batch; any other block computes each from its
+    seed with ``_first_uniform``. So a run that straddles 2**32 or 2**64
+    batches every block below 2**64.
     """
-    batched = trials >= _BATCH_MIN_TRIALS and seed >= 0 and seed + trials <= 2**32
     for start in range(seed, seed + trials, _BATCH_BLOCK):
         seeds = range(start, min(start + _BATCH_BLOCK, seed + trials))
-        if batched:
+        firsts = [None] * len(seeds)
+        if len(seeds) >= _BATCH_MIN_TRIALS and start >= 0 and seeds.stop <= 2**64:
             import numpy as np
-            yield list(map(RngStream, seeds, _first_uniforms(np.arange(start, seeds.stop)).tolist()))
-        else:
-            yield list(map(RngStream, seeds))
+            firsts = _first_uniforms(np.arange(start, seeds.stop, dtype=np.uint64)).tolist()
+        yield list(map(RngStream, seeds, firsts))
 
 
 def _first_uniform(seed: int) -> float:
@@ -230,19 +228,23 @@ def _seed_tables() -> tuple:
 
 
 def _first_uniforms(seeds: np.ndarray) -> np.ndarray:
-    """``np.random.default_rng(s).random()`` for each seed s < 2**32, bit for bit.
+    """``np.random.default_rng(s).random()`` for each seed 0 <= s < 2**64, bit for bit.
 
     As numpy's ``SeedSequence`` documentation and O'Neill's "PCG: A Family
     of Simple Fast Space-Efficient Statistically Good Algorithms for Random
-    Number Generation" (2014) describe: hash s and three zeros into a pool
-    of four uint32 words, mix every word into every other, and hash eight
-    words out: PCG64's 128-bit state seed s0 and stream i0. Seeding steps the
-    LCG twice and the draw once, to s0*M**2 + (2*i0 + 1)*c mod 2**128 with
-    c = M**2 + M + 1; the XSL-RR output x gives ``(x >> 11) * 2**-53``.
+    Number Generation" (2014) describe: hash the low and high 32-bit words
+    of s and two zeros into a pool of four uint32 words (a seed below 2**32
+    is one word, which the hash pads with the same zeros), mix every word
+    into every other, and hash eight words out: PCG64's 128-bit state seed
+    s0 and stream i0. Seeding steps the LCG twice and the draw once, to
+    s0*M**2 + (2*i0 + 1)*c mod 2**128 with c = M**2 + M + 1; the XSL-RR
+    output x gives ``(x >> 11) * 2**-53``.
     """
     import numpy as np
     in_xor, in_mul, mix_xor, mix_mul, out_xor, out_mul, mul, (c_hi, c_lo) = _seed_tables()
-    pool = _hash(np.eye(4, 1, dtype=np.uint32) * seeds.astype(np.uint32), in_xor, in_mul)
+    entropy = np.zeros((4, len(seeds)), np.uint32)
+    entropy[0], entropy[1] = seeds & _M32, seeds >> 32
+    pool = _hash(entropy, in_xor, in_mul)
     for src in range(4):
         mixed = _SEQ_MIX_L * pool - _SEQ_MIX_R * _hash(pool[src], mix_xor[src], mix_mul[src])
         mixed ^= mixed >> 16
@@ -265,19 +267,21 @@ def run_trials(branches: list[tuple], seed: int, trials: int) -> tuple[list[int]
 
     A trial draws the first nonzero row whose running sum of probabilities
     exceeds u times their total; a variate past the last sum, on the
-    floating-point remainder, counts for the likeliest row. A table missing
-    more than _SPAN_TOL of weight measured a state outside its basis, which
-    is an error rather than a fifth outcome. Returns each row's count and
-    the drawn records' fidelities summed in trial order, so every row's
-    record must carry a ``fidelity``. A trial takes one ``RngStream.uniform``
-    call and one bisection of the running sums. A negative trial count is
-    refused before any draw; 0 trials is the empty run.
+    floating-point remainder, counts for the likeliest row. A measurement's
+    table holds the measured state's whole squared norm, at least the square
+    of 1 - _NORM_TOL; one that sums to less, or to NaN, measured a state
+    outside its basis, which is an error rather than a fifth outcome.
+    Returns each row's count and the drawn records' fidelities summed in
+    trial order, so every row's record must carry a ``fidelity``. A trial
+    takes one ``RngStream.uniform`` call and one bisection of the running
+    sums. A negative trial count is refused before any draw; 0 trials is
+    the empty run.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials!r}")
     ps = [p for _, p, _ in branches]
     total = sum(ps)
-    if 1.0 - total > _SPAN_TOL:
+    if not total >= (1.0 - _NORM_TOL) ** 2:  # written so that NaN fails it
         raise ValueError(
             f"state carries weight {1.0 - total:.3e} outside the span of the "
             f"measured basis"

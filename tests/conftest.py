@@ -40,6 +40,15 @@ def random_logical(encodings, rng) -> LogicalState:
     return LogicalState(tuple(encodings), random_amps(rng, 2 ** len(encodings)))
 
 
+# norms of a state just inside the bound LogicalState enforces, fock._NORM_TOL = 1e-12
+NORMS_AT_THE_BOUND = (1.0 - 0.99e-12, 1.0 + 0.99e-12)
+
+
+def at_norm(state: LogicalState, norm: float) -> LogicalState:
+    """state with every coefficient scaled by norm, so its norm is about norm."""
+    return LogicalState(state.encodings, [c * norm for c in state.coeffs])
+
+
 def assert_leads_the_dense_spectrum(got, dense, parties, side_a, atol):
     """got, the Schmidt list of a cut of `parties` parties with side_a on one
     side, has min(2**|a|, 2**(n-|a|)) entries, equal within atol to the

@@ -82,8 +82,8 @@ from hesim import (
     parity_bell_state,
     spin_bell_state,
 )
-from hesim.fock import _check_factor, _combined_residual
-from hesim.protocols import _SPAN_TOL, _stream_blocks
+from hesim.fock import _NORM_TOL, _check_factor, _combined_residual
+from hesim.protocols import _stream_blocks
 from hesim.pseudospin import PAULI_X, PAULI_Y, PAULI_Z, Direction, encoded_pseudospin
 
 # the Pauli matrices as arrays, x, y, z
@@ -487,11 +487,11 @@ def sampler(branches):
     One uniform variate, scaled by the summed probability, picks the first
     nonzero branch whose running sum exceeds it, by bisecting the sums
     0.0 + p0 + p1 + ...; a variate on the floating-point remainder falls back
-    to the likeliest branch. A table missing more than the package's span
-    tolerance of weight is refused."""
+    to the likeliest branch. A table summing to less than the square of
+    1 - fock._NORM_TOL, the least squared norm of a state, or to NaN is refused."""
     ps = [p for _, p, _ in branches]
     total = sum(ps)
-    if 1.0 - total > _SPAN_TOL:
+    if not total >= (1.0 - _NORM_TOL) ** 2:
         raise ValueError(
             f"state carries weight {1.0 - total:.3e} outside the span of the "
             f"measured basis"

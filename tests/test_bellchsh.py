@@ -34,7 +34,8 @@ from hesim import (
 
 import hesim.bellchsh
 
-from conftest import Z_CAP, random_cat, random_logical, random_qubit_pair, random_state
+from conftest import (NORMS_AT_THE_BOUND, Z_CAP, at_norm, random_cat, random_logical,
+                      random_qubit_pair, random_state)
 from oracles import (
     DENSE_AGREEMENT_TOL,
     SVD_AGREEMENT_TOL,
@@ -422,3 +423,17 @@ class TestChshResult:
         s = ChshSettings.in_plane(0.0, 1.0, 2.0, 3.0)
         with pytest.raises(ValueError):
             ChshResult(value=3.0, settings=s)
+
+    @pytest.mark.parametrize("value", [TWO_SQRT_TWO + 1e-10, -TWO_SQRT_TWO - 1e-10, math.nan],
+                             ids=["above", "below", "nan"])
+    def test_rejects_a_value_past_the_bound_a_state_allows(self, value):
+        s = ChshSettings.in_plane(0.0, 1.0, 2.0, 3.0)
+        with pytest.raises(ValueError, match="not within the quantum bound"):
+            ChshResult(value=value, settings=s)
+
+    @pytest.mark.parametrize("norm", NORMS_AT_THE_BOUND)
+    def test_a_hybrid_pair_at_its_norm_bound_is_optimized(self, norm):
+        # at z = 0, k = 1 and the pair reaches 2*sqrt(2) times its squared norm
+        result = optimize_chsh(at_norm(hes_state(HesLabel.PHI_PLUS, 0.0, 4), norm))
+        assert abs(result.value - TWO_SQRT_TWO * norm**2) <= 1e-15
+        assert abs(result.value - TWO_SQRT_TWO) > 5.5e-12

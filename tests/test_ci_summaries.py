@@ -6,7 +6,8 @@ lines and tolerance constants, the public names and the CLI, and the
 import time of ``hesim.cli``, from bytecode and compiled from source. Each
 is read off the workflow as plain text (no YAML parser is installed in CI),
 run from the repository root with ``PYTHONPATH=src``, and its summary lines
-are checked for their shape.
+are checked for their shape. The tier-1 step's shell script is read off the
+same way and run on a small suite of its own.
 """
 
 import os
@@ -72,3 +73,39 @@ def test_a_summary_script_exits_cleanly_with_its_lines(index, name):
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert matches_shape(lines, SHAPES[name]), result.stdout
+
+
+def step_script(name: str) -> str:
+    """The ``run: |`` block of the workflow step called name, dedented."""
+    lines = WORKFLOW.read_text(encoding="utf-8").splitlines()
+    start = lines.index(f"      - name: {name}")
+    run = next(i for i in range(start, len(lines)) if lines[i].strip() == "run: |")
+    indent = len(lines[run]) - len(lines[run].lstrip())
+    body = []
+    for line in lines[run + 1:]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        body.append(line)
+    return textwrap.dedent("\n".join(body)) + "\n"
+
+
+@pytest.mark.parametrize("failing, status, last", [
+    (2, 1, r"1 failed, 5 passed in \d+\.\d+s"), (None, 0, r"6 passed in \d+\.\d+s"),
+], ids=["a_test_fails", "all_pass"])
+def test_the_tier1_step_sums_up_the_five_slowest_tests_then_pytests_last_line(
+        failing, status, last, tmp_path):
+    # six tests slow enough to be listed: the step exits with pytest's status,
+    # and its summary is the five slowest, fenced, then pytest's last line
+    (tmp_path / "test_six.py").write_text(
+        "import time\nimport pytest\n\n\n@pytest.mark.parametrize('n', range(6))\n"
+        f"def test_sleeps(n):\n    time.sleep(0.01 * (n + 1))\n    assert n != {failing}\n")
+    summary = tmp_path / "summary.md"
+    # no plugin is autoloaded, which saves about a second a run
+    env = {**os.environ, "GITHUB_STEP_SUMMARY": str(summary),
+           "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"}
+    result = subprocess.run(["bash", "-c", step_script("Run tier-1 tests")], cwd=tmp_path,
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == status, result.stderr
+    lines = summary.read_text(encoding="utf-8").splitlines()
+    shape = [FENCE, (r"\d+\.\d\ds call +test_six\.py::test_sleeps\[\d\]", "+"), FENCE, last]
+    assert matches_shape(lines, shape) and len(lines) == 5 + 3, lines

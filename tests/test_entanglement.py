@@ -23,7 +23,8 @@ from hesim import (
     tensor,
 )
 
-from conftest import assert_leads_the_dense_spectrum, random_cat, random_logical
+from conftest import (NORMS_AT_THE_BOUND, assert_leads_the_dense_spectrum, at_norm, random_cat,
+                      random_logical)
 from oracles import SVD_AGREEMENT_TOL, dense_schmidt, entropy_from_reduced_density, numpy_schmidt
 
 QUBIT = Encoding.qubit()
@@ -207,6 +208,19 @@ class TestValidation:
             SchmidtSpectrum((0.9, 0.9))
         with pytest.raises(ValueError):
             SchmidtSpectrum((0.3, 0.9539392014169456))  # not descending
+
+    @pytest.mark.parametrize("norm", NORMS_AT_THE_BOUND)
+    def test_a_state_at_its_norm_bound_has_a_spectrum(self, norm):
+        # the squares sum to the squared norm, about 1 ± 1.98e-12
+        state = at_norm(hes_state(HesLabel.PSI_MINUS, 1.0, mode_dim_for(1.0)), norm)
+        spectrum = schmidt_coefficients(state, {0})
+        assert abs(sum(c * c for c in spectrum.coefficients) - norm**2) <= 1e-15
+        assert abs(sum(c * c for c in spectrum.coefficients) - 1.0) > 1.9e-12
+
+    @pytest.mark.parametrize("off", [-1e-11, 1e-11, math.nan], ids=["short", "over", "nan"])
+    def test_spectrum_refuses_a_square_sum_past_the_norm_bound(self, off):
+        with pytest.raises(ValueError, match="squared Schmidt coefficients sum to"):
+            SchmidtSpectrum((math.sqrt(1.0 + off), 0.0))
 
     def test_spectrum_refuses_any_negative_coefficient(self):
         # singular values are norms, so no coefficient of a cut rounds below 0

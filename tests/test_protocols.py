@@ -50,7 +50,7 @@ from hesim.protocols import (
     _teleport,
 )
 
-from conftest import assert_leads_the_dense_spectrum, random_qubit_pair
+from conftest import NORMS_AT_THE_BOUND, assert_leads_the_dense_spectrum, at_norm, random_qubit_pair
 from oracles import (
     codewords,
     dense,
@@ -674,7 +674,7 @@ def _default_rng_firsts(seeds) -> np.ndarray:
 
 
 class TestFirstUniforms:
-    """The batch for seeds below 2**32, and the scalar path for any seed."""
+    """The batch for seeds below 2**64, and the scalar path for any seed."""
 
     @pytest.mark.parametrize(
         "seeds",
@@ -682,8 +682,12 @@ class TestFirstUniforms:
             np.arange(20_000),
             np.arange(2**32 - 2000, 2**32),
             np.random.default_rng(8).integers(0, 2**32, 300),
+            # whole blocks of two-word seeds: across 2**32, from it, up to the last below 2**64
+            *(np.arange(start, start + _BATCH_BLOCK, dtype=np.uint64)
+              for start in (2**32 - 3000, 2**32, 2**40 + 5, 2**63, 2**64 - _BATCH_BLOCK)),
         ],
-        ids=["from_zero", "below_2_32", "random_32_bit"],
+        ids=["from_zero", "below_2_32", "random_32_bit", "across_2_32", "from_2_32",
+             "from_2_40", "from_2_63", "last_below_2_64"],
     )
     def test_bit_identical_to_default_rng(self, seeds):
         expected = _default_rng_firsts(seeds).view(np.uint64)
@@ -702,6 +706,15 @@ class TestFirstUniforms:
     def test_any_seed_below_2_200(self, seed):
         assert _first_uniform(seed) == np.random.default_rng(seed).random()
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(start=st.integers(min_value=0, max_value=2**64 - 16), size=st.integers(1, 16))
+    @example(start=2**32 - 8, size=16)
+    @example(start=2**64 - 16, size=16)
+    def test_a_block_from_any_start_below_2_64_is_default_rngs(self, start, size):
+        seeds = np.arange(start, start + size, dtype=np.uint64)
+        expected = _default_rng_firsts(seeds).view(np.uint64)
+        assert np.array_equal(_first_uniforms(seeds).view(np.uint64), expected)
+
 
 class TestTrialStreams:
     @pytest.mark.parametrize("trials", [1, _BATCH_MIN_TRIALS - 1, _BATCH_MIN_TRIALS, 5000])
@@ -719,6 +732,23 @@ class TestTrialStreams:
         reference = np.random.default_rng(seed)
         assert [rng.uniform() for _ in range(3)] == [reference.random() for _ in range(3)]
         assert rng.counter == 3
+
+    # (seed, trials, the seeds hashed one at a time): a run across 2**32 batches
+    # both its blocks, and one across 2**64 every block that ends below it
+    @pytest.mark.parametrize("seed, trials, scalar", [
+        (2**32 - 3000, 6000, range(0)),
+        (2**64 - 5000, 6000, range(2**64 - 5000 + _BATCH_BLOCK, 2**64 + 1000)),
+    ], ids=["straddles_2_32", "straddles_2_64"])
+    def test_only_a_block_that_reaches_2_64_is_hashed_seed_by_seed(self, seed, trials, scalar,
+                                                                  monkeypatch):
+        hashed = []
+        monkeypatch.setattr(hesim.protocols, "_first_uniform",
+                            lambda s: hashed.append(s) or _first_uniform(s))
+        streams = list(trial_streams(seed, trials))
+        assert hashed == list(scalar)
+        assert [rng.seed for rng in streams] == list(range(seed, seed + trials))
+        expected = _default_rng_firsts(range(seed, seed + trials)).view(np.uint64)
+        assert np.array_equal(np.array([rng.first for rng in streams]).view(np.uint64), expected)
 
     def test_a_long_run_is_generated_block_by_block(self):
         streams = trial_streams(0, 10**9)
@@ -849,7 +879,8 @@ class TestRowChoice:
         "subnormal first": [("a", 5e-324, "a"), ("b", 1.0, "b")],
         "tiny then zero": [("a", 1e-300, "a"), ("b", 0.0, None), ("c", 1.0, "c")],
         "inexact total": [(k, 0.1, k) for k in "abcdefghij"],
-        "short total": [("a", 0.3, "a"), ("b", 0.6, "b"), ("c", 0.1 - 5e-11, "c")],
+        # short of 1 by less than a state's norm bound allows, so still drawn
+        "short total": [("a", 0.3, "a"), ("b", 0.6, "b"), ("c", 0.1 - 1e-12, "c")],
         "likeliest last": [("a", 0.2, "a"), ("b", 0.0, None), ("c", 0.8, "c")],
     }
 
@@ -970,6 +1001,33 @@ class TestRunTrials:
     def test_checks_the_span_before_drawing(self):
         with pytest.raises(ValueError, match="outside the span"):
             run_trials([("a", 0.45, None), ("b", 0.45, None)], 0, 1)
+
+    @pytest.mark.parametrize("norm", NORMS_AT_THE_BOUND)
+    def test_a_measurement_of_a_state_at_its_norm_bound_is_drawn(self, norm):
+        # the table sums to the squared norm, about 1 ± 1.98e-12; every trial
+        # draws the one outcome that holds the state
+        joint = at_norm(tensor(spin_bell_state(SpinBellLabel.PSI_MINUS), QUBIT.state(0.6, 0.8j)),
+                        norm)
+        table = [(k, p, SimpleNamespace(fidelity=1.0))
+                 for k, p, _ in measure_spin_bell(joint, (0, 1))]
+        assert abs(sum(p for _, p, _ in table) - 1.0) > 1.9e-12
+        expected = ([int(k is SpinBellLabel.PSI_MINUS) * 10 for k, _, _ in table], 10.0)
+        assert run_trials(table, 0, 10) == looped_trials(table, 0, 10) == expected
+
+    SHORT = {
+        "1e-11 short": [("a", 0.5, None), ("b", 0.5 - 1e-11, None)],
+        "5e-11 short": [("a", 0.3, None), ("b", 0.6, None), ("c", 0.1 - 5e-11, None)],
+        "nan row": [("a", math.nan, None), ("b", 0.5, None)],
+    }
+
+    @pytest.mark.parametrize("name", list(SHORT))
+    def test_refuses_a_table_short_of_a_states_norm_bound_before_drawing(self, name, monkeypatch):
+        monkeypatch.setattr(RngStream, "uniform", lambda rng: pytest.fail("drew a variate"))
+        table = [(k, p, SimpleNamespace(fidelity=1.0)) for k, p, _ in self.SHORT[name]]
+        with pytest.raises(ValueError, match="outside the span"):
+            run_trials(table, 0, 10)
+        with pytest.raises(ValueError, match="outside the span"):
+            looped_trials(table, 0, 10)
 
     def test_a_run_of_three_blocks_stays_flat(self):
         table = self._table("teleport_spin")
