@@ -4,7 +4,8 @@ Encodes a qubit, or an even/odd cat pair on a truncated Fock mode, as
 scalars: no state holds a codeword, and only the dense check of ``kz``
 builds the cat codewords (``even_coherent``, ``odd_coherent``). On top sit
 the pseudospin parity algebra, CHSH Bell analysis with the k(z) closed form
-and the singular-value maximum over all settings, entanglement measures,
+and the singular-value maximum over all settings of any two-party state
+(a hybrid pair, a spin pair or a cat pair), entanglement measures,
 and seeded teleportation / entanglement swapping protocols, plus a batch
 CLI (``hesim``).
 """

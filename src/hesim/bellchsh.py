@@ -1,16 +1,18 @@
-"""CHSH correlation analysis for qubit x mode states.
+"""CHSH correlation analysis for two-party states.
 
 For the hybrid entangled states the in-plane optimum 2*sqrt(1 + k(z)^2) is
 available in closed form from k(z). Independently, the maximum over all
-settings for any qubit x mode state follows from the singular values of its
-3x3 correlation matrix, which confirms the closed form numerically. Every
-Bell expectation is bilinear in the settings through that matrix, so no
-Bell operator is built here. A state is all the analysis takes: its 2x2
-coefficients and each party's pseudospin elements, (k sigma_x, k sigma_y,
-sigma_z) with k its encoding's overlap, give the matrix, so no codeword and
-no dim x dim matrix is built. The matrix is three rows of Python floats,
-and its singular values come from ``fock._svd``, so no numpy is loaded.
-The closed form's settings are those of ``analytic_optimum``.
+settings for any two-party state follows from the singular values of its
+3x3 correlation matrix, which confirms the closed form numerically and
+gives 2*sqrt(2) on a spin Bell pair and 2*sqrt(1 + (k k')^2) on a cat pair.
+Every Bell expectation is bilinear in the settings through that matrix, so
+no Bell operator is built here. A state is all the analysis takes: its 2x2
+coefficients give the Pauli correlation matrix, and each party's
+pseudospin, (k sigma_x, k sigma_y, sigma_z) on its codewords with k its
+encoding's overlap, scales it, so no codeword and no dim x dim matrix is
+built. The matrix is three rows of Python floats, and its singular values
+come from ``fock._svd``, so no numpy is loaded. The closed form's settings
+are those of ``analytic_optimum``.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from __future__ import annotations
 import math
 import operator
 
-from .fock import _NORM_TOL, HesLabel, LogicalState, _set, _svd, _Value
-from .pseudospin import Direction, encoded_pseudospin, k_series
+from .fock import _NORM_TOL, BellLabel, HesLabel, LogicalState, _set, _svd, _Value
+from .pseudospin import PAULI_X, PAULI_Y, PAULI_Z, Direction, k_series
 
 CIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 CLASSICAL_BOUND = 2.0
+_PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
 class ChshSettings(_Value):
@@ -73,12 +76,13 @@ class ChshResult(_Value):
         _set(self, "settings", settings)
 
 
-def _settings_for(k: float, label: HesLabel) -> ChshSettings:
-    """In-plane settings that reach 2*sqrt(1 + k^2) for the given state.
+def _settings_for(k: float, label: BellLabel) -> ChshSettings:
+    """In-plane settings that reach 2*sqrt(1 + k^2) on the Bell pair of a
+    label of any family whose parties' overlaps multiply to k.
 
     The canonical choice (0, pi/2, atan k, -atan k) is exact for phi+. A psi
-    pair anticorrelates z, which the qubit axis a = pi undoes; a minus sign
-    flips the x correlator, which the sign s undoes on the mode angles of a
+    pair anticorrelates z, which party a's axis a = pi undoes; a minus sign
+    flips the x correlator, which the sign s undoes on party b's angles of a
     phi pair and on a' of a psi pair.
     """
     s, t = label.sign, math.atan(k)
@@ -98,29 +102,35 @@ def analytic_optimum(z: float, label: HesLabel = HesLabel.PHI_PLUS) -> ChshResul
 
 
 def correlation_matrix(state: LogicalState) -> tuple[tuple[float, ...], ...]:
-    """3x3 matrix of <sigma_k x s_l> expectations, as three rows of floats
-    (row k, column l), with s_l the pseudospin of the state's mode; every
-    Bell expectation is bilinear in the settings through it.
+    """3x3 matrix of <s_i x s_j> expectations of a two-party state, as three
+    rows of floats (row i for party a's pseudospin, column j for party b's);
+    every Bell expectation is bilinear in the settings through it.
 
-    With C the 2x2 coefficients and A, B the ``encoded_pseudospin`` of the
-    qubit and the mode, entry (k, l) sums the entries of (C^H A_k C) * B_l:
-    small matrix products, whatever the mode's dim, taken as (C^H A_k) C.
-    Products by a Pauli matrix A_k are exact, so each entry's imaginary part
-    is a product plus its exact conjugate, which floating-point arithmetic
-    rounds symmetrically: it is exactly 0, and the real part is returned.
+    On an encoding's two codewords the pseudospin is (k sigma_x, k sigma_y,
+    sigma_z), with k the encoding's overlap (1 on a qubit). So the matrix is
+    the Pauli correlation matrix of the 2x2 coefficients C, with rows and
+    columns x and y scaled by the two parties' k: entry (i, j) sums the
+    entries of (C^H sigma_i C) * sigma_j, small matrix products taken as
+    (C^H sigma_i) C, and its real part is scaled. Products by a Pauli matrix
+    are exact, so each entry's imaginary part is a product plus its exact
+    conjugate, which floating-point arithmetic rounds symmetrically: it is
+    exactly 0, and the real part is returned with nothing dropped. A state
+    of any other party count is refused.
     """
-    if [kind.value for kind, _ in state.space.factors] != ["qubit", "mode"]:
-        raise ValueError(f"state on {state.space.describe()} is not qubit⊗mode")
-    (qubit, mode), (c00, c01, c10, c11) = state.encodings, state.coeffs
+    if len(state.encodings) != 2:
+        raise ValueError(f"CHSH needs two parties, the state has {len(state.encodings)}")
+    (enc_a, enc_b), (c00, c01, c10, c11) = state.encodings, state.coeffs
     c_h = ((c00.conjugate(), c10.conjugate()), (c01.conjugate(), c11.conjugate()))
-    b_flat = [b[0] + b[1] for b in encoded_pseudospin(mode)]
+    b_flat = [b[0] + b[1] for b in _PAULIS]
+    scales_b = (enc_b.k, enc_b.k, 1.0)
     m = []
-    for (a00, a01), (a10, a11) in encoded_pseudospin(qubit):
-        spun = []  # C^H A_k C, row by row
+    for ((a00, a01), (a10, a11)), scale_a in zip(_PAULIS, (enc_a.k, enc_a.k, 1.0)):
+        spun = []  # C^H sigma_i C, row by row
         for x0, x1 in c_h:
             y0, y1 = x0 * a00 + x1 * a10, x0 * a01 + x1 * a11
             spun += (y0 * c00 + y1 * c10, y0 * c01 + y1 * c11)
-        m.append([sum(map(operator.mul, spun, b)).real for b in b_flat])
+        m.append([sum(map(operator.mul, spun, b)).real * scale_a * scale_b
+                  for b, scale_b in zip(b_flat, scales_b)])
     return tuple(map(tuple, m))
 
 

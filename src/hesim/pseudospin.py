@@ -6,12 +6,14 @@ within those pairs obey the spin-1/2 commutation relations, exactly so on
 an even-dimensional truncation. s_plus maps |2n+1> -> |2n> and annihilates
 even states, s_minus is its adjoint, s_x = s_plus + s_minus and
 s_y = -i(s_plus - s_minus); on a qubit they are the Pauli matrices. They
-act only through their elements between an encoding's two codewords
-(``encoded_pseudospin``): on the qubit those are the Pauli matrices, and on
-the cat codewords and on their parity flips they are the parity and the
-even/odd overlap k(z), so no codeword and no dim x dim matrix is built.
-The matrices are nested tuples of Python complex numbers, rows first;
-only ``k_matrix`` builds codewords, and with them imports numpy.
+act only through their elements between an encoding's two codewords,
+(k sigma_x, k sigma_y, sigma_z) with k the encoding's overlap: 1 on the
+qubit, and on the cat codewords and on their parity flips the even/odd
+overlap k(z), as s_x and s_y flip the parity that s_z reads. So the Pauli
+matrices here and an encoding's k are all its users need, and no codeword
+and no dim x dim matrix is built. The Pauli matrices are nested tuples of
+Python complex numbers, rows first; only ``k_matrix`` builds codewords,
+and with them imports numpy.
 k(z) sets the strength of the Bell-CHSH violation. ``k_series`` sums it
 over the untruncated coherent weights, ``Encoding.cat`` over the levels
 below its cutoff, and ``k_matrix`` reads it off the truncated cat
@@ -25,7 +27,6 @@ import math
 
 from .fock import (
     _NORM_TOL,
-    Encoding,
     _coherent_weights,
     _pair_overlap,
     _set,
@@ -46,7 +47,7 @@ class Direction(_Value):
     _fields = ("nx", "ny", "nz")
 
     def __init__(self, nx: float, ny: float, nz: float) -> None:
-        norm = math.sqrt(nx**2 + ny**2 + nz**2)
+        norm = math.hypot(nx, ny, nz)
         if not abs(norm - 1.0) <= _NORM_TOL:  # written so that NaN fails it
             raise ValueError(f"direction must be a unit vector, |n| = {norm!r}")
         _set(self, "nx", nx)
@@ -65,22 +66,6 @@ class Direction(_Value):
     @property
     def phi(self) -> float:
         return math.atan2(self.ny, self.nx)
-
-
-def encoded_pseudospin(enc: Encoding) -> tuple:
-    """<a_L|s_l|b_L> for l = x, y, z and a, b in (0, 1), as three 2 x 2
-    matrices of rows of complex numbers, element [l][a][b]:
-    (k sigma_x, k sigma_y, sigma_z) with k the encoding's overlap.
-
-    s_l acts on every (even, odd) pair of amplitudes as sigma_l on a qubit.
-    The codewords have parities (even, odd), so s_z reads the parity, and
-    s_x and s_y, which flip it, meet the other codeword with overlap k: on a
-    cat, plain or flipped, k(z), and on the qubit 1, so there the elements
-    are the Pauli matrices.
-    """
-    k = enc.k
-    return tuple(tuple(tuple(k * x for x in row) for row in pauli)
-                 for pauli in (PAULI_X, PAULI_Y)) + (PAULI_Z,)
 
 
 def k_series(z: float) -> float:

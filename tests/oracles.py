@@ -16,6 +16,10 @@ tuples live here too: ``numpy_correlation_matrix`` (matrix products of
 arrays), ``lapack_optimize_chsh`` (LAPACK's SVD of that matrix) and
 ``numpy_schmidt`` (LAPACK's singular values of a cut), next to
 ``coefficient_array``, a state's coefficients as an array.
+``encoded_pseudospin`` gives an encoding's pseudospin elements (k sigma_x,
+k sigma_y, sigma_z), through which the package took the correlation matrix
+before it scaled the Pauli one by the parties' k; that route is
+``elementwise_correlation_matrix``, which returns each entry's complex sum.
 
 The dense route the package used before it kept states as coefficients
 over their codewords lives here too: ``codewords`` builds an encoding's
@@ -23,10 +27,11 @@ two codewords, as the package did before an encoding became its scalars,
 ``dense`` expands a ``LogicalState`` into its full amplitude vector,
 ``kron`` multiplies dense states, ``dense_inner`` takes their overlap,
 ``partial_inner`` projects a dense state onto a bra over some of its
-factors, and ``build_pseudospin``/``apply`` act with dense dim x dim
-pseudospin matrices. ``s_plus``/``s_minus`` flip a codeword's parity by
-moving its amplitudes within each (even, odd) pair, as the teleport once
-built its flipped cat codewords. ``overlap_pseudospin`` takes the
+factors, ``build_pseudospin``/``apply`` act with dense dim x dim
+pseudospin matrices, and ``party_pseudospin`` gives either party of a pair
+its (s_x, s_y, s_z), the Pauli matrices on a qubit. ``s_plus``/``s_minus``
+flip a codeword's parity by moving its amplitudes within each (even, odd)
+pair, as the teleport once built its flipped cat codewords. ``overlap_pseudospin`` takes the
 pseudospin's elements on any two codewords from the 4x4 overlaps of their
 even and odd parts, the route ``encoded_pseudospin`` took before it read
 k, and ``overlap_k_matrix`` is ``k_matrix`` by that route.
@@ -53,6 +58,7 @@ import decimal
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, fields, make_dataclass
 from typing import Sequence
 
@@ -84,7 +90,7 @@ from hesim import (
 )
 from hesim.fock import _NORM_TOL, _check_factor, _combined_residual
 from hesim.protocols import _stream_blocks
-from hesim.pseudospin import PAULI_X, PAULI_Y, PAULI_Z, Direction, encoded_pseudospin
+from hesim.pseudospin import PAULI_X, PAULI_Y, PAULI_Z, Direction
 
 # the Pauli matrices as arrays, x, y, z
 PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
@@ -349,9 +355,13 @@ def direction(theta: float, phi: float) -> Direction:
     return Direction(st * math.cos(phi), st * math.sin(phi), math.cos(theta))
 
 
-def pauli_dot(d: Direction) -> np.ndarray:
-    """n . sigma on a qubit, in the (up, down) basis."""
-    return d.nx * PAULIS[0] + d.ny * PAULIS[1] + d.nz * PAULIS[2]
+def party_pseudospin(space: SpaceDescriptor, index: int) -> np.ndarray:
+    """(s_x, s_y, s_z) on factor index of space as a (3, d, d) array: the
+    Pauli matrices on a qubit, ``build_pseudospin``'s dense matrices on a mode."""
+    if space.kind(index) is FactorKind.QUBIT:
+        return PAULIS
+    ops = build_pseudospin(space.dims[index])
+    return np.array([ops.s_x, ops.s_y, ops.s_z])
 
 
 def spin_dot(d: Direction, ops) -> np.ndarray:
@@ -359,18 +369,20 @@ def spin_dot(d: Direction, ops) -> np.ndarray:
     return d.nx * ops.s_x + d.ny * ops.s_y + d.nz * ops.s_z
 
 
-def bell_operator(settings, ops) -> np.ndarray:
-    """Four-setting CHSH combination on qubit x mode, built by Kronecker products."""
-    a, ap = pauli_dot(settings.a), pauli_dot(settings.a_prime)
-    b, bp = spin_dot(settings.b, ops), spin_dot(settings.b_prime, ops)
+def bell_operator(settings, space: SpaceDescriptor) -> np.ndarray:
+    """Four-setting CHSH combination on a two-party space, built by Kronecker
+    products of each party's ``party_pseudospin`` along the settings."""
+    assert space.nfactors == 2, space.describe()
+    spins = [party_pseudospin(space, index) for index in (0, 0, 1, 1)]
+    a, ap, b, bp = (d.nx * s[0] + d.ny * s[1] + d.nz * s[2] for d, s in zip(
+        (settings.a, settings.a_prime, settings.b, settings.b_prime), spins))
     return np.kron(a, b) + np.kron(a, bp) + np.kron(ap, b) - np.kron(ap, bp)
 
 
-def chsh_expectation(state, settings, ops) -> float:
+def chsh_expectation(state, settings) -> float:
     """<state| Bell operator |state>, which must come out real."""
-    assert state.space.dims == (2, ops.s_z.shape[0]), state.space.describe()
     amps = dense(state).amps
-    val = complex(np.vdot(amps, bell_operator(settings, ops) @ amps))
+    val = complex(np.vdot(amps, bell_operator(settings, state.space) @ amps))
     assert abs(val.imag) <= 1e-10, val
     return val.real
 
@@ -408,15 +420,15 @@ def swap_expansion(z: float, z_prime: float, dim: int) -> dict:
 
 
 def dense_correlation_matrix(state) -> np.ndarray:
-    """<sigma_k x s_l> with s_l the dense pseudospin matrices of the mode,
-    applied as a matrix product on the mode index."""
-    dim = state.space.dims[1]
-    ops = build_pseudospin(dim)
-    psi = dense(state).amps.reshape(2, dim)
+    """<s_k x s_l> of a two-party state with s the ``party_pseudospin`` of
+    each party, applied as matrix products on its index of the amplitudes."""
+    assert state.space.nfactors == 2, state.space.describe()
+    spins_a, spins_b = (party_pseudospin(state.space, index) for index in (0, 1))
+    psi = dense(state).amps.reshape(state.space.dims)
     m = np.empty((3, 3))
-    for i, sig in enumerate(PAULIS):
+    for i, sig in enumerate(spins_a):
         left = sig @ psi
-        for j, s in enumerate((ops.s_x, ops.s_y, ops.s_z)):
+        for j, s in enumerate(spins_b):
             m[i, j] = complex(np.vdot(psi, left @ s.T)).real
     return m
 
@@ -536,6 +548,45 @@ def dense_schmidt(state, side_a) -> list[float]:
 def coefficient_array(state) -> np.ndarray:
     """A LogicalState's coefficients as an array of shape (2,) * parties."""
     return np.array(state.coeffs).reshape((2,) * len(state.encodings))
+
+
+def encoded_pseudospin(enc: Encoding) -> tuple:
+    """<a_L|s_l|b_L> for l = x, y, z and a, b in (0, 1), as three 2 x 2
+    matrices of rows of complex numbers, element [l][a][b]:
+    (k sigma_x, k sigma_y, sigma_z) with k the encoding's overlap, as the
+    package read them before ``correlation_matrix`` applied k to each real
+    entry of the Pauli correlation matrix.
+
+    s_l acts on every (even, odd) pair of amplitudes as sigma_l on a qubit.
+    The codewords have parities (even, odd), so s_z reads the parity, and
+    s_x and s_y, which flip it, meet the other codeword with overlap k: on a
+    cat, plain or flipped, k(z), and on the qubit 1, so there the elements
+    are the Pauli matrices.
+    """
+    k = enc.k
+    return tuple(tuple(tuple(k * x for x in row) for row in pauli)
+                 for pauli in (PAULI_X, PAULI_Y)) + (PAULI_Z,)
+
+
+def elementwise_correlation_matrix(state) -> tuple:
+    """``correlation_matrix`` as the package took it on qubit x mode before it
+    scaled the Pauli correlation matrix, each entry's complex sum kept: with
+    C the 2x2 coefficients and A, B the two parties' ``encoded_pseudospin``,
+    entry (k, l) is the entry sum of (C^H A_k C) * B_l, each product taken
+    in the same order, and the package returned its real part. With a mode
+    as party a, k sits inside the left products, which are then not exact,
+    and a sum's imaginary part need not be 0."""
+    (enc_a, enc_b), (c00, c01, c10, c11) = state.encodings, state.coeffs
+    c_h = ((c00.conjugate(), c10.conjugate()), (c01.conjugate(), c11.conjugate()))
+    b_flat = [b[0] + b[1] for b in encoded_pseudospin(enc_b)]
+    m = []
+    for (a00, a01), (a10, a11) in encoded_pseudospin(enc_a):
+        spun = []
+        for x0, x1 in c_h:
+            y0, y1 = x0 * a00 + x1 * a10, x0 * a01 + x1 * a11
+            spun += (y0 * c00 + y1 * c10, y0 * c01 + y1 * c11)
+        m.append([sum(map(operator.mul, spun, b)) for b in b_flat])
+    return tuple(map(tuple, m))
 
 
 def numpy_correlation_matrix(state) -> np.ndarray:

@@ -80,12 +80,11 @@ def test_criterion_3_closed_form_violation():
     ok = True
     for z in (0.0, 0.5, 1.0, 2.0):
         dim = mode_dim_for(z)
-        ops = build_pseudospin(dim)
         k = k_series(z)
         expected = 2.0 * math.sqrt(1.0 + k * k)
         for label in HesLabel:
             res = analytic_optimum(z, label)
-            got = chsh_expectation(hes_state(label, z, dim), res.settings, ops)
+            got = chsh_expectation(hes_state(label, z, dim), res.settings)
             worst = max(worst, abs(got - expected))
             ok &= abs(got - expected) <= 1e-10
             ok &= got > 2.0

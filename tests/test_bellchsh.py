@@ -5,6 +5,7 @@ independently of the correlation matrix the package maximizes.
 """
 
 import ast
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -21,6 +22,7 @@ from hesim import (
     HesLabel,
     ParityBellLabel,
     SpaceDescriptor,
+    SpinBellLabel,
     analytic_optimum,
     correlation_matrix,
     bell_pair,
@@ -29,6 +31,7 @@ from hesim import (
     k_series,
     mode_dim_for,
     optimize_chsh,
+    swap_entanglement,
     tensor,
 )
 
@@ -39,14 +42,18 @@ from conftest import (NORMS_AT_THE_BOUND, Z_CAP, at_norm, random_cat, random_log
 from oracles import (
     DENSE_AGREEMENT_TOL,
     SVD_AGREEMENT_TOL,
+    SWAP_PAIRING,
     bell_operator,
+    bell_value,
     build_pseudospin,
     chsh_expectation,
     dense_correlation_matrix,
     direction,
+    elementwise_correlation_matrix,
     kron,
     lapack_optimize_chsh,
     numpy_correlation_matrix,
+    party_pseudospin,
     qubit_state,
 )
 
@@ -110,63 +117,76 @@ class TestBellOperator:
     def test_aligned_settings_collapse_to_two_correlators(self):
         ops = build_pseudospin(6)
         zaxis = Direction(0.0, 0.0, 1.0)
-        op = bell_operator(ChshSettings(zaxis, zaxis, zaxis, zaxis), ops)
+        op = bell_operator(ChshSettings(zaxis, zaxis, zaxis, zaxis),
+                           SpaceDescriptor.qubit() * SpaceDescriptor.mode(6))
         expected = 2.0 * np.kron(np.diag([1.0, -1.0]), ops.s_z)
         assert np.allclose(op, expected, atol=1e-14)
 
     def test_hermitian_for_random_settings(self, rng):
-        ops = build_pseudospin(8)
+        space = SpaceDescriptor.qubit() * SpaceDescriptor.mode(8)
         for _ in range(10):
-            m = bell_operator(random_settings(rng), ops)
+            m = bell_operator(random_settings(rng), space)
             assert np.max(np.abs(m - m.conj().T)) < 1e-13
 
     def test_spectrum_respects_quantum_bound(self, rng):
-        ops = build_pseudospin(8)
+        space = SpaceDescriptor.qubit() * SpaceDescriptor.mode(8)
         for _ in range(20):
-            m = bell_operator(random_settings(rng), ops)
+            m = bell_operator(random_settings(rng), space)
             top = np.max(np.abs(np.linalg.eigvalsh(m)))
             assert top <= TWO_SQRT_TWO + 1e-9
+
+    @pytest.mark.parametrize("space", [
+        SpaceDescriptor.mode(6) * SpaceDescriptor.qubit(),
+        SpaceDescriptor.mode(4) * SpaceDescriptor.mode(6),
+        SpaceDescriptor.qubit() * SpaceDescriptor.qubit(),
+    ], ids=lambda space: space.describe())
+    def test_on_the_other_kind_orders_it_is_a_bounded_kron_of_the_parties(self, space, rng):
+        # aligned settings give twice the kron of the two parities; random
+        # ones a Hermitian operator within Cirel'son's bound
+        zaxis = Direction(0.0, 0.0, 1.0)
+        op = bell_operator(ChshSettings(zaxis, zaxis, zaxis, zaxis), space)
+        parity_a, parity_b = (party_pseudospin(space, index)[2] for index in (0, 1))
+        assert np.allclose(op, 2.0 * np.kron(parity_a, parity_b), atol=1e-14)
+        for _ in range(20):
+            m = bell_operator(random_settings(rng), space)
+            assert np.max(np.abs(m - m.conj().T)) < 1e-13
+            assert np.max(np.abs(np.linalg.eigvalsh(m))) <= TWO_SQRT_TWO + 1e-9
 
 
 class TestChshValue:
     def test_aligned_product_state_reaches_classical_bound(self):
         dim = mode_dim_for(1.0)
-        ops = build_pseudospin(dim)
         state = kron(qubit_state(1.0, 0.0), even_coherent(1.0, dim))
         zaxis = Direction(0.0, 0.0, 1.0)
-        val = chsh_expectation(state, ChshSettings(zaxis, zaxis, zaxis, zaxis), ops)
+        val = chsh_expectation(state, ChshSettings(zaxis, zaxis, zaxis, zaxis))
         assert val == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("z", [0.4, 1.0, 2.2])
     def test_matches_in_plane_closed_form(self, z, rng):
         dim = mode_dim_for(z)
-        ops = build_pseudospin(dim)
         state = hes_state(HesLabel.PHI_PLUS, z, dim)
         for _ in range(15):
             angles = rng.uniform(0, 2 * math.pi, size=4)
-            got = chsh_expectation(state, ChshSettings.in_plane(*angles), ops)
+            got = chsh_expectation(state, ChshSettings.in_plane(*angles))
             assert got == pytest.approx(in_plane_closed_form(z, *angles), abs=1e-10)
 
     def test_cirelson_point_at_zero(self):
         dim = 4
-        ops = build_pseudospin(dim)
         state = hes_state(HesLabel.PHI_PLUS, 0.0, dim)
         settings = ChshSettings.in_plane(0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
-        assert chsh_expectation(state, settings, ops) == pytest.approx(
+        assert chsh_expectation(state, settings) == pytest.approx(
             TWO_SQRT_TWO, abs=1e-12
         )
 
     def test_bound_holds_for_random_states_and_settings(self, rng):
         dim = 8
-        ops = build_pseudospin(dim)
         space = SpaceDescriptor.qubit() * SpaceDescriptor.mode(dim)
         for _ in range(30):
-            val = chsh_expectation(random_state(space, rng), random_settings(rng), ops)
+            val = chsh_expectation(random_state(space, rng), random_settings(rng))
             assert abs(val) <= TWO_SQRT_TWO + 1e-9
 
     def test_flipping_mode_settings_flips_the_sign(self, rng):
         dim = 8
-        ops = build_pseudospin(dim)
         space = SpaceDescriptor.qubit() * SpaceDescriptor.mode(dim)
         state = random_state(space, rng)
         s = random_settings(rng)
@@ -176,13 +196,12 @@ class TestChshValue:
             Direction(-s.b.nx, -s.b.ny, -s.b.nz),
             Direction(-s.b_prime.nx, -s.b_prime.ny, -s.b_prime.nz),
         )
-        assert chsh_expectation(state, flipped, ops) == pytest.approx(
-            -chsh_expectation(state, s, ops), abs=1e-12
+        assert chsh_expectation(state, flipped) == pytest.approx(
+            -chsh_expectation(state, s), abs=1e-12
         )
 
     def test_correlation_matrix_is_the_bilinear_form(self, rng):
         dim = 8
-        ops = build_pseudospin(dim)
         state = random_hybrid(dim, rng)
         m = correlation_matrix(state)
         for _ in range(5):
@@ -191,7 +210,7 @@ class TestChshValue:
                 np.array([d.nx, d.ny, d.nz]) for d in (s.a, s.a_prime, s.b, s.b_prime)
             )
             expected = a @ m @ (b + bp) + ap @ m @ (b - bp)
-            assert chsh_expectation(state, s, ops) == pytest.approx(expected, abs=1e-12)
+            assert chsh_expectation(state, s) == pytest.approx(expected, abs=1e-12)
 
 
 class TestAnalyticOptimum:
@@ -212,10 +231,9 @@ class TestAnalyticOptimum:
     @pytest.mark.parametrize("z", [0.0, 0.5, 1.0, 2.0])
     def test_settings_reproduce_value_for_every_label(self, label, z):
         dim = mode_dim_for(z)
-        ops = build_pseudospin(dim)
         state = hes_state(label, z, dim)
         res = analytic_optimum(z, label)
-        got = chsh_expectation(state, res.settings, ops)
+        got = chsh_expectation(state, res.settings)
         assert got == pytest.approx(res.value, abs=1e-10)
         assert 2.0 < got <= TWO_SQRT_TWO + 1e-9
 
@@ -267,10 +285,9 @@ class TestOptimizeChsh:
     def test_found_settings_reproduce_reported_value(self):
         z = 1.0
         dim = mode_dim_for(z)
-        ops = build_pseudospin(dim)
         state = hes_state(HesLabel.PSI_MINUS, z, dim)
         res = optimize_chsh(state)
-        assert chsh_expectation(state, res.settings, ops) == pytest.approx(
+        assert chsh_expectation(state, res.settings) == pytest.approx(
             res.value, abs=1e-9
         )
 
@@ -290,23 +307,21 @@ class TestOptimizeChsh:
         assert res.value == pytest.approx(2.0 * math.sqrt(1.0 + k * k), abs=1e-10)
         if dim <= DENSE_DIM_MAX:
             # the kron-built Bell operator, not the SVD, evaluates the settings
-            ops = build_pseudospin(dim)
-            assert chsh_expectation(state, res.settings, ops) == pytest.approx(
+            assert chsh_expectation(state, res.settings) == pytest.approx(
                 res.value, abs=1e-10
             )
         assert 2.0 < res.value <= TWO_SQRT_TWO + 1e-9
 
     def test_no_random_settings_beat_the_maximum(self, rng):
         dim = 10
-        ops = build_pseudospin(dim)
         for _ in range(4):
             state = random_hybrid(dim, rng)
             res = optimize_chsh(state)
-            assert chsh_expectation(state, res.settings, ops) == pytest.approx(
+            assert chsh_expectation(state, res.settings) == pytest.approx(
                 res.value, abs=1e-10
             )
             for _ in range(50):
-                assert chsh_expectation(state, random_settings(rng), ops) <= res.value + 1e-12
+                assert chsh_expectation(state, random_settings(rng)) <= res.value + 1e-12
             # nor do small rotations of the returned settings: it is a maximum,
             # not a saddle, of the expectation
             s = res.settings
@@ -314,7 +329,7 @@ class TestOptimizeChsh:
                 nudged = ChshSettings(
                     *(nudge(d, rng) for d in (s.a, s.a_prime, s.b, s.b_prime))
                 )
-                assert chsh_expectation(state, nudged, ops) <= res.value + 1e-12
+                assert chsh_expectation(state, nudged) <= res.value + 1e-12
 
     def test_product_states_stay_classical(self, rng):
         dim = 8
@@ -324,16 +339,21 @@ class TestOptimizeChsh:
             res = optimize_chsh(state)
             assert res.value <= 2.0 + 1e-6
 
-    def test_space_mismatch_rejected(self):
+    def test_every_pair_is_taken_and_any_other_party_count_refused(self):
+        # the cat first, two cats and two qubits reach 2 sqrt(1 + (k_a k_b)^2),
+        # k = 1 on a qubit; a state of one or three parties is no pair
         qubit, cat = Encoding.qubit(), Encoding.cat(0.5, 10)
-        for state in (
-            bell_pair(HesLabel.PHI_PLUS, cat, qubit),
-            bell_pair(ParityBellLabel.PSI_MINUS, cat, cat),
-            bell_pair(HesLabel.PHI_PLUS, qubit, qubit),
-            qubit.state(1.0, 0.0),
+        for state, kk in (
+            (bell_pair(HesLabel.PHI_PLUS, cat, qubit), cat.k),
+            (bell_pair(ParityBellLabel.PSI_MINUS, cat, cat), cat.k * cat.k),
+            (bell_pair(HesLabel.PHI_PLUS, qubit, qubit), 1.0),
         ):
-            with pytest.raises(ValueError, match="is not qubit⊗mode"):
-                optimize_chsh(state)
+            assert abs(optimize_chsh(state).value - 2.0 * math.sqrt(1.0 + kk * kk)) <= 1e-14
+        for state, parties in ((qubit.state(1.0, 0.0), 1),
+                               (tensor(qubit.state(1.0, 0.0), hes_state(HesLabel.PSI_MINUS, 0.5, 10)), 3)):
+            for analysis in (correlation_matrix, optimize_chsh):
+                with pytest.raises(ValueError, match=f"^CHSH needs two parties, the state has {parties}$"):
+                    analysis(state)
 
     @pytest.mark.parametrize("label", list(HesLabel))
     def test_correlation_matrix_matches_the_dense_one(self, label):
@@ -355,9 +375,10 @@ class TestOptimizeChsh:
 
     @pytest.mark.parametrize("z", [0.0, 0.3, 1.0, 2.5, 5.0, 9.0, 15.0, 22.0, 30.0])
     def test_every_entry_it_sums_is_real_bit_for_bit(self, z, rng, monkeypatch):
-        # so correlation_matrix returns each entry's real part, with nothing
-        # dropped: over random states on the plain and the flipped cat, every
-        # sum it takes has an imaginary part of exactly 0
+        # so correlation_matrix returns each entry's real part, scaled by the
+        # parties' k, with nothing dropped: over random pairs of every kind
+        # order, on the plain and the flipped cat, every sum it takes has an
+        # imaginary part of exactly 0
         sums = []
 
         def recorded(terms):
@@ -366,11 +387,27 @@ class TestOptimizeChsh:
 
         monkeypatch.setattr(hesim.bellchsh, "sum", recorded, raising=False)
         cat = Encoding.cat(z, mode_dim_for(z))
+        encodings = (QUBIT, cat, cat.flip())
+        for enc_a, enc_b in itertools.product(encodings, repeat=2):
+            scales_a, scales_b = ((enc.k, enc.k, 1.0) for enc in (enc_a, enc_b))
+            for _ in range(50):
+                got = correlation_matrix(random_logical((enc_a, enc_b), rng))
+                scaled = [x.real * scales_a[i // 3] * scales_b[i % 3]
+                          for i, x in enumerate(sums[-9:])]
+                assert [x for row in got for x in row] == scaled
+        assert len(sums) == 9 * 50 * 9 and all(x.imag == 0.0 for x in sums)
+
+    @pytest.mark.parametrize("z", [0.0, 0.3, 1.0, 2.5, 5.0, 9.0, 15.0, 22.0, 30.0])
+    def test_on_qubit_and_mode_it_is_the_elementwise_route_bit_for_bit(self, z, rng):
+        # k applied to each real entry gives the bits of (k sigma_x, k sigma_y,
+        # sigma_z) on the mode inside the sums: an x or y entry sums a term
+        # and its exact conjugate, and 2 (r k) = (2 r) k
+        cat = Encoding.cat(z, mode_dim_for(z))
         for enc in (cat, cat.flip()):
             for _ in range(50):
-                got = correlation_matrix(random_logical((QUBIT, enc), rng))
-                assert [x for row in got for x in row] == [x.real for x in sums[-9:]]
-        assert len(sums) == 2 * 50 * 9 and all(x.imag == 0.0 for x in sums)
+                state = random_logical((QUBIT, enc), rng)
+                expected = [[x.real for x in row] for row in elementwise_correlation_matrix(state)]
+                assert [list(row) for row in correlation_matrix(state)] == expected
 
     @pytest.mark.parametrize("label", list(HesLabel))
     def test_on_hybrid_pairs_it_is_numpys_route_bit_for_bit(self, label):
@@ -416,6 +453,85 @@ class TestOptimizeChsh:
         finally:
             tracemalloc.stop()
         assert peak < 20 * 16 * state.space.dim
+
+
+class TestEveryBellPair:
+    """CHSH of every Bell family, of either kind order, and of the cat pair
+    that swapping leaves: 2 sqrt(1 + (k_a k_b)^2) with each party's own k,
+    1 on a qubit, so 2 sqrt(2) on a spin pair (Horodecki, Horodecki &
+    Horodecki, Phys. Lett. A 200, 340 (1995))."""
+
+    @staticmethod
+    def closed_form(state) -> float:
+        k_a, k_b = (enc.k for enc in state.encodings)
+        return 2.0 * math.sqrt(1.0 + (k_a * k_b) ** 2)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(z=st.floats(min_value=0.0, max_value=9.0),
+           z_prime=st.floats(min_value=0.0, max_value=9.0),
+           label=st.sampled_from([*SpinBellLabel, *HesLabel, *ParityBellLabel]))
+    @example(z=0.0, z_prime=0.0, label=ParityBellLabel.PSI_MINUS)
+    @example(z=9.0, z_prime=9.0, label=ParityBellLabel.PHI_MINUS)
+    def test_optimum_is_the_closed_form_and_the_label_settings_reach_it(self, z, z_prime, label):
+        cat, cat_prime = (Encoding.cat(x, mode_dim_for(x)) for x in (z, z_prime))
+        pairs = {SpinBellLabel: [(QUBIT, QUBIT)],
+                 HesLabel: [(QUBIT, cat), (cat_prime.flip(), QUBIT)],
+                 ParityBellLabel: [(cat, cat_prime), (cat.flip(), cat_prime)]}[type(label)]
+        for enc_a, enc_b in pairs:
+            state = bell_pair(label, enc_a, enc_b)
+            expected = self.closed_form(state)
+            result = optimize_chsh(state)
+            assert abs(result.value - expected) <= 1e-14
+            if isinstance(label, SpinBellLabel):
+                assert abs(result.value - TWO_SQRT_TWO) <= 1e-14
+            # the settings, and the label's closed-form ones, on the dense matrix
+            m = dense_correlation_matrix(state)
+            assert abs(bell_value(m, result.settings) - expected) <= 1e-14
+            k_a, k_b = (enc.k for enc in state.encodings)
+            settings_for = hesim.bellchsh._settings_for(k_a * k_b, label)
+            assert abs(bell_value(m, settings_for) - expected) <= 1e-14
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(z=st.floats(min_value=0.0, max_value=9.0),
+           z_prime=st.floats(min_value=0.0, max_value=9.0))
+    @example(z=0.0, z_prime=0.0)
+    def test_every_swap_branch_leaves_the_partnered_cat_pair_at_its_closed_form(
+            self, z, z_prime):
+        # an extension of the paper: the modes hold one ebit after the swap,
+        # yet violate CHSH less than either hybrid pair
+        table = swap_entanglement(z, z_prime, mode_dim_for(max(z, z_prime)))
+        assert len(table) == 4
+        k_k = k_series(z) * k_series(z_prime)
+        for outcome, _, record in table:
+            state = record.output_state
+            expected = self.closed_form(state)
+            assert abs(optimize_chsh(state).value - expected) <= 1e-14
+            assert abs(expected - 2.0 * math.sqrt(1.0 + k_k * k_k)) <= 1e-14
+            assert expected <= min(analytic_optimum(x).value for x in (z, z_prime)) + 1e-14
+            k_a, k_b = (enc.k for enc in state.encodings)
+            settings_for = hesim.bellchsh._settings_for(k_a * k_b, SWAP_PAIRING[outcome])
+            assert abs(bell_value(np.array(correlation_matrix(state)), settings_for)
+                       - expected) <= 1e-14
+
+    @pytest.mark.parametrize("kinds", [("qubit", "mode"), ("mode", "qubit"), ("mode", "mode"),
+                                       ("qubit", "qubit")], ids="_".join)
+    def test_random_pairs_match_the_dense_oracles(self, kinds, rng):
+        # random coefficients over random cats, plain and flipped, at mode dims
+        # up to DENSE_DIM_MAX; the kron-built Bell operator evaluates the
+        # optimum's settings where it fits, up to the size of qubit x
+        # mode(DENSE_DIM_MAX), and past it the dense correlation matrix does
+        for dim in (2, 4, 16, DENSE_DIM_MAX):
+            for _ in range(4):
+                state = random_logical(
+                    [QUBIT if kind == "qubit" else random_cat(dim, rng) for kind in kinds], rng)
+                got, expected = correlation_matrix(state), dense_correlation_matrix(state)
+                assert np.max(np.abs(np.array(got) - expected)) <= DENSE_AGREEMENT_TOL, dim
+                result = optimize_chsh(state)
+                if state.space.dim <= 2 * DENSE_DIM_MAX:
+                    value = chsh_expectation(state, result.settings)
+                else:
+                    value = bell_value(expected, result.settings)
+                assert abs(value - result.value) <= 1e-12, dim
 
 
 class TestChshResult:

@@ -19,7 +19,7 @@ from hesim import (
     mode_dim_for,
     odd_coherent,
 )
-from hesim.pseudospin import PAULI_X, PAULI_Y, PAULI_Z, encoded_pseudospin
+from hesim.pseudospin import PAULI_X, PAULI_Y, PAULI_Z
 
 from conftest import Z_CAP, number_state, random_amps, random_cat
 from oracles import (
@@ -32,6 +32,7 @@ from oracles import (
     codewords,
     decimal_k,
     direction,
+    encoded_pseudospin,
     k_asymptote,
     lgamma_k_series,
     overlap_k_matrix,
@@ -243,6 +244,13 @@ class TestDirection:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
             Direction(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("n", [(1e200, 0.0, 0.0), (1e155, 1e155, 0.0), (0.0, -1e300, 1e300),
+                                   (math.inf, 0.0, 0.0), (math.nan, 1.0, 0.0)])
+    def test_a_huge_or_non_finite_vector_is_refused_as_not_a_unit_vector(self, n):
+        # the norm is taken without squaring, so no component overflows it
+        with pytest.raises(ValueError, match="direction must be a unit vector"):
+            Direction(*n)
 
     def test_angle_roundtrip(self):
         d = direction(1.1, -2.2)
