@@ -93,7 +93,11 @@ def _settings_for(k: float, label: BellLabel) -> ChshSettings:
 
 def analytic_optimum(z: float, label: HesLabel = HesLabel.PHI_PLUS) -> ChshResult:
     """Closed-form maximal Bell expectation 2*sqrt(1 + k(z)^2) for a hybrid
-    pair, with in-plane settings that reach it."""
+    pair, with in-plane settings that reach it. The label must be a
+    ``HesLabel``: another family's pair has another optimum, so its label
+    is a TypeError."""
+    if not isinstance(label, HesLabel):
+        raise TypeError(f"analytic_optimum takes a HesLabel, got {label!r}")
     k = k_series(z)
     return ChshResult(
         value=2.0 * math.sqrt(1.0 + k * k),

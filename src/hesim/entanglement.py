@@ -1,17 +1,16 @@
 """Bipartite entanglement of pure states: Schmidt spectra and entropy.
 
 A cut's Schmidt coefficients are the singular values of the state's
-coefficient tuple laid out as a matrix, taken by ``fock._svd`` in Python
-complex numbers, so no numpy is loaded.
+coefficients laid out over the cut by ``fock._cut``, taken by ``fock._svd``
+in Python complex numbers, so no numpy is loaded.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from typing import Iterable
 
-from .fock import _NORM_TOL, LogicalState, _party_order, _set, _svd, _Value
+from .fock import _NORM_TOL, LogicalState, _cut, _set, _svd, _Value
 
 _EIGENVALUE_FLOOR = 1e-14
 
@@ -57,21 +56,17 @@ def schmidt_coefficients(state: LogicalState, side_a: Iterable[int]) -> SchmidtS
 
     The encodings are orthonormal, so these are the singular values of the
     coefficient tensor with side a's parties as rows: min(2**|a|, 2**(n-|a|))
-    of them for n parties, two for a pair. Side a must be a nonempty proper
-    subset of the state's factor indices, each an integer: a float index is
-    a ``TypeError``, not rounded to a factor.
+    of them for n parties, two for a pair. Side a names its factor indices
+    by ``fock._rest``'s rule, each an integer (a float index is a
+    ``TypeError``, not rounded to a factor) in range and named once, and
+    must be a nonempty proper subset of them.
     """
-    a = set(map(operator.index, side_a))
-    nf = state.space.nfactors
-    if not a or not a < set(range(nf)):
-        raise ValueError(
-            f"side a {sorted(a)} is not a nonempty proper subset of the "
-            f"{nf} factors of {state.space.describe()}"
-        )
-    order = (*sorted(a), *(i for i in range(nf) if i not in a))
-    c = list(map(state.coeffs.__getitem__, _party_order(nf, order)))
-    width = 2 ** (nf - len(a))
-    s, _, _ = _svd([c[i : i + width] for i in range(0, len(c), width)])
+    a = sorted(side_a)
+    rows = _cut(state, a)
+    if not a or len(a) == state.space.nfactors:
+        raise ValueError(f"side a {a} is not a nonempty proper subset of the "
+                         f"{state.space.nfactors} factors of {state.space.describe()}")
+    s, _, _ = _svd(rows)
     return SchmidtSpectrum(tuple(s))
 
 

@@ -9,7 +9,10 @@ Only pure states are represented. A ``LogicalState`` holds a tuple of 2**n
 Python complex coefficients over its n parties' ``Encoding``s; every state
 is one, so products and overlaps cost 2**n numbers, never dim**2
 amplitudes, and take no numpy. ``_svd``, a one-sided Jacobi SVD of such
-small matrices, serves the Schmidt and the CHSH analyses. An encoding is
+small matrices, serves the Schmidt and the CHSH analyses. ``_cut`` lays
+a state's coefficients out as a matrix between the parties a call names and
+the rest, for the Bell measurements and the Schmidt cuts; ``_rest`` is the
+one check of the factor indices a call names. An encoding is
 scalars: the qubit, or a cat's mode, amplitude and flip, from which its
 constructor works out the residuals and the even/odd overlap, so no state
 holds a codeword; a state works out its truncation residual from its
@@ -137,13 +140,17 @@ class ParityBellLabel(BellLabel):
 
 
 class SpaceDescriptor(_Value):
-    """Ordered factors of a composite Hilbert space."""
+    """Ordered factors of a composite Hilbert space, as (kind, dim) pairs.
+
+    A dim must be an integer, as ``operator.index`` takes it, like a factor
+    index: a float, NaN included, is a TypeError rather than cut to the
+    integer below it."""
 
     # dims and dim are read off the factors once; equality, hashing and repr use the factors
     _fields = ("factors",)
 
     def __init__(self, factors: tuple[tuple[FactorKind, int], ...]) -> None:
-        factors = tuple((FactorKind(kind), int(dim)) for kind, dim in factors)
+        factors = tuple((FactorKind(kind), operator.index(dim)) for kind, dim in factors)
         if not factors:
             raise ValueError("a space needs at least one factor")
         for kind, dim in factors:
@@ -476,11 +483,6 @@ def tensor(a: LogicalState, b: LogicalState) -> LogicalState:
     return LogicalState(a.encodings + b.encodings, [x * y for x in a.coeffs for y in b.coeffs])
 
 
-def _check_factor(space: SpaceDescriptor, index: int) -> None:
-    if not 0 <= index < space.nfactors:
-        raise ValueError(f"factor index {index} out of range for {space.nfactors} factors")
-
-
 def inner(a: LogicalState, b: LogicalState) -> complex:
     """Inner product <a|b> (conjugate-linear in a) of two LogicalStates over
     equal encodings."""
@@ -501,6 +503,35 @@ def _party_order(n: int, order: tuple[int, ...]) -> tuple[int, ...]:
         sum((j >> (n - 1 - pos) & 1) << (n - 1 - party) for pos, party in enumerate(order))
         for j in range(2**n)
     )
+
+
+def _rest(space: SpaceDescriptor, named) -> tuple[int, ...]:
+    """The factors of space that named leaves, in order: the one check of the
+    factor indices a call names.
+
+    Each index must be an integer, as ``operator.index`` takes it, so a
+    float is a TypeError rather than rounded to a factor; then each must
+    lie in 0 .. nfactors - 1, no negative index counting from the end, and
+    be named once, else a ValueError."""
+    named = tuple(map(operator.index, named))
+    for index in named:
+        if not 0 <= index < space.nfactors:
+            raise ValueError(f"factor index {index} out of range for {space.nfactors} factors")
+    if len(set(named)) != len(named):
+        raise ValueError(f"factor indices {named} name a factor more than once")
+    return tuple(k for k in range(space.nfactors) if k not in named)
+
+
+def _cut(state: LogicalState, named) -> list[list[complex]]:
+    """state's coefficients as a matrix over the cut between the parties in
+    named, a sequence of factor indices, and the rest: the row index's bits
+    are the named parties' index bits, most significant first in named's
+    order, and the column index's those of the other parties in order.
+    Checks named with ``_rest``."""
+    order = (*named, *_rest(state.space, named))
+    c = list(map(state.coeffs.__getitem__, _party_order(len(order), order)))
+    width = 2 ** (len(order) - len(named))
+    return [c[i : i + width] for i in range(0, len(c), width)]
 
 
 @functools.cache

@@ -4,8 +4,9 @@ Every entangled state here is one Bell pair between two parties, each
 carrying a logical qubit in an ``Encoding``: the spin itself (up, down) or
 the even/odd cat at amplitude z. A state is a ``LogicalState`` over those
 encodings: a joint state of four parties is 16 Python complex numbers plus
-its encodings, at any cutoff. A measurement reorders a state's parties by
-index arithmetic on its coefficient tuple. ``bell_pair`` builds all three
+its encodings, at any cutoff. A Bell measurement reads the coefficients
+as ``fock._cut`` lays them out over the measured parties, and every index a
+measurement names is checked by ``fock._rest``. ``bell_pair`` builds all three
 families: two-qubit Bell states, qubit-mode hybrid states and two-mode
 parity Bell states. One core, a projective measurement in such a basis
 followed by each outcome's correction and comparison with its target,
@@ -55,8 +56,8 @@ from .fock import (
     LogicalState,
     ParityBellLabel,
     SpinBellLabel,
-    _check_factor,
-    _party_order,
+    _cut,
+    _rest,
     _set,
     _Value,
     even_coherent,  # noqa: F401  unused; the benchmark traces hesim.protocols.even_coherent
@@ -355,17 +356,6 @@ def correction_for(outcome: BellLabel, channel: HesLabel) -> Correction:
     return Correction.S_X if same_sign else Correction.S_Y
 
 
-def _check_kinds(
-    state: LogicalState, indices: tuple[int, ...], kinds: tuple[FactorKind, ...]
-):
-    for i, kind in zip(indices, kinds):
-        _check_factor(state.space, i)
-        if state.space.kind(i) is not kind:
-            raise ValueError(
-                f"factor {i} of {state.space.describe()} is not a {kind.value}"
-            )
-
-
 def _norm2(coeffs) -> float:
     """The squared norm of a vector of complex numbers."""
     return sum(c.real * c.real + c.imag * c.imag for c in coeffs)
@@ -394,24 +384,22 @@ def _measure_bell(state, factors, enc_a, enc_b):
 
     One (label, probability, renormalized state on the remaining parties)
     per label, spin Bell labels on a qubit basis and parity Bell labels on a
-    cat basis. The measured parties must carry the basis's encodings, so
-    the probabilities sum to 1 up to rounding. A Bell pair's coefficients
+    cat basis. The measured parties must carry the basis's encodings, which
+    decides their kinds too, so the probabilities sum to 1 up to rounding;
+    ``fock._cut`` lays the coefficients out over them. A Bell pair's coefficients
     are real, so they are their own conjugates in the projection.
     """
-    kind = enc_a.space.kind(0)
-    _check_kinds(state, factors, (kind, enc_b.space.kind(0)))
     i, j = factors
-    rest = tuple(k for k in range(state.space.nfactors) if k not in factors)
-    if i == j or not rest:
+    rest = _rest(state.space, factors)
+    if not rest:
         raise ValueError(f"cannot Bell-measure factors {factors} of {state.space.describe()}")
     if (state.encodings[i], state.encodings[j]) != (enc_a, enc_b):
         raise ValueError(f"factors {factors} of {state.space.describe()} are not "
                          f"encoded in the measured basis")
     encodings = tuple(state.encodings[k] for k in rest)
     # the measured parties' four values index the rows, the rest's the columns
-    c = list(map(state.coeffs.__getitem__, _party_order(state.space.nfactors, (i, j, *rest))))
-    columns = [c[k :: len(c) // 4] for k in range(len(c) // 4)]
-    labels = SpinBellLabel if kind is FactorKind.QUBIT else ParityBellLabel
+    columns = list(zip(*_cut(state, factors)))
+    labels = SpinBellLabel if enc_a.space.kind(0) is FactorKind.QUBIT else ParityBellLabel
     return [_branch(label, [sum(map(operator.mul, row, col)) for col in columns], encodings)
             for label, row in zip(labels, map(_bell_coeffs, labels))]
 
@@ -436,7 +424,9 @@ def parity_measurement(
     A mode's encoding, plain or flipped, has an even |0_L> and an odd
     |1_L>, so the outcome reads the logical index.
     """
-    _check_kinds(state, (mode_index,), (FactorKind.MODE,))
+    _rest(state.space, (mode_index,))
+    if state.space.kind(mode_index) is not FactorKind.MODE:
+        raise ValueError(f"factor {mode_index} of {state.space.describe()} is not a mode")
     shift = state.space.nfactors - 1 - mode_index  # the mode's bit in a coefficient's index
     return [
         _branch(outcome, [c if j >> shift & 1 == bit else 0j for j, c in enumerate(state.coeffs)],

@@ -88,7 +88,7 @@ from hesim import (
     parity_bell_state,
     spin_bell_state,
 )
-from hesim.fock import _NORM_TOL, _check_factor, _combined_residual
+from hesim.fock import _NORM_TOL, _combined_residual, _rest
 from hesim.protocols import _stream_blocks
 from hesim.pseudospin import PAULI_X, PAULI_Y, PAULI_Z, Direction
 
@@ -274,7 +274,7 @@ def apply(op: np.ndarray, state: StateVector, factor_index: int) -> StateVector:
     The operator must be norm-preserving on this state; a result drifting
     off the unit sphere is rejected rather than silently rescaled.
     """
-    _check_factor(state.space, factor_index)
+    rest = _rest(state.space, (factor_index,))
     dims = state.space.dims
     d = dims[factor_index]
     if op.shape != (d, d):
@@ -284,7 +284,6 @@ def apply(op: np.ndarray, state: StateVector, factor_index: int) -> StateVector:
         )
     # np.tensordot(op, t, ([1], [factor_index])) without its argument handling:
     # the same transposed operand and the same single np.dot
-    rest = [i for i in range(len(dims)) if i != factor_index]
     t = state.amps.reshape(dims).transpose([factor_index, *rest]).reshape(d, -1)
     moved = np.dot(op, t).reshape([d, *(dims[i] for i in rest)])
     out = np.moveaxis(moved, 0, factor_index).reshape(-1)
@@ -330,12 +329,9 @@ def partial_inner(
     vector on the remaining factors (in their original order); its squared
     norm is the projection probability onto |bra>.
     """
-    factors = tuple(int(i) for i in factors)
-    for i in factors:
-        _check_factor(state.space, i)
-    if len(set(factors)) != len(factors):
-        raise ValueError(f"factor indices must be distinct, got {factors}")
-    if len(factors) >= state.space.nfactors:
+    factors = tuple(factors)
+    rest = _rest(state.space, factors)
+    if not rest:
         raise ValueError("partial projection must leave at least one factor")
     paired = SpaceDescriptor(tuple(state.space.factors[i] for i in factors))
     if paired != bra.space:
@@ -343,7 +339,6 @@ def partial_inner(
             f"bra space {bra.space.describe()} does not match targeted factors "
             f"{factors} of {state.space.describe()}"
         )
-    rest = [i for i in range(state.space.nfactors) if i not in factors]
     t = state.amps.reshape(state.space.dims).transpose([*factors, *rest])
     b = bra.amps.conj().reshape(1, -1)
     return np.dot(b, t.reshape(b.size, -1)).reshape(-1)

@@ -7,6 +7,7 @@ independently of the correlation matrix the package maximizes.
 import ast
 import itertools
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -265,6 +266,21 @@ class TestAnalyticOptimum:
     def test_negative_z_rejected(self):
         with pytest.raises(ValueError):
             analytic_optimum(-0.1)
+
+    @pytest.mark.parametrize("label", [*ParityBellLabel, *SpinBellLabel, "phi+"], ids=str)
+    def test_a_label_of_another_family_is_refused(self, label):
+        with pytest.raises(TypeError, match=re.escape(repr(label))):
+            analytic_optimum(1.0, label)
+
+    def test_another_family_has_another_optimum(self):
+        # why the refusal: the closed form is the hybrid pair's alone
+        cat, qubit = Encoding.cat(1.0, 18), Encoding.qubit()
+        hybrid = analytic_optimum(1.0, HesLabel.PSI_MINUS).value
+        assert optimize_chsh(bell_pair(HesLabel.PSI_MINUS, qubit, cat)).value == pytest.approx(
+            hybrid, abs=1e-14)
+        assert hybrid - optimize_chsh(bell_pair(ParityBellLabel.PSI_MINUS, cat, cat)).value > 0.03
+        spins = optimize_chsh(bell_pair(SpinBellLabel.PSI_MINUS, qubit, qubit)).value
+        assert spins == pytest.approx(TWO_SQRT_TWO, abs=1e-14) and spins - hybrid > 0.04
 
 
 class TestOptimizeChsh:

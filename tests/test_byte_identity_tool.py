@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import re
+import shutil
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -140,3 +142,21 @@ def test_a_stderr_only_rerecord_expects_its_argv_and_no_subcommand():
         ("entropy", "product:z=0.5", "--dim", "8"),
         ("entropy", "hes:phi+:z=2", "--dim", "6"),
     ])
+
+
+def test_a_base_is_recorded_whatever_private_names_the_tests_import(tmp_path):
+    # a base that lacks a private name the tests import, as a change's tests may
+    # import one that the change adds, still records: the recorder imports hesim.cli.main only
+    oracles = (ROOT / "tests" / "oracles.py").read_text(encoding="utf-8")
+    assert re.search(r"^from hesim\.fock import .*\b_combined_residual\b", oracles, re.MULTILINE)
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    fock = src / "hesim" / "fock.py"
+    renamed = re.sub(r"\b_combined_residual\b", "_product_residual",
+                     fock.read_text(encoding="utf-8"))
+    fock.write_text(renamed, encoding="utf-8")
+    argvs = [["teleport", "spin", "--alpha", "0.6", "--beta", "0.8", "--z", "1", "--trials", "4"],
+             ["entropy", "hes:psi-:z=1"], ["kz", "-h"]]
+    base = byte_identity.reports(src, argvs)
+    assert [r["exit"] for r in base] == [0, 0, 0] * len(byte_identity.COLUMNS)
+    assert base == byte_identity.reports(ROOT / "src", argvs)

@@ -19,12 +19,12 @@ fidelities, entropies) and, up to the dense oracle's size, every recorded
 re-recorded one must still agree with them.
 """
 
-import contextlib
 import csv
 import io
 import json
 import math
 import os
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from hesim import ChshSettings, HesLabel, hes_state
-from hesim.cli import _build_named_state, _dim_for, build_parser, main
+from hesim.cli import _build_named_state, _dim_for, build_parser
 
 from conftest import assert_leads_the_dense_spectrum
 from oracles import (GOLDEN_CHSH_TOL, GOLDEN_ENTROPY_TOL, GOLDEN_FIDELITY_TOL, K_ASYMPTOTE_TOL,
@@ -41,20 +41,12 @@ from oracles import (GOLDEN_CHSH_TOL, GOLDEN_ENTROPY_TOL, GOLDEN_FIDELITY_TOL, K
                      direction, entropy_from_reduced_density, k_asymptote, looped_trials,
                      overlap_k_matrix, pair_correlation, spectrum_entropy)
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from byte_identity import record  # noqa: E402  one recorder for this file and the base comparison
+
 DATA = Path(__file__).with_name("cli_golden.jsonl")
 COLUMNS = "80"  # argparse wraps usage lines to the terminal width
 DENSE_DIM_MAX = 400  # the dense oracle's five dim x dim matrices take 13 MB there
-
-
-def record(argv: list[str]) -> dict:
-    """argv with the stdout, stderr and exit code of one in-process command."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-    return {"argv": argv, "stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
 
 
 def _cases() -> list[dict]:

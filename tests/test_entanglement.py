@@ -181,17 +181,21 @@ class TestEntropy:
 
 
 class TestValidation:
-    @pytest.mark.parametrize(
-        "side_a", [set(), {0, 1, 2}, {-1}, {3}, {0, 3}], ids=repr
-    )
-    def test_side_a_must_be_a_nonempty_proper_subset(self, side_a):
+    # an index outside the factors is refused by the factor-index check, fock._rest
+    @pytest.mark.parametrize("side_a, message", [
+        pytest.param(side_a, message, id=repr(side_a)) for side_a, message in [
+            (set(), "nonempty proper subset"), ({0, 1, 2}, "nonempty proper subset"),
+            ({-1}, "factor index -1 out of range for 3 factors"),
+            ({3}, "factor index 3 out of range for 3 factors"),
+            ({0, 3}, "factor index 3 out of range for 3 factors")]])
+    def test_side_a_must_be_a_nonempty_proper_subset(self, side_a, message):
         st = tensor(
             tensor(QUBIT.state(1.0, 0.0), Encoding.cat(0.0, 4).state(1.0, 0.0)),
             Encoding.cat(0.0, 4).state(0.0, 1.0),
         )
-        with pytest.raises(ValueError, match="nonempty proper subset"):
+        with pytest.raises(ValueError, match=message):
             schmidt_coefficients(st, side_a)
-        with pytest.raises(ValueError, match="nonempty proper subset"):
+        with pytest.raises(ValueError, match=message):
             entanglement_entropy(st, side_a)
 
     @pytest.mark.parametrize("side_a", [[0.7], [1.9]], ids=repr)

@@ -17,19 +17,31 @@ from hesim import (
     Correction,
     Encoding,
     FactorKind,
+    HesLabel,
     LogicalState,
+    ParityBellLabel,
     SchmidtSpectrum,
     SpaceDescriptor,
     StateVector,
     TeleportRecord,
     TruncationError,
+    entanglement_entropy,
     even_coherent,
+    hes_state,
     inner,
+    k_matrix,
+    measure_spin_bell,
     mode_dim_for,
     odd_coherent,
+    parity_bell_state,
+    parity_measurement,
+    schmidt_coefficients,
+    swap_entanglement,
+    teleport_parity,
+    teleport_spin,
     tensor,
 )
-from hesim.fock import _CUTOFF_TOL, _MODE_DIM_CAP, _RESIDUAL_TOL, _coherent_weights, _svd
+from hesim.fock import _CUTOFF_TOL, _MODE_DIM_CAP, _RESIDUAL_TOL, _coherent_weights, _cut, _svd
 from hesim.pseudospin import Direction, k_series
 
 from conftest import Z_CAP, number_state, random_amps, random_cat, random_logical, random_state
@@ -772,6 +784,101 @@ def matrix_of_kind(kind: str, shape, seed: int) -> np.ndarray:
         m = draw(rows, cols)
     norm = np.linalg.norm(m, 2)
     return m / norm if norm else m
+
+
+# factor indices of a four-party state, in range or out of it, and floats
+FACTOR_INDEX = st.one_of(st.integers(-2, 5),
+                         st.sampled_from([0.0, 1.0, 3.0, -1.0, 0.5, math.nan, math.inf]))
+NOT_AN_INTEGER = "'float' object cannot be interpreted as an integer"
+
+
+def _outcome(call) -> str:
+    """'returned', or the type and message of the error call raised."""
+    try:
+        call()
+    except (TypeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "returned"
+
+
+class TestFactorIndices:
+    """``fock._rest`` checks every factor index a call names, by one rule, and
+    ``fock._cut`` lays a state's coefficients out over the named parties."""
+
+    # two hybrid pairs: qubits 0 and 2, modes 1 and 3
+    JOINT = tensor(hes_state(HesLabel.PSI_MINUS, 0.8, 18), hes_state(HesLabel.PHI_PLUS, 1.1, 18))
+
+    @staticmethod
+    def expected(named, refusal) -> str:
+        """The outcome the rule sets for named: a float is a TypeError, then
+        the first index out of range, then one named twice, are ValueErrors;
+        an index list that passes leaves refusal, the call's own outcome."""
+        if any(isinstance(i, float) for i in named):
+            return f"TypeError: {NOT_AN_INTEGER}"
+        for i in named:
+            if not 0 <= i < 4:
+                return f"ValueError: factor index {i} out of range for 4 factors"
+        if len(set(named)) != len(named):
+            return f"ValueError: factor indices {tuple(named)} name a factor more than once"
+        return refusal
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(pair=st.tuples(FACTOR_INDEX, FACTOR_INDEX), mode=FACTOR_INDEX,
+           side=st.lists(FACTOR_INDEX, max_size=5))
+    @example(pair=(0.0, 2), mode=2.0, side=[0, 0])
+    @example(pair=(0, 0), mode=-1, side=[1.0])
+    @example(pair=(2, 5), mode=4, side=[-1, 3])
+    def test_every_call_checks_its_indices_by_one_rule(self, pair, mode, side):
+        joint, describe = self.JOINT, self.JOINT.space.describe()
+        spin = self.expected(pair, "returned" if set(pair) <= {0, 2} else
+                             f"ValueError: factors {pair} of {describe} are not "
+                             f"encoded in the measured basis")
+        assert _outcome(lambda: measure_spin_bell(joint, pair)) == spin
+        parity = self.expected([mode], "returned" if mode in (1, 3) else
+                               f"ValueError: factor {mode} of {describe} is not a mode")
+        assert _outcome(lambda: parity_measurement(joint, mode)) == parity
+        # a side is taken in sorted order, so its first index out of range is its least
+        named = sorted(side)
+        cut = self.expected(named, "returned" if 0 < len(side) < 4 else
+                            f"ValueError: side a {named} is not a nonempty proper "
+                            f"subset of the 4 factors of {describe}")
+        assert _outcome(lambda: schmidt_coefficients(joint, side)) == cut
+        assert _outcome(lambda: entanglement_entropy(joint, side)) == cut
+
+    @pytest.mark.parametrize("parties", [1, 2, 3, 4])
+    def test_the_cut_is_the_transposed_coefficient_tensor(self, parties, rng):
+        # every ordered choice of named parties, the empty one and all of them included
+        for _ in range(4):
+            encodings = [QUBIT_ENC if rng.random() < 0.5 else random_cat(8, rng)
+                         for _ in range(parties)]
+            state = random_logical(encodings, rng)
+            coeffs = np.array(state.coeffs).reshape((2,) * parties)
+            for size in range(parties + 1):
+                for named in itertools.permutations(range(parties), size):
+                    rest = [k for k in range(parties) if k not in named]
+                    expected = coeffs.transpose([*named, *rest]).reshape(2**size, -1)
+                    assert _cut(state, named) == expected.tolist(), named
+
+    # a dim is an integer by operator.index, like a factor index: a float is
+    # refused, not cut to the integer below it (18.7 is not mode(18))
+    @pytest.mark.parametrize("dim", [18.7, 18.0, 19.5, math.nan], ids=repr)
+    @pytest.mark.parametrize("build", [
+        lambda dim: SpaceDescriptor.mode(dim),
+        lambda dim: SpaceDescriptor(((FactorKind.MODE, dim),)),
+        lambda dim: Encoding.cat(1.0, dim),
+        lambda dim: even_coherent(1.0, dim),
+        lambda dim: odd_coherent(1.0, dim),
+        lambda dim: k_matrix(1.0, dim),
+        lambda dim: hes_state(HesLabel.PHI_PLUS, 1.0, dim),
+        lambda dim: parity_bell_state(ParityBellLabel.PSI_MINUS, 1.0, 0.5, dim),
+        lambda dim: teleport_spin(0.6, 0.8, HesLabel.PHI_PLUS, 1.0, dim),
+        lambda dim: teleport_parity(0.6, 0.8, 0.5, HesLabel.PHI_PLUS, 1.0, dim),
+        lambda dim: swap_entanglement(1.0, 0.5, dim),
+    ], ids=["mode", "space", "cat", "even_coherent", "odd_coherent", "k_matrix", "hes_state",
+            "parity_bell_state", "teleport_spin", "teleport_parity", "swap_entanglement"])
+    def test_a_mode_dimension_is_an_integer(self, build, dim):
+        with pytest.raises(TypeError, match=NOT_AN_INTEGER):
+            build(dim)
 
 
 class TestSvd:

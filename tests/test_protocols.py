@@ -325,8 +325,10 @@ class TestSpinBellMeasurement:
             assert np.allclose(np.abs(collapsed.coeffs), [0, 1], atol=1e-12)
 
     def test_rejects_non_qubit_factors(self):
-        st = tensor(QUBIT.state(1.0, 0.0), Encoding.cat(0.5, 10).state(1.0, 0.0))
-        with pytest.raises(ValueError, match="not a qubit"):
+        # a mode carries a cat encoding, not the qubit basis; that check decides kinds
+        st = tensor(tensor(QUBIT.state(1.0, 0.0), Encoding.cat(0.5, 10).state(1.0, 0.0)),
+                    QUBIT.state(1.0, 0.0))
+        with pytest.raises(ValueError, match="not encoded in the measured basis"):
             draw(measure_spin_bell(st, (0, 1)), RngStream(0))
 
 

@@ -29,6 +29,7 @@ that width).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -59,12 +60,28 @@ def corpus(ops: int, golden: str | None = None) -> list[list[str]]:
     return argvs + [json.loads(line)["argv"] for line in golden.splitlines()]
 
 
+def record(argv: list[str]) -> dict:
+    """argv with the stdout, stderr and exit code of one in-process
+    ``hesim.cli.main`` call, as a golden line holds them;
+    ``tests/test_cli_golden.py`` records with it too. It imports nothing else
+    from the hesim on the path, so a base revision records whatever private
+    names the working tree's tests import."""
+    from hesim.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return {"argv": argv, "stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+
+
 def run_corpus(src: str) -> None:
     """Run the argv list read from stdin against the hesim under src; write the
     records, every argv at every COLUMNS, to stdout as JSON."""
-    sys.path[:0] = [src, str(GOLDEN.parent)]
+    sys.path.insert(0, src)
     import hesim
-    from test_cli_golden import record  # the golden file's own recorder
 
     if not Path(hesim.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"hesim imported from {hesim.__file__}, not from {src}")
