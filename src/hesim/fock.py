@@ -512,8 +512,13 @@ def _rest(space: SpaceDescriptor, named) -> tuple[int, ...]:
     Each index must be an integer, as ``operator.index`` takes it, so a
     float is a TypeError rather than rounded to a factor; then each must
     lie in 0 .. nfactors - 1, no negative index counting from the end, and
-    be named once, else a ValueError."""
-    named = tuple(map(operator.index, named))
+    be named once, else a ValueError. A named that is not iterable is a
+    TypeError too."""
+    try:
+        indices = iter(named)
+    except TypeError:
+        raise TypeError(f"factor indices must be a sequence of integers, got {named!r}") from None
+    named = tuple(map(operator.index, indices))
     for index in named:
         if not 0 <= index < space.nfactors:
             raise ValueError(f"factor index {index} out of range for {space.nfactors} factors")

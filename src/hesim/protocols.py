@@ -25,12 +25,10 @@ parties' truncation residual.
 ``RngStream(seed + i)`` with one uniform variate, by inverse CDF over the
 probabilities, so a seed fixes the transcript, and returns each row's count
 and the summed fidelity: a Monte-Carlo command's whole run, in one call.
-A stream's variates are those of ``np.random.default_rng(s)``. Its first is
-computed from s, one seed at a time or a block of seeds in one numpy batch,
-and the generator is built only for a second draw, so a command, which
-draws once a trial, never imports numpy.random. Those are the only numpy
-kernels here, each importing numpy when first run: a run of fewer than
-_BATCH_MIN_TRIALS trials never loads numpy at all.
+A stream's variates are those of ``np.random.default_rng(s)``, worked out
+in Python integers: its first from s, one seed at a time or a block of
+seeds in one lane-packed batch, and a later one by stepping PCG64 from the
+seeded state. So no trial imports numpy.
 """
 
 from __future__ import annotations
@@ -40,12 +38,10 @@ import functools
 import itertools
 import math
 import operator
+import struct
 import sys
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterator
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Callable, Iterator
 
 from .fock import (
     _NORM_TOL,
@@ -68,21 +64,20 @@ from .pseudospin import PAULI_X, PAULI_Y, PAULI_Z
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-# a block of at least this many seeds computes its first variates in one batch:
-# timed inside run_trials on a 2-vCPU x86 VM (trials 2-32, min of 7 runs), the
-# batch took about 95 us at any count and the seed-by-seed path about 19 us a
-# trial, so the batch was first faster at 5 trials (at 6 in one of three passes)
-_BATCH_MIN_TRIALS = 5
-_BATCH_BLOCK = 4096  # seeds per batch, so memory stays flat in the trial count
+# seeds per batch, so memory stays flat in the trial count: timed inside
+# run_trials on a 2-vCPU x86 VM (16384 trials, min of 5 runs, two passes),
+# blocks of 512 and 1024 took 1.32 us a trial, 256 1.4-1.5 and 4096 1.41
+_BATCH_BLOCK = 1024
 # numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier M
 _SEQ_INIT_A, _SEQ_MULT_A = 0x43B0D7E5, 0x931E8875
 _SEQ_INIT_B, _SEQ_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SEQ_MIX_L, _SEQ_MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# M**2 and c = M**2 + M + 1, mod 2**128, of the seeded state (see _first_uniforms)
+# M**2, c = M**2 + M + 1 and 2c, mod 2**128, of the seeded state (see _seeded)
 _PCG_MULT2 = _PCG_MULT**2 % 2**128
 _PCG_C = (_PCG_MULT2 + _PCG_MULT + 1) % 2**128
-_M32, _M64 = 2**32 - 1, 2**64 - 1
+_PCG_2C = 2 * _PCG_C % 2**128
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _MIX_ORDER = tuple(itertools.permutations(range(4), 2))  # (source, destination) pool words
 
 
@@ -110,84 +105,142 @@ def _bell_coeffs(label: BellLabel) -> tuple[complex, ...]:
     return (first, 0j, 0j, second) if label.is_phi else (0j, first, second, 0j)
 
 
+def _family(enc_a: Encoding, enc_b: Encoding) -> type[BellLabel]:
+    """The Bell labels of a pair over enc_a and enc_b, by how many are modes:
+    spin Bell labels on two qubits, hybrid on a qubit and a mode, in either
+    order, and parity Bell labels on two modes."""
+    modes = [enc.space.kind(0) for enc in (enc_a, enc_b)].count(FactorKind.MODE)
+    return (SpinBellLabel, HesLabel, ParityBellLabel)[modes]
+
+
 def bell_pair(label: BellLabel, enc_a: Encoding, enc_b: Encoding) -> LogicalState:
     """(|0_L>|0_L> ± |1_L>|1_L>)/√2 for phi labels, (|0_L>|1_L> ± |1_L>|0_L>)/√2
-    for psi labels, party a first."""
+    for psi labels, party a first.
+
+    The label must be one of the encodings' ``_family``, else a TypeError:
+    every builder of a Bell pair has its label checked here.
+    """
+    family = _family(enc_a, enc_b)
+    if not isinstance(label, family):
+        kinds = " and a ".join(enc.space.kind(0).value for enc in (enc_a, enc_b))
+        raise TypeError(f"a Bell pair over a {kinds} takes a {family.__name__}, got {label!r}")
     return LogicalState((enc_a, enc_b), _bell_coeffs(label))
 
 
 class RngStream:
-    """Counted, seeded source of ``np.random.default_rng(seed)``'s variates.
+    """Counted, seeded source of ``np.random.default_rng(seed)``'s variates,
+    in Python integers.
 
     The first variate is ``first`` when a batch computed it, else
-    ``_first_uniform(seed)``. The generator is built only if a second draw
-    needs it, so a run that draws once a trial never imports numpy.random.
+    ``_first_uniform(seed)``. The second draw works out PCG64's state after
+    the first, and every later draw steps its LCG once.
     """
 
-    __slots__ = ("seed", "first", "counter", "_gen")
+    __slots__ = ("seed", "first", "counter", "_state", "_inc")
 
     def __init__(self, seed: int, first: float | None = None) -> None:
-        self.seed, self.counter, self._gen = seed, 0, None
+        self.seed, self.counter = seed, 0
         self.first = _first_uniform(seed) if first is None else first
 
     def uniform(self) -> float:
         self.counter += 1
         if self.counter == 1:
             return self.first
-        if self._gen is None:
-            from numpy.random import default_rng
-            self._gen = default_rng(self.seed)
-            self._gen.random()  # the variate already handed out
-        return float(self._gen.random())
+        if self.counter == 2:
+            state, stream = _seeded(_words(self.seed), 1)
+            self._state, self._inc = state & _M128, 2 * stream + 1
+        self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        return _output(self._state >> 64, self._state & _M64)
 
 
 def _stream_blocks(seed: int, trials: int) -> Iterator[list[RngStream]]:
     """``RngStream(seed + i)`` for trial i of a run, _BATCH_BLOCK trials at a time.
 
-    A block of at least _BATCH_MIN_TRIALS seeds, all >= 0 and below 2**64
-    (two SeedSequence entropy words each), computes its first variates in
-    one ``_first_uniforms`` batch; any other block computes each from its
-    seed with ``_first_uniform``. So a run that straddles 2**32 or 2**64
-    batches every block below 2**64.
+    A block of seeds all >= 0 and below 2**64 (two SeedSequence entropy
+    words each) computes its first variates in one ``_first_uniforms``
+    batch; any other block computes each from its seed with
+    ``_first_uniform``. So a run that straddles 2**32 batches every block,
+    and one that straddles 2**64 every block that ends below it.
     """
     for start in range(seed, seed + trials, _BATCH_BLOCK):
         seeds = range(start, min(start + _BATCH_BLOCK, seed + trials))
         firsts = [None] * len(seeds)
-        if len(seeds) >= _BATCH_MIN_TRIALS and start >= 0 and seeds.stop <= 2**64:
-            import numpy as np
-            firsts = _first_uniforms(np.arange(start, seeds.stop, dtype=np.uint64)).tolist()
+        if start >= 0 and seeds.stop <= 2**64:
+            firsts = _first_uniforms(start, len(seeds))
         yield list(map(RngStream, seeds, firsts))
 
 
-def _first_uniform(seed: int) -> float:
-    """``np.random.default_rng(seed).random()`` for one seed >= 0, bit for bit.
+def _first_uniforms(start: int, count: int) -> list[float]:
+    """``np.random.default_rng(s).random()`` for s = start, ..., start +
+    count - 1, all in [0, 2**64), bit for bit: one ``_seeded`` batch, a seed
+    to a lane, each seed two 32-bit words."""
+    offsets, ones, mask, *_ = _lane_consts(count, 4)
+    seeds = start * ones + offsets
+    return _uniforms(_seeded([seeds & mask, seeds >> 32 & mask], count)[0], count)
 
-    The steps of ``_first_uniforms`` in Python integers, for a seed of any
-    number of 32-bit words. As in numpy's ``SeedSequence``, the words past a
-    pool's fourth are mixed into every pool word after the pool's own mixing.
-    """
-    seed = operator.index(seed)
+
+def _first_uniform(seed: int) -> float:
+    """``np.random.default_rng(seed).random()`` for one seed >= 0 of any
+    size, bit for bit: a ``_seeded`` batch of one lane."""
+    return _uniforms(_seeded(_words(seed), 1)[0], 1)[0]
+
+
+def _words(seed: int) -> list[int]:
+    """A seed's 32-bit words, least significant first, as ``SeedSequence`` takes them."""
+    seed = _integer("seed", seed)
     if seed < 0:
         raise ValueError("expected non-negative integer")
-    words = [seed >> shift & _M32 for shift in range(0, seed.bit_length() or 1, 32)]
+    return [seed >> shift & _M32 for shift in range(0, seed.bit_length() or 1, 32)]
+
+
+@functools.lru_cache(maxsize=8)
+def _lane_consts(lanes: int, words: int) -> tuple:
+    """The constants of a ``_seeded`` batch of seeds of ``words`` >= 4 words.
+
+    Lane i of an int is its bits 64i to 64i + 63, or 256i to 256i + 255 for
+    a wide lane. In that layout: 0, 1, ..., lanes - 1 (the seeds' offsets),
+    1 and 2**32 - 1 in every lane; the 4 * words (xor, multiplier) pairs of
+    the pool's hashes and the 8 of the output's, each xor in every lane;
+    then 2**128 - 1 and c in every wide lane.
+    """
+    ones = (2 ** (64 * lanes) - 1) // _M64
+    wide_ones = (2 ** (256 * lanes) - 1) // (2**256 - 1)
+    offsets = int.from_bytes(struct.pack(f"<{lanes}Q", *range(lanes)), "little")
+    pool, out = (tuple((xor * ones, mul) for xor, mul in _hash_consts(*seq))
+                 for seq in ((_SEQ_INIT_A, _SEQ_MULT_A, 4 * words), (_SEQ_INIT_B, _SEQ_MULT_B, 8)))
+    return offsets, ones, _M32 * ones, pool, out, _M128 * wide_ones, _PCG_C * wide_ones
+
+
+def _seeded(words: list[int], lanes: int) -> tuple[int, int]:
+    """PCG64's state after the first draw, and its stream, of
+    ``np.random.default_rng(s)`` for the seed s in each lane, bit for bit.
+
+    words[k] holds word k of every lane's seed, in 64-bit lanes. As numpy's
+    ``SeedSequence`` documentation and O'Neill's "PCG: A Family of Simple
+    Fast Space-Efficient Statistically Good Algorithms for Random Number
+    Generation" (2014) describe: hash the first four words (zeros past the
+    seed's own) into a pool, mix every pool word into every other and each
+    word past the fourth into every pool word, a hash per mix, and hash
+    eight words out: PCG64's 128-bit state seed s0 and stream i0. Seeding
+    steps the LCG twice and the draw once, to s0*M**2 + (2*i0 + 1)*c mod
+    2**128 with c = M**2 + M + 1. Returns that state plus up to twice
+    2**128, and i0, each in a wide lane: SIMD within a register, as Fisher
+    and Dietz (LCPC 1998) call it, where no lane's product reaches the next.
+    """
     n = max(len(words), 4)
-    # 4 hashes fill the pool; then each pool word is mixed into every other
-    # and each word past the fourth into every pool word, a hash per mix
-    consts = _hash_consts(_SEQ_INIT_A, _SEQ_MULT_A, 4 * n)
-    pool = [_hash(v, *c) for v, c in zip((words + [0, 0, 0])[:4], consts)] + words[4:]
+    _, _, mask, pool_consts, out_consts, mask128, c = _lane_consts(lanes, n)
+    pool = [_hash(v, *k, mask) for v, k in zip((words + [0, 0, 0])[:4], pool_consts)] + words[4:]
     mixes = itertools.chain(_MIX_ORDER, itertools.product(range(4, n), range(4)))
-    for (src, dst), c in zip(mixes, consts[4:]):
-        v = _SEQ_MIX_L * pool[dst] - _SEQ_MIX_R * _hash(pool[src], *c) & _M32
-        pool[dst] = v ^ v >> 16
-    consts = _hash_consts(_SEQ_INIT_B, _SEQ_MULT_B, 8)
-    w = [_hash(pool[k % 4], *c) for k, c in enumerate(consts)]
+    for (src, dst), k in zip(mixes, pool_consts[4:]):
+        # L*x - R*h mod 2**32, as a sum that borrows from no lane above
+        v = ((_SEQ_MIX_L * pool[dst] & mask) + (2**32 - _SEQ_MIX_R) * _hash(pool[src], *k, mask)
+             & mask)
+        pool[dst] = (v ^ v >> 16) & mask
+    w = [_hash(pool[j % 4], *k, mask) for j, k in enumerate(out_consts)]
     # uint64 j is words 2j (low half) and 2j + 1; s0 is uint64s 0 (high) and 1, i0 2 and 3
-    s0 = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
-    i0 = w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]
-    hi, lo = divmod((s0 * _PCG_MULT2 + (2 * i0 + 1) * _PCG_C) % 2**128, 2**64)
-    x, rot = hi ^ lo, hi >> 58
-    x = (x >> rot | x << (64 - rot)) & _M64
-    return (x >> 11) * 2.0**-53
+    s0 = _widen(w[2] | w[3] << 32, w[0] | w[1] << 32, lanes)
+    i0 = _widen(w[6] | w[7] << 32, w[4] | w[5] << 32, lanes)
+    return (s0 * _PCG_MULT2 & mask128) + (i0 * _PCG_2C & mask128) + c, i0
 
 
 @functools.cache
@@ -198,68 +251,35 @@ def _hash_consts(init: int, mult: int, n: int) -> tuple[tuple[int, int], ...]:
     return tuple(zip(steps, steps[1:]))
 
 
-def _hash(v, xor, mul):
-    """One SeedSequence hash of uint32 words, in numpy or Python integers:
-    xor, multiply, xorshift."""
-    v = (v ^ xor) * mul & _M32
-    return v ^ v >> 16
+def _hash(v: int, xor: int, mul: int, mask: int) -> int:
+    """One SeedSequence hash of the uint32 word in each lane of v: xor,
+    multiply, xorshift. mask holds 2**32 - 1 in every lane: it keeps the
+    product's low word, then drops what the shift brought down from the
+    lane above."""
+    v = (v ^ xor) * mul & mask
+    return (v ^ v >> 16) & mask
 
 
-def _mul128(hi, lo, c_hi, c_lo):
-    """(hi, lo) * (c_hi, c_lo) mod 2**128, on 64-bit limbs."""
-    lo0, lo1, c0, c1 = lo & _M32, lo >> 32, c_lo & _M32, c_lo >> 32
-    mid0, mid1 = lo1 * c0, lo0 * c1
-    carry = ((lo0 * c0 >> 32) + (mid0 & _M32) + (mid1 & _M32)) >> 32
-    return lo1 * c1 + (mid0 >> 32) + (mid1 >> 32) + carry + lo * c_hi + hi * c_lo, lo * c_lo
+def _widen(lo: int, hi: int, lanes: int) -> int:
+    """hi * 2**64 + lo in each wide lane, from lo and hi in 64-bit lanes."""
+    wide = bytearray(32 * lanes)
+    words = memoryview(wide).cast("Q")  # copied whole, so the host's byte order does not matter
+    words[0::4] = memoryview(lo.to_bytes(8 * lanes, "little")).cast("Q")
+    words[1::4] = memoryview(hi.to_bytes(8 * lanes, "little")).cast("Q")
+    return int.from_bytes(wide, "little")
 
 
-@functools.cache
-def _seed_tables() -> tuple:
-    """Constant arrays of ``_first_uniforms``, built on its first call."""
-    import numpy as np
-    # 17 constants: the unused diagonal of k below reaches 16
-    a_xor, a_mul = np.array(_hash_consts(_SEQ_INIT_A, _SEQ_MULT_A, 17), np.uint32).T[:, :, None]
-    b_xor, b_mul = np.array(_hash_consts(_SEQ_INIT_B, _SEQ_MULT_B, 8), np.uint32).T.reshape(
-        2, 2, 4, 1)
-    src, dst = np.ogrid[:4, :4]
-    k = 4 + 3 * src + dst - (dst > src)  # hash call mixing word src into dst; diagonal unused
-    mul = np.array([divmod(_PCG_MULT2, 2**64), divmod(2 * _PCG_C % 2**128, 2**64)],
-                   np.uint64).T[:, :, None]
-    return (a_xor[:4], a_mul[:4], a_xor[k], a_mul[k], b_xor, b_mul, mul, divmod(_PCG_C, 2**64))
+def _uniforms(states: int, lanes: int) -> list[float]:
+    """The variate of the state in each wide lane, read mod 2**128."""
+    words = struct.unpack(f"<{4 * lanes}Q", states.to_bytes(32 * lanes, "little"))
+    return list(map(_output, words[1::4], words[0::4]))
 
 
-def _first_uniforms(seeds: np.ndarray) -> np.ndarray:
-    """``np.random.default_rng(s).random()`` for each seed 0 <= s < 2**64, bit for bit.
-
-    As numpy's ``SeedSequence`` documentation and O'Neill's "PCG: A Family
-    of Simple Fast Space-Efficient Statistically Good Algorithms for Random
-    Number Generation" (2014) describe: hash the low and high 32-bit words
-    of s and two zeros into a pool of four uint32 words (a seed below 2**32
-    is one word, which the hash pads with the same zeros), mix every word
-    into every other, and hash eight words out: PCG64's 128-bit state seed
-    s0 and stream i0. Seeding steps the LCG twice and the draw once, to
-    s0*M**2 + (2*i0 + 1)*c mod 2**128 with c = M**2 + M + 1; the XSL-RR
-    output x gives ``(x >> 11) * 2**-53``.
-    """
-    import numpy as np
-    in_xor, in_mul, mix_xor, mix_mul, out_xor, out_mul, mul, (c_hi, c_lo) = _seed_tables()
-    entropy = np.zeros((4, len(seeds)), np.uint32)
-    entropy[0], entropy[1] = seeds & _M32, seeds >> 32
-    pool = _hash(entropy, in_xor, in_mul)
-    for src in range(4):
-        mixed = _SEQ_MIX_L * pool - _SEQ_MIX_R * _hash(pool[src], mix_xor[src], mix_mul[src])
-        mixed ^= mixed >> 16
-        mixed[src] = pool[src]  # a word does not mix into itself
-        pool = mixed
-    words = _hash(pool, out_xor, out_mul).astype(np.uint64)  # row 0 makes s0, row 1 i0
-    # s0 * M**2 and i0 * 2c as (hi, lo) halves, then their sum plus c, with carries
-    hi, lo = _mul128(words[:, 0] | words[:, 1] << 32, words[:, 2] | words[:, 3] << 32, *mul)
-    lo_sum = lo[0] + lo[1]
-    state_lo = lo_sum + c_lo
-    state_hi = hi[0] + hi[1] + c_hi + (lo_sum < lo[0]) + (state_lo < lo_sum)
-    x, rot = state_hi ^ state_lo, state_hi >> 58
-    x = x >> rot | x << ((64 - rot) & 63)
-    return (x >> 11).astype(np.float64) * 2.0**-53
+def _output(hi: int, lo: int) -> float:
+    """``random()`` of PCG64 at state hi * 2**64 + lo: the XSL-RR output x,
+    hi ^ lo rotated right by hi >> 58, as ``(x >> 11) * 2**-53``. Those 53
+    bits are bits r + 11 .. r + 63 of x * (2**64 + 1), for a rotation by r."""
+    return ((hi ^ lo) * (2**64 + 1) >> (hi >> 58) + 11 & 2**53 - 1) * 2.0**-53
 
 
 def run_trials(branches: list[tuple], seed: int, trials: int) -> tuple[list[int], float]:
@@ -275,9 +295,11 @@ def run_trials(branches: list[tuple], seed: int, trials: int) -> tuple[list[int]
     Returns each row's count and the drawn records' fidelities summed in
     trial order, so every row's record must carry a ``fidelity``. A trial
     takes one ``RngStream.uniform`` call and one bisection of the running
-    sums. A negative trial count is refused before any draw; 0 trials is
-    the empty run.
+    sums. A seed or trial count that ``operator.index`` does not take is a
+    TypeError, and a negative trial count a ValueError, each before any
+    draw; 0 trials is the empty run.
     """
+    seed, trials = _integer("seed", seed), _integer("trials", trials)
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials!r}")
     ps = [p for _, p, _ in branches]
@@ -304,6 +326,14 @@ def run_trials(branches: list[tuple], seed: int, trials: int) -> tuple[list[int]
             fidelity += fidelities[row]
     counts[likeliest] += counts.pop()
     return counts, fidelity
+
+
+def _integer(name: str, value) -> int:
+    """value as ``operator.index`` takes it, else a TypeError naming the parameter."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 class TeleportRecord(_Value):
@@ -348,8 +378,12 @@ def correction_for(outcome: BellLabel, channel: HesLabel) -> Correction:
 
     Matching family and sign need no correction; a sign mismatch within the
     family is a parity phase flip; crossing families costs a parity flip,
-    with s_y absorbing the extra sign.
+    with s_y absorbing the extra sign. The outcome must be a ``BellLabel``
+    and the channel a ``HesLabel``, else a TypeError.
     """
+    if not (isinstance(outcome, BellLabel) and isinstance(channel, HesLabel)):
+        raise TypeError(f"expected a BellLabel outcome and a HesLabel channel, "
+                        f"got {outcome!r} and {channel!r}")
     same_sign = outcome.sign == channel.sign
     if outcome.is_phi == channel.is_phi:
         return Correction.IDENTITY if same_sign else Correction.S_Z
@@ -387,19 +421,21 @@ def _measure_bell(state, factors, enc_a, enc_b):
     cat basis. The measured parties must carry the basis's encodings, which
     decides their kinds too, so the probabilities sum to 1 up to rounding;
     ``fock._cut`` lays the coefficients out over them. A Bell pair's coefficients
-    are real, so they are their own conjugates in the projection.
+    are real, so they are their own conjugates in the projection. Two
+    factors must be named, and at least one left, else a ValueError.
     """
-    i, j = factors
     rest = _rest(state.space, factors)
-    if not rest:
-        raise ValueError(f"cannot Bell-measure factors {factors} of {state.space.describe()}")
+    if not 0 < len(rest) == state.space.nfactors - 2:
+        raise ValueError(f"cannot Bell-measure factors {factors} of {state.space.describe()}: "
+                         f"a Bell measurement takes two factors and leaves at least one")
+    i, j = factors
     if (state.encodings[i], state.encodings[j]) != (enc_a, enc_b):
         raise ValueError(f"factors {factors} of {state.space.describe()} are not "
                          f"encoded in the measured basis")
     encodings = tuple(state.encodings[k] for k in rest)
     # the measured parties' four values index the rows, the rest's the columns
     columns = list(zip(*_cut(state, factors)))
-    labels = SpinBellLabel if enc_a.space.kind(0) is FactorKind.QUBIT else ParityBellLabel
+    labels = _family(enc_a, enc_b)
     return [_branch(label, [sum(map(operator.mul, row, col)) for col in columns], encodings)
             for label, row in zip(labels, map(_bell_coeffs, labels))]
 

@@ -10,6 +10,9 @@ scan over the table instead of a search over its precomputed sums.
 ``looped_trials`` is the Monte-Carlo loop the CLI ran before
 ``run_trials``: one ``sampler`` pick per stream of ``trial_streams``,
 tallied a trial at a time; ``draw`` is one such pick.
+``numpy_first_uniforms`` is the numpy batch through which ``run_trials``
+took its blocks' first variates before it packed each seed into a lane of
+a Python integer.
 
 The numpy routes the package took before its coefficients became Python
 tuples live here too: ``numpy_correlation_matrix`` (matrix products of
@@ -89,7 +92,19 @@ from hesim import (
     spin_bell_state,
 )
 from hesim.fock import _NORM_TOL, _combined_residual, _rest
-from hesim.protocols import _stream_blocks
+from hesim.protocols import (
+    _M32,
+    _PCG_C,
+    _PCG_MULT2,
+    _SEQ_INIT_A,
+    _SEQ_INIT_B,
+    _SEQ_MIX_L,
+    _SEQ_MIX_R,
+    _SEQ_MULT_A,
+    _SEQ_MULT_B,
+    _hash_consts,
+    _stream_blocks,
+)
 from hesim.pseudospin import PAULI_X, PAULI_Y, PAULI_Z, Direction
 
 # the Pauli matrices as arrays, x, y, z
@@ -529,6 +544,66 @@ def looped_trials(branches, seed, trials):
         counts[rows[id(branch)]] += 1
         fidelity += branch[2].fidelity
     return counts, fidelity
+
+
+def _numpy_hash(v, xor, mul):
+    """One SeedSequence hash of uint32 words in numpy: xor, multiply, xorshift."""
+    v = (v ^ xor) * mul & _M32
+    return v ^ v >> 16
+
+
+def _mul128(hi, lo, c_hi, c_lo):
+    """(hi, lo) * (c_hi, c_lo) mod 2**128, on 64-bit limbs."""
+    lo0, lo1, c0, c1 = lo & _M32, lo >> 32, c_lo & _M32, c_lo >> 32
+    mid0, mid1 = lo1 * c0, lo0 * c1
+    carry = ((lo0 * c0 >> 32) + (mid0 & _M32) + (mid1 & _M32)) >> 32
+    return lo1 * c1 + (mid0 >> 32) + (mid1 >> 32) + carry + lo * c_hi + hi * c_lo, lo * c_lo
+
+
+@functools.cache
+def _seed_tables() -> tuple:
+    """Constant arrays of ``numpy_first_uniforms``, built on its first call."""
+    # 17 constants: the unused diagonal of k below reaches 16
+    a_xor, a_mul = np.array(_hash_consts(_SEQ_INIT_A, _SEQ_MULT_A, 17), np.uint32).T[:, :, None]
+    b_xor, b_mul = np.array(_hash_consts(_SEQ_INIT_B, _SEQ_MULT_B, 8), np.uint32).T.reshape(
+        2, 2, 4, 1)
+    src, dst = np.ogrid[:4, :4]
+    k = 4 + 3 * src + dst - (dst > src)  # hash call mixing word src into dst; diagonal unused
+    mul = np.array([divmod(_PCG_MULT2, 2**64), divmod(2 * _PCG_C % 2**128, 2**64)],
+                   np.uint64).T[:, :, None]
+    return (a_xor[:4], a_mul[:4], a_xor[k], a_mul[k], b_xor, b_mul, mul, divmod(_PCG_C, 2**64))
+
+
+def numpy_first_uniforms(seeds: np.ndarray) -> np.ndarray:
+    """``np.random.default_rng(s).random()`` for each seed 0 <= s < 2**64, in
+    one numpy batch over a uint64 array: the route ``run_trials`` took to
+    its blocks' first variates before it packed each seed into a lane of a
+    Python integer.
+
+    Hash the low and high 32-bit words of s and two zeros into a pool of
+    four uint32 words, mix every word into every other, and hash eight
+    words out: PCG64's 128-bit state seed s0 and stream i0. Seeding steps
+    the LCG twice and the draw once, to s0*M**2 + (2*i0 + 1)*c mod 2**128
+    with c = M**2 + M + 1, here on 64-bit limbs with their carries.
+    """
+    in_xor, in_mul, mix_xor, mix_mul, out_xor, out_mul, mul, (c_hi, c_lo) = _seed_tables()
+    entropy = np.zeros((4, len(seeds)), np.uint32)
+    entropy[0], entropy[1] = seeds & _M32, seeds >> 32
+    pool = _numpy_hash(entropy, in_xor, in_mul)
+    for src in range(4):
+        mixed = _SEQ_MIX_L * pool - _SEQ_MIX_R * _numpy_hash(pool[src], mix_xor[src], mix_mul[src])
+        mixed ^= mixed >> 16
+        mixed[src] = pool[src]  # a word does not mix into itself
+        pool = mixed
+    words = _numpy_hash(pool, out_xor, out_mul).astype(np.uint64)  # row 0 makes s0, row 1 i0
+    # s0 * M**2 and i0 * 2c as (hi, lo) halves, then their sum plus c, with carries
+    hi, lo = _mul128(words[:, 0] | words[:, 1] << 32, words[:, 2] | words[:, 3] << 32, *mul)
+    lo_sum = lo[0] + lo[1]
+    state_lo = lo_sum + c_lo
+    state_hi = hi[0] + hi[1] + c_hi + (lo_sum < lo[0]) + (state_lo < lo_sum)
+    x, rot = state_hi ^ state_lo, state_hi >> 58
+    x = x >> rot | x << ((64 - rot) & 63)
+    return (x >> 11).astype(np.float64) * 2.0**-53
 
 
 def dense_schmidt(state, side_a) -> list[float]:

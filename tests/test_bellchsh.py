@@ -362,7 +362,7 @@ class TestOptimizeChsh:
         for state, kk in (
             (bell_pair(HesLabel.PHI_PLUS, cat, qubit), cat.k),
             (bell_pair(ParityBellLabel.PSI_MINUS, cat, cat), cat.k * cat.k),
-            (bell_pair(HesLabel.PHI_PLUS, qubit, qubit), 1.0),
+            (bell_pair(SpinBellLabel.PHI_PLUS, qubit, qubit), 1.0),
         ):
             assert abs(optimize_chsh(state).value - 2.0 * math.sqrt(1.0 + kk * kk)) <= 1e-14
         for state, parties in ((qubit.state(1.0, 0.0), 1),

@@ -3,7 +3,8 @@
 Three steps of ``.github/workflows/tier1.yml`` feed the run's summary from
 an inline ``python - >> "$GITHUB_STEP_SUMMARY" <<'EOF'`` script: the code
 lines and tolerance constants, the public names and the CLI, and the
-import time of ``hesim.cli``, from bytecode and compiled from source. Each
+import time of ``hesim.cli``, from bytecode and compiled from source, with
+the time of two 100-trial Monte-Carlo commands, none loading numpy. Each
 is read off the workflow as plain text (no YAML parser is installed in CI),
 run from the repository root with ``PYTHONPATH=src``, and its summary lines
 are checked for their shape. The tier-1 step's shell script is read off the
@@ -35,7 +36,11 @@ SHAPES = {
     "import time": [r"import hesim\.cli: \d+\.\d ms, best of 5 fresh interpreters; "
                     r"numpy loaded: False; dataclasses loaded: False; inspect loaded: False",
                     r"import hesim\.cli compiled from source: \d+\.\d ms, best of 5 fresh "
-                    r"interpreters with -B and no hesim bytecode"],
+                    r"interpreters with -B and no hesim bytecode",
+                    r"hesim teleport spin --alpha 0\.6 --beta 0\.8 --z 1 --trials 100: \d+\.\d ms, "
+                    r"best of 5 fresh interpreters; numpy loaded: False",
+                    r"hesim swap --z 1 --zprime 1\.2 --trials 100: \d+\.\d ms, best of 5 fresh "
+                    r"interpreters; numpy loaded: False"],
 }
 
 

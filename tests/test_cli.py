@@ -628,8 +628,8 @@ class TestDrawsInsideTheRun:
 
 
 class TestGeneratorsBuilt:
-    """A run that draws once a trial builds no generator, on either path of
-    ``run_trials``'s streams: batched, or each first variate from its seed alone."""
+    """A run that draws once a trial builds no generator, whatever its
+    length and wherever its seeds lie."""
 
     @pytest.mark.parametrize(
         "command",
@@ -644,13 +644,12 @@ class TestGeneratorsBuilt:
         [
             (100, 0),
             (2, 0),
-            (hesim.protocols._BATCH_MIN_TRIALS - 1, 5),
-            (hesim.protocols._BATCH_MIN_TRIALS, 5),
+            (4, 5),
+            (5, 5),
             (100, 2**32 - 100),
             (300, 2**32 - 100),
         ],
-        ids=["batched", "two", "below_threshold", "at_threshold", "ends_at_2_32",
-             "straddles_2_32"],
+        ids=["hundred", "two", "four", "five", "ends_at_2_32", "straddles_2_32"],
     )
     def test_generators_built(self, command, trials, seed, monkeypatch, tmp_path):
         calls = []
@@ -667,12 +666,10 @@ class TestGeneratorsBuilt:
 
 
 class TestNumpyRandomNotImported:
-    """A fresh interpreter runs Monte-Carlo commands of either path without
-    importing numpy.random: each trial's one variate comes from its seed.
-    numpy itself loads only for the kernels that need it: kz's dense check,
-    the seed batch of a run of _BATCH_MIN_TRIALS trials or more, and a
-    stream's second draw. No command loads dataclasses or what it imports,
-    nor csv: kz joins its CSV rows itself."""
+    """A fresh interpreter runs Monte-Carlo commands of any length without
+    importing numpy: each trial's one variate comes from its seed, in Python
+    integers. numpy loads only for kz's dense check. No command loads
+    dataclasses or what it imports, nor csv: kz joins its CSV rows itself."""
 
     def test_commands_off_the_numpy_kernels_never_load_numpy(self):
         commands = [
@@ -688,11 +685,12 @@ class TestNumpyRandomNotImported:
             ["teleport", "parity", "--alpha", "0.6", "--beta", "0.8j", "--z", "1",
              "--zpp", "0.7", "--trials", "4"],
             ["swap", "--z", "1", "--zprime", "0.5", "--trials", "2"],
+            ["teleport", "spin", "--alpha", "0.6", "--beta", "0.8", "--z", "1", "--trials", "100"],
+            ["swap", "--z", "1", "--zprime", "1.2", "--trials", "100"],
         ]
         # nor the dataclasses machinery and what it imports, nor csv
         unused = ["numpy", "dataclasses", "inspect", "ast", "dis", "tokenize", "csv"]
         commands.append(["kz", "--zmin", "1", "--zmax", "1", "--steps", "1"])
-        assert hesim.protocols._BATCH_MIN_TRIALS > 4
         script = (
             "import contextlib, os, sys\n"
             "import hesim.cli\n"
@@ -712,7 +710,7 @@ class TestNumpyRandomNotImported:
                               capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 0, proc.stderr
         *lines, kz = proc.stdout.splitlines()
-        assert lines == ["", "0", "1"] + ["0"] * 9
+        assert lines == ["", "0", "1"] + ["0"] * 11
         code, *loaded = kz.split()  # kz's dense check loads numpy, and numpy what it needs
         assert code == "0" and "numpy" in loaded and "csv" not in loaded
 
@@ -735,12 +733,12 @@ class TestNumpyRandomNotImported:
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "True False\n"
+        assert proc.stdout == "False False\n"
 
 
 class TestOneDrawPerTrial:
-    """Trial i draws one uniform from RngStream(seed + i), on either path of
-    ``run_trials``'s streams: the invariant a traced perfbench run checks, counted on
+    """Trial i draws one uniform from RngStream(seed + i), whatever the run's
+    length and wherever its seeds lie: the invariant a traced perfbench run checks, counted on
     ``RngStream.uniform`` as perfbench does."""
 
     @pytest.mark.parametrize(
@@ -755,9 +753,8 @@ class TestOneDrawPerTrial:
     )
     @pytest.mark.parametrize(
         "trials,seed",
-        [(1, 0), (hesim.protocols._BATCH_MIN_TRIALS - 1, 3),
-         (hesim.protocols._BATCH_MIN_TRIALS, 3), (100, 0), (300, 2**32 - 100)],
-        ids=["one", "below_batch", "at_batch", "hundred", "straddles_2_32"],
+        [(1, 0), (4, 3), (5, 3), (100, 0), (300, 2**32 - 100)],
+        ids=["one", "four", "five", "hundred", "straddles_2_32"],
     )
     def test_one_draw_per_trial(self, command, trials, seed, monkeypatch, tmp_path):
         drawn = []

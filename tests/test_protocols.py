@@ -42,7 +42,6 @@ from hesim import (
 import hesim.protocols
 from hesim.protocols import (
     _BATCH_BLOCK,
-    _BATCH_MIN_TRIALS,
     _branch,
     _first_uniform,
     _first_uniforms,
@@ -62,6 +61,7 @@ from oracles import (
     kron,
     linear_scan_draw,
     looped_trials,
+    numpy_first_uniforms,
     qubit_state,
     swap_expansion,
     trial_streams,
@@ -185,6 +185,33 @@ class TestBellBases:
         assert np.array_equal(st.coeffs, expected)
         assert np.array_equal(dense(st).amps.view(np.uint64), kron_sum.view(np.uint64))
 
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_bell_pair_refuses_a_label_of_another_family_or_a_string(self, family):
+        # each pair of kinds takes its own family's labels, in either order
+        labels, encodings = FAMILIES[family]
+        enc_a, enc_b = encodings()
+        kinds = f"{enc_a.space.kind(0).value} and a {enc_b.space.kind(0).value}"
+        for label in [*SpinBellLabel, *HesLabel, *ParityBellLabel, "phi+", None]:
+            if isinstance(label, labels):
+                assert bell_pair(label, enc_a, enc_b).encodings == (enc_a, enc_b)
+                assert bell_pair(label, enc_b, enc_a).encodings == (enc_b, enc_a)
+                continue
+            message = f"a Bell pair over a {kinds} takes a {labels.__name__}, got {label!r}"
+            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+                bell_pair(label, enc_a, enc_b)
+
+    def test_the_builders_refuse_a_label_of_another_family_or_a_string(self):
+        dim = mode_dim_for(1.0)
+        for build in (lambda: hes_state("phi+", 1.0, dim),
+                      lambda: hes_state(SpinBellLabel.PHI_PLUS, 1.0, dim),
+                      lambda: spin_bell_state(HesLabel.PHI_PLUS),
+                      lambda: spin_bell_state("Phi+"),
+                      lambda: parity_bell_state(HesLabel.PSI_MINUS, 1.0, 0.5, dim),
+                      lambda: teleport_spin(0.6, 0.8, "phi+", 1.0, dim),
+                      lambda: teleport_parity(0.6, 0.8, 1.0, ParityBellLabel.PHI_PLUS, 1.0, dim)):
+            with pytest.raises(TypeError, match=r"^a Bell pair over a \w+ and a \w+ takes a "):
+                build()
+
     def test_bell_pair_residual_combines_encoding_means(self):
         # cutoffs two levels short of the adaptive ones, where each residual is
         # large enough for the product term a*b to move the sum
@@ -269,6 +296,18 @@ class TestCorrections:
         assert correction_for(ParityBellLabel.PHI_MINUS, chan) is Correction.S_X
         assert correction_for(ParityBellLabel.PHI_PLUS, chan) is Correction.S_Y
 
+    @pytest.mark.parametrize("outcome, channel", [
+        ("Phi+", HesLabel.PHI_PLUS), (SpinBellLabel.PHI_PLUS, "phi+"),
+        (SpinBellLabel.PHI_PLUS, SpinBellLabel.PHI_PLUS),
+        (SpinBellLabel.PSI_MINUS, ParityBellLabel.PSI_MINUS),
+    ], ids=["string_outcome", "string_channel", "spin_channel", "parity_channel"])
+    def test_refuses_an_outcome_that_is_no_bell_label_or_a_channel_that_is_no_hes_label(
+            self, outcome, channel):
+        with pytest.raises(TypeError, match=re.escape(
+                f"expected a BellLabel outcome and a HesLabel channel, got {outcome!r} and "
+                f"{channel!r}")):
+            correction_for(outcome, channel)
+
 
 class TestSpinBellMeasurement:
     def test_uniform_outcomes_on_teleport_input(self, rng):
@@ -323,6 +362,25 @@ class TestSpinBellMeasurement:
             expected = 0.5 if label.is_phi else 5e-321
             assert p == pytest.approx(expected, rel=1e-2)
             assert np.allclose(np.abs(collapsed.coeffs), [0, 1], atol=1e-12)
+
+    @pytest.mark.parametrize("factors", [(0,), (0, 2, 1), [2], ()], ids=str)
+    def test_refuses_any_count_of_factors_but_two(self, factors):
+        st = tensor(QUBIT.state(0.6, 0.8), hes_state(HesLabel.PHI_PLUS, 1.0, mode_dim_for(1.0)))
+        with pytest.raises(ValueError, match=re.escape(
+                f"cannot Bell-measure factors {factors} of qubit⊗qubit⊗mode(")):
+            measure_spin_bell(st, factors)
+
+    def test_refuses_to_measure_every_factor(self):
+        with pytest.raises(ValueError, match=r"^cannot Bell-measure factors \(0, 1\) of "
+                                             r"qubit⊗qubit: .* leaves at least one$"):
+            measure_spin_bell(spin_bell_state(SpinBellLabel.PHI_PLUS), (0, 1))
+
+    @pytest.mark.parametrize("factors", [0, None, 1.0], ids=str)
+    def test_refuses_factors_that_are_no_sequence(self, factors):
+        st = tensor(QUBIT.state(0.6, 0.8), hes_state(HesLabel.PHI_PLUS, 1.0, mode_dim_for(1.0)))
+        with pytest.raises(TypeError, match=re.escape(
+                f"factor indices must be a sequence of integers, got {factors!r}")):
+            measure_spin_bell(st, factors)
 
     def test_rejects_non_qubit_factors(self):
         # a mode carries a cat encoding, not the qubit basis; that check decides kinds
@@ -661,41 +719,50 @@ class TestRngStream:
         a, b = RngStream(9), RngStream(9)
         assert [a.uniform() for _ in range(10)] == [b.uniform() for _ in range(10)]
 
-    @pytest.mark.parametrize("seed", [0, 9, 2**32 - 1, 2**32, 10**50])
+    @pytest.mark.parametrize("seed", [0, 9, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 10**50])
     def test_unbatched_stream_continues_default_rng(self, seed):
         rng, reference = RngStream(seed), np.random.default_rng(seed)
-        assert [rng.uniform() for _ in range(3)] == [reference.random() for _ in range(3)]
+        assert [rng.uniform() for _ in range(6)] == [reference.random() for _ in range(6)]
+
+    def test_a_later_draw_builds_no_generator(self, monkeypatch):
+        # every draw steps PCG64 in Python integers
+        reference = np.random.default_rng(2**40 + 3)
+        expected = [reference.random() for _ in range(3)]
+        monkeypatch.setattr(np.random, "default_rng", lambda *a, **k: pytest.fail("built one"))
+        rng = RngStream(2**40 + 3)
+        assert [rng.uniform() for _ in range(3)] == expected
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             RngStream(-1)
 
 
-def _default_rng_firsts(seeds) -> np.ndarray:
-    return np.array([np.random.default_rng(int(s)).random() for s in seeds])
+def _default_rng_firsts(seeds) -> list[float]:
+    return [np.random.default_rng(int(s)).random() for s in seeds]
 
 
 class TestFirstUniforms:
-    """The batch for seeds below 2**64, and the scalar path for any seed."""
+    """The lane-packed batch for seeds below 2**64, the batch of one lane for
+    any seed, and the numpy batch they replaced: each is default_rng's."""
 
     @pytest.mark.parametrize(
-        "seeds",
+        "start, count",
         [
-            np.arange(20_000),
-            np.arange(2**32 - 2000, 2**32),
-            np.random.default_rng(8).integers(0, 2**32, 300),
+            (0, 20_000),
+            (2**32 - 2000, 2000),
             # whole blocks of two-word seeds: across 2**32, from it, up to the last below 2**64
-            *(np.arange(start, start + _BATCH_BLOCK, dtype=np.uint64)
-              for start in (2**32 - 3000, 2**32, 2**40 + 5, 2**63, 2**64 - _BATCH_BLOCK)),
+            *((start, _BATCH_BLOCK) for start in
+              (2**32 - _BATCH_BLOCK // 2, 2**32, 2**40 + 5, 2**63, 2**64 - _BATCH_BLOCK)),
         ],
-        ids=["from_zero", "below_2_32", "random_32_bit", "across_2_32", "from_2_32",
-             "from_2_40", "from_2_63", "last_below_2_64"],
+        ids=["from_zero", "below_2_32", "across_2_32", "from_2_32", "from_2_40", "from_2_63",
+             "last_below_2_64"],
     )
-    def test_bit_identical_to_default_rng(self, seeds):
-        expected = _default_rng_firsts(seeds).view(np.uint64)
-        assert np.array_equal(_first_uniforms(seeds).view(np.uint64), expected)
-        scalar = np.array([_first_uniform(int(s)) for s in seeds])
-        assert np.array_equal(scalar.view(np.uint64), expected)
+    def test_bit_identical_to_default_rng(self, start, count):
+        expected = _default_rng_firsts(range(start, start + count))
+        assert _first_uniforms(start, count) == expected
+        seeds = np.arange(start, start + count, dtype=np.uint64)
+        assert numpy_first_uniforms(seeds).tolist() == expected
+        assert [_first_uniform(s) for s in range(start, start + count)] == expected
 
     # seeds of one, two, three, five and six 32-bit words: the last two mix
     # words past the pool's fourth
@@ -713,33 +780,65 @@ class TestFirstUniforms:
     @example(start=2**32 - 8, size=16)
     @example(start=2**64 - 16, size=16)
     def test_a_block_from_any_start_below_2_64_is_default_rngs(self, start, size):
+        expected = _default_rng_firsts(range(start, start + size))
+        assert _first_uniforms(start, size) == expected
         seeds = np.arange(start, start + size, dtype=np.uint64)
-        expected = _default_rng_firsts(seeds).view(np.uint64)
-        assert np.array_equal(_first_uniforms(seeds).view(np.uint64), expected)
+        assert numpy_first_uniforms(seeds).tolist() == expected
+
+
+def _run_seed(where: str, trials: int, offset: int) -> int:
+    """The first seed of a run of trials placed as where names."""
+    straddle = offset % max(trials - 1, 1)  # seeds on both sides when trials > 1
+    return {"from_zero": 0, "across_2_32": 2**32 - 1 - straddle, "to_2_64": 2**64 - trials,
+            "across_2_64": 2**64 - 1 - straddle, "past_2_64": 2**64 + offset,
+            "below_2_64": offset % (2**64 - trials)}[where]
 
 
 class TestTrialStreams:
-    @pytest.mark.parametrize("trials", [1, _BATCH_MIN_TRIALS - 1, _BATCH_MIN_TRIALS, 5000])
+    @pytest.mark.parametrize("trials", [1, 4, 5, 5000])
     def test_one_stream_per_trial_in_seed_order(self, trials):
         streams = list(trial_streams(7, trials))
         assert [rng.seed for rng in streams] == list(range(7, 7 + trials))
         firsts = _default_rng_firsts(range(7, 7 + trials))
-        assert [rng.uniform() for rng in streams] == firsts.tolist()
+        assert [rng.uniform() for rng in streams] == firsts
         assert all(rng.counter == 1 for rng in streams)
 
-    @pytest.mark.parametrize("seed", [0, 2**32 - _BATCH_MIN_TRIALS])
+    @pytest.mark.parametrize("seed", [0, 2**32 - 5])
     def test_batched_stream_continues_its_generator(self, seed):
-        rng = next(trial_streams(seed, _BATCH_MIN_TRIALS))
+        rng = next(trial_streams(seed, 5))
         assert rng.first is not None
         reference = np.random.default_rng(seed)
         assert [rng.uniform() for _ in range(3)] == [reference.random() for _ in range(3)]
         assert rng.counter == 3
 
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(trials=st.integers(1, _BATCH_BLOCK),
+           where=st.sampled_from(["from_zero", "across_2_32", "to_2_64", "across_2_64",
+                                  "past_2_64", "below_2_64"]),
+           offset=st.integers(0, 2**70))
+    @example(trials=_BATCH_BLOCK, where="from_zero", offset=0)
+    @example(trials=_BATCH_BLOCK, where="across_2_32", offset=_BATCH_BLOCK // 2)
+    @example(trials=_BATCH_BLOCK, where="to_2_64", offset=0)
+    @example(trials=_BATCH_BLOCK, where="past_2_64", offset=0)
+    @example(trials=1, where="to_2_64", offset=0)
+    def test_every_draw_of_a_block_is_default_rngs(self, trials, where, offset):
+        # a block of seeds below 2**64 is one batch, one that reaches 2**64
+        # is taken seed by seed; every first draw and every later one is
+        # default_rng's, bit for bit
+        seed = _run_seed(where, trials, offset)
+        streams = list(trial_streams(seed, trials))
+        references = [np.random.default_rng(seed + i) for i in range(trials)]
+        assert [rng.uniform() for rng in streams] == [gen.random() for gen in references]
+        for i in {0, trials // 2, trials - 1}:
+            assert ([streams[i].uniform() for _ in range(3)]
+                    == [references[i].random() for _ in range(3)])
+
     # (seed, trials, the seeds hashed one at a time): a run across 2**32 batches
-    # both its blocks, and one across 2**64 every block that ends below it
+    # every block, and one across 2**64 every block that ends below it
     @pytest.mark.parametrize("seed, trials, scalar", [
         (2**32 - 3000, 6000, range(0)),
-        (2**64 - 5000, 6000, range(2**64 - 5000 + _BATCH_BLOCK, 2**64 + 1000)),
+        (2**64 - 5000, 6000, range(2**64 - 5000 + 5000 // _BATCH_BLOCK * _BATCH_BLOCK,
+                                   2**64 + 1000)),
     ], ids=["straddles_2_32", "straddles_2_64"])
     def test_only_a_block_that_reaches_2_64_is_hashed_seed_by_seed(self, seed, trials, scalar,
                                                                   monkeypatch):
@@ -749,8 +848,7 @@ class TestTrialStreams:
         streams = list(trial_streams(seed, trials))
         assert hashed == list(scalar)
         assert [rng.seed for rng in streams] == list(range(seed, seed + trials))
-        expected = _default_rng_firsts(range(seed, seed + trials)).view(np.uint64)
-        assert np.array_equal(np.array([rng.first for rng in streams]).view(np.uint64), expected)
+        assert [rng.first for rng in streams] == _default_rng_firsts(range(seed, seed + trials))
 
     def test_a_long_run_is_generated_block_by_block(self):
         streams = trial_streams(0, 10**9)
@@ -851,12 +949,11 @@ class TestDraw:
         assert run_trials(short, 0, 1) == ([1, 0], 1.0)
 
     def test_one_variate_per_draw(self, monkeypatch):
-        # seed by seed, below the batch
         table, drawn = teleport_spin(0.6, 0.8, HesLabel.PHI_PLUS, 1.0, mode_dim_for(1.0)), []
         uniform = RngStream.uniform
         monkeypatch.setattr(RngStream, "uniform", lambda rng: drawn.append(rng.seed) or uniform(rng))
-        run_trials(table, 3, _BATCH_MIN_TRIALS - 1)
-        assert drawn == list(range(3, 3 + _BATCH_MIN_TRIALS - 1))
+        run_trials(table, 3, 4)
+        assert drawn == list(range(3, 3 + 4))
 
 
 def boundary_variates(table):
@@ -933,18 +1030,9 @@ class TestRowChoice:
         assert run_trials(table, 40, 300)[0] == scanned
 
 
-_CACHED_FIRST_UNIFORM = functools.cache(_first_uniform)
-
-
 class TestRunTrials:
     """``run_trials`` counts and sums what the oracle loop, one ``sampler``
     pick per stream of ``trial_streams``, draws, bit for bit."""
-
-    @pytest.fixture(autouse=True)
-    def _seeds_hashed_once(self, monkeypatch):
-        # the cases share their unbatched seeds; a cached _first_uniform hands
-        # each stream the same float without hashing its seed again
-        monkeypatch.setattr(hesim.protocols, "_first_uniform", _CACHED_FIRST_UNIFORM)
 
     @staticmethod
     def _table(name):
@@ -956,7 +1044,7 @@ class TestRunTrials:
                 for row, (k, p, _) in enumerate(TestRowChoice.TABLES[name])]
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 20, 2**40])
-    @pytest.mark.parametrize("trials", [1, _BATCH_MIN_TRIALS - 1, _BATCH_MIN_TRIALS, 15, 16, 17,
+    @pytest.mark.parametrize("trials", [1, 4, 5, 15, 16, 17,
                                         _BATCH_BLOCK, _BATCH_BLOCK + 1])
     @pytest.mark.parametrize("name", [*TestRowChoice.TABLES, *TestRowChoice.PROTOCOLS])
     def test_matches_the_loop_bit_for_bit(self, name, trials, seed):
@@ -1000,6 +1088,20 @@ class TestRunTrials:
             run_trials(table, 0, -5)
         assert run_trials(table, 0, 0) == ([0, 0, 0, 0], 0.0)
 
+    @pytest.mark.parametrize("seed, trials, name", [
+        (0.5, 3, "seed"), ("1", 3, "seed"), (0, 3.0, "trials"), (0, None, "trials"),
+    ])
+    def test_refuses_a_seed_or_trial_count_that_is_no_integer_before_drawing(
+            self, seed, trials, name, monkeypatch):
+        monkeypatch.setattr(RngStream, "uniform", lambda rng: pytest.fail("drew a variate"))
+        value = repr(seed if name == "seed" else trials)
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {re.escape(value)}$"):
+            run_trials(self._table("teleport_spin"), seed, trials)
+
+    def test_takes_any_integer_operator_index_takes(self):
+        table = self._table("swap")
+        assert run_trials(table, np.uint64(2**63), np.int8(5)) == run_trials(table, 2**63, 5)
+
     def test_checks_the_span_before_drawing(self):
         with pytest.raises(ValueError, match="outside the span"):
             run_trials([("a", 0.45, None), ("b", 0.45, None)], 0, 1)
@@ -1033,7 +1135,7 @@ class TestRunTrials:
 
     def test_a_run_of_three_blocks_stays_flat(self):
         table = self._table("teleport_spin")
-        run_trials(table, 0, _BATCH_MIN_TRIALS)  # the batch's constant tables
+        run_trials(table, 0, _BATCH_BLOCK)  # the lane constants of a whole block
         peaks = []
         for blocks in (2, 3):
             tracemalloc.start()
@@ -1043,7 +1145,7 @@ class TestRunTrials:
             finally:
                 tracemalloc.stop()
             assert sum(counts) == blocks * _BATCH_BLOCK
-        # one block's streams and variates take about 0.6 MB
+        # one block's streams, variates and lane integers take about 0.45 MB
         assert peaks[1] < peaks[0] + 2**16 and peaks[1] < 2 * 2**20
 
 
@@ -1184,7 +1286,7 @@ class TestWorkedOut:
     def test_a_swap_fidelity_is_the_swaps_own_overlap_bit_for_bit(self, z, zp):
         # the pair's conjugated coefficients against the modes', from 0j, in order
         for outcome, _, rec in swap_entanglement(z, zp, max(mode_dim_for(z), mode_dim_for(zp))):
-            pair = bell_pair(SWAP_PAIRING[outcome][0], QUBIT, QUBIT)
+            pair = bell_pair(SWAP_PAIRING[outcome][0], *rec.output_state.encodings)
             row = [c.conjugate() for c in pair.coeffs]
             overlap = sum((x * y for x, y in zip(row, rec.output_state.coeffs)), 0j)
             assert rec.fidelity.hex() == (abs(overlap) ** 2).hex()
