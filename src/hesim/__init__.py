@@ -7,7 +7,7 @@ the pseudospin parity algebra, CHSH Bell analysis with the k(z) closed form
 and the singular-value maximum over all settings of any two-party state
 (a hybrid pair, a spin pair or a cat pair), entanglement measures,
 and seeded teleportation / entanglement swapping protocols, plus a batch
-CLI (``hesim``).
+CLI (``hesim``). The package needs only the standard library.
 """
 
 from .bellchsh import (

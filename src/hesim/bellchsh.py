@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .fock import _NORM_TOL, BellLabel, HesLabel, LogicalState, _set, _svd, _Value
+from .fock import _NORM_TOL, BellLabel, HesLabel, LogicalState, _require, _set, _svd, _Value
 from .pseudospin import PAULI_X, PAULI_Y, PAULI_Z, Direction, k_series
 
 CIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -29,15 +29,15 @@ _PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
 class ChshSettings(_Value):
-    """The four measurement directions entering the Bell combination."""
+    """The four measurement directions entering the Bell combination; a
+    setting that is not a ``Direction`` is a TypeError that names it."""
 
     _fields = ("a", "a_prime", "b", "b_prime")
 
     def __init__(self, a: Direction, a_prime: Direction, b: Direction, b_prime: Direction) -> None:
-        _set(self, "a", a)
-        _set(self, "a_prime", a_prime)
-        _set(self, "b", b)
-        _set(self, "b_prime", b_prime)
+        _require(Direction, a=a, a_prime=a_prime, b=b, b_prime=b_prime)
+        for name, direction in zip(self._fields, (a, a_prime, b, b_prime)):
+            _set(self, name, direction)
 
     @classmethod
     def in_plane(
@@ -96,8 +96,7 @@ def analytic_optimum(z: float, label: HesLabel = HesLabel.PHI_PLUS) -> ChshResul
     pair, with in-plane settings that reach it. The label must be a
     ``HesLabel``: another family's pair has another optimum, so its label
     is a TypeError."""
-    if not isinstance(label, HesLabel):
-        raise TypeError(f"analytic_optimum takes a HesLabel, got {label!r}")
+    _require(HesLabel, label=label)
     k = k_series(z)
     return ChshResult(
         value=2.0 * math.sqrt(1.0 + k * k),

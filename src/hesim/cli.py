@@ -41,7 +41,8 @@ DEFAULT_SEED = 0
 _KZ_STEPS_CAP = 100_000
 # and each row walks up to its cutoff: steps times the largest cutoff is capped
 # so that the largest accepted sweep takes about a minute (on a 2-vCPU x86 VM,
-# 48 s for 100 000 rows up to z = 63 and 20 s for 403 rows near the Fock cap)
+# 69 s for 100 000 rows up to z = 63 and 33 s for 403 rows near the Fock cap,
+# most of it the math.fsum passes of k_matrix over the cat codewords)
 _KZ_LEVELS_CAP = 400_000_000
 
 _UNICODE_ALIASES = str.maketrans(

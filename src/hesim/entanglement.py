@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .fock import _NORM_TOL, LogicalState, _cut, _set, _svd, _Value
+from .fock import _NORM_TOL, LogicalState, _cut, _rest, _set, _svd, _Value
 
 _EIGENVALUE_FLOOR = 1e-14
 
@@ -61,12 +61,11 @@ def schmidt_coefficients(state: LogicalState, side_a: Iterable[int]) -> SchmidtS
     ``TypeError``, not rounded to a factor) in range and named once, and
     must be a nonempty proper subset of them.
     """
-    a = sorted(side_a)
-    rows = _cut(state, a)
+    a = sorted(set(range(state.space.nfactors)).difference(_rest(state.space, side_a)))
     if not a or len(a) == state.space.nfactors:
         raise ValueError(f"side a {a} is not a nonempty proper subset of the "
                          f"{state.space.nfactors} factors of {state.space.describe()}")
-    s, _, _ = _svd(rows)
+    s, _, _ = _svd(_cut(state, a))
     return SchmidtSpectrum(tuple(s))
 
 

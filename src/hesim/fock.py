@@ -17,9 +17,10 @@ scalars: the qubit, or a cat's mode, amplitude and flip, from which its
 constructor works out the residuals and the even/odd overlap, so no state
 holds a codeword; a state works out its truncation residual from its
 encodings', the one use of the product rule. A ``StateVector`` holds the
-numpy amplitudes of one mode: ``even_coherent`` and ``odd_coherent`` build
-the cat codewords, which only the dense check ``pseudospin.k_matrix``
-reads; they are the one numpy kernel here, and import numpy when called.
+real amplitudes of one mode in a read-only view of an ``array('d')``:
+``even_coherent`` and ``odd_coherent`` build the cat codewords, which only
+the dense check ``pseudospin.k_matrix`` reads, and import ``array`` when
+called. No module of the package imports numpy.
 The cat codewords, their truncation residuals and overlap, the adaptive
 Fock cutoff ``mode_dim_for`` and the overlap k(z) of ``pseudospin`` all
 read one list of coherent weights, walked outward from the Poisson peak by
@@ -41,10 +42,6 @@ import math
 import operator
 import sys
 from enum import Enum
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # The truncation policy. mode_dim_for sizes a mode so that the coherent state
 # |z> loses less than _CUTOFF_TOL of its mass; a cat on it may lose at most
@@ -91,6 +88,14 @@ class _Value:
 
     def __hash__(self) -> int:
         return hash(self._key())
+
+
+def _require(cls: type, **named) -> None:
+    """Refuse, with a TypeError that names it and its value, each keyword
+    argument that is not an instance of cls."""
+    for name, value in named.items():
+        if not isinstance(value, cls):
+            raise TypeError(f"{name} must be {cls.__name__}, got {value!r}")
 
 
 class TruncationError(ValueError):
@@ -190,18 +195,22 @@ class SpaceDescriptor(_Value):
 
 
 class StateVector(_Value):
-    """Normalized amplitude vector over a composite space.
+    """Normalized real amplitude vector over a composite space.
 
-    ``truncation_residual`` records the probability mass the construction
-    dropped by working on a truncated space (0 for exact constructions);
-    it is carried along verbatim through later operations. A state vector
-    is equal only to itself.
+    ``amps`` is a read-only ``memoryview`` of format ``"d"`` over a copy of
+    the amplitudes given, which must be real numbers: a complex one, numpy's
+    included, is a TypeError that names its index in amps. The norm is
+    taken with ``math.fsum``. ``truncation_residual`` records the
+    probability mass the construction dropped by working on a truncated
+    space (0 for exact constructions); it is carried along verbatim through
+    later operations. A state vector is equal only to itself and pickles by
+    its amplitudes.
     """
 
     _fields = ("space", "amps", "truncation_residual")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, space: SpaceDescriptor, amps: np.ndarray,
+    def __init__(self, space: SpaceDescriptor, amps,
                  truncation_residual: float = 0.0) -> None:
         _set(self, "space", space)
         _set(self, "amps", amps)
@@ -209,20 +218,28 @@ class StateVector(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        import numpy as np
-        amps = np.array(self.amps, dtype=complex).reshape(-1)
-        if amps.shape != (self.space.dim,):
-            raise ValueError(
-                f"amplitude vector has length {amps.shape[0]}, "
-                f"space {self.space.describe()} needs {self.space.dim}"
-            )
-        norm = math.sqrt(np.vdot(amps, amps).real)
+        from array import array
+        amps = self.amps
+        if not (isinstance(amps, array) and amps.typecode == "d"):
+            from numbers import Real
+            amps = list(amps)
+            # array("d") would drop a numpy complex's imaginary part
+            _require(Real, **{f"amps[{i}]": a for i, a in enumerate(amps)})
+        amps = array("d", amps)
+        if len(amps) != self.space.dim:
+            raise ValueError(f"amplitude vector has length {len(amps)}, "
+                             f"space {self.space.describe()} needs {self.space.dim}")
+        # a cat fills only its support, about 27 z levels of up to 10**6, and a
+        # zero adds nothing to the exact sum, so fsum takes the nonzero squares
+        norm = math.sqrt(math.fsum(a * a for a in filter(None, amps)))
         if not abs(norm - 1.0) <= _NORM_TOL:  # written so that NaN fails it
             raise ValueError(f"state vector is not normalized: |amps| = {norm!r}")
         if not self.truncation_residual >= 0.0:
             raise ValueError("truncation_residual must be nonnegative")
-        amps.setflags(write=False)
-        _set(self, "amps", amps)
+        _set(self, "amps", memoryview(amps).toreadonly())
+
+    def __reduce__(self):  # a memoryview does not pickle; its amplitudes do
+        return type(self), (self.space, self.amps.tolist(), self.truncation_residual)
 
 
 def _combined_residual(a: float, b: float) -> float:
@@ -337,12 +354,14 @@ def _pair_overlap(even, odd, mass_even: float, mass_odd: float) -> float:
 
 
 def _coherent_branch(z: float, dim: int, parity: int) -> StateVector:
-    """One parity branch of |z> on a mode of dimension dim, renormalized."""
-    import numpy as np
-    space = SpaceDescriptor.mode(dim)
+    """One parity branch of |z> on a mode of dimension dim, renormalized: the
+    square roots of the kept weights over their mass, each division and root
+    correctly rounded, on every other level from lo + parity."""
+    from array import array
+    space = SpaceDescriptor.mode(dim)  # checks dim before the walk reads it
     lo, kept, mass, residual = _branch(z, dim, parity)
-    amps = np.zeros(dim, dtype=complex)
-    amps[lo + parity : lo + parity + 2 * len(kept) : 2] = np.sqrt(np.array(kept) / mass)
+    amps, start = array("d", [0.0]) * dim, lo + parity
+    amps[start : start + 2 * len(kept) : 2] = array("d", [math.sqrt(w / mass) for w in kept])
     return StateVector(space, amps, residual)
 
 
@@ -391,8 +410,7 @@ class Encoding(_Value):
     _fields = ("space", "z", "flipped")
 
     def __init__(self, space: SpaceDescriptor, z: float = 0.0, flipped: bool = False) -> None:
-        if not isinstance(flipped, bool):
-            raise TypeError(f"flipped must be a bool, got {flipped!r}")
+        _require(bool, flipped=flipped)
         if space.nfactors != 1:
             raise ValueError(f"an encoding has one factor, got {space.describe()}")
         if space.kind(0) is FactorKind.QUBIT:
@@ -479,7 +497,9 @@ class LogicalState(_Value):
 
 
 def tensor(a: LogicalState, b: LogicalState) -> LogicalState:
-    """Tensor product, a's parties first."""
+    """Tensor product, a's parties first. A factor that is not a LogicalState
+    is a TypeError."""
+    _require(LogicalState, a=a, b=b)
     return LogicalState(a.encodings + b.encodings, [x * y for x in a.coeffs for y in b.coeffs])
 
 

@@ -53,6 +53,7 @@ from .fock import (
     ParityBellLabel,
     SpinBellLabel,
     _cut,
+    _require,
     _rest,
     _set,
     _Value,
@@ -118,12 +119,11 @@ def bell_pair(label: BellLabel, enc_a: Encoding, enc_b: Encoding) -> LogicalStat
     for psi labels, party a first.
 
     The label must be one of the encodings' ``_family``, else a TypeError:
-    every builder of a Bell pair has its label checked here.
+    every builder of a Bell pair has its label checked here. An encoding
+    that is not an ``Encoding`` is a TypeError too.
     """
-    family = _family(enc_a, enc_b)
-    if not isinstance(label, family):
-        kinds = " and a ".join(enc.space.kind(0).value for enc in (enc_a, enc_b))
-        raise TypeError(f"a Bell pair over a {kinds} takes a {family.__name__}, got {label!r}")
+    _require(Encoding, enc_a=enc_a, enc_b=enc_b)
+    _require(_family(enc_a, enc_b), label=label)
     return LogicalState((enc_a, enc_b), _bell_coeffs(label))
 
 
@@ -381,9 +381,8 @@ def correction_for(outcome: BellLabel, channel: HesLabel) -> Correction:
     with s_y absorbing the extra sign. The outcome must be a ``BellLabel``
     and the channel a ``HesLabel``, else a TypeError.
     """
-    if not (isinstance(outcome, BellLabel) and isinstance(channel, HesLabel)):
-        raise TypeError(f"expected a BellLabel outcome and a HesLabel channel, "
-                        f"got {outcome!r} and {channel!r}")
+    _require(BellLabel, outcome=outcome)
+    _require(HesLabel, channel=channel)
     same_sign = outcome.sign == channel.sign
     if outcome.is_phi == channel.is_phi:
         return Correction.IDENTITY if same_sign else Correction.S_Z

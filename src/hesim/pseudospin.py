@@ -12,8 +12,7 @@ qubit, and on the cat codewords and on their parity flips the even/odd
 overlap k(z), as s_x and s_y flip the parity that s_z reads. So the Pauli
 matrices here and an encoding's k are all its users need, and no codeword
 and no dim x dim matrix is built. The Pauli matrices are nested tuples of
-Python complex numbers, rows first; only ``k_matrix`` builds codewords,
-and with them imports numpy.
+Python complex numbers, rows first; only ``k_matrix`` builds codewords.
 k(z) sets the strength of the Bell-CHSH violation. ``k_series`` sums it
 over the untruncated coherent weights, ``Encoding.cat`` over the levels
 below its cutoff, and ``k_matrix`` reads it off the truncated cat
@@ -24,6 +23,7 @@ codewords. All three start from the one walk over those weights in
 from __future__ import annotations
 
 import math
+import operator
 
 from .fock import (
     _NORM_TOL,
@@ -88,8 +88,7 @@ def k_matrix(z: float, dim: int) -> float:
     check of the overlap that ``Encoding.cat`` carries. s_x moves each odd
     amplitude onto the even level below it, so the element is the overlap
     of the even cat's even levels with the odd cat's odd ones. Both
-    codewords' amplitudes are real square roots stored as complex, so the
-    element's imaginary part is exactly 0 and its real part is returned."""
-    import numpy as np
-    parts = np.array([even_coherent(z, dim).amps[0::2], odd_coherent(z, dim).amps[1::2]])
-    return float((parts.conj() @ parts.T)[0, 1].real)
+    codewords' amplitudes are real, so the element is the ``math.fsum`` of
+    their products, correctly rounded."""
+    even, odd = even_coherent(z, dim).amps, odd_coherent(z, dim).amps
+    return math.fsum(map(operator.mul, even[0::2], odd[1::2]))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from hesim import Encoding, LogicalState, SpaceDescriptor, StateVector, TruncationError
+from hesim import Encoding, LogicalState, SpaceDescriptor, TruncationError
+
+from oracles import DenseState
 
 # the largest z whose adaptive cutoff, at tol 1e-14, stays within the
 # 1 000 000 Fock levels of the cap
@@ -13,13 +15,13 @@ def random_amps(rng, dim):
     return v / np.linalg.norm(v)
 
 
-def random_state(space: SpaceDescriptor, rng) -> StateVector:
-    return StateVector(space, random_amps(rng, space.dim))
+def random_state(space: SpaceDescriptor, rng) -> DenseState:
+    return DenseState(space, random_amps(rng, space.dim))
 
 
-def number_state(n: int, dim: int) -> StateVector:
+def number_state(n: int, dim: int) -> DenseState:
     """Fock state |n> on a mode of dimension dim."""
-    return StateVector(SpaceDescriptor.mode(dim), np.eye(dim)[n])
+    return DenseState(SpaceDescriptor.mode(dim), np.eye(dim)[n])
 
 
 def random_cat(dim: int, rng) -> Encoding:

@@ -25,9 +25,12 @@ before it scaled the Pauli one by the parties' k; that route is
 ``elementwise_correlation_matrix``, which returns each entry's complex sum.
 
 The dense route the package used before it kept states as coefficients
-over their codewords lives here too: ``codewords`` builds an encoding's
-two codewords, as the package did before an encoding became its scalars,
-``dense`` expands a ``LogicalState`` into its full amplitude vector,
+over their codewords lives here too, on ``DenseState``, the complex numpy
+amplitude vector the package's ``StateVector`` was before its amplitudes
+became a real ``array('d')``, with the same checks: ``codewords`` builds
+an encoding's two codewords, as the package did before an encoding became
+its scalars, ``dense`` expands a ``LogicalState`` into its full amplitude
+vector (and takes a ``StateVector``'s amplitudes as complex),
 ``kron`` multiplies dense states, ``dense_inner`` takes their overlap,
 ``partial_inner`` projects a dense state onto a bra over some of its
 factors, ``build_pseudospin``/``apply`` act with dense dim x dim
@@ -38,6 +41,11 @@ pair, as the teleport once built its flipped cat codewords. ``overlap_pseudospin
 pseudospin's elements on any two codewords from the 4x4 overlaps of their
 even and odd parts, the route ``encoded_pseudospin`` took before it read
 k, and ``overlap_k_matrix`` is ``k_matrix`` by that route.
+``numpy_codeword`` builds a cat codeword with numpy, as ``even_coherent``
+and ``odd_coherent`` did before they filled an ``array('d')``, and
+``numpy_k_matrix`` is the matrix product through which ``k_matrix`` read
+k off those codewords before it took the ``math.fsum`` of their products,
+which ``fsum_k_matrix`` takes of the numpy codewords.
 
 So does the log-domain route the package took to the coherent weights
 before it walked them from the Poisson peak: ``lgamma_mode_dim``,
@@ -54,6 +62,7 @@ twin, whose repr, ==, hash and refusal to change are the reference for
 the plain class's. The twins of
 ``StateVector`` and ``LogicalState`` compare by identity, as those classes
 now do; the old ``StateVector`` dataclass raised on == and hash.
+``DenseState`` compares by identity too.
 """
 
 import bisect
@@ -91,7 +100,7 @@ from hesim import (
     parity_bell_state,
     spin_bell_state,
 )
-from hesim.fock import _NORM_TOL, _combined_residual, _rest
+from hesim.fock import _NORM_TOL, _branch, _combined_residual, _rest, _set, _Value
 from hesim.protocols import (
     _M32,
     _PCG_C,
@@ -151,6 +160,31 @@ K_ASYMPTOTE_TOL = 1e-15
 CODEWORD_DECIMAL_TOL = 1e-15
 
 
+class DenseState(_Value):
+    """Normalized complex amplitude vector over a composite space, with the
+    checks of the package's ``StateVector`` before its amplitudes became
+    real: ``amps`` is a read-only complex numpy array of the space's
+    dimension, of norm within _NORM_TOL of 1. Equal only to itself."""
+
+    _fields = ("space", "amps", "truncation_residual")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, space: SpaceDescriptor, amps, truncation_residual: float = 0.0) -> None:
+        amps = np.array(amps, dtype=complex).reshape(-1)
+        if amps.shape != (space.dim,):
+            raise ValueError(f"amplitude vector has length {amps.shape[0]}, "
+                             f"space {space.describe()} needs {space.dim}")
+        norm = math.sqrt(np.vdot(amps, amps).real)
+        if not abs(norm - 1.0) <= _NORM_TOL:  # written so that NaN fails it
+            raise ValueError(f"state vector is not normalized: |amps| = {norm!r}")
+        if not truncation_residual >= 0.0:
+            raise ValueError("truncation_residual must be nonnegative")
+        amps.setflags(write=False)
+        _set(self, "space", space)
+        _set(self, "amps", amps)
+        _set(self, "truncation_residual", truncation_residual)
+
+
 @dataclass(frozen=True)
 class PseudospinOps:
     """Parity operator s_z = (-1)^N and parity-flip ladder on one mode.
@@ -180,7 +214,7 @@ def _derived(kind):
 TWINS = {
     SpaceDescriptor: _twin(SpaceDescriptor, ("factors", tuple), ("dims", *_derived(tuple)),
                            ("dim", *_derived(int))),
-    StateVector: _twin(StateVector, ("space", SpaceDescriptor), ("amps", np.ndarray),
+    StateVector: _twin(StateVector, ("space", SpaceDescriptor), ("amps", memoryview),
                        ("truncation_residual", float, 0.0), eq=False),
     Encoding: _twin(Encoding, ("space", SpaceDescriptor), ("z", float, 0.0),
                     ("flipped", bool, False), ("residuals", *_derived(tuple)),
@@ -226,12 +260,12 @@ def build_pseudospin(dim: int) -> PseudospinOps:
     return PseudospinOps(**mats)
 
 
-def qubit_state(alpha: complex, beta: complex) -> StateVector:
+def qubit_state(alpha: complex, beta: complex) -> DenseState:
     """Qubit alpha|0> + beta|1>; amplitudes must already be normalized."""
-    return StateVector(SpaceDescriptor.qubit(), np.array([alpha, beta]))
+    return DenseState(SpaceDescriptor.qubit(), np.array([alpha, beta]))
 
 
-def codewords(enc: Encoding) -> tuple[StateVector, StateVector]:
+def codewords(enc: Encoding) -> tuple[DenseState, DenseState]:
     """|0_L> and |1_L> of an encoding: up and down on a qubit; on a mode the
     even and odd cat or, flipped, the other cat's amplitudes moved onto each
     within every (even, odd) pair, with that cat's truncation residual."""
@@ -240,23 +274,26 @@ def codewords(enc: Encoding) -> tuple[StateVector, StateVector]:
     words = []
     for logical in (0, 1):
         source = logical ^ enc.flipped
-        word = (odd_coherent if source else even_coherent)(enc.z, enc.space.dim)
+        word = dense((odd_coherent if source else even_coherent)(enc.z, enc.space.dim))
         if enc.flipped:
             amps = np.zeros(enc.space.dim, dtype=complex)
             amps[logical::2] = word.amps[source::2]
-            word = StateVector(enc.space, amps, word.truncation_residual)
+            word = DenseState(enc.space, amps, word.truncation_residual)
         words.append(word)
     return words[0], words[1]
 
 
-def dense(state) -> StateVector:
+def dense(state) -> DenseState:
     """The full amplitude vector of a LogicalState: the sum, in row-major
     coefficient order, of each coefficient times the Kronecker product of
-    its codewords (a StateVector is returned as it is). On a Bell pair's
-    codewords, of disjoint support, this is bit for bit the kron sum
+    its codewords. A StateVector's real amplitudes are taken as complex, and
+    a DenseState is returned as it is. On a Bell pair's codewords, of
+    disjoint support, this is bit for bit the kron sum
     (|0_L>|x> ± |1_L>|y>) * 2**-0.5."""
-    if isinstance(state, StateVector):
+    if isinstance(state, DenseState):
         return state
+    if isinstance(state, StateVector):
+        return DenseState(state.space, state.amps, state.truncation_residual)
     words = [codewords(enc) for enc in state.encodings]
     amps = None
     for index, coeff in zip(itertools.product((0, 1), repeat=len(words)), state.coeffs):
@@ -264,11 +301,12 @@ def dense(state) -> StateVector:
                                 [pair[i].amps for pair, i in zip(words, index)])
         term = term * coeff
         amps = term if amps is None else amps + term
-    return StateVector(state.space, amps, state.truncation_residual)
+    return DenseState(state.space, amps, state.truncation_residual)
 
 
-def dense_inner(a: StateVector, b: StateVector) -> complex:
-    """<a|b> (conjugate-linear in a) of two StateVectors on one space."""
+def dense_inner(a, b) -> complex:
+    """<a|b> (conjugate-linear in a) of two dense states on one space."""
+    a, b = dense(a), dense(b)
     if a.space != b.space:
         raise ValueError(
             f"inner product between {a.space.describe()} and "
@@ -277,18 +315,20 @@ def dense_inner(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-def kron(a: StateVector, b: StateVector) -> StateVector:
+def kron(a, b) -> DenseState:
     """Dense tensor product, a's factors first."""
+    a, b = dense(a), dense(b)
     residual = _combined_residual(a.truncation_residual, b.truncation_residual)
-    return StateVector(a.space * b.space, np.outer(a.amps, b.amps).ravel(), residual)
+    return DenseState(a.space * b.space, np.outer(a.amps, b.amps).ravel(), residual)
 
 
-def apply(op: np.ndarray, state: StateVector, factor_index: int) -> StateVector:
+def apply(op: np.ndarray, state, factor_index: int) -> DenseState:
     """Act with the matrix op on one factor, extending it by the identity elsewhere.
 
     The operator must be norm-preserving on this state; a result drifting
     off the unit sphere is rejected rather than silently rescaled.
     """
+    state = dense(state)
     rest = _rest(state.space, (factor_index,))
     dims = state.space.dims
     d = dims[factor_index]
@@ -307,13 +347,14 @@ def apply(op: np.ndarray, state: StateVector, factor_index: int) -> StateVector:
         raise ValueError(
             f"operator is not norm-preserving on this state (|result| = {norm!r})"
         )
-    return StateVector(state.space, out / norm, state.truncation_residual)
+    return DenseState(state.space, out / norm, state.truncation_residual)
 
 
-def _flip(state: StateVector, source: int) -> StateVector:
+def _flip(state, source: int) -> DenseState:
     """Move the amplitude at parity ``source`` of each (even, odd) pair to its
     partner. Writes a full-length vector and renormalizes it by its norm,
     which the flip must keep: the state must have parity ``source``."""
+    state = dense(state)
     if state.space.nfactors != 1 or state.space.dims[0] % 2 != 0:
         raise ValueError(f"a parity flip acts on one qubit or mode, not {state.space.describe()}")
     out = np.zeros(state.space.dim, dtype=complex)
@@ -321,22 +362,20 @@ def _flip(state: StateVector, source: int) -> StateVector:
     norm = float(np.linalg.norm(out))
     if abs(norm - 1.0) > APPLY_NORM_TOL:
         raise ValueError(f"parity flip is not norm-preserving on this state (|result| = {norm!r})")
-    return StateVector(state.space, out / norm, state.truncation_residual)
+    return DenseState(state.space, out / norm, state.truncation_residual)
 
 
-def s_plus(state: StateVector) -> StateVector:
+def s_plus(state) -> DenseState:
     """s_plus|state> for an odd-parity state: each |2n+1> amplitude moves to |2n>."""
     return _flip(state, 1)
 
 
-def s_minus(state: StateVector) -> StateVector:
+def s_minus(state) -> DenseState:
     """s_minus|state> for an even-parity state: each |2n> amplitude moves to |2n+1>."""
     return _flip(state, 0)
 
 
-def partial_inner(
-    bra: StateVector, state: StateVector, factors: Sequence[int]
-) -> np.ndarray:
+def partial_inner(bra, state, factors: Sequence[int]) -> np.ndarray:
     """Contract <bra| against the given factors of state.
 
     ``factors[k]`` names the state factor matched with bra factor k, so the
@@ -344,6 +383,7 @@ def partial_inner(
     vector on the remaining factors (in their original order); its squared
     norm is the projection probability onto |bra>.
     """
+    bra, state = dense(bra), dense(state)
     factors = tuple(factors)
     rest = _rest(state.space, factors)
     if not rest:
@@ -465,13 +505,13 @@ def spectrum_entropy(coefficients) -> float:
     return -sum(p * math.log2(p) for p in (c * c for c in coefficients) if p >= EIGENVALUE_FLOOR)
 
 
-def overlap_pseudospin(zero: StateVector, one: StateVector) -> np.ndarray:
+def overlap_pseudospin(zero, one) -> np.ndarray:
     """<a_L|s_l|b_L> for l = x, y, z on two codewords, as a (3, 2, 2) array.
 
     s_l acts on every (even, odd) pair of amplitudes n as sigma_l on a qubit,
     so the element sums a_n^H sigma_l b_n over n: it needs only the 4x4
     overlaps of the codewords' even and odd parts, O(dim)."""
-    parts = np.array([w.amps[parity::2] for w in (zero, one) for parity in (0, 1)])
+    parts = np.array([dense(w).amps[parity::2] for w in (zero, one) for parity in (0, 1)])
     overlaps = (parts.conj() @ parts.T).reshape(2, 2, 2, 2)  # [a, j, b, k]
     return np.einsum("ljk,ajbk->lab", PAULIS, overlaps)
 
@@ -480,6 +520,30 @@ def overlap_k_matrix(z: float, dim: int) -> float:
     """<even|s_x|odd> of the cat codewords at (z, dim) by ``overlap_pseudospin``:
     the real part of the element, as ``k_matrix`` once read it."""
     return float(overlap_pseudospin(even_coherent(z, dim), odd_coherent(z, dim))[0, 0, 1].real)
+
+
+def numpy_codeword(z: float, dim: int, parity: int) -> np.ndarray:
+    """One parity branch of |z> on dim levels as a complex numpy array, as
+    ``even_coherent`` (parity 0) and ``odd_coherent`` (1) built it: numpy's
+    square roots of the kept weights over their mass."""
+    lo, kept, mass, _ = _branch(z, dim, parity)
+    amps = np.zeros(dim, dtype=complex)
+    amps[lo + parity : lo + parity + 2 * len(kept) : 2] = np.sqrt(np.array(kept) / mass)
+    return amps
+
+
+def numpy_k_matrix(z: float, dim: int) -> float:
+    """``k_matrix`` as numpy took it: the real part of the product of the
+    even codeword's even levels with the odd one's odd levels, a matrix
+    product of the complex ``numpy_codeword``s."""
+    parts = np.array([numpy_codeword(z, dim, 0)[0::2], numpy_codeword(z, dim, 1)[1::2]])
+    return float((parts.conj() @ parts.T)[0, 1].real)
+
+
+def fsum_k_matrix(z: float, dim: int) -> float:
+    """``math.fsum`` of the products of the even ``numpy_codeword``'s even
+    levels with the odd one's odd levels: their correctly rounded sum."""
+    return math.fsum(numpy_codeword(z, dim, 0).real[0::2] * numpy_codeword(z, dim, 1).real[1::2])
 
 
 def linear_scan_draw(branches, rng):
@@ -685,7 +749,7 @@ def numpy_schmidt(state, side_a) -> list[float]:
     return [float(s) for s in np.linalg.svd(c.reshape(2 ** len(a), -1), compute_uv=False)]
 
 
-def dense_measure_bell(state: StateVector, factors, enc_a: Encoding, enc_b: Encoding, labels):
+def dense_measure_bell(state: DenseState, factors, enc_a: Encoding, enc_b: Encoding, labels):
     """(label, p, renormalized dense state on the other factors) for every label,
     by projecting the dense state onto each dense Bell pair."""
     rest = [i for i in range(state.space.nfactors) if i not in factors]
@@ -694,7 +758,7 @@ def dense_measure_bell(state: StateVector, factors, enc_a: Encoding, enc_b: Enco
     for label in labels:
         amp = partial_inner(dense(bell_pair(label, enc_a, enc_b)), state, factors)
         p = float(np.vdot(amp, amp).real)
-        rows.append((label, p, StateVector(space, amp / math.sqrt(p)) if p else None))
+        rows.append((label, p, DenseState(space, amp / math.sqrt(p)) if p else None))
     return rows
 
 
@@ -702,8 +766,8 @@ def _dense_teleport(alpha, beta, joint, factors, basis, labels, channel, receive
     ops = build_pseudospin(receiver.space.dim)
     plain = dense(receiver.state(alpha, beta))
     zero, one = codewords(receiver)
-    flipped = StateVector(receiver.space, alpha * (ops.s_plus @ one.amps)
-                          + beta * (ops.s_minus @ zero.amps))
+    flipped = DenseState(receiver.space, alpha * (ops.s_plus @ one.amps)
+                         + beta * (ops.s_minus @ zero.amps))
     rows = []
     for outcome, p, received in dense_measure_bell(joint, factors, *basis, labels):
         correction = correction_for(outcome, channel)

@@ -550,6 +550,22 @@ class TestEveryBellPair:
                 assert abs(value - result.value) <= 1e-12, dim
 
 
+class TestChshSettings:
+    @pytest.mark.parametrize("slot", range(4), ids=ChshSettings._fields)
+    @pytest.mark.parametrize("bad", [1, None, (0.0, 0.0, 1.0)], ids=repr)
+    def test_refuses_a_setting_that_is_no_direction(self, slot, bad):
+        # by the setting's name
+        dirs = [Direction(0.0, 0.0, 1.0)] * 4
+        dirs[slot] = bad
+        message = f"{ChshSettings._fields[slot]} must be Direction, got {bad!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            ChshSettings(*dirs)
+
+    def test_refuses_four_integers(self):
+        with pytest.raises(TypeError, match="^a must be Direction, got 1$"):
+            ChshSettings(1, 2, 3, 4)
+
+
 class TestChshResult:
     def test_rejects_superquantum_value(self):
         s = ChshSettings.in_plane(0.0, 1.0, 2.0, 3.0)

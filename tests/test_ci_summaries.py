@@ -4,7 +4,8 @@ Three steps of ``.github/workflows/tier1.yml`` feed the run's summary from
 an inline ``python - >> "$GITHUB_STEP_SUMMARY" <<'EOF'`` script: the code
 lines and tolerance constants, the public names and the CLI, and the
 import time of ``hesim.cli``, from bytecode and compiled from source, with
-the time of two 100-trial Monte-Carlo commands, none loading numpy. Each
+the time of two 100-trial Monte-Carlo commands and a ``kz`` sweep, none
+loading numpy. Each
 is read off the workflow as plain text (no YAML parser is installed in CI),
 run from the repository root with ``PYTHONPATH=src``, and its summary lines
 are checked for their shape. The tier-1 step's shell script is read off the
@@ -40,6 +41,8 @@ SHAPES = {
                     r"hesim teleport spin --alpha 0\.6 --beta 0\.8 --z 1 --trials 100: \d+\.\d ms, "
                     r"best of 5 fresh interpreters; numpy loaded: False",
                     r"hesim swap --z 1 --zprime 1\.2 --trials 100: \d+\.\d ms, best of 5 fresh "
+                    r"interpreters; numpy loaded: False",
+                    r"hesim kz --zmin 3 --zmax 9 --steps 4: \d+\.\d ms, best of 5 fresh "
                     r"interpreters; numpy loaded: False"],
 }
 

@@ -4,11 +4,9 @@ Each line of ``cli_golden.jsonl`` is one JSON object: an argv and the
 stdout, stderr and exit code that ``hesim.cli.main`` gave for it. The
 commands cover every subcommand and its ``-h``, ``--dim`` overrides, a swap
 that leaves outcomes undrawn, and the error lines. Reports print floats at full
-precision. Only the ``kz`` rows still depend on numpy and its bundled
-LAPACK, through the dense codewords of ``K_matrix`` (pinned at numpy 2.4.6);
-every other report is computed in Python floats and pins Python 3.11's
-float arithmetic and argparse wording. The seed batch of a long run uses
-numpy's integer arithmetic, which is exact.
+precision. Every report is computed in Python floats and integers, so it
+pins Python 3.11's float arithmetic and argparse wording and no numpy
+version; one fresh interpreter with numpy blocked gives every report.
 
 After an intended change of output, re-record every argv in the file with
 ``PYTHONPATH=src python tests/test_cli_golden.py``; it prints the argv of
@@ -24,6 +22,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -31,6 +30,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import hesim
 from hesim import ChshSettings, HesLabel, hes_state
 from hesim.cli import _build_named_state, _dim_for, build_parser
 
@@ -38,10 +38,11 @@ from conftest import assert_leads_the_dense_spectrum
 from oracles import (GOLDEN_CHSH_TOL, GOLDEN_ENTROPY_TOL, GOLDEN_FIDELITY_TOL, K_ASYMPTOTE_TOL,
                      K_DECIMAL_TOL, SWAP_PAIRING, bell_value, decimal_k, dense_correlation_matrix,
                      dense_schmidt, dense_swap, dense_teleport_parity, dense_teleport_spin,
-                     direction, entropy_from_reduced_density, k_asymptote, looped_trials,
-                     overlap_k_matrix, pair_correlation, spectrum_entropy)
+                     direction, entropy_from_reduced_density, fsum_k_matrix, k_asymptote,
+                     looped_trials, pair_correlation, spectrum_entropy)
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+sys.path.insert(0, str(TOOLS))
 from byte_identity import record  # noqa: E402  one recorder for this file and the base comparison
 
 DATA = Path(__file__).with_name("cli_golden.jsonl")
@@ -58,6 +59,23 @@ def _cases() -> list[dict]:
 def test_output_is_byte_identical(case, monkeypatch):
     monkeypatch.setenv("COLUMNS", COLUMNS)
     assert record(case["argv"]) == case
+
+
+def test_every_report_is_byte_identical_with_numpy_blocked():
+    # one fresh interpreter in which importing numpy raises ImportError
+    script = (
+        "import json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from byte_identity import record\n"
+        "cases = [json.loads(line) for line in open(sys.argv[1], encoding='utf-8')]\n"
+        "print(json.dumps([case['argv'] for case in cases if record(case['argv']) != case]))\n"
+    )
+    path = os.pathsep.join([str(Path(hesim.__file__).parents[1]), str(TOOLS)])
+    env = dict(os.environ, PYTHONPATH=path, COLUMNS=COLUMNS)
+    proc = subprocess.run([sys.executable, "-c", script, str(DATA)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def _chsh_cases(dense: bool) -> list[dict]:
@@ -160,8 +178,8 @@ def _kz_cases() -> list[dict]:
 @pytest.mark.parametrize("case", _kz_cases(), ids=lambda case: " ".join(case["argv"]))
 def test_kz_rows_agree_with_the_oracles(case):
     # K_series against the 60-digit sum up to z = 30 and the large-z expansion
-    # from z = 300 on; K_matrix bit for bit against the overlap route that
-    # read it off the codewords' four even and odd parts
+    # from z = 300 on; K_matrix bit for bit against the math.fsum of the
+    # numpy codewords' products
     args = build_parser().parse_args(case["argv"])
     rows = list(csv.DictReader(io.StringIO(case["stdout"])))
     assert rows
@@ -172,7 +190,7 @@ def test_kz_rows_agree_with_the_oracles(case):
         else:
             assert z >= 300.0, f"no K_series oracle between z = 30 and 300, got {z}"
             assert abs(k_series - k_asymptote(z)) <= K_ASYMPTOTE_TOL, z
-        assert float(row["K_matrix"]) == overlap_k_matrix(z, _dim_for(args.dim, z)), z
+        assert float(row["K_matrix"]) == fsum_k_matrix(z, _dim_for(args.dim, z)), z
 
 
 def _named_state(case: dict):

@@ -9,7 +9,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hesim import (
     ChshResult,
@@ -59,6 +59,7 @@ from oracles import (
     kron,
     lgamma_branch,
     lgamma_mode_dim,
+    numpy_codeword,
     partial_inner,
     qubit_state,
     twin,
@@ -186,6 +187,21 @@ class TestCatStates:
             got = build(z, dim).amps
             assert np.max(np.abs(got - decimal_codeword(z, dim, parity))) <= CODEWORD_DECIMAL_TOL
 
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(z=st.floats(min_value=0.0, max_value=30.0) | st.floats(min_value=30.0, max_value=Z_CAP),
+           offset=st.sampled_from(range(0, 8, 2)))
+    @example(z=0.0, offset=0)
+    @example(z=Z_CAP, offset=0)
+    def test_amplitudes_are_the_numpy_route_bit_for_bit(self, z, offset):
+        # a division and a square root per level, each correctly rounded in
+        # Python floats as in numpy, so no amplitude moved when numpy left
+        dim = mode_dim_for(z) + offset
+        assume(dim <= _MODE_DIM_CAP)
+        for parity, build in enumerate((even_coherent, odd_coherent)):
+            expected = numpy_codeword(z, dim, parity)
+            assert not expected.imag.any()
+            assert same_bits(np.asarray(build(z, dim).amps), expected.real)
+
     def test_matches_the_lgamma_route_it_replaced(self):
         # amplitudes, residuals and the TruncationError text, over cutoffs
         # from far too small to generous
@@ -207,11 +223,11 @@ class TestCatStates:
 
     def test_even_z1_leading_amplitude(self):
         st = even_coherent(1.0, mode_dim_for(1.0))
-        assert st.amps[0].real == pytest.approx(COSH1_INV_SQRT, abs=1e-13)
+        assert st.amps[0] == pytest.approx(COSH1_INV_SQRT, abs=1e-13)
 
     def test_odd_z1_leading_amplitude(self):
         st = odd_coherent(1.0, mode_dim_for(1.0))
-        assert st.amps[1].real == pytest.approx(SINH1_INV_SQRT, abs=1e-13)
+        assert st.amps[1] == pytest.approx(SINH1_INV_SQRT, abs=1e-13)
 
     def test_even_amplitudes_match_series(self):
         # the normalized series evaluated term by term with plain factorials
@@ -220,8 +236,8 @@ class TestCatStates:
         pref = 1.0 / math.sqrt(math.cosh(z * z))
         for n in range(0, dim, 2):
             expected = pref * z**n / math.sqrt(math.factorial(n))
-            assert st.amps[n].real == pytest.approx(expected, abs=1e-13)
-        assert np.all(st.amps[1::2] == 0)
+            assert st.amps[n] == pytest.approx(expected, abs=1e-13)
+        assert not any(st.amps[1::2])
 
     @pytest.mark.parametrize("z", [0.0, 0.1, 0.5, 1.0, 2.0, 3.0])
     def test_even_odd_orthogonal(self, z):
@@ -318,6 +334,21 @@ class TestSpaces:
         with pytest.raises(ValueError):
             StateVector(SpaceDescriptor.mode(4), np.array([1.0, 0.0]))
 
+    # array("d") would take a numpy complex's real part, with a ComplexWarning
+    @pytest.mark.parametrize("amps", [[1j, 0.0], [1 + 0j, 0.0], np.array([1.0, 0.0], complex),
+                                      np.array([0.0, 1.0], np.complex64)],
+                             ids=["complex", "complex_zero_imag", "complex128", "complex64"])
+    def test_a_complex_amplitude_is_refused(self, amps):
+        message = f"amps[0] must be Real, got {amps[0]!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            StateVector(SpaceDescriptor.qubit(), amps)
+
+    def test_amplitudes_are_a_read_only_copy_of_real_doubles(self):
+        given = [0.6, 0.8]
+        st = StateVector(SpaceDescriptor.qubit(), given)
+        given[0] = 1.0
+        assert (st.amps.format, st.amps.readonly, st.amps.tolist()) == ("d", True, [0.6, 0.8])
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -336,8 +367,8 @@ class TestSpaces:
             build()
 
     def test_amps_are_immutable(self):
-        st = number_state(0, 4)
-        with pytest.raises(ValueError):
+        st = even_coherent(0.0, 4)
+        with pytest.raises(TypeError, match="read-only"):
             st.amps[0] = 0.0
 
 
@@ -351,6 +382,15 @@ class TestCompositeAlgebra:
         expected = np.zeros(8)
         expected[1] = 1.0
         assert np.allclose(dense(st).amps, expected)
+
+    @pytest.mark.parametrize("bad", [1, None, QUBIT_ENC, [1.0, 0.0]], ids=repr)
+    def test_tensor_refuses_a_factor_that_is_no_logical_state(self, bad):
+        # by its parameter's name, a first
+        state = QUBIT_ENC.state(1.0, 0.0)
+        for args, name in (((state, bad), "b"), ((bad, state), "a"), ((bad, bad), "a")):
+            message = f"{name} must be LogicalState, got {bad!r}"
+            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+                tensor(*args)
 
     def test_tensor_combines_residuals(self):
         e = Encoding.cat(1.0, 16).state(1.0, 0.0)
@@ -837,13 +877,20 @@ class TestFactorIndices:
         parity = self.expected([mode], "returned" if mode in (1, 3) else
                                f"ValueError: factor {mode} of {describe} is not a mode")
         assert _outcome(lambda: parity_measurement(joint, mode)) == parity
-        # a side is taken in sorted order, so its first index out of range is its least
-        named = sorted(side)
-        cut = self.expected(named, "returned" if 0 < len(side) < 4 else
-                            f"ValueError: side a {named} is not a nonempty proper "
+        # a side is checked in the order given, then named in sorted order
+        cut = self.expected(side, "returned" if 0 < len(side) < 4 else
+                            f"ValueError: side a {sorted(side)} is not a nonempty proper "
                             f"subset of the 4 factors of {describe}")
         assert _outcome(lambda: schmidt_coefficients(joint, side)) == cut
         assert _outcome(lambda: entanglement_entropy(joint, side)) == cut
+
+    @pytest.mark.parametrize("call", [schmidt_coefficients, entanglement_entropy])
+    @pytest.mark.parametrize("side", [0, 1.5, None])
+    def test_a_side_that_is_not_a_sequence_is_refused_by_the_rule(self, call, side):
+        # checked before it is sorted, so the refusal names the side
+        with pytest.raises(TypeError, match=re.escape(
+                f"factor indices must be a sequence of integers, got {side!r}")):
+            call(self.JOINT, side)
 
     @pytest.mark.parametrize("parties", [1, 2, 3, 4])
     def test_the_cut_is_the_transposed_coefficient_tensor(self, parties, rng):
@@ -951,9 +998,13 @@ def random_value(cls, rng):
     def settings():
         return ChshSettings(*(random_direction(rng) for _ in range(4)))
 
+    def real_state(space):
+        amps = rng.normal(size=space.dim)
+        return StateVector(space, amps / np.linalg.norm(amps))
+
     build = {
         SpaceDescriptor: lambda: random_space(rng),
-        StateVector: lambda: random_state(random_space(rng), rng),
+        StateVector: lambda: real_state(random_space(rng)),
         Encoding: lambda: random_encoding(rng),
         LogicalState: state,
         Direction: lambda: random_direction(rng),
@@ -1008,10 +1059,15 @@ class TestValueClasses:
                     setattr(value, name, 1.0)
                 with pytest.raises(AttributeError):
                     delattr(value, name)
-        assert repr(pickle.loads(pickle.dumps(x))) == repr(x)
+        back = pickle.loads(pickle.dumps(x))
+        if cls is StateVector:  # a memoryview's repr shows its address, not its values
+            assert (back.space, back.amps.tolist(), back.truncation_residual) == (
+                x.space, x.amps.tolist(), x.truncation_residual)
+        else:
+            assert repr(back) == repr(x)
 
     def test_state_vectors_are_equal_only_to_themselves(self):
-        # by identity, since numpy amplitudes compare elementwise
+        # by identity, as when numpy amplitudes compared elementwise
         x, y = even_coherent(1.0, 20), even_coherent(1.0, 20)
         assert (x == y, x != y, x == x, x != x) == (False, True, True, False)
         assert hash(x) == object.__hash__(x) and len({x, y, x}) == 2

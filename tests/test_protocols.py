@@ -18,6 +18,7 @@ from hesim import (
     LogicalState,
     ParityBellLabel,
     RngStream,
+    SpaceDescriptor,
     SpinBellLabel,
     TeleportRecord,
     bell_pair,
@@ -190,15 +191,24 @@ class TestBellBases:
         # each pair of kinds takes its own family's labels, in either order
         labels, encodings = FAMILIES[family]
         enc_a, enc_b = encodings()
-        kinds = f"{enc_a.space.kind(0).value} and a {enc_b.space.kind(0).value}"
         for label in [*SpinBellLabel, *HesLabel, *ParityBellLabel, "phi+", None]:
             if isinstance(label, labels):
                 assert bell_pair(label, enc_a, enc_b).encodings == (enc_a, enc_b)
                 assert bell_pair(label, enc_b, enc_a).encodings == (enc_b, enc_a)
                 continue
-            message = f"a Bell pair over a {kinds} takes a {labels.__name__}, got {label!r}"
+            message = f"label must be {labels.__name__}, got {label!r}"
             with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
                 bell_pair(label, enc_a, enc_b)
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    @pytest.mark.parametrize("bad", ["qubit", None, SpaceDescriptor.qubit()], ids=repr)
+    def test_bell_pair_refuses_an_encoding_that_is_no_encoding(self, slot, bad):
+        # by its parameter's name, before the family is read off the encodings
+        encodings = [Encoding.qubit(), Encoding.cat(1.0, mode_dim_for(1.0))]
+        encodings[slot] = bad
+        message = f"enc_{'ab'[slot]} must be Encoding, got {bad!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            bell_pair(HesLabel.PHI_PLUS, *encodings)
 
     def test_the_builders_refuse_a_label_of_another_family_or_a_string(self):
         dim = mode_dim_for(1.0)
@@ -209,7 +219,7 @@ class TestBellBases:
                       lambda: parity_bell_state(HesLabel.PSI_MINUS, 1.0, 0.5, dim),
                       lambda: teleport_spin(0.6, 0.8, "phi+", 1.0, dim),
                       lambda: teleport_parity(0.6, 0.8, 1.0, ParityBellLabel.PHI_PLUS, 1.0, dim)):
-            with pytest.raises(TypeError, match=r"^a Bell pair over a \w+ and a \w+ takes a "):
+            with pytest.raises(TypeError, match=r"^label must be (SpinBellLabel|HesLabel|ParityBellLabel), got "):
                 build()
 
     def test_bell_pair_residual_combines_encoding_means(self):
@@ -231,7 +241,7 @@ class TestDecomposition:
         z, dim = 1.0, mode_dim_for(1.0)
         a, b = 0.6, 0.8
         branches = dict(sender_branches(a, b, z, HesLabel.PHI_PLUS, dim))
-        e, o = even_coherent(z, dim), odd_coherent(z, dim)
+        e, o = dense(even_coherent(z, dim)), dense(odd_coherent(z, dim))
         assert np.allclose(
             dense(branches[SpinBellLabel.PHI_PLUS]).amps, a * e.amps + b * o.amps, atol=1e-12
         )
@@ -303,9 +313,10 @@ class TestCorrections:
     ], ids=["string_outcome", "string_channel", "spin_channel", "parity_channel"])
     def test_refuses_an_outcome_that_is_no_bell_label_or_a_channel_that_is_no_hes_label(
             self, outcome, channel):
-        with pytest.raises(TypeError, match=re.escape(
-                f"expected a BellLabel outcome and a HesLabel channel, got {outcome!r} and "
-                f"{channel!r}")):
+        # the outcome first, each by its parameter's name
+        message = (f"outcome must be BellLabel, got {outcome!r}" if isinstance(outcome, str)
+                   else f"channel must be HesLabel, got {channel!r}")
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             correction_for(outcome, channel)
 
 
