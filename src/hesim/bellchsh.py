@@ -118,8 +118,10 @@ def correlation_matrix(state: LogicalState) -> tuple[tuple[float, ...], ...]:
     are exact, so each entry's imaginary part is a product plus its exact
     conjugate, which floating-point arithmetic rounds symmetrically: it is
     exactly 0, and the real part is returned with nothing dropped. A state
-    of any other party count is refused.
+    that is not a ``LogicalState`` is a TypeError, and one of any other
+    party count a ValueError.
     """
+    _require(LogicalState, state=state)
     if len(state.encodings) != 2:
         raise ValueError(f"CHSH needs two parties, the state has {len(state.encodings)}")
     (enc_a, enc_b), (c00, c01, c10, c11) = state.encodings, state.coeffs

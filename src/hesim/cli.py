@@ -13,7 +13,6 @@ echoes its ``--seed`` and ``--restarts``.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -41,8 +40,8 @@ DEFAULT_SEED = 0
 _KZ_STEPS_CAP = 100_000
 # and each row walks up to its cutoff: steps times the largest cutoff is capped
 # so that the largest accepted sweep takes about a minute (on a 2-vCPU x86 VM,
-# 69 s for 100 000 rows up to z = 63 and 33 s for 403 rows near the Fock cap,
-# most of it the math.fsum passes of k_matrix over the cat codewords)
+# 62-65 s for 100 000 rows up to z = 63 and 23-24 s for 403 rows near the Fock
+# cap, most of it building the cat codewords and k_matrix's math.fsum over them)
 _KZ_LEVELS_CAP = 400_000_000
 
 _UNICODE_ALIASES = str.maketrans(
@@ -92,9 +91,10 @@ def _parse_amplitude(text: str, name: str) -> complex:
 
 
 def _normalized_pair(alpha: complex, beta: complex) -> tuple[complex, complex]:
-    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+    parts = (alpha.real, alpha.imag, beta.real, beta.imag)
+    if not all(map(math.isfinite, parts)):
         raise ValueError(f"alpha and beta must be finite, got {alpha!r} and {beta!r}")
-    norm = math.hypot(alpha.real, alpha.imag, beta.real, beta.imag)
+    norm = math.hypot(*parts)
     if norm == 0.0:
         raise ValueError("alpha and beta cannot both be zero")
     if norm < sys.float_info.min:  # subnormal, so short of bits: scale by 2**600, exactly

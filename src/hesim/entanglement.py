@@ -8,9 +8,9 @@ in Python complex numbers, so no numpy is loaded.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from collections.abc import Iterable
 
-from .fock import _NORM_TOL, LogicalState, _cut, _rest, _set, _svd, _Value
+from .fock import _NORM_TOL, LogicalState, _cut, _require, _rest, _set, _svd, _Value
 
 _EIGENVALUE_FLOOR = 1e-14
 
@@ -59,8 +59,10 @@ def schmidt_coefficients(state: LogicalState, side_a: Iterable[int]) -> SchmidtS
     of them for n parties, two for a pair. Side a names its factor indices
     by ``fock._rest``'s rule, each an integer (a float index is a
     ``TypeError``, not rounded to a factor) in range and named once, and
-    must be a nonempty proper subset of them.
+    must be a nonempty proper subset of them. A state that is not a
+    ``LogicalState`` is a TypeError.
     """
+    _require(LogicalState, state=state)
     a = sorted(set(range(state.space.nfactors)).difference(_rest(state.space, side_a)))
     if not a or len(a) == state.space.nfactors:
         raise ValueError(f"side a {a} is not a nonempty proper subset of the "

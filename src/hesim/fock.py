@@ -36,6 +36,7 @@ importing each other.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -63,10 +64,11 @@ _set = object.__setattr__
 
 class _Value:
     """Base of the frozen value classes. ``_fields`` are the constructor's
-    arguments in order: the repr shows them, and == (between instances of
-    one class) and the hash read their tuple. Each ``__init__`` runs its
-    class's checks and sets the attributes with ``_set``; any later
-    assignment or deletion raises AttributeError."""
+    arguments in order, and ``Encoding``'s flip; ``_key`` is their values,
+    which the repr shows and == (between instances of one class) and the
+    hash read. Each ``__init__`` runs its class's checks and sets the
+    attributes with ``_set``; any later assignment or deletion raises
+    AttributeError."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -75,7 +77,7 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
         return f"{type(self).__qualname__}({args})"
 
     def _key(self) -> tuple:
@@ -96,6 +98,15 @@ def _require(cls: type, **named) -> None:
     for name, value in named.items():
         if not isinstance(value, cls):
             raise TypeError(f"{name} must be {cls.__name__}, got {value!r}")
+
+
+def _integer(name: str, value) -> int:
+    """value as ``operator.index`` takes it, else a TypeError that names it
+    and its value: the one check of an argument that must be an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 class TruncationError(ValueError):
@@ -147,7 +158,7 @@ class ParityBellLabel(BellLabel):
 class SpaceDescriptor(_Value):
     """Ordered factors of a composite Hilbert space, as (kind, dim) pairs.
 
-    A dim must be an integer, as ``operator.index`` takes it, like a factor
+    A dim must be an integer, as ``_integer`` takes it, like a factor
     index: a float, NaN included, is a TypeError rather than cut to the
     integer below it."""
 
@@ -155,7 +166,7 @@ class SpaceDescriptor(_Value):
     _fields = ("factors",)
 
     def __init__(self, factors: tuple[tuple[FactorKind, int], ...]) -> None:
-        factors = tuple((FactorKind(kind), operator.index(dim)) for kind, dim in factors)
+        factors = tuple((FactorKind(kind), _integer("dim", dim)) for kind, dim in factors)
         if not factors:
             raise ValueError("a space needs at least one factor")
         for kind, dim in factors:
@@ -198,9 +209,11 @@ class StateVector(_Value):
     """Normalized real amplitude vector over a composite space.
 
     ``amps`` is a read-only ``memoryview`` of format ``"d"`` over a copy of
-    the amplitudes given, which must be real numbers: a complex one, numpy's
-    included, is a TypeError that names its index in amps. The norm is
-    taken with ``math.fsum``. ``truncation_residual`` records the
+    the amplitudes given, which must be a sequence of real numbers: a
+    complex one, numpy's included, is a TypeError that names its index in
+    amps, as is a space that is not a ``SpaceDescriptor`` or amps that are
+    not iterable. The norm is taken with ``math.fsum``, and the repr shows
+    the amplitudes as a list. ``truncation_residual`` records the
     probability mass the construction dropped by working on a truncated
     space (0 for exact constructions); it is carried along verbatim through
     later operations. A state vector is equal only to itself and pickles by
@@ -219,10 +232,14 @@ class StateVector(_Value):
 
     def __post_init__(self) -> None:
         from array import array
+        _require(SpaceDescriptor, space=self.space)
         amps = self.amps
         if not (isinstance(amps, array) and amps.typecode == "d"):
             from numbers import Real
-            amps = list(amps)
+            try:
+                amps = list(amps)
+            except TypeError:
+                raise TypeError(f"amps must be a sequence of real numbers, got {amps!r}") from None
             # array("d") would drop a numpy complex's imaginary part
             _require(Real, **{f"amps[{i}]": a for i, a in enumerate(amps)})
         amps = array("d", amps)
@@ -238,8 +255,11 @@ class StateVector(_Value):
             raise ValueError("truncation_residual must be nonnegative")
         _set(self, "amps", memoryview(amps).toreadonly())
 
-    def __reduce__(self):  # a memoryview does not pickle; its amplitudes do
-        return type(self), (self.space, self.amps.tolist(), self.truncation_residual)
+    def _key(self) -> tuple:  # a memoryview shows its address and does not pickle; a list does
+        return self.space, self.amps.tolist(), self.truncation_residual
+
+    def __reduce__(self):
+        return type(self), self._key()
 
 
 def _combined_residual(a: float, b: float) -> float:
@@ -313,10 +333,12 @@ def mode_dim_for(z: float) -> int:
     """
     lo, w = _coherent_weights(z)
     tails = _tails(w)
-    tol = _CUTOFF_TOL
-    d = max(4, lo)  # below lo the whole mass, 1 >= tol, is out of range
-    while d - lo < len(w) and tails[d - lo] / tails[0] >= tol:
-        d += 2
+    start = max(4, lo)  # below lo the whole mass, 1 >= tol, is out of range
+    # the first even d from start whose tail past it is below tol of the mass, else
+    # the first even d past the walk: the tails never increase, so a bisection
+    offsets = range(start - lo, len(w), 2)
+    d = start + 2 * bisect.bisect_left(
+        offsets, True, key=lambda i: tails[i] / tails[0] < _CUTOFF_TOL)
     if d > _MODE_DIM_CAP:
         raise ValueError(
             f"z = {z!r} is too large: its adaptive cutoff passes {_MODE_DIM_CAP} levels")
@@ -390,32 +412,33 @@ class Encoding(_Value):
     every claim reads.
 
     ``Encoding.qubit()`` is spin up and down. On a mode of dimension dim,
-    ``Encoding(space, z)`` is the even and odd cat at amplitude z or,
-    ``flipped``, their parity flips s_plus|odd>, s_minus|even>: codewords of
+    ``Encoding(space, z)`` is the even and odd cat at amplitude z, and its
+    ``flip()`` their parity flips s_plus|odd>, s_minus|even>: codewords of
     parities (even, odd), so orthonormal. The constructor works out, from
     one walk of the coherent weights, the truncation ``residuals`` of the
     even and the odd cat and their overlap k = <even|s_x|odd> on the mode,
     which the flips share; no caller passes them. The qubit is the case
     k = 1 with no residual, and its own flip. No codeword is built. Equal
-    space, z and flip are equal encodings.
+    space, z and ``flipped`` are equal encodings.
 
-    Refuses, with a TypeError, a ``flipped`` that is not a bool; with a
-    ValueError, any other space than one factor and a qubit other than spin
-    up and down (z = 0 and no flip); on a mode, a z that is not finite and
+    Refuses, with a TypeError, a space that is not a ``SpaceDescriptor``;
+    with a ValueError, any other space than one factor and a qubit other
+    than spin up and down (z = 0); on a mode, a z that is not finite and
     nonnegative, then, with a TruncationError, a cat that loses more than
     1e-12 of its mass.
     """
 
-    # residuals, k and residual, the mean of the residuals, are worked out from them
+    # flipped is set by flip(), not passed; residuals, k and residual, the
+    # mean of the residuals, are worked out from space and z
     _fields = ("space", "z", "flipped")
 
-    def __init__(self, space: SpaceDescriptor, z: float = 0.0, flipped: bool = False) -> None:
-        _require(bool, flipped=flipped)
+    def __init__(self, space: SpaceDescriptor, z: float = 0.0) -> None:
+        _require(SpaceDescriptor, space=space)
         if space.nfactors != 1:
             raise ValueError(f"an encoding has one factor, got {space.describe()}")
         if space.kind(0) is FactorKind.QUBIT:
-            if (z, flipped) != (0.0, False):
-                raise ValueError("a qubit encoding is spin up and down: z = 0 and no flip")
+            if z != 0.0:
+                raise ValueError("a qubit encoding is spin up and down: z = 0")
             residuals, k = (0.0, 0.0), 1.0
         else:
             _, even, mass_even, r_even = _branch(z, space.dim, 0)
@@ -425,7 +448,7 @@ class Encoding(_Value):
         _set(self, "z", z)
         _set(self, "residuals", residuals)
         _set(self, "k", k)
-        _set(self, "flipped", flipped)
+        _set(self, "flipped", False)
         _set(self, "residual", 0.5 * (residuals[0] + residuals[1]))
 
     @classmethod
@@ -505,7 +528,8 @@ def tensor(a: LogicalState, b: LogicalState) -> LogicalState:
 
 def inner(a: LogicalState, b: LogicalState) -> complex:
     """Inner product <a|b> (conjugate-linear in a) of two LogicalStates over
-    equal encodings."""
+    equal encodings. A state that is not a LogicalState is a TypeError."""
+    _require(LogicalState, a=a, b=b)
     if a.encodings != b.encodings:
         raise ValueError(
             f"inner product between states on {a.space.describe()} and "
@@ -529,8 +553,8 @@ def _rest(space: SpaceDescriptor, named) -> tuple[int, ...]:
     """The factors of space that named leaves, in order: the one check of the
     factor indices a call names.
 
-    Each index must be an integer, as ``operator.index`` takes it, so a
-    float is a TypeError rather than rounded to a factor; then each must
+    Each index must be an integer, as ``_integer`` takes it, so a float
+    is a TypeError rather than rounded to a factor; then each must
     lie in 0 .. nfactors - 1, no negative index counting from the end, and
     be named once, else a ValueError. A named that is not iterable is a
     TypeError too."""
@@ -538,7 +562,7 @@ def _rest(space: SpaceDescriptor, named) -> tuple[int, ...]:
         indices = iter(named)
     except TypeError:
         raise TypeError(f"factor indices must be a sequence of integers, got {named!r}") from None
-    named = tuple(map(operator.index, indices))
+    named = tuple(_integer("factor index", index) for index in indices)
     for index in named:
         if not 0 <= index < space.nfactors:
             raise ValueError(f"factor index {index} out of range for {space.nfactors} factors")

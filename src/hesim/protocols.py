@@ -26,8 +26,8 @@ parties' truncation residual.
 probabilities, so a seed fixes the transcript, and returns each row's count
 and the summed fidelity: a Monte-Carlo command's whole run, in one call.
 A stream's variates are those of ``np.random.default_rng(s)``, worked out
-in Python integers: its first from s, one seed at a time or a block of
-seeds in one lane-packed batch, and a later one by stepping PCG64 from the
+in Python integers: its first in one lane-packed batch, of a block of a
+run's seeds or of a lone seed, and a later one by stepping PCG64 from the
 seeded state. So no trial imports numpy.
 """
 
@@ -41,7 +41,7 @@ import operator
 import struct
 import sys
 from enum import Enum
-from typing import Callable, Iterator
+from collections.abc import Callable, Iterator
 
 from .fock import (
     _NORM_TOL,
@@ -53,6 +53,7 @@ from .fock import (
     ParityBellLabel,
     SpinBellLabel,
     _cut,
+    _integer,
     _require,
     _rest,
     _set,
@@ -80,6 +81,8 @@ _PCG_C = (_PCG_MULT2 + _PCG_MULT + 1) % 2**128
 _PCG_2C = 2 * _PCG_C % 2**128
 _M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _MIX_ORDER = tuple(itertools.permutations(range(4), 2))  # (source, destination) pool words
+# read as one global, so that _stream builds a stream as cheaply as a class call
+_new = object.__new__
 
 
 class Correction(Enum):
@@ -131,16 +134,18 @@ class RngStream:
     """Counted, seeded source of ``np.random.default_rng(seed)``'s variates,
     in Python integers.
 
-    The first variate is ``first`` when a batch computed it, else
-    ``_first_uniform(seed)``. The second draw works out PCG64's state after
-    the first, and every later draw steps its LCG once.
+    The seed must be an integer, as ``operator.index`` takes it, else a
+    TypeError, and >= 0, else a ValueError. The first variate comes from a
+    ``_first_uniforms`` batch: of one seed here, of a block of trials in
+    ``_stream_blocks``. The second draw works out PCG64's state after the
+    first, and every later draw steps its LCG once.
     """
 
     __slots__ = ("seed", "first", "counter", "_state", "_inc")
 
-    def __init__(self, seed: int, first: float | None = None) -> None:
-        self.seed, self.counter = seed, 0
-        self.first = _first_uniform(seed) if first is None else first
+    def __init__(self, seed: int) -> None:
+        seed = _integer("seed", seed)
+        self.seed, self.first, self.counter = seed, _first_uniforms(seed, 1)[0], 0
 
     def uniform(self) -> float:
         self.counter += 1
@@ -153,41 +158,44 @@ class RngStream:
         return _output(self._state >> 64, self._state & _M64)
 
 
-def _stream_blocks(seed: int, trials: int) -> Iterator[list[RngStream]]:
-    """``RngStream(seed + i)`` for trial i of a run, _BATCH_BLOCK trials at a time.
+def _stream(seed: int, first: float) -> RngStream:
+    """``RngStream(seed)`` whose first variate a batch has worked out, built
+    past ``__init__``."""
+    rng = _new(RngStream)
+    rng.seed, rng.first, rng.counter = seed, first, 0
+    return rng
 
-    A block of seeds all >= 0 and below 2**64 (two SeedSequence entropy
-    words each) computes its first variates in one ``_first_uniforms``
-    batch; any other block computes each from its seed with
-    ``_first_uniform``. So a run that straddles 2**32 batches every block,
-    and one that straddles 2**64 every block that ends below it.
+
+def _stream_blocks(seed: int, trials: int) -> Iterator[list[RngStream]]:
+    """``RngStream(seed + i)`` for trial i of a run, a block of seeds at a time,
+    each block's first variates one ``_first_uniforms`` batch.
+
+    A block holds _BATCH_BLOCK seeds at most and ends at each multiple of
+    2**64, so its seeds share their words above bit 64.
     """
-    for start in range(seed, seed + trials, _BATCH_BLOCK):
-        seeds = range(start, min(start + _BATCH_BLOCK, seed + trials))
-        firsts = [None] * len(seeds)
-        if start >= 0 and seeds.stop <= 2**64:
-            firsts = _first_uniforms(start, len(seeds))
-        yield list(map(RngStream, seeds, firsts))
+    start, stop = seed, seed + trials
+    while start < stop:
+        end = min(start + _BATCH_BLOCK, stop, ((start >> 64) + 1) << 64)
+        yield list(map(_stream, range(start, end), _first_uniforms(start, end - start)))
+        start = end
 
 
 def _first_uniforms(start: int, count: int) -> list[float]:
     """``np.random.default_rng(s).random()`` for s = start, ..., start +
-    count - 1, all in [0, 2**64), bit for bit: one ``_seeded`` batch, a seed
-    to a lane, each seed two 32-bit words."""
+    count - 1, bit for bit: one ``_seeded`` batch, a seed to a lane.
+
+    The seeds must be >= 0, else a ValueError, and share their words above
+    bit 64: each lane holds its seed's two low 32-bit words, and the words
+    above are broadcast to every lane."""
+    high = _words(start)[2:]  # checks start
     offsets, ones, mask, *_ = _lane_consts(count, 4)
-    seeds = start * ones + offsets
-    return _uniforms(_seeded([seeds & mask, seeds >> 32 & mask], count)[0], count)
-
-
-def _first_uniform(seed: int) -> float:
-    """``np.random.default_rng(seed).random()`` for one seed >= 0 of any
-    size, bit for bit: a ``_seeded`` batch of one lane."""
-    return _uniforms(_seeded(_words(seed), 1)[0], 1)[0]
+    seeds = (start & _M64) * ones + offsets
+    words = [seeds & mask, seeds >> 32 & mask, *(word * ones for word in high)]
+    return _uniforms(_seeded(words, count)[0], count)
 
 
 def _words(seed: int) -> list[int]:
     """A seed's 32-bit words, least significant first, as ``SeedSequence`` takes them."""
-    seed = _integer("seed", seed)
     if seed < 0:
         raise ValueError("expected non-negative integer")
     return [seed >> shift & _M32 for shift in range(0, seed.bit_length() or 1, 32)]
@@ -328,23 +336,18 @@ def run_trials(branches: list[tuple], seed: int, trials: int) -> tuple[list[int]
     return counts, fidelity
 
 
-def _integer(name: str, value) -> int:
-    """value as ``operator.index`` takes it, else a TypeError naming the parameter."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
-
 class TeleportRecord(_Value):
     """One protocol branch, a teleport's or a swap's; its table row holds the
     outcome and p. Its ``fidelity`` |<target_state|output_state>|**2 is
-    worked out from the states, which must be over the same encodings."""
+    worked out from the states, which must be over the same encodings. A
+    correction that is not a ``Correction`` is a TypeError, and so, through
+    ``inner``, is a state that is not a ``LogicalState``."""
 
     _fields = ("correction", "output_state", "target_state")
 
     def __init__(self, correction: Correction, output_state: LogicalState,
                  target_state: LogicalState) -> None:
+        _require(Correction, correction=correction)
         _set(self, "correction", correction)
         _set(self, "output_state", output_state)
         _set(self, "target_state", target_state)

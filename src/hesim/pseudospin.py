@@ -89,6 +89,10 @@ def k_matrix(z: float, dim: int) -> float:
     amplitude onto the even level below it, so the element is the overlap
     of the even cat's even levels with the odd cat's odd ones. Both
     codewords' amplitudes are real, so the element is the ``math.fsum`` of
-    their products, correctly rounded."""
+    their products, correctly rounded. It is summed over the walk's support
+    only, from its first level lo: below lo both codewords are exactly 0.0,
+    so the products left out are exact zeros, which add nothing to the
+    exact sum."""
     even, odd = even_coherent(z, dim).amps, odd_coherent(z, dim).amps
-    return math.fsum(map(operator.mul, even[0::2], odd[1::2]))
+    lo, _ = _coherent_weights(z)
+    return math.fsum(map(operator.mul, even[lo::2], odd[lo + 1 :: 2]))

@@ -47,6 +47,9 @@ and ``odd_coherent`` did before they filled an ``array('d')``, and
 k off those codewords before it took the ``math.fsum`` of their products,
 which ``fsum_k_matrix`` takes of the numpy codewords.
 
+``stepped_mode_dim_for`` is ``mode_dim_for`` as it stepped through the
+walk's tails two levels at a time, before it bisected them.
+
 So does the log-domain route the package took to the coherent weights
 before it walked them from the Poisson peak: ``lgamma_mode_dim``,
 ``lgamma_branch`` and ``lgamma_k_series`` evaluate every weight with
@@ -57,9 +60,11 @@ cat codewords.
 ``TWINS`` holds the frozen dataclasses the package's ten value classes were
 declared as before they became plain classes, one per class and of its
 name, each field a class works out from its arguments declared as
-derived (out of init, repr and ==); ``twin`` rebuilds a value as its
-twin, whose repr, ==, hash and refusal to change are the reference for
-the plain class's. The twins of
+derived (out of init, repr and ==), and ``Encoding``'s flip, which only
+``flip()`` sets, as a field out of init but in repr and ==; ``twin``
+rebuilds a value as its twin, with its flip and a ``StateVector``'s
+amplitudes as a list, whose repr, ==, hash and refusal to change are the
+reference for the plain class's. The twins of
 ``StateVector`` and ``LogicalState`` compare by identity, as those classes
 now do; the old ``StateVector`` dataclass raised on == and hash.
 ``DenseState`` compares by identity too.
@@ -101,6 +106,7 @@ from hesim import (
     spin_bell_state,
 )
 from hesim.fock import _NORM_TOL, _branch, _combined_residual, _rest, _set, _Value
+from hesim.fock import _CUTOFF_TOL, _coherent_weights, _tails
 from hesim.protocols import (
     _M32,
     _PCG_C,
@@ -214,10 +220,11 @@ def _derived(kind):
 TWINS = {
     SpaceDescriptor: _twin(SpaceDescriptor, ("factors", tuple), ("dims", *_derived(tuple)),
                            ("dim", *_derived(int))),
-    StateVector: _twin(StateVector, ("space", SpaceDescriptor), ("amps", memoryview),
+    StateVector: _twin(StateVector, ("space", SpaceDescriptor), ("amps", list),
                        ("truncation_residual", float, 0.0), eq=False),
     Encoding: _twin(Encoding, ("space", SpaceDescriptor), ("z", float, 0.0),
-                    ("flipped", bool, False), ("residuals", *_derived(tuple)),
+                    ("flipped", bool, field(default=False, init=False)),
+                    ("residuals", *_derived(tuple)),
                     ("k", *_derived(float)), ("residual", *_derived(float))),
     LogicalState: _twin(LogicalState, ("encodings", tuple), ("coeffs", tuple),
                         ("truncation_residual", *_derived(float)), eq=False),
@@ -238,9 +245,16 @@ def init_fields(cls) -> list[str]:
 
 
 def twin(value):
-    """value's dataclass twin, built from value's constructor arguments."""
+    """value's dataclass twin, built from value's constructor arguments, a
+    memoryview taken as its list, then given the fields value sets past
+    them (out of init, in ==): an encoding's flip."""
     cls = type(value)
-    return TWINS[cls](*(getattr(value, name) for name in init_fields(cls)))
+    args = (getattr(value, name) for name in init_fields(cls))
+    built = TWINS[cls](*(a.tolist() if isinstance(a, memoryview) else a for a in args))
+    for f in fields(built):
+        if not f.init and f.compare:
+            object.__setattr__(built, f.name, getattr(value, f.name))
+    return built
 
 
 def build_pseudospin(dim: int) -> PseudospinOps:
@@ -812,6 +826,18 @@ def dense_swap(z, z_prime, dim) -> list[tuple]:
         paired = dense(bell_pair(SWAP_PAIRING[outcome], cat, cat_prime))
         rows.append((outcome, p, abs(dense_inner(paired, modes)) ** 2, dense_schmidt(modes, [0])))
     return rows
+
+
+def stepped_mode_dim_for(z: float) -> int:
+    """The cutoff ``mode_dim_for`` finds, before the cap check: the first
+    even d from max(4, lo) past the walk, or whose tail is below 1e-14 of
+    the mass, stepping by 2."""
+    lo, w = _coherent_weights(z)
+    tails = _tails(w)
+    d = max(4, lo)
+    while d - lo < len(w) and tails[d - lo] / tails[0] >= _CUTOFF_TOL:
+        d += 2
+    return d
 
 
 def lgamma_mode_dim(z: float, tol: float) -> int:

@@ -35,7 +35,8 @@ SHAPES = {
     "public names": [r"hesim\.__all__: \d+ names, \d+ parameters, \d+ with a default",
                      r"hesim CLI: \d+ subcommands, \d+ arguments, \d+ optional flags"],
     "import time": [r"import hesim\.cli: \d+\.\d ms, best of 5 fresh interpreters; "
-                    r"numpy loaded: False; dataclasses loaded: False; inspect loaded: False",
+                    r"numpy loaded: False; dataclasses loaded: False; inspect loaded: False; "
+                    r"typing loaded: False; cmath loaded: False",
                     r"import hesim\.cli compiled from source: \d+\.\d ms, best of 5 fresh "
                     r"interpreters with -B and no hesim bytecode",
                     r"hesim teleport spin --alpha 0\.6 --beta 0\.8 --z 1 --trials 100: \d+\.\d ms, "

@@ -713,6 +713,16 @@ class TestNumpyRandomNotImported:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["", "0", "1"] + ["0"] * 13
 
+    def test_the_import_loads_neither_typing_nor_cmath(self):
+        # -S: no site module runs, so none preloads typing ahead of hesim;
+        # annotations stay strings and the collections.abc names serve them
+        script = "import sys, hesim.cli; print('typing' in sys.modules, 'cmath' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(hesim.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-S", "-c", script],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False False\n"
+
     def test_fresh_interpreter(self):
         commands = [
             ["teleport", "spin", "--alpha", "0.6", "--beta", "0.8", "--z", "1"],

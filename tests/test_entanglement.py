@@ -202,9 +202,10 @@ class TestValidation:
     def test_side_a_holds_integer_indices(self, side_a):
         # int() would cut a float at the factor below it
         state = hes_state(HesLabel.PHI_PLUS, 1.0, 18)
-        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        message = f"^factor index must be an integer, got {side_a[0]!r}$"
+        with pytest.raises(TypeError, match=message):
             schmidt_coefficients(state, side_a)
-        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        with pytest.raises(TypeError, match=message):
             entanglement_entropy(state, side_a)
 
     def test_spectrum_validates_normalization(self):

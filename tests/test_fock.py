@@ -41,7 +41,15 @@ from hesim import (
     teleport_spin,
     tensor,
 )
-from hesim.fock import _CUTOFF_TOL, _MODE_DIM_CAP, _RESIDUAL_TOL, _coherent_weights, _cut, _svd
+from hesim.fock import (
+    _CUTOFF_TOL,
+    _MODE_DIM_CAP,
+    _RESIDUAL_TOL,
+    _coherent_weights,
+    _cut,
+    _svd,
+    _tails,
+)
 from hesim.pseudospin import Direction, k_series
 
 from conftest import Z_CAP, number_state, random_amps, random_cat, random_logical, random_state
@@ -62,6 +70,7 @@ from oracles import (
     numpy_codeword,
     partial_inner,
     qubit_state,
+    stepped_mode_dim_for,
     twin,
 )
 
@@ -135,6 +144,31 @@ class TestModeDimFor:
     def test_matches_the_lgamma_route_it_replaced(self):
         for z in np.linspace(0.0, 30.0, 301):
             assert mode_dim_for(float(z)) == lgamma_mode_dim(float(z), 1e-14), z
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(z=st.floats(0.0, 5.0) | st.floats(0.0, 40.0) | st.floats(0.0, Z_CAP))
+    @example(z=0.0)
+    @example(z=1e-200)
+    @example(z=Z_CAP)
+    def test_bisects_to_the_cutoff_it_stepped_to(self, z):
+        assert mode_dim_for(z) == stepped_mode_dim_for(z)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(z=st.floats(0.0, 40.0) | st.floats(0.0, Z_CAP))
+    @example(z=0.0)
+    @example(z=Z_CAP)
+    def test_the_tails_of_a_walk_never_increase(self, z):
+        # the premise of the bisection: its predicate, a tail below a share
+        # of the mass, once true stays true
+        tails = _tails(_coherent_weights(z)[1])
+        assert all(a >= b for a, b in zip(tails, tails[1:])) and tails[-1] == 0.0
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e300) | st.floats(0.0, 1e-300), max_size=40))
+    def test_the_tails_of_any_nonnegative_weights_never_increase(self, weights):
+        # rounding is monotone, so adding a nonnegative weight never lowers a sum
+        tails = _tails(tuple(weights))
+        assert all(a >= b for a, b in zip(tails, tails[1:]))
 
     def test_at_the_cap(self):
         # the walk from the Poisson peak finds the cutoff at the cap without
@@ -647,10 +681,9 @@ class TestEncoding:
         with pytest.raises(ValueError, match="one factor"):
             Encoding(SpaceDescriptor.qubit() * SpaceDescriptor.mode(4))
 
-    @pytest.mark.parametrize("fields", [dict(flipped=True), dict(z=1.0), dict(z=math.nan)],
-                             ids=["flipped", "z", "nan_z"])
+    @pytest.mark.parametrize("fields", [dict(z=1.0), dict(z=math.nan)], ids=["z", "nan_z"])
     def test_refuses_a_qubit_other_than_spin_up_and_down(self, fields):
-        message = "a qubit encoding is spin up and down: z = 0 and no flip$"
+        message = "a qubit encoding is spin up and down: z = 0$"
         with pytest.raises(ValueError, match=message):
             Encoding(SpaceDescriptor.qubit(), **fields)
 
@@ -667,7 +700,8 @@ class TestEncoding:
 
     # the scalars a caller could pass before they were worked out: on the qubit
     # the refused k, residuals and NaN k, on a mode a k and residuals that
-    # disagree with z, and the old positional order (space, z, residuals, k)
+    # disagree with z, the old positional order (space, z, residuals, k), and
+    # a flip, which only flip() gives
     @pytest.mark.parametrize("args, scalars", [
         ((SpaceDescriptor.qubit(),), dict(k=0.5)),
         ((SpaceDescriptor.qubit(),), dict(residuals=(1e-13, 0.0))),
@@ -675,14 +709,16 @@ class TestEncoding:
         ((SpaceDescriptor.mode(18), 1.0), dict(k=0.3)),
         ((SpaceDescriptor.mode(18), 1.0), dict(residuals=(0.0, 0.0))),
         ((SpaceDescriptor.mode(18), 1.0, (0.0, 0.0), 0.3), {}),
-        ((SpaceDescriptor.mode(18), 1.0, (0.0, 0.0)), {})],
+        ((SpaceDescriptor.mode(18), 1.0, (0.0, 0.0)), {}),
+        ((SpaceDescriptor.mode(18), 1.0, True), {}),
+        ((SpaceDescriptor.mode(18), 1.0), dict(flipped=True)),
+        ((SpaceDescriptor.qubit(),), dict(flipped=False))],
         ids=["qubit_k", "qubit_residual", "qubit_nan_k", "mode_k", "mode_residuals", "positional",
-             "positional_residuals_as_flipped"])
+             "positional_residuals", "positional_flip", "mode_flipped", "qubit_flipped"])
     def test_takes_no_residuals_or_overlap(self, args, scalars):
-        # both are worked out from the mode and z, never passed; residuals in
-        # flipped's place are refused by name, not taken for a truthy flip
-        assert list(inspect.signature(Encoding).parameters) == ["space", "z", "flipped"]
-        with pytest.raises(TypeError, match=r"\(0\.0, 0\.0\)" if len(args) == 3 else None):
+        # all three are worked out, from the mode and z or by flip(), never passed
+        assert list(inspect.signature(Encoding).parameters) == ["space", "z"]
+        with pytest.raises(TypeError):
             Encoding(*args, **scalars)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
@@ -829,7 +865,6 @@ def matrix_of_kind(kind: str, shape, seed: int) -> np.ndarray:
 # factor indices of a four-party state, in range or out of it, and floats
 FACTOR_INDEX = st.one_of(st.integers(-2, 5),
                          st.sampled_from([0.0, 1.0, 3.0, -1.0, 0.5, math.nan, math.inf]))
-NOT_AN_INTEGER = "'float' object cannot be interpreted as an integer"
 
 
 def _outcome(call) -> str:
@@ -850,11 +885,13 @@ class TestFactorIndices:
 
     @staticmethod
     def expected(named, refusal) -> str:
-        """The outcome the rule sets for named: a float is a TypeError, then
-        the first index out of range, then one named twice, are ValueErrors;
-        an index list that passes leaves refusal, the call's own outcome."""
-        if any(isinstance(i, float) for i in named):
-            return f"TypeError: {NOT_AN_INTEGER}"
+        """The outcome the rule sets for named: the first float is a
+        TypeError, then the first index out of range, then one named twice,
+        are ValueErrors; an index list that passes leaves refusal, the call's
+        own outcome."""
+        for i in named:
+            if isinstance(i, float):
+                return f"TypeError: factor index must be an integer, got {i!r}"
         for i in named:
             if not 0 <= i < 4:
                 return f"ValueError: factor index {i} out of range for 4 factors"
@@ -906,8 +943,8 @@ class TestFactorIndices:
                     expected = coeffs.transpose([*named, *rest]).reshape(2**size, -1)
                     assert _cut(state, named) == expected.tolist(), named
 
-    # a dim is an integer by operator.index, like a factor index: a float is
-    # refused, not cut to the integer below it (18.7 is not mode(18))
+    # a dim is an integer by fock._integer, like a factor index: a float is
+    # refused by name, not cut to the integer below it (18.7 is not mode(18))
     @pytest.mark.parametrize("dim", [18.7, 18.0, 19.5, math.nan], ids=repr)
     @pytest.mark.parametrize("build", [
         lambda dim: SpaceDescriptor.mode(dim),
@@ -924,7 +961,7 @@ class TestFactorIndices:
     ], ids=["mode", "space", "cat", "even_coherent", "odd_coherent", "k_matrix", "hes_state",
             "parity_bell_state", "teleport_spin", "teleport_parity", "swap_entanglement"])
     def test_a_mode_dimension_is_an_integer(self, build, dim):
-        with pytest.raises(TypeError, match=NOT_AN_INTEGER):
+        with pytest.raises(TypeError, match=f"^dim must be an integer, got {re.escape(repr(dim))}$"):
             build(dim)
 
 
@@ -1059,12 +1096,14 @@ class TestValueClasses:
                     setattr(value, name, 1.0)
                 with pytest.raises(AttributeError):
                     delattr(value, name)
-        back = pickle.loads(pickle.dumps(x))
-        if cls is StateVector:  # a memoryview's repr shows its address, not its values
-            assert (back.space, back.amps.tolist(), back.truncation_residual) == (
-                x.space, x.amps.tolist(), x.truncation_residual)
-        else:
-            assert repr(back) == repr(x)
+        assert repr(pickle.loads(pickle.dumps(x))) == repr(x)
+
+    def test_a_codewords_repr_shows_its_amplitudes(self):
+        # not the address of the memoryview that holds them
+        a, b = even_coherent(0.0, 4), even_coherent(0.0, 4)
+        assert repr(a) == repr(b) and a is not b
+        assert repr(a) == ("StateVector(space=SpaceDescriptor(factors=((<FactorKind.MODE: 'mode'>, "
+                           "4),)), amps=[1.0, 0.0, 0.0, 0.0], truncation_residual=0.0)")
 
     def test_state_vectors_are_equal_only_to_themselves(self):
         # by identity, as when numpy amplitudes compared elementwise

@@ -44,7 +44,6 @@ import hesim.protocols
 from hesim.protocols import (
     _BATCH_BLOCK,
     _branch,
-    _first_uniform,
     _first_uniforms,
     _measure_bell,
     _teleport,
@@ -726,12 +725,25 @@ class TestRngStream:
         with pytest.raises(TypeError):
             RngStream(0, counter=7)
 
+    @pytest.mark.parametrize("args, kwargs", [((0, "x"), {}), ((0, 0.5), {}),
+                                              ((0,), dict(first=0.5))],
+                             ids=["string_first", "float_first", "keyword_first"])
+    def test_takes_only_its_seed(self, args, kwargs):
+        # the seed fixes the first variate, so none is passed
+        with pytest.raises(TypeError):
+            RngStream(*args, **kwargs)
+
+    @pytest.mark.parametrize("seed", [0.5, "1", None])
+    def test_refuses_a_seed_that_is_no_integer(self, seed):
+        with pytest.raises(TypeError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            RngStream(seed)
+
     def test_same_seed_same_sequence(self):
         a, b = RngStream(9), RngStream(9)
         assert [a.uniform() for _ in range(10)] == [b.uniform() for _ in range(10)]
 
     @pytest.mark.parametrize("seed", [0, 9, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 10**50])
-    def test_unbatched_stream_continues_default_rng(self, seed):
+    def test_a_lone_stream_continues_default_rng(self, seed):
         rng, reference = RngStream(seed), np.random.default_rng(seed)
         assert [rng.uniform() for _ in range(6)] == [reference.random() for _ in range(6)]
 
@@ -746,6 +758,17 @@ class TestRngStream:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             RngStream(-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            _first_uniforms(-1, 3)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 3, 2**200 - 1])
+    def test_its_first_variate_is_a_batch_of_one(self, seed, monkeypatch):
+        batches = []
+        monkeypatch.setattr(hesim.protocols, "_first_uniforms",
+                            lambda start, count: batches.append((start, count))
+                            or _first_uniforms(start, count))
+        assert RngStream(seed).first == np.random.default_rng(seed).random()
+        assert batches == [(seed, 1)]
 
 
 def _default_rng_firsts(seeds) -> list[float]:
@@ -753,8 +776,9 @@ def _default_rng_firsts(seeds) -> list[float]:
 
 
 class TestFirstUniforms:
-    """The lane-packed batch for seeds below 2**64, the batch of one lane for
-    any seed, and the numpy batch they replaced: each is default_rng's."""
+    """The lane-packed batch of a block of seeds that share their words above
+    bit 64, the batch of one lane a lone stream takes, and the numpy batch
+    they replaced: each is default_rng's."""
 
     @pytest.mark.parametrize(
         "start, count",
@@ -773,18 +797,21 @@ class TestFirstUniforms:
         assert _first_uniforms(start, count) == expected
         seeds = np.arange(start, start + count, dtype=np.uint64)
         assert numpy_first_uniforms(seeds).tolist() == expected
-        assert [_first_uniform(s) for s in range(start, start + count)] == expected
+        assert [RngStream(s).uniform() for s in range(start, start + count)] == expected
 
     # seeds of one, two, three, five and six 32-bit words: the last two mix
     # words past the pool's fourth
     @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 3, 2**128 + 7, 10**50])
     def test_multi_word_seed(self, seed):
-        assert _first_uniform(seed) == np.random.default_rng(seed).random()
+        assert _first_uniforms(seed, 1) == [np.random.default_rng(seed).random()]
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(st.integers(min_value=0, max_value=2**200 - 1))
     def test_any_seed_below_2_200(self, seed):
-        assert _first_uniform(seed) == np.random.default_rng(seed).random()
+        # first and later draws of a lone stream
+        rng, reference = RngStream(seed), np.random.default_rng(seed)
+        assert [rng.uniform() for _ in range(3)] == [reference.random() for _ in range(3)]
+        assert _first_uniforms(seed, 1) == [rng.first]
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(start=st.integers(min_value=0, max_value=2**64 - 16), size=st.integers(1, 16))
@@ -796,13 +823,27 @@ class TestFirstUniforms:
         seeds = np.arange(start, start + size, dtype=np.uint64)
         assert numpy_first_uniforms(seeds).tolist() == expected
 
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(start=st.integers(min_value=2**64, max_value=2**200 - 1), size=st.integers(1, 16))
+    @example(start=2**64, size=16)
+    @example(start=3 * 2**64 - 16, size=16)
+    @example(start=2**128 - 16, size=16)
+    @example(start=2**128, size=16)
+    @example(start=10**30, size=16)
+    def test_a_block_that_shares_its_words_above_bit_64_is_default_rngs(self, start, size):
+        # the block ends before the next multiple of 2**64, so each lane's two
+        # low words hold its own seed's and the words above are every lane's
+        start = min(start, (start >> 64 << 64) + 2**64 - size)
+        assert _first_uniforms(start, size) == _default_rng_firsts(range(start, start + size))
+
 
 def _run_seed(where: str, trials: int, offset: int) -> int:
     """The first seed of a run of trials placed as where names."""
     straddle = offset % max(trials - 1, 1)  # seeds on both sides when trials > 1
     return {"from_zero": 0, "across_2_32": 2**32 - 1 - straddle, "to_2_64": 2**64 - trials,
             "across_2_64": 2**64 - 1 - straddle, "past_2_64": 2**64 + offset,
-            "below_2_64": offset % (2**64 - trials)}[where]
+            "below_2_64": offset % (2**64 - trials), "across_3_2_64": 3 * 2**64 - 1 - straddle,
+            "above_2_128": 2**128 + offset}[where]
 
 
 class TestTrialStreams:
@@ -817,7 +858,6 @@ class TestTrialStreams:
     @pytest.mark.parametrize("seed", [0, 2**32 - 5])
     def test_batched_stream_continues_its_generator(self, seed):
         rng = next(trial_streams(seed, 5))
-        assert rng.first is not None
         reference = np.random.default_rng(seed)
         assert [rng.uniform() for _ in range(3)] == [reference.random() for _ in range(3)]
         assert rng.counter == 3
@@ -825,17 +865,19 @@ class TestTrialStreams:
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(trials=st.integers(1, _BATCH_BLOCK),
            where=st.sampled_from(["from_zero", "across_2_32", "to_2_64", "across_2_64",
-                                  "past_2_64", "below_2_64"]),
+                                  "past_2_64", "below_2_64", "across_3_2_64", "above_2_128"]),
            offset=st.integers(0, 2**70))
     @example(trials=_BATCH_BLOCK, where="from_zero", offset=0)
     @example(trials=_BATCH_BLOCK, where="across_2_32", offset=_BATCH_BLOCK // 2)
     @example(trials=_BATCH_BLOCK, where="to_2_64", offset=0)
     @example(trials=_BATCH_BLOCK, where="past_2_64", offset=0)
     @example(trials=1, where="to_2_64", offset=0)
+    @example(trials=_BATCH_BLOCK, where="across_2_64", offset=_BATCH_BLOCK // 2)
+    @example(trials=_BATCH_BLOCK, where="across_3_2_64", offset=_BATCH_BLOCK // 2)
+    @example(trials=_BATCH_BLOCK, where="above_2_128", offset=0)
     def test_every_draw_of_a_block_is_default_rngs(self, trials, where, offset):
-        # a block of seeds below 2**64 is one batch, one that reaches 2**64
-        # is taken seed by seed; every first draw and every later one is
-        # default_rng's, bit for bit
+        # every block is one batch, past 2**64 too; every first draw and every
+        # later one is default_rng's, bit for bit
         seed = _run_seed(where, trials, offset)
         streams = list(trial_streams(seed, trials))
         references = [np.random.default_rng(seed + i) for i in range(trials)]
@@ -844,20 +886,24 @@ class TestTrialStreams:
             assert ([streams[i].uniform() for _ in range(3)]
                     == [references[i].random() for _ in range(3)])
 
-    # (seed, trials, the seeds hashed one at a time): a run across 2**32 batches
-    # every block, and one across 2**64 every block that ends below it
-    @pytest.mark.parametrize("seed, trials, scalar", [
-        (2**32 - 3000, 6000, range(0)),
-        (2**64 - 5000, 6000, range(2**64 - 5000 + 5000 // _BATCH_BLOCK * _BATCH_BLOCK,
-                                   2**64 + 1000)),
-    ], ids=["straddles_2_32", "straddles_2_64"])
-    def test_only_a_block_that_reaches_2_64_is_hashed_seed_by_seed(self, seed, trials, scalar,
-                                                                  monkeypatch):
-        hashed = []
-        monkeypatch.setattr(hesim.protocols, "_first_uniform",
-                            lambda s: hashed.append(s) or _first_uniform(s))
+    # (seed, trials, the (start, count) of each batch): a block holds
+    # _BATCH_BLOCK seeds at most and also ends at each multiple of 2**64
+    @pytest.mark.parametrize("seed, trials, batches", [
+        (2**32 - 3000, 6000, [(2**32 - 3000 + k * _BATCH_BLOCK, _BATCH_BLOCK) for k in range(5)]
+         + [(2**32 - 3000 + 5 * _BATCH_BLOCK, 6000 - 5 * _BATCH_BLOCK)]),
+        (2**64 - 1500, 3000, [(2**64 - 1500, _BATCH_BLOCK), (2**64 - 1500 + _BATCH_BLOCK, 476),
+                              (2**64, _BATCH_BLOCK), (2**64 + _BATCH_BLOCK, 476)]),
+        (3 * 2**64 - 700, 1500, [(3 * 2**64 - 700, 700), (3 * 2**64, 800)]),
+        (10**30, 2100, [(10**30, _BATCH_BLOCK), (10**30 + _BATCH_BLOCK, _BATCH_BLOCK),
+                        (10**30 + 2 * _BATCH_BLOCK, 52)]),
+    ], ids=["straddles_2_32", "straddles_2_64", "straddles_3_2_64", "from_10_30"])
+    def test_every_block_is_one_batch(self, seed, trials, batches, monkeypatch):
+        made = []
+        monkeypatch.setattr(hesim.protocols, "_first_uniforms",
+                            lambda start, count: made.append((start, count))
+                            or _first_uniforms(start, count))
         streams = list(trial_streams(seed, trials))
-        assert hashed == list(scalar)
+        assert made == batches
         assert [rng.seed for rng in streams] == list(range(seed, seed + trials))
         assert [rng.first for rng in streams] == _default_rng_firsts(range(seed, seed + trials))
 
@@ -1098,6 +1144,12 @@ class TestRunTrials:
         with pytest.raises(ValueError, match=r"trials must be >= 0, got -5"):
             run_trials(table, 0, -5)
         assert run_trials(table, 0, 0) == ([0, 0, 0, 0], 0.0)
+
+    @pytest.mark.parametrize("seed", [-1, -3, -2**64 - 5])
+    def test_refuses_a_negative_seed_before_drawing(self, seed, monkeypatch):
+        monkeypatch.setattr(RngStream, "uniform", lambda rng: pytest.fail("drew a variate"))
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            run_trials(self._table("teleport_spin"), seed, 5)
 
     @pytest.mark.parametrize("seed, trials, name", [
         (0.5, 3, "seed"), ("1", 3, "seed"), (0, 3.0, "trials"), (0, None, "trials"),

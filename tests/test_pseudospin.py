@@ -19,6 +19,7 @@ from hesim import (
     mode_dim_for,
     odd_coherent,
 )
+from hesim.fock import _coherent_weights
 from hesim.pseudospin import PAULI_X, PAULI_Y, PAULI_Z
 
 from conftest import Z_CAP, number_state, random_amps, random_cat
@@ -369,6 +370,20 @@ class TestKMatrix:
         k = k_matrix(z, dim)
         assert k.hex() == fsum_k_matrix(z, dim).hex()
         assert abs(k - numpy_k_matrix(z, dim)) <= DENSE_AGREEMENT_TOL
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(z=st.floats(min_value=0.0, max_value=30.0) | st.floats(min_value=30.0, max_value=Z_CAP),
+           offset=st.sampled_from(range(0, 8, 2)))
+    @example(z=0.0, offset=0)
+    @example(z=Z_CAP, offset=0)
+    def test_both_codewords_are_zero_below_the_walk(self, z, offset):
+        # the premise of summing from the walk's first level lo: every
+        # product k_matrix leaves out is an exact zero
+        dim = mode_dim_for(z) + offset
+        assume(dim <= 1_000_000)
+        lo, _ = _coherent_weights(z)
+        for word in (even_coherent(z, dim), odd_coherent(z, dim)):
+            assert not any(word.amps[:lo]) and word.amps[lo:lo + 2].tolist() != [0.0, 0.0]
 
     @pytest.mark.parametrize("z", [0.0, 1e-9, 0.3, 1.0, 2.5, 5.0, 9.0, 20.0])
     @pytest.mark.parametrize("offset", [0, 10])
