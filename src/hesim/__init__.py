@@ -8,22 +8,17 @@ and the singular-value maximum over all settings of any two-party state
 (a hybrid pair, a spin pair or a cat pair), entanglement measures,
 and seeded teleportation / entanglement swapping protocols, plus a batch
 CLI (``hesim``). The package needs only the standard library.
+
+``import hesim`` loads ``fock``, ``protocols`` and ``pseudospin``, which
+every command runs. The names of ``bellchsh`` (``CIRELSON_BOUND``,
+``CLASSICAL_BOUND``, ``ChshResult``, ``ChshSettings``, ``analytic_optimum``,
+``correlation_matrix``, ``optimize_chsh``) and of ``entanglement``
+(``SchmidtSpectrum``, ``entanglement_entropy``, ``schmidt_coefficients``)
+load their module on first access and are bound here from then on, as are
+the two modules themselves; only ``chsh`` needs the first and only ``swap``
+and ``entropy`` the second.
 """
 
-from .bellchsh import (
-    CIRELSON_BOUND,
-    CLASSICAL_BOUND,
-    ChshResult,
-    ChshSettings,
-    analytic_optimum,
-    correlation_matrix,
-    optimize_chsh,
-)
-from .entanglement import (
-    SchmidtSpectrum,
-    entanglement_entropy,
-    schmidt_coefficients,
-)
 from .fock import (
     Encoding,
     FactorKind,
@@ -105,3 +100,30 @@ __all__ = [
     "teleport_parity",
     "teleport_spin",
 ]
+
+# each deferred name of __all__, and each deferred module, to its module
+_LAZY = {
+    name: module
+    for module, names in (
+        ("bellchsh", ("CIRELSON_BOUND", "CLASSICAL_BOUND", "ChshResult", "ChshSettings",
+                      "analytic_optimum", "correlation_matrix", "optimize_chsh")),
+        ("entanglement", ("SchmidtSpectrum", "entanglement_entropy", "schmidt_coefficients")),
+    )
+    for name in (module, *names)
+}
+
+
+def __getattr__(name: str):
+    """A deferred name: its module is imported and the name bound here, so
+    this runs once a name."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    value = globals()[name] = module if name == _LAZY[name] else getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 import operator
 
-from .fock import _NORM_TOL, BellLabel, HesLabel, LogicalState, _require, _set, _svd, _Value
+from .fock import (_NORM_TOL, BellLabel, HesLabel, LogicalState, _refused, _require, _set,
+                   _svd, _Value)
 from .pseudospin import PAULI_X, PAULI_Y, PAULI_Z, Direction, k_series
 
 CIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -61,17 +62,23 @@ class ChshResult(_Value):
 
     Every correlation entry scales with the squared norm of the state, which
     a ``LogicalState`` holds within _NORM_TOL of 1, so a value may pass the
-    Cirelson bound by at most the factor (1 + _NORM_TOL)**2.
+    Cirelson bound by at most the factor (1 + _NORM_TOL)**2. A value that
+    is no number, or settings that are not ``ChshSettings``, are a TypeError.
     """
 
     _fields = ("value", "settings")
 
     def __init__(self, value: float, settings: ChshSettings) -> None:
-        if not abs(value) <= CIRELSON_BOUND * (1.0 + _NORM_TOL) ** 2:  # NaN fails it
+        try:
+            bounded = abs(value) <= CIRELSON_BOUND * (1.0 + _NORM_TOL) ** 2  # NaN fails it
+        except TypeError:
+            raise _refused("value", "a real number", value) from None
+        if not bounded:
             raise ValueError(
                 f"CHSH value {value!r} is not within the quantum bound "
                 f"{CIRELSON_BOUND}"
             )
+        _require(ChshSettings, settings=settings)
         _set(self, "value", value)
         _set(self, "settings", settings)
 

@@ -7,18 +7,18 @@ run entanglement swapping (``swap``), and report entanglement for named
 states (``entropy``). Output is CSV (kz) or JSON (everything else), to
 --out or stdout. All stochastic commands default to seed 0 and echo the
 seed, so reruns are byte-identical; ``chsh`` is deterministic and only
-echoes its ``--seed`` and ``--restarts``.
+echoes its ``--seed`` and ``--restarts``. A module that only some commands
+run is imported by the code that runs it: ``bellchsh`` by ``chsh``,
+``entanglement`` by ``swap`` and ``entropy``, and ``json`` by the JSON
+reports, so the import of this module loads only what every command runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
-from .bellchsh import ChshSettings, analytic_optimum, optimize_chsh
-from .entanglement import entanglement_entropy, schmidt_coefficients
 from .fock import _MODE_DIM_CAP, Encoding, LogicalState, mode_dim_for, tensor
 from .protocols import (
     HesLabel,
@@ -112,6 +112,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json(payload: dict) -> str:
+    import json
+
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -149,6 +151,8 @@ def cmd_kz(args: argparse.Namespace) -> str:
 
 
 def cmd_chsh(args: argparse.Namespace) -> str:
+    from .bellchsh import ChshSettings, analytic_optimum, optimize_chsh
+
     if args.restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {args.restarts}")
     label = _parse_enum(HesLabel, args.label, "hybrid state label")
@@ -221,6 +225,8 @@ def cmd_teleport(args: argparse.Namespace) -> str:
 
 
 def cmd_swap(args: argparse.Namespace) -> str:
+    from .entanglement import entanglement_entropy
+
     _check_runs(args)
     dim = _dim_for(args.dim, args.z, args.zprime)
     table = swap_entanglement(args.z, args.zprime, dim)
@@ -306,6 +312,8 @@ def _build_named_state(spec: str, dim_override: int | None) -> LogicalState:
 
 
 def cmd_entropy(args: argparse.Namespace) -> str:
+    from .entanglement import schmidt_coefficients
+
     state = _build_named_state(args.statespec, args.dim)
     spectrum = schmidt_coefficients(state, {0})
     payload = {

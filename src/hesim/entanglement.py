@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
-from .fock import _NORM_TOL, LogicalState, _cut, _require, _rest, _set, _svd, _Value
+from .fock import _NORM_TOL, LogicalState, _cut, _refused, _require, _rest, _set, _svd, _Value
 
 _EIGENVALUE_FLOOR = 1e-14
 
@@ -26,7 +26,10 @@ class SchmidtSpectrum(_Value):
     _fields = ("coefficients",)
 
     def __init__(self, coefficients: tuple[float, ...]) -> None:
-        coeffs = tuple(float(c) for c in coefficients)
+        try:
+            coeffs = tuple(map(float, coefficients))
+        except (TypeError, ValueError):
+            raise _refused("coefficients", "real numbers", coefficients) from None
         if any(c < 0.0 for c in coeffs):  # -0.0 passes
             raise ValueError("Schmidt coefficients must be nonnegative")
         if any(coeffs[i] < coeffs[i + 1] for i in range(len(coeffs) - 1)):

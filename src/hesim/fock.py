@@ -92,12 +92,17 @@ class _Value:
         return hash(self._key())
 
 
+def _refused(name: str, what: str, value) -> TypeError:
+    """The one wording of a refused argument: "NAME must be WHAT, got VALUE"."""
+    return TypeError(f"{name} must be {what}, got {value!r}")
+
+
 def _require(cls: type, **named) -> None:
     """Refuse, with a TypeError that names it and its value, each keyword
     argument that is not an instance of cls."""
     for name, value in named.items():
         if not isinstance(value, cls):
-            raise TypeError(f"{name} must be {cls.__name__}, got {value!r}")
+            raise _refused(name, cls.__name__, value)
 
 
 def _integer(name: str, value) -> int:
@@ -106,7 +111,7 @@ def _integer(name: str, value) -> int:
     try:
         return operator.index(value)
     except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        raise _refused(name, "an integer", value) from None
 
 
 class TruncationError(ValueError):
@@ -286,7 +291,9 @@ def _coherent_weights(z: float) -> tuple[int, tuple[float, ...]]:
     out, far below the truncation tolerances. The walk reaches level 1 at
     least, so the odd branch of a tiny z is |1>; where z**2 is 0, the limit
     z -> 0 is weight 1 on levels 0 and 1. It checks z for every reader, and
-    refuses a z whose peak lies past the largest cutoff.
+    refuses a z whose peak lies past the largest cutoff. A z that is no real
+    number fails here, or in the cache as it hashes z, with a TypeError that
+    each reader names as z's.
     """
     # NaN fails every comparison, so it must be rejected before any loop on z
     if not (math.isfinite(z) and z >= 0.0):
@@ -331,7 +338,10 @@ def mode_dim_for(z: float) -> int:
     1 000 000: a z that needs more (every z above 996.1769613439574) is
     refused.
     """
-    lo, w = _coherent_weights(z)
+    try:
+        lo, w = _coherent_weights(z)
+    except TypeError:
+        raise _refused("z", "a real number", z) from None
     tails = _tails(w)
     start = max(4, lo)  # below lo the whole mass, 1 >= tol, is out of range
     # the first even d from start whose tail past it is below tol of the mass, else
@@ -351,7 +361,10 @@ def _branch(z: float, dim: int, parity: int) -> tuple[int, tuple[float, ...], fl
     dim, their sum, and the share of the branch's mass at or past dim.
     Raises TruncationError, naming the smallest dim that suffices, if that
     share exceeds 1e-12."""
-    lo, w = _coherent_weights(z)
+    try:
+        lo, w = _coherent_weights(z)
+    except TypeError:
+        raise _refused("z", "a real number", z) from None
     branch = w[parity::2]
     tails = _tails(branch)
     kept = min(len(branch), max(0, (dim - lo - parity + 1) // 2))  # levels below dim
@@ -496,7 +509,10 @@ class LogicalState(_Value):
 
     def __init__(self, encodings: tuple[Encoding, ...], coeffs: tuple[complex, ...]) -> None:
         encodings = tuple(encodings)
-        coeffs = tuple(map(complex, coeffs))
+        try:
+            coeffs = tuple(map(complex, coeffs))
+        except (TypeError, ValueError):
+            raise _refused("coeffs", "complex numbers", coeffs) from None
         if not encodings or len(coeffs) != 2 ** len(encodings):
             raise ValueError(
                 f"{len(coeffs)} coefficients do not fit {len(encodings)} encoded parties"

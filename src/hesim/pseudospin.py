@@ -29,6 +29,7 @@ from .fock import (
     _NORM_TOL,
     _coherent_weights,
     _pair_overlap,
+    _refused,
     _set,
     _Value,
     even_coherent,
@@ -47,7 +48,10 @@ class Direction(_Value):
     _fields = ("nx", "ny", "nz")
 
     def __init__(self, nx: float, ny: float, nz: float) -> None:
-        norm = math.hypot(nx, ny, nz)
+        try:
+            norm = math.hypot(nx, ny, nz)
+        except TypeError:
+            raise _refused("nx, ny and nz", "real numbers", (nx, ny, nz)) from None
         if not abs(norm - 1.0) <= _NORM_TOL:  # written so that NaN fails it
             raise ValueError(f"direction must be a unit vector, |n| = {norm!r}")
         _set(self, "nx", nx)
@@ -77,7 +81,10 @@ def k_series(z: float) -> float:
     so the common factor cancels and every finite z the Fock cap admits is
     reached. At z = 0 the odd branch degenerates; the walk's limit gives 1.
     """
-    _, w = _coherent_weights(z)
+    try:
+        _, w = _coherent_weights(z)
+    except TypeError:
+        raise _refused("z", "a real number", z) from None
     even, odd = w[0::2], w[1::2]  # the walk starts at an even level
     return _pair_overlap(even, odd, math.fsum(even), math.fsum(odd))
 

@@ -4,8 +4,8 @@ Three steps of ``.github/workflows/tier1.yml`` feed the run's summary from
 an inline ``python - >> "$GITHUB_STEP_SUMMARY" <<'EOF'`` script: the code
 lines and tolerance constants, the public names and the CLI, and the
 import time of ``hesim.cli``, from bytecode and compiled from source, with
-the time of two 100-trial Monte-Carlo commands and a ``kz`` sweep, none
-loading numpy. Each
+the hesim modules it loads and the time of one command of each subcommand
+(the Monte-Carlo ones at 100 trials), none loading numpy. Each
 is read off the workflow as plain text (no YAML parser is installed in CI),
 run from the repository root with ``PYTHONPATH=src``, and its summary lines
 are checked for their shape. The tier-1 step's shell script is read off the
@@ -36,7 +36,9 @@ SHAPES = {
                      r"hesim CLI: \d+ subcommands, \d+ arguments, \d+ optional flags"],
     "import time": [r"import hesim\.cli: \d+\.\d ms, best of 5 fresh interpreters; "
                     r"numpy loaded: False; dataclasses loaded: False; inspect loaded: False; "
-                    r"typing loaded: False; cmath loaded: False",
+                    r"typing loaded: False; cmath loaded: False; json loaded: False",
+                    r"import hesim\.cli loads: hesim, hesim\.cli, hesim\.fock, hesim\.protocols, "
+                    r"hesim\.pseudospin",
                     r"import hesim\.cli compiled from source: \d+\.\d ms, best of 5 fresh "
                     r"interpreters with -B and no hesim bytecode",
                     r"hesim teleport spin --alpha 0\.6 --beta 0\.8 --z 1 --trials 100: \d+\.\d ms, "
@@ -44,7 +46,11 @@ SHAPES = {
                     r"hesim swap --z 1 --zprime 1\.2 --trials 100: \d+\.\d ms, best of 5 fresh "
                     r"interpreters; numpy loaded: False",
                     r"hesim kz --zmin 3 --zmax 9 --steps 4: \d+\.\d ms, best of 5 fresh "
-                    r"interpreters; numpy loaded: False"],
+                    r"interpreters; numpy loaded: False",
+                    r"hesim chsh --z 1: \d+\.\d ms, best of 5 fresh interpreters; "
+                    r"numpy loaded: False",
+                    r"hesim entropy hes:phi\+:z=1: \d+\.\d ms, best of 5 fresh interpreters; "
+                    r"numpy loaded: False"],
 }
 
 

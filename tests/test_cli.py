@@ -557,17 +557,15 @@ class TestProtocolBuiltOnce:
     trials in one ``run_trials`` call, not once per trial."""
 
     @staticmethod
-    def _count_calls(monkeypatch, name):
-        import hesim.cli
-
+    def _count_calls(monkeypatch, name, module=hesim.cli):
         calls = []
-        original = getattr(hesim.cli, name)
+        original = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(hesim.cli, name, counted)
+        monkeypatch.setattr(module, name, counted)
         return calls
 
     def test_teleport(self, monkeypatch, tmp_path):
@@ -723,6 +721,72 @@ class TestNumpyRandomNotImported:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False False\n"
 
+    # what only some commands run, each loaded by the code that runs it
+    DEFERRED = ("json", "hesim.bellchsh", "hesim.entanglement")
+
+    @pytest.mark.parametrize("argv, loads", [
+        (["kz", "--zmin", "1", "--zmax", "1", "--steps", "1"], []),
+        (["teleport", "spin", "--alpha", "0.6", "--beta", "0.8", "--z", "1"], ["json"]),
+        (["chsh", "--z", "1"], ["json", "hesim.bellchsh"]),
+        (["swap", "--z", "1", "--zprime", "0.5"], ["json", "hesim.entanglement"]),
+        (["entropy", "hes:phi+:z=1"], ["json", "hesim.entanglement"]),
+    ], ids=lambda arg: arg[0] if arg and arg[0] in hesim.cli._SUBCOMMANDS else None)
+    def test_the_import_loads_what_every_command_runs_and_a_command_its_own(self, argv, loads):
+        # -S, as above: the import loads hesim's three eager modules and none
+        # of the deferred ones, and one command then exactly its own
+        script = (
+            "import os, sys\n"
+            "import hesim.cli\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'hesim'))\n"
+            f"loaded = lambda: [m for m in {self.DEFERRED!r} if m in sys.modules]\n"
+            "print(*loaded())\n"
+            "assert hesim.cli.main(sys.argv[1:] + ['--out', os.devnull]) == 0\n"
+            "print(*loaded())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(hesim.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-S", "-c", script, *argv],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "hesim hesim.cli hesim.fock hesim.protocols hesim.pseudospin", "", " ".join(loads)]
+
+    def test_a_deferred_name_behaves_as_an_eager_one(self):
+        # in a fresh interpreter, where no deferred module is loaded yet
+        deferred = {
+            "hesim.bellchsh": ["CIRELSON_BOUND", "CLASSICAL_BOUND", "ChshResult", "ChshSettings",
+                               "analytic_optimum", "correlation_matrix", "optimize_chsh"],
+            "hesim.entanglement": ["SchmidtSpectrum", "entanglement_entropy",
+                                   "schmidt_coefficients"],
+        }
+        script = (
+            "import importlib, sys\n"
+            "import hesim\n"
+            f"deferred = {deferred!r}\n"
+            "print(*[m for m in deferred if m in sys.modules])\n"
+            "print(sorted(set(hesim.__all__) - set(dir(hesim))))\n"
+            "star = {}\n"
+            "exec('from hesim import *', star)\n"
+            "print(len(hesim.__all__), sorted(star.keys() - {'__builtins__'}) == sorted(hesim.__all__))\n"
+            "print(*[name for module, names in deferred.items() for name in names\n"
+            "        if star[name] is not getattr(importlib.import_module(module), name)\n"
+            "        or vars(hesim)[name] is not star[name]])\n"
+            "print(hesim.bellchsh is sys.modules['hesim.bellchsh'])\n"
+            "for name in ('nonesuch', '_settings_for'):\n"
+            "    try:\n"
+            "        getattr(hesim, name)\n"
+            "    except AttributeError as exc:\n"
+            "        print(exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(hesim.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-S", "-c", script],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "", "[]", "42 True", "", "True",
+            "module 'hesim' has no attribute 'nonesuch'",
+            "module 'hesim' has no attribute '_settings_for'",
+        ]
+
     def test_fresh_interpreter(self):
         commands = [
             ["teleport", "spin", "--alpha", "0.6", "--beta", "0.8", "--z", "1"],
@@ -804,7 +868,11 @@ class TestSwap:
         assert payload["fidelity_min"] >= 1 - 1e-9
 
     def test_undrawn_outcomes_report_null_and_cost_no_entropy(self, monkeypatch, tmp_path):
-        entropies = TestProtocolBuiltOnce._count_calls(monkeypatch, "entanglement_entropy")
+        # the handler imports entanglement_entropy from its module when it runs
+        import hesim.entanglement
+
+        entropies = TestProtocolBuiltOnce._count_calls(
+            monkeypatch, "entanglement_entropy", hesim.entanglement)
         code, data = run(["swap", "--z", "1", "--zprime", "0.5", "--trials", "2"], tmp_path)
         assert code == 0
         outcomes = json.loads(data)["outcomes"]

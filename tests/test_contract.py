@@ -8,25 +8,35 @@ import re
 import pytest
 
 from hesim import (
+    ChshResult,
+    ChshSettings,
+    Direction,
     Encoding,
     HesLabel,
+    LogicalState,
+    SchmidtSpectrum,
     SpaceDescriptor,
     StateVector,
     TeleportRecord,
+    analytic_optimum,
     correlation_matrix,
     entanglement_entropy,
     even_coherent,
     hes_state,
     inner,
     k_matrix,
+    k_series,
     measure_spin_bell,
+    mode_dim_for,
     optimize_chsh,
     parity_measurement,
     schmidt_coefficients,
     teleport_spin,
 )
+from hesim.fock import _coherent_weights
 
 PAIR = hes_state(HesLabel.PHI_PLUS, 1.0, 18)
+SETTINGS = ChshSettings.in_plane(0.0, 0.0, 0.0, 0.0)
 
 # (call, its refusal): each call once raised an AttributeError, a TypeError
 # that named nothing, or nothing at all
@@ -52,6 +62,24 @@ CALLS = {
     "StateVector": (lambda: StateVector(SpaceDescriptor.mode(4), 1.0),
                     "amps must be a sequence of real numbers, got 1.0"),
     "TeleportRecord": (lambda: TeleportRecord(1, PAIR, PAIR), "correction must be Correction, got 1"),
+    # a z that is no number fails in the coherent walk, or in its cache as it
+    # hashes z; each reader of the walk names it
+    "Encoding.cat_z": (lambda: Encoding.cat("1", 18), "z must be a real number, got '1'"),
+    "Encoding.cat_unhashable_z": (lambda: Encoding.cat([1], 18),
+                                  "z must be a real number, got [1]"),
+    "mode_dim_for": (lambda: mode_dim_for([1]), "z must be a real number, got [1]"),
+    "k_series": (lambda: k_series(1j), "z must be a real number, got 1j"),
+    "analytic_optimum": (lambda: analytic_optimum("1"), "z must be a real number, got '1'"),
+    "ChshResult_value": (lambda: ChshResult("x", SETTINGS), "value must be a real number, got 'x'"),
+    "ChshResult_settings": (lambda: ChshResult(1.0, 3), "settings must be ChshSettings, got 3"),
+    "Direction": (lambda: Direction("a", 0, 0),
+                  "nx, ny and nz must be real numbers, got ('a', 0, 0)"),
+    "LogicalState": (lambda: LogicalState((Encoding.qubit(),), (None, 1)),
+                     "coeffs must be complex numbers, got (None, 1)"),
+    "LogicalState_string": (lambda: LogicalState((Encoding.qubit(),), ("x", 1)),
+                            "coeffs must be complex numbers, got ('x', 1)"),
+    "SchmidtSpectrum": (lambda: SchmidtSpectrum((None,)),
+                        "coefficients must be real numbers, got (None,)"),
 }
 
 
@@ -60,3 +88,11 @@ def test_a_wrong_type_is_a_type_error_that_names_it(name):
     call, message = CALLS[name]
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_the_walks_cache_keeps_no_z_it_refused():
+    _coherent_weights.cache_clear()
+    for z in ("1", [1], 1j):
+        with pytest.raises(TypeError, match="^z must be a real number"):
+            Encoding.cat(z, 18)
+    assert _coherent_weights.cache_info().currsize == 0
