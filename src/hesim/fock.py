@@ -244,7 +244,7 @@ class StateVector(_Value):
             try:
                 amps = list(amps)
             except TypeError:
-                raise TypeError(f"amps must be a sequence of real numbers, got {amps!r}") from None
+                raise _refused("amps", "a sequence of real numbers", amps) from None
             # array("d") would drop a numpy complex's imaginary part
             _require(Real, **{f"amps[{i}]": a for i, a in enumerate(amps)})
         amps = array("d", amps)
@@ -577,7 +577,7 @@ def _rest(space: SpaceDescriptor, named) -> tuple[int, ...]:
     try:
         indices = iter(named)
     except TypeError:
-        raise TypeError(f"factor indices must be a sequence of integers, got {named!r}") from None
+        raise _refused("factor indices", "a sequence of integers", named) from None
     named = tuple(_integer("factor index", index) for index in indices)
     for index in named:
         if not 0 <= index < space.nfactors:

@@ -730,7 +730,7 @@ class TestNumpyRandomNotImported:
         (["chsh", "--z", "1"], ["json", "hesim.bellchsh"]),
         (["swap", "--z", "1", "--zprime", "0.5"], ["json", "hesim.entanglement"]),
         (["entropy", "hes:phi+:z=1"], ["json", "hesim.entanglement"]),
-    ], ids=lambda arg: arg[0] if arg and arg[0] in hesim.cli._SUBCOMMANDS else None)
+    ], ids=["kz", "teleport", "chsh", "swap", "entropy"])
     def test_the_import_loads_what_every_command_runs_and_a_command_its_own(self, argv, loads):
         # -S, as above: the import loads hesim's three eager modules and none
         # of the deferred ones, and one command then exactly its own
