@@ -766,7 +766,8 @@ class TestNumpyRandomNotImported:
             "print(sorted(set(hesim.__all__) - set(dir(hesim))))\n"
             "star = {}\n"
             "exec('from hesim import *', star)\n"
-            "print(len(hesim.__all__), sorted(star.keys() - {'__builtins__'}) == sorted(hesim.__all__))\n"
+            "bound = sorted(star.keys() - {'__builtins__'})\n"
+            "print(len(hesim.__all__), bound == sorted(hesim.__all__))\n"
             "print(*[name for module, names in deferred.items() for name in names\n"
             "        if star[name] is not getattr(importlib.import_module(module), name)\n"
             "        or vars(hesim)[name] is not star[name]])\n"
