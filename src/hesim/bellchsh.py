@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .fock import (_NORM_TOL, BellLabel, HesLabel, LogicalState, _refused, _require, _set,
+from .fock import (_NORM2_MAX, BellLabel, HesLabel, LogicalState, _as, _real, _require, _set,
                    _svd, _Value)
 from .pseudospin import PAULI_X, PAULI_Y, PAULI_Z, Direction, k_series
 
@@ -60,20 +60,18 @@ class ChshSettings(_Value):
 class ChshResult(_Value):
     """A CHSH value and the settings that reach it.
 
-    Every correlation entry scales with the squared norm of the state, which
-    a ``LogicalState`` holds within _NORM_TOL of 1, so a value may pass the
-    Cirelson bound by at most the factor (1 + _NORM_TOL)**2. A value that
-    is no number, or settings that are not ``ChshSettings``, are a TypeError.
+    Every correlation entry scales with the squared norm of the state, so a
+    value may pass the Cirelson bound by at most the factor ``fock``'s upper
+    bound on a squared norm, ``_NORM2_MAX``. A value that is no real number,
+    a complex one (numpy's complex128 too) included, or settings that are
+    not ``ChshSettings``, are a TypeError.
     """
 
     _fields = ("value", "settings")
 
     def __init__(self, value: float, settings: ChshSettings) -> None:
-        try:
-            bounded = abs(value) <= CIRELSON_BOUND * (1.0 + _NORM_TOL) ** 2  # NaN fails it
-        except TypeError:
-            raise _refused("value", "a real number", value) from None
-        if not bounded:
+        magnitude = abs(_as("value", "a real number", _real, value))
+        if not magnitude <= CIRELSON_BOUND * _NORM2_MAX:  # NaN fails it
             raise ValueError(
                 f"CHSH value {value!r} is not within the quantum bound "
                 f"{CIRELSON_BOUND}"

@@ -72,12 +72,13 @@ def _parse_enum(enum_cls, text: str, what: str):
 
 
 def _dim_for(override: int | None, *zs: float) -> int:
-    """--dim if given, else the largest adaptive cutoff over the amplitudes."""
+    """--dim if given, else the largest adaptive cutoff over the amplitudes,
+    each distinct one sized once, in order."""
     if override is not None:
         if override > _MODE_DIM_CAP:
             raise ValueError(f"--dim must be at most {_MODE_DIM_CAP}, got {override}")
         return override
-    return max(mode_dim_for(z) for z in zs)
+    return max(mode_dim_for(z) for z in dict.fromkeys(zs))
 
 
 def _parse_amplitude(text: str, name: str) -> complex:
@@ -196,7 +197,7 @@ def cmd_teleport(args: argparse.Namespace) -> str:
         raise ValueError("--zpp is the input codeword amplitude of parity teleportation; "
                          "spin teleportation takes none")
     zpp = args.zpp if args.zpp is not None else args.z
-    dim = _dim_for(args.dim, max(args.z, zpp))
+    dim = _dim_for(args.dim, args.z, zpp)
     if args.kind == "spin":
         table = teleport_spin(alpha, beta, channel, args.z, dim)
     else:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
-from .fock import _NORM_TOL, LogicalState, _cut, _refused, _require, _rest, _set, _svd, _Value
+from .fock import (_NORM2_MAX, _NORM2_MIN, LogicalState, _as, _cut, _reals, _require, _rest,
+                   _set, _svd, _Value)
 
 _EIGENVALUE_FLOOR = 1e-14
 
@@ -18,24 +19,22 @@ _EIGENVALUE_FLOOR = 1e-14
 class SchmidtSpectrum(_Value):
     """Schmidt coefficients in descending order; their squares sum to one.
 
-    The squares sum to the squared norm of the state they came from, which
-    a ``LogicalState`` holds within _NORM_TOL of 1, so the sum must lie
-    between the squares of 1 - _NORM_TOL and 1 + _NORM_TOL.
+    The squares sum to the squared norm of the state they came from, so the
+    sum must lie between ``fock``'s bounds on a squared norm, ``_NORM2_MIN``
+    and ``_NORM2_MAX``. A coefficient must be a real number: text, which
+    ``float`` would parse, and a complex number are a TypeError.
     """
 
     _fields = ("coefficients",)
 
     def __init__(self, coefficients: tuple[float, ...]) -> None:
-        try:
-            coeffs = tuple(map(float, coefficients))
-        except (TypeError, ValueError):
-            raise _refused("coefficients", "real numbers", coefficients) from None
+        coeffs = _as("coefficients", "real numbers", _reals, coefficients)
         if any(c < 0.0 for c in coeffs):  # -0.0 passes
             raise ValueError("Schmidt coefficients must be nonnegative")
         if any(coeffs[i] < coeffs[i + 1] for i in range(len(coeffs) - 1)):
             raise ValueError("Schmidt coefficients must be sorted descending")
         total = sum(c * c for c in coeffs)
-        if not (1.0 - _NORM_TOL) ** 2 <= total <= (1.0 + _NORM_TOL) ** 2:  # NaN fails it
+        if not _NORM2_MIN <= total <= _NORM2_MAX:  # NaN fails it
             raise ValueError(f"squared Schmidt coefficients sum to {total!r}")
         _set(self, "coefficients", coeffs)
 

@@ -54,6 +54,15 @@ _CUTOFF_TOL = 1e-14
 _RESIDUAL_TOL = 1e-12
 
 _NORM_TOL = 1e-12
+# a LogicalState's squared norm lies between the squares of 1 -/+ _NORM_TOL,
+# which bound what scales with it over its exact value: a branch probability,
+# a Schmidt square sum, a run_trials table's total and a CHSH value
+_NORM2_MIN, _NORM2_MAX = (1.0 - _NORM_TOL) ** 2, (1.0 + _NORM_TOL) ** 2
+# text, which float or complex would parse as a number; and, with it, what is
+# no real number: a complex one, Python's or numpy's complex128 (which
+# subclasses it), whose real part float would take with only a warning
+_TEXT = (str, bytes, bytearray)
+_NOT_REAL = (complex, *_TEXT)
 _MODE_DIM_CAP = 1_000_000
 # a pair of rows counts as orthogonal in _svd once their overlap is at most
 # this share of the product of their norms
@@ -105,13 +114,60 @@ def _require(cls: type, **named) -> None:
             raise _refused(name, cls.__name__, value)
 
 
-def _integer(name: str, value) -> int:
-    """value as ``operator.index`` takes it, else a TypeError that names it
-    and its value: the one check of an argument that must be an integer."""
+def _as(name: str, what: str, convert, value):
+    """convert(value), where a TypeError that convert raises becomes one that
+    names the argument and its value, "NAME must be WHAT, got VALUE": the one
+    conversion of an argument."""
     try:
-        return operator.index(value)
+        return convert(value)
     except TypeError:
-        raise _refused(name, "an integer", value) from None
+        raise _refused(name, what, value) from None
+
+
+def _integer(name: str, value) -> int:
+    """value as ``operator.index`` takes it: the one check of an argument
+    that must be an integer."""
+    return _as(name, "an integer", operator.index, value)
+
+
+def _numbers(convert, refused: tuple, values) -> tuple:
+    """values as a tuple of convert's values. values, or one of them, that
+    is an instance of a class in refused is a TypeError, as is anything
+    convert refuses."""
+    items = tuple(values)
+    if isinstance(values, refused) or any(map(isinstance, items, itertools.repeat(refused))):
+        raise TypeError
+    return tuple(map(convert, items))
+
+
+def _real(value) -> float:
+    """value as a float; text, a complex number or anything float refuses
+    is a TypeError."""
+    if isinstance(value, _NOT_REAL):
+        raise TypeError
+    return float(value)
+
+
+# the conversions of coefficients: complex numbers (a LogicalState's) and
+# real ones (a SchmidtSpectrum's), neither from text
+_complexes = functools.partial(_numbers, complex, _TEXT)
+_reals = functools.partial(_numbers, float, _NOT_REAL)
+
+
+def _rows(width: int, values) -> tuple:
+    """values as a tuple of rows of width entries each; anything else is a
+    TypeError."""
+    rows = tuple(values)
+    if set(map(len, rows)) - {width}:
+        raise TypeError
+    return rows
+
+
+def _unit(norm: float, what: str) -> None:
+    """Refuse a norm that is not within _NORM_TOL of 1, NaN included, with
+    the ValueError "WHAT = NORM"."""
+    if not abs(norm - 1.0) <= _NORM_TOL:  # written so that NaN fails it
+        raise ValueError(f"{what} = {norm!r}")
 
 
 class TruncationError(ValueError):
@@ -165,13 +221,15 @@ class SpaceDescriptor(_Value):
 
     A dim must be an integer, as ``_integer`` takes it, like a factor
     index: a float, NaN included, is a TypeError rather than cut to the
-    integer below it."""
+    integer below it. Factors that are not a sequence of pairs are a
+    TypeError too."""
 
     # dims and dim are read off the factors once; equality, hashing and repr use the factors
     _fields = ("factors",)
 
     def __init__(self, factors: tuple[tuple[FactorKind, int], ...]) -> None:
-        factors = tuple((FactorKind(kind), _integer("dim", dim)) for kind, dim in factors)
+        pairs = _as("factors", "a sequence of (kind, dim) pairs", lambda f: _rows(2, f), factors)
+        factors = tuple((FactorKind(kind), _integer("dim", dim)) for kind, dim in pairs)
         if not factors:
             raise ValueError("a space needs at least one factor")
         for kind, dim in factors:
@@ -241,10 +299,7 @@ class StateVector(_Value):
         amps = self.amps
         if not (isinstance(amps, array) and amps.typecode == "d"):
             from numbers import Real
-            try:
-                amps = list(amps)
-            except TypeError:
-                raise _refused("amps", "a sequence of real numbers", amps) from None
+            amps = _as("amps", "a sequence of real numbers", list, amps)
             # array("d") would drop a numpy complex's imaginary part
             _require(Real, **{f"amps[{i}]": a for i, a in enumerate(amps)})
         amps = array("d", amps)
@@ -254,9 +309,8 @@ class StateVector(_Value):
         # a cat fills only its support, about 27 z levels of up to 10**6, and a
         # zero adds nothing to the exact sum, so fsum takes the nonzero squares
         norm = math.sqrt(math.fsum(a * a for a in filter(None, amps)))
-        if not abs(norm - 1.0) <= _NORM_TOL:  # written so that NaN fails it
-            raise ValueError(f"state vector is not normalized: |amps| = {norm!r}")
-        if not self.truncation_residual >= 0.0:
+        _unit(norm, "state vector is not normalized: |amps|")
+        if not _as("truncation_residual", "a real number", _real, self.truncation_residual) >= 0.0:
             raise ValueError("truncation_residual must be nonnegative")
         _set(self, "amps", memoryview(amps).toreadonly())
 
@@ -277,8 +331,9 @@ def _combined_residual(a: float, b: float) -> float:
 
 # mode_dim_for, an Encoding and k_series walk the same z in one command, so
 # the walks of the last few z are kept; a walk at the Fock cap is 27 043
-# floats. Across commands no z repeats, so no other caller gains from it.
-@functools.lru_cache(maxsize=4)
+# floats. Across commands no z repeats, so no other caller gains from it. A z
+# is cached by type too, so a complex z equal to a walked one is walked, and refused.
+@functools.lru_cache(maxsize=4, typed=True)
 def _coherent_weights(z: float) -> tuple[int, tuple[float, ...]]:
     """The Poisson weights z**(2m)/m! of |z> up to a common factor, as (lo, w)
     with w[i] the weight of Fock level lo + i; lo is even.
@@ -292,11 +347,12 @@ def _coherent_weights(z: float) -> tuple[int, tuple[float, ...]]:
     least, so the odd branch of a tiny z is |1>; where z**2 is 0, the limit
     z -> 0 is weight 1 on levels 0 and 1. It checks z for every reader, and
     refuses a z whose peak lies past the largest cutoff. A z that is no real
-    number fails here, or in the cache as it hashes z, with a TypeError that
-    each reader names as z's.
+    number, a complex one (numpy's complex128 too) included, fails here, or
+    in the cache as it hashes z, with a TypeError that each reader names as
+    z's.
     """
     # NaN fails every comparison, so it must be rejected before any loop on z
-    if not (math.isfinite(z) and z >= 0.0):
+    if not (math.isfinite(_real(z)) and z >= 0.0):
         raise ValueError(f"z must be finite and nonnegative, got {z!r}")
     lam = z * z
     if lam == 0.0:
@@ -338,10 +394,7 @@ def mode_dim_for(z: float) -> int:
     1 000 000: a z that needs more (every z above 996.1769613439574) is
     refused.
     """
-    try:
-        lo, w = _coherent_weights(z)
-    except TypeError:
-        raise _refused("z", "a real number", z) from None
+    lo, w = _as("z", "a real number", _coherent_weights, z)
     tails = _tails(w)
     start = max(4, lo)  # below lo the whole mass, 1 >= tol, is out of range
     # the first even d from start whose tail past it is below tol of the mass, else
@@ -361,10 +414,7 @@ def _branch(z: float, dim: int, parity: int) -> tuple[int, tuple[float, ...], fl
     dim, their sum, and the share of the branch's mass at or past dim.
     Raises TruncationError, naming the smallest dim that suffices, if that
     share exceeds 1e-12."""
-    try:
-        lo, w = _coherent_weights(z)
-    except TypeError:
-        raise _refused("z", "a real number", z) from None
+    lo, w = _as("z", "a real number", _coherent_weights, z)
     branch = w[parity::2]
     tails = _tails(branch)
     kept = min(len(branch), max(0, (dim - lo - parity + 1) // 2))  # levels below dim
@@ -508,18 +558,13 @@ class LogicalState(_Value):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, encodings: tuple[Encoding, ...], coeffs: tuple[complex, ...]) -> None:
-        encodings = tuple(encodings)
-        try:
-            coeffs = tuple(map(complex, coeffs))
-        except (TypeError, ValueError):
-            raise _refused("coeffs", "complex numbers", coeffs) from None
+        encodings = _as("encodings", "a sequence of Encodings", tuple, encodings)
+        coeffs = _as("coeffs", "complex numbers", _complexes, coeffs)
         if not encodings or len(coeffs) != 2 ** len(encodings):
             raise ValueError(
                 f"{len(coeffs)} coefficients do not fit {len(encodings)} encoded parties"
             )
-        norm = math.hypot(*map(abs, coeffs))
-        if not abs(norm - 1.0) <= _NORM_TOL:  # written so that NaN fails it
-            raise ValueError(f"logical state is not normalized: |coeffs| = {norm!r}")
+        _unit(math.hypot(*map(abs, coeffs)), "logical state is not normalized: |coeffs|")
         _set(self, "encodings", encodings)
         _set(self, "coeffs", coeffs)
 
@@ -574,10 +619,7 @@ def _rest(space: SpaceDescriptor, named) -> tuple[int, ...]:
     lie in 0 .. nfactors - 1, no negative index counting from the end, and
     be named once, else a ValueError. A named that is not iterable is a
     TypeError too."""
-    try:
-        indices = iter(named)
-    except TypeError:
-        raise _refused("factor indices", "a sequence of integers", named) from None
+    indices = _as("factor indices", "a sequence of integers", iter, named)
     named = tuple(_integer("factor index", index) for index in indices)
     for index in named:
         if not 0 <= index < space.nfactors:

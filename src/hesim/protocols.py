@@ -44,7 +44,8 @@ from enum import Enum
 from collections.abc import Callable, Iterator
 
 from .fock import (
-    _NORM_TOL,
+    _NORM2_MAX,
+    _NORM2_MIN,
     BellLabel,
     Encoding,
     FactorKind,
@@ -52,10 +53,13 @@ from .fock import (
     LogicalState,
     ParityBellLabel,
     SpinBellLabel,
+    _as,
     _cut,
     _integer,
+    _refused,
     _require,
     _rest,
+    _rows,
     _set,
     _Value,
     even_coherent,  # noqa: F401  unused; the benchmark traces hesim.protocols.even_coherent
@@ -290,6 +294,9 @@ def _output(hi: int, lo: int) -> float:
     return ((hi ^ lo) * (2**64 + 1) >> (hi >> 58) + 11 & 2**53 - 1) * 2.0**-53
 
 
+_TABLE = "(outcome, p, record) rows, each record with a fidelity"
+
+
 def run_trials(branches: list[tuple], seed: int, trials: int) -> tuple[list[int], float]:
     """Trials seed, ..., seed + trials - 1 of one table, trial i drawn with one
     uniform variate u from ``RngStream(seed + i)``.
@@ -297,22 +304,25 @@ def run_trials(branches: list[tuple], seed: int, trials: int) -> tuple[list[int]
     A trial draws the first nonzero row whose running sum of probabilities
     exceeds u times their total; a variate past the last sum, on the
     floating-point remainder, counts for the likeliest row. A measurement's
-    table holds the measured state's whole squared norm, at least the square
-    of 1 - _NORM_TOL; one that sums to less, or to NaN, measured a state
-    outside its basis, which is an error rather than a fifth outcome.
-    Returns each row's count and the drawn records' fidelities summed in
-    trial order, so every row's record must carry a ``fidelity``. A trial
-    takes one ``RngStream.uniform`` call and one bisection of the running
-    sums. A seed or trial count that ``operator.index`` does not take is a
-    TypeError, and a negative trial count a ValueError, each before any
-    draw; 0 trials is the empty run.
+    table holds the measured state's whole squared norm, at least ``fock``'s
+    lower bound on a squared norm, ``_NORM2_MIN``; one that sums to less, or
+    to NaN, measured a state outside its basis, which is an error rather
+    than a fifth outcome. Returns each row's count and the drawn records'
+    fidelities summed in trial order, so every row's record must carry a
+    ``fidelity``: a table whose rows are not (outcome, p, record) triples,
+    or a record without one (a measurement's branch state, say), is a
+    TypeError that names branches. A trial takes one ``RngStream.uniform``
+    call and one bisection of the running sums. A seed or trial count that
+    ``operator.index`` does not take is a TypeError, and a negative trial
+    count a ValueError, each before any draw; 0 trials is the empty run.
     """
     seed, trials = _integer("seed", seed), _integer("trials", trials)
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials!r}")
-    ps = [p for _, p, _ in branches]
+    rows = _as("branches", _TABLE, lambda table: _rows(3, table), branches)
+    ps = [p for _, p, _ in rows]
     total = sum(ps)
-    if not total >= (1.0 - _NORM_TOL) ** 2:  # written so that NaN fails it
+    if not total >= _NORM2_MIN:  # written so that NaN fails it
         raise ValueError(
             f"state carries weight {1.0 - total:.3e} outside the span of the "
             f"measured basis"
@@ -321,7 +331,9 @@ def run_trials(branches: list[tuple], seed: int, trials: int) -> tuple[list[int]
     # so the first sum above a variate is never a zero row's
     sums = list(itertools.accumulate(ps, initial=0.0))[1:]
     likeliest = max(range(len(ps)), key=ps.__getitem__)
-    fidelities = [rec.fidelity for _, _, rec in branches]
+    fidelities = [getattr(rec, "fidelity", None) for _, _, rec in rows]
+    if None in fidelities:
+        raise _refused("branches", _TABLE, branches)
     fidelities.append(fidelities[likeliest])  # the row past the sums
     counts = [0] * len(fidelities)
     fidelity = 0.0
@@ -375,7 +387,6 @@ def parity_bell_state(
     return bell_pair(label, Encoding.cat(z, dim), Encoding.cat(z_prime, dim))
 
 
-@functools.cache
 def correction_for(outcome: BellLabel, channel: HesLabel) -> Correction:
     """Receiver-side fix-up for a sender Bell outcome over a given channel.
 
@@ -400,10 +411,10 @@ def _norm2(coeffs) -> float:
 def _branch(outcome, coeffs: list[complex], encodings: tuple[Encoding, ...]) -> tuple:
     """(outcome, p, the state of coeffs renormalized over encodings) with p the
     squared norm of coeffs itself, so any branch draw may pick renormalizes;
-    the state is None at p = 0. A projection of a LogicalState, whose norm
-    is within _NORM_TOL of 1, has p at most the square of 1 + _NORM_TOL."""
+    the state is None at p = 0. A projection of a LogicalState has p at
+    most ``fock``'s upper bound on a squared norm, ``_NORM2_MAX``."""
     p = _norm2(coeffs)
-    if not p <= (1.0 + _NORM_TOL) ** 2:  # written so that NaN fails it
+    if not p <= _NORM2_MAX:  # written so that NaN fails it
         raise ValueError(f"outcome probability {p!r}")
     if p == 0.0:
         return outcome, p, None
@@ -424,8 +435,10 @@ def _measure_bell(state, factors, enc_a, enc_b):
     decides their kinds too, so the probabilities sum to 1 up to rounding;
     ``fock._cut`` lays the coefficients out over them. A Bell pair's coefficients
     are real, so they are their own conjugates in the projection. Two
-    factors must be named, and at least one left, else a ValueError.
+    factors must be named, and at least one left, else a ValueError; a
+    state that is not a ``LogicalState`` is a TypeError.
     """
+    _require(LogicalState, state=state)
     rest = _rest(state.space, factors)
     if not 0 < len(rest) == state.space.nfactors - 2:
         raise ValueError(f"cannot Bell-measure factors {factors} of {state.space.describe()}: "
@@ -460,8 +473,10 @@ def parity_measurement(
 
     Outcome 1 is even parity, -1 odd; the collapsed states keep every factor.
     A mode's encoding, plain or flipped, has an even |0_L> and an odd
-    |1_L>, so the outcome reads the logical index.
+    |1_L>, so the outcome reads the logical index. A state that is not a
+    ``LogicalState`` is a TypeError.
     """
+    _require(LogicalState, state=state)
     _rest(state.space, (mode_index,))
     if state.space.kind(mode_index) is not FactorKind.MODE:
         raise ValueError(f"factor {mode_index} of {state.space.describe()} is not a mode")

@@ -26,11 +26,12 @@ import math
 import operator
 
 from .fock import (
-    _NORM_TOL,
+    _as,
     _coherent_weights,
     _pair_overlap,
-    _refused,
+    _real,
     _set,
+    _unit,
     _Value,
     even_coherent,
     odd_coherent,
@@ -43,17 +44,15 @@ PAULI_Z = ((1 + 0j, 0j), (0j, -1 + 0j))
 
 
 class Direction(_Value):
-    """Unit vector on the Bloch sphere; a measurement setting."""
+    """Unit vector on the Bloch sphere; a measurement setting. A component
+    that is no real number, a complex one included, is a TypeError."""
 
     _fields = ("nx", "ny", "nz")
 
     def __init__(self, nx: float, ny: float, nz: float) -> None:
-        try:
-            norm = math.hypot(nx, ny, nz)
-        except TypeError:
-            raise _refused("nx, ny and nz", "real numbers", (nx, ny, nz)) from None
-        if not abs(norm - 1.0) <= _NORM_TOL:  # written so that NaN fails it
-            raise ValueError(f"direction must be a unit vector, |n| = {norm!r}")
+        norm = _as("nx, ny and nz", "real numbers", lambda n: math.hypot(*map(_real, n)),
+                   (nx, ny, nz))
+        _unit(norm, "direction must be a unit vector, |n|")
         _set(self, "nx", nx)
         _set(self, "ny", ny)
         _set(self, "nz", nz)
@@ -81,10 +80,7 @@ def k_series(z: float) -> float:
     so the common factor cancels and every finite z the Fock cap admits is
     reached. At z = 0 the odd branch degenerates; the walk's limit gives 1.
     """
-    try:
-        _, w = _coherent_weights(z)
-    except TypeError:
-        raise _refused("z", "a real number", z) from None
+    _, w = _as("z", "a real number", _coherent_weights, z)
     even, odd = w[0::2], w[1::2]  # the walk starts at an even level
     return _pair_overlap(even, odd, math.fsum(even), math.fsum(odd))
 

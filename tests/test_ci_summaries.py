@@ -2,7 +2,8 @@
 
 Three steps of ``.github/workflows/tier1.yml`` feed the run's summary from
 an inline ``python - >> "$GITHUB_STEP_SUMMARY" <<'EOF'`` script: the code
-lines and tolerance constants, the public names and the CLI, and the
+lines, tolerance constants, except clauses that catch TypeError and imported
+tolerance constants, the public names and the CLI, and the
 import time of ``hesim.cli``, from bytecode and compiled from source, with
 the hesim modules it loads and the time of one command of each subcommand
 (the Monte-Carlo ones at 100 trials), none loading numpy. Each
@@ -31,6 +32,10 @@ SHAPES = {
     "code lines": [FENCE, (r" *\d+ src/hesim/\w+\.py", "+"), r" *\d+ code lines",
                    (r" *\d+ tolerances in src/hesim/\w+\.py(: _\w+(, _\w+)*)?", "+"),
                    r" *\d+ tolerance constants",
+                   (r" *\d+ except clauses catching TypeError in src/hesim/\w+\.py", "+"),
+                   r" *\d+ except clauses catching TypeError",
+                   (r" *\d+ tolerances imported by src/hesim/\w+\.py(: _\w+(, _\w+)*)?", "+"),
+                   r" *\d+ tolerance imports",
                    FENCE],
     "public names": [r"hesim\.__all__: \d+ names, \d+ parameters, \d+ with a default",
                      r"hesim CLI: \d+ subcommands, \d+ arguments, \d+ optional flags"],

@@ -461,6 +461,18 @@ class TestTeleport:
         assert payload["alpha"][0] == pytest.approx(0.6, abs=1e-12)
         assert payload["beta"][0] == pytest.approx(0.8, abs=1e-12)
 
+    @pytest.mark.parametrize("z, zpp, named", [
+        ("-1", "2000", "-1.0"), ("-2", "-1", "-2.0"), ("1", "nan", "nan"), ("2000", "-1", "2000.0"),
+    ])
+    def test_names_the_first_amplitude_without_a_cutoff_as_swap_does(self, z, zpp, named, capsys):
+        # the cutoff is the largest over --z then --zpp, so where both have
+        # none the error names --z's, not the larger of the two
+        teleport = _outcome(["teleport", "parity", "--alpha", "1", "--beta", "0", "--z", z,
+                             "--zpp", zpp], capsys)
+        assert teleport == _outcome(["swap", "--z", z, "--zprime", zpp], capsys)
+        assert teleport[2] == 1
+        assert f"z = {named} " in teleport[1] or f"got {named}\n" in teleport[1]
+
     @pytest.mark.parametrize("amp", ["nan", "inf", "nan+1j"])
     def test_non_finite_amplitude_fails_at_once(self, amp):
         # NaN used to pass the normalization and fail late, after numpy
